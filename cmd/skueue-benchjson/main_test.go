@@ -14,7 +14,6 @@ pkg: skueue
 cpu: AMD EPYC 7B13
 BenchmarkClientThroughput-8   	  213504	      5613 ns/op	    356216 client-ops/s
 BenchmarkRemoteThroughput-8   	   60278	     19858 ns/op	    100714 net-ops/s
-BenchmarkDurableThroughput/fsync-per-op-8         	    4476	    266932 ns/op	      3745 durable-ops/s
 BenchmarkDurableThroughput/group-commit-8         	   63708	     18663 ns/op	     53585 durable-ops/s
 PASS
 ok  	skueue	12.446s
@@ -31,8 +30,8 @@ func TestParse(t *testing.T) {
 	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "skueue" || rep.CPU != "AMD EPYC 7B13" {
 		t.Errorf("preamble = %q/%q/%q/%q", rep.Goos, rep.Goarch, rep.Pkg, rep.CPU)
 	}
-	if len(rep.Benchmarks) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3", len(rep.Benchmarks))
 	}
 	ct := rep.Benchmarks[0]
 	if ct.Name != "ClientThroughput" || ct.Procs != 8 || ct.Iterations != 213504 {
@@ -41,7 +40,7 @@ func TestParse(t *testing.T) {
 	if ct.Metrics["ns/op"] != 5613 || ct.Metrics["client-ops/s"] != 356216 {
 		t.Errorf("ClientThroughput metrics = %v", ct.Metrics)
 	}
-	gc := rep.Benchmarks[3]
+	gc := rep.Benchmarks[2]
 	if gc.Name != "DurableThroughput/group-commit" {
 		t.Errorf("sub-benchmark name = %q", gc.Name)
 	}

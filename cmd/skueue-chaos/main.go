@@ -83,7 +83,6 @@ func main() {
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "journal group-commit window the kills are phase-aligned into (proc)")
 		snapEvery   = flag.Duration("snapshot-every", 50*time.Millisecond, "server snapshot cadence (proc)")
 		tick        = flag.Duration("tick", 500*time.Microsecond, "server protocol TIMEOUT cadence (proc)")
-		batchOps    = flag.Int("journal-batch-ops", 0, "server journal group-commit op cap (proc; 0: server default)")
 		batchDelay  = flag.Duration("journal-batch-delay", 2*time.Millisecond, "server journal batch hold time (proc; should match -batch-window)")
 		sessions    = flag.Bool("sessions", true, "drive proc traffic through durable client sessions (WithSession + reconnect) instead of ephemeral fail-fast connections")
 		stateDir    = flag.String("state-dir", "", "state/log directory for the proc cluster (empty: fresh temp dir)")
@@ -174,8 +173,8 @@ func main() {
 			},
 			WANLatency: *wanLatency, WANJitter: *wanJitter, WANLoss: *wanLoss,
 			SnapshotEvery: *snapEvery, Tick: *tick,
-			JournalBatchOps: *batchOps, JournalBatchDelay: *batchDelay,
-			BaseDir: *stateDir, Logf: logf,
+			JournalBatchDelay: *batchDelay,
+			BaseDir:           *stateDir, Logf: logf,
 		}
 		res, err := chaos.RunProc(sc)
 		if err != nil {

@@ -38,16 +38,15 @@
 // instead of fsyncing every operation on the submission path, a journal
 // writer coalesces concurrent operations into one write+fsync per batch
 // and releases their confirmations only after the sync — the same
-// durability contract, a fraction of the disk syncs. -journal-batch-ops
-// caps how many operations one batch may coalesce (default 64; 1
-// restores the synchronous per-operation fsync), and -journal-batch-delay
-// deliberately holds a batch open to accumulate more operations: zero
-// (the default) adds no latency — batches only form while a previous
-// fsync is in flight — while e.g. 2ms trades up to that much confirmation
-// latency for fewer, larger syncs on slow disks:
+// durability contract, a fraction of the disk syncs. -journal-batch-delay
+// deliberately holds a batch open (until 64 operations are staged) to
+// accumulate more operations: zero (the default) adds no latency —
+// batches only form while a previous fsync is in flight — while e.g. 2ms
+// trades up to that much confirmation latency for fewer, larger syncs on
+// slow disks:
 //
 //	skueue-server -addr 127.0.0.1:7002 -state /var/lib/skueue/m1 \
-//	    -join 127.0.0.1:7001 -journal-batch-ops 256 -journal-batch-delay 2ms
+//	    -join 127.0.0.1:7001 -journal-batch-delay 2ms
 package main
 
 import (
@@ -76,8 +75,7 @@ func main() {
 		join       = flag.String("join", "", "join a running cluster via this seed address (ignores bootstrap flags)")
 		state      = flag.String("state", "", "state directory for fail-stop snapshots and the operation journal (empty: no persistence)")
 		snapEv     = flag.Duration("snapshot-every", 250*time.Millisecond, "write-ahead snapshot cadence (with -state)")
-		batchOps   = flag.Int("journal-batch-ops", 0, "journal group-commit op cap: flush once this many ops are staged (0: default 64; 1: synchronous per-op fsync)")
-		batchDelay = flag.Duration("journal-batch-delay", 0, "hold a journal batch open this long to accumulate ops before the fsync (0: flush when idle)")
+		batchDelay = flag.Duration("journal-batch-delay", 0, "hold a journal batch open this long, or until 64 ops are staged, before the fsync (0: flush when idle)")
 		giveUp     = flag.Duration("give-up", 0, "declare an unreachable member dead after this long (0: wait forever)")
 		tick       = flag.Duration("tick", time.Millisecond, "protocol TIMEOUT cadence")
 		wanLatency = flag.Duration("wan-latency", 0, "WAN shaping: base one-way delay added to inbound peer frames")
@@ -101,7 +99,6 @@ func main() {
 		Join:              *join,
 		StateDir:          *state,
 		SnapshotEvery:     *snapEv,
-		JournalBatchOps:   *batchOps,
 		JournalBatchDelay: *batchDelay,
 		GiveUp:            *giveUp,
 		Shape:             shape,

@@ -15,9 +15,10 @@
 //     ranked locks are not held across blocking channel operations or
 //     blocking I/O (unless the lock is declared an I/O guard).
 //   - releaseorder: a client-visible outcome (wire.CliDone carrying a
-//     result) is released to a session only through the journal's parked
-//     releases — after the covering fsync — or under an explicit
-//     journal-disabled guard (PR 4/5's journaled-before-release contract).
+//     result) is released to a session only through the durability seam's
+//     parked releases — after the covering fsync; a member without stable
+//     storage runs the same releases inline — with no journal-disabled
+//     exemption (PR 4/5's journaled-before-release contract).
 //   - wirereg: every concrete type that crosses the wire inside an
 //     interface-typed payload is registered with the wire codec, so the
 //     "gob: name not registered" class of drift fails in CI instead of at
@@ -60,7 +61,9 @@
 //	                                   permits blocking I/O while held
 //	//skueue:client-release          — func: hands frames to a client session
 //	//skueue:client-outcome          — type: the client completion frame
-//	//skueue:journaled-release       — func: runs after the covering fsync
+//	//skueue:journaled-release       — func: a parked release (or its builder):
+//	                                   runs once the record is durable; the only
+//	                                   place an outcome may be released from
 //	//skueue:wire-payload            — func: last arg crosses the wire
 //	//skueue:wire-register           — func: registers a wire type
 //	//skueue:future                  — type: a future with Value/Err/Done

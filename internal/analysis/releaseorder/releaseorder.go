@@ -2,37 +2,33 @@
 //
 // A client-visible outcome (a //skueue:client-outcome frame carrying a
 // result) must not reach a //skueue:client-release function unless the
-// journal has a chance to make the outcome durable first — the PR 4/5
-// rule that a confirmed result survives a crash. A release is accepted
-// when one of these holds:
+// member's durable storage has made the outcome durable first — the
+// PR 4/5 rule that a confirmed result survives a crash. A release is
+// accepted when one of these holds:
 //
-//   - the enclosing function is //skueue:journaled-release (it runs as a
-//     parked release after the covering fsync);
+//   - the enclosing function is //skueue:journaled-release (it builds or
+//     is a parked release, which runs only after the covering fsync — or
+//     at once on a member with no stable storage, where the storage seam
+//     itself runs releases inline);
 //   - the frame is an error notification: a composite literal that sets
 //     none of the outcome type's result-bearing fields (fields marked
-//     //skueue:client-outcome themselves) — failures are not outcomes;
-//   - the release is inside an `if <journal> == nil` guard (journaling
-//     disabled, nothing to wait for);
-//   - an immediately preceding `if <journal> != nil { ...; return }`
-//     sibling diverted the journaled case, so this path is the
-//     journal-disabled fall-through.
+//     //skueue:client-outcome themselves) — failures are not outcomes.
 //
-// "<journal>" is any nil-comparison whose other operand mentions a
-// journal (by rendered expression), keeping the analyzer free of
-// hard-coded type paths. Everything else is reported.
+// Everything else is reported. There is no journal-disabled escape
+// hatch: whether anything has to be waited for is the storage seam's
+// business, not the call site's.
 package releaseorder
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"skueue/internal/analysis"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "releaseorder",
-	Doc:  "client outcomes are released only through the journal's parked releases (or under a journal-disabled guard)",
+	Doc:  "client outcomes are released only through the journal's parked releases",
 	Run:  run,
 }
 
@@ -62,7 +58,6 @@ func run(pass *analysis.Pass) {
 
 	for _, pkg := range pass.Prog.Pkgs {
 		for _, file := range pkg.Files {
-			parents := parentMap(file)
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -91,11 +86,8 @@ func run(pass *analysis.Pass) {
 					if isErrorShape(pkg.Info, arg, resultFields) {
 						return true
 					}
-					if underJournalNilGuard(parents, call) || afterJournaledReturn(parents, call) {
-						return true
-					}
 					pass.Reportf(call.Pos(),
-						"client outcome released without a dominating journal stage: park it via the journal's release queue, or guard the journal-disabled path")
+						"client outcome released without a dominating journal stage: park it via the journal's release queue")
 					return true
 				})
 			}
@@ -146,97 +138,4 @@ func isErrorShape(info *types.Info, arg ast.Expr, resultFields map[*types.Var]bo
 		}
 	}
 	return true
-}
-
-// underJournalNilGuard walks the ancestors looking for
-// `if <journal> == nil { ... }` containing the call.
-func underJournalNilGuard(parents map[ast.Node]ast.Node, n ast.Node) bool {
-	for cur := parents[n]; cur != nil; cur = parents[cur] {
-		ifs, ok := cur.(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		if nodeWithin(ifs.Body, n) && journalNilCond(ifs.Cond, "==") {
-			return true
-		}
-	}
-	return false
-}
-
-// afterJournaledReturn checks whether some enclosing statement is
-// immediately preceded by `if <journal> != nil { ...; return }`: the
-// journaled case was diverted, so the call is the disabled fall-through.
-func afterJournaledReturn(parents map[ast.Node]ast.Node, n ast.Node) bool {
-	for cur := ast.Node(n); cur != nil; cur = parents[cur] {
-		block, ok := parents[cur].(*ast.BlockStmt)
-		if !ok {
-			continue
-		}
-		stmt, ok := cur.(ast.Stmt)
-		if !ok {
-			continue
-		}
-		for i, s := range block.List {
-			if s != stmt || i == 0 {
-				continue
-			}
-			prev, ok := block.List[i-1].(*ast.IfStmt)
-			if ok && journalNilCond(prev.Cond, "!=") && endsInReturn(prev.Body) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// journalNilCond matches `X <op> nil` where X's rendered expression
-// mentions a journal.
-func journalNilCond(cond ast.Expr, op string) bool {
-	bin, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || bin.Op.String() != op {
-		return false
-	}
-	x, y := bin.X, bin.Y
-	if isNil(x) {
-		x, y = y, x
-	}
-	if !isNil(y) {
-		return false
-	}
-	return strings.Contains(strings.ToLower(types.ExprString(x)), "journal")
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func endsInReturn(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	_, ok := b.List[len(b.List)-1].(*ast.ReturnStmt)
-	return ok
-}
-
-func nodeWithin(outer, inner ast.Node) bool {
-	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
-}
-
-// parentMap records each node's syntactic parent within the file.
-func parentMap(file *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

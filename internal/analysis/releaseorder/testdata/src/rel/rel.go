@@ -1,6 +1,7 @@
 // Package rel exercises the releaseorder analyzer: unjournaled outcome
-// releases, the error-notification shape, the journal-disabled guards,
-// the journaled-release annotation and suppressions.
+// releases, the error-notification shape, the journaled-release
+// annotation, suppressions, and a journal-nil guard that no longer
+// excuses anything.
 package rel
 
 //skueue:client-outcome
@@ -55,20 +56,20 @@ func (s *server) releaseDone(done CliDone) func(error) {
 	}
 }
 
-func guarded(s *server, done CliDone) {
+func nilGuardIsNoExcuse(s *server, done CliDone) {
 	if s.journal == nil {
-		s.sess.send(done) // ok: journaling disabled, nothing to wait for
+		s.sess.send(done) // want `released without a dominating journal stage`
 		return
 	}
 	s.journal.appendDone(done, s.releaseDone(done))
 }
 
-func fallthroughStyle(s *server, done CliDone) {
+func fallthroughIsNoExcuse(s *server, done CliDone) {
 	if s.journal != nil {
 		s.journal.appendDone(done, s.releaseDone(done))
 		return
 	}
-	s.sess.send(done) // ok: the journaled case diverted above
+	s.sess.send(done) // want `released without a dominating journal stage`
 }
 
 func suppressedRelease(s *server, done CliDone) {

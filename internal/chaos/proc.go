@@ -58,7 +58,6 @@ type ProcScenario struct {
 	SnapshotEvery     time.Duration
 	Tick              time.Duration
 	GiveUp            time.Duration
-	JournalBatchOps   int
 	JournalBatchDelay time.Duration
 	// BaseDir holds state directories and member logs (default: a fresh
 	// temp dir the caller is responsible for cleaning up).
@@ -259,9 +258,6 @@ func (c *ProcCluster) commonArgs(m *procMember) []string {
 	}
 	if sc.GiveUp > 0 {
 		args = append(args, "-give-up", sc.GiveUp.String())
-	}
-	if sc.JournalBatchOps != 0 {
-		args = append(args, "-journal-batch-ops", fmt.Sprint(sc.JournalBatchOps))
 	}
 	if sc.JournalBatchDelay > 0 {
 		args = append(args, "-journal-batch-delay", sc.JournalBatchDelay.String())

@@ -56,9 +56,7 @@ import (
 // the journal is keeping up. A positive batchDelay deliberately holds a
 // batch open that long to accumulate more records (throughput for
 // latency); the batchOps cap flushes early once that many operations are
-// staged. batchOps == 1 disables the pipeline entirely and restores the
-// synchronous per-record fsync on the caller, which is the baseline
-// BenchmarkDurableThroughput contrasts against.
+// staged.
 //
 // Failure is sticky: once a batch write or fsync fails, the file may end
 // in a torn record, and appending past the tear would hide every later
@@ -87,12 +85,12 @@ import (
 
 // # The sequence lease
 //
-// Asynchronous appends open one more hole the synchronous code never
-// had: an operation's request ID is allocated at injection, and its
-// effects can ride a wave to peer members while the op record is still
-// staged. If the member then crashes before the batch syncs, the record
-// is lost, the restarted member's request counter — advanced only past
-// DURABLE records — re-issues the same ID to a fresh client operation,
+// Asynchronous appends open one more hole: an operation's request ID is
+// allocated at injection, and its effects can ride a wave to peer
+// members while the op record is still staged. If the member then
+// crashes before the batch syncs, the record is lost, the restarted
+// member's request counter — advanced only past DURABLE records —
+// re-issues the same ID to a fresh client operation,
 // and the peers' request-ID dedupe rings (which deliberately match
 // across boot epochs, replay depends on it) swallow the new operation as
 // a replay of the dead one. The journal therefore maintains a durable
@@ -147,22 +145,31 @@ const leaseSpan = 1 << 16
 
 const journalFile = "ops.journal"
 
-// defaultBatchOps is the group-commit op cap when the config leaves it 0.
-const defaultBatchOps = 64
+// batchOps is the group-commit op cap: with a positive batch delay the
+// writer flushes early once this many operations are staged.
+const batchOps = 64
 
 // journalRelease is a parked release action: called with nil once the
 // fsync covering its record returned, or with the journal failure if the
-// record never became durable. Runs on the journal writer goroutine (or
-// inline on the caller with batchOps == 1).
+// record never became durable. Runs on the journal writer goroutine, or
+// inline on the staging goroutine when there is nothing to wait for (the
+// volatile durability, an already failed journal).
 type journalRelease func(err error)
+
+// run fires the release; a nil release (a record nobody waits on) is a
+// no-op.
+func (r journalRelease) run(err error) {
+	if r != nil {
+		r(err)
+	}
+}
 
 // opJournal is the append side: staging on the submission path, one
 // writer goroutine doing the batched write+fsync, compaction on the
 // snapshot goroutine.
 type opJournal struct {
-	dir      string
-	batchOps int           // flush once this many ops are staged; 1 = synchronous
-	delay    time.Duration // hold a batch open this long to accumulate (0: flush when idle)
+	dir   string
+	delay time.Duration // hold a batch open this long to accumulate (0: flush when idle)
 
 	// mu guards the staging side: the batch buffer, the parked releases,
 	// the fire-marker bookkeeping, the lifecycle flags and the logical
@@ -235,9 +242,8 @@ type opJournal struct {
 }
 
 // openJournal opens (or, with fresh set, truncates) the journal for
-// appending and starts the group-commit writer (unless batchOps is 1,
-// which selects the synchronous per-record mode).
-func openJournal(dir string, fresh bool, batchOps int, delay time.Duration) (*opJournal, error) {
+// appending and starts the group-commit writer.
+func openJournal(dir string, fresh bool, delay time.Duration) (*opJournal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -254,12 +260,8 @@ func openJournal(dir string, fresh bool, batchOps int, delay time.Duration) (*op
 		f.Close()
 		return nil, err
 	}
-	if batchOps <= 0 {
-		batchOps = defaultBatchOps
-	}
 	j := &opJournal{
 		dir:      dir,
-		batchOps: batchOps,
 		delay:    delay,
 		f:        f,
 		durable:  st.Size(),
@@ -268,16 +270,10 @@ func openJournal(dir string, fresh bool, batchOps int, delay time.Duration) (*op
 		lastMark: make(map[transport.NodeID]int64),
 		wake:     make(chan struct{}, 1),
 	}
-	if !j.syncMode() {
-		j.wg.Add(1)
-		go j.writerLoop()
-	}
+	j.wg.Add(1)
+	go j.writerLoop()
 	return j, nil
 }
-
-// syncMode reports whether appends write+fsync inline on the caller
-// instead of going through the writer goroutine.
-func (j *opJournal) syncMode() bool { return j.batchOps == 1 }
 
 // close flushes whatever is still staged, stops the writer and closes the
 // file. Parked releases run (or fail) before close returns.
@@ -290,10 +286,8 @@ func (j *opJournal) close() {
 	j.closed = true
 	j.urgent = true
 	j.mu.Unlock()
-	if !j.syncMode() {
-		j.wakeWriter()
-		j.wg.Wait()
-	}
+	j.wakeWriter()
+	j.wg.Wait()
 	j.wmu.Lock()
 	if j.f != nil {
 		j.f.Close()
@@ -361,9 +355,7 @@ func (j *opJournal) appendOp(node transport.NodeID, reqID uint64, isDeq bool, pr
 	j.mu.Lock()
 	if err := j.unusableLocked(); err != nil {
 		j.mu.Unlock()
-		if release != nil {
-			release(err)
-		}
+		release.run(err)
 		return
 	}
 	var frames []byte
@@ -371,9 +363,7 @@ func (j *opJournal) appendOp(node transport.NodeID, reqID uint64, isDeq bool, pr
 		b, err := encodeRecord(&journalRecord{Kind: recFire, Node: node, Wave: lf})
 		if err != nil {
 			j.mu.Unlock()
-			if release != nil {
-				release(err)
-			}
+			release.run(err)
 			return
 		}
 		frames = append(frames, b...)
@@ -382,9 +372,7 @@ func (j *opJournal) appendOp(node transport.NodeID, reqID uint64, isDeq bool, pr
 	b, err := encodeRecord(&journalRecord{Kind: recOp, ReqID: reqID, Node: node, IsDeq: isDeq, Pri: pri, Value: value, Sess: sess, CliSeq: cliSeq})
 	if err != nil {
 		j.mu.Unlock()
-		if release != nil {
-			release(err)
-		}
+		release.run(err)
 		return
 	}
 	frames = append(frames, b...)
@@ -416,17 +404,13 @@ func (j *opJournal) appendDone(reqID uint64, done wire.CliDone, release journalR
 	j.mu.Lock()
 	if err := j.unusableLocked(); err != nil {
 		j.mu.Unlock()
-		if release != nil {
-			release(err)
-		}
+		release.run(err)
 		return
 	}
 	b, err := encodeRecord(&journalRecord{Kind: recDone, ReqID: reqID, Done: done})
 	if err != nil {
 		j.mu.Unlock()
-		if release != nil {
-			release(err)
-		}
+		release.run(err)
 		return
 	}
 	j.stageLocked(b, release)
@@ -446,7 +430,7 @@ func (j *opJournal) unusableLocked() error {
 }
 
 // stageLocked adds frames and a release to the open batch (mu held by the
-// caller; unlocks it) and kicks the flush machinery.
+// caller; unlocks it) and wakes the writer.
 //
 //skueue:locked mu
 func (j *opJournal) stageLocked(frames []byte, release journalRelease) {
@@ -457,18 +441,8 @@ func (j *opJournal) stageLocked(frames []byte, release journalRelease) {
 	j.logical += int64(len(frames))
 	j.releases = append(j.releases, release)
 	j.stagedOps++
-	sync := j.syncMode()
 	j.mu.Unlock()
-	if sync {
-		// Group commit disabled (batchOps == 1): the fsync deliberately
-		// runs inline on the caller — the runner pays one disk sync per
-		// operation, which is the documented cost of that mode.
-		//
-		//skueue:ignore runnerblock -- sync mode fsyncs inline by design; group commit (the default) keeps the runner clean
-		j.flush()
-	} else {
-		j.wakeWriter()
-	}
+	j.wakeWriter()
 }
 
 // coverSeq reports whether request sequence seq may be issued — a lease
@@ -542,11 +516,6 @@ func (j *opJournal) barrier() error {
 		j.mu.Unlock()
 		return err
 	}
-	if j.syncMode() {
-		// Inline mode: everything staged was already synced.
-		j.mu.Unlock()
-		return nil
-	}
 	// A zero-byte sentinel: releases run in staging order after their
 	// batch's fsync, so when this one fires every earlier record is
 	// durable — including a batch the writer had already stolen when we
@@ -618,7 +587,7 @@ func (j *opJournal) writerLoop() {
 		// draining for shutdown/failure. A batch holding only parked
 		// notifications (no bytes) has nothing to coalesce and flushes
 		// immediately — waiting would only stall the send gate.
-		if j.delay > 0 && staged > 0 && ops < j.batchOps && !urgent && !closed && !failed {
+		if j.delay > 0 && staged > 0 && ops < batchOps && !urgent && !closed && !failed {
 			if wait := time.Until(first.Add(j.delay)); wait > 0 {
 				select {
 				case <-j.wake:
@@ -657,9 +626,7 @@ func (j *opJournal) flush() {
 		}
 	}
 	for _, rel := range rels {
-		if rel != nil {
-			rel(err)
-		}
+		rel.run(err)
 	}
 }
 

@@ -15,38 +15,45 @@ import (
 // reqID builds a member-1-tagged request ID with the given local sequence.
 func reqID(seq uint64) uint64 { return 1<<40 | seq }
 
-// openSyncJournal opens a journal in synchronous mode (group commit
-// disabled): appends flush inline and releases run before the append
-// returns, which keeps the classic tests deterministic.
-func openSyncJournal(t *testing.T, dir string, fresh bool) *opJournal {
+// openTestJournal opens a group-commit journal with the default batching
+// (the writer flushes whenever it is idle).
+func openTestJournal(t *testing.T, dir string, fresh bool) *opJournal {
 	t.Helper()
-	j, err := openJournal(dir, fresh, 1, 0)
+	j, err := openJournal(dir, fresh, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return j
 }
 
-// syncAppendOp appends one op in synchronous mode and fails the test if
-// its release reports an error.
+// durably waits until everything staged so far is on disk and fails the
+// test if the journal, or the release of the record just staged (*rel),
+// reports an error. The barrier's own release runs after every earlier
+// one on the writer goroutine, which orders the read of *rel.
+func durably(t *testing.T, j *opJournal, what string, rel *error) {
+	t.Helper()
+	if err := j.barrier(); err != nil {
+		t.Fatalf("%s: barrier: %v", what, err)
+	}
+	if *rel != nil {
+		t.Fatalf("%s: %v", what, *rel)
+	}
+}
+
+// syncAppendOp appends one op and returns once it is durable.
 func syncAppendOp(t *testing.T, j *opJournal, node transport.NodeID, id uint64, isDeq bool, value []byte) {
 	t.Helper()
 	var got error
 	j.appendOp(node, id, isDeq, 0, value, "", 0, func(err error) { got = err })
-	if got != nil {
-		t.Fatalf("appendOp: %v", got)
-	}
+	durably(t, j, "appendOp", &got)
 }
 
-// syncAppendDone appends one outcome in synchronous mode and fails the
-// test if its release reports an error.
+// syncAppendDone appends one outcome and returns once it is durable.
 func syncAppendDone(t *testing.T, j *opJournal, id uint64, done wire.CliDone) {
 	t.Helper()
 	var got error
 	j.appendDone(id, done, func(err error) { got = err })
-	if got != nil {
-		t.Fatalf("appendDone: %v", got)
-	}
+	durably(t, j, "appendDone", &got)
 }
 
 // TestJournalRoundTripAndMarkers pins the lazy wave-boundary discipline:
@@ -56,7 +63,7 @@ func syncAppendDone(t *testing.T, j *opJournal, id uint64, done wire.CliDone) {
 // follows.
 func TestJournalRoundTripAndMarkers(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
+	j := openTestJournal(t, dir, true)
 
 	nodeA, nodeB := transport.NodeID(3), transport.NodeID(4)
 	syncAppendOp(t, j, nodeA, reqID(1), false, []byte("v1"))
@@ -100,7 +107,7 @@ func TestJournalRoundTripAndMarkers(t *testing.T) {
 // record: the valid prefix loads, the garbage is ignored.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
+	j := openTestJournal(t, dir, true)
 	syncAppendOp(t, j, 3, reqID(1), false, []byte("ok"))
 	j.close()
 	path := filepath.Join(dir, journalFile)
@@ -128,7 +135,7 @@ func TestJournalTornTail(t *testing.T) {
 // holding every record in that same order.
 func TestJournalGroupCommitReleasesInOrder(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(dir, true, 16, 0)
+	j, err := openJournal(dir, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +183,7 @@ func TestJournalGroupCommitReleasesInOrder(t *testing.T) {
 // logical boundary becomes durable.
 func TestJournalBarrierForcesFlush(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(dir, true, 1<<20, time.Hour)
+	j, err := openJournal(dir, true, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +218,7 @@ func TestJournalBarrierForcesFlush(t *testing.T) {
 // same batch) still loads.
 func TestJournalTornBatchTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(dir, true, 16, time.Hour)
+	j, err := openJournal(dir, true, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +281,7 @@ func TestJournalTornBatchTail(t *testing.T) {
 // duration.
 func TestJournalCompactionDoesNotBlockAppends(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
+	j := openTestJournal(t, dir, true)
 	node := transport.NodeID(3)
 	syncAppendOp(t, j, node, reqID(1), false, []byte("old"))
 	boundary := j.offset()
@@ -379,7 +386,7 @@ func TestReplayPlanGrouping(t *testing.T) {
 // path), which must pick the size up from disk.
 func TestJournalCompact(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
+	j := openTestJournal(t, dir, true)
 	nodeA := transport.NodeID(3)
 	syncAppendOp(t, j, nodeA, reqID(1), false, nil)
 	j.noteFire(nodeA, 5)
@@ -395,9 +402,8 @@ func TestJournalCompact(t *testing.T) {
 	j.close()
 
 	// Reopen (as a restart would) and append once more: size must resume
-	// from the on-disk length, not zero. The reopen uses group commit to
-	// cover the batched path against a compacted file too.
-	j2, err := openJournal(dir, false, 8, 0)
+	// from the on-disk length, not zero.
+	j2, err := openJournal(dir, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +436,14 @@ func TestJournalCompact(t *testing.T) {
 // the dead incarnation might already have leaked to a peer.
 func TestJournalSequenceLease(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
+	j := openTestJournal(t, dir, true)
 	if j.coverSeq(1) {
 		t.Fatal("sequence covered before any lease is durable")
 	}
-	// coverSeq staged an extension; in sync mode it is already durable.
+	// coverSeq staged an extension; it counts once it has synced.
+	if err := j.barrier(); err != nil {
+		t.Fatal(err)
+	}
 	if !j.coverSeq(1) {
 		t.Fatal("sequence not covered after the lease synced")
 	}
@@ -459,9 +468,9 @@ func TestJournalSequenceLease(t *testing.T) {
 		t.Fatalf("recovered ceiling %d, want > %d (the staged extensions)", ceiling, leaseSpan)
 	}
 
-	// Batched mode: initLease (the boot path) must leave a durable
-	// ceiling even while the writer would otherwise sit on the batch.
-	j2, err := openJournal(dir, false, 1<<20, time.Hour)
+	// initLease (the boot path) must leave a durable ceiling even while
+	// the writer would otherwise sit on the batch.
+	j2, err := openJournal(dir, false, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,9 +491,9 @@ func TestJournalSequenceLease(t *testing.T) {
 // ceiling, which bounds every request ID it could have issued.
 func TestLeaseOnlyJournalDoesNotBrickFreshBoot(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
-	j.stageLease(12345) // sync mode: durable before the call returns
-	j.close()
+	j := openTestJournal(t, dir, true)
+	j.stageLease(12345)
+	j.close() // flushes the staged record
 
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -511,7 +520,7 @@ func TestLeaseOnlyJournalDoesNotBrickFreshBoot(t *testing.T) {
 // exactly what a real one would.
 func TestJournalDiscardFailsParkedReleases(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(dir, true, 1<<20, time.Hour)
+	j, err := openJournal(dir, true, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,14 +551,12 @@ func TestJournalDiscardFailsParkedReleases(t *testing.T) {
 // trip the fresh-boot refusal — nothing client-visible can be lost.
 func TestJournalSessionRecordsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncJournal(t, dir, true)
+	j := openTestJournal(t, dir, true)
 	node := transport.NodeID(3)
 	j.appendSession("sess-a")
 	var got error
 	j.appendOp(node, reqID(1), false, 0, []byte("v1"), "sess-a", 7, func(err error) { got = err })
-	if got != nil {
-		t.Fatalf("appendOp: %v", got)
-	}
+	durably(t, j, "session appendOp", &got)
 	syncAppendDone(t, j, reqID(1), wire.CliDone{ReqID: reqID(1), Seq: 7})
 	j.close()
 

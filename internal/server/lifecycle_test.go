@@ -1,0 +1,274 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"skueue"
+)
+
+// lifecycleCluster boots a 2-member loopback cluster in the given mode,
+// journaled (each member with its own state directory) or volatile.
+func lifecycleCluster(t *testing.T, mode string, journaled bool) []*Server {
+	t.Helper()
+	base := t.TempDir()
+	lis := make([]net.Listener, 2)
+	addrs := make([]string, len(lis))
+	for i := range lis {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		lis[i], addrs[i] = l, l.Addr().String()
+	}
+	srvs := make([]*Server, len(lis))
+	for i := range srvs {
+		cfg := Config{
+			Listener: lis[i], Seed: 42, Mode: mode, Index: i, Members: addrs,
+			Tick: time.Millisecond,
+		}
+		if journaled {
+			cfg.StateDir = filepath.Join(base, fmt.Sprintf("m%d", i))
+			cfg.SnapshotEvery = 50 * time.Millisecond
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+		srvs[i] = s
+		t.Cleanup(s.Close)
+	}
+	return srvs
+}
+
+// ledger is the test's own account of every element: what it put in, what
+// it may have put in (an enqueue cut off mid-flight), what came out.
+type ledger struct {
+	t         *testing.T
+	confirmed map[string]bool
+	maybe     map[string]bool
+	got       map[string]bool
+}
+
+func (l *ledger) out(v any) {
+	l.t.Helper()
+	s, ok := v.(string)
+	switch {
+	case !ok:
+		l.t.Fatalf("dequeued %T, want string", v)
+	case l.got[s]:
+		l.t.Fatalf("value %q dequeued twice", s)
+	case !l.confirmed[s] && !l.maybe[s]:
+		l.t.Fatalf("dequeued %q was never enqueued", s)
+	}
+	l.got[s] = true
+}
+
+// TestOperationLifecycle runs the same assertions against the one
+// operation lifecycle in all of its configurations — {volatile, journaled}
+// × {connection-scoped, session} × {queue, stack}: blocking and pipelined
+// operations, in stack mode a push/pop pair that completes inside the
+// inject call (the onEarly/deferring window), a client-facing partition
+// with operations in flight followed by a resume, then Definition 1 and
+// an exact element account, and an empty in-flight table on every member.
+func TestOperationLifecycle(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		for _, session := range []bool{false, true} {
+			for _, mode := range []string{"queue", "stack"} {
+				name := fmt.Sprintf("journaled=%v/session=%v/%s", journaled, session, mode)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					runLifecycle(t, mode, journaled, session)
+				})
+			}
+		}
+	}
+}
+
+func runLifecycle(t *testing.T, mode string, journaled, session bool) {
+	srvs := lifecycleCluster(t, mode, journaled)
+	owner := srvs[1] // a non-seed member serves the client
+	open := func() *skueue.Client {
+		t.Helper()
+		opts := []skueue.Option{skueue.WithRemote(owner.Addr())}
+		if session {
+			opts = append(opts, skueue.WithSession("lifecycle"),
+				skueue.WithDialTimeout(2*time.Second), skueue.WithReconnect(100, 20*time.Millisecond))
+		}
+		c, err := skueue.Open(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	c := open()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	led := &ledger{t: t, confirmed: map[string]bool{}, maybe: map[string]bool{}, got: map[string]bool{}}
+	wait := func(what string, fs []*skueue.Future) {
+		t.Helper()
+		for i, f := range fs {
+			if err := f.Wait(ctx); err != nil {
+				t.Fatalf("%s %d: %v", what, i, err)
+			}
+		}
+	}
+
+	// Blocking operations.
+	for i := 0; i < 4; i++ {
+		v := fmt.Sprintf("block-%d", i)
+		if err := c.Enqueue(ctx, v); err != nil {
+			t.Fatalf("enqueue %s: %v", v, err)
+		}
+		led.confirmed[v] = true
+	}
+	for i := 0; i < 2; i++ {
+		v, ok, err := c.Dequeue(ctx)
+		if err != nil || !ok {
+			t.Fatalf("dequeue %d: ok=%v err=%v", i, ok, err)
+		}
+		led.out(v)
+	}
+
+	// Pipelined operations.
+	var fs []*skueue.Future
+	for i := 0; i < 8; i++ {
+		v := fmt.Sprintf("pipe-%d", i)
+		f, err := c.EnqueueAsync(skueue.AnyProcess, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		led.confirmed[v] = true
+		fs = append(fs, f)
+	}
+	wait("pipelined enqueue", fs)
+
+	// The inject window: a pop injected while a push is still buffered at
+	// the same node combines with it on the spot — the pop completes
+	// before submit has registered it (onEarly) and drags the push's
+	// completion along (deferring). Two frames written back to back
+	// usually share a tick; retry until a pair did.
+	if mode == "stack" {
+		combined := func() (n int64) {
+			owner.peer.DoSync(func() { n = owner.cl.Metrics().CombinedOps })
+			return n
+		}
+		before := combined()
+		for i := 0; combined() == before; i++ {
+			if i == 50 {
+				t.Fatal("no push/pop pair combined inside an inject call in 50 attempts")
+			}
+			v := fmt.Sprintf("pair-%d", i)
+			push, err := c.PushAsync(skueue.AnyProcess, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop, err := c.PopAsync(skueue.AnyProcess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait("paired push/pop", []*skueue.Future{push, pop})
+			led.confirmed[v] = true
+			if pop.Empty() {
+				t.Fatalf("pop %d answered bottom over a non-empty stack", i)
+			}
+			led.out(pop.Value())
+		}
+	}
+
+	// A client-facing partition with enqueues in flight. The cut waits
+	// until the member has injected all of them (so every one of them will
+	// execute, whatever its client learns) and must land while at least
+	// one is still unresolved.
+	const flying = 6
+	midFlight := false
+	for attempt := 0; !midFlight; attempt++ {
+		if attempt == 5 {
+			t.Fatal("no partition landed on an in-flight operation in 5 attempts")
+		}
+		var issued int64
+		owner.peer.DoSync(func() { issued = owner.cl.Issued() })
+		var cut []*skueue.Future
+		var vals []string
+		for i := 0; i < flying; i++ {
+			v := fmt.Sprintf("fly-%d-%d", attempt, i)
+			f, err := c.EnqueueAsync(skueue.AnyProcess, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut, vals = append(cut, f), append(vals, v)
+		}
+		for now := issued; now < issued+flying; {
+			if ctx.Err() != nil {
+				t.Fatalf("member injected %d of %d operations", now-issued, flying)
+			}
+			time.Sleep(100 * time.Microsecond)
+			owner.peer.DoSync(func() { now = owner.cl.Issued() })
+		}
+		owner.mu.Lock()
+		midFlight = len(owner.ops) > 0
+		owner.mu.Unlock()
+		owner.CloseClientConns()
+		for i, f := range cut {
+			err := f.Wait(ctx)
+			switch {
+			case err == nil:
+				led.confirmed[vals[i]] = true
+			case !session && errors.Is(err, skueue.ErrUnreachable) && f.Indeterminate():
+				// A connection-scoped operation dies with its connection
+				// as far as the client can tell.
+				led.maybe[vals[i]] = true
+			default:
+				t.Fatalf("in-flight enqueue %d across the partition: %v", i, err)
+			}
+		}
+		if !session {
+			c = open() // connection-scoped clients fail fast; dial again
+		}
+	}
+
+	// Resume: the same client (session) or its successor keeps working.
+	if err := c.Enqueue(ctx, "after"); err != nil {
+		t.Fatalf("enqueue after resume: %v", err)
+	}
+	led.confirmed["after"] = true
+
+	// Drain. Every cut-off enqueue was injected, so all of confirmed ∪
+	// maybe must come out, each exactly once; then the structure is empty.
+	want := len(led.confirmed) + len(led.maybe)
+	for len(led.got) < want {
+		v, ok, err := c.Dequeue(ctx)
+		if err != nil {
+			t.Fatalf("drain with %d/%d values out: %v", len(led.got), want, err)
+		}
+		if !ok {
+			time.Sleep(time.Millisecond) // a cut-off enqueue still completing
+			continue
+		}
+		led.out(v)
+	}
+	if v, ok, err := c.Dequeue(ctx); err != nil || ok {
+		t.Fatalf("dequeue after a full drain: v=%v ok=%v err=%v, want bottom", v, ok, err)
+	}
+	if err := c.Check(); err != nil {
+		t.Fatalf("consistency check: %v", err)
+	}
+	if st := c.Stats(); st.Enqueues != want || st.Dequeues-st.Bottoms != want {
+		t.Fatalf("history has %d enqueues and %d successful dequeues, want %d of each",
+			st.Enqueues, st.Dequeues-st.Bottoms, want)
+	}
+	for i, s := range srvs {
+		s.mu.Lock()
+		n := len(s.ops)
+		s.mu.Unlock()
+		if n != 0 {
+			t.Errorf("member %d still holds %d operations in flight after the drain", i, n)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 
@@ -15,31 +14,21 @@ import (
 	"skueue/internal/server"
 )
 
-// journalBatchEnv reads the SKUEUE_JOURNAL_BATCH_OPS / _DELAY overrides
-// the CI fault-injection matrix sets to run the restart tests under
-// different group-commit configurations — synchronous per-op fsync
-// (ops=1), the default, and an aggressive batch with an accumulation
-// delay (see .github/workflows/ci.yml). Zero values keep the server
-// defaults.
-func journalBatchEnv(t *testing.T) (int, time.Duration) {
+// journalBatchEnv reads the SKUEUE_JOURNAL_BATCH_DELAY override the CI
+// fault-injection matrix sets to run the restart tests with group commit
+// holding batches open, so kills land on staged-but-unsynced records (see
+// .github/workflows/ci.yml). Zero keeps the server default.
+func journalBatchEnv(t *testing.T) time.Duration {
 	t.Helper()
-	ops := 0
-	if v := os.Getenv("SKUEUE_JOURNAL_BATCH_OPS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			t.Fatalf("SKUEUE_JOURNAL_BATCH_OPS=%q: %v", v, err)
-		}
-		ops = n
+	v := os.Getenv("SKUEUE_JOURNAL_BATCH_DELAY")
+	if v == "" {
+		return 0
 	}
-	var delay time.Duration
-	if v := os.Getenv("SKUEUE_JOURNAL_BATCH_DELAY"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			t.Fatalf("SKUEUE_JOURNAL_BATCH_DELAY=%q: %v", v, err)
-		}
-		delay = d
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		t.Fatalf("SKUEUE_JOURNAL_BATCH_DELAY=%q: %v", v, err)
 	}
-	return ops, delay
+	return d
 }
 
 // debugLogf returns a prefixed transport logger when SKUEUE_TEST_DEBUG is
@@ -67,7 +56,7 @@ func startDurableCluster(t *testing.T, members int) ([]*server.Server, []string)
 		lis[i] = l
 		addrs[i] = l.Addr().String()
 	}
-	batchOps, batchDelay := journalBatchEnv(t)
+	batchDelay := journalBatchEnv(t)
 	srvs := make([]*server.Server, members)
 	dirs := make([]string, members)
 	for i := range srvs {
@@ -80,7 +69,6 @@ func startDurableCluster(t *testing.T, members int) ([]*server.Server, []string)
 			Tick:              500 * time.Microsecond,
 			StateDir:          dirs[i],
 			SnapshotEvery:     50 * time.Millisecond,
-			JournalBatchOps:   batchOps,
 			JournalBatchDelay: batchDelay,
 			Logf:              debugLogf(fmt.Sprintf("[m%d]", i)),
 		})
@@ -186,14 +174,13 @@ func TestMemberRestartFromSnapshot(t *testing.T) {
 
 	// Restart from the snapshot on a fresh port; the rejoin handshake
 	// through the seed re-broadcasts the new address.
-	batchOps, batchDelay := journalBatchEnv(t)
+	batchDelay := journalBatchEnv(t)
 	restarted, err := server.New(server.Config{
 		Addr:              "127.0.0.1:0",
 		Join:              srvs[0].Addr(),
 		StateDir:          dirs[victim],
 		SnapshotEvery:     50 * time.Millisecond,
 		Tick:              500 * time.Microsecond,
-		JournalBatchOps:   batchOps,
 		JournalBatchDelay: batchDelay,
 		Logf:              debugLogf("[re]"),
 	})
@@ -276,7 +263,7 @@ func startStackCluster(t *testing.T, members int) ([]*server.Server, []string) {
 		lis[i] = l
 		addrs[i] = l.Addr().String()
 	}
-	batchOps, batchDelay := journalBatchEnv(t)
+	batchDelay := journalBatchEnv(t)
 	srvs := make([]*server.Server, members)
 	dirs := make([]string, members)
 	for i := range srvs {
@@ -290,7 +277,6 @@ func startStackCluster(t *testing.T, members int) ([]*server.Server, []string) {
 			Tick:              time.Millisecond,
 			StateDir:          dirs[i],
 			SnapshotEvery:     time.Hour,
-			JournalBatchOps:   batchOps,
 			JournalBatchDelay: batchDelay,
 			Logf:              debugLogf(fmt.Sprintf("[s%d]", i)),
 		})
@@ -455,14 +441,13 @@ hunt:
 	}
 	time.Sleep(300 * time.Millisecond)
 
-	batchOps, batchDelay := journalBatchEnv(t)
+	batchDelay := journalBatchEnv(t)
 	restarted, err := server.New(server.Config{
 		Addr:              "127.0.0.1:0",
 		Join:              srvs[0].Addr(),
 		StateDir:          dirs[victim],
 		SnapshotEvery:     50 * time.Millisecond,
 		Tick:              time.Millisecond,
-		JournalBatchOps:   batchOps,
 		JournalBatchDelay: batchDelay,
 		Logf:              debugLogf("[re]"),
 	})

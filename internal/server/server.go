@@ -11,7 +11,24 @@
 // the seed member (index 0) for a member index and process ID, receives
 // the address book, and then enters through the paper's JOIN protocol
 // (§IV-A) — its three virtual nodes relay requests through their
-// responsible nodes until an update phase splices them into the ring.
+// responsible nodes until an update phase splices them into the ring
+// (boot.go).
+//
+// # One operation lifecycle
+//
+// Every client operation — from an anonymous connection or a durable
+// session (session.go), on a member with or without a state directory —
+// walks the same path, written once in this file: submit polices and
+// dedupes it, injects it into the core, registers it in the in-flight
+// table (Server.ops) and stages its op record; resolve retires it when
+// the completion arrives, stages the outcome record and parks the CliDone
+// frame behind it; releaseDone hands the frame to the client once the
+// record is durable. Stable storage sits behind the durability interface
+// (durability.go), chosen once in New: the operation journal when
+// Config.StateDir is set (journal.go), where "durable" means the
+// group-commit fsync covering the record has returned; volatile without,
+// where every release runs inline. The lifecycle never asks which one it
+// holds. DESIGN.md ("The member host") tabulates the steps.
 //
 // # Fail-stop recovery
 //
@@ -27,16 +44,16 @@
 //
 // Client operations are exactly-once across the crash: every accepted
 // operation is journaled under its durable request ID before any answer
-// can be released (journal.go), and every client-visible completion is
-// journaled before its CliDone frame goes out — with group commit, the
-// frames are parked on the journal's release queue and go out once the
-// fsync coalescing their batch returns, taking the disk entirely off the
-// runner goroutine. A restart finds the
-// snapshot, rebuilds the member with core.RestoreMember under a fresh
-// boot epoch, re-submits the journaled operations the snapshot does not
-// cover — at their original wave boundaries, so the re-executed interval
-// reproduces the crashed incarnation's batches — announces its (possibly
-// new) address through the seed's rejoin handshake, and resumes; peers
+// can be released, and every client-visible completion is journaled
+// before its CliDone frame goes out — the frames are parked on the
+// journal's release queue and go out once the fsync coalescing their
+// batch returns, taking the disk entirely off the runner goroutine. A
+// restart finds the snapshot, rebuilds the member with
+// core.RestoreMember under a fresh boot epoch, re-submits the journaled
+// operations the snapshot does not cover — at their original wave
+// boundaries, so the re-executed interval reproduces the crashed
+// incarnation's batches — announces its (possibly new) address through
+// the seed's rejoin handshake, and resumes (durability.go); peers
 // that were blocked on the crashed member unstall as their links replay,
 // and receiver-side request-ID dedupe collapses re-sent effects onto the
 // originals. Senders that should NOT wait forever set Config.GiveUp:
@@ -46,19 +63,15 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"skueue/internal/batch"
 	"skueue/internal/core"
-	"skueue/internal/ldb"
 	"skueue/internal/seqcheck"
 	"skueue/internal/transport"
 	"skueue/internal/transport/tcp"
@@ -116,19 +129,13 @@ type Config struct {
 	// interval.
 	GiveUp time.Duration
 
-	// JournalBatchOps bounds the operation journal's group commit: the
-	// journal writer flushes as soon as this many operations are staged
-	// (and otherwise as soon as it is idle, or when JournalBatchDelay
-	// expires). 0 selects the default (64); 1 disables group commit and
-	// restores the synchronous per-operation fsync on the submission
-	// path.
-	JournalBatchOps int
 	// JournalBatchDelay, when positive, holds a journal batch open this
-	// long to accumulate more operations before the fsync — higher
-	// throughput for up to this much added confirmation latency. 0 (the
-	// default) flushes whenever the journal writer is idle: batches then
-	// form naturally while the previous fsync is in flight, adding no
-	// latency when the disk keeps up.
+	// long (or until 64 operations are staged) to accumulate more
+	// operations before the fsync — higher throughput for up to this much
+	// added confirmation latency. 0 (the default) flushes whenever the
+	// journal writer is idle: batches then form naturally while the
+	// previous fsync is in flight, adding no latency when the disk keeps
+	// up.
 	JournalBatchDelay time.Duration
 
 	// Tick is the TIMEOUT cadence of the transport (default 1ms).
@@ -140,16 +147,6 @@ type Config struct {
 	Shape transport.Shape
 	// Logf receives diagnostics; default discards.
 	Logf func(format string, args ...any)
-}
-
-// BootstrapPids returns the process IDs member index hosts in a bootstrap
-// deployment of procs processes over members members (round-robin).
-func BootstrapPids(index, members, procs int) []int32 {
-	var out []int32
-	for pid := index; pid < procs; pid += members {
-		out = append(out, int32(pid))
-	}
-	return out
 }
 
 // Server is a running cluster member.
@@ -166,21 +163,20 @@ type Server struct {
 	//skueue:lock 20
 	//skueue:ephemeral -- mutex; its zero value is ready after restore
 	mu sync.Mutex
+	// ops is the in-flight table: every accepted operation between its
+	// injection and its resolve, by request ID. Connection-scoped entries
+	// die with their connection; session entries are the reverse index of
+	// their session's ops map and are rebuilt with it on restore.
+	//
 	//skueue:guarded-by mu
-	//skueue:ephemeral -- in-flight ops tied to live connections; crashed clients re-present or re-dial
-	waiters map[uint64]*waiter // reqID -> pending client op (ephemeral)
+	ops map[uint64]inflight
 	//skueue:guarded-by mu
 	//skueue:ephemeral -- round-robin cursor; pure load balancing
 	rr int // round-robin over local procs
-	// Durable client sessions: sessions indexes them by client-chosen ID,
-	// sessRefs maps an in-flight session operation's request ID back to
-	// its session and per-session sequence (session ops never use
-	// waiters — their delivery outlives any one connection).
+	// sessions indexes the durable client sessions by client-chosen ID.
 	//
 	//skueue:guarded-by mu
 	sessions map[string]*durSession
-	//skueue:guarded-by mu
-	sessRefs map[uint64]sessRef
 	// Seed-side admission state (member 0 only).
 	//
 	//skueue:guarded-by mu
@@ -214,13 +210,14 @@ type Server struct {
 	//skueue:guarded-by snapMu
 	snapCount int64
 
-	// journal is the durable operation journal (nil when StateDir is
-	// unset); see journal.go. plan is the restart re-submission schedule,
+	// dur is the member's stable storage, chosen once in New: the
+	// operation journal with a StateDir (journal.go), volatile without
+	// (durability.go). plan is the restart re-submission schedule,
 	// runner-confined after Start (built before the transport starts,
 	// consumed by the onFire callback and resolve, which both run on the
 	// runner goroutine).
-	journal *opJournal
-	plan    *replayPlan
+	dur  durability
+	plan *replayPlan
 
 	// replayPeers are the senders the restored snapshot held receive
 	// cursors for — the only links that can still deliver pre-crash
@@ -258,13 +255,14 @@ type Server struct {
 	orphanResolved int64 // orphaned ops whose completion later surfaced
 
 	// onEarly catches completions that fire inside an inject call, before
-	// the waiter is registered (stack local combining). Runner-confined.
+	// the operation is registered in flight (stack local combining).
+	// Runner-confined.
 	//
 	//skueue:ephemeral -- injection-window callback, installed per submit call
 	onEarly func(reqID uint64, done wire.CliDone)
 
 	// deferring parks PARTNER completions that resolve inside an inject
-	// call in progress (a parked pop completed by the push being
+	// call in progress (a buffered push completed by the pop being
 	// injected): their done records must not be staged — and can
 	// therefore never sync and release — before the op record of the
 	// operation whose injection produced them, or a crash between the
@@ -294,68 +292,15 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// waiter tracks one in-flight client operation.
-type waiter struct {
-	sess *session
+// inflight is one accepted client operation between injection and
+// resolve. A connection-scoped operation is answered on conn under the
+// connection's sequence seq; a session operation (sd set, conn nil) is
+// answered on whichever connection its session has attached when the
+// answer is released, under the per-session sequence seq.
+type inflight struct {
+	conn *session
+	sd   *durSession
 	seq  uint64
-}
-
-// durSession is one durable client session at its owning member: the
-// dedupe table for re-presented operations (ops), the journaled outcomes
-// retained for redelivery until the client acknowledges them (outcomes),
-// the delivered-outcome cursor (acked), and the currently attached
-// connection, nil while the client is disconnected. All fields are
-// guarded by Server.mu; outcome delivery itself goes through the
-// attached session's writer like any other frame.
-//
-//skueue:snapshot-state sessionImage
-type durSession struct {
-	id string
-	//skueue:guarded-by Server.mu
-	acked uint64
-	// ops maps in-flight per-session sequences to their request IDs: a
-	// re-presented operation found here is already executing and needs no
-	// second injection.
-	//
-	//skueue:guarded-by Server.mu
-	ops map[uint64]uint64
-	// outcomes retains completed operations' CliDone frames by
-	// per-session sequence. Entries are inserted when the outcome record
-	// is STAGED (on the runner, so a snapshot capture on the same
-	// goroutine can never miss one inside its journal cut) and pruned
-	// when the client's cursor passes them; redelivery to a resuming
-	// connection runs a journal barrier first, so nothing leaves before
-	// its record is durable.
-	//
-	//skueue:guarded-by Server.mu
-	outcomes map[uint64]wire.CliDone
-	// cur is the attached connection; a fresh Hello for the same session
-	// detaches (and closes) the previous one.
-	//
-	//skueue:guarded-by Server.mu
-	//skueue:ephemeral -- attached connection; a resuming client re-attaches with a fresh Hello
-	cur *session
-	// journaled marks the session's own journal record staged (ahead of
-	// its first op record); sessions restored from disk count as
-	// journaled — the snapshot or the surviving journal prefix is their
-	// durable record.
-	//
-	//skueue:guarded-by Server.mu
-	journaled bool
-}
-
-// sessRef points an in-flight request ID back to its session.
-type sessRef struct {
-	sd     *durSession
-	cliSeq uint64
-}
-
-// sessionImage is a durSession inside a snapshot.
-type sessionImage struct {
-	ID       string
-	Acked    uint64
-	Ops      map[uint64]uint64
-	Outcomes map[uint64]wire.CliDone
 }
 
 // deferredDone is a partner completion parked during an inject call (see
@@ -365,32 +310,6 @@ type deferredDone struct {
 	reqID   uint64
 	done    wire.CliDone
 	release journalRelease
-}
-
-// session is one remote client connection; a dedicated writer goroutine
-// keeps protocol callbacks from blocking on slow clients.
-type session struct {
-	conn *wire.Conn
-	out  chan any
-	quit chan struct{}
-	kill sync.Once
-}
-
-// send hands a frame to the session writer without ever blocking the
-// caller: completion callbacks run on the transport's runner goroutine,
-// which must not stall on one slow client. A client that lets the buffer
-// fill (it is not reading responses) loses its connection instead of
-// freezing the member.
-//
-//skueue:client-release
-//skueue:wire-payload
-func (s *session) send(v any) {
-	select {
-	case s.out <- v:
-	case <-s.quit:
-	default:
-		s.kill.Do(func() { s.conn.Close() })
-	}
 }
 
 // New builds and starts a member.
@@ -427,9 +346,9 @@ func New(cfg Config) (*Server, error) {
 		lis:      lis,
 		mode:     mode,
 		logf:     cfg.Logf,
-		waiters:  make(map[uint64]*waiter),
+		dur:      volatile{},
+		ops:      make(map[uint64]inflight),
 		sessions: make(map[string]*durSession),
-		sessRefs: make(map[uint64]sessRef),
 		orphans:  make(map[uint64]bool),
 		conns:    make(map[net.Conn]struct{}),
 		cliConns: make(map[*wire.Conn]struct{}),
@@ -461,10 +380,12 @@ func New(cfg Config) (*Server, error) {
 			lis.Close()
 			return nil, fmt.Errorf("server: state dir %s holds %d journaled records including operations but no snapshot; refusing to discard them", cfg.StateDir, len(journalRecs))
 		}
-		if s.journal, err = openJournal(cfg.StateDir, disk == nil, cfg.JournalBatchOps, cfg.JournalBatchDelay); err != nil {
+		j, err := openJournal(cfg.StateDir, disk == nil, cfg.JournalBatchDelay)
+		if err != nil {
 			lis.Close()
 			return nil, fmt.Errorf("server: opening operation journal: %w", err)
 		}
+		s.dur = j
 	}
 	switch {
 	case disk != nil:
@@ -474,7 +395,7 @@ func New(cfg Config) (*Server, error) {
 	default:
 		err = s.startBootstrap()
 	}
-	if err == nil && s.journal != nil {
+	if err == nil {
 		// Stay above every lease ceiling the old journal carried even
 		// when there was no snapshot to restore (a crash inside the first
 		// boot window): the dead incarnation may have issued request IDs
@@ -490,13 +411,13 @@ func New(cfg Config) (*Server, error) {
 		// A durable sequence lease before any client can submit: request
 		// IDs may only be issued below a ceiling that is already on disk
 		// (journal.go, "The sequence lease"). The runner has not started,
-		// so reading the restored counter directly is safe.
-		err = s.journal.initLease(s.cl.ReqSeq())
+		// so reading the restored counter directly is safe. (Volatile
+		// members have no old journal and nothing to persist: both steps
+		// are no-ops.)
+		err = s.dur.initLease(s.cl.ReqSeq())
 	}
 	if err != nil {
-		if s.journal != nil {
-			s.journal.close()
-		}
+		s.dur.close()
 		lis.Close()
 		return nil, err
 	}
@@ -546,38 +467,6 @@ func (s *Server) Close() { s.shutdown(true) }
 // to exercise the recovery path.
 func (s *Server) Kill() { s.shutdown(false) }
 
-// ErrFinalSnapshotSkipped reports a graceful shutdown that could not
-// take its final snapshot within the retry budget (the member never
-// became churn-quiescent): the state on disk is the last periodic
-// snapshot plus the operation journal, and the tail since then is
-// recovered through peer replay on restart — nothing is lost, but the
-// restart will replay more.
-var ErrFinalSnapshotSkipped = errors.New("server: final snapshot skipped (member not quiescent within the retry budget)")
-
-// finalSnapshot takes the shutdown snapshot, retrying ErrNotQuiescent
-// with a short bounded backoff: a shutdown during churn or mid-wave
-// traffic usually becomes quiescent within a few intervals, and silently
-// settling for the stale periodic snapshot would discard the latest
-// state from the fast path for no reason. It returns
-// ErrFinalSnapshotSkipped once the budget is exhausted.
-func (s *Server) finalSnapshot() error {
-	backoff := 5 * time.Millisecond
-	deadline := time.Now().Add(time.Second)
-	for {
-		err := s.SnapshotNow()
-		if err == nil || !errors.Is(err, core.ErrNotQuiescent) {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: %v", ErrFinalSnapshotSkipped, err)
-		}
-		time.Sleep(backoff)
-		if backoff < 100*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
 func (s *Server) shutdown(graceful bool) {
 	s.mu.Lock()
 	if s.closed {
@@ -608,124 +497,14 @@ func (s *Server) shutdown(graceful bool) {
 		c.Close()
 	}
 	s.wg.Wait()
-	if s.journal != nil {
-		if graceful {
-			s.journal.close()
-		} else {
-			// A simulated crash must lose what a real one would: staged
-			// records whose group commit never synced are dropped, not
-			// flushed on the way out.
-			s.journal.discard()
-		}
+	if graceful {
+		s.dur.close()
+	} else {
+		// A simulated crash must lose what a real one would: staged
+		// records whose group commit never synced are dropped, not
+		// flushed on the way out.
+		s.dur.discard()
 	}
-}
-
-// defaultHeapLevels is the heap-mode priority-level count when the config
-// leaves it 0.
-const defaultHeapLevels = 4
-
-// modeString renders the member's mode for the client protocol and the
-// disk snapshot.
-func (s *Server) modeString() string {
-	switch s.mode {
-	case batch.Stack:
-		return "stack"
-	case batch.Heap:
-		return "heap"
-	default:
-		return "queue"
-	}
-}
-
-// adoptMode installs a mode string received from the seed (join) or the
-// snapshot (restore), plus the heap level count riding with it.
-func (s *Server) adoptMode(mode string, heapLevels int) {
-	s.cfg.Mode = mode
-	s.mode = batch.Queue
-	switch mode {
-	case "stack":
-		s.mode = batch.Stack
-	case "heap":
-		s.mode = batch.Heap
-		if heapLevels < 1 {
-			heapLevels = defaultHeapLevels
-		}
-		s.cfg.HeapLevels = heapLevels
-	}
-}
-
-func (s *Server) coreConfig(procs int) core.Config {
-	return core.Config{
-		Processes:       procs,
-		Seed:            s.cfg.Seed,
-		Mode:            s.mode,
-		HeapLevels:      s.cfg.HeapLevels,
-		UpdateThreshold: s.cfg.UpdateThreshold,
-		AckAllPuts:      true,
-	}
-}
-
-// peerOptions assembles the transport options shared by every start path.
-// AckGate is tied to StateDir: without durable snapshots there is nothing
-// to gate acknowledgments on, and deliveries acknowledge immediately.
-func (s *Server) peerOptions(index int32, pids []int32, boot int64) tcp.Options {
-	opts := tcp.Options{
-		Index:   index,
-		Addr:    s.lis.Addr().String(),
-		Pids:    pids,
-		Seed:    s.cfg.Seed,
-		Tick:    s.cfg.Tick,
-		Logf:    s.logf,
-		Boot:    boot,
-		AckGate: s.cfg.StateDir != "",
-		GiveUp:  s.cfg.GiveUp,
-		OnDown:  s.peerDown,
-		Shape:   s.cfg.Shape,
-	}
-	if s.cfg.StateDir != "" {
-		opts.SendGate = s.gateSend
-	}
-	return opts
-}
-
-// gateSend is the WAL-before-send gate (tcp.Options.SendGate): no frame
-// leaves this member while the operation journal holds records that are
-// staged but not yet synced. A wave batch fires on the tick, typically
-// well inside the group-commit window of the operations it carries; if
-// it departed immediately, a crash before the fsync would lose the
-// records of operations the cluster went on to execute — the restart
-// would replay the wave without them (diverging from the serve shapes
-// peers recorded, wedging the member) and a reconnecting session client
-// would re-present an operation the journal never admitted, executing
-// it twice. Holding the frame until the covering fsync closes both: a
-// lost record now proves the operation never left the member.
-//
-// Ordering: the fast path runs only while no send is parked (the
-// counter) and nothing staged is undurable (sendableNow), so it cannot
-// overtake a parked frame. Parked frames ride the journal's release
-// queue, which runs in staging order on the single writer goroutine,
-// and hop back to the runner through Do — FIFO end to end. On a failed
-// journal the frame is released anyway: durability is already void
-// (appends refuse, clients get errors), and muting the member would
-// additionally stall every peer waiting on its waves.
-func (s *Server) gateSend(route func()) {
-	if s.journal == nil {
-		// Boot-time sends (join handshake, restore replay) can precede
-		// the journal; nothing is staged yet, so nothing gates them.
-		route()
-		return
-	}
-	if s.sendsParked == 0 && s.journal.sendableNow() {
-		route()
-		return
-	}
-	s.sendsParked++
-	s.journal.notifyDurable(func(err error) {
-		s.peer.Do(func() {
-			s.sendsParked--
-			route()
-		})
-	})
 }
 
 // peerDown handles a give-up notification from the transport: some member
@@ -736,11 +515,12 @@ func (s *Server) gateSend(route func()) {
 // that avoid the dead member's fragment still succeed, and if the member
 // ever restarts, replay resumes where it left off.
 //
-// Session operations get the same notification on their attached
-// connections, but their sessRefs entries stay: if the operation ever
-// completes, its outcome still retires into the session's retention map
-// — the client that treated the notification as final has by then acked
-// past the sequence, and the stale outcome is dropped there (resolve).
+// Connection-scoped operations are forgotten with the notification.
+// Session operations get it on their attached connections, but their
+// in-flight entries stay: if the operation ever completes, its outcome
+// still retires into the session's retention map — the client that
+// treated the notification as final has by then acked past the sequence,
+// and the stale outcome is dropped there (resolve).
 func (s *Server) peerDown(idx int32) {
 	type failing struct {
 		sess  *session
@@ -748,14 +528,13 @@ func (s *Server) peerDown(idx int32) {
 		reqID uint64
 	}
 	s.mu.Lock()
-	ws := make([]failing, 0, len(s.waiters)+len(s.sessRefs))
-	for id, w := range s.waiters {
-		ws = append(ws, failing{w.sess, w.seq, id})
-	}
-	s.waiters = make(map[uint64]*waiter)
-	for id, ref := range s.sessRefs {
-		if ref.sd.cur != nil {
-			ws = append(ws, failing{ref.sd.cur, ref.cliSeq, id})
+	ws := make([]failing, 0, len(s.ops))
+	for id, w := range s.ops {
+		if to := s.targetLocked(w); to != nil {
+			ws = append(ws, failing{to, w.seq, id})
+		}
+		if w.sd == nil {
+			delete(s.ops, id)
 		}
 	}
 	s.mu.Unlock()
@@ -776,576 +555,6 @@ func (s *Server) peerDown(idx int32) {
 	}
 }
 
-//skueue:owned-by startup -- runs before the transport starts; no other goroutine can see the server yet
-func (s *Server) startBootstrap() error {
-	if len(s.cfg.Members) == 0 {
-		return errors.New("server: bootstrap needs at least one member address")
-	}
-	if s.cfg.Index < 0 || s.cfg.Index >= len(s.cfg.Members) {
-		return fmt.Errorf("server: index %d outside member list", s.cfg.Index)
-	}
-	procs := s.cfg.Procs
-	if procs == 0 {
-		procs = len(s.cfg.Members)
-	}
-	if procs < len(s.cfg.Members) {
-		return fmt.Errorf("server: %d procs cannot cover %d members", procs, len(s.cfg.Members))
-	}
-	myPids := BootstrapPids(s.cfg.Index, len(s.cfg.Members), procs)
-	s.procsTotal = procs
-	s.peer = tcp.New(s.peerOptions(int32(s.cfg.Index), myPids, 1))
-	var book []wire.MemberInfo
-	for i, addr := range s.cfg.Members {
-		book = append(book, wire.MemberInfo{
-			Index: int32(i), Addr: addr,
-			Pids: BootstrapPids(i, len(s.cfg.Members), procs),
-		})
-	}
-	s.peer.SetBook(book)
-	cl, err := core.NewMember(s.coreConfig(procs), int32(s.cfg.Index), myPids, s.peer)
-	if err != nil {
-		return err
-	}
-	s.cl = cl
-	s.nextIndex = int32(len(s.cfg.Members))
-	s.nextPid = int32(procs)
-	s.wireCallbacks()
-	return nil
-}
-
-// joinGiveUp bounds how long the seed admission handshake keeps retrying
-// before the member gives up with a clear error instead of hanging.
-func (s *Server) joinGiveUp() time.Duration {
-	if s.cfg.GiveUp > 0 {
-		return s.cfg.GiveUp
-	}
-	return 15 * time.Second
-}
-
-// seedDialog performs one Hello + CliJoin exchange with the seed, every
-// read and write bounded by deadline so a reachable-but-silent address
-// cannot hang the member.
-func seedDialog(addr string, req wire.CliJoin, deadline time.Time) (wire.CliJoinResp, error) {
-	var resp wire.CliJoinResp
-	nc, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-	if err != nil {
-		return resp, err
-	}
-	nc.SetDeadline(deadline)
-	conn := wire.NewConn(nc)
-	defer conn.Close()
-	if err := conn.Write(wire.Hello{Kind: "client"}); err != nil {
-		return resp, err
-	}
-	if _, err := conn.Read(); err != nil { // HelloAck
-		return resp, err
-	}
-	if err := conn.Write(req); err != nil {
-		return resp, err
-	}
-	v, err := conn.Read()
-	if err != nil {
-		return resp, err
-	}
-	resp, ok := v.(wire.CliJoinResp)
-	if !ok {
-		return resp, fmt.Errorf("seed answered %T to join request", v)
-	}
-	return resp, nil
-}
-
-// askSeed retries the admission dialog with backoff until it succeeds, is
-// rejected, or the join give-up timeout expires — the member then fails
-// with a clear error rather than hanging on an unreachable seed.
-func (s *Server) askSeed(req wire.CliJoin) (wire.CliJoinResp, error) {
-	giveUp := s.joinGiveUp()
-	deadline := time.Now().Add(giveUp)
-	backoff := 100 * time.Millisecond
-	var lastErr error
-	for time.Now().Before(deadline) {
-		resp, err := seedDialog(s.cfg.Join, req, deadline)
-		if err == nil {
-			if resp.Err != "" {
-				return resp, fmt.Errorf("server: join rejected: %s", resp.Err)
-			}
-			return resp, nil
-		}
-		lastErr = err
-		s.logf("server: seed %s not answering (%v); retrying", s.cfg.Join, err)
-		time.Sleep(backoff)
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
-	}
-	return wire.CliJoinResp{}, fmt.Errorf("server: seed %s unreachable after %v give-up timeout: %w",
-		s.cfg.Join, giveUp, lastErr)
-}
-
-// startJoining performs the admission handshake with the seed member and
-// enters the cluster through the JOIN protocol.
-func (s *Server) startJoining() error {
-	ack, err := s.askSeed(wire.CliJoin{Addr: s.lis.Addr().String()})
-	if err != nil {
-		return err
-	}
-	s.cfg.Seed = ack.Seed
-	s.cfg.UpdateThreshold = ack.UpdateThreshold
-	s.adoptMode(ack.Mode, int(ack.HeapLevels))
-	s.peer = tcp.New(s.peerOptions(ack.Index, []int32{ack.Pid}, 1))
-	s.peer.SetBook(ack.Book)
-	cl, err := core.NewMember(s.coreConfig(0), ack.Index, nil, s.peer)
-	if err != nil {
-		return err
-	}
-	s.cl = cl
-	s.wireCallbacks()
-	pid, contact := ack.Pid, ack.Contact
-	s.peer.Do(func() { cl.JoinRemote(pid, contact) })
-	return nil
-}
-
-// startRestore rebuilds the member from a fail-stop snapshot: same index,
-// same process IDs, restored DHT fragment, wave buffers and stack
-// combiner residual, next boot epoch. Journaled client operations the
-// snapshot does not cover are re-submitted under their original request
-// IDs — buffered ones before the transport starts, the rest when their
-// node re-fires the wave boundary they followed — so the re-executed
-// interval reproduces the crashed incarnation's waves and every
-// mid-flight operation completes exactly once. With Config.Join set it
-// announces its current address through the seed's rejoin handshake so
-// the cluster re-routes to it; without, it relies on the snapshotted
-// address book still being accurate (a restart on the same addresses,
-// e.g. the seed member itself).
-//
-//skueue:snapshot-restore Server
-//skueue:owned-by startup -- runs before the transport starts; no other goroutine can see the server yet
-func (s *Server) startRestore(disk *diskSnapshot, journalRecs []journalRecord) error {
-	s.cfg.Seed = disk.Seed
-	s.cfg.UpdateThreshold = disk.UpdateThreshold
-	s.adoptMode(disk.Mode, disk.HeapLevels)
-	s.procsTotal = disk.Procs
-	s.peer = tcp.New(s.peerOptions(disk.Member.Index, disk.Pids, disk.Peer.Boot+1))
-	s.peer.RestoreState(disk.Peer)
-	s.peer.SetBook(disk.Book)
-	// The snapshotted book carries our pre-crash address; re-merge the
-	// current one so the entry we gossip is the live listener.
-	s.peer.AddMember(s.peer.Me())
-	cl, err := core.RestoreMember(s.coreConfig(disk.Procs), disk.Member, s.peer)
-	if err != nil {
-		return err
-	}
-	s.cl = cl
-	s.nextIndex, s.nextPid = disk.NextIndex, disk.NextPid
-	s.wireCallbacks()
-
-	// Re-submit journaled operations past the snapshot's cut. The runner
-	// has not started, so direct cluster access is safe here.
-	waves := make(map[transport.NodeID]int64, len(disk.Member.Nodes))
-	for _, img := range disk.Member.Nodes {
-		waves[img.Self.ID] = img.WaveSeq
-	}
-	s.plan = buildReplayPlan(journalRecs, disk.Member.ReqSeq, waves)
-	for _, e := range disk.Peer.Recv {
-		if e.Index != disk.Member.Index {
-			s.replayPeers = append(s.replayPeers, e.Index)
-		}
-	}
-	s.restoreSessions(disk.Sessions, journalRecs)
-	// Skip the request counter past EVERY journaled identity first —
-	// including operations held back for their wave boundaries — so a
-	// client submitting before the held groups drain can never be issued
-	// a request ID a journaled operation still owns. The lease ceilings
-	// (journal records and the snapshot's capture) go further: past every
-	// sequence the crashed incarnation could have issued at all, durable
-	// record or not.
-	for _, rec := range journalRecs {
-		switch rec.Kind {
-		case recOp:
-			s.cl.AdvanceReqSeq(core.ReqIDSeq(rec.ReqID))
-		case recLease:
-			s.cl.AdvanceReqSeq(rec.Ceiling)
-		}
-	}
-	s.cl.AdvanceReqSeq(disk.SeqCeiling)
-	for _, rec := range s.plan.immediate {
-		s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
-	}
-	if n := len(s.plan.immediate); n > 0 || s.plan.pending() > 0 {
-		s.logf("server[%d]: re-submitted %d journaled operations, %d held for wave boundaries",
-			disk.Member.Index, n, s.plan.pending())
-	}
-
-	if s.cfg.Join != "" && disk.Member.Index != 0 {
-		ack, err := s.askSeed(wire.CliJoin{
-			Addr:   s.lis.Addr().String(),
-			Rejoin: true,
-			Index:  disk.Member.Index,
-			Pids:   disk.Pids,
-		})
-		if err != nil {
-			return fmt.Errorf("server: announcing restart: %w", err)
-		}
-		s.peer.SetBook(ack.Book)
-		s.peer.AddMember(s.peer.Me())
-	}
-	s.logf("server[%d]: restored from snapshot (boot %d, %d completions)",
-		disk.Member.Index, disk.Peer.Boot+1, len(disk.Member.History))
-	return nil
-}
-
-// restoreSessions rebuilds the durable session table from the snapshot's
-// session images plus the journal records past its cut: session records
-// re-create sessions the snapshot predates, op records re-register the
-// in-flight dedupe entries, and done records retire ops into the
-// retention map (the crashed incarnation staged — and possibly released
-// — those outcomes; a resuming client must receive the identical frame,
-// not a re-execution). Runs before the transport starts, so no locking
-// is needed; restored sessions count as journaled (their record is the
-// snapshot itself or the surviving journal prefix).
-//
-//skueue:snapshot-restore durSession
-//skueue:owned-by startup -- runs before the transport starts; no other goroutine can see the session table yet
-func (s *Server) restoreSessions(images []sessionImage, recs []journalRecord) {
-	ref := make(map[uint64]sessRef) // reqID -> session/cliSeq, for done records
-	ensure := func(id string) *durSession {
-		if sd := s.sessions[id]; sd != nil {
-			return sd
-		}
-		sd := newDurSession(id)
-		sd.journaled = true
-		s.sessions[id] = sd
-		return sd
-	}
-	for _, img := range images {
-		sd := ensure(img.ID)
-		sd.acked = img.Acked
-		for cliSeq, reqID := range img.Ops {
-			sd.ops[cliSeq] = reqID
-			ref[reqID] = sessRef{sd, cliSeq}
-		}
-		for cliSeq, done := range img.Outcomes {
-			sd.outcomes[cliSeq] = done
-		}
-	}
-	for _, rec := range recs {
-		switch rec.Kind {
-		case recSession:
-			ensure(rec.Sess)
-		case recOp:
-			if rec.Sess == "" {
-				continue
-			}
-			sd := ensure(rec.Sess)
-			sd.ops[rec.CliSeq] = rec.ReqID
-			ref[rec.ReqID] = sessRef{sd, rec.CliSeq}
-		case recDone:
-			r, ok := ref[rec.ReqID]
-			if !ok {
-				continue // ephemeral operation
-			}
-			delete(r.sd.ops, r.cliSeq)
-			r.sd.outcomes[r.cliSeq] = rec.Done
-		}
-	}
-	sessions, retained, inflight := 0, 0, 0
-	for _, sd := range s.sessions {
-		for cliSeq := range sd.outcomes {
-			if cliSeq <= sd.acked {
-				delete(sd.outcomes, cliSeq)
-			}
-		}
-		for cliSeq, reqID := range sd.ops {
-			if _, done := sd.outcomes[cliSeq]; done || cliSeq <= sd.acked {
-				delete(sd.ops, cliSeq)
-				continue
-			}
-			s.sessRefs[reqID] = sessRef{sd, cliSeq}
-		}
-		sessions++
-		retained += len(sd.outcomes)
-		inflight += len(sd.ops)
-	}
-	if sessions > 0 {
-		s.logf("server[%d]: restored %d client sessions (%d retained outcomes, %d in flight)",
-			s.peer.Me().Index, sessions, retained, inflight)
-	}
-}
-
-func newDurSession(id string) *durSession {
-	return &durSession{
-		id:       id,
-		ops:      make(map[uint64]uint64),
-		outcomes: make(map[uint64]wire.CliDone),
-	}
-}
-
-// ---- Fail-stop snapshots ----
-
-// diskSnapshot is the on-disk image: one gob stream holding the cluster
-// parameters, the member's core image and the transport receive cursors.
-type diskSnapshot struct {
-	Version         int
-	Seed            int64
-	Mode            string
-	HeapLevels      int
-	UpdateThreshold int
-	Procs           int
-	Pids            []int32
-	NextIndex       int32
-	NextPid         int32
-	Member          *core.MemberSnapshot
-	Peer            *tcp.PeerState
-	Book            []wire.MemberInfo
-	// SeqCeiling is the journal's pending sequence-lease ceiling at the
-	// capture: a restart must advance the request counter past it even if
-	// compaction dropped the lease records themselves (see journal.go,
-	// "The sequence lease"). Zero in pre-lease snapshots.
-	SeqCeiling uint64
-	// Sessions are the durable client sessions at the capture — dedupe
-	// tables, retained outcomes, cursors. Captured inside the same DoSync
-	// as the journal cut, so an outcome staged before the cut (and hence
-	// compacted away with the prefix) is always in here, and one staged
-	// after it is always in the journal suffix: between them, restore
-	// rebuilds retention without a gap.
-	Sessions []sessionImage
-}
-
-const snapshotFile = "snapshot.gob"
-
-// loadSnapshot reads the member snapshot from dir; (nil, nil) when none
-// exists yet (first boot). It is the load half of the restore path
-// (startRestore consumes what it validates).
-//
-//skueue:snapshot-restore Server
-func loadSnapshot(dir string) (*diskSnapshot, error) {
-	// The captured link frames carry core protocol messages in their
-	// interface-typed payloads; the decoder needs them registered before
-	// any member of this process has constructed a cluster.
-	core.RegisterWireTypes()
-	f, err := os.Open(filepath.Join(dir, snapshotFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var disk diskSnapshot
-	if err := gob.NewDecoder(f).Decode(&disk); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", f.Name(), err)
-	}
-	if disk.Version != 1 || disk.Member == nil || disk.Peer == nil {
-		return nil, fmt.Errorf("%s: unsupported or incomplete snapshot", f.Name())
-	}
-	return &disk, nil
-}
-
-// writeSnapshot persists atomically: temp file, fsync, rename, directory
-// fsync. A crash mid-write leaves the previous snapshot intact.
-//
-// Regression note: the directory fsync after the rename is load-bearing.
-// Fsyncing only the temp file makes the CONTENT durable, but the rename
-// lives in the directory — after a machine crash the directory entry can
-// still point at the previous snapshot even though acknowledgments
-// covering the new one were already released to peers, which would lose
-// the frames between the two cursors for good. Snapshot durability (and
-// therefore ReleaseAcks) requires the directory entry on stable storage.
-func writeSnapshot(dir string, disk *diskSnapshot) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	sweepStaleTemps(dir, nil)
-	f, err := os.CreateTemp(dir, snapshotFile+".tmp-")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := gob.NewEncoder(f).Encode(disk); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// sweepStaleTemps removes CreateTemp leftovers (snapshot.gob.tmp-*,
-// ops.journal.tmp-*) that a crash mid-write strands in the state
-// directory; without the sweep they accumulate forever. The currently
-// live snapshot and journal are never matched by the patterns.
-func sweepStaleTemps(dir string, logf func(string, ...any)) {
-	for _, pattern := range []string{snapshotFile + ".tmp-*", journalFile + ".tmp-*"} {
-		stale, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			continue
-		}
-		for _, path := range stale {
-			if err := os.Remove(path); err == nil && logf != nil {
-				logf("server: removed stale temp file %s", path)
-			}
-		}
-	}
-}
-
-// SnapshotNow captures and durably writes one member snapshot, then
-// releases the acknowledgments it covers (the write-ahead step: peers may
-// prune their send buffers only once the snapshot is on disk). It returns
-// core.ErrNotQuiescent — and changes nothing — while churn is mid-flight;
-// the periodic loop just retries next interval.
-//
-//skueue:snapshot-capture Server
-func (s *Server) SnapshotNow() error {
-	if s.cfg.StateDir == "" {
-		return errors.New("server: no state dir configured")
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	var snap *core.MemberSnapshot
-	var ps *tcp.PeerState
-	var journalOff int64
-	var seqCeiling uint64
-	var sessImgs []sessionImage
-	var err error
-	s.peer.DoSync(func() {
-		snap, err = s.cl.SnapshotMember()
-		if err != nil {
-			return
-		}
-		if s.sendsParked > 0 {
-			// Frames held by the WAL-before-send gate are in no link's
-			// replay buffer yet; a cut here would strand them across a
-			// crash. They clear within a group-commit window — leave ps
-			// nil and retry next interval.
-			return
-		}
-		ps = s.peer.CaptureState()
-		if s.journal != nil {
-			// The logical journal length at the cut: every record before
-			// it — including records still staged for group commit — is
-			// covered by this snapshot (staging runs on this goroutine).
-			journalOff = s.journal.offset()
-			seqCeiling = s.journal.leaseCeiling()
-		}
-		// Session tables move only on this goroutine (submit/resolve) or
-		// under s.mu (cursor advances from connection handlers), so the
-		// capture here is consistent with the journal cut above: every
-		// outcome whose done record precedes the cut is already in its
-		// session's retention map.
-		sessImgs = s.captureSessions()
-	})
-	if err != nil {
-		return err
-	}
-	if snap == nil {
-		return fmt.Errorf("%w: shutting down", core.ErrNotQuiescent)
-	}
-	if ps == nil {
-		// Frames parked for unknown pids or local deliveries mid-flight in
-		// the task queue; both clear within a drain — retry next interval.
-		return fmt.Errorf("%w: transport has frames in flight", core.ErrNotQuiescent)
-	}
-	s.mu.Lock()
-	nextIndex, nextPid := s.nextIndex, s.nextPid
-	s.mu.Unlock()
-	disk := &diskSnapshot{
-		Version:         1,
-		Seed:            s.cfg.Seed,
-		Mode:            s.modeString(),
-		HeapLevels:      s.cfg.HeapLevels,
-		UpdateThreshold: s.cfg.UpdateThreshold,
-		Procs:           s.procsTotal,
-		Pids:            s.peer.Me().Pids,
-		NextIndex:       nextIndex,
-		NextPid:         nextPid,
-		Member:          snap,
-		Peer:            ps,
-		Book:            s.peer.Book(),
-		SeqCeiling:      seqCeiling,
-		Sessions:        sessImgs,
-	}
-	if err := writeSnapshot(s.cfg.StateDir, disk); err != nil {
-		return err
-	}
-	s.peer.ReleaseAcks(ps.Recv)
-	s.lastSnapStats = snap.Stats()
-	s.snapCount++
-	if s.journal != nil {
-		// The snapshot now covers every journal record before the
-		// captured boundary: drop that prefix.
-		if err := s.journal.truncatePrefix(journalOff); err != nil {
-			s.logf("server[%d]: compacting operation journal: %v", s.peer.Me().Index, err)
-		}
-	}
-	return nil
-}
-
-// captureSessions deep-copies the durable session table for a snapshot.
-// Runs inside the capture's DoSync; s.mu still guards the maps against
-// cursor advances racing in from connection handlers.
-//
-//skueue:snapshot-capture durSession
-func (s *Server) captureSessions() []sessionImage {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.sessions) == 0 {
-		return nil
-	}
-	out := make([]sessionImage, 0, len(s.sessions))
-	for _, sd := range s.sessions {
-		img := sessionImage{
-			ID:       sd.id,
-			Acked:    sd.acked,
-			Ops:      make(map[uint64]uint64, len(sd.ops)),
-			Outcomes: make(map[uint64]wire.CliDone, len(sd.outcomes)),
-		}
-		for cliSeq, reqID := range sd.ops {
-			img.Ops[cliSeq] = reqID
-		}
-		for cliSeq, done := range sd.outcomes {
-			img.Outcomes[cliSeq] = done
-		}
-		out = append(out, img)
-	}
-	return out
-}
-
-// SnapshotInfo reports how many snapshots have been durably written and
-// the in-flight operation summary of the newest one. Tests use it to
-// arrange a kill with a non-empty combiner residual on disk.
-func (s *Server) SnapshotInfo() (count int64, stats core.SnapshotStats) {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.snapCount, s.lastSnapStats
-}
-
-func (s *Server) snapshotLoop() {
-	defer s.wg.Done()
-	every := s.cfg.SnapshotEvery
-	if every <= 0 {
-		every = 250 * time.Millisecond
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.snapQuit:
-			return
-		case <-t.C:
-			if err := s.SnapshotNow(); err != nil && !errors.Is(err, core.ErrNotQuiescent) {
-				s.logf("server[%d]: snapshot failed: %v", s.peer.Me().Index, err)
-			}
-		}
-	}
-}
-
 // HasAnchor reports whether this member currently hosts the anchor node
 // (tests pick restart victims with it).
 func (s *Server) HasAnchor() bool {
@@ -1363,21 +572,19 @@ func (s *Server) Diagnose() []string {
 	return out
 }
 
-// wireCallbacks connects completion and ack events to client waiters,
+// wireCallbacks connects completion and ack events to the in-flight table,
 // and wave fires to the operation journal. All callbacks run on the
 // transport's runner goroutine.
 func (s *Server) wireCallbacks() {
 	s.cl.SetLogf(s.logf)
-	if s.journal != nil {
-		s.cl.SetOnFire(func(node transport.NodeID, wave int64) {
-			s.journal.noteFire(node, wave)
-			if s.plan != nil {
-				for _, rec := range s.plan.take(node, wave) {
-					s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
-				}
+	s.cl.SetOnFire(func(node transport.NodeID, wave int64) {
+		s.dur.noteFire(node, wave)
+		if s.plan != nil {
+			for _, rec := range s.plan.take(node, wave) {
+				s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
 			}
-		})
-	}
+		}
+	})
 	myTag := uint64(s.peer.Me().Index + 1)
 	s.cl.SetOnComplete(func(c seqcheck.Completion) {
 		if core.ReqIDMember(c.ReqID) != myTag {
@@ -1404,17 +611,17 @@ func (s *Server) wireCallbacks() {
 	})
 }
 
-// resolve completes the waiter for reqID, if any, filling session
-// bookkeeping into the prepared response; with a state directory the
-// outcome is journaled — durably — before the CliDone frame is released:
-// the frame is parked on the journal's release queue and goes out on the
-// journal writer goroutine once the fsync covering the outcome record
-// returns, so a confirmed result always survives a crash of this member.
+// resolve completes the in-flight operation reqID: the prepared response
+// takes the operation's sequence, a session operation is retired into its
+// session's retention map, and the outcome record is staged with the
+// CliDone frame parked behind it — the frame goes out once the record is
+// durable (after the covering fsync on a journal, at once on a volatile
+// member), so a confirmed result always survives a crash of this member.
 // Divergence auditing stays here on the runner: outcomes journaled by the
 // crashed incarnation were released only after their sync, so anything in
 // plan.outcomes was client-visible and must be reproduced. Completions
-// with no waiter belong to an orphaned operation (its op record never
-// became durable — see journalOpFailed) or fall through to the early hook
+// with no in-flight entry belong to an orphaned operation (its op record
+// never became durable — see opFailed) or fall through to the early hook
 // of an inject call in progress. Runs on the runner goroutine.
 func (s *Server) resolve(reqID uint64, done wire.CliDone) {
 	done.ReqID = reqID
@@ -1433,67 +640,37 @@ func (s *Server) resolve(reqID uint64, done wire.CliDone) {
 		}
 	}
 	s.mu.Lock()
-	if ref, isSess := s.sessRefs[reqID]; isSess {
-		// Session operation: retire it into the session's retention map at
-		// STAGING time — under s.mu, on this (runner) goroutine — so a
-		// snapshot capture is always consistent with its journal cut (see
-		// diskSnapshot.Sessions). The parked release only delivers; a
-		// client that already acked past the sequence (it treated a
-		// give-up notification as final) gets nothing retained.
-		sd := ref.sd
-		delete(s.sessRefs, reqID)
-		delete(sd.ops, ref.cliSeq)
-		done.Seq = ref.cliSeq
-		stale := ref.cliSeq <= sd.acked
-		if !stale {
-			sd.outcomes[ref.cliSeq] = done
-		}
-		s.mu.Unlock()
-		if stale {
-			return
-		}
-		if s.journal != nil {
-			release := s.releaseSessionDone(sd, ref.cliSeq, reqID)
-			if s.deferring {
-				// Inside an inject call: park until the injected op's
-				// record is staged ahead of this outcome.
-				s.deferredDones = append(s.deferredDones, deferredDone{reqID, done, release})
-				return
-			}
-			s.journal.appendDone(reqID, done, release)
-			return
-		}
-		s.deliverSession(sd, done)
-		return
-	}
-	w, ok := s.waiters[reqID]
-	if ok {
-		delete(s.waiters, reqID)
-	}
-	orphan := false
-	if !ok && s.orphans[reqID] {
+	w, ok := s.ops[reqID]
+	delete(s.ops, reqID)
+	orphan := !ok && s.orphans[reqID]
+	if orphan {
 		delete(s.orphans, reqID)
 		s.orphanResolved++
-		orphan = true
 	}
-	s.mu.Unlock()
+	stale := false
 	if ok {
 		done.Seq = w.seq
-		if s.journal != nil {
-			release := s.releaseDone(w.sess, w.seq, reqID, done)
-			if s.deferring {
-				// Inside an inject call: park until the injected op's
-				// record is staged ahead of this outcome.
-				s.deferredDones = append(s.deferredDones, deferredDone{reqID, done, release})
-				return
+		if w.sd != nil {
+			// Retain at STAGING time — under s.mu, on this (runner)
+			// goroutine — so a snapshot capture is always consistent with
+			// its journal cut (see diskSnapshot.Sessions); the parked
+			// release only delivers. A client that already acked past the
+			// sequence (it treated a give-up notification as final) gets
+			// nothing retained and nothing sent.
+			delete(w.sd.ops, w.seq)
+			if stale = w.seq <= w.sd.acked; !stale {
+				w.sd.outcomes[w.seq] = done
 			}
-			s.journal.appendDone(reqID, done, release)
-			return
 		}
-		w.sess.send(done)
-		return
 	}
-	if orphan {
+	s.mu.Unlock()
+	var release journalRelease
+	switch {
+	case stale:
+		return
+	case ok:
+		release = s.releaseDone(w, done)
+	case orphan:
 		// The op record never became durable and the client was already
 		// answered indeterminate, but the operation executed anyway: log
 		// and count it, and journal the outcome best-effort, so the
@@ -1501,280 +678,103 @@ func (s *Server) resolve(reqID uint64, done wire.CliDone) {
 		// actually in flight.
 		s.logf("server[%d]: orphaned op %d completed after its journal append failed (bottom=%v value=%dB err=%q)",
 			s.peer.Me().Index, reqID, done.Bottom, len(done.Value), done.Err)
-		if s.journal != nil {
-			s.journal.appendDone(reqID, done, nil)
+	default:
+		if s.onEarly != nil {
+			s.onEarly(reqID, done)
 		}
 		return
 	}
-	if s.onEarly != nil {
-		s.onEarly(reqID, done)
+	if s.deferring {
+		// Inside an inject call: park until the injected op's record is
+		// staged ahead of this outcome.
+		s.deferredDones = append(s.deferredDones, deferredDone{reqID, done, release})
+		return
 	}
+	s.dur.appendDone(reqID, done, release)
 }
 
-// releaseDone builds the parked release of one journaled outcome: on a
-// clean sync the prepared CliDone goes out, on a journal failure the
-// client gets an indeterminate error instead — confirming an outcome the
-// restarted member would not remember is the one forbidden move. Runs on
-// the journal writer goroutine (inline on the runner with group commit
-// disabled).
+// targetLocked returns the connection an answer for w goes to right now:
+// the submitting connection, or for a session operation whichever
+// connection the session has attached (nil while the client is away).
+//
+//skueue:locked mu
+func (s *Server) targetLocked(w inflight) *session {
+	if w.sd != nil {
+		return w.sd.cur
+	}
+	return w.conn
+}
+
+// releaseDone builds the parked release of one staged outcome — the only
+// way a result-bearing CliDone reaches a client. On a clean sync the
+// frame goes out: a session outcome to whichever connection is attached
+// NOW (the client may have reconnected since the record was staged),
+// unless the client acked past it meanwhile. On a journal failure the
+// client gets an indeterminate error instead, and a session's retained
+// copy is withdrawn — confirming an outcome the restarted member would
+// not remember is the one forbidden move. Runs on the journal writer
+// goroutine (inline on the runner on a volatile member).
 //
 //skueue:journaled-release
-func (s *Server) releaseDone(sess *session, seq, reqID uint64, done wire.CliDone) journalRelease {
+func (s *Server) releaseDone(w inflight, done wire.CliDone) journalRelease {
 	return func(err error) {
+		to := w.conn
+		if w.sd != nil {
+			s.mu.Lock()
+			to = w.sd.cur
+			kept, retained := w.sd.outcomes[w.seq]
+			switch {
+			case err != nil && retained && kept.ReqID == done.ReqID:
+				delete(w.sd.outcomes, w.seq)
+			case err == nil && !retained:
+				to = nil
+			}
+			s.mu.Unlock()
+		}
 		if err != nil {
-			s.logf("server[%d]: journaling completion of op %d: %v", s.peer.Me().Index, reqID, err)
+			s.logf("server[%d]: journaling completion of op %d: %v", s.peer.Me().Index, done.ReqID, err)
 			done = wire.CliDone{
-				Seq: seq, ReqID: reqID,
+				Seq: w.seq, ReqID: done.ReqID, Unreachable: true,
 				Err: fmt.Sprintf("operation outcome could not be journaled: %v", err),
 			}
 		}
-		sess.send(done)
-	}
-}
-
-// releaseSessionDone builds the parked release of a session operation's
-// journaled outcome. On a clean sync the outcome retained at staging time
-// (resolve) is delivered to whichever connection is attached NOW — the
-// client may have reconnected since the record was staged. On a journal
-// failure the retained outcome is withdrawn (a restarted member would not
-// remember it, so confirming it is forbidden) and the attached client, if
-// any, is told the operation is indeterminate. Runs on the journal writer
-// goroutine (inline on the runner with group commit disabled).
-//
-//skueue:journaled-release
-func (s *Server) releaseSessionDone(sd *durSession, cliSeq, reqID uint64) journalRelease {
-	return func(err error) {
-		s.mu.Lock()
-		done, retained := sd.outcomes[cliSeq]
-		if err != nil && retained && done.ReqID == reqID {
-			delete(sd.outcomes, cliSeq)
-			retained = false
-		}
-		cur := sd.cur
-		s.mu.Unlock()
-		if err != nil {
-			s.logf("server[%d]: journaling session %q outcome %d: %v",
-				s.peer.Me().Index, sd.id, cliSeq, err)
-			if cur != nil {
-				cur.send(wire.CliDone{
-					Seq: cliSeq, ReqID: reqID, Unreachable: true,
-					Err: fmt.Sprintf("operation outcome could not be journaled: %v", err),
-				})
-			}
-			return
-		}
-		if retained && cur != nil {
-			cur.send(done)
+		if to != nil {
+			to.send(done)
 		}
 	}
 }
 
-// deliverSession hands a retained session outcome to the currently
-// attached connection, if any; a detached session just keeps the outcome
-// for redelivery at the next resume. Only called where no journal gates
-// the frame (journal-less members and redelivery of already-synced
-// outcomes).
-//
-//skueue:journaled-release
-func (s *Server) deliverSession(sd *durSession, done wire.CliDone) {
+// opFailed handles a failed op-record append AFTER the operation was
+// injected: the operation, if still in flight, is answered with an
+// indeterminate error, and the request ID is remembered as an orphan so
+// the completion that eventually surfaces at resolve is logged, counted
+// and best-effort journaled rather than silently dropped. If the entry is
+// already gone the outcome path owns the answer (its parked release
+// reports the same journal failure) and nothing is owed here. Runs on the
+// journal writer goroutine (inline on the runner if the journal had
+// already failed when the record was staged).
+func (s *Server) opFailed(reqID uint64, err error) {
 	s.mu.Lock()
-	cur := sd.cur
-	s.mu.Unlock()
-	if cur != nil {
-		cur.send(done)
-	}
-}
-
-// redeliverRetained replays the session's undelivered retained outcomes to
-// a freshly attached connection, in per-session sequence order. The
-// journal barrier first: outcomes are retained at STAGING time, so an
-// entry may not have synced yet — the barrier waits out the writer (any
-// entry whose sync failed is withdrawn by its release before the barrier
-// returns, and its parked release answered the failure). The client
-// dedupes by sequence, so racing a parked release delivering the same
-// frame is harmless. Runs on the connection's reader goroutine.
-//
-//skueue:journaled-release
-func (s *Server) redeliverRetained(sd *durSession, sess *session) {
-	if s.journal != nil {
-		if err := s.journal.barrier(); err != nil {
-			s.logf("server[%d]: session %q resume barrier: %v", s.peer.Me().Index, sd.id, err)
-		}
-	}
-	s.mu.Lock()
-	pending := make([]wire.CliDone, 0, len(sd.outcomes))
-	for seq, done := range sd.outcomes {
-		if seq > sd.acked {
-			pending = append(pending, done)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Seq < pending[j].Seq })
-	for _, done := range pending {
-		sess.send(done)
-	}
-}
-
-// sessionAck advances the session's delivered-outcome cursor: every
-// retained outcome at or below ack has reached the client (outcome
-// delivery is cumulative on the client side), so the member can stop
-// retaining them. Piggybacked on every CliEnqueue/CliDequeue and sent
-// standalone as CliSessionAck when the client has nothing else to say.
-func (s *Server) sessionAck(sd *durSession, ack uint64) {
-	if ack == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ack <= sd.acked {
-		return
-	}
-	sd.acked = ack
-	for seq := range sd.outcomes {
-		if seq <= ack {
-			delete(sd.outcomes, seq)
-		}
-	}
-}
-
-// ensureSessionRecord stages the session's own journal record ahead of
-// its first op record, so a restart knows the session existed even before
-// any outcome was retained in a snapshot. Idempotent; restored sessions
-// count as already journaled. Runner goroutine.
-func (s *Server) ensureSessionRecord(sd *durSession) {
-	s.mu.Lock()
-	stage := !sd.journaled
-	sd.journaled = true
-	s.mu.Unlock()
-	if stage {
-		s.journal.appendSession(sd.id)
-	}
-}
-
-// sessionOpFailed is journalOpFailed for session operations: the op
-// record's append failed after injection, so the client is answered
-// indeterminate and the request ID becomes an orphan (its eventual
-// completion is logged and counted by resolve, not silently dropped).
-// Runs on the journal writer goroutine.
-func (s *Server) sessionOpFailed(sd *durSession, cliSeq, reqID uint64, err error) {
-	s.mu.Lock()
-	_, ok := s.sessRefs[reqID]
-	if ok {
-		delete(s.sessRefs, reqID)
-		delete(sd.ops, cliSeq)
-		s.orphans[reqID] = true
-		s.orphanFailed++
-	}
-	cur := sd.cur
-	s.mu.Unlock()
+	w, ok := s.ops[reqID]
 	if !ok {
+		s.mu.Unlock()
 		return
 	}
-	s.logf("server[%d]: journaling session %q op %d: %v", s.peer.Me().Index, sd.id, reqID, err)
-	if cur != nil {
-		cur.send(wire.CliDone{
-			Seq: cliSeq, ReqID: reqID, Unreachable: true,
+	delete(s.ops, reqID)
+	if w.sd != nil {
+		delete(w.sd.ops, w.seq)
+	}
+	s.orphans[reqID] = true
+	s.orphanFailed++
+	to := s.targetLocked(w)
+	s.mu.Unlock()
+	s.logf("server[%d]: journaling op %d: %v", s.peer.Me().Index, reqID, err)
+	if to != nil {
+		to.send(wire.CliDone{
+			Seq: w.seq, ReqID: reqID, Unreachable: true,
 			Err: fmt.Sprintf("operation could not be journaled: %v", err),
 		})
 	}
-}
-
-// attachSession binds an arriving connection to its durable session,
-// creating the session unless the Hello asked for attach-only resume
-// (SessionResume with an ID this member does not hold returns nil — the
-// client is probing for the owner and must not strand a fresh empty
-// session here). A previously attached connection is displaced and
-// closed: the ID names one logical client, and its newest connection
-// wins. The Hello's cursor is applied before any redelivery.
-func (s *Server) attachSession(hello wire.Hello, sess *session) (*durSession, bool) {
-	s.mu.Lock()
-	sd, known := s.sessions[hello.Session]
-	if !known {
-		if hello.SessionResume {
-			s.mu.Unlock()
-			return nil, false
-		}
-		sd = newDurSession(hello.Session)
-		s.sessions[hello.Session] = sd
-	}
-	prev := sd.cur
-	sd.cur = sess
-	s.mu.Unlock()
-	if prev != nil && prev != sess {
-		prev.kill.Do(func() { prev.conn.Close() })
-	}
-	s.sessionAck(sd, hello.SessionAck)
-	return sd, known
-}
-
-// sessionHighSeq returns the session's operation-sequence high-water mark
-// (HelloAck.SessionSeq): the acked cursor is a floor — every retained
-// outcome below it has been discarded — and in-flight ops or retained
-// outcomes can sit above it. A resuming client without its own counter
-// numbers fresh operations past this mark; anything at or below it would
-// be deduplicated as dead history.
-func (s *Server) sessionHighSeq(sd *durSession) uint64 {
-	if sd == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	high := sd.acked
-	for seq := range sd.ops {
-		if seq > high {
-			high = seq
-		}
-	}
-	for seq := range sd.outcomes {
-		if seq > high {
-			high = seq
-		}
-	}
-	return high
-}
-
-// detachSession clears the session's attached connection when its reader
-// exits — unless a newer connection already displaced this one, in which
-// case the session is the newcomer's. The session itself, with its
-// in-flight operations and retained outcomes, stays until its client
-// resumes (or forever: sessions are only bounded by their clients' acks).
-func (s *Server) detachSession(sd *durSession, sess *session) {
-	if sd == nil {
-		return
-	}
-	s.mu.Lock()
-	if sd.cur == sess {
-		sd.cur = nil
-	}
-	s.mu.Unlock()
-}
-
-// journalOpFailed handles a failed op-record append AFTER the operation
-// was injected: the waiter, if still registered, is answered with an
-// indeterminate error, and the request ID is remembered as an orphan so
-// the completion that eventually surfaces at resolve is logged, counted
-// and best-effort journaled rather than silently dropped. If the waiter
-// is already gone the outcome path owns the answer (its parked release
-// reports the same journal failure) and nothing is owed here. Runs on the
-// journal writer goroutine (inline on the runner with group commit
-// disabled).
-func (s *Server) journalOpFailed(reqID uint64, err error) {
-	s.mu.Lock()
-	w, ok := s.waiters[reqID]
-	if ok {
-		delete(s.waiters, reqID)
-		s.orphans[reqID] = true
-		s.orphanFailed++
-	}
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	s.logf("server[%d]: journaling op %d: %v", s.peer.Me().Index, reqID, err)
-	w.sess.send(wire.CliDone{
-		Seq: w.seq, ReqID: reqID,
-		Err: fmt.Sprintf("operation could not be journaled: %v", err),
-	})
 }
 
 // OrphanInfo reports how many operations were injected but never
@@ -1801,8 +801,6 @@ func (s *Server) pickClient() (transport.NodeID, error) {
 	s.mu.Unlock()
 	return s.cl.Client(idx), nil
 }
-
-// ---- Listener ----
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -1840,7 +838,7 @@ func (s *Server) handleConn(conn *wire.Conn) {
 	}
 	hello, ok := v.(wire.Hello)
 	if !ok {
-		s.logf("server[%d]: first frame was %T, closing", s.cfg.Index, v)
+		s.logf("server[%d]: first frame was %T, closing", s.peer.Me().Index, v)
 		conn.Close()
 		return
 	}
@@ -1850,7 +848,7 @@ func (s *Server) handleConn(conn *wire.Conn) {
 	case "client":
 		s.serveClient(conn, hello)
 	default:
-		s.logf("server[%d]: unknown hello kind %q", s.cfg.Index, hello.Kind)
+		s.logf("server[%d]: unknown hello kind %q", s.peer.Me().Index, hello.Kind)
 		conn.Close()
 	}
 }
@@ -1869,7 +867,7 @@ func (s *Server) serveClient(conn *wire.Conn, hello wire.Hello) {
 		delete(s.cliConns, conn)
 		s.mu.Unlock()
 	}()
-	defer s.dropSessionWaiters(sess)
+	defer s.dropConnOps(sess)
 	defer close(sess.quit)
 	defer conn.Close()
 
@@ -1944,29 +942,33 @@ func (s *Server) serveClient(conn *wire.Conn, hello wire.Hello) {
 		case wire.CliJoin:
 			sess.send(s.admit(m))
 		default:
-			s.logf("server[%d]: unexpected client frame %T", s.cfg.Index, v)
+			s.logf("server[%d]: unexpected client frame %T", s.peer.Me().Index, v)
 			return
 		}
 	}
 }
 
-// submit injects one client operation on the runner goroutine. The waiter
-// is registered after the inject call returns the request ID; completions
+// submit runs one client operation through the member's lifecycle, on
+// the runner goroutine: police the flavour, dedupe a session's
+// re-presented operation, wait out a restart replay, check the sequence
+// lease, inject, register the operation in flight, stage its op record.
+// resolve takes it from there when the completion arrives. The entry is
+// registered after the inject call returns the request ID; completions
 // also run on the runner, so the only thing that can beat the
 // registration is a completion firing synchronously inside the inject
-// itself (a locally combined stack pair) — the early hook catches those
-// and answers from the stash. The runner goroutine serializes the whole
-// window, so it cannot interleave with other requests.
+// itself (a locally combined stack pair) — the early hook catches that
+// one and submit replays it through resolve once the op record is staged.
+// The runner goroutine serializes the whole window, so it cannot
+// interleave with other requests.
 //
-// With a state directory, the operation's journal record is STAGED under
-// its durable request ID before submit returns — the group-commit writer
-// makes it durable off the runner — and every CliDone for it is parked on
-// the journal's release queue behind its own outcome record, so nothing
-// client-visible escapes before the covering fsync (journal.go). The
-// combined-pair answer produced inside the inject call takes the same
-// parked path. A crash after the op record synced re-submits the
+// The op record is STAGED under its durable request ID before submit
+// returns — the group-commit writer makes it durable off the runner —
+// and every CliDone for the operation is parked behind its own outcome
+// record, so nothing client-visible escapes before the covering fsync
+// (journal.go). A crash after the op record synced re-submits the
 // operation on restart; a crash before it loses an operation no client
-// was ever answered for.
+// was ever answered for. On a volatile member the same steps run with
+// every release firing inline.
 func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri int32, priOp bool, value []byte) {
 	s.peer.Do(func() {
 		if priOp != (s.mode == batch.Heap) {
@@ -1995,15 +997,11 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 			s.mu.Lock()
 			if done, ok := sd.outcomes[seq]; ok {
 				s.mu.Unlock()
-				// Already completed and retained: redeliver. Behind a
-				// journal the frame parks behind a duplicate done record
-				// (restore collapses duplicates idempotently), so even a
-				// redelivery waits for a covering fsync.
-				if s.journal != nil {
-					s.journal.appendDone(done.ReqID, done, s.releaseSessionDone(sd, seq, done.ReqID))
-					return
-				}
-				s.deliverSession(sd, done)
+				// Already completed and retained: redeliver, parked behind
+				// a duplicate done record (restore collapses duplicates
+				// idempotently), so even a redelivery waits for a covering
+				// fsync.
+				s.dur.appendDone(done.ReqID, done, s.releaseDone(inflight{sd: sd, seq: seq}, done))
 				return
 			}
 			if seq <= sd.acked {
@@ -2042,7 +1040,7 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 			sess.send(wire.CliDone{Seq: seq, Err: err.Error()})
 			return
 		}
-		if s.journal != nil && !s.journal.coverSeq(s.cl.ReqSeq()+1) {
+		if !s.dur.coverSeq(s.cl.ReqSeq() + 1) {
 			// The next request ID is not covered by a durable lease
 			// ceiling: issuing it could let a crash re-issue the same ID,
 			// which peer dedupe would then swallow. Refuse BEFORE
@@ -2058,7 +1056,7 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 		}
 		early := make(map[uint64]wire.CliDone, 1)
 		s.onEarly = func(reqID uint64, done wire.CliDone) { early[reqID] = done }
-		s.deferring = s.journal != nil
+		s.deferring = true
 		var reqID uint64
 		if enq {
 			reqID = s.cl.EnqueuePriBlob(node, pri, value)
@@ -2067,103 +1065,59 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 		}
 		s.onEarly = nil
 		s.deferring = false
-		if sd != nil {
-			// Session bookkeeping before any journal staging: the op
-			// record's failure callback and the eventual resolve both find
-			// the operation through sessRefs, and an early (combined-pair)
-			// completion is replayed through resolve below, which needs the
-			// ref registered.
-			s.mu.Lock()
-			sd.ops[seq] = reqID
-			s.sessRefs[reqID] = sessRef{sd, seq}
-			s.mu.Unlock()
-			if s.journal == nil {
-				if done, ok := early[reqID]; ok {
-					s.resolve(reqID, done)
-				}
-				return
-			}
-			s.ensureSessionRecord(sd)
-			if done, ok := early[reqID]; ok {
-				// Combined pair answered inside the inject call: stage the
-				// op record, then retire the outcome through resolve (which
-				// retains it and parks the frame behind its done record).
-				s.journal.appendOp(node, reqID, !enq, pri, value, sd.id, seq, nil)
-				s.resolve(reqID, done)
-				s.flushDeferred()
-				return
-			}
-			s.journal.appendOp(node, reqID, !enq, pri, value, sd.id, seq, func(err error) {
-				if err != nil {
-					s.sessionOpFailed(sd, seq, reqID, err)
-				}
-			})
-			s.flushDeferred()
-			return
-		}
-		if s.journal == nil {
-			if done, ok := early[reqID]; ok {
-				done.Seq = seq
-				done.ReqID = reqID
-				sess.send(done)
-				return
-			}
-			s.mu.Lock()
-			s.waiters[reqID] = &waiter{sess: sess, seq: seq}
-			s.mu.Unlock()
-			return
-		}
-		if done, ok := early[reqID]; ok {
-			// Combined pair answered inside the inject call: stage the op
-			// record, then the outcome record, and park the frame behind
-			// the latter. A journal failure answers indeterminate through
-			// the parked release, so the op record needs no release of
-			// its own.
-			done.Seq = seq
-			done.ReqID = reqID
-			s.journal.appendOp(node, reqID, !enq, pri, value, "", 0, nil)
-			s.journal.appendDone(reqID, done, s.releaseDone(sess, seq, reqID, done))
-			s.flushDeferred()
-			return
-		}
-		// Waiter before op record: the record's release can fire on the
-		// journal writer as soon as it is staged, and a failed append
-		// must find the waiter to answer it.
+		// In flight before the op record: the record's release can fire on
+		// the journal writer as soon as it is staged, and a failed append
+		// must find the entry to answer it. A session's own record goes
+		// ahead of its first op record, so a restart knows the session
+		// existed even before any outcome was retained in a snapshot.
+		w := inflight{conn: sess, seq: seq}
+		var sessID string
+		var sessSeq uint64
+		firstOp := false
 		s.mu.Lock()
-		s.waiters[reqID] = &waiter{sess: sess, seq: seq}
+		if sd != nil {
+			w = inflight{sd: sd, seq: seq}
+			sd.ops[seq] = reqID
+			sessID, sessSeq, firstOp = sd.id, seq, !sd.journaled
+			sd.journaled = true
+		}
+		s.ops[reqID] = w
 		s.mu.Unlock()
-		s.journal.appendOp(node, reqID, !enq, pri, value, "", 0, func(err error) {
+		if firstOp {
+			s.dur.appendSession(sessID)
+		}
+		s.dur.appendOp(node, reqID, !enq, pri, value, sessID, sessSeq, func(err error) {
 			if err != nil {
-				s.journalOpFailed(reqID, err)
+				s.opFailed(reqID, err)
 			}
 		})
-		s.flushDeferred()
+		if done, ok := early[reqID]; ok {
+			s.resolve(reqID, done)
+		}
+		// Partner completions parked during the inject call go in now that
+		// the injected operation's own record precedes them in the batch:
+		// if any of these outcomes ever syncs and releases, the op that
+		// produced it is durable too.
+		for _, d := range s.deferredDones {
+			s.dur.appendDone(d.reqID, d.done, d.release)
+		}
+		s.deferredDones = s.deferredDones[:0]
 	})
 }
 
-// flushDeferred stages the partner completions parked during the inject
-// call, now that the injected operation's own record precedes them in
-// the batch: if any of these outcomes ever syncs and releases, the op
-// that produced it is durable too. Runner goroutine.
-func (s *Server) flushDeferred() {
-	for _, d := range s.deferredDones {
-		s.journal.appendDone(d.reqID, d.done, d.release)
-	}
-	s.deferredDones = s.deferredDones[:0]
-}
-
-// dropSessionWaiters forgets the in-flight operations of a finished
-// session so long-lived servers do not leak one waiter per abandoned
+// dropConnOps forgets the connection-scoped operations of a finished
+// connection so long-lived servers do not leak one entry per abandoned
 // request. The operations themselves are already in flight and still
 // take their turn in the serialization — exactly like an abandoned
 // in-process call (see Client.Dequeue) — their results just have nobody
-// left to deliver to.
-func (s *Server) dropSessionWaiters(sess *session) {
+// left to deliver to. Session operations stay: their outcomes retire into
+// the session's retention map and wait for the client to resume.
+func (s *Server) dropConnOps(sess *session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, w := range s.waiters {
-		if w.sess == sess {
-			delete(s.waiters, id)
+	for id, w := range s.ops {
+		if w.conn == sess {
+			delete(s.ops, id)
 		}
 	}
 }
@@ -2182,45 +1136,5 @@ func (s *Server) CloseClientConns() {
 	s.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
-	}
-}
-
-// admit handles a CliJoin: only the seed member assigns member indices and
-// process IDs, and it broadcasts the updated address book before
-// answering, so every member can route to the newcomer by the time its
-// JOIN requests start flowing. A rejoin (fail-stop restart) keeps the
-// member's existing assignment and only re-broadcasts its address.
-func (s *Server) admit(m wire.CliJoin) wire.CliJoinResp {
-	if s.peer.Me().Index != 0 {
-		return wire.CliJoinResp{Err: "join via the seed member (index 0)"}
-	}
-	if m.Rejoin {
-		if m.Index == 0 {
-			return wire.CliJoinResp{Err: "the seed member cannot rejoin through itself"}
-		}
-		s.logf("server[0]: member %d rejoining from %s after restart", m.Index, m.Addr)
-		s.peer.AddMember(wire.MemberInfo{Index: m.Index, Addr: m.Addr, Pids: m.Pids})
-		s.peer.BroadcastBook()
-		return wire.CliJoinResp{
-			Index: m.Index,
-			Seed:  s.cfg.Seed, Mode: s.modeString(), HeapLevels: int32(s.cfg.HeapLevels),
-			UpdateThreshold: s.cfg.UpdateThreshold,
-			Book:            s.peer.Book(),
-		}
-	}
-	s.mu.Lock()
-	idx := s.nextIndex
-	pid := s.nextPid
-	s.nextIndex++
-	s.nextPid++
-	s.mu.Unlock()
-	s.peer.AddMember(wire.MemberInfo{Index: idx, Addr: m.Addr, Pids: []int32{pid}})
-	s.peer.BroadcastBook()
-	return wire.CliJoinResp{
-		Index: idx, Pid: pid,
-		Seed: s.cfg.Seed, Mode: s.modeString(), HeapLevels: int32(s.cfg.HeapLevels),
-		UpdateThreshold: s.cfg.UpdateThreshold,
-		Book:            s.peer.Book(),
-		Contact:         core.NodeIDForProcess(s.peer.Me().Pids[0], ldb.Middle),
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"skueue"
 	"skueue/internal/server"
+	"skueue/internal/wire"
 )
 
 // startCluster boots a members-process loopback cluster. Listeners are
@@ -225,5 +227,47 @@ func TestSingleMemberSmoke(t *testing.T) {
 	}
 	if err := c.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinerLogsItsAdmittedIndex pins the log tag of the connection
+// handlers: a joined member's Config.Index is 0 (only bootstrap members
+// set it), so its diagnostics must carry the index the seed admitted it
+// under, like the rest of the member's log lines.
+func TestJoinerLogsItsAdmittedIndex(t *testing.T) {
+	srvs := startCluster(t, 1, "queue")
+	lines := make(chan string, 1)
+	joiner, err := server.New(server.Config{
+		Addr: "127.0.0.1:0",
+		Join: srvs[0].Addr(),
+		Tick: 500 * time.Microsecond,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "first frame was") {
+				lines <- fmt.Sprintf(format, args...)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("joining server: %v", err)
+	}
+	t.Cleanup(joiner.Close)
+
+	nc, err := net.Dial("tcp", joiner.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(nc)
+	defer conn.Close()
+	if err := conn.Write(wire.CliDequeue{}); err != nil { // anything but a Hello
+		t.Fatal(err)
+	}
+	const want = "server[1]: first frame was wire.CliDequeue, closing"
+	select {
+	case line := <-lines:
+		if line != want {
+			t.Fatalf("log line %q, want %q", line, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no %q line logged", want)
 	}
 }

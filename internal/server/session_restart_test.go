@@ -77,14 +77,13 @@ func TestSessionSurvivesMemberRestart(t *testing.T) {
 	t.Logf("killing session owner %d with %d futures in flight", victim, len(futures))
 	srvs[victim].Kill()
 
-	batchOps, batchDelay := journalBatchEnv(t)
+	batchDelay := journalBatchEnv(t)
 	restarted, err := server.New(server.Config{
 		Addr:              "127.0.0.1:0",
 		Join:              srvs[0].Addr(),
 		StateDir:          dirs[victim],
 		SnapshotEvery:     50 * time.Millisecond,
 		Tick:              500 * time.Microsecond,
-		JournalBatchOps:   batchOps,
 		JournalBatchDelay: batchDelay,
 		Logf:              debugLogf("[re]"),
 	})
