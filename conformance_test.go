@@ -3,9 +3,10 @@ package skueue_test
 // Mode-conformance suite: one table of lifecycle tests run identically
 // against all three ordering disciplines (queue, stack, heap). Each row
 // exercises behavior every discipline must share — the shape of a full
-// enqueue/dequeue lifecycle, empty-structure ⊥ semantics, and
-// exactly-once delivery across a kill -9 restart of a durable cluster
-// member — while the expected dequeue order is the only per-mode input.
+// enqueue/dequeue lifecycle and empty-structure ⊥ semantics, embedded and
+// again over a loopback TCP cluster at a coarse tick, and exactly-once
+// delivery across a kill -9 restart of a durable cluster member — while
+// the expected dequeue order is the only per-mode input.
 // A new discipline behind the seam (internal/core/discipline.go) joins
 // the table by adding one entry.
 
@@ -80,6 +81,20 @@ func confModes() []confMode {
 	}
 }
 
+// confOpen opens the client a lifecycle row drives: embedded, or remote
+// against a loopback cluster.
+type confOpen func(t *testing.T, m confMode, procs int, seed int64) *skueue.Client
+
+// confWithin fails the row when its ops blocking operations took more
+// than perOp each on average since start; perOp 0 (the embedded rows,
+// which run in simulated time) checks nothing.
+func confWithin(t *testing.T, start time.Time, ops int, perOp time.Duration) {
+	t.Helper()
+	if took := time.Since(start); perOp > 0 && took > time.Duration(ops)*perOp {
+		t.Fatalf("%d blocking operations took %v, over %v each: the discipline is paced by the clock", ops, took, perOp)
+	}
+}
+
 // confPri assigns enqueue index i its priority level (heap rows spread
 // elements over every level; other modes ignore it).
 func confPri(i, levels int) int32 {
@@ -113,14 +128,80 @@ func confEnqueueAsync(c *skueue.Client, pri int32, v any) (*skueue.Future, error
 	return c.EnqueueAsync(skueue.AnyProcess, v)
 }
 
+// confEmbedded opens the in-process (simulator-backed) client the
+// lifecycle rows run against by default.
+func confEmbedded(t *testing.T, m confMode, procs int, seed int64) *skueue.Client {
+	t.Helper()
+	c, err := skueue.Open(append([]skueue.Option{
+		skueue.WithProcesses(procs), skueue.WithSeed(seed),
+	}, m.opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// confTCPTick is the TIMEOUT cadence of the over-TCP rows: coarse enough
+// that a wave paced by the clock — five ticks an operation on three
+// members — blows confTCPBudget, so these rows hold the readiness-driven
+// firing path to every discipline's semantics: the stack's put-ack
+// ungating stage 4, the heap's prefix-per-wave drain leaving own work
+// behind for the next wave.
+const confTCPTick = 50 * time.Millisecond
+
+// confTCPBudget is what one blocking operation may cost on average over a
+// row: readiness-paced it is about one tick.
+const confTCPBudget = 3 * confTCPTick
+
+// confListeners pre-binds n loopback listeners, so every member knows
+// the full address list before any of them starts.
+func confListeners(t *testing.T, n int) ([]net.Listener, []string) {
+	t.Helper()
+	lis := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lis {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis[i], addrs[i] = l, l.Addr().String()
+	}
+	return lis, addrs
+}
+
+// confOverTCP boots a 3-member loopback cluster in the discipline's mode
+// and opens a remote client at a non-seed member (procs and seed belong
+// to the embedded rows).
+func confOverTCP(t *testing.T, m confMode, _ int, _ int64) *skueue.Client {
+	t.Helper()
+	lis, addrs := confListeners(t, 3)
+	for i := range lis {
+		s, err := server.New(server.Config{
+			Listener: lis[i], Seed: 33, Index: i, Members: addrs,
+			Mode: m.server, HeapLevels: m.levels, Tick: confTCPTick,
+		})
+		if err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+		t.Cleanup(s.Close)
+	}
+	c, err := skueue.Open(skueue.WithRemote(addrs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestModeConformance runs every lifecycle row against every discipline.
 func TestModeConformance(t *testing.T) {
 	rows := []struct {
 		name string
 		run  func(t *testing.T, m confMode)
 	}{
-		{"Lifecycle", confLifecycle},
-		{"EmptyStructure", confEmptyStructure},
+		{"Lifecycle", func(t *testing.T, m confMode) { confLifecycle(t, m, confEmbedded, 0) }},
+		{"EmptyStructure", func(t *testing.T, m confMode) { confEmptyStructure(t, m, confEmbedded, 0) }},
+		{"LifecycleOverTCP", func(t *testing.T, m confMode) { confLifecycle(t, m, confOverTCP, confTCPBudget) }},
+		{"EmptyStructureOverTCP", func(t *testing.T, m confMode) { confEmptyStructure(t, m, confOverTCP, confTCPBudget) }},
 		{"KillRestartExactlyOnce", confKillRestart},
 	}
 	for _, row := range rows {
@@ -136,18 +217,14 @@ func TestModeConformance(t *testing.T) {
 // dequeues them all; the observed order must be exactly the discipline's
 // (FIFO, LIFO, or priority-then-FIFO), the structure must be empty
 // afterwards, and the full history must pass the discipline's checker.
-func confLifecycle(t *testing.T, m confMode) {
-	c, err := skueue.Open(append([]skueue.Option{
-		skueue.WithProcesses(4), skueue.WithSeed(21),
-	}, m.opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+func confLifecycle(t *testing.T, m confMode, open confOpen, perOp time.Duration) {
+	c := open(t, m, 4, 21)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	const n = 12
+	start := time.Now()
 	for i := 0; i < n; i++ {
 		if err := confEnqueue(ctx, c, confPri(i, m.levels), fmt.Sprintf("v-%d", i)); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
@@ -169,6 +246,7 @@ func confLifecycle(t *testing.T, m confMode) {
 	if _, ok, err := confDequeue(ctx, c); err != nil || ok {
 		t.Fatalf("dequeue on drained structure: ok=%v err=%v, want ⊥", ok, err)
 	}
+	confWithin(t, start, 2*n+1, perOp)
 	if err := c.Check(); err != nil {
 		t.Fatalf("history check: %v", err)
 	}
@@ -176,17 +254,13 @@ func confLifecycle(t *testing.T, m confMode) {
 
 // confEmptyStructure: ⊥ from a fresh structure, a single element
 // round-trips, ⊥ again after it is taken.
-func confEmptyStructure(t *testing.T, m confMode) {
-	c, err := skueue.Open(append([]skueue.Option{
-		skueue.WithProcesses(2), skueue.WithSeed(22),
-	}, m.opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+func confEmptyStructure(t *testing.T, m confMode, open confOpen, perOp time.Duration) {
+	c := open(t, m, 2, 22)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
+	start := time.Now()
 	if _, ok, err := confDequeue(ctx, c); err != nil || ok {
 		t.Fatalf("dequeue on fresh structure: ok=%v err=%v, want ⊥", ok, err)
 	}
@@ -200,6 +274,7 @@ func confEmptyStructure(t *testing.T, m confMode) {
 	if _, ok, err := confDequeue(ctx, c); err != nil || ok {
 		t.Fatalf("dequeue after drain: ok=%v err=%v, want ⊥", ok, err)
 	}
+	confWithin(t, start, 4, perOp)
 	if err := c.Check(); err != nil {
 		t.Fatalf("history check: %v", err)
 	}
@@ -216,16 +291,7 @@ func confKillRestart(t *testing.T, m confMode) {
 	if testing.Short() {
 		t.Skip("boots a durable TCP cluster per mode")
 	}
-	lis := make([]net.Listener, 3)
-	addrs := make([]string, 3)
-	for i := range lis {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis[i] = l
-		addrs[i] = l.Addr().String()
-	}
+	lis, addrs := confListeners(t, 3)
 	base := t.TempDir()
 	srvs := make([]*server.Server, 3)
 	dirs := make([]string, 3)

@@ -293,6 +293,13 @@ func NewAnchorState() AnchorState {
 	return AnchorState{First: 1, Last: 0, Value: 1, Ticket: 0}
 }
 
+// Clone returns a copy that shares no memory with st: the per-level
+// windows are the one part of the state behind a pointer.
+func (st AnchorState) Clone() AnchorState {
+	st.Levels = append([]LevelWindow(nil), st.Levels...)
+	return st
+}
+
 // ensureLevel grows the per-level windows through level l.
 func (st *AnchorState) ensureLevel(l int) {
 	for len(st.Levels) <= l {

@@ -170,6 +170,7 @@ type Node struct {
 }
 
 var _ transport.Handler = (*Node)(nil)
+var _ transport.ReadyHandler = (*Node)(nil)
 
 // nb assembles the local neighbourhood view for the topology rules.
 func (n *Node) nb() ldb.Neighborhood {
@@ -220,15 +221,36 @@ func (n *Node) invalidateTopology() { n.childCacheOK = false }
 // and runtime spawns (join, leave replacement) wire explicitly.
 func (n *Node) OnInit(ctx *transport.Context) {}
 
-// OnTimeout is the paper's TIMEOUT action (Algorithm 1): when the
-// processing batch is empty and every child contributed a sub-batch, fold
-// the waiting data into the processing batch and push it towards the
-// anchor — or, at the anchor, assign positions immediately.
+// OnTimeout is the paper's TIMEOUT action (Algorithm 1): advance the churn
+// clock, then fire the next wave if its inputs are complete. TIMEOUT is
+// what makes a node eventually send — an idle leaf originates its (empty)
+// wave here and nowhere else.
 func (n *Node) OnTimeout(ctx *transport.Context) {
 	if n.churn.departed {
 		return
 	}
 	n.churn.tick(ctx, n)
+	n.tryFire(ctx, true)
+}
+
+// OnReady is the readiness hook (transport.ReadyHandler): a backend that
+// calls it after delivering inputs lets the wave move the moment its last
+// input arrived instead of at the next TIMEOUT. It is the same predicate
+// as OnTimeout with one restriction — see tryFire.
+func (n *Node) OnReady(ctx *transport.Context) { n.tryFire(ctx, false) }
+
+// tryFire is the fire predicate of Algorithm 1: when the processing batch
+// is empty, stage 4 is not gated and every child contributed a sub-batch,
+// fold the waiting data into the processing batch and push it towards the
+// anchor — or, at the anchor, assign positions immediately.
+//
+// Off the tick (onTick false) a node without children never fires: a wave
+// is ORIGINATED by a leaf's TIMEOUT and nowhere else, so an idle cluster
+// runs one wave per tick instead of spinning at message speed, while
+// everything downstream of that leaf moves the moment its last input
+// arrived. (Clients inject at a process's Middle node, which always has
+// its Right sibling as a child.)
+func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.churn.departed || n.churn.updatePhase || n.churn.frozen() {
 		return
 	}
@@ -242,6 +264,9 @@ func (n *Node) OnTimeout(ctx *transport.Context) {
 		return
 	}
 	kids := n.children()
+	if !onTick && len(kids) == 0 {
+		return
+	}
 	for _, k := range kids {
 		if !n.hasWaitingFrom(k.ID) {
 			return

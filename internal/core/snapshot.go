@@ -347,7 +347,7 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			SibIn:        n.sibIn,
 			ClientID:     n.clientID,
 			Anchor:       n.anchorRole,
-			Ast:          n.ast,
+			Ast:          n.ast.Clone(), // a copy: the image is encoded off the runner while the anchor keeps assigning
 			NextElemSeq:  n.nextElemSeq,
 			NextLocalSeq: n.nextLocalSeq,
 			WaveSeq:      n.waveSeq,

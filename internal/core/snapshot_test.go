@@ -311,3 +311,47 @@ func TestStackSnapshotCarriesEarlyAcks(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotDoesNotAliasAnchorLevels: the member host encodes the image
+// off the runner while the anchor keeps assigning, and the heap's
+// per-level windows are the one part of AnchorState behind a pointer. The
+// image must hold a copy: waves assigned after the cut may not show
+// through it (under -race the shared slice was a reported data race).
+func TestSnapshotDoesNotAliasAnchorLevels(t *testing.T) {
+	cfg := Config{Mode: batch.Heap, HeapLevels: 3, Processes: 1, Seed: 3}
+	net := newMemNet(t)
+	cl, err := NewMember(cfg, 0, []int32{0}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := cl.Client(0)
+	for l := int32(0); l < 3; l++ {
+		cl.EnqueuePriBlob(client, l, nil)
+	}
+	net.drain(cl, 100)
+
+	snap, err := cl.SnapshotMember()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	var img *NodeImage
+	for i := range snap.Nodes {
+		if snap.Nodes[i].Anchor {
+			img = &snap.Nodes[i]
+		}
+	}
+	if img == nil || len(img.Ast.Levels) != 3 {
+		t.Fatalf("no anchor image with three level windows in the snapshot")
+	}
+	cut := append([]batch.LevelWindow(nil), img.Ast.Levels...)
+
+	for l := int32(0); l < 3; l++ {
+		cl.EnqueuePriBlob(client, l, nil)
+	}
+	net.drain(cl, 100)
+	for l, w := range img.Ast.Levels {
+		if w != cut[l] {
+			t.Fatalf("level %d of the image moved from %+v to %+v after the cut: the snapshot aliases the live anchor state", l, cut[l], w)
+		}
+	}
+}

@@ -12,13 +12,13 @@ import (
 	"skueue"
 )
 
-// lifecycleCluster boots a 2-member loopback cluster in the given mode,
-// journaled (each member with its own state directory) or volatile.
-func lifecycleCluster(t *testing.T, mode string, journaled bool) []*Server {
+// loopbackCluster boots a members-strong loopback cluster at the given
+// tick; with a state root every member is durable (its state directory is
+// returned) and snapshots at the given cadence.
+func loopbackCluster(t *testing.T, members int, mode string, tick time.Duration, stateRoot string, snapEvery time.Duration) ([]*Server, []string) {
 	t.Helper()
-	base := t.TempDir()
-	lis := make([]net.Listener, 2)
-	addrs := make([]string, len(lis))
+	lis := make([]net.Listener, members)
+	addrs := make([]string, members)
 	for i := range lis {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -26,15 +26,13 @@ func lifecycleCluster(t *testing.T, mode string, journaled bool) []*Server {
 		}
 		lis[i], addrs[i] = l, l.Addr().String()
 	}
-	srvs := make([]*Server, len(lis))
+	srvs := make([]*Server, members)
+	dirs := make([]string, members)
 	for i := range srvs {
-		cfg := Config{
-			Listener: lis[i], Seed: 42, Mode: mode, Index: i, Members: addrs,
-			Tick: time.Millisecond,
-		}
-		if journaled {
-			cfg.StateDir = filepath.Join(base, fmt.Sprintf("m%d", i))
-			cfg.SnapshotEvery = 50 * time.Millisecond
+		cfg := Config{Listener: lis[i], Seed: 42, Mode: mode, Index: i, Members: addrs, Tick: tick}
+		if stateRoot != "" {
+			dirs[i] = filepath.Join(stateRoot, fmt.Sprintf("m%d", i))
+			cfg.StateDir, cfg.SnapshotEvery = dirs[i], snapEvery
 		}
 		s, err := New(cfg)
 		if err != nil {
@@ -43,6 +41,18 @@ func lifecycleCluster(t *testing.T, mode string, journaled bool) []*Server {
 		srvs[i] = s
 		t.Cleanup(s.Close)
 	}
+	return srvs, dirs
+}
+
+// lifecycleCluster boots a 2-member loopback cluster in the given mode,
+// journaled (each member with its own state directory) or volatile.
+func lifecycleCluster(t *testing.T, mode string, journaled bool) []*Server {
+	t.Helper()
+	stateRoot := ""
+	if journaled {
+		stateRoot = t.TempDir()
+	}
+	srvs, _ := loopbackCluster(t, 2, mode, time.Millisecond, stateRoot, 50*time.Millisecond)
 	return srvs
 }
 

@@ -577,14 +577,7 @@ func (s *Server) Diagnose() []string {
 // transport's runner goroutine.
 func (s *Server) wireCallbacks() {
 	s.cl.SetLogf(s.logf)
-	s.cl.SetOnFire(func(node transport.NodeID, wave int64) {
-		s.dur.noteFire(node, wave)
-		if s.plan != nil {
-			for _, rec := range s.plan.take(node, wave) {
-				s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
-			}
-		}
-	})
+	s.cl.SetOnFire(s.noteFire)
 	myTag := uint64(s.peer.Me().Index + 1)
 	s.cl.SetOnComplete(func(c seqcheck.Completion) {
 		if core.ReqIDMember(c.ReqID) != myTag {
@@ -609,6 +602,25 @@ func (s *Server) wireCallbacks() {
 		// rank tracking skips NoValue.
 		s.resolve(reqID, wire.CliDone{Rank: seqcheck.NoValue})
 	})
+}
+
+// noteFire files a committed wave fire of a local node: the boundary goes
+// to the journal (written lazily, ahead of the node's next op record) and
+// a restart plan releases the operations that originally followed it.
+//
+// The boundary-before-op file order is only right if no fire can happen
+// between an operation's injection and its appendOp — the marker of the
+// wave that carried the operation would otherwise be filed ahead of it,
+// and a restart would replay it one wave late. submit does both inside
+// one runner task, and the transport evaluates readiness only between
+// tasks (tcp, "Execution model"), which is what keeps that window closed.
+func (s *Server) noteFire(node transport.NodeID, wave int64) {
+	s.dur.noteFire(node, wave)
+	if s.plan != nil {
+		for _, rec := range s.plan.take(node, wave) {
+			s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
+		}
+	}
 }
 
 // resolve completes the in-flight operation reqID: the prepared response

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"skueue/internal/transport"
 )
 
 // echoNode counts messages and can ping-pong.
@@ -399,5 +401,36 @@ func TestAsyncRunUntilStopsOnEmpty(t *testing.T) {
 	e := New(Config{Seed: 15, Async: true})
 	if e.RunUntil(func() bool { return false }, 1000) {
 		t.Fatalf("impossible condition reported met")
+	}
+}
+
+// readyNode is an echoNode that also implements transport.ReadyHandler.
+type readyNode struct {
+	echoNode
+	readyCalls int
+}
+
+func (n *readyNode) OnReady(ctx *Context) { n.readyCalls++ }
+
+// TestEngineNeverCallsOnReady: the readiness hook belongs to backends whose
+// clock is not the message delay. A simulated round IS the message delay
+// and its schedule is reproducible from the seed, so neither engine may
+// call it — not at spawn, not on delivery, not around a TIMEOUT.
+func TestEngineNeverCallsOnReady(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		e := New(Config{Seed: 11, Async: async, MaxDelay: 4})
+		a, b := &readyNode{}, &readyNode{}
+		var _ transport.ReadyHandler = a
+		ida, idb := e.Spawn(a), e.Spawn(b)
+		a.onTick = func(ctx *Context) { ctx.Send(idb, "ping") }
+		b.onMsg = func(ctx *Context, from NodeID, payload any) { ctx.Send(ida, "pong") }
+		e.Inject(ida, idb, "outside")
+		e.Run(200)
+		if len(a.got) == 0 || len(b.got) == 0 || a.timeouts == 0 {
+			t.Fatalf("async=%v: the run did nothing: %d/%d messages, %d timeouts", async, len(a.got), len(b.got), a.timeouts)
+		}
+		if a.readyCalls+b.readyCalls != 0 {
+			t.Fatalf("async=%v: the simulator called OnReady %d times", async, a.readyCalls+b.readyCalls)
+		}
 	}
 }

@@ -23,6 +23,22 @@
 // members run genuinely in parallel. Inbound frames and outbound writes
 // are handled by per-connection goroutines that never touch node state.
 //
+// The protocol is paced by readiness, not by the clock. After each
+// drained batch of runner tasks — delivered frames, local deliveries,
+// injected closures — the runner asks every hosted node that implements
+// transport.ReadyHandler whether it can act (OnReady), so an aggregate
+// from the last missing child, a serve, an acknowledgment that ungates a
+// node or a client injection moves the wave at once, and an operation
+// costs tree and DHT hops rather than ticks. The pass runs between tasks,
+// never inside one: a closure that injects an operation and then records
+// it (the server's journal) finishes before the wave carrying the
+// operation can fire. The ticker (Options.Tick) keeps the three jobs the
+// paper gives TIMEOUT: liveness — an idle node sends its empty batch on
+// its tick and only then, so an idle cluster runs one wave per tick
+// instead of spinning at loopback speed; the churn clock; and Now(), the
+// count of ticks completions are stamped with, which a readiness pass
+// never advances.
+//
 // # Delivery guarantees
 //
 // Every link (the directed frame stream from one member to another)
@@ -135,7 +151,9 @@ type Options struct {
 }
 
 type nodeState struct {
-	h        transport.Handler
+	h transport.Handler
+	// ready is h's optional readiness hook, nil when h has none.
+	ready    transport.ReadyHandler
 	active   bool
 	timeouts bool
 	ctx      transport.Context
@@ -250,7 +268,7 @@ type Peer struct {
 	//skueue:ephemeral -- node registry; the hosting layer re-registers every node after restore
 	nodes map[transport.NodeID]*nodeState
 	//skueue:ephemeral -- tick iteration order, rebuilt by re-registration
-	order     []transport.NodeID // registration order, for tick iteration
+	order     []*nodeState // nodes that receive TIMEOUT, in registration order (tick and readiness iteration)
 	now       int64
 	nextDyn   int32
 	heldLocal map[transport.NodeID][]wire.Envelope
@@ -394,19 +412,39 @@ func (p *Peer) Now() int64 { return p.now }
 // Rand returns the backend RNG (runner goroutine only).
 func (p *Peer) Rand() *xrand.RNG { return p.rng }
 
-// StopTimeouts disables TIMEOUT for a local node.
+// StopTimeouts disables TIMEOUT (and the readiness hook) for a local node,
+// which keeps receiving messages: a departed node that only forwards.
 func (p *Peer) StopTimeouts(id transport.NodeID) {
-	if st, ok := p.nodes[id]; ok {
+	if st, ok := p.nodes[id]; ok && st.timeouts {
 		st.timeouts = false
+		p.unschedule(st)
 	}
 }
 
 // Deactivate drops a local node; further deliveries to it are logged and
 // discarded (the simulator panics instead, but a networked member cannot
-// assume global quiescence).
+// assume global quiescence). The nodes entry stays: deliver tells a
+// deactivated node from a not-yet-registered one by it.
 func (p *Peer) Deactivate(id transport.NodeID) {
 	if st, ok := p.nodes[id]; ok {
 		st.active = false
+		p.StopTimeouts(id)
+	}
+}
+
+// unschedule takes a node out of the tick and readiness iteration, so a
+// long-lived member does not walk every departed node and leave
+// replacement it ever hosted on every pass. It builds a new slice rather
+// than shifting in place: a node stops its own timeouts from inside
+// OnTimeout, while tickAll is ranging over the old one.
+func (p *Peer) unschedule(st *nodeState) {
+	for i, have := range p.order {
+		if have == st {
+			order := make([]*nodeState, 0, len(p.order)-1)
+			order = append(order, p.order[:i]...)
+			p.order = append(order, p.order[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -423,8 +461,9 @@ func (p *Peer) register(id transport.NodeID, h transport.Handler) {
 		panic(fmt.Sprintf("tcp: node %d registered twice", id))
 	}
 	st := &nodeState{h: h, active: true, timeouts: true, ctx: transport.NewContext(p, id)}
+	st.ready, _ = h.(transport.ReadyHandler)
 	p.nodes[id] = st
-	p.order = append(p.order, id)
+	p.order = append(p.order, st)
 	h.OnInit(&st.ctx)
 	if held, ok := p.heldLocal[id]; ok {
 		delete(p.heldLocal, id)
@@ -521,6 +560,10 @@ func (p *Peer) run() {
 	}
 }
 
+// drainTasks runs queued tasks until none are left, with a readiness pass
+// after each batch: whatever the batch delivered or injected is acted on
+// before the runner goes back to sleep. It terminates because a pass only
+// queues work (local deliveries) when a node had something new to send.
 func (p *Peer) drainTasks() {
 	for {
 		p.taskMu.Lock()
@@ -533,6 +576,18 @@ func (p *Peer) drainTasks() {
 		for _, fn := range tasks {
 			fn()
 		}
+		p.readyAll()
+	}
+}
+
+// readyAll offers every live node its readiness hook (see "Execution
+// model"). A node that stopped its timeouts only forwards, and is skipped
+// like tickAll skips it.
+func (p *Peer) readyAll() {
+	for _, st := range p.order {
+		if st.timeouts && st.ready != nil {
+			st.ready.OnReady(&st.ctx)
+		}
 	}
 }
 
@@ -540,9 +595,8 @@ func (p *Peer) drainTasks() {
 // drains tasks the timeouts produced.
 func (p *Peer) tickAll() {
 	p.now++
-	for _, id := range p.order {
-		st := p.nodes[id]
-		if st.active && st.timeouts {
+	for _, st := range p.order {
+		if st.timeouts {
 			st.h.OnTimeout(&st.ctx)
 		}
 	}
@@ -987,21 +1041,25 @@ func (l *link) prune() {
 	l.bmu.Unlock()
 }
 
-// popQueue moves the oldest queued frame into the unacknowledged buffer
-// under a fresh sequence number and returns it sealed with the piggyback
-// acknowledgment.
-func (l *link) popQueue(ack uint64) (any, bool) {
+// takeQueue moves every queued frame into the unacknowledged buffer, each
+// under the next sequence number and sealed with the piggyback
+// acknowledgment, and returns them in that order for one batched write.
+// One critical section per wake-up: a burst (a serve fanning out, a
+// replayed tail) costs one pass, not a slice shift per frame.
+func (l *link) takeQueue(ack uint64) []any {
 	l.bmu.Lock()
 	defer l.bmu.Unlock()
 	if len(l.queue) == 0 {
-		return nil, false
+		return nil
 	}
-	frame := l.queue[0]
-	l.queue = append(l.queue[:0], l.queue[1:]...)
-	l.nextSeq++
-	sealed := sealFrame(frame, l.nextSeq, ack)
-	l.unacked = append(l.unacked, sealed)
-	return sealed, true
+	sealed := l.queue
+	l.queue = nil
+	for i, frame := range sealed {
+		l.nextSeq++
+		sealed[i] = sealFrame(frame, l.nextSeq, ack)
+	}
+	l.unacked = append(l.unacked, sealed...)
+	return sealed
 }
 
 // dropUnacked removes the frame with the given sequence (unencodable).
@@ -1100,19 +1158,20 @@ func frameSeq(frame any) uint64 {
 	return 0
 }
 
-// writeFrame writes one sealed frame, handling the two failure classes:
-// an encoding failure drops the frame (retrying can never succeed) and
-// recycles the connection (a partial encode desyncs the gob stream); any
-// other failure recycles the connection for redial-and-replay. It reports
-// whether the connection survived.
-func (p *Peer) writeFrame(l *link, conn *wire.Conn, sealed any) bool {
-	err := conn.Write(sealed)
+// writeFrames writes sealed frames as one batch, handling the two failure
+// classes: an encoding failure drops the offending frame alone (retrying
+// can never succeed) and recycles the connection (a partial encode
+// desyncs the gob stream) — the rest of the batch stays buffered and is
+// replayed on the next one; any other failure recycles the connection for
+// redial-and-replay. It reports whether the connection survived.
+func (p *Peer) writeFrames(l *link, conn *wire.Conn, sealed []any) bool {
+	bad, err := conn.WriteBatch(sealed)
 	if err == nil {
 		return true
 	}
 	if errors.Is(err, wire.ErrEncode) {
 		p.opts.Logf("tcp[%d]: dropping unencodable frame for member %d: %v", p.opts.Index, l.idx, err)
-		l.dropUnacked(frameSeq(sealed))
+		l.dropUnacked(frameSeq(sealed[bad]))
 	} else {
 		p.opts.Logf("tcp[%d]: link to member %d broke (%v); redialing", p.opts.Index, l.idx, err)
 	}
@@ -1145,14 +1204,12 @@ func (p *Peer) runLink(l *link) {
 			conn = c
 			l.noteAck(ackSeq)
 			l.prune()
-			for _, f := range l.unackedFrames() {
-				f = sealFrame(f, frameSeq(f), p.takeAck(l.idx))
-				if !p.writeFrame(l, conn, f) {
-					conn = nil
-					break
-				}
+			replay, ack := l.unackedFrames(), p.takeAck(l.idx)
+			for i, f := range replay {
+				replay[i] = sealFrame(f, frameSeq(f), ack)
 			}
-			if conn == nil {
+			if !p.writeFrames(l, conn, replay) {
+				conn = nil
 				continue
 			}
 			// End-of-replay fence: every frame buffered unacknowledged at
@@ -1172,8 +1229,8 @@ func (p *Peer) runLink(l *link) {
 			conn = nil
 			continue
 		}
-		if sealed, ok := l.popQueue(p.takeAck(l.idx)); ok {
-			if !p.writeFrame(l, conn, sealed) {
+		if sealed := l.takeQueue(p.takeAck(l.idx)); len(sealed) > 0 {
+			if !p.writeFrames(l, conn, sealed) {
 				conn = nil
 			}
 			continue

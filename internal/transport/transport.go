@@ -13,10 +13,15 @@
 //   - internal/transport/tcp, the networked backend: each operating-system
 //     process hosts a subset of the nodes, messages between processes
 //     travel as length-prefixed gob frames over TCP (see internal/wire),
-//     and TIMEOUT is driven by a wall-clock ticker. Per-link sequence
-//     numbers, cumulative acknowledgments and reconnect replay make
-//     delivery exactly-once across connection resets, realizing the
-//     reliable-channel contract on an unreliable network.
+//     and TIMEOUT is driven by a wall-clock ticker. There TIMEOUT is what
+//     the paper makes it — the liveness device, the churn clock and the
+//     unit Now() counts — and not the pacing of the protocol: nodes that
+//     implement ReadyHandler are also asked whether they can act each
+//     time the backend has delivered input to them, so a wave moves at
+//     message speed. Per-link sequence numbers, cumulative
+//     acknowledgments and reconnect replay make delivery exactly-once
+//     across connection resets, realizing the reliable-channel contract
+//     on an unreliable network.
 //
 // The protocol core (internal/core) is written against this package only,
 // so the same node code runs unchanged under both backends. The split
@@ -49,6 +54,23 @@ type Handler interface {
 	// OnTimeout runs once per round (synchronous simulation) or
 	// periodically (asynchronous simulation, TCP ticker).
 	OnTimeout(ctx *Context)
+}
+
+// ReadyHandler is an optional extension of Handler: the paper's TIMEOUT
+// only guarantees that a node EVENTUALLY acts on its inputs, so a backend
+// may also ask a node to act as soon as inputs arrived. OnReady must be
+// OnTimeout's send decision without its clock — it may run any number of
+// times between two TIMEOUTs, must not advance anything TIMEOUT counts,
+// and must do nothing when nothing new can be sent, so that a backend
+// calling it after every delivery terminates.
+//
+// The TCP backend calls it for every hosted node after each drained batch
+// of runner tasks (never inside one, so a handler or an injecting closure
+// always completes before its consequences fire). The simulator never
+// calls it: there a round IS the message delay, and its schedules stay
+// reproducible from the seed.
+type ReadyHandler interface {
+	OnReady(ctx *Context)
 }
 
 // Network is what a backend provides to the nodes it hosts: message

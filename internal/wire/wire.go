@@ -41,6 +41,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -363,18 +364,29 @@ type Conn struct {
 	dec *gob.Decoder
 }
 
+// readBuffer sizes the buffer between the socket and the frame reader: one
+// read system call then fetches every frame the kernel already holds (a
+// batched write arrives as one segment) instead of a header read plus a
+// body read per frame. Larger bodies bypass it.
+const readBuffer = 16 << 10
+
+// flushAt bounds what WriteBatch accumulates before it writes: a long
+// replay goes out in chunks of about this size instead of growing the
+// write buffer to the whole backlog.
+const flushAt = 64 << 10
+
 // NewConn wraps an established network connection.
 //
 //skueue:owned-by caller -- the Conn is under construction and not yet shared with any goroutine
 func NewConn(c net.Conn) *Conn {
 	w := &Conn{c: c}
 	w.enc = gob.NewEncoder(&w.wbuf)
-	w.fr = &frameReader{r: c}
+	w.fr = &frameReader{r: bufio.NewReaderSize(c, readBuffer)}
 	w.dec = gob.NewDecoder(w.fr)
 	return w
 }
 
-// Write encodes v into the next frame and sends it.
+// Write encodes v into the next frame and sends it with one write call.
 //
 //skueue:wire-payload
 //skueue:blocking -- synchronous network write; sessions and links call it from writer goroutines, never the runner
@@ -382,20 +394,61 @@ func (w *Conn) Write(v any) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	w.wbuf.Reset()
+	if err := w.appendFrameLocked(v); err != nil {
+		return err
+	}
+	_, err := w.c.Write(w.wbuf.Bytes())
+	return err
+}
+
+// WriteBatch encodes every value into a frame of its own, in order, and
+// sends them with as few write calls as flushAt allows — one, for the
+// bursts a link produces. An encoding failure (ErrEncode) returns the
+// index of the offending value; frames before it may or may not have been
+// sent, and the caller must recycle the connection either way (the gob
+// stream is desynced), so a link replays them from its unacknowledged
+// buffer. Any other error is the connection's.
+//
+//skueue:wire-payload
+//skueue:blocking -- synchronous network write; links call it from their writer goroutine, never the runner
+func (w *Conn) WriteBatch(vs []any) (int, error) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	w.wbuf.Reset()
+	for i, v := range vs {
+		if err := w.appendFrameLocked(v); err != nil {
+			return i, err
+		}
+		if w.wbuf.Len() >= flushAt || i == len(vs)-1 {
+			if _, err := w.c.Write(w.wbuf.Bytes()); err != nil {
+				return i, err
+			}
+			w.wbuf.Reset()
+		}
+	}
+	return len(vs), nil
+}
+
+// appendFrameLocked appends [length][gob body] for v to the write buffer:
+// the four length bytes are reserved ahead of the body and patched once
+// its size is known, so header and body leave in the same write (and the
+// same TCP segment — Go sets TCP_NODELAY).
+//
+//skueue:wire-payload
+//skueue:locked wmu
+func (w *Conn) appendFrameLocked(v any) error {
+	start := w.wbuf.Len()
+	var hdr [4]byte
+	w.wbuf.Write(hdr[:])
 	if err := w.enc.Encode(&v); err != nil {
 		return fmt.Errorf("%w: %w", ErrEncode, err)
 	}
-	body := w.wbuf.Bytes()
-	if len(body) > MaxFrame {
-		return fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrEncode, len(body))
+	n := w.wbuf.Len() - start - 4
+	if n > MaxFrame {
+		return fmt.Errorf("%w: frame of %d bytes exceeds MaxFrame", ErrEncode, n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.c.Write(body)
-	return err
+	binary.BigEndian.PutUint32(w.wbuf.Bytes()[start:], uint32(n))
+	return nil
 }
 
 // Read decodes the next frame. It blocks until a frame arrives, the
