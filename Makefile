@@ -9,8 +9,12 @@ all: build lint test
 build:
 	$(GO) build ./...
 
+# bench/ is a nested module (own go.mod, `replace skueue => ../`) that
+# ./... never compiles, yet it calls internal/core and internal/server
+# directly: vet and test it here so a renamed entry point fails locally.
 test:
 	$(GO) test -race ./...
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # soak repeats the chaos and fail-stop recovery scenarios under the race
 # detector. Scale is env-tunable: SKUEUE_CHAOS_MEMBERS (in-process cluster

@@ -24,7 +24,7 @@ type waiter struct {
 
 // Client is a running Skueue deployment. All methods are safe for
 // concurrent use from any number of goroutines: the simulated protocol
-// engine is single-threaded, so every engine access — injecting requests,
+// engine is single-threaded, so every engine access — submitting requests,
 // advancing time, resolving completions — is serialized behind one mutex.
 //
 // By default a background autopilot goroutine advances the engine whenever
@@ -33,6 +33,14 @@ type waiter struct {
 // requiring the caller to pump simulated time. Open with WithManualClock
 // to disable the autopilot and drive time deterministically through Step,
 // Run, Drain and Settle.
+//
+// The client names every operation before it exists: submit reserves the
+// request ID (core.Cluster.NextReqID), registers the Future under it, and
+// only then injects (core.Cluster.Inject). A completion that fires inside
+// the inject call — a stack pop combined on the spot with a buffered push —
+// therefore finds its future like any other; a completion without one
+// belongs to a request injected directly on the Cluster (the workload
+// generators do that) and is ignored.
 type Client struct {
 	manual  bool
 	quantum int64
@@ -51,16 +59,7 @@ type Client struct {
 	futures map[uint64]*Future
 	values  map[dht.Element]any
 	pending map[uint64]any // enqueue values awaiting element binding
-	// early holds completions that fired synchronously inside the inject
-	// call (locally combined stack pairs), before the future existed. The
-	// client mutex covers the whole inject-then-register window, so the
-	// race is now confined to this map instead of leaking to callers.
-	// injecting marks that window: outside it, completions without a
-	// future belong to requests injected directly on the Cluster (the
-	// workload generators do that) and are not stashed.
-	early     map[uint64]seqcheck.Completion
-	injecting bool
-	waiters   []*waiter
+	waiters []*waiter
 
 	wake    chan struct{} // poke the autopilot; buffered, never blocks
 	quit    chan struct{} // closed by Close
@@ -126,7 +125,6 @@ func Open(opts ...Option) (*Client, error) {
 		futures:    make(map[uint64]*Future),
 		values:     make(map[dht.Element]any),
 		pending:    make(map[uint64]any),
-		early:      make(map[uint64]seqcheck.Completion),
 		wake:       make(chan struct{}, 1),
 		quit:       make(chan struct{}),
 		stopped:    make(chan struct{}),
@@ -165,9 +163,6 @@ func (c *Client) Close() error {
 func (c *Client) onComplete(comp seqcheck.Completion) {
 	f := c.futures[comp.ReqID]
 	if f == nil {
-		if c.injecting {
-			c.early[comp.ReqID] = comp
-		}
 		return
 	}
 	delete(c.futures, comp.ReqID)
@@ -185,15 +180,6 @@ func (c *Client) onComplete(comp seqcheck.Completion) {
 		}
 	}
 	close(f.done)
-}
-
-// resolveEarlyLocked applies a completion that fired inside the inject
-// call, before the future was registered.
-func (c *Client) resolveEarlyLocked(id uint64) {
-	if comp, ok := c.early[id]; ok {
-		delete(c.early, id)
-		c.onComplete(comp)
-	}
 }
 
 func (c *Client) checkProcLocked(proc int) error {
@@ -220,9 +206,9 @@ func (c *Client) pickLocked() (int, error) {
 	return 0, fmt.Errorf("no live member process: %w", ErrProcessLeft)
 }
 
-// submit injects one request and registers its future, all under the
-// mutex so a synchronous completion (stack local combining) cannot race
-// the registration. priOp marks a priority-API submission (EnqueuePri /
+// submit registers one request's future under a reserved ID and injects it,
+// all under the mutex, so a synchronous completion (stack local combining)
+// finds the future in place. priOp marks a priority-API submission (EnqueuePri /
 // DequeueMin); the flavour must match the client's mode, so priorities
 // can neither be dropped silently on a queue nor invented on a heap.
 func (c *Client) submit(kind seqcheck.Kind, proc int, pri int32, priOp bool, value any) (*Future, error) {
@@ -255,20 +241,12 @@ func (c *Client) submit(kind seqcheck.Kind, proc int, pri int32, priOp bool, val
 	} else if err := c.checkProcLocked(p); err != nil {
 		return nil, err
 	}
-	f := &Future{c: c, kind: kind, done: make(chan struct{})}
-	client := c.cl.Client(p)
-	c.injecting = true
-	if kind == seqcheck.Enqueue {
-		f.id = c.cl.EnqueuePriBlob(client, pri, nil)
-	} else {
-		f.id = c.cl.Dequeue(client)
-	}
-	c.injecting = false
+	f := &Future{c: c, kind: kind, id: c.cl.NextReqID(), done: make(chan struct{})}
 	if kind == seqcheck.Enqueue {
 		c.pending[f.id] = value
 	}
 	c.futures[f.id] = f
-	c.resolveEarlyLocked(f.id)
+	c.cl.Inject(c.cl.Client(p), core.Op{ReqID: f.id, IsDeq: kind != seqcheck.Enqueue, Pri: pri})
 	return f, nil
 }
 

@@ -60,8 +60,12 @@ type churnState struct {
 	// of the ring; transferCmds shrink it when newer joiners split it.
 	rangeFrom, rangeEnd fixpoint.Frac
 	rangeValid          bool
-	heldTransfers       []transferCmd
-	heldHandovers       []handoverMsg
+	// A joiner learns its range from adoptMsg; whatever its responsible
+	// node sent for that range can outrun the adoption under asynchrony and
+	// waits here until it arrives.
+	heldTransfers []transferCmd
+	heldHandovers []handoverMsg
+	heldDirects   []directMsg
 
 	// Responsible side.
 	joiners []joinerInfo // joining nodes hanging off us, sorted by point
@@ -265,9 +269,6 @@ func (c *churnState) takeLeaveCount() int64 {
 	}
 	return 0
 }
-
-// restoreCounts is a no-op under level-based reporting.
-func (c *churnState) restoreCounts(j, l int64) {}
 
 // anchorObserve runs at the anchor during Stage 2: decide whether this
 // wave starts an update phase. It returns the phase epoch, or 0.
@@ -560,6 +561,11 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		c.heldTransfers = nil
 		for _, tc := range held {
 			n.applyTransfer(ctx, tc)
+		}
+		heldD := c.heldDirects
+		c.heldDirects = nil
+		for _, d := range heldD {
+			n.dispatchDHT(ctx, d.Key, d.Inner)
 		}
 	case handoverMsg:
 		if c.joining && !c.rangeValid {

@@ -279,9 +279,55 @@ const ReqIDMemberShift = 40
 // completions of its own requests in a merged world.
 func ReqIDMember(reqID uint64) uint64 { return reqID >> ReqIDMemberShift }
 
-func (cl *Cluster) nextReqID() uint64 {
-	cl.reqSeq++
-	return cl.reqBase | cl.reqSeq
+// NextReqID is the request ID the next operation injected at this member
+// takes unless its host names another: the member tag plus the successor of
+// the member-local counter. It has no side effect — the counter moves only
+// when Inject buffers an operation under the ID — so a host reserves the
+// ID, registers whatever must be findable under it (an in-flight entry, a
+// future, a journal record), and only then injects. Runner goroutine only.
+func (cl *Cluster) NextReqID() uint64 { return cl.reqBase | (cl.reqSeq + 1) }
+
+// Inject is the one way an operation enters the protocol: it buffers op at
+// the client node under op.ReqID — fresh from NextReqID, or the original
+// ID of a journaled operation re-submitted after a fail-stop restart, which
+// makes the re-executed operation the same operation to every dedupe path —
+// and raises the member-local counter to cover the ID (never lowers it), so
+// a later NextReqID cannot collide. The host fills ReqID, IsDeq, Pri and
+// Blob; Elem, Born and LocalSeq are stamped here. Generation itself costs
+// no messages (the paper's "nodes generate requests"), but in stack mode a
+// pop may complete on the spot against a buffered push (§VI): onComplete
+// then fires for both BEFORE Inject returns, which is why hosts register
+// first. Runner goroutine (or before the transport starts) only.
+func (cl *Cluster) Inject(client transport.NodeID, op Op) {
+	n, ok := cl.nodes[client]
+	if !ok {
+		if cl.memberMode() {
+			cl.logf("core: dropping op %d injected at unknown node %d", op.ReqID, client)
+			return
+		}
+		panic(fmt.Sprintf("core: Inject at unknown node %d", client))
+	}
+	if !op.IsDeq && (op.Pri < 0 || int(op.Pri) >= n.disc.priLevels()) {
+		panic(fmt.Sprintf("core: enqueue priority %d out of range for mode %v (levels=%d)", op.Pri, cl.cfg.Mode, n.disc.priLevels()))
+	}
+	cl.AdvanceReqSeq(ReqIDSeq(op.ReqID))
+	op.Born = cl.net.Now()
+	op.LocalSeq = n.nextLocalSeq
+	n.nextLocalSeq++
+	if !op.IsDeq {
+		op.Elem = dht.Element{Origin: n.clientID, Seq: n.nextElemSeq}
+		n.nextElemSeq++
+	}
+	cl.issued++
+	n.disc.bufferOp(n, op)
+}
+
+// injectNext injects op under NextReqID and returns the ID: the hostless
+// form behind Enqueue and Dequeue, for callers with nothing to register.
+func (cl *Cluster) injectNext(client transport.NodeID, op Op) uint64 {
+	op.ReqID = cl.NextReqID()
+	cl.Inject(client, op)
+	return op.ReqID
 }
 
 // memberMode reports whether this Cluster is one member's fragment of a
@@ -397,11 +443,12 @@ func (cl *Cluster) ActiveClients() []transport.NodeID {
 
 // Enqueue buffers an ENQUEUE (PUSH) request at the given client node.
 func (cl *Cluster) Enqueue(client transport.NodeID) uint64 {
-	return cl.EnqueueBlob(client, nil)
+	return cl.EnqueuePriBlob(client, 0, nil)
 }
 
 // EnqueueBlob is Enqueue with an opaque application payload that rides
-// with the element through the DHT (see Node.InjectEnqueueBlob).
+// with the element through the DHT; a dequeue serialized against it
+// receives the payload in its completion record.
 func (cl *Cluster) EnqueueBlob(client transport.NodeID, blob []byte) uint64 {
 	return cl.EnqueuePriBlob(client, 0, blob)
 }
@@ -409,14 +456,7 @@ func (cl *Cluster) EnqueueBlob(client transport.NodeID, blob []byte) uint64 {
 // EnqueuePriBlob buffers an ENQUEUE at the given priority level (heap
 // mode; other modes use level 0). Out-of-range levels are a caller bug.
 func (cl *Cluster) EnqueuePriBlob(client transport.NodeID, pri int32, blob []byte) uint64 {
-	n, ok := cl.nodes[client]
-	if !ok {
-		panic(fmt.Sprintf("core: Enqueue at unknown node %d", client))
-	}
-	if pri < 0 || int(pri) >= n.disc.priLevels() {
-		panic(fmt.Sprintf("core: enqueue priority %d out of range for mode %v (levels=%d)", pri, cl.cfg.Mode, n.disc.priLevels()))
-	}
-	return n.InjectEnqueuePriBlob(cl.net.Now(), pri, blob)
+	return cl.injectNext(client, Op{Pri: pri, Blob: blob})
 }
 
 // heapLevels returns the effective number of priority levels.
@@ -431,13 +471,10 @@ func (cl *Cluster) heapLevels() int {
 // layer validates client-supplied levels against it before injection.
 func (cl *Cluster) HeapLevels() int { return cl.heapLevels() }
 
-// Dequeue buffers a DEQUEUE (POP) request at the given client node.
+// Dequeue buffers a DEQUEUE (POP, DEQUEUEMIN) request at the given client
+// node.
 func (cl *Cluster) Dequeue(client transport.NodeID) uint64 {
-	n, ok := cl.nodes[client]
-	if !ok {
-		panic(fmt.Sprintf("core: Dequeue at unknown node %d", client))
-	}
-	return n.InjectDequeue(cl.net.Now())
+	return cl.injectNext(client, Op{IsDeq: true})
 }
 
 // Step advances the simulation by one round (or one event when async).

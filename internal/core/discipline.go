@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"skueue/internal/batch"
@@ -20,7 +21,7 @@ import (
 // contains no mode comparisons (the lint suite asserts this).
 //
 // Strategy-private state (the stack's residual combiner word and
-// outstanding-ack accounting) lives inside the strategy instance; shared
+// unacknowledged-PUT accounting) lives inside the strategy instance; shared
 // per-node buffers (Node.pending) stay on the node.
 //
 //skueue:discipline-seam batch.Mode
@@ -33,7 +34,7 @@ type discipline interface {
 	// takeOwn drains buffered operations into the node's wave
 	// contribution, and restoreOwn undoes a takeOwn whose fire could not
 	// proceed (rare churn corner).
-	bufferOp(n *Node, op pendingOp, now int64)
+	bufferOp(n *Node, op Op)
 	takeOwn(n *Node) ownWave
 	restoreOwn(n *Node, own ownWave)
 
@@ -47,13 +48,11 @@ type discipline interface {
 	// Stage 4: gated blocks the next aggregation while completions are
 	// outstanding (§VI completion wait); opTicket extracts the ticket a
 	// PUT carries or the bound a GET carries (zero outside stack mode);
-	// trackGet/getResolved and trackPut/putAcked account the node's own
-	// in-flight DHT operations. putAcked reports whether the ack is
-	// accounted for and should reach the hosting layer's callback.
+	// trackPut/putAcked account the node's own in-flight PUTs (its GETs
+	// are Node.pendingGets). putAcked reports whether the ack is accounted
+	// for and should reach the hosting layer's callback.
 	gated(n *Node) bool
 	opTicket(oa batch.OpAssign) int64
-	trackGet(n *Node)
-	getResolved(n *Node)
 	trackPut(n *Node, reqID uint64)
 	putAcked(n *Node, reqID uint64) bool
 
@@ -122,7 +121,7 @@ func drainPending(n *Node) ownWave {
 	w.ops = n.pending
 	n.pending = nil
 	for _, op := range w.ops {
-		if op.isDeq {
+		if op.IsDeq {
 			w.B.AppendDequeue()
 		} else {
 			w.B.AppendEnqueue()
@@ -138,14 +137,12 @@ func drainPending(n *Node) ownWave {
 // complete it.
 type fifoDisc struct{ modeDisc }
 
-func (fifoDisc) bufferOp(n *Node, op pendingOp, now int64) { n.pending = append(n.pending, op) }
+func (fifoDisc) bufferOp(n *Node, op Op) { n.pending = append(n.pending, op) }
 
 func (fifoDisc) restoreOwn(n *Node, own ownWave) { n.pending = append(own.ops, n.pending...) }
 
 func (fifoDisc) gated(*Node) bool               { return false }
 func (fifoDisc) opTicket(batch.OpAssign) int64  { return 0 }
-func (fifoDisc) trackGet(*Node)                 {}
-func (fifoDisc) getResolved(*Node)              {}
 func (fifoDisc) trackPut(*Node, uint64)         {}
 func (fifoDisc) putAcked(*Node, uint64) bool    { return true }
 func (fifoDisc) ackPuts() bool                  { return false }
@@ -167,7 +164,7 @@ func (queueDisc) check(h *seqcheck.History) error { return seqcheck.Check(seqche
 // stackDisc is the LIFO stack strategy (§VI): local push/pop combining
 // through the residual-word combiner, ticketed stage-4 operations with
 // the completion wait, and mandatory put acknowledgments. The combiner
-// and the outstanding-ack accounting are private to the strategy; the
+// and the unacknowledged-PUT accounting are private to the strategy; the
 // member snapshot carries them through capture/restoreImage, and
 // statecomplete holds the strategy to the same field-coverage rule as
 // the node itself.
@@ -176,48 +173,45 @@ func (queueDisc) check(h *seqcheck.History) error { return seqcheck.Check(seqche
 //skueue:snapshot-state NodeImage
 type stackDisc struct {
 	modeDisc
-	combiner stack.Combiner
-	// outstanding counts the node's own unconfirmed DHT operations
-	// (ticketed PUTs and GETs); the §VI completion wait gates the next
-	// aggregation on it. awaitingAcks holds the request IDs of the
-	// unacknowledged PUTs, making the accounting idempotent: around a
-	// fail-stop restart an ack can arrive twice (the replayed original
-	// plus the dedupe re-ack), and a blind decrement would corrupt the
-	// gate. earlyAcks (member mode only) parks link-replayed acks that
-	// arrive before the journal replay re-registers their PUT.
-	outstanding  int
+	combiner stack.Combiner[Op]
+	// awaitingAcks holds the request IDs of the node's unacknowledged
+	// PUTs. Together with Node.pendingGets (its unanswered GETs) it is the
+	// node's outstanding DHT work, which the §VI completion wait gates the
+	// next aggregation on (see outstanding). A set, not a count, so the
+	// accounting is idempotent: around a fail-stop restart an ack can
+	// arrive twice (the replayed original plus the dedupe re-ack).
+	// earlyAcks (member mode only) parks link-replayed acks that arrive
+	// before the journal replay re-registers their PUT.
 	awaitingAcks map[uint64]struct{}
 	earlyAcks    map[uint64]struct{}
 }
 
 func (d *stackDisc) combining(n *Node) bool { return !n.cl.cfg.DisableLocalCombining }
 
-func (d *stackDisc) bufferOp(n *Node, op pendingOp, now int64) {
-	if !d.combining(n) {
+func (d *stackDisc) bufferOp(n *Node, op Op) {
+	switch {
+	case !d.combining(n):
 		n.pending = append(n.pending, op)
-		return
-	}
-	if !op.isDeq {
-		d.combiner.Push(stack.PendingOp{ReqID: op.reqID, Elem: op.elem, Born: op.born, LocalSeq: op.localSeq, Blob: op.blob})
-		return
-	}
-	sop := stack.PendingOp{ReqID: op.reqID, Born: op.born, LocalSeq: op.localSeq}
-	if match, ok := d.combiner.Pop(sop); ok {
-		// Both operations complete on the spot, without value() ranks;
-		// the verifier anchors them into ≺ as a combined block.
-		n.cl.metrics.CombinedOps += 2
-		n.cl.recordCompletion(seqcheck.Completion{
-			Client: n.clientID, LocalSeq: match.LocalSeq,
-			Kind: seqcheck.Push, Elem: match.Elem,
-			Value: seqcheck.NoValue, Born: match.Born, Done: now, ReqID: match.ReqID,
-			Blob: match.Blob,
-		})
-		n.cl.recordCompletion(seqcheck.Completion{
-			Client: n.clientID, LocalSeq: op.localSeq,
-			Kind: seqcheck.Pop, Elem: match.Elem,
-			Value: seqcheck.NoValue, Born: op.born, Done: now, ReqID: op.reqID,
-			Blob: match.Blob,
-		})
+	case !op.IsDeq:
+		d.combiner.Push(op)
+	default:
+		if match, ok := d.combiner.Pop(op); ok {
+			// Both operations complete on the spot, without value() ranks;
+			// the verifier anchors them into ≺ as a combined block.
+			n.cl.metrics.CombinedOps += 2
+			n.cl.recordCompletion(seqcheck.Completion{
+				Client: n.clientID, LocalSeq: match.LocalSeq,
+				Kind: seqcheck.Push, Elem: match.Elem,
+				Value: seqcheck.NoValue, Born: match.Born, Done: op.Born, ReqID: match.ReqID,
+				Blob: match.Blob,
+			})
+			n.cl.recordCompletion(seqcheck.Completion{
+				Client: n.clientID, LocalSeq: op.LocalSeq,
+				Kind: seqcheck.Pop, Elem: match.Elem,
+				Value: seqcheck.NoValue, Born: op.Born, Done: op.Born, ReqID: op.ReqID,
+				Blob: match.Blob,
+			})
+		}
 	}
 }
 
@@ -225,16 +219,11 @@ func (d *stackDisc) takeOwn(n *Node) ownWave {
 	if !d.combining(n) {
 		return drainPending(n)
 	}
-	var w ownWave
 	pops, pushes := d.combiner.TakeResidual()
-	for _, p := range pops {
-		w.ops = append(w.ops, pendingOp{isDeq: true, reqID: p.ReqID, born: p.Born, localSeq: p.LocalSeq})
+	return ownWave{
+		B:   batch.MakeStack(int64(len(pops)), int64(len(pushes))),
+		ops: append(pops, pushes...),
 	}
-	for _, p := range pushes {
-		w.ops = append(w.ops, pendingOp{elem: p.Elem, reqID: p.ReqID, born: p.Born, localSeq: p.LocalSeq, blob: p.Blob})
-	}
-	w.B = batch.MakeStack(int64(len(pops)), int64(len(pushes)))
-	return w
 }
 
 func (d *stackDisc) restoreOwn(n *Node, own ownWave) {
@@ -242,28 +231,28 @@ func (d *stackDisc) restoreOwn(n *Node, own ownWave) {
 		n.pending = append(own.ops, n.pending...)
 		return
 	}
-	a := own.B.NumDequeues()
-	for i, op := range own.ops {
-		sop := stack.PendingOp{ReqID: op.reqID, Elem: op.elem, Born: op.born, LocalSeq: op.localSeq, Blob: op.blob}
-		if int64(i) < a {
-			d.combiner.RestorePop(sop)
+	for _, op := range own.ops {
+		if op.IsDeq {
+			d.combiner.RestorePop(op)
 		} else {
-			d.combiner.RestorePush(sop)
+			d.combiner.RestorePush(op)
 		}
 	}
 }
 
+// outstanding counts the node's own unconfirmed DHT operations: GETs
+// awaiting their reply plus ticketed PUTs awaiting their ack.
+func (d *stackDisc) outstanding(n *Node) int {
+	return len(n.pendingGets) + len(d.awaitingAcks)
+}
+
 func (d *stackDisc) gated(n *Node) bool {
-	return !n.cl.cfg.DisableStage4Wait && d.outstanding > 0
+	return !n.cl.cfg.DisableStage4Wait && d.outstanding(n) > 0
 }
 
 func (d *stackDisc) opTicket(oa batch.OpAssign) int64 { return oa.Ticket }
 
-func (d *stackDisc) trackGet(*Node)    { d.outstanding++ }
-func (d *stackDisc) getResolved(*Node) { d.outstanding-- }
-
 func (d *stackDisc) trackPut(n *Node, reqID uint64) {
-	d.outstanding++
 	if d.awaitingAcks == nil {
 		d.awaitingAcks = make(map[uint64]struct{})
 	}
@@ -273,7 +262,6 @@ func (d *stackDisc) trackPut(n *Node, reqID uint64) {
 		// still being re-injected from the journal (see earlyAcks).
 		delete(d.earlyAcks, reqID)
 		delete(d.awaitingAcks, reqID)
-		d.outstanding--
 		n.cl.logf("core: %v claiming parked ack for PUT %d (restart replay)", n.self, reqID)
 		if n.cl.onPutAck != nil {
 			n.cl.onPutAck(reqID)
@@ -284,7 +272,6 @@ func (d *stackDisc) trackPut(n *Node, reqID uint64) {
 func (d *stackDisc) putAcked(n *Node, reqID uint64) bool {
 	if _, awaited := d.awaitingAcks[reqID]; awaited {
 		delete(d.awaitingAcks, reqID)
-		d.outstanding--
 		return true
 	}
 	if !n.cl.memberMode() {
@@ -305,8 +292,8 @@ func (d *stackDisc) putAcked(n *Node, reqID uint64) bool {
 
 func (d *stackDisc) ackPuts() bool { return true }
 
-func (d *stackDisc) drained(*Node) bool {
-	return d.combiner.Empty() && d.outstanding == 0
+func (d *stackDisc) drained(n *Node) bool {
+	return d.combiner.Empty() && d.outstanding(n) == 0
 }
 
 func (*stackDisc) priLevels() int { return 1 }
@@ -315,9 +302,7 @@ func (*stackDisc) check(h *seqcheck.History) error { return seqcheck.Check(seqch
 
 //skueue:snapshot-capture stackDisc
 func (d *stackDisc) capture(n *Node, img *NodeImage) {
-	pops, pushes := d.combiner.Snapshot()
-	img.Combiner = CombinerImage{Pops: stackOpImages(pops, true), Pushes: stackOpImages(pushes, false)}
-	img.Outstanding = d.outstanding
+	img.Combiner.Pops, img.Combiner.Pushes = d.combiner.Snapshot()
 	for reqID := range d.awaitingAcks {
 		img.AwaitingAcks = append(img.AwaitingAcks, reqID)
 	}
@@ -330,8 +315,7 @@ func (d *stackDisc) capture(n *Node, img *NodeImage) {
 
 //skueue:snapshot-restore stackDisc
 func (d *stackDisc) restoreImage(n *Node, img *NodeImage) {
-	d.combiner.Restore(stackOpsFromImages(img.Combiner.Pops), stackOpsFromImages(img.Combiner.Pushes))
-	d.outstanding = img.Outstanding
+	d.combiner.Restore(img.Combiner.Pops, img.Combiner.Pushes)
 	if len(img.AwaitingAcks) > 0 {
 		d.awaitingAcks = make(map[uint64]struct{}, len(img.AwaitingAcks))
 		for _, reqID := range img.AwaitingAcks {
@@ -367,11 +351,11 @@ func (d *heapDisc) priLevels() int { return d.levels }
 func (d *heapDisc) check(h *seqcheck.History) error { return seqcheck.CheckPriority(h, d.levels) }
 
 // heapRunIndex maps one buffered operation to its canonical run index.
-func heapRunIndex(op pendingOp) int {
-	if op.isDeq {
+func heapRunIndex(op Op) int {
+	if op.IsDeq {
 		return batch.HeapDeqRunIndex
 	}
-	return batch.HeapEnqRunIndex(op.pri)
+	return batch.HeapEnqRunIndex(op.Pri)
 }
 
 func (d *heapDisc) takeOwn(n *Node) ownWave {
@@ -392,15 +376,15 @@ func (d *heapDisc) takeOwn(n *Node) ownWave {
 	if cut == len(n.pending) {
 		n.pending = nil
 	} else {
-		n.pending = append([]pendingOp(nil), n.pending[cut:]...)
+		n.pending = slices.Clone(n.pending[cut:])
 	}
 	var deqs int64
 	enqs := make([]int64, d.levels)
 	for _, op := range w.ops {
-		if op.isDeq {
+		if op.IsDeq {
 			deqs++
 		} else {
-			enqs[op.pri]++
+			enqs[op.Pri]++
 		}
 	}
 	w.B = batch.MakeHeap(deqs, enqs)

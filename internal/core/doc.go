@@ -15,6 +15,19 @@
 //     topology is derived from the shared seed, so members wire themselves
 //     without coordination, and later arrivals enter through JoinRemote.
 //
+// Operations enter through one door. A host (the in-process client, a
+// networked member's server, a workload generator) names the operation
+// first — Cluster.NextReqID reserves the next request ID without moving
+// anything, or the host brings a journaled ID back after a restart — then
+// registers whatever must be findable under that name, and only then calls
+// Cluster.Inject, which buffers the Op record at the client node and
+// raises the member-local counter to cover the ID. The order matters in
+// stack mode, where a pop injected onto a buffered push completes both
+// inside the call (§VI): the completion callback finds the host's entry
+// like any other. That same Op record is what the node's pending list,
+// the stack combiner, the in-flight wave and the member snapshot hold;
+// Enqueue and Dequeue are "inject under NextReqID" for hostless callers.
+//
 // Node (node.go) is the per-node state machine: TIMEOUT fires the wave
 // stages of Algorithms 1–2 — buffered operations fold into batches
 // (Stage 1, internal/batch), the anchor assigns position intervals

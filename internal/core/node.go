@@ -12,15 +12,20 @@ import (
 	"skueue/internal/transport"
 )
 
-// pendingOp is one locally generated, not-yet-assigned queue operation.
-type pendingOp struct {
-	isDeq    bool
-	elem     dht.Element
-	reqID    uint64
-	born     int64
-	localSeq int64
-	pri      int32  // priority level of a heap enqueue; zero otherwise
-	blob     []byte // opaque payload riding with an enqueue (networked mode)
+// Op is the one record of a client operation, from the host's submit to
+// the member snapshot: the host names it (ReqID, from NextReqID or a journaled
+// identity) and says what it is (IsDeq, Pri, Blob); Cluster.Inject stamps
+// Elem, Born and LocalSeq and buffers it; the node's pending list, the
+// stack combiner, the in-flight wave and NodeImage all hold this same
+// type. Fields are exported for the snapshot codec (encoding/gob).
+type Op struct {
+	IsDeq    bool
+	Elem     dht.Element // enqueues only
+	ReqID    uint64
+	Born     int64
+	LocalSeq int64
+	Pri      int32  // priority level of a heap enqueue; zero otherwise
+	Blob     []byte // opaque payload riding with an enqueue (networked mode)
 }
 
 // subBatch remembers one component of the processing batch and where it
@@ -28,7 +33,8 @@ type pendingOp struct {
 // own buffered operations. WaveSeq is the child's fire counter, echoed in
 // the serve so the child can match (or reject) it after a restart. Fields
 // are exported because sub-batches travel inside leave handoffs and
-// absorb messages, which cross the wire under the TCP transport.
+// absorb messages, which cross the wire under the TCP transport, and sit
+// in NodeImage as they are.
 type subBatch struct {
 	From    transport.NodeID
 	B       batch.Batch
@@ -38,7 +44,7 @@ type subBatch struct {
 // ownWave is the node's own contribution to the current processing batch:
 // the operations in order plus their run encoding.
 type ownWave struct {
-	ops []pendingOp
+	ops []Op
 	B   batch.Batch
 }
 
@@ -89,7 +95,7 @@ type Node struct {
 	// disc is the mode strategy (queue, stack or heap): every
 	// mode-specific behavior of the wave protocol lives behind it, along
 	// with strategy-private state such as the stack's combiner and
-	// outstanding-ack accounting. See discipline.go.
+	// unacknowledged-PUT accounting. See discipline.go.
 	disc discipline
 
 	// Anchor role and state (§III-D). The role follows the leftmost node;
@@ -108,7 +114,7 @@ type Node struct {
 	// Stage 1: own buffered operations (queue and heap mode, and
 	// uncombined stack mode). The stack strategy's residual combiner
 	// word lives inside disc.
-	pending []pendingOp
+	pending []Op
 
 	// Stage 1: sub-batches received from children, waiting to be folded.
 	waiting []subBatch
@@ -477,7 +483,6 @@ func (n *Node) noteFire() {
 // restoreOwn undoes a fire that could not proceed (rare churn corner).
 func (n *Node) restoreOwn(own ownWave, kids []subBatch) {
 	n.disc.restoreOwn(n, own)
-	n.churn.restoreCounts(own.B.J, own.B.L)
 	n.waiting = append(kids, n.waiting...)
 }
 
@@ -548,7 +553,6 @@ func (n *Node) applyOwn(ctx *transport.Context, own ownWave, d []batch.RunAssign
 func (n *Node) resolveGet(ctx *transport.Context, m getReply) {
 	gc := n.pendingGets[m.ReqID]
 	delete(n.pendingGets, m.ReqID)
-	n.disc.getResolved(n)
 	n.cl.recordCompletion(seqcheck.Completion{
 		Client: n.clientID, LocalSeq: gc.localSeq,
 		Kind: seqcheck.Dequeue, Elem: m.Entry.Elem,
@@ -557,40 +561,39 @@ func (n *Node) resolveGet(ctx *transport.Context, m getReply) {
 	})
 }
 
-func (n *Node) dispatchOp(ctx *transport.Context, po pendingOp, oa batch.OpAssign, isDeq bool) {
+func (n *Node) dispatchOp(ctx *transport.Context, po Op, oa batch.OpAssign, isDeq bool) {
 	if isDeq && oa.Pos == batch.NoPosition {
 		// Empty-structure dequeue: returns ⊥ right here (§III-E).
 		n.cl.recordCompletion(seqcheck.Completion{
-			Client: n.clientID, LocalSeq: po.localSeq,
+			Client: n.clientID, LocalSeq: po.LocalSeq,
 			Kind: seqcheck.Dequeue, Bottom: true,
-			Value: oa.Value, Born: po.born, Done: ctx.Now(), ReqID: po.reqID,
+			Value: oa.Value, Born: po.Born, Done: ctx.Now(), ReqID: po.ReqID,
 		})
 		return
 	}
 	key := n.cl.keyHash.Frac(uint64(oa.Pos))
 	if isDeq {
 		bound := n.disc.opTicket(oa)
-		n.pendingGets[po.reqID] = getCtx{born: po.born, localSeq: po.localSeq, value: oa.Value}
-		n.disc.trackGet(n)
-		if m, ok := n.earlyReplies[po.reqID]; ok {
+		n.pendingGets[po.ReqID] = getCtx{born: po.Born, localSeq: po.LocalSeq, value: oa.Value}
+		if m, ok := n.earlyReplies[po.ReqID]; ok {
 			// The reply already arrived via link replay while this op was
 			// still being re-injected from the journal (see earlyReplies).
 			// Complete it here; the serving member would only dedupe a
 			// re-sent GET anyway.
-			delete(n.earlyReplies, po.reqID)
-			n.cl.logf("core: %v claiming parked reply for GET %d (restart replay)", n.self, po.reqID)
+			delete(n.earlyReplies, po.ReqID)
+			n.cl.logf("core: %v claiming parked reply for GET %d (restart replay)", n.self, po.ReqID)
 			n.resolveGet(ctx, m)
 			return
 		}
-		n.sendRouted(ctx, key, getReq{Pos: oa.Pos, Bound: bound, Requester: n.self.ID, ReqID: po.reqID})
+		n.sendRouted(ctx, key, getReq{Pos: oa.Pos, Bound: bound, Requester: n.self.ID, ReqID: po.ReqID})
 		return
 	}
 	ticket := n.disc.opTicket(oa)
-	n.disc.trackPut(n, po.reqID)
+	n.disc.trackPut(n, po.ReqID)
 	n.sendRouted(ctx, key, putReq{
-		Pos: oa.Pos, Ticket: ticket, Elem: po.elem, Blob: po.blob,
-		Requester: n.self.ID, ReqID: po.reqID, Born: po.born,
-		Client: n.clientID, LocalSeq: po.localSeq, Value: oa.Value, Pri: po.pri,
+		Pos: oa.Pos, Ticket: ticket, Elem: po.Elem, Blob: po.Blob,
+		Requester: n.self.ID, ReqID: po.ReqID, Born: po.Born,
+		Client: n.clientID, LocalSeq: po.LocalSeq, Value: oa.Value, Pri: po.Pri,
 	})
 }
 
@@ -650,7 +653,14 @@ func (n *Node) dispatchDHT(ctx *transport.Context, key fixpoint.Frac, inner any)
 		return
 	}
 	if n.churn.joining {
-		if n.churn.rangeValid && fixpoint.InCWRange(key, n.churn.rangeFrom, n.churn.rangeEnd) {
+		if !n.churn.rangeValid {
+			// Our responsible node sent this for the range it is handing us,
+			// and it outran the adoption that names the range and the relay
+			// to bounce through; hold it like a handover or transfer.
+			n.churn.heldDirects = append(n.churn.heldDirects, directMsg{Key: key, Inner: inner})
+			return
+		}
+		if fixpoint.InCWRange(key, n.churn.rangeFrom, n.churn.rangeEnd) {
 			n.handleDHT(ctx, inner)
 			return
 		}
@@ -858,8 +868,8 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 		}
 		n.resolveGet(ctx, m)
 	case putAck:
-		// The strategy accounts the ack (stack: outstanding/awaitingAcks,
-		// parking replay strays); a parked or duplicate ack must not reach
+		// The strategy accounts the ack (stack: awaitingAcks, parking
+		// replay strays); a parked or duplicate ack must not reach
 		// the hosting layer's callback.
 		if n.disc.putAcked(n, m.ReqID) {
 			if n.cl.onPutAck != nil {
@@ -871,58 +881,6 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 			panic(fmt.Sprintf("core: node %v cannot handle message %T", n.self, payload))
 		}
 	}
-}
-
-// InjectEnqueue buffers a locally generated ENQUEUE (PUSH) request. It is
-// called by the workload driver between rounds, mirroring the paper's
-// "nodes generate requests" — generation itself costs no messages.
-func (n *Node) InjectEnqueue(now int64) uint64 {
-	return n.InjectEnqueueBlob(now, nil)
-}
-
-// InjectEnqueueBlob is InjectEnqueue with an opaque application payload
-// that rides with the element through the DHT; a dequeue serialized
-// against it receives the payload in its completion record. The networked
-// client layer stores the user's encoded value here.
-func (n *Node) InjectEnqueueBlob(now int64, blob []byte) uint64 {
-	return n.InjectEnqueuePriBlob(now, 0, blob)
-}
-
-// InjectEnqueuePriBlob buffers an enqueue at the given priority level
-// (heap mode; other modes use pri 0).
-func (n *Node) InjectEnqueuePriBlob(now int64, pri int32, blob []byte) uint64 {
-	reqID := n.cl.nextReqID()
-	n.injectEnqueue(reqID, now, pri, blob)
-	return reqID
-}
-
-// injectEnqueue buffers an enqueue under a caller-chosen request ID —
-// fresh from nextReqID, or the original ID of a journaled operation being
-// re-submitted after a fail-stop restart (Cluster.Resubmit).
-func (n *Node) injectEnqueue(reqID uint64, now int64, pri int32, blob []byte) {
-	elem := dht.Element{Origin: n.clientID, Seq: n.nextElemSeq}
-	n.nextElemSeq++
-	op := pendingOp{elem: elem, reqID: reqID, born: now, localSeq: n.nextLocalSeq, pri: pri, blob: blob}
-	n.nextLocalSeq++
-	n.cl.issued++
-	n.disc.bufferOp(n, op, now)
-}
-
-// InjectDequeue buffers a locally generated DEQUEUE (POP, DEQUEUEMIN)
-// request. In stack mode with local combining it may complete immediately
-// together with a buffered push (§VI).
-func (n *Node) InjectDequeue(now int64) uint64 {
-	reqID := n.cl.nextReqID()
-	n.injectDequeue(reqID, now)
-	return reqID
-}
-
-// injectDequeue is injectEnqueue's dequeue counterpart.
-func (n *Node) injectDequeue(reqID uint64, now int64) {
-	op := pendingOp{isDeq: true, reqID: reqID, born: now, localSeq: n.nextLocalSeq}
-	n.nextLocalSeq++
-	n.cl.issued++
-	n.disc.bufferOp(n, op, now)
 }
 
 // Store exposes the DHT fragment for tests and load statistics.

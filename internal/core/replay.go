@@ -10,8 +10,9 @@ import (
 // This file holds the member-mode replay machinery that upgrades
 // fail-stop recovery from at-least-once to exactly-once for operations
 // mid-flight at the crashed member: bounded request-ID dedupe windows for
-// replayed DHT operations, the re-submission entry points the hosting
-// layer's operation journal drives, and the serve shape guard.
+// replayed DHT operations, the counter and wave-boundary hooks the hosting
+// layer's operation journal drives (re-submission itself is Cluster.Inject
+// under the journaled ID), and the serve shape guard.
 //
 // The threat model: a member restored from a write-ahead snapshot rolls
 // back to the cut and re-executes the interval up to the crash from
@@ -92,11 +93,10 @@ func (r *reqRing) restore(ids []uint64) {
 // already covers.
 func ReqIDSeq(reqID uint64) uint64 { return reqID & (1<<ReqIDMemberShift - 1) }
 
-// ReqSeq returns the member-local request sequence most recently issued;
-// the next operation injected at this member receives ReqSeq()+1. The
-// hosting layer compares it against its durable sequence lease before
-// accepting an operation (see internal/server: a request ID must never
-// be issued unless a ceiling above it is already on stable storage, or a
+// ReqSeq returns the highest member-local request sequence issued so far
+// (NextReqID names its successor). The hosting layer bases its durable
+// sequence lease on it (see internal/server: a request ID must never be
+// issued unless a ceiling above it is already on stable storage, or a
 // crash could re-issue the ID and peer dedupe would swallow the new
 // operation as a replay of the dead one). Runner goroutine only.
 func (cl *Cluster) ReqSeq() uint64 { return cl.reqSeq }
@@ -121,28 +121,6 @@ func (cl *Cluster) AdvanceReqSeq(seq uint64) {
 //
 //skueue:runs-on-runner
 func (cl *Cluster) SetOnFire(fn func(node transport.NodeID, waveSeq int64)) { cl.onFire = fn }
-
-// Resubmit re-injects a journaled client operation during or after a
-// fail-stop restart, under its ORIGINAL request ID: the re-executed
-// operation is thereby the same operation as far as every dedupe path is
-// concerned, and fresh request IDs can never collide with pre-crash ones
-// because the member-local sequence counter advances past it. It must run
-// on the runner goroutine (or before the transport starts).
-func (cl *Cluster) Resubmit(client transport.NodeID, reqID uint64, isDeq bool, pri int32, blob []byte) {
-	n, ok := cl.nodes[client]
-	if !ok {
-		cl.logf("core: dropping resubmitted op %d for unknown node %d", reqID, client)
-		return
-	}
-	if seq := ReqIDSeq(reqID); seq > cl.reqSeq {
-		cl.reqSeq = seq
-	}
-	if isDeq {
-		n.injectDequeue(reqID, cl.net.Now())
-	} else {
-		n.injectEnqueue(reqID, cl.net.Now(), pri, blob)
-	}
-}
 
 // HeldReplayServes reports how many replayed serve messages are still
 // parked for future waves across this member's nodes (Node.heldServes).

@@ -3,13 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"skueue/internal/batch"
 	"skueue/internal/dht"
 	"skueue/internal/ldb"
 	"skueue/internal/seqcheck"
-	"skueue/internal/stack"
 	"skueue/internal/transport"
 	"skueue/internal/xrand"
 )
@@ -23,10 +23,17 @@ import (
 // Cluster from it. Both modes are supported: queue (§III) and stack
 // (§VI) members snapshot and restore alike.
 //
-// The image is deliberately a plain-data mirror of the node state rather
-// than the state itself: Node fields are unexported and full of
-// simulation-only bookkeeping, while the image only holds what a restart
-// needs and what the wire codec (encoding/gob) can carry.
+// The image is a plain-data cut of the node state rather than the state
+// itself: Node fields are unexported and full of simulation-only
+// bookkeeping, while the image only holds what a restart needs and what
+// the codec (encoding/gob) can carry. Where the runner's own records are
+// already plain exported-field data — the operation record (Op) and the
+// remembered sub-batch (subBatch) — the image stores them as they are, in
+// a slice copy so the encoder, which runs off the runner, never shares a
+// backing array with it; only maps and rings are flattened into images.
+// Both keep the field names of the separate image types they replaced, so
+// a snapshot.gob written before the merge still decodes (gob matches struct
+// fields by name and ignores type names).
 //
 // Consistency model: SnapshotMember must run on the transport's runner
 // goroutine, so the image is a point-in-time cut between two message
@@ -50,7 +57,7 @@ import (
 //     ID (Node.appliedPuts), served GETs are remembered by request ID so a
 //     re-executed GET cannot park again and steal a reused stack position
 //     (Node.servedGets), duplicate put-acks are absorbed by per-request
-//     accounting (Node.awaitingAcks), a parent drops a restarted child's
+//     accounting (stackDisc.awaitingAcks), a parent drops a restarted child's
 //     re-sent aggregate for a wave it already folded (Node.foldedWaves —
 //     the original serve, sent or still to come, answers the re-fire)
 //     while queueing a child's replayed later waves and folding them one
@@ -70,24 +77,6 @@ import (
 // image does not model. Callers skip the interval and retry.
 var ErrNotQuiescent = errors.New("core: member is not churn-quiescent")
 
-// OpImage is one buffered, not-yet-assigned client operation.
-type OpImage struct {
-	IsDeq    bool
-	Elem     dht.Element
-	ReqID    uint64
-	Born     int64
-	LocalSeq int64
-	Pri      int32
-	Blob     []byte
-}
-
-// SubBatchImage is one remembered sub-batch component of a wave.
-type SubBatchImage struct {
-	From    transport.NodeID
-	B       batch.Batch
-	WaveSeq int64
-}
-
 // GetImage is one in-flight GET issued by the node. Restoring it re-arms
 // the stage-4 wait: the node keeps counting the GET as outstanding until
 // the replayed (or re-executed) reply arrives.
@@ -102,8 +91,8 @@ type GetImage struct {
 // the not-yet-sent operations in their reduced POP^a PUSH^b form. Pops
 // carry no element; pushes carry their element and blob.
 type CombinerImage struct {
-	Pops   []OpImage
-	Pushes []OpImage
+	Pops   []Op
+	Pushes []Op
 }
 
 // FoldedWaveImage is one entry of the per-child folded-wave cursor.
@@ -134,21 +123,19 @@ type NodeImage struct {
 	NextLocalSeq int64
 	WaveSeq      int64
 
-	Pending  []OpImage
-	Waiting  []SubBatchImage
-	InBatch  []SubBatchImage // nil: no processing batch in flight
-	InOwnOps []OpImage
+	Pending  []Op
+	Waiting  []subBatch
+	InBatch  []subBatch // nil: no processing batch in flight
+	InOwnOps []Op
 	InOwnB   batch.Batch
 
 	// Combiner is the stack-mode residual word; empty in queue mode.
 	Combiner CombinerImage
-	// Outstanding re-arms the §VI stage-4 completion wait: the number of
-	// the node's own DHT operations (ticketed PUTs and GETs) still
-	// unconfirmed at the cut. The restored node stays gated until the
-	// replayed acknowledgments and replies drain it. AwaitingAcks lists
-	// the unacknowledged PUTs' request IDs, keeping the accounting
-	// idempotent under replayed duplicate acks.
-	Outstanding  int
+	// AwaitingAcks lists the request IDs of the node's unacknowledged
+	// PUTs. With Gets it re-arms the §VI stage-4 completion wait: the
+	// restored node stays gated until the replayed acknowledgments and
+	// replies drain both. (Images written before the count became derived
+	// carry an Outstanding field; gob drops it on decode.)
 	AwaitingAcks []uint64
 
 	Entries []dht.Entry
@@ -229,66 +216,6 @@ func (s *MemberSnapshot) Stats() SnapshotStats {
 	return st
 }
 
-func opImages(ops []pendingOp) []OpImage {
-	out := make([]OpImage, len(ops))
-	for i, op := range ops {
-		out[i] = OpImage{IsDeq: op.isDeq, Elem: op.elem, ReqID: op.reqID, Born: op.born, LocalSeq: op.localSeq, Pri: op.pri, Blob: op.blob}
-	}
-	return out
-}
-
-func opsFromImages(imgs []OpImage) []pendingOp {
-	if len(imgs) == 0 {
-		return nil
-	}
-	out := make([]pendingOp, len(imgs))
-	for i, im := range imgs {
-		out[i] = pendingOp{isDeq: im.IsDeq, elem: im.Elem, reqID: im.ReqID, born: im.Born, localSeq: im.LocalSeq, pri: im.Pri, blob: im.Blob}
-	}
-	return out
-}
-
-func stackOpImages(ops []stack.PendingOp, isDeq bool) []OpImage {
-	if len(ops) == 0 {
-		return nil
-	}
-	out := make([]OpImage, len(ops))
-	for i, op := range ops {
-		out[i] = OpImage{IsDeq: isDeq, Elem: op.Elem, ReqID: op.ReqID, Born: op.Born, LocalSeq: op.LocalSeq, Blob: op.Blob}
-	}
-	return out
-}
-
-func stackOpsFromImages(imgs []OpImage) []stack.PendingOp {
-	if len(imgs) == 0 {
-		return nil
-	}
-	out := make([]stack.PendingOp, len(imgs))
-	for i, im := range imgs {
-		out[i] = stack.PendingOp{ReqID: im.ReqID, Elem: im.Elem, Born: im.Born, LocalSeq: im.LocalSeq, Blob: im.Blob}
-	}
-	return out
-}
-
-func subImages(subs []subBatch) []SubBatchImage {
-	out := make([]SubBatchImage, len(subs))
-	for i, sb := range subs {
-		out[i] = SubBatchImage{From: sb.From, B: sb.B, WaveSeq: sb.WaveSeq}
-	}
-	return out
-}
-
-func subsFromImages(imgs []SubBatchImage) []subBatch {
-	if imgs == nil {
-		return nil
-	}
-	out := make([]subBatch, len(imgs))
-	for i, im := range imgs {
-		out[i] = subBatch{From: im.From, B: im.B, WaveSeq: im.WaveSeq}
-	}
-	return out
-}
-
 // snapshottable reports whether the node's churn state is trivial enough
 // to omit from the image: anything mid-handshake refuses the snapshot.
 func (n *Node) snapshottable() bool {
@@ -296,7 +223,8 @@ func (n *Node) snapshottable() bool {
 	return !c.joining && !c.leaving && !c.departed && !c.isReplacement &&
 		!c.updatePhase && !c.leaveReqSent && !c.rangeValid &&
 		len(c.routedHold) == 0 && len(c.heldTransfers) == 0 &&
-		len(c.heldHandovers) == 0 && len(c.joiners) == 0 &&
+		len(c.heldHandovers) == 0 && len(c.heldDirects) == 0 &&
+		len(c.joiners) == 0 &&
 		len(c.grantsPending) == 0 && c.grantedOpen == 0 &&
 		len(c.buffer) == 0 && len(c.heldQueries) == 0 &&
 		len(c.heldHandoffs) == 0 && !c.relayVia.Valid()
@@ -351,8 +279,8 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			NextElemSeq:  n.nextElemSeq,
 			NextLocalSeq: n.nextLocalSeq,
 			WaveSeq:      n.waveSeq,
-			Pending:      opImages(n.pending),
-			Waiting:      subImages(n.waiting),
+			Pending:      slices.Clone(n.pending),
+			Waiting:      slices.Clone(n.waiting),
 			InOwnB:       n.inOwn.B,
 			Entries:      n.store.Entries(),
 			LastEpoch:    n.churn.lastEpoch,
@@ -360,11 +288,11 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			PendChurn:    n.churn.pendChurn,
 		}
 		if n.inBatch != nil {
-			img.InBatch = subImages(n.inBatch)
-			img.InOwnOps = opImages(n.inOwn.ops)
+			img.InBatch = slices.Clone(n.inBatch)
+			img.InOwnOps = slices.Clone(n.inOwn.ops)
 		}
-		// Strategy-private state (stack: combiner residual, outstanding
-		// stage-4 waits, unacknowledged PUT IDs) is captured by the mode
+		// Strategy-private state (stack: combiner residual, unacknowledged
+		// PUT IDs, parked early acks) is captured by the mode
 		// strategy; the image fields stay zero for the other modes.
 		n.disc.capture(n, &img)
 		img.AppliedPuts = n.appliedPuts.entries()
@@ -457,14 +385,14 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			nextElemSeq:  img.NextElemSeq,
 			nextLocalSeq: img.NextLocalSeq,
 			waveSeq:      img.WaveSeq,
-			pending:      opsFromImages(img.Pending),
-			waiting:      subsFromImages(img.Waiting),
+			pending:      slices.Clone(img.Pending),
+			waiting:      slices.Clone(img.Waiting),
 			store:        dht.NewStore(),
 			pendingGets:  make(map[uint64]getCtx),
 		}
 		if img.InBatch != nil {
-			n.inBatch = subsFromImages(img.InBatch)
-			n.inOwn = ownWave{ops: opsFromImages(img.InOwnOps), B: img.InOwnB}
+			n.inBatch = slices.Clone(img.InBatch)
+			n.inOwn = ownWave{ops: slices.Clone(img.InOwnOps), B: img.InOwnB}
 		}
 		n.disc.restoreImage(n, &img)
 		n.appliedPuts.restore(img.AppliedPuts)

@@ -436,7 +436,7 @@ func (s *Server) startRestore(disk *diskSnapshot, journalRecs []journalRecord) e
 	}
 	s.cl.AdvanceReqSeq(disk.SeqCeiling)
 	for _, rec := range s.plan.immediate {
-		s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
+		s.cl.Inject(rec.Node, rec.op())
 	}
 	if n := len(s.plan.immediate); n > 0 || s.plan.pending() > 0 {
 		s.logf("server[%d]: re-submitted %d journaled operations, %d held for wave boundaries",

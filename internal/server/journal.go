@@ -23,8 +23,9 @@ import (
 // operations injected at this member, whose submitting sessions die with
 // the process. The journal records exactly that missing input stream:
 //
-//   - an op record (request ID, node, kind, value) is appended the moment
-//     an operation is injected — durable before any CliDone for it can be
+//   - an op record (request ID, node, kind, value) is staged just before
+//     an operation is injected — ahead of every outcome record the
+//     injection can cause, and durable before any CliDone for it can be
 //     released to the client;
 //   - a done record (request ID, outcome) is appended when an operation
 //     completes — durable before its CliDone frame is released, so a
@@ -67,7 +68,7 @@ import (
 //
 // On restart the records with a member-local sequence beyond the
 // snapshot's ReqSeq are re-submitted under their ORIGINAL request IDs
-// (core.Cluster.Resubmit), partitioned by the fire markers so each
+// (core.Cluster.Inject), partitioned by the fire markers so each
 // operation re-enters the exact wave it originally rode in: the re-fired
 // waves then reproduce the crashed incarnation's batches bit for bit,
 // the replayed serves line up, and the receiver-side request-ID dedupe
@@ -86,7 +87,7 @@ import (
 // # The sequence lease
 //
 // Asynchronous appends open one more hole: an operation's request ID is
-// allocated at injection, and its effects can ride a wave to peer
+// reserved at submission, and its effects can ride a wave to peer
 // members while the op record is still staged. If the member then
 // crashes before the batch syncs, the record is lost, the restarted
 // member's request counter — advanced only past DURABLE records —
@@ -135,6 +136,12 @@ type journalRecord struct {
 	// session): the key the member dedupes re-presented operations by and
 	// retains undelivered outcomes under.
 	CliSeq uint64 // op
+}
+
+// op is the core operation an op record re-injects on restart: the same
+// identity and content the crashed incarnation's submit injected.
+func (rec *journalRecord) op() core.Op {
+	return core.Op{ReqID: rec.ReqID, IsDeq: rec.IsDeq, Pri: rec.Pri, Blob: rec.Value}
 }
 
 // leaseSpan is how many request sequences one lease record covers; an
@@ -346,11 +353,12 @@ func (j *opJournal) noteFire(node transport.NodeID, wave int64) {
 
 // appendOp stages one accepted client operation — any pending fire marker
 // of its node first, preserving the boundary-before-op file order — and
-// parks release on the batch. It must be called after injection and
-// before any CliDone for the operation can be staged. For an operation
-// submitted through a durable session, sess and cliSeq carry the
-// session's identity and the operation's per-session sequence; both are
-// zero for ephemeral operations.
+// parks release on the batch. It must be called before the operation is
+// injected, in the same runner task: no CliDone for the operation — or for
+// a partner its injection completes — can then be staged ahead of it. For
+// an operation submitted through a durable session, sess and cliSeq carry
+// the session's identity and the operation's per-session sequence; both
+// are zero for ephemeral operations.
 func (j *opJournal) appendOp(node transport.NodeID, reqID uint64, isDeq bool, pri int32, value []byte, sess string, cliSeq uint64, release journalRelease) {
 	j.mu.Lock()
 	if err := j.unusableLocked(); err != nil {

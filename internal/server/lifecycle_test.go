@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -45,15 +46,60 @@ func loopbackCluster(t *testing.T, members int, mode string, tick time.Duration,
 }
 
 // lifecycleCluster boots a 2-member loopback cluster in the given mode,
-// journaled (each member with its own state directory) or volatile.
-func lifecycleCluster(t *testing.T, mode string, journaled bool) []*Server {
+// journaled (each member with its own state directory, returned) or
+// volatile.
+func lifecycleCluster(t *testing.T, mode string, journaled bool) ([]*Server, []string) {
 	t.Helper()
 	stateRoot := ""
 	if journaled {
 		stateRoot = t.TempDir()
 	}
-	srvs, _ := loopbackCluster(t, 2, mode, time.Millisecond, stateRoot, 50*time.Millisecond)
-	return srvs
+	return loopbackCluster(t, 2, mode, time.Millisecond, stateRoot, 50*time.Millisecond)
+}
+
+// combinedPairJournaled reads a member's operation journal back and checks
+// the durable order of a push/pop pair that combined inside the pop's
+// inject call, the pair being identified by its value: the pop's op record
+// must precede BOTH outcome records, or a crash between two group commits
+// could make a client-visible outcome durable while the operation that
+// caused it is lost. submit stages the op record before it injects, so the
+// order holds by construction; this keeps it held. It reports false when a
+// snapshot compacted the records away before they could be read (the three
+// are staged in one runner task, so a cut never separates them).
+func combinedPairJournaled(t *testing.T, dir, value string) bool {
+	t.Helper()
+	recs, err := readJournal(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatalf("reading the journal back: %v", err)
+	}
+	var pushID, popID uint64
+	for _, r := range recs {
+		switch {
+		case r.Kind == recOp && !r.IsDeq && bytes.Contains(r.Value, []byte(value)):
+			pushID = r.ReqID
+		case r.Kind == recDone && bytes.Contains(r.Done.Value, []byte(value)):
+			popID = r.ReqID
+		}
+	}
+	popOp, pushDone, popDone := -1, -1, -1
+	for i, r := range recs {
+		switch {
+		case r.Kind == recOp && r.ReqID == popID && popOp < 0:
+			popOp = i
+		case r.Kind == recDone && r.ReqID == pushID && pushDone < 0:
+			pushDone = i
+		case r.Kind == recDone && r.ReqID == popID && popDone < 0:
+			popDone = i
+		}
+	}
+	if pushID == 0 || popID == 0 || popOp < 0 {
+		return false
+	}
+	if pushDone < popOp || popDone < popOp {
+		t.Fatalf("journal order of combined pair %q: pop op record at %d, push outcome at %d, pop outcome at %d; the op record must come first",
+			value, popOp, pushDone, popDone)
+	}
+	return true
 }
 
 // ledger is the test's own account of every element: what it put in, what
@@ -83,7 +129,8 @@ func (l *ledger) out(v any) {
 // operation lifecycle in all of its configurations — {volatile, journaled}
 // × {connection-scoped, session} × {queue, stack}: blocking and pipelined
 // operations, in stack mode a push/pop pair that completes inside the
-// inject call (the onEarly/deferring window), a client-facing partition
+// inject call (and, journaled, its op record ahead of both outcomes in
+// the journal read back from disk), a client-facing partition
 // with operations in flight followed by a resume, then Definition 1 and
 // an exact element account, and an empty in-flight table on every member.
 func TestOperationLifecycle(t *testing.T) {
@@ -101,7 +148,7 @@ func TestOperationLifecycle(t *testing.T) {
 }
 
 func runLifecycle(t *testing.T, mode string, journaled, session bool) {
-	srvs := lifecycleCluster(t, mode, journaled)
+	srvs, dirs := lifecycleCluster(t, mode, journaled)
 	owner := srvs[1] // a non-seed member serves the client
 	open := func() *skueue.Client {
 		t.Helper()
@@ -160,21 +207,22 @@ func runLifecycle(t *testing.T, mode string, journaled, session bool) {
 	wait("pipelined enqueue", fs)
 
 	// The inject window: a pop injected while a push is still buffered at
-	// the same node combines with it on the spot — the pop completes
-	// before submit has registered it (onEarly) and drags the push's
-	// completion along (deferring). Two frames written back to back
-	// usually share a tick; retry until a pair did.
+	// the same node combines with it on the spot — both complete inside
+	// the pop's inject call, which submit makes only after registering the
+	// pop and staging its op record. Two frames written back to back
+	// usually share a tick; retry until a pair did (and, journaled, until
+	// its records were read back before a snapshot compacted them away).
 	if mode == "stack" {
 		combined := func() (n int64) {
 			owner.peer.DoSync(func() { n = owner.cl.Metrics().CombinedOps })
 			return n
 		}
-		before := combined()
-		for i := 0; combined() == before; i++ {
+		for i, seen := 0, false; !seen; i++ {
 			if i == 50 {
-				t.Fatal("no push/pop pair combined inside an inject call in 50 attempts")
+				t.Fatal("no push/pop pair combined inside an inject call (and was read back from the journal) in 50 attempts")
 			}
-			v := fmt.Sprintf("pair-%d", i)
+			before := combined()
+			v := fmt.Sprintf("pair-%02d", i)
 			push, err := c.PushAsync(skueue.AnyProcess, v)
 			if err != nil {
 				t.Fatal(err)
@@ -189,6 +237,7 @@ func runLifecycle(t *testing.T, mode string, journaled, session bool) {
 				t.Fatalf("pop %d answered bottom over a non-empty stack", i)
 			}
 			led.out(pop.Value())
+			seen = combined() > before && (!journaled || combinedPairJournaled(t, dirs[1], v))
 		}
 	}
 

@@ -19,9 +19,10 @@
 // Every client operation — from an anonymous connection or a durable
 // session (session.go), on a member with or without a state directory —
 // walks the same path, written once in this file: submit polices and
-// dedupes it, injects it into the core, registers it in the in-flight
-// table (Server.ops) and stages its op record; resolve retires it when
-// the completion arrives, stages the outcome record and parks the CliDone
+// dedupes it, reserves its request ID, registers it in the in-flight
+// table (Server.ops), stages its op record and only then injects it into
+// the core; resolve retires it when the completion arrives — even one
+// that fires inside the inject call —, stages the outcome record and parks the CliDone
 // frame behind it; releaseDone hands the frame to the client once the
 // record is durable. Stable storage sits behind the durability interface
 // (durability.go), chosen once in New: the operation journal when
@@ -49,8 +50,8 @@
 // journal's release queue and go out once the fsync coalescing their
 // batch returns, taking the disk entirely off the runner goroutine. A
 // restart finds the snapshot, rebuilds the member with
-// core.RestoreMember under a fresh boot epoch, re-submits the journaled
-// operations the snapshot does not cover — at their original wave
+// core.RestoreMember under a fresh boot epoch, re-injects the journaled
+// operations the snapshot does not cover under their original request IDs — at their original wave
 // boundaries, so the re-executed interval reproduces the crashed
 // incarnation's batches — announces its (possibly new) address through
 // the seed's rejoin handshake, and resumes (durability.go); peers
@@ -163,8 +164,8 @@ type Server struct {
 	//skueue:lock 20
 	//skueue:ephemeral -- mutex; its zero value is ready after restore
 	mu sync.Mutex
-	// ops is the in-flight table: every accepted operation between its
-	// injection and its resolve, by request ID. Connection-scoped entries
+	// ops is the in-flight table: every accepted operation from just before
+	// its injection to its resolve, by request ID. Connection-scoped entries
 	// die with their connection; session entries are the reverse index of
 	// their session's ops map and are rebuilt with it on restore.
 	//
@@ -254,28 +255,6 @@ type Server struct {
 	//skueue:ephemeral -- diagnostic counter
 	orphanResolved int64 // orphaned ops whose completion later surfaced
 
-	// onEarly catches completions that fire inside an inject call, before
-	// the operation is registered in flight (stack local combining).
-	// Runner-confined.
-	//
-	//skueue:ephemeral -- injection-window callback, installed per submit call
-	onEarly func(reqID uint64, done wire.CliDone)
-
-	// deferring parks PARTNER completions that resolve inside an inject
-	// call in progress (a buffered push completed by the pop being
-	// injected): their done records must not be staged — and can
-	// therefore never sync and release — before the op record of the
-	// operation whose injection produced them, or a crash between the
-	// two batches could make a client-visible outcome durable while the
-	// operation that caused it is lost from the journal. Runner-confined,
-	// like onEarly; submit drains deferredDones right after staging the
-	// op record.
-	//
-	//skueue:ephemeral -- true only inside an inject call; a snapshot's DoSync never runs mid-inject
-	deferring bool
-	//skueue:ephemeral -- drained at the end of the inject call that parked them; empty whenever a capture runs
-	deferredDones []deferredDone
-
 	// conns tracks accepted connections so Close can unblock their
 	// handlers (the remote end may outlive us); cliConns is the subset
 	// currently serving the remote client protocol (CloseClientConns
@@ -292,8 +271,8 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// inflight is one accepted client operation between injection and
-// resolve. A connection-scoped operation is answered on conn under the
+// inflight is one accepted client operation between registration (just
+// ahead of its injection) and resolve. A connection-scoped operation is answered on conn under the
 // connection's sequence seq; a session operation (sd set, conn nil) is
 // answered on whichever connection its session has attached when the
 // answer is released, under the per-session sequence seq.
@@ -301,15 +280,6 @@ type inflight struct {
 	conn *session
 	sd   *durSession
 	seq  uint64
-}
-
-// deferredDone is a partner completion parked during an inject call (see
-// Server.deferring): fully resolved, its journal release already built,
-// waiting for the injected op's record to enter the batch first.
-type deferredDone struct {
-	reqID   uint64
-	done    wire.CliDone
-	release journalRelease
 }
 
 // New builds and starts a member.
@@ -609,16 +579,16 @@ func (s *Server) wireCallbacks() {
 // a restart plan releases the operations that originally followed it.
 //
 // The boundary-before-op file order is only right if no fire can happen
-// between an operation's injection and its appendOp — the marker of the
-// wave that carried the operation would otherwise be filed ahead of it,
-// and a restart would replay it one wave late. submit does both inside
+// between an operation's appendOp and its injection — the marker of the
+// wave that carried the operation would otherwise be filed behind it,
+// and a restart would replay it one wave early. submit does both inside
 // one runner task, and the transport evaluates readiness only between
 // tasks (tcp, "Execution model"), which is what keeps that window closed.
 func (s *Server) noteFire(node transport.NodeID, wave int64) {
 	s.dur.noteFire(node, wave)
 	if s.plan != nil {
 		for _, rec := range s.plan.take(node, wave) {
-			s.cl.Resubmit(rec.Node, rec.ReqID, rec.IsDeq, rec.Pri, rec.Value)
+			s.cl.Inject(rec.Node, rec.op())
 		}
 	}
 }
@@ -631,10 +601,14 @@ func (s *Server) noteFire(node transport.NodeID, wave int64) {
 // member), so a confirmed result always survives a crash of this member.
 // Divergence auditing stays here on the runner: outcomes journaled by the
 // crashed incarnation were released only after their sync, so anything in
-// plan.outcomes was client-visible and must be reproduced. Completions
-// with no in-flight entry belong to an orphaned operation (its op record
-// never became durable — see opFailed) or fall through to the early hook
-// of an inject call in progress. Runs on the runner goroutine.
+// plan.outcomes was client-visible and must be reproduced. A completion
+// with no in-flight entry belongs to an orphaned operation (its op record
+// never became durable — see opFailed), to a connection that is gone, or
+// to a journaled operation re-injected by a restart; only the first is
+// recorded. submit registers before it injects, so a completion fired
+// inside the inject call (stack local combining) finds its entry like any
+// other, and the op record it staged first precedes this outcome in the
+// journal. Runs on the runner goroutine.
 func (s *Server) resolve(reqID uint64, done wire.CliDone) {
 	done.ReqID = reqID
 	if s.plan != nil {
@@ -691,15 +665,6 @@ func (s *Server) resolve(reqID uint64, done wire.CliDone) {
 		s.logf("server[%d]: orphaned op %d completed after its journal append failed (bottom=%v value=%dB err=%q)",
 			s.peer.Me().Index, reqID, done.Bottom, len(done.Value), done.Err)
 	default:
-		if s.onEarly != nil {
-			s.onEarly(reqID, done)
-		}
-		return
-	}
-	if s.deferring {
-		// Inside an inject call: park until the injected op's record is
-		// staged ahead of this outcome.
-		s.deferredDones = append(s.deferredDones, deferredDone{reqID, done, release})
 		return
 	}
 	s.dur.appendDone(reqID, done, release)
@@ -756,8 +721,8 @@ func (s *Server) releaseDone(w inflight, done wire.CliDone) journalRelease {
 	}
 }
 
-// opFailed handles a failed op-record append AFTER the operation was
-// injected: the operation, if still in flight, is answered with an
+// opFailed handles a failed op-record append; the operation is injected
+// all the same (submit does not look back): the operation, if still in flight, is answered with an
 // indeterminate error, and the request ID is remembered as an orphan so
 // the completion that eventually surfaces at resolve is logged, counted
 // and best-effort journaled rather than silently dropped. If the entry is
@@ -962,25 +927,25 @@ func (s *Server) serveClient(conn *wire.Conn, hello wire.Hello) {
 
 // submit runs one client operation through the member's lifecycle, on
 // the runner goroutine: police the flavour, dedupe a session's
-// re-presented operation, wait out a restart replay, check the sequence
-// lease, inject, register the operation in flight, stage its op record.
-// resolve takes it from there when the completion arrives. The entry is
-// registered after the inject call returns the request ID; completions
-// also run on the runner, so the only thing that can beat the
-// registration is a completion firing synchronously inside the inject
-// itself (a locally combined stack pair) — the early hook catches that
-// one and submit replays it through resolve once the op record is staged.
-// The runner goroutine serializes the whole window, so it cannot
-// interleave with other requests.
+// re-presented operation, wait out a restart replay, reserve the request
+// ID (core.Cluster.NextReqID — no side effect), check the sequence lease
+// for it, register the operation in flight, stage its session and op
+// records, inject it under the reserved ID. resolve takes it from there
+// when the completion arrives. Completions run on the runner too, and the
+// one that can fire synchronously inside the inject itself (a stack pop
+// combined on the spot with a buffered push, which completes both) finds
+// the entry already registered and the op record already staged ahead of
+// the outcomes it causes. The runner goroutine serializes the whole
+// window, so it cannot interleave with other requests.
 //
-// The op record is STAGED under its durable request ID before submit
-// returns — the group-commit writer makes it durable off the runner —
-// and every CliDone for the operation is parked behind its own outcome
-// record, so nothing client-visible escapes before the covering fsync
-// (journal.go). A crash after the op record synced re-submits the
-// operation on restart; a crash before it loses an operation no client
-// was ever answered for. On a volatile member the same steps run with
-// every release firing inline.
+// The op record is STAGED under its durable request ID before the
+// operation exists in the core — the group-commit writer makes it durable
+// off the runner — and every CliDone for the operation is parked behind
+// its own outcome record, so nothing client-visible escapes before the
+// covering fsync (journal.go). A crash after the op record synced
+// re-injects the operation on restart; a crash before it loses an
+// operation no client was ever answered for. On a volatile member the
+// same steps run with every release firing inline.
 func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri int32, priOp bool, value []byte) {
 	s.peer.Do(func() {
 		if priOp != (s.mode == batch.Heap) {
@@ -1052,31 +1017,20 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 			sess.send(wire.CliDone{Seq: seq, Err: err.Error()})
 			return
 		}
-		if !s.dur.coverSeq(s.cl.ReqSeq() + 1) {
-			// The next request ID is not covered by a durable lease
-			// ceiling: issuing it could let a crash re-issue the same ID,
-			// which peer dedupe would then swallow. Refuse BEFORE
-			// injection — the operation never exists, so the client can
-			// simply retry. Only reachable when the journal failed or
-			// cannot sync a lease extension within half a span of
-			// operations.
+		reqID := s.cl.NextReqID()
+		if !s.dur.coverSeq(core.ReqIDSeq(reqID)) {
+			// The request ID is not covered by a durable lease ceiling:
+			// issuing it could let a crash re-issue the same ID, which peer
+			// dedupe would then swallow. Refuse BEFORE injection — the
+			// operation never exists, so the client can simply retry. Only
+			// reachable when the journal failed or cannot sync a lease
+			// extension within half a span of operations.
 			sess.send(wire.CliDone{
 				Seq: seq,
 				Err: "operation refused: journal sequence lease is not durable; retry",
 			})
 			return
 		}
-		early := make(map[uint64]wire.CliDone, 1)
-		s.onEarly = func(reqID uint64, done wire.CliDone) { early[reqID] = done }
-		s.deferring = true
-		var reqID uint64
-		if enq {
-			reqID = s.cl.EnqueuePriBlob(node, pri, value)
-		} else {
-			reqID = s.cl.Dequeue(node)
-		}
-		s.onEarly = nil
-		s.deferring = false
 		// In flight before the op record: the record's release can fire on
 		// the journal writer as soon as it is staged, and a failed append
 		// must find the entry to answer it. A session's own record goes
@@ -1103,17 +1057,7 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 				s.opFailed(reqID, err)
 			}
 		})
-		if done, ok := early[reqID]; ok {
-			s.resolve(reqID, done)
-		}
-		// Partner completions parked during the inject call go in now that
-		// the injected operation's own record precedes them in the batch:
-		// if any of these outcomes ever syncs and releases, the op that
-		// produced it is durable too.
-		for _, d := range s.deferredDones {
-			s.dur.appendDone(d.reqID, d.done, d.release)
-		}
-		s.deferredDones = s.deferredDones[:0]
+		s.cl.Inject(node, core.Op{ReqID: reqID, IsDeq: !enq, Pri: pri, Blob: value})
 	})
 }
 

@@ -7,23 +7,31 @@ import (
 	"skueue/internal/dht"
 )
 
-func push(seq int64) PendingOp {
-	return PendingOp{ReqID: uint64(seq), Elem: dht.Element{Seq: seq}, LocalSeq: seq}
+// testOp stands in for the caller's operation record: the combiner is
+// generic and never reads a field.
+type testOp struct {
+	ReqID    uint64
+	Elem     dht.Element
+	LocalSeq int64
+}
+
+func push(seq int64) testOp {
+	return testOp{ReqID: uint64(seq), Elem: dht.Element{Seq: seq}, LocalSeq: seq}
 }
 
 func TestPopCombinesWithNewestPush(t *testing.T) {
-	var c Combiner
+	var c Combiner[testOp]
 	c.Push(push(1))
 	c.Push(push(2))
-	m, ok := c.Pop(PendingOp{LocalSeq: 3})
+	m, ok := c.Pop(testOp{LocalSeq: 3})
 	if !ok || m.Elem.Seq != 2 {
 		t.Fatalf("pop should combine with push 2, got %v ok=%v", m, ok)
 	}
-	m, ok = c.Pop(PendingOp{LocalSeq: 4})
+	m, ok = c.Pop(testOp{LocalSeq: 4})
 	if !ok || m.Elem.Seq != 1 {
 		t.Fatalf("second pop should combine with push 1, got %v", m)
 	}
-	if _, ok := c.Pop(PendingOp{LocalSeq: 5}); ok {
+	if _, ok := c.Pop(testOp{LocalSeq: 5}); ok {
 		t.Fatalf("third pop has nothing to combine with")
 	}
 	if a, b := c.Counts(); a != 1 || b != 0 {
@@ -33,11 +41,11 @@ func TestPopCombinesWithNewestPush(t *testing.T) {
 
 func TestResidualShape(t *testing.T) {
 	// Any sequence reduces to pops-then-pushes.
-	var c Combiner
-	c.Pop(PendingOp{LocalSeq: 0})
+	var c Combiner[testOp]
+	c.Pop(testOp{LocalSeq: 0})
 	c.Push(push(1))
 	c.Push(push(2))
-	m, ok := c.Pop(PendingOp{LocalSeq: 3})
+	m, ok := c.Pop(testOp{LocalSeq: 3})
 	if !ok || m.LocalSeq != 2 {
 		t.Fatalf("expected combine with local seq 2")
 	}
@@ -55,11 +63,11 @@ func TestResidualShape(t *testing.T) {
 }
 
 func TestTakeResidualResets(t *testing.T) {
-	var c Combiner
+	var c Combiner[testOp]
 	c.Push(push(1))
 	c.TakeResidual()
 	// A pop after the wave fired cannot combine with the already-sent push.
-	if _, ok := c.Pop(PendingOp{LocalSeq: 2}); ok {
+	if _, ok := c.Pop(testOp{LocalSeq: 2}); ok {
 		t.Fatalf("pop combined with a push that already left the buffer")
 	}
 }
@@ -69,14 +77,14 @@ func TestReductionProperty(t *testing.T) {
 	// with a,b >= 0, combined pairs match LIFO-correctly, and the total
 	// number of ops is conserved.
 	f := func(opsRaw []bool) bool {
-		var c Combiner
+		var c Combiner[testOp]
 		var seq int64
 		combined := 0
 		for _, isPush := range opsRaw {
 			seq++
 			if isPush {
 				c.Push(push(seq))
-			} else if _, ok := c.Pop(PendingOp{LocalSeq: seq}); ok {
+			} else if _, ok := c.Pop(testOp{LocalSeq: seq}); ok {
 				combined += 2
 			}
 		}
@@ -94,14 +102,14 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 	// to the original on the remaining operations, and the snapshot itself
 	// does not disturb the running combiner.
 	f := func(prefix, suffix []bool) bool {
-		var orig Combiner
+		var orig Combiner[testOp]
 		var seq int64
-		apply := func(c *Combiner, isPush bool) (PendingOp, bool) {
+		apply := func(c *Combiner[testOp], isPush bool) (testOp, bool) {
 			if isPush {
 				c.Push(push(seq))
-				return PendingOp{}, false
+				return testOp{}, false
 			}
-			return c.Pop(PendingOp{LocalSeq: seq})
+			return c.Pop(testOp{LocalSeq: seq})
 		}
 		for _, isPush := range prefix {
 			seq++
@@ -111,7 +119,7 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 		if a, b := orig.Counts(); len(pops) != a || len(pushes) != b {
 			return false // snapshot must mirror the live counts
 		}
-		var restored Combiner
+		var restored Combiner[testOp]
 		restored.Restore(pops, pushes)
 		for _, isPush := range suffix {
 			seq++
@@ -145,11 +153,11 @@ func TestSnapshotRestoreProperty(t *testing.T) {
 
 func TestSnapshotIsACopy(t *testing.T) {
 	// Mutating the combiner after Snapshot must not change the snapshot.
-	var c Combiner
-	c.Pop(PendingOp{LocalSeq: 1})
+	var c Combiner[testOp]
+	c.Pop(testOp{LocalSeq: 1})
 	c.Push(push(2))
 	pops, pushes := c.Snapshot()
-	c.Pop(PendingOp{LocalSeq: 3}) // combines with push 2
+	c.Pop(testOp{LocalSeq: 3}) // combines with push 2
 	c.TakeResidual()
 	if len(pops) != 1 || pops[0].LocalSeq != 1 || len(pushes) != 1 || pushes[0].LocalSeq != 2 {
 		t.Fatalf("snapshot changed under mutation: pops=%v pushes=%v", pops, pushes)
@@ -159,7 +167,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 func TestLIFOMatchingProperty(t *testing.T) {
 	// Replaying the combines against a reference stack must agree.
 	f := func(opsRaw []bool) bool {
-		var c Combiner
+		var c Combiner[testOp]
 		var ref []int64 // reference stack of unsent pushes
 		var seq int64
 		for _, isPush := range opsRaw {
@@ -169,7 +177,7 @@ func TestLIFOMatchingProperty(t *testing.T) {
 				ref = append(ref, seq)
 				continue
 			}
-			m, ok := c.Pop(PendingOp{LocalSeq: seq})
+			m, ok := c.Pop(testOp{LocalSeq: seq})
 			if len(ref) == 0 {
 				if ok {
 					return false
