@@ -45,13 +45,6 @@ type Config struct {
 	// UpdateThreshold is the number of pending join/leave requests the
 	// anchor requires before starting an update phase; default 1.
 	UpdateThreshold int
-	// AckAllPuts makes every PUT acknowledged to its issuer, not only the
-	// stack-mode ones the §VI completion wait needs. Networked members set
-	// it: an enqueue's completion is recorded at the member storing the
-	// element, so the issuing member needs the ack to resolve its client's
-	// blocking call. The simulator leaves it off (one cluster sees every
-	// completion).
-	AckAllPuts bool
 	// Shape is an optional WAN delivery profile for the simulator backend
 	// (extra per-message delay in rounds; see transport.Shape). Ignored in
 	// member mode, where the hosting server configures the TCP peer.
@@ -146,8 +139,8 @@ type Cluster struct {
 	onComplete func(seqcheck.Completion)
 	//skueue:ephemeral -- put-ack callback, rewired by the hosting layer after restore
 	onPutAck func(reqID uint64)
-	// onFire reports committed wave fires to the hosting layer (operation
-	// journal wave boundaries for exactly-once restart; see replay.go).
+	// onFire reports committed wave fires to a hosting layer replaying its
+	// operation journal after a restart (see SetOnFire, replay.go).
 	//
 	//skueue:ephemeral -- wave-fire callback, rewired by the hosting layer after restore
 	onFire func(node transport.NodeID, waveSeq int64)
@@ -178,28 +171,54 @@ func New(cfg Config) (*Cluster, error) {
 	})
 	cl.net = cl.eng
 
-	// Spawn all initial nodes, then wire the ring and the sibling edges.
-	var refs []ldb.Ref
-	sibs := make(map[int32][3]ldb.Ref)
+	// Spawn all initial nodes (sibling edges included), then wire the ring.
 	for p := 0; p < cfg.Processes; p++ {
-		proc, prefs := cl.spawnProcess()
+		proc, _ := cl.spawnProcess()
 		proc.Joining = false
-		sibs[proc.ID] = prefs
-		refs = append(refs, prefs[0], prefs[1], prefs[2])
 	}
-	ring := ldb.NewRing(refs)
+	cl.wireBootstrapRing()
+	return cl, nil
+}
+
+// bootstrapRing is the ring of the first procs processes. It is a pure
+// function of the seed — labels come from the seeded hasher, and process
+// pid's three virtual nodes live at NodeIDForProcess(pid, kind), which is
+// also what the simulator's dense spawn order hands out — so every member
+// of a networked deployment, and a harness that has started nothing,
+// derive the same one.
+func bootstrapRing(labels xrand.Hasher, procs int) *ldb.Ring {
+	refs := make([]ldb.Ref, 0, 3*procs)
+	for pid := int32(0); pid < int32(procs); pid++ {
+		l, m, r := ldb.ProcessPoints(labels, uint64(pid))
+		for k, pt := range [3]ldb.Point{ldb.Left: l, ldb.Middle: m, ldb.Right: r} {
+			refs = append(refs, ldb.Ref{ID: NodeIDForProcess(pid, ldb.Kind(k)), Point: pt, Kind: ldb.Kind(k)})
+		}
+	}
+	return ldb.NewRing(refs)
+}
+
+// wireBootstrapRing integrates the hosted bootstrap nodes: ring neighbours
+// from the bootstrap ring of cfg.Processes processes, and the anchor role
+// at its leftmost node if that one is hosted here.
+func (cl *Cluster) wireBootstrapRing() {
+	if cl.cfg.Processes < 1 {
+		return // a late joiner: its process enters through JoinRemote
+	}
+	ring := bootstrapRing(cl.labels, cl.cfg.Processes)
 	for i := 0; i < ring.Len(); i++ {
-		ref := ring.At(i)
-		n := cl.nodes[ref.ID]
+		n, ok := cl.nodes[ring.At(i).ID]
+		if !ok {
+			continue // hosted by another member
+		}
 		n.pred = ring.Pred(i)
 		n.succ = ring.Succ(i)
 		n.churn.joining = false
 		n.sibIn = [3]bool{true, true, true}
 	}
-	anchor := cl.nodes[ring.Min().ID]
-	anchor.anchorRole = true
-	anchor.ast = batch.NewAnchorState()
-	return cl, nil
+	if anchor, ok := cl.nodes[ring.Min().ID]; ok {
+		anchor.anchorRole = true
+		anchor.ast = batch.NewAnchorState()
+	}
 }
 
 // spawnProcess creates the three virtual nodes of a fresh process under
@@ -365,10 +384,12 @@ func (cl *Cluster) recordCompletion(c seqcheck.Completion) {
 func (cl *Cluster) SetOnComplete(fn func(seqcheck.Completion)) { cl.onComplete = fn }
 
 // SetOnPutAck registers a callback invoked when a PUT issued by one of
-// this cluster's nodes is acknowledged as stored. With Config.AckAllPuts
-// set this covers every enqueue, which is how a networked member resolves
-// enqueues whose completion was recorded at the storing member. The
-// callback fires on the runner goroutine and must not block.
+// this cluster's nodes is acknowledged as stored. In member mode every PUT
+// is acknowledged (the simulator acknowledges only the stack-mode ones the
+// §VI completion wait needs: one cluster sees every completion there),
+// which is how a networked member resolves enqueues whose completion was
+// recorded at the member storing the element. The callback fires on the
+// runner goroutine and must not block.
 //
 //skueue:runs-on-runner
 func (cl *Cluster) SetOnPutAck(fn func(reqID uint64)) { cl.onPutAck = fn }
@@ -625,16 +646,7 @@ func (cl *Cluster) Diagnose() []string {
 // contract, the role would die with the process — can compute the member
 // to protect without starting a cluster.
 func AnchorProcess(seed int64, procs int) int32 {
-	labels := xrand.NewHasher(seed, "labels")
-	var refs []ldb.Ref
-	for pid := int32(0); pid < int32(procs); pid++ {
-		l, m, r := ldb.ProcessPoints(labels, uint64(pid))
-		points := [3]ldb.Point{ldb.Left: l, ldb.Middle: m, ldb.Right: r}
-		for k, pt := range points {
-			refs = append(refs, ldb.Ref{ID: NodeIDForProcess(pid, ldb.Kind(k)), Point: pt, Kind: ldb.Kind(k)})
-		}
-	}
-	return int32(ldb.NewRing(refs).Min().ID) / 3
+	return int32(bootstrapRing(xrand.NewHasher(seed, "labels"), procs).Min().ID) / 3
 }
 
 // AnchorNode returns the node currently holding the anchor role.

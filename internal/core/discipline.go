@@ -57,8 +57,9 @@ type discipline interface {
 	putAcked(n *Node, reqID uint64) bool
 
 	// ackPuts is the replay/ack policy: whether a storing node must
-	// acknowledge every PUT back to its issuer even without
-	// Config.AckAllPuts (the stack's §VI wait needs it).
+	// acknowledge every PUT back to its issuer even under the simulator
+	// (the stack's §VI wait needs it); in member mode every PUT is
+	// acknowledged regardless.
 	ackPuts() bool
 
 	// drained reports that no strategy-private client state is buffered

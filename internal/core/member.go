@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"skueue/internal/batch"
 	"skueue/internal/ldb"
 	"skueue/internal/seqcheck"
 	"skueue/internal/transport"
@@ -62,37 +61,12 @@ func NewMember(cfg Config, memberIndex int32, localPids []int32, net transport.N
 		nextProc: int32(cfg.Processes),
 	}
 
-	// Compute the full bootstrap ring from the seed, spawn only our share.
-	var refs []ldb.Ref
-	for pid := int32(0); pid < int32(cfg.Processes); pid++ {
-		l, m, r := ldb.ProcessPoints(cl.labels, uint64(pid))
-		points := [3]ldb.Point{ldb.Left: l, ldb.Middle: m, ldb.Right: r}
-		for k, pt := range points {
-			kind := ldb.Kind(k)
-			refs = append(refs, ldb.Ref{ID: NodeIDForProcess(pid, kind), Point: pt, Kind: kind})
-		}
-	}
+	// Spawn only our share; the full bootstrap ring comes from the seed.
 	for _, pid := range localPids {
 		proc, _ := cl.spawnProcessAt(pid)
 		proc.Joining = false
 	}
-	if len(refs) > 0 {
-		ring := ldb.NewRing(refs)
-		for i := 0; i < ring.Len(); i++ {
-			n, ok := cl.nodes[ring.At(i).ID]
-			if !ok {
-				continue // hosted by another member
-			}
-			n.pred = ring.Pred(i)
-			n.succ = ring.Succ(i)
-			n.churn.joining = false
-			n.sibIn = [3]bool{true, true, true}
-		}
-		if anchor, ok := cl.nodes[ring.Min().ID]; ok {
-			anchor.anchorRole = true
-			anchor.ast = batch.NewAnchorState()
-		}
-	}
+	cl.wireBootstrapRing()
 	return cl, nil
 }
 

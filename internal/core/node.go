@@ -471,9 +471,9 @@ func (n *Node) takeHeldServe(ctx *transport.Context) {
 	n.serve(ctx, hs.assigns, hs.epoch, hs.from)
 }
 
-// noteFire reports a committed wave fire to the hosting layer (operation
-// journal wave boundaries). It runs only on the paths that actually send
-// or assign the batch — an undone fire (restoreOwn) must not count.
+// noteFire reports a committed wave fire to the hosting layer (restart
+// replay, SetOnFire). It runs only on the paths that actually send or
+// assign the batch — an undone fire (restoreOwn) must not count.
 func (n *Node) noteFire() {
 	if n.cl.onFire != nil {
 		n.cl.onFire(n.self.ID, n.waveSeq)
@@ -686,7 +686,7 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 			// check — and its completion recorded. Re-acknowledge: the
 			// ack, not the store, may be what the crash swallowed.
 			n.cl.logf("core: %v dropping duplicate PUT %d at pos=%d (restart replay)", n.self, m.ReqID, m.Pos)
-			if n.disc.ackPuts() || n.cl.cfg.AckAllPuts {
+			if n.disc.ackPuts() || n.cl.memberMode() {
 				ctx.Send(m.Requester, putAck{ReqID: m.ReqID})
 			}
 			return
@@ -702,7 +702,7 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 			Value: m.Value, Born: m.Born, Done: ctx.Now(), ReqID: m.ReqID,
 			Pri: m.Pri,
 		})
-		if n.disc.ackPuts() || n.cl.cfg.AckAllPuts {
+		if n.disc.ackPuts() || n.cl.memberMode() {
 			ctx.Send(m.Requester, putAck{ReqID: m.ReqID})
 		}
 		for _, rel := range released {
@@ -895,3 +895,10 @@ func (n *Node) IsAnchor() bool { return n.anchorRole }
 // AnchorState returns a copy of the anchor's position window (valid only
 // on the anchor).
 func (n *Node) AnchorState() batch.AnchorState { return n.ast }
+
+// WaveSeq returns how many waves the node has fired and committed: an
+// operation injected now rides the fire after this one, which is what a
+// durable host records with the operation so that a restart can put it back
+// into that wave. Between fires the counter is exact (an undone fire takes
+// its increment back before its task ends). Runner goroutine only.
+func (n *Node) WaveSeq() int64 { return n.waveSeq }

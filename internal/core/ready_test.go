@@ -69,7 +69,7 @@ func TestReadinessNeedsOneTickPerWave(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Processes, cfg.Seed, cfg.AckAllPuts = 2, 7, true
+			cfg.Processes, cfg.Seed = 2, 7
 			net := newMemNet(t)
 			cl, err := NewMember(cfg, 0, []int32{0, 1}, net)
 			if err != nil {
@@ -110,7 +110,7 @@ func TestReadinessNeedsOneTickPerWave(t *testing.T) {
 // stage 4 held it back (stack: a push awaiting its put-ack) fires the
 // moment the ack ungates it, not at the next tick.
 func TestReadinessFiresOnUngate(t *testing.T) {
-	cfg := Config{Mode: batch.Stack, DisableLocalCombining: true, Processes: 2, Seed: 7, AckAllPuts: true}
+	cfg := Config{Mode: batch.Stack, DisableLocalCombining: true, Processes: 2, Seed: 7}
 	net := newMemNet(t)
 	cl, err := NewMember(cfg, 0, []int32{0, 1}, net)
 	if err != nil {

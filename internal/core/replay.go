@@ -115,9 +115,10 @@ func (cl *Cluster) AdvanceReqSeq(seq uint64) {
 
 // SetOnFire registers a callback invoked on the runner goroutine every
 // time a local node fires a wave (Stage 1 transfer W -> B), after the
-// wave's composition is fixed. The hosting layer uses it to place wave
-// boundaries in its operation journal and to feed held-back re-submitted
-// operations into the wave they originally rode in.
+// wave's composition is fixed and with the node's new WaveSeq; nil removes
+// it. A restarted host installs one for the duration of its journal replay,
+// to feed held-back re-submitted operations into the wave they originally
+// rode in.
 //
 //skueue:runs-on-runner
 func (cl *Cluster) SetOnFire(fn func(node transport.NodeID, waveSeq int64)) { cl.onFire = fn }

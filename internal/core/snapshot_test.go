@@ -89,7 +89,7 @@ func (m *memNet) drain(cl *Cluster, maxRounds int) {
 // the restored member both preserves the old state (elements, history)
 // and keeps serving new operations consistently.
 func TestMemberSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{Processes: 2, Seed: 7, AckAllPuts: true}
+	cfg := Config{Processes: 2, Seed: 7}
 	net1 := newMemNet(t)
 	cl, err := NewMember(cfg, 0, []int32{0, 1}, net1)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestMemberSnapshotRoundTrip(t *testing.T) {
 // survive the gob round trip and the restored member must complete the
 // buffered operations exactly once.
 func TestMemberSnapshotStackRoundTrip(t *testing.T) {
-	cfg := Config{Processes: 2, Seed: 11, Mode: batch.Stack, AckAllPuts: true}
+	cfg := Config{Processes: 2, Seed: 11, Mode: batch.Stack}
 	net1 := newMemNet(t)
 	cl, err := NewMember(cfg, 0, []int32{0, 1}, net1)
 	if err != nil {

@@ -64,7 +64,6 @@ func (s *Server) coreConfig(procs int) core.Config {
 		Mode:            s.mode,
 		HeapLevels:      s.cfg.HeapLevels,
 		UpdateThreshold: s.cfg.UpdateThreshold,
-		AckAllPuts:      true,
 	}
 }
 

@@ -23,9 +23,8 @@ import (
 type durability interface {
 	// Staging — runner goroutine. A release runs with nil once its record
 	// is durable, or with the storage failure if it never will be.
-	noteFire(node transport.NodeID, wave int64)
 	appendSession(sess string)
-	appendOp(node transport.NodeID, reqID uint64, isDeq bool, pri int32, value []byte, sess string, cliSeq uint64, release journalRelease)
+	appendOp(op journalRecord, release journalRelease)
 	appendDone(reqID uint64, done wire.CliDone, release journalRelease)
 
 	// The sequence lease: coverSeq reports whether a request sequence may
@@ -56,9 +55,8 @@ type durability interface {
 // nil, the sequence lease always covers, and outbound frames never wait.
 type volatile struct{}
 
-func (volatile) noteFire(transport.NodeID, int64) {}
-func (volatile) appendSession(string)             {}
-func (volatile) appendOp(_ transport.NodeID, _ uint64, _ bool, _ int32, _ []byte, _ string, _ uint64, release journalRelease) {
+func (volatile) appendSession(string) {}
+func (volatile) appendOp(_ journalRecord, release journalRelease) {
 	release.run(nil)
 }
 func (volatile) appendDone(_ uint64, _ wire.CliDone, release journalRelease) {
@@ -377,7 +375,7 @@ func (s *Server) finalSnapshot() error {
 // combiner residual, next boot epoch. Journaled client operations the
 // snapshot does not cover are re-submitted under their original request
 // IDs — buffered ones before the transport starts, the rest when their
-// node re-fires the wave boundary they followed — so the re-executed
+// node re-fires the wave their record names — so the re-executed
 // interval reproduces the crashed incarnation's waves and every
 // mid-flight operation completes exactly once. With Config.Join set it
 // announces its current address through the seed's rejoin handshake so
@@ -413,6 +411,7 @@ func (s *Server) startRestore(disk *diskSnapshot, journalRecs []journalRecord) e
 		waves[img.Self.ID] = img.WaveSeq
 	}
 	s.plan = buildReplayPlan(journalRecs, disk.Member.ReqSeq, waves)
+	s.cl.SetOnFire(s.noteFire)
 	for _, e := range disk.Peer.Recv {
 		if e.Index != disk.Member.Index {
 			s.replayPeers = append(s.replayPeers, e.Index)

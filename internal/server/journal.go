@@ -23,19 +23,16 @@ import (
 // operations injected at this member, whose submitting sessions die with
 // the process. The journal records exactly that missing input stream:
 //
-//   - an op record (request ID, node, kind, value) is staged just before
-//     an operation is injected — ahead of every outcome record the
+//   - an op record (request ID, node, wave, kind, value) is staged just
+//     before an operation is injected — ahead of every outcome record the
 //     injection can cause, and durable before any CliDone for it can be
-//     released to the client;
+//     released to the client. The wave is the injection node's fire count
+//     at submit (core.Node.WaveSeq): the operation rode the fire after it,
+//     and that is all a restart needs to put it back there — a member
+//     journals nothing per wave, idle or busy;
 //   - a done record (request ID, outcome) is appended when an operation
 //     completes — durable before its CliDone frame is released, so a
-//     confirmed outcome always survives a crash;
-//   - a fire record (node, wave sequence) marks a wave boundary. Markers
-//     are written lazily — buffered in memory at each fire, staged ahead
-//     of the next op record of that node — so an idle member journals
-//     nothing per wave. A marker therefore precedes that op record in the
-//     file and is durable whenever the op record is, which is exactly the
-//     ordering the restart replay needs.
+//     confirmed outcome always survives a crash.
 //
 // # Group commit
 //
@@ -68,12 +65,13 @@ import (
 //
 // On restart the records with a member-local sequence beyond the
 // snapshot's ReqSeq are re-submitted under their ORIGINAL request IDs
-// (core.Cluster.Inject), partitioned by the fire markers so each
-// operation re-enters the exact wave it originally rode in: the re-fired
-// waves then reproduce the crashed incarnation's batches bit for bit,
-// the replayed serves line up, and the receiver-side request-ID dedupe
-// (core, replay.go) collapses every re-sent effect onto the original —
-// neither dropping nor double-applying an operation.
+// (core.Cluster.Inject), each when its node has re-fired the wave its
+// record names, so it re-enters the exact wave it originally rode in
+// (buildReplayPlan): the re-fired waves then reproduce the crashed
+// incarnation's batches bit for bit, the replayed serves line up, and the
+// receiver-side request-ID dedupe (core, replay.go) collapses every
+// re-sent effect onto the original — neither dropping nor double-applying
+// an operation.
 //
 // Records are framed individually ([4-byte length][self-contained gob
 // body]) so a crash mid-append leaves a recognizable torn tail, and the
@@ -106,25 +104,27 @@ import (
 // ceiling (diskSnapshot.SeqCeiling), and any lease record the compaction
 // drops is at or below the ceiling of the snapshot that justified it.
 
-// Journal record kinds.
+// Journal record kinds. Kind 3 is no longer written: journals up to PR 14
+// filed a per-node fire marker ahead of an op record instead of the wave
+// inside it, and buildReplayPlan still reads those.
 const (
-	recOp      = 1
-	recDone    = 2
-	recFire    = 3
-	recLease   = 4
-	recSession = 5
+	recOp         = 1
+	recDone       = 2
+	recLegacyFire = 3
+	recLease      = 4
+	recSession    = 5
 )
 
 // journalRecord is one journal entry; Kind selects which fields matter.
 type journalRecord struct {
 	Kind    uint8
 	ReqID   uint64           // op, done
-	Node    transport.NodeID // op, fire
+	Node    transport.NodeID // op: the node it was injected at
 	IsDeq   bool             // op
 	Pri     int32            // op (enqueue priority level, heap mode)
 	Value   []byte           // op (enqueue payload)
 	Done    wire.CliDone     // done
-	Wave    int64            // fire
+	Wave    int64            // op: fires Node had committed at submit; the op rode the next one
 	Ceiling uint64           // lease: request sequences below it may be issued
 	// Sess names the durable client session a record belongs to: the
 	// session's own record (recSession, staged ahead of its first op) and
@@ -179,9 +179,9 @@ type opJournal struct {
 	delay time.Duration // hold a batch open this long to accumulate (0: flush when idle)
 
 	// mu guards the staging side: the batch buffer, the parked releases,
-	// the fire-marker bookkeeping, the lifecycle flags and the logical
-	// length. Staging never performs I/O, so appendOp/appendDone return
-	// immediately regardless of what the disk is doing.
+	// the lifecycle flags and the logical length. Staging never performs
+	// I/O, so appendOp/appendDone return immediately regardless of what the
+	// disk is doing.
 	//
 	//skueue:lock 44
 	mu sync.Mutex
@@ -207,14 +207,6 @@ type opJournal struct {
 	//
 	//skueue:guarded-by mu
 	logical int64
-	// Lazily flushed wave boundaries: lastFire is the newest committed
-	// fire per node (in memory only), lastMark the newest marker value
-	// actually staged for the node.
-	//
-	//skueue:guarded-by mu
-	lastFire map[transport.NodeID]int64
-	//skueue:guarded-by mu
-	lastMark map[transport.NodeID]int64
 	// The sequence lease (see the package comment): request sequences
 	// below leaseDurable are safe to issue — a ceiling at or above them
 	// is on stable storage — and leasePending is the highest ceiling
@@ -268,14 +260,12 @@ func openJournal(dir string, fresh bool, delay time.Duration) (*opJournal, error
 		return nil, err
 	}
 	j := &opJournal{
-		dir:      dir,
-		delay:    delay,
-		f:        f,
-		durable:  st.Size(),
-		logical:  st.Size(),
-		lastFire: make(map[transport.NodeID]int64),
-		lastMark: make(map[transport.NodeID]int64),
-		wake:     make(chan struct{}, 1),
+		dir:     dir,
+		delay:   delay,
+		f:       f,
+		durable: st.Size(),
+		logical: st.Size(),
+		wake:    make(chan struct{}, 1),
 	}
 	j.wg.Add(1)
 	go j.writerLoop()
@@ -341,50 +331,28 @@ func encodeRecord(rec *journalRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// noteFire records a committed wave boundary in memory; appendOp stages
-// it ahead of the next operation of that node.
-func (j *opJournal) noteFire(node transport.NodeID, wave int64) {
-	j.mu.Lock()
-	if wave > j.lastFire[node] {
-		j.lastFire[node] = wave
-	}
-	j.mu.Unlock()
-}
-
-// appendOp stages one accepted client operation — any pending fire marker
-// of its node first, preserving the boundary-before-op file order — and
+// appendOp stages one accepted client operation — op carries its identity,
+// content and wave; for an operation submitted through a durable session
+// also the session and its per-session sequence, both zero otherwise — and
 // parks release on the batch. It must be called before the operation is
 // injected, in the same runner task: no CliDone for the operation — or for
-// a partner its injection completes — can then be staged ahead of it. For
-// an operation submitted through a durable session, sess and cliSeq carry
-// the session's identity and the operation's per-session sequence; both
-// are zero for ephemeral operations.
-func (j *opJournal) appendOp(node transport.NodeID, reqID uint64, isDeq bool, pri int32, value []byte, sess string, cliSeq uint64, release journalRelease) {
+// a partner its injection completes — can then be staged ahead of it, and
+// no fire can separate the wave read from the injection.
+func (j *opJournal) appendOp(op journalRecord, release journalRelease) {
 	j.mu.Lock()
 	if err := j.unusableLocked(); err != nil {
 		j.mu.Unlock()
 		release.run(err)
 		return
 	}
-	var frames []byte
-	if lf := j.lastFire[node]; lf != j.lastMark[node] {
-		b, err := encodeRecord(&journalRecord{Kind: recFire, Node: node, Wave: lf})
-		if err != nil {
-			j.mu.Unlock()
-			release.run(err)
-			return
-		}
-		frames = append(frames, b...)
-		j.lastMark[node] = lf
-	}
-	b, err := encodeRecord(&journalRecord{Kind: recOp, ReqID: reqID, Node: node, IsDeq: isDeq, Pri: pri, Value: value, Sess: sess, CliSeq: cliSeq})
+	op.Kind = recOp
+	b, err := encodeRecord(&op)
 	if err != nil {
 		j.mu.Unlock()
 		release.run(err)
 		return
 	}
-	frames = append(frames, b...)
-	j.stageLocked(frames, release)
+	j.stageLocked(b, release)
 }
 
 // appendSession stages a durable session's record. The server stages it
@@ -658,12 +626,11 @@ func (j *opJournal) writeBatch(buf []byte) error {
 // goroutine, so reading it inside the capture's DoSync makes it a precise
 // cut: every record before it belongs to an operation the snapshot's core
 // image covers (op and done records carry sequences at or below the
-// captured ReqSeq, and fire markers precede some covered op record,
-// putting their wave at or below the captured per-node WaveSeq). Staged
-// records before the cut need no durability of their own — once the
-// snapshot is durable they are covered by it, and truncatePrefix runs a
-// barrier before it copies, so the boundary is durable by the time the
-// file is rewritten.
+// captured ReqSeq; session and lease records are captured as
+// diskSnapshot.Sessions and SeqCeiling in the same task). Staged records
+// before the cut need no durability of their own — once the snapshot is
+// durable they are covered by it, and truncatePrefix runs a barrier before
+// it copies, so the boundary is durable by the time the file is rewritten.
 func (j *opJournal) offset() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -809,7 +776,7 @@ func readJournal(path string) ([]journalRecord, error) {
 
 // replayPlan partitions the journal records a snapshot does not cover
 // into the re-submission schedule of a restart: operations grouped by
-// the wave boundary they followed, per node, in journal (= original
+// the wave their record names, per node, in journal (= original
 // injection) order, plus the journaled outcomes for divergence auditing.
 type replayPlan struct {
 	// immediate ops are re-submitted before the transport starts: they
@@ -824,36 +791,41 @@ type replayPlan struct {
 	outcomes map[uint64]wire.CliDone
 }
 
-// heldGroup is a run of operations awaiting their wave boundary.
+// heldGroup is a run of operations awaiting the fire of wave afterWave.
 type heldGroup struct {
 	afterWave int64
 	ops       []journalRecord
 }
 
-// buildReplayPlan scans records in file order against the snapshot's
-// coverage: ops with sequence <= coveredSeq live inside the snapshot's
-// node images and are skipped; markers at or below the snapshotted wave
-// of their node reduce to "before the first post-restore fire".
+// buildReplayPlan files the records against the snapshot's coverage: ops
+// with sequence <= coveredSeq live inside the snapshot's node images and are
+// skipped; an op whose node had, by the snapshot, already fired the wave the
+// record names was buffered at the cut and is immediate; the rest are held
+// for that fire.
 func buildReplayPlan(recs []journalRecord, coveredSeq uint64, waves map[transport.NodeID]int64) *replayPlan {
 	plan := &replayPlan{
 		held:     make(map[transport.NodeID][]heldGroup),
 		outcomes: make(map[uint64]wire.CliDone),
 	}
-	lastMarker := make(map[transport.NodeID]int64)
+	// Reader-side shim for a state directory written before op records
+	// carried their wave (see recLegacyFire): such an op (Wave == 0) follows
+	// the last marker of its node. Journals written since hold no markers,
+	// and an op with Wave == 0 is one of a node that had never fired.
+	legacyMarker := make(map[transport.NodeID]int64)
 	for i := range recs {
 		rec := recs[i]
 		switch rec.Kind {
-		case recFire:
-			if rec.Wave <= waves[rec.Node] {
-				rec.Wave = 0 // covered by the snapshot: not a boundary
-			}
-			lastMarker[rec.Node] = rec.Wave
+		case recLegacyFire:
+			legacyMarker[rec.Node] = rec.Wave
 		case recOp:
 			if core.ReqIDSeq(rec.ReqID) <= coveredSeq {
 				continue
 			}
-			after := lastMarker[rec.Node]
+			after := rec.Wave
 			if after == 0 {
+				after = legacyMarker[rec.Node]
+			}
+			if after <= waves[rec.Node] {
 				plan.immediate = append(plan.immediate, rec)
 				continue
 			}

@@ -44,7 +44,7 @@ func durably(t *testing.T, j *opJournal, what string, rel *error) {
 func syncAppendOp(t *testing.T, j *opJournal, node transport.NodeID, id uint64, isDeq bool, value []byte) {
 	t.Helper()
 	var got error
-	j.appendOp(node, id, isDeq, 0, value, "", 0, func(err error) { got = err })
+	j.appendOp(journalRecord{Node: node, ReqID: id, IsDeq: isDeq, Value: value}, func(err error) { got = err })
 	durably(t, j, "appendOp", &got)
 }
 
@@ -54,53 +54,6 @@ func syncAppendDone(t *testing.T, j *opJournal, id uint64, done wire.CliDone) {
 	var got error
 	j.appendDone(id, done, func(err error) { got = err })
 	durably(t, j, "appendDone", &got)
-}
-
-// TestJournalRoundTripAndMarkers pins the lazy wave-boundary discipline:
-// a fire marker is not written on its own, but is staged ahead of the
-// next operation record of its node — so an idle member journals nothing
-// per wave, yet every operation is preceded by the newest boundary it
-// follows.
-func TestJournalRoundTripAndMarkers(t *testing.T) {
-	dir := t.TempDir()
-	j := openTestJournal(t, dir, true)
-
-	nodeA, nodeB := transport.NodeID(3), transport.NodeID(4)
-	syncAppendOp(t, j, nodeA, reqID(1), false, []byte("v1"))
-	j.noteFire(nodeA, 7) // boundary, deferred
-	j.noteFire(nodeB, 9) // boundary of another node, also deferred
-	syncAppendOp(t, j, nodeA, reqID(2), true, nil)
-	// A second op of the same node must NOT repeat the marker.
-	syncAppendOp(t, j, nodeA, reqID(3), false, []byte("v3"))
-	syncAppendDone(t, j, reqID(1), wire.CliDone{ReqID: reqID(1)})
-	j.close()
-
-	recs, err := readJournal(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var kinds []uint8
-	for _, r := range recs {
-		kinds = append(kinds, r.Kind)
-	}
-	want := []uint8{recOp, recFire, recOp, recOp, recDone}
-	if len(kinds) != len(want) {
-		t.Fatalf("journal has %d records (%v), want %v", len(kinds), kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("record %d kind = %d, want %d (%v)", i, kinds[i], want[i], kinds)
-		}
-	}
-	if recs[1].Node != nodeA || recs[1].Wave != 7 {
-		t.Fatalf("marker = node %d wave %d, want node %d wave 7", recs[1].Node, recs[1].Wave, nodeA)
-	}
-	// nodeB's boundary was never followed by an op: no marker for it.
-	for _, r := range recs {
-		if r.Kind == recFire && r.Node == nodeB {
-			t.Fatalf("idle node %d leaked a fire marker", nodeB)
-		}
-	}
 }
 
 // TestJournalTornTail verifies a crash mid-append costs only the torn
@@ -148,7 +101,7 @@ func TestJournalGroupCommitReleasesInOrder(t *testing.T) {
 	node := transport.NodeID(3)
 	for i := uint64(1); i <= n; i++ {
 		id := reqID(i)
-		j.appendOp(node, id, false, 0, []byte("v"), "", 0, func(err error) {
+		j.appendOp(journalRecord{Node: node, ReqID: id, Value: []byte("v")}, func(err error) {
 			got <- fired{seq: id, err: err}
 		})
 	}
@@ -188,7 +141,7 @@ func TestJournalBarrierForcesFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.close()
-	j.appendOp(3, reqID(1), false, 0, []byte("v"), "", 0, nil)
+	j.appendOp(journalRecord{Node: 3, ReqID: reqID(1), Value: []byte("v")}, nil)
 	logical := j.offset()
 	j.wmu.Lock()
 	durable := j.durable
@@ -231,7 +184,7 @@ func TestJournalTornBatchTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		frames = append(frames, len(b))
-		j.appendOp(node, reqID(i), false, 0, value, "", 0, nil)
+		j.appendOp(journalRecord{Node: node, ReqID: reqID(i), Value: value}, nil)
 	}
 	// All three are still one staged batch (huge delay, cap not reached);
 	// the barrier flushes them as a single write+fsync.
@@ -330,23 +283,13 @@ func TestJournalCompactionDoesNotBlockAppends(t *testing.T) {
 	}
 }
 
-// TestReplayPlanGrouping pins the re-submission schedule: snapshot-covered
-// records are skipped, ops with no post-snapshot boundary are immediate,
-// and held groups release strictly in order as their node's waves re-fire.
-func TestReplayPlanGrouping(t *testing.T) {
+// checkReplayPlan asserts the one re-submission schedule both record tables
+// below describe, against a snapshot covering sequences <= 6 and wave 12 of
+// nodeA: seq 5 skipped, seq 7 immediate, seqs 8 and 9 held for wave 13,
+// seq 10 for wave 14; outcomes audited for seq 7 only.
+func checkReplayPlan(t *testing.T, recs []journalRecord) {
+	t.Helper()
 	nodeA := transport.NodeID(3)
-	recs := []journalRecord{
-		{Kind: recOp, Node: nodeA, ReqID: reqID(5)},                     // covered by snapshot (seq <= 6)
-		{Kind: recFire, Node: nodeA, Wave: 10},                          // covered boundary (wave <= 12)
-		{Kind: recOp, Node: nodeA, ReqID: reqID(7), Value: []byte("i")}, // post-cut, before any live boundary
-		{Kind: recFire, Node: nodeA, Wave: 13},
-		{Kind: recOp, Node: nodeA, ReqID: reqID(8)},
-		{Kind: recOp, Node: nodeA, ReqID: reqID(9)},
-		{Kind: recFire, Node: nodeA, Wave: 14},
-		{Kind: recOp, Node: nodeA, ReqID: reqID(10), IsDeq: true},
-		{Kind: recDone, ReqID: reqID(7), Done: wire.CliDone{ReqID: reqID(7)}},
-		{Kind: recDone, ReqID: reqID(5), Done: wire.CliDone{ReqID: reqID(5)}}, // covered
-	}
 	plan := buildReplayPlan(recs, 6, map[transport.NodeID]int64{nodeA: 12})
 
 	if len(plan.immediate) != 1 || plan.immediate[0].ReqID != reqID(7) {
@@ -380,6 +323,46 @@ func TestReplayPlanGrouping(t *testing.T) {
 	}
 }
 
+// TestReplayPlanGrouping pins the re-submission schedule: snapshot-covered
+// records are skipped, ops whose wave the snapshotted node had already
+// fired are immediate, and held groups release strictly in order as their
+// node's waves re-fire.
+func TestReplayPlanGrouping(t *testing.T) {
+	nodeA := transport.NodeID(3)
+	checkReplayPlan(t, []journalRecord{
+		{Kind: recOp, Node: nodeA, ReqID: reqID(5), Wave: 9},                      // covered by snapshot (seq <= 6)
+		{Kind: recOp, Node: nodeA, ReqID: reqID(7), Wave: 10, Value: []byte("i")}, // post-cut, buffered at it (wave <= 12)
+		{Kind: recOp, Node: nodeA, ReqID: reqID(8), Wave: 13},
+		{Kind: recOp, Node: nodeA, ReqID: reqID(9), Wave: 13},
+		{Kind: recOp, Node: nodeA, ReqID: reqID(10), Wave: 14, IsDeq: true},
+		{Kind: recDone, ReqID: reqID(7), Done: wire.CliDone{ReqID: reqID(7)}},
+		{Kind: recDone, ReqID: reqID(5), Done: wire.CliDone{ReqID: reqID(5)}}, // covered
+	})
+}
+
+// TestReplayPlanReadsMarkerJournals: a state directory written before op
+// records carried their wave must still restart. Its journal interleaves
+// per-node fire markers (kind 3) with op records that name no wave; the
+// reader-side shim in buildReplayPlan has to file them exactly as the
+// writer of that format did — covered boundaries reduce to "buffered at
+// the cut", uncovered ones hold their ops for the re-fire.
+func TestReplayPlanReadsMarkerJournals(t *testing.T) {
+	nodeA, nodeB := transport.NodeID(3), transport.NodeID(4)
+	checkReplayPlan(t, []journalRecord{
+		{Kind: recOp, Node: nodeA, ReqID: reqID(5)},                     // covered by snapshot (seq <= 6)
+		{Kind: recLegacyFire, Node: nodeA, Wave: 10},                    // covered boundary (wave <= 12)
+		{Kind: recLegacyFire, Node: nodeB, Wave: 40},                    // another node's boundary decides nothing here
+		{Kind: recOp, Node: nodeA, ReqID: reqID(7), Value: []byte("i")}, // post-cut, before any live boundary
+		{Kind: recLegacyFire, Node: nodeA, Wave: 13},
+		{Kind: recOp, Node: nodeA, ReqID: reqID(8)},
+		{Kind: recOp, Node: nodeA, ReqID: reqID(9)},
+		{Kind: recLegacyFire, Node: nodeA, Wave: 14},
+		{Kind: recOp, Node: nodeA, ReqID: reqID(10), IsDeq: true},
+		{Kind: recDone, ReqID: reqID(7), Done: wire.CliDone{ReqID: reqID(7)}},
+		{Kind: recDone, ReqID: reqID(5), Done: wire.CliDone{ReqID: reqID(5)}}, // covered
+	})
+}
+
 // TestJournalCompact verifies offset compaction drops everything before a
 // capture boundary, keeps the suffix byte-identical, and leaves the
 // journal appendable — including across a close/reopen (the restart
@@ -389,7 +372,6 @@ func TestJournalCompact(t *testing.T) {
 	j := openTestJournal(t, dir, true)
 	nodeA := transport.NodeID(3)
 	syncAppendOp(t, j, nodeA, reqID(1), false, nil)
-	j.noteFire(nodeA, 5)
 	// A snapshot capture happens here: its boundary covers seq 1.
 	boundary := j.offset()
 	syncAppendOp(t, j, nodeA, reqID(2), false, nil)
@@ -421,9 +403,9 @@ func TestJournalCompact(t *testing.T) {
 	for _, r := range recs {
 		got = append(got, fmt.Sprintf("%d:%d", r.Kind, r.ReqID&(1<<40-1)))
 	}
-	// Seq 1's record is gone; the post-boundary suffix (marker flushed
-	// ahead of seq 2, seq 2's op and done) plus both later appends remain.
-	want := []string{"3:0", "1:2", "2:2", "1:3", "2:3"}
+	// Seq 1's record is gone; the post-boundary suffix (seq 2's op and
+	// done) plus both later appends remain.
+	want := []string{"1:2", "2:2", "1:3", "2:3"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("compacted journal holds %v, want %v", got, want)
 	}
@@ -525,12 +507,12 @@ func TestJournalDiscardFailsParkedReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := transport.NodeID(3)
-	j.appendOp(node, reqID(1), false, 0, []byte("flushed"), "", 0, nil)
+	j.appendOp(journalRecord{Node: node, ReqID: reqID(1), Value: []byte("flushed")}, nil)
 	if err := j.barrier(); err != nil {
 		t.Fatal(err)
 	}
 	relErr := make(chan error, 1)
-	j.appendOp(node, reqID(2), false, 0, []byte("staged"), "", 0, func(err error) { relErr <- err })
+	j.appendOp(journalRecord{Node: node, ReqID: reqID(2), Value: []byte("staged")}, func(err error) { relErr <- err })
 	j.discard()
 	if err := <-relErr; err == nil {
 		t.Fatal("parked release of a discarded record reported success")
@@ -545,8 +527,9 @@ func TestJournalDiscardFailsParkedReleases(t *testing.T) {
 }
 
 // TestJournalSessionRecordsRoundTrip pins the durable-session records:
-// a session record carries its ID, a session op record carries both the
-// session and the per-session sequence, and all of it survives a reload.
+// a session record carries its ID, a session op record carries the
+// session, the per-session sequence and (like every op record) the node
+// and wave it was injected at, and all of it survives a reload.
 // A journal holding only session records (no ops or outcomes) must not
 // trip the fresh-boot refusal — nothing client-visible can be lost.
 func TestJournalSessionRecordsRoundTrip(t *testing.T) {
@@ -555,7 +538,7 @@ func TestJournalSessionRecordsRoundTrip(t *testing.T) {
 	node := transport.NodeID(3)
 	j.appendSession("sess-a")
 	var got error
-	j.appendOp(node, reqID(1), false, 0, []byte("v1"), "sess-a", 7, func(err error) { got = err })
+	j.appendOp(journalRecord{Node: node, ReqID: reqID(1), Wave: 9, Value: []byte("v1"), Sess: "sess-a", CliSeq: 7}, func(err error) { got = err })
 	durably(t, j, "session appendOp", &got)
 	syncAppendDone(t, j, reqID(1), wire.CliDone{ReqID: reqID(1), Seq: 7})
 	j.close()
@@ -577,8 +560,8 @@ func TestJournalSessionRecordsRoundTrip(t *testing.T) {
 	if content[0].Kind != recSession || content[0].Sess != "sess-a" {
 		t.Fatalf("session record = %+v, want Sess sess-a", content[0])
 	}
-	if content[1].Kind != recOp || content[1].Sess != "sess-a" || content[1].CliSeq != 7 {
-		t.Fatalf("op record = %+v, want Sess sess-a CliSeq 7", content[1])
+	if op := content[1]; op.Kind != recOp || op.Sess != "sess-a" || op.CliSeq != 7 || op.Node != node || op.Wave != 9 {
+		t.Fatalf("op record = %+v, want Sess sess-a CliSeq 7 Node %d Wave 9", op, node)
 	}
 	if content[2].Kind != recDone || content[2].Done.Seq != 7 {
 		t.Fatalf("done record = %+v, want Done.Seq 7", content[2])

@@ -6,16 +6,37 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"skueue"
+	"skueue/internal/transport"
 )
+
+// JournalBatchEnv reads the SKUEUE_JOURNAL_BATCH_DELAY override the CI
+// fault-injection matrix sets to run the restart and lifecycle tests with
+// group commit holding batches open, so kills land on staged-but-unsynced
+// records (see .github/workflows/ci.yml). Zero keeps the server default.
+// Exported for the tests in package server_test.
+func JournalBatchEnv(t *testing.T) time.Duration {
+	t.Helper()
+	v := os.Getenv("SKUEUE_JOURNAL_BATCH_DELAY")
+	if v == "" {
+		return 0
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		t.Fatalf("SKUEUE_JOURNAL_BATCH_DELAY=%q: %v", v, err)
+	}
+	return d
+}
 
 // loopbackCluster boots a members-strong loopback cluster at the given
 // tick; with a state root every member is durable (its state directory is
-// returned) and snapshots at the given cadence.
+// returned), snapshots at the given cadence and holds its journal batches
+// open as long as SKUEUE_JOURNAL_BATCH_DELAY says (JournalBatchEnv).
 func loopbackCluster(t *testing.T, members int, mode string, tick time.Duration, stateRoot string, snapEvery time.Duration) ([]*Server, []string) {
 	t.Helper()
 	lis := make([]net.Listener, members)
@@ -33,7 +54,7 @@ func loopbackCluster(t *testing.T, members int, mode string, tick time.Duration,
 		cfg := Config{Listener: lis[i], Seed: 42, Mode: mode, Index: i, Members: addrs, Tick: tick}
 		if stateRoot != "" {
 			dirs[i] = filepath.Join(stateRoot, fmt.Sprintf("m%d", i))
-			cfg.StateDir, cfg.SnapshotEvery = dirs[i], snapEvery
+			cfg.StateDir, cfg.SnapshotEvery, cfg.JournalBatchDelay = dirs[i], snapEvery, JournalBatchEnv(t)
 		}
 		s, err := New(cfg)
 		if err != nil {
@@ -100,6 +121,81 @@ func combinedPairJournaled(t *testing.T, dir, value string) bool {
 			value, popOp, pushDone, popDone)
 	}
 	return true
+}
+
+// TestJournalShape: what N operations through an otherwise idle durable
+// member leave in its journal — N op records and N done records, the lease
+// records, and nothing per wave however many waves fired meanwhile — and
+// each op record names the fire count its node had when the operation was
+// submitted: no lower than the count read before the client sent it, and
+// below the count read after it completed (it rode a later fire).
+func TestJournalShape(t *testing.T) {
+	// No periodic snapshot: nothing compacts the journal under the test.
+	srvs, dirs := loopbackCluster(t, 2, "queue", time.Millisecond, t.TempDir(), time.Hour)
+	owner := srvs[1]
+	var node transport.NodeID
+	owner.peer.DoSync(func() { node = owner.cl.Client(owner.cl.LocalProcs()[0]) })
+	waveSeq := func() (w int64) {
+		owner.peer.DoSync(func() {
+			n, _ := owner.cl.Node(node)
+			w = n.WaveSeq()
+		})
+		return w
+	}
+	c, err := skueue.Open(skueue.WithRemote(owner.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	const ops = 20
+	var before, after [ops]int64
+	for i := 0; i < ops; i++ {
+		before[i] = waveSeq()
+		if i%2 == 0 {
+			err = c.Enqueue(ctx, fmt.Sprintf("v-%d", i))
+		} else {
+			_, _, err = c.Dequeue(ctx)
+		}
+		if err != nil {
+			t.Fatalf("operation %d: %v", i, err)
+		}
+		after[i] = waveSeq()
+		time.Sleep(3 * time.Millisecond) // idle waves between operations
+	}
+	owner.Kill() // no final snapshot, no compaction
+
+	recs, err := readJournal(filepath.Join(dirs[1], journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opRecs []journalRecord
+	dones := 0
+	for _, rec := range recs {
+		switch rec.Kind {
+		case recOp:
+			opRecs = append(opRecs, rec)
+		case recDone:
+			dones++
+		case recLease:
+		default:
+			t.Errorf("journal holds a record of kind %d: %+v", rec.Kind, rec)
+		}
+	}
+	if len(opRecs) != ops || dones != ops {
+		t.Fatalf("journal holds %d op and %d done records, want %d of each", len(opRecs), dones, ops)
+	}
+	if after[ops-1] < 2*ops {
+		t.Fatalf("node %d fired only %d waves under %d operations: the member was not idling between them", node, after[ops-1], ops)
+	}
+	for i, rec := range opRecs { // blocking operations: file order is submission order
+		if rec.Node != node || rec.Wave < before[i] || rec.Wave >= after[i] {
+			t.Errorf("op record %d names node %d after wave %d, want node %d and a wave in [%d, %d)",
+				i, rec.Node, rec.Wave, node, before[i], after[i])
+		}
+	}
 }
 
 // ledger is the test's own account of every element: what it put in, what

@@ -150,19 +150,21 @@ type firedWave struct {
 	own  []uint64
 }
 
-// TestJournalOrderUnderReadiness guards the ordering hazard readiness
-// firing must not open. submit injects an operation and THEN stages its
-// op record; appendOp files the node's pending fire marker ahead of the
-// next op. Were a wave to fire inside the inject call — the moment its
-// input arrived — the marker of the very wave that carried the operation
-// would precede the operation in ops.journal, and a restart would
-// re-submit it one wave late, diverging from the shape the peers hold.
+// TestJournalOrderUnderReadiness guards the hazard readiness firing must
+// not open. submit reads the injection node's fire counter, stages the op
+// record carrying it and injects, in one runner task; a restart re-submits
+// the operation once the node has re-fired that many waves. Were a wave to
+// fire between the read and the inject — the moment an input arrived — the
+// operation would ride a later wave than its record names, and the replay
+// would put it into an earlier one than the shape the peers hold.
 // Readiness is evaluated only between runner tasks, so it cannot.
 func TestJournalOrderUnderReadiness(t *testing.T) {
 	t.Run("FileOrder", func(t *testing.T) {
 		// No periodic snapshot: nothing compacts the journal under the test.
 		srvs, dirs := loopbackCluster(t, 3, "queue", coarseTick, t.TempDir(), time.Hour)
 		owner := srvs[1]
+		// A member that replays nothing installs no fire callback of its
+		// own, so the test's is the only one.
 		var fires []firedWave
 		owner.peer.DoSync(func() {
 			owner.cl.SetOnFire(func(node transport.NodeID, wave int64) {
@@ -180,7 +182,6 @@ func TestJournalOrderUnderReadiness(t *testing.T) {
 					}
 				}
 				fires = append(fires, fw)
-				owner.noteFire(node, wave)
 			})
 		})
 		c, err := skueue.Open(skueue.WithRemote(owner.Addr()))
@@ -218,29 +219,27 @@ func TestJournalOrderUnderReadiness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opAt := make(map[uint64]int)
-		for i, rec := range recs {
+		opRec := make(map[uint64]journalRecord)
+		for _, rec := range recs {
 			if rec.Kind == recOp {
-				opAt[rec.ReqID] = i
+				opRec[rec.ReqID] = rec
 			}
 		}
 		const ops = 50
-		if len(opAt) != ops {
-			t.Fatalf("journal holds %d op records, want %d", len(opAt), ops)
+		if len(opRec) != ops {
+			t.Fatalf("journal holds %d op records, want %d", len(opRec), ops)
 		}
 		carried := 0
 		for _, fw := range fires {
 			for _, reqID := range fw.own {
 				carried++
-				at, ok := opAt[reqID]
+				rec, ok := opRec[reqID]
 				if !ok {
 					t.Fatalf("op %d rode wave %d of node %d but has no op record", reqID, fw.wave, fw.node)
 				}
-				for i := 0; i < at; i++ {
-					if m := recs[i]; m.Kind == recFire && m.Node == fw.node && m.Wave >= fw.wave {
-						t.Fatalf("op %d rode wave %d of node %d, but the marker of wave %d precedes its record (records %d < %d): a restart would replay it a wave late",
-							reqID, fw.wave, fw.node, m.Wave, i, at)
-					}
+				if rec.Node != fw.node || rec.Wave != fw.wave-1 {
+					t.Fatalf("op %d rode wave %d of node %d, but its record names node %d after wave %d: a restart would replay it into wave %d",
+						reqID, fw.wave, fw.node, rec.Node, rec.Wave, rec.Wave+1)
 				}
 			}
 		}

@@ -14,23 +14,6 @@ import (
 	"skueue/internal/server"
 )
 
-// journalBatchEnv reads the SKUEUE_JOURNAL_BATCH_DELAY override the CI
-// fault-injection matrix sets to run the restart tests with group commit
-// holding batches open, so kills land on staged-but-unsynced records (see
-// .github/workflows/ci.yml). Zero keeps the server default.
-func journalBatchEnv(t *testing.T) time.Duration {
-	t.Helper()
-	v := os.Getenv("SKUEUE_JOURNAL_BATCH_DELAY")
-	if v == "" {
-		return 0
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		t.Fatalf("SKUEUE_JOURNAL_BATCH_DELAY=%q: %v", v, err)
-	}
-	return d
-}
-
 // debugLogf returns a prefixed transport logger when SKUEUE_TEST_DEBUG is
 // set, for diagnosing recovery wedges; nil otherwise.
 func debugLogf(tag string) func(string, ...any) {
@@ -56,7 +39,7 @@ func startDurableCluster(t *testing.T, members int) ([]*server.Server, []string)
 		lis[i] = l
 		addrs[i] = l.Addr().String()
 	}
-	batchDelay := journalBatchEnv(t)
+	batchDelay := server.JournalBatchEnv(t)
 	srvs := make([]*server.Server, members)
 	dirs := make([]string, members)
 	for i := range srvs {
@@ -174,7 +157,7 @@ func TestMemberRestartFromSnapshot(t *testing.T) {
 
 	// Restart from the snapshot on a fresh port; the rejoin handshake
 	// through the seed re-broadcasts the new address.
-	batchDelay := journalBatchEnv(t)
+	batchDelay := server.JournalBatchEnv(t)
 	restarted, err := server.New(server.Config{
 		Addr:              "127.0.0.1:0",
 		Join:              srvs[0].Addr(),
@@ -263,7 +246,7 @@ func startStackCluster(t *testing.T, members int) ([]*server.Server, []string) {
 		lis[i] = l
 		addrs[i] = l.Addr().String()
 	}
-	batchDelay := journalBatchEnv(t)
+	batchDelay := server.JournalBatchEnv(t)
 	srvs := make([]*server.Server, members)
 	dirs := make([]string, members)
 	for i := range srvs {
@@ -441,7 +424,7 @@ hunt:
 	}
 	time.Sleep(300 * time.Millisecond)
 
-	batchDelay := journalBatchEnv(t)
+	batchDelay := server.JournalBatchEnv(t)
 	restarted, err := server.New(server.Config{
 		Addr:              "127.0.0.1:0",
 		Join:              srvs[0].Addr(),

@@ -542,12 +542,10 @@ func (s *Server) Diagnose() []string {
 	return out
 }
 
-// wireCallbacks connects completion and ack events to the in-flight table,
-// and wave fires to the operation journal. All callbacks run on the
-// transport's runner goroutine.
+// wireCallbacks connects completion and ack events to the in-flight table.
+// All callbacks run on the transport's runner goroutine.
 func (s *Server) wireCallbacks() {
 	s.cl.SetLogf(s.logf)
-	s.cl.SetOnFire(s.noteFire)
 	myTag := uint64(s.peer.Me().Index + 1)
 	s.cl.SetOnComplete(func(c seqcheck.Completion) {
 		if core.ReqIDMember(c.ReqID) != myTag {
@@ -574,22 +572,13 @@ func (s *Server) wireCallbacks() {
 	})
 }
 
-// noteFire files a committed wave fire of a local node: the boundary goes
-// to the journal (written lazily, ahead of the node's next op record) and
-// a restart plan releases the operations that originally followed it.
-//
-// The boundary-before-op file order is only right if no fire can happen
-// between an operation's appendOp and its injection — the marker of the
-// wave that carried the operation would otherwise be filed behind it,
-// and a restart would replay it one wave early. submit does both inside
-// one runner task, and the transport evaluates readiness only between
-// tasks (tcp, "Execution model"), which is what keeps that window closed.
+// noteFire is the wave-fire callback of a member replaying a restart
+// plan (startRestore installs it, submit removes it once the replay has
+// converged; no other member hears of its fires): the journaled operations
+// held for this fire are re-submitted, into the wave they originally rode.
 func (s *Server) noteFire(node transport.NodeID, wave int64) {
-	s.dur.noteFire(node, wave)
-	if s.plan != nil {
-		for _, rec := range s.plan.take(node, wave) {
-			s.cl.Inject(rec.Node, rec.op())
-		}
+	for _, rec := range s.plan.take(node, wave) {
+		s.cl.Inject(rec.Node, rec.op())
 	}
 }
 
@@ -929,8 +918,9 @@ func (s *Server) serveClient(conn *wire.Conn, hello wire.Hello) {
 // the runner goroutine: police the flavour, dedupe a session's
 // re-presented operation, wait out a restart replay, reserve the request
 // ID (core.Cluster.NextReqID — no side effect), check the sequence lease
-// for it, register the operation in flight, stage its session and op
-// records, inject it under the reserved ID. resolve takes it from there
+// for it, read the wave it will ride off the injection node, register the
+// operation in flight, stage its session and op records, inject it under
+// the reserved ID. resolve takes it from there
 // when the completion arrives. Completions run on the runner too, and the
 // one that can fire synchronously inside the inject itself (a stack pop
 // combined on the spot with a buffered push, which completes both) finds
@@ -1009,6 +999,7 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 				return
 			}
 			s.replayConverged = true
+			s.cl.SetOnFire(nil)
 			s.logf("server[%d]: restart replay converged; admitting fresh client operations",
 				s.peer.Me().Index)
 		}
@@ -1031,33 +1022,40 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 			})
 			return
 		}
+		// The op record names the wave the operation rides: the fire after
+		// the ones the node has committed. Reading the counter in the task
+		// that injects is what makes it exact — the transport evaluates
+		// readiness between tasks (tcp, "Execution model"), so no fire can
+		// fall between this read and the Inject below.
+		op := journalRecord{ReqID: reqID, Node: node, IsDeq: !enq, Pri: pri, Value: value}
+		if n, ok := s.cl.Node(node); ok {
+			op.Wave = n.WaveSeq()
+		}
 		// In flight before the op record: the record's release can fire on
 		// the journal writer as soon as it is staged, and a failed append
 		// must find the entry to answer it. A session's own record goes
 		// ahead of its first op record, so a restart knows the session
 		// existed even before any outcome was retained in a snapshot.
 		w := inflight{conn: sess, seq: seq}
-		var sessID string
-		var sessSeq uint64
 		firstOp := false
 		s.mu.Lock()
 		if sd != nil {
 			w = inflight{sd: sd, seq: seq}
 			sd.ops[seq] = reqID
-			sessID, sessSeq, firstOp = sd.id, seq, !sd.journaled
+			op.Sess, op.CliSeq, firstOp = sd.id, seq, !sd.journaled
 			sd.journaled = true
 		}
 		s.ops[reqID] = w
 		s.mu.Unlock()
 		if firstOp {
-			s.dur.appendSession(sessID)
+			s.dur.appendSession(op.Sess)
 		}
-		s.dur.appendOp(node, reqID, !enq, pri, value, sessID, sessSeq, func(err error) {
+		s.dur.appendOp(op, func(err error) {
 			if err != nil {
 				s.opFailed(reqID, err)
 			}
 		})
-		s.cl.Inject(node, core.Op{ReqID: reqID, IsDeq: !enq, Pri: pri, Blob: value})
+		s.cl.Inject(node, op.op())
 	})
 }
 

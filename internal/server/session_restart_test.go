@@ -77,7 +77,7 @@ func TestSessionSurvivesMemberRestart(t *testing.T) {
 	t.Logf("killing session owner %d with %d futures in flight", victim, len(futures))
 	srvs[victim].Kill()
 
-	batchDelay := journalBatchEnv(t)
+	batchDelay := server.JournalBatchEnv(t)
 	restarted, err := server.New(server.Config{
 		Addr:              "127.0.0.1:0",
 		Join:              srvs[0].Addr(),

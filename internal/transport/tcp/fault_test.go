@@ -260,23 +260,15 @@ func TestIdleLinkReplaysAfterReset(t *testing.T) {
 	}
 }
 
-// TestGiveUpNotifiesOnDown checks fail-stop detection: a member that
-// stays unreachable past Options.GiveUp is reported through OnDown
-// instead of stalling its senders silently forever.
-func TestGiveUpNotifiesOnDown(t *testing.T) {
+// expectGiveUp runs a peer whose book lists member 1 at addr, sends it a
+// frame, and requires OnDown(1) within ten seconds of a 150 ms GiveUp.
+func expectGiveUp(t *testing.T, addr, why string) {
+	t.Helper()
 	lis0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis0.Close()
-	// Reserve an address with nobody listening behind it.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
 	var downs atomic.Int32
 	p0 := New(Options{
 		Index: 0, Addr: lis0.Addr().String(), Pids: []int32{0}, Seed: 1,
@@ -289,7 +281,7 @@ func TestGiveUpNotifiesOnDown(t *testing.T) {
 		},
 	})
 	defer p0.Close()
-	p0.SetBook([]wire.MemberInfo{{Index: 1, Addr: deadAddr, Pids: []int32{1}}})
+	p0.SetBook([]wire.MemberInfo{{Index: 1, Addr: addr, Pids: []int32{1}}})
 	p0.Register(0, &echoNode{})
 	p0.Start()
 	p0.Do(func() { p0.Send(0, 3, "ping") })
@@ -298,8 +290,45 @@ func TestGiveUpNotifiesOnDown(t *testing.T) {
 	for downs.Load() == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("OnDown never fired for the unreachable member")
+			t.Fatalf("OnDown never fired for %s", why)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
+}
+
+// TestGiveUpNotifiesOnDown checks fail-stop detection: a member that
+// stays unreachable past Options.GiveUp is reported through OnDown
+// instead of stalling its senders silently forever.
+func TestGiveUpNotifiesOnDown(t *testing.T) {
+	// Reserve an address with nobody listening behind it.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	expectGiveUp(t, deadAddr, "the unreachable member")
+}
+
+// TestGiveUpFiresOnSilentPeer: a member whose address accepts connections
+// but never answers the Hello — a wedged process, a listener backlog with
+// nobody behind it — is as unreachable as one that refuses them. The
+// handshake is bounded like the connect, so the link keeps cycling through
+// dial, backoff and give-up instead of sitting in one Read forever.
+func TestGiveUpFiresOnSilentPeer(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	go func() {
+		for {
+			nc, err := silent.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { nc.Close() }) // held open, never read, never answered
+		}
+	}()
+	expectGiveUp(t, silent.Addr().String(), "a member that accepts and stays silent")
 }

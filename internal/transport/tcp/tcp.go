@@ -30,14 +30,14 @@
 // from the last missing child, a serve, an acknowledgment that ungates a
 // node or a client injection moves the wave at once, and an operation
 // costs tree and DHT hops rather than ticks. The pass runs between tasks,
-// never inside one: a closure that injects an operation and then records
-// it (the server's journal) finishes before the wave carrying the
-// operation can fire. The ticker (Options.Tick) keeps the three jobs the
-// paper gives TIMEOUT: liveness — an idle node sends its empty batch on
-// its tick and only then, so an idle cluster runs one wave per tick
-// instead of spinning at loopback speed; the churn clock; and Now(), the
-// count of ticks completions are stamped with, which a readiness pass
-// never advances.
+// never inside one: a closure that reads a node's fire counter, records
+// it and injects an operation (the server's submit, which journals the
+// wave an operation will ride) sees no wave fire in between. The ticker
+// (Options.Tick) keeps the three jobs the paper gives TIMEOUT: liveness —
+// an idle node sends its empty batch on its tick and only then, so an idle
+// cluster runs one wave per tick instead of spinning at loopback speed;
+// the churn clock; and Now(), the count of ticks completions are stamped
+// with, which a readiness pass never advances.
 //
 // # Delivery guarantees
 //
@@ -1247,6 +1247,10 @@ func (p *Peer) runLink(l *link) {
 	}
 }
 
+// dialTimeout bounds one connection attempt of dial: the TCP connect, and
+// then the Hello exchange on the connection it produced.
+const dialTimeout = 2 * time.Second
+
 // dial establishes a connection to member l.idx, performing the Hello
 // exchange. It retries until it succeeds or the peer shuts down, firing
 // the give-up notification each time Options.GiveUp elapses without a
@@ -1271,11 +1275,16 @@ func (p *Peer) dial(l *link) (*wire.Conn, uint64) {
 		p.mu.Unlock()
 		if addr == "" {
 			p.opts.Logf("tcp[%d]: no address for member %d yet", p.opts.Index, l.idx)
-		} else if nc, err := net.DialTimeout("tcp", addr, 2*time.Second); err == nil {
+		} else if nc, err := net.DialTimeout("tcp", addr, dialTimeout); err == nil {
+			// The handshake gets the bound the connect had: a peer that
+			// accepts and never answers must cost one attempt, not pin this
+			// goroutine in Read past every backoff and give-up.
+			nc.SetDeadline(time.Now().Add(dialTimeout))
 			conn := wire.NewConn(nc)
 			if err := conn.Write(wire.Hello{Kind: "peer", Me: p.Me(), Book: p.Book(), Boot: p.opts.Boot}); err == nil {
 				if ack, err := conn.Read(); err == nil {
 					if ha, ok := ack.(wire.HelloAck); ok {
+						nc.SetDeadline(time.Time{})
 						p.SetBook(ha.Book)
 						// Reverse path: acknowledgments and book pushes.
 						go p.drainControl(conn, l)
