@@ -758,6 +758,11 @@ type Metrics struct {
 	BatchesSent   int64
 	MaxBatchRuns  int
 	WavesAssigned int64
+	// EmptyWaves and Declines tell how often a node stood idle instead of
+	// reporting an empty batch; both are zero under the simulator, where
+	// every node reports every round.
+	EmptyWaves    int64
+	Declines      int64
 	UpdatePhases  int64
 	ParkedGets    int64
 	CombinedOps   int64
@@ -781,6 +786,8 @@ func (c *Client) Metrics() Metrics {
 		BatchesSent:   m.BatchesSent,
 		MaxBatchRuns:  m.MaxBatchRuns,
 		WavesAssigned: m.WavesAssigned,
+		EmptyWaves:    m.EmptyWaves,
+		Declines:      m.Declines,
 		UpdatePhases:  m.UpdatePhases,
 		ParkedGets:    m.ParkedGets,
 		CombinedOps:   m.CombinedOps,

@@ -77,7 +77,7 @@ func main() {
 		snapEv     = flag.Duration("snapshot-every", 250*time.Millisecond, "write-ahead snapshot cadence (with -state)")
 		batchDelay = flag.Duration("journal-batch-delay", 0, "hold a journal batch open this long, or until 64 ops are staged, before the fsync (0: flush when idle)")
 		giveUp     = flag.Duration("give-up", 0, "declare an unreachable member dead after this long (0: wait forever)")
-		tick       = flag.Duration("tick", time.Millisecond, "protocol TIMEOUT cadence: liveness fallback, churn clock and the unit operation rounds are counted in; waves fire when their inputs arrive, so latency is about one tick plus hops, not a tick per tree level")
+		tick       = flag.Duration("tick", time.Millisecond, "protocol TIMEOUT cadence: the first wave, the churn clock and the unit operation rounds are counted in; waves fire when they carry work and an idle cluster is silent, so latency is hops, not ticks")
 		wanLatency = flag.Duration("wan-latency", 0, "WAN shaping: base one-way delay added to inbound peer frames")
 		wanJitter  = flag.Duration("wan-jitter", 0, "WAN shaping: uniform extra delay in [0, jitter)")
 		wanLoss    = flag.Float64("wan-loss", 0, "WAN shaping: per-attempt loss probability in [0, 1), charged as retransmission delay")

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"skueue"
+	"skueue/internal/core"
 	"skueue/internal/server"
 )
 
@@ -401,6 +402,90 @@ func confKillRestart(t *testing.T, m confMode) {
 			t.Fatalf("stalled enqueue %d failed: %v", i, err)
 		}
 	}
+
+	// Two more kills of the same member, for what standing adds to an
+	// image: after 40 idle ticks (every node of it idle on disk), and with
+	// enqueues in flight through a session pinned to it (for the stack, whose
+	// stage-4 wait holds declines back, usually with an image cut between a
+	// serve and the decline answering it; internal/core makes that cut for
+	// all three). Each enqueue resolves across the restarts.
+	restart := func() *server.Server {
+		s, err := server.New(server.Config{
+			Addr: "127.0.0.1:0", Join: addrs[0],
+			StateDir:      dirs[victim],
+			SnapshotEvery: time.Hour, // the image on disk is the one cut below
+			Tick:          500 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatalf("restarting member %d again: %v", victim, err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	cv, err := skueue.Open(
+		skueue.WithRemote(restarted.Addr()),
+		skueue.WithSession("standing-"+m.name),
+		skueue.WithDialTimeout(2*time.Second),
+		skueue.WithReconnect(200, 50*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cv.Close()
+	var standing []*skueue.Future
+	push := func() {
+		t.Helper()
+		v := fmt.Sprintf("standing-%d", len(standing))
+		f, err := confEnqueueAsync(cv, confPri(len(standing), m.levels), v)
+		if err != nil {
+			t.Fatalf("enqueue %s: %v", v, err)
+		}
+		enqueued[v] = true
+		standing = append(standing, f)
+	}
+	settle := func() {
+		t.Helper()
+		for i, f := range standing {
+			if err := f.Wait(ctx); err != nil {
+				t.Fatalf("enqueue standing-%d did not survive the restart: %v", i, err)
+			}
+		}
+	}
+	snapshot := func(s *server.Server) core.SnapshotStats {
+		for s.SnapshotNow() != nil {
+			if ctx.Err() != nil {
+				t.Fatal("no snapshot")
+			}
+		}
+		_, stats := s.SnapshotInfo()
+		return stats
+	}
+	push()
+	settle()
+	time.Sleep(20 * time.Millisecond)
+	if stats := snapshot(restarted); stats.IdleNodes != 3 || stats.ServedNodes != 0 {
+		t.Fatalf("image after 40 idle ticks: %d nodes idle, %d served; want all three idle", stats.IdleNodes, stats.ServedNodes)
+	}
+	restarted.Kill()
+	restarted = restart()
+	push()
+	settle()
+	caught := false
+	for deadline := time.Now().Add(3 * time.Second); !caught && time.Now().Before(deadline); {
+		for i := 0; i < 4; i++ {
+			push()
+		}
+		for attempt := 0; attempt < 8 && !caught; attempt++ {
+			if restarted.SnapshotNow() == nil {
+				_, stats := restarted.SnapshotInfo()
+				caught = stats.ServedNodes > 0
+			}
+		}
+	}
+	t.Logf("killing with enqueues in flight; image cut between a serve and its decline: %v", caught)
+	restarted.Kill()
+	restarted = restart()
+	settle()
 
 	// Exactly-once: everything still in the structure comes out once,
 	// then ⊥, with the full enqueued set accounted for.

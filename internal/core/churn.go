@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"skueue/internal/batch"
@@ -105,10 +106,13 @@ type churnState struct {
 	lastEpoch int64
 
 	// Update phase (§IV-A).
-	updatePhase    bool
-	epoch          int64
-	pold           transport.NodeID
-	acksLeft       int
+	updatePhase bool
+	epoch       int64
+	pold        transport.NodeID
+	acksLeft    int
+	// handed lists the children handed the epoch outside the flagged wave;
+	// until the phase ends their batches are returned, not buffered.
+	handed         []transport.NodeID
 	introAcksLeft  int
 	integrationRun bool
 	phaseDone      bool
@@ -291,6 +295,7 @@ func (c *churnState) enterUpdatePhase(ctx *transport.Context, from transport.Nod
 	c.lastEpoch = epoch
 	c.pold = from
 	c.acksLeft = 0
+	c.handed = nil
 	c.introAcksLeft = 0
 	c.integrationRun = false
 	c.phaseDone = false
@@ -311,6 +316,62 @@ func (c *churnState) enterUpdatePhase(ctx *transport.Context, from transport.Nod
 			c.heldQueries = append(c.heldQueries, q)
 		}
 	}
+}
+
+// handEpochDown hands an update phase to the children the flagged serve
+// does not reach by itself. A node the wave served (outside false) has sent
+// that serve to every child in the wave; a child that had declined — idle
+// still, or woken since — was not in it and gets the epoch in a serve of its
+// own, answering no batch. A node handed the epoch that way (outside true,
+// see acceptEpoch) was not in the wave at all, so none of its children was:
+// each is handed it in turn, which is how a phase reaches every node of an
+// idle subtree. Whoever is handed the epoch owes an updateAck like a child
+// in the wave.
+//
+// §IV-A relies on no batch being in flight during a phase: under Algorithm 1
+// every batch is in the flagged wave and answered by it. A child handed the
+// epoch may have woken and sent one that is not; it is returned to its
+// sender, like a joiner's, and resubmitted after the phase — carried across
+// it, a relayed joiner's share could end up below the joiner's new place in
+// the tree and wait for itself. The phase rebuilds the tree, so every
+// standing from before it is dropped: afterwards each node is active and the
+// first wave runs under Algorithm 1 again.
+func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []subBatch, outside bool) {
+	for _, k := range n.children() {
+		if _, declined := n.idleKids[k.ID]; !declined && !outside {
+			continue
+		}
+		if !slices.ContainsFunc(inWave, func(sb subBatch) bool { return sb.From == k.ID }) {
+			ctx.Send(k.ID, serveMsg{UpdateEpoch: c.epoch})
+			c.acksLeft++
+			c.handed = append(c.handed, k.ID)
+		}
+	}
+	n.standing, n.idleKids = active, nil
+	c.returnBatches(ctx, n)
+}
+
+// returnBatches sends the waiting sub-batches of children that were handed
+// the epoch back to them (see handEpochDown).
+func (c *churnState) returnBatches(ctx *transport.Context, n *Node) {
+	keep := n.waiting[:0]
+	for _, w := range n.waiting {
+		if slices.Contains(c.handed, w.From) {
+			ctx.Send(w.From, rejectBatch{B: w.B})
+		} else {
+			keep = append(keep, w)
+		}
+	}
+	n.waiting = keep
+}
+
+// acceptEpoch enters an update phase at a node the flagged wave did not
+// include: it is the serve of an empty wave, with nothing to decompose. If
+// the node has woken since it declined, its parent returns the batch.
+func (n *Node) acceptEpoch(ctx *transport.Context, from transport.NodeID, epoch int64) {
+	n.churn.enterUpdatePhase(ctx, from, epoch, nil)
+	n.churn.handEpochDown(ctx, n, nil, true)
+	n.churn.startIntegration(ctx, n)
 }
 
 // startIntegration begins this node's update-phase duties right after the
@@ -499,6 +560,7 @@ func (c *churnState) exitUpdatePhase() {
 	c.updatePhase = false
 	c.pold = transport.None
 	c.acksLeft = 0
+	c.handed = nil
 	c.introAcksLeft = 0
 	c.integrationRun = false
 	c.phaseDone = false
@@ -537,10 +599,12 @@ func (c *churnState) tick(ctx *transport.Context, n *Node) {
 }
 
 // drainedForLeave reports whether all client-attributed state has flushed
-// through normal waves, so the replacement never carries foreign requests.
+// through normal waves, so the replacement never carries foreign requests,
+// and whether the parent has heard from the node since it last declined:
+// the replacement is a new node the parent must wait for, not an idle one.
 func (n *Node) drainedForLeave() bool {
 	return len(n.pending) == 0 && n.disc.drained(n) && n.inBatch == nil &&
-		len(n.pendingGets) == 0
+		len(n.pendingGets) == 0 && n.standing != idle
 }
 
 // handleChurn processes churn control messages; it reports whether the
@@ -648,6 +712,7 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		n.inBatch = nil
 		n.inOwn = ownWave{}
 		n.restoreOwn(own, kids)
+		c.returnBatches(ctx, n)
 	case leavePermissionReq:
 		c.grantsPending = append(c.grantsPending, m.From)
 	case leaveGrant:

@@ -66,6 +66,13 @@ type Metrics struct {
 	BatchesSent   int64
 	MaxBatchRuns  int
 	WavesAssigned int64
+	// EmptyWaves counts the reports Algorithm 1 would have exchanged and
+	// work-driven firing did not: one per fire and child that stood idle
+	// (an empty aggregate up and its serve down, each time). Declines
+	// counts the frames that bought them. Both stay zero on a backend that
+	// never offers the readiness hook — no simulated node ever stands idle.
+	EmptyWaves    int64
+	Declines      int64
 	UpdatePhases  int64
 	ParkedGets    int64
 	CombinedOps   int64
@@ -139,11 +146,11 @@ type Cluster struct {
 	onComplete func(seqcheck.Completion)
 	//skueue:ephemeral -- put-ack callback, rewired by the hosting layer after restore
 	onPutAck func(reqID uint64)
-	// onFire reports committed wave fires to a hosting layer replaying its
-	// operation journal after a restart (see SetOnFire, replay.go).
+	// onFire reports committed wave fires to a hosting layer that logs them
+	// and replays the log after a restart (see SetOnFire, replay.go).
 	//
 	//skueue:ephemeral -- wave-fire callback, rewired by the hosting layer after restore
-	onFire func(node transport.NodeID, waveSeq int64)
+	onFire func(node transport.NodeID, waveSeq int64, folded []FoldedWaveImage)
 	//skueue:ephemeral -- logger, rewired via SetLogf after restore
 	log func(format string, args ...any)
 }
@@ -610,8 +617,9 @@ func (cl *Cluster) TreeHeight() int {
 }
 
 // Diagnose reports, for every live node that has not fired its current
-// wave, which children it is still waiting for — the first tool to reach
-// for when a wave stalls.
+// wave, which children it is still waiting for (children standing idle are
+// not waited for) — the first tool to reach for when a wave stalls. A
+// cluster with nothing to do reports nothing.
 func (cl *Cluster) Diagnose() []string {
 	var out []string
 	for _, n := range cl.nodes {
@@ -626,7 +634,7 @@ func (cl *Cluster) Diagnose() []string {
 		}
 		var missing []string
 		for _, k := range n.children() {
-			if !n.hasWaitingFrom(k.ID) {
+			if !n.hasWaitingFrom(k.ID) && !n.standsIdle(k.ID) {
 				missing = append(missing, k.String())
 			}
 		}

@@ -31,10 +31,12 @@ type discipline interface {
 
 	// Stage 1: bufferOp absorbs one locally generated operation (it may
 	// complete immediately against buffered state — stack combining),
-	// takeOwn drains buffered operations into the node's wave
+	// buffered reports whether any wait for the next wave, takeOwn drains
+	// buffered operations into the node's wave
 	// contribution, and restoreOwn undoes a takeOwn whose fire could not
 	// proceed (rare churn corner).
 	bufferOp(n *Node, op Op)
+	buffered(n *Node) bool
 	takeOwn(n *Node) ownWave
 	restoreOwn(n *Node, own ownWave)
 
@@ -140,6 +142,8 @@ type fifoDisc struct{ modeDisc }
 
 func (fifoDisc) bufferOp(n *Node, op Op) { n.pending = append(n.pending, op) }
 
+func (fifoDisc) buffered(n *Node) bool { return len(n.pending) > 0 }
+
 func (fifoDisc) restoreOwn(n *Node, own ownWave) { n.pending = append(own.ops, n.pending...) }
 
 func (fifoDisc) gated(*Node) bool               { return false }
@@ -216,6 +220,10 @@ func (d *stackDisc) bufferOp(n *Node, op Op) {
 	}
 }
 
+func (d *stackDisc) buffered(n *Node) bool {
+	return len(n.pending) > 0 || !d.combiner.Empty()
+}
+
 func (d *stackDisc) takeOwn(n *Node) ownWave {
 	if !d.combining(n) {
 		return drainPending(n)
@@ -227,17 +235,26 @@ func (d *stackDisc) takeOwn(n *Node) ownWave {
 	}
 }
 
+// restoreOwn puts an unsent wave back in front of whatever was buffered
+// since it was taken: the returned word comes first in program order, so the
+// newer operations are buffered again behind it, and a newer pop meets a
+// returned push exactly as it would have had the wave never been taken.
 func (d *stackDisc) restoreOwn(n *Node, own ownWave) {
 	if !d.combining(n) {
 		n.pending = append(own.ops, n.pending...)
 		return
 	}
-	for _, op := range own.ops {
-		if op.IsDeq {
-			d.combiner.RestorePop(op)
-		} else {
-			d.combiner.RestorePush(op)
-		}
+	newerPops, newerPushes := d.combiner.TakeResidual()
+	pops := 0
+	for pops < len(own.ops) && own.ops[pops].IsDeq {
+		pops++
+	}
+	d.combiner.Restore(own.ops[:pops], own.ops[pops:])
+	for _, op := range newerPops {
+		d.bufferOp(n, op)
+	}
+	for _, op := range newerPushes {
+		d.bufferOp(n, op)
 	}
 }
 

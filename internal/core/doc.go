@@ -28,8 +28,10 @@
 // the stack combiner, the in-flight wave and the member snapshot hold;
 // Enqueue and Dequeue are "inject under NextReqID" for hostless callers.
 //
-// Node (node.go) is the per-node state machine: TIMEOUT fires the wave
-// stages of Algorithms 1–2 — buffered operations fold into batches
+// Node (node.go) is the per-node state machine: TIMEOUT — and, on a backend
+// that offers the readiness hook, the arrival of work, with nodes that have
+// none standing idle in between — fires the wave stages of Algorithms 1–2:
+// buffered operations fold into batches
 // (Stage 1, internal/batch), the anchor assigns position intervals
 // (Stage 2), assignments decompose back down the aggregation tree
 // (Stage 3), and the resulting PUTs and GETs route over the overlay into

@@ -23,11 +23,23 @@ type aggregateMsg struct {
 // serveMsg carries decomposed run assignments one hop down the aggregation
 // tree (Stage 3, Algorithm 2: SERVE), echoing the aggregateMsg's WaveSeq.
 // A non-zero UpdateEpoch signals the start of that update phase (§IV): no
-// node may send new batches until the phase ends.
+// node may send new batches until the phase ends. With WaveSeq zero (no
+// aggregate ever carries it) the serve answers no batch: it hands the
+// epoch to a child the flagged wave did not include (Node.acceptEpoch).
 type serveMsg struct {
 	Assigns     []batch.RunAssign
 	UpdateEpoch int64
 	WaveSeq     int64
+}
+
+// declineMsg answers a serve in place of the next (empty) aggregate: the
+// sender has been served through wave WaveSeq, holds nothing, and every
+// child of its own stands idle. Until its next aggregateMsg arrives the
+// parent takes the sender's share of every wave as empty (Node.idleKids).
+// Only the readiness hook sends it, so the simulator never sees one.
+type declineMsg struct {
+	From    ldb.Ref
+	WaveSeq int64
 }
 
 // routedMsg wraps a payload travelling over the LDB towards the node

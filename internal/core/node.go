@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"skueue/internal/batch"
@@ -62,6 +63,23 @@ type heldServe struct {
 	epoch   int64
 }
 
+// standing is where a node stands with its parent between two waves.
+type standing uint8
+
+const (
+	// active: the node owes its parent a report, so TIMEOUT fires its next
+	// wave whether or not it carries anything — Algorithm 1 as printed.
+	// Every node starts here, returns here whenever its place in the tree
+	// may have changed, and under the simulator never leaves.
+	active standing = iota
+	// served: active, and the last fire was answered by an ordinary serve
+	// with nothing happening since, so a decline may answer that serve.
+	served
+	// idle: the node declined. It fires only when it holds work, and its
+	// parent takes its share of every wave as empty until it does.
+	idle
+)
+
 // Node is one virtual node of the linearized De Bruijn network running the
 // Skueue protocol. A process emulates three of them (§II-A); each is an
 // independent transport.Handler.
@@ -110,6 +128,15 @@ type Node struct {
 	// waveSeq counts this node's wave fires; the current processing batch
 	// (inBatch != nil) carries it upward and the parent's serve echoes it.
 	waveSeq int64
+
+	// standing says whether the next wave needs this node (see standing);
+	// idleKids is the parent's side of it: the children that declined,
+	// each with the WaveSeq its decline carried. An entry holds until a
+	// newer aggregate of that child is folded (fire) or the tree is
+	// rebuilt (an update phase), and a child with one counts as "reported,
+	// empty" in the fire predicate.
+	standing standing
+	idleKids map[transport.NodeID]int64
 
 	// Stage 1: own buffered operations (queue and heap mode, and
 	// uncombined stack mode). The stack strategy's residual combiner
@@ -170,6 +197,12 @@ type Node struct {
 	// assignments this incarnation has yet to reach, so they wait here
 	// until the matching re-fire advances the counter.
 	heldServes map[int64]heldServe
+	// script (member mode only) is the crashed incarnation's fire log past
+	// the image (see Cluster.ScriptFire): per fire number, the child waves
+	// it folded. While it holds entries the node's fires repeat it, each
+	// consuming its own; an image is not cut before they have, since the
+	// log that fed the script is older than that image would be.
+	script map[int64][]FoldedWaveImage
 
 	// Churn (§IV) — see churn.go.
 	churn churnState
@@ -220,17 +253,24 @@ func (n *Node) children() []ldb.Ref {
 	return out
 }
 
-// invalidateTopology drops caches after pred/succ/sibling updates.
-func (n *Node) invalidateTopology() { n.childCacheOK = false }
+// invalidateTopology drops what was derived from the old neighbourhood
+// after pred/succ/sibling updates: the child cache, and the node's standing
+// — its parent may be another node now, one that never heard the decline.
+func (n *Node) invalidateTopology() {
+	n.childCacheOK = false
+	n.standing = active
+}
 
 // OnInit is a no-op: bootstrap wiring happens in Cluster before the run,
 // and runtime spawns (join, leave replacement) wire explicitly.
 func (n *Node) OnInit(ctx *transport.Context) {}
 
 // OnTimeout is the paper's TIMEOUT action (Algorithm 1): advance the churn
-// clock, then fire the next wave if its inputs are complete. TIMEOUT is
-// what makes a node eventually send — an idle leaf originates its (empty)
-// wave here and nowhere else.
+// clock, then fire the next wave if its inputs are complete. A node that
+// stands idle lets the tick pass unless a join or leave level is pending;
+// for every other node TIMEOUT is what makes it eventually send, empty
+// batch or not — the first wave after bootstrap and after every update
+// phase starts here, and so does every wave of the simulator.
 func (n *Node) OnTimeout(ctx *transport.Context) {
 	if n.churn.departed {
 		return
@@ -241,21 +281,25 @@ func (n *Node) OnTimeout(ctx *transport.Context) {
 
 // OnReady is the readiness hook (transport.ReadyHandler): a backend that
 // calls it after delivering inputs lets the wave move the moment its last
-// input arrived instead of at the next TIMEOUT. It is the same predicate
-// as OnTimeout with one restriction — see tryFire.
-func (n *Node) OnReady(ctx *transport.Context) { n.tryFire(ctx, false) }
+// input arrived instead of at the next TIMEOUT, and lets a node with
+// nothing to send say so once (decline) instead of sending an empty batch
+// every tick.
+func (n *Node) OnReady(ctx *transport.Context) {
+	n.tryFire(ctx, false)
+	n.decline(ctx)
+}
 
 // tryFire is the fire predicate of Algorithm 1: when the processing batch
-// is empty, stage 4 is not gated and every child contributed a sub-batch,
-// fold the waiting data into the processing batch and push it towards the
-// anchor — or, at the anchor, assign positions immediately.
+// is empty, stage 4 is not gated and every child contributed a sub-batch
+// — or stands idle, which is a standing empty contribution — fold the
+// waiting data into the processing batch and push it towards the anchor,
+// or, at the anchor, assign positions immediately.
 //
-// Off the tick (onTick false) a node without children never fires: a wave
-// is ORIGINATED by a leaf's TIMEOUT and nowhere else, so an idle cluster
-// runs one wave per tick instead of spinning at message speed, while
-// everything downstream of that leaf moves the moment its last input
-// arrived. (Clients inject at a process's Middle node, which always has
-// its Right sibling as a child.)
+// On the tick a node that does not stand idle fires whatever it has, as
+// Algorithm 1 says. Off the tick, and on the tick of an idle node, a wave
+// fires only if it carries work, so a cluster with nothing to do exchanges
+// nothing, while an operation injected anywhere moves at once: the subtrees
+// beside its path stand idle and nobody waits for their tick.
 func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.churn.departed || n.churn.updatePhase || n.churn.frozen() {
 		return
@@ -269,16 +313,83 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.stage4Gated() {
 		return
 	}
-	kids := n.children()
-	if !onTick && len(kids) == 0 {
+	if len(n.script) > 0 {
+		// Restart replay: the next fire repeats the logged one.
+		for _, f := range n.script[n.waveSeq+1] {
+			if !n.hasWaitingWave(f) {
+				return
+			}
+		}
+		n.fire(ctx)
 		return
 	}
-	for _, k := range kids {
-		if !n.hasWaitingFrom(k.ID) {
+	for _, k := range n.children() {
+		if !n.hasWaitingFrom(k.ID) && !n.standsIdle(k.ID) {
 			return
 		}
 	}
-	n.fire(ctx)
+	if n.holdsWork(onTick) || onTick && n.standing != idle {
+		n.fire(ctx)
+	}
+}
+
+// holdsWork reports whether a wave fired now would carry anything: own
+// operations, a child's sub-batch (its sender is blocked until served) or,
+// on the tick only, churn — a join/leave level, or the node's own pending
+// leave. The level rides in every batch until an update phase consumed it
+// (§IV); counted off the tick too it would re-fire the node the moment each
+// serve came back. A leaving node reports on every tick so that its parent
+// stops counting it as idle before the replacement takes its place.
+func (n *Node) holdsWork(onTick bool) bool {
+	return n.disc.buffered(n) || len(n.waiting) > 0 ||
+		onTick && (n.churn.leaving || n.churn.takeJoinCount()+n.churn.takeLeaveCount() > 0)
+}
+
+// standsIdle reports whether child id declined and has sent nothing since.
+func (n *Node) standsIdle(id transport.NodeID) bool {
+	_, ok := n.idleKids[id]
+	return ok && !n.hasWaitingFrom(id)
+}
+
+// decline answers the serve of the node's last wave when the next wave
+// would be empty all the way down: nothing buffered, nothing waiting, no
+// stage-4 wait, no churn business, every child standing idle. One frame to
+// the parent replaces an empty aggregate per tick; the anchor, having no
+// parent, just stands idle. Only the readiness hook calls it.
+func (n *Node) decline(ctx *transport.Context) {
+	if n.standing != served || n.holdsWork(false) || n.stage4Gated() || !n.churnQuiet() {
+		return
+	}
+	for _, k := range n.children() {
+		if !n.standsIdle(k.ID) {
+			return
+		}
+	}
+	n.standing = idle
+	if parent, ok := n.nb().Parent(); ok {
+		n.cl.metrics.Declines++
+		ctx.Send(parent.ID, declineMsg{From: n.self, WaveSeq: n.waveSeq})
+	}
+}
+
+// noteDecline is the parent's side of decline: remember that the child
+// stands idle, unless a newer aggregate of its is already folded or
+// waiting here — then the decline is a stale copy (a restarted child
+// re-executing its past) and the child is about to learn as much.
+func (n *Node) noteDecline(m declineMsg) {
+	id := m.From.ID
+	stale := !n.isCurrentChild(id) || m.WaveSeq < n.foldedWaves[id]
+	for _, w := range n.waiting {
+		stale = stale || w.From == id && w.WaveSeq > m.WaveSeq
+	}
+	if stale {
+		n.cl.logf("core: %v dropping stale decline of %v after wave %d", n.self, m.From, m.WaveSeq)
+		return
+	}
+	if n.idleKids == nil {
+		n.idleKids = make(map[transport.NodeID]int64)
+	}
+	n.idleKids[id] = m.WaveSeq
 }
 
 // bounceStaleWaiting returns buffered sub-batches whose senders are no
@@ -332,6 +443,15 @@ func (n *Node) hasWaitingFrom(id transport.NodeID) bool {
 	return false
 }
 
+func (n *Node) hasWaitingWave(f FoldedWaveImage) bool {
+	for _, w := range n.waiting {
+		if w.From == f.From && w.WaveSeq == f.WaveSeq {
+			return true
+		}
+	}
+	return false
+}
+
 // takeOwnOps drains the node's own buffered operations into an ownWave.
 func (n *Node) takeOwnOps() ownWave {
 	return n.disc.takeOwn(n)
@@ -343,6 +463,21 @@ func (n *Node) takeOwnOps() ownWave {
 // queue up here and must be folded one per fire, in order, to line up
 // with the serves already in flight for them.
 func (n *Node) takeWaiting() []subBatch {
+	if len(n.script) > 0 {
+		// Restart replay: exactly the child waves the logged fire folded.
+		want := n.script[n.waveSeq+1]
+		delete(n.script, n.waveSeq+1)
+		var chosen, rest []subBatch
+		for _, w := range n.waiting {
+			if slices.Contains(want, FoldedWaveImage{From: w.From, WaveSeq: w.WaveSeq}) {
+				chosen = append(chosen, w)
+			} else {
+				rest = append(rest, w)
+			}
+		}
+		n.waiting = rest
+		return chosen
+	}
 	if !n.cl.memberMode() {
 		// The simulator delivers exactly once, so a second pending wave
 		// per child is impossible (OnMessage panics): take everything,
@@ -378,6 +513,20 @@ func (n *Node) fire(ctx *transport.Context) {
 	own.B.J = n.churn.takeJoinCount()
 	own.B.L = n.churn.takeLeaveCount()
 	taken := n.takeWaiting()
+	if len(n.idleKids) > 0 {
+		// A child that sent an aggregate after its decline no longer stands
+		// idle; the others contribute their standing empty batch.
+		for _, sb := range taken {
+			if w, ok := n.idleKids[sb.From]; ok && w < sb.WaveSeq {
+				delete(n.idleKids, sb.From)
+			}
+		}
+		for _, k := range n.children() {
+			if n.standsIdle(k.ID) {
+				n.cl.metrics.EmptyWaves++
+			}
+		}
+	}
 	subs := make([]subBatch, 0, 1+len(taken))
 	subs = append(subs, subBatch{From: transport.None, B: own.B})
 	subs = append(subs, taken...)
@@ -471,12 +620,18 @@ func (n *Node) takeHeldServe(ctx *transport.Context) {
 	n.serve(ctx, hs.assigns, hs.epoch, hs.from)
 }
 
-// noteFire reports a committed wave fire to the hosting layer (restart
-// replay, SetOnFire). It runs only on the paths that actually send or
-// assign the batch — an undone fire (restoreOwn) must not count.
+// noteFire commits a wave fire: the aggregate on its way tells the parent
+// the node is active again, and the hosting layer hears of the fire
+// (restart replay, SetOnFire). It runs only on the paths that actually send
+// or assign the batch — an undone fire (restoreOwn) must not count.
 func (n *Node) noteFire() {
+	n.standing = active
 	if n.cl.onFire != nil {
-		n.cl.onFire(n.self.ID, n.waveSeq)
+		var folded []FoldedWaveImage
+		for _, sb := range n.inBatch[1:] {
+			folded = append(folded, FoldedWaveImage{From: sb.From, WaveSeq: sb.WaveSeq})
+		}
+		n.cl.onFire(n.self.ID, n.waveSeq, folded)
 	}
 }
 
@@ -515,6 +670,7 @@ func (n *Node) serve(ctx *transport.Context, assigns []batch.RunAssign, epoch in
 	own := n.inOwn
 	n.inBatch = nil
 	n.inOwn = ownWave{}
+	n.standing = served
 
 	if epoch != 0 {
 		n.churn.enterUpdatePhase(ctx, from, epoch, subs)
@@ -528,6 +684,7 @@ func (n *Node) serve(ctx *transport.Context, assigns []batch.RunAssign, epoch in
 		}
 	}
 	if epoch != 0 {
+		n.churn.handEpochDown(ctx, n, subs, false)
 		n.churn.startIntegration(ctx, n)
 	}
 }
@@ -776,6 +933,13 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 			ctx.Send(m.From.ID, rejectBatch{B: m.B})
 			return
 		}
+		if slices.Contains(n.churn.handed, m.From.ID) {
+			// Sent before the epoch this node handed the child arrived
+			// there: not part of the flagged wave, so not to be carried
+			// across the phase (see handEpochDown).
+			ctx.Send(m.From.ID, rejectBatch{B: m.B})
+			return
+		}
 		if n.cl.memberMode() && m.WaveSeq != 0 && m.WaveSeq <= n.foldedWaves[m.From.ID] {
 			// A restarted child re-sent a wave this node already folded:
 			// the original serve — sent, or still to come with this
@@ -811,7 +975,13 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 			panic(fmt.Sprintf("core: node %v got a second sub-batch from child %v within one wave", n.self, m.From))
 		}
 		n.waiting = append(n.waiting, subBatch{From: m.From.ID, B: m.B, WaveSeq: m.WaveSeq})
+	case declineMsg:
+		n.noteDecline(m)
 	case serveMsg:
+		if m.WaveSeq == 0 && m.UpdateEpoch != 0 {
+			n.acceptEpoch(ctx, from, m.UpdateEpoch)
+			return
+		}
 		if n.cl.memberMode() && m.WaveSeq != 0 && m.WaveSeq != n.waveSeq {
 			if m.WaveSeq < n.waveSeq {
 				// A serve for a wave this node already completed: around a

@@ -115,13 +115,55 @@ func (cl *Cluster) AdvanceReqSeq(seq uint64) {
 
 // SetOnFire registers a callback invoked on the runner goroutine every
 // time a local node fires a wave (Stage 1 transfer W -> B), after the
-// wave's composition is fixed and with the node's new WaveSeq; nil removes
-// it. A restarted host installs one for the duration of its journal replay,
-// to feed held-back re-submitted operations into the wave they originally
-// rode in.
+// wave's composition is fixed: the node, its new WaveSeq and the child waves
+// folded into it; nil removes it. Which child waves ride which wave is the
+// one choice a work-driven node makes that its inputs do not determine — a
+// child that wakes while its parent is busy joins this wave or the next,
+// whichever its aggregate reaches — so a host that promises exactly-once
+// across restarts logs it durably before the aggregate leaves the member
+// (ScriptFire is the other half) and, while replaying, feeds held-back
+// operations into the wave they originally rode in.
 //
 //skueue:runs-on-runner
-func (cl *Cluster) SetOnFire(fn func(node transport.NodeID, waveSeq int64)) { cl.onFire = fn }
+func (cl *Cluster) SetOnFire(fn func(node transport.NodeID, waveSeq int64, folded []FoldedWaveImage)) {
+	cl.onFire = fn
+}
+
+// ScriptFire hands a restored node one entry of the crashed incarnation's
+// fire log: its fire number waveSeq folded exactly these child waves. Until
+// the last entry is used up the node re-fires by the script alone — each
+// wave as soon as the child waves it names are here, whatever else is
+// waiting, whether or not a tick fell — so the re-fired waves decompose the
+// replayed serves exactly as the originals did. Entries at or below the node's
+// restored fire counter are inside the image and ignored. Entries come in
+// log order. Before the transport starts only.
+func (cl *Cluster) ScriptFire(node transport.NodeID, waveSeq int64, folded []FoldedWaveImage) {
+	n, ok := cl.nodes[node]
+	if !ok || waveSeq <= n.waveSeq {
+		return
+	}
+	if n.script == nil {
+		n.script = make(map[int64][]FoldedWaveImage)
+	}
+	if _, again := n.script[waveSeq]; !again {
+		// An earlier replay logged its repeat of this fire as well; the
+		// first entry is the original.
+		n.script[waveSeq] = folded
+	}
+}
+
+// ScriptedFires reports how many logged fires this member's nodes have yet
+// to repeat. Like HeldReplayServes it must reach zero before the hosting
+// layer admits fresh operations: a new operation joining a scripted wave
+// would change the batch the replayed serve was cut for. Runner goroutine
+// only.
+func (cl *Cluster) ScriptedFires() int {
+	total := 0
+	for _, n := range cl.nodes {
+		total += len(n.script)
+	}
+	return total
+}
 
 // HeldReplayServes reports how many replayed serve messages are still
 // parked for future waves across this member's nodes (Node.heldServes).

@@ -95,7 +95,8 @@ type CombinerImage struct {
 	Pushes []Op
 }
 
-// FoldedWaveImage is one entry of the per-child folded-wave cursor.
+// FoldedWaveImage is one entry of a per-child wave cursor: the folded-wave
+// cursor, or the wave a child's decline carried.
 type FoldedWaveImage struct {
 	From    transport.NodeID
 	WaveSeq int64
@@ -122,6 +123,13 @@ type NodeImage struct {
 	NextElemSeq  int64
 	NextLocalSeq int64
 	WaveSeq      int64
+	// Standing is the node's standing with its parent (active, served or
+	// idle) and IdleKids the children that declined, sorted by child. A
+	// parent restored without them would wait for reports that idle
+	// children do not send. Zero — an image from before work-driven waves —
+	// restores every node active, i.e. Algorithm 1.
+	Standing uint8
+	IdleKids []FoldedWaveImage
 
 	Pending  []Op
 	Waiting  []subBatch
@@ -201,6 +209,11 @@ type SnapshotStats struct {
 	InFlightOps int
 	// PendingGets counts GETs awaiting their reply.
 	PendingGets int
+	// IdleNodes counts nodes that have declined; ServedNodes counts nodes
+	// cut between a serve and the decline answering it (or still waiting
+	// for a child to decline first).
+	IdleNodes   int
+	ServedNodes int
 }
 
 // Stats computes the in-flight operation summary of the image.
@@ -212,13 +225,21 @@ func (s *MemberSnapshot) Stats() SnapshotStats {
 		st.CombinerPushes += len(img.Combiner.Pushes)
 		st.InFlightOps += len(img.InOwnOps)
 		st.PendingGets += len(img.Gets)
+		switch standing(img.Standing) {
+		case idle:
+			st.IdleNodes++
+		case served:
+			st.ServedNodes++
+		}
 	}
 	return st
 }
 
-// snapshottable reports whether the node's churn state is trivial enough
-// to omit from the image: anything mid-handshake refuses the snapshot.
-func (n *Node) snapshottable() bool {
+// churnQuiet reports whether the node's churn state is trivial: enough so
+// to omit it from the image (anything mid-handshake refuses the snapshot),
+// and enough for the node to stand idle (a join or leave in progress needs
+// its waves).
+func (n *Node) churnQuiet() bool {
 	c := &n.churn
 	return !c.joining && !c.leaving && !c.departed && !c.isReplacement &&
 		!c.updatePhase && !c.leaveReqSent && !c.rangeValid &&
@@ -259,7 +280,7 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		n := cl.nodes[id]
-		if !n.snapshottable() {
+		if !n.churnQuiet() {
 			return nil, fmt.Errorf("%w: node %v mid-churn", ErrNotQuiescent, n.self)
 		}
 		if len(n.heldServes) > 0 {
@@ -268,6 +289,12 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			// snapshot taken now could release the ack and lose the serve
 			// for good. Held serves drain within a wave; skip and retry.
 			return nil, fmt.Errorf("%w: node %v holds replayed serves", ErrNotQuiescent, n.self)
+		}
+		if len(n.script) > 0 {
+			// The fires still to repeat are known only from a log older
+			// than this image would be; it is compacted away once the image
+			// is durable. They repeat within a few waves; skip and retry.
+			return nil, fmt.Errorf("%w: node %v repeats logged fires", ErrNotQuiescent, n.self)
 		}
 		img := NodeImage{
 			Self: n.self, Pred: n.pred, Succ: n.succ,
@@ -279,6 +306,8 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			NextElemSeq:  n.nextElemSeq,
 			NextLocalSeq: n.nextLocalSeq,
 			WaveSeq:      n.waveSeq,
+			Standing:     uint8(n.standing),
+			IdleKids:     waveCursorImage(n.idleKids),
 			Pending:      slices.Clone(n.pending),
 			Waiting:      slices.Clone(n.waiting),
 			InOwnB:       n.inOwn.B,
@@ -297,10 +326,7 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 		n.disc.capture(n, &img)
 		img.AppliedPuts = n.appliedPuts.entries()
 		img.ServedGets = n.servedGets.entries()
-		for from, wave := range n.foldedWaves {
-			img.FoldedWaves = append(img.FoldedWaves, FoldedWaveImage{From: from, WaveSeq: wave})
-		}
-		sort.Slice(img.FoldedWaves, func(i, j int) bool { return img.FoldedWaves[i].From < img.FoldedWaves[j].From })
+		img.FoldedWaves = waveCursorImage(n.foldedWaves)
 		for reqID, reply := range n.earlyReplies {
 			img.EarlyReplies = append(img.EarlyReplies, EarlyReplyImage{ReqID: reqID, Entry: reply.Entry})
 		}
@@ -319,6 +345,29 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 	}
 	snap.History = append(snap.History, cl.hist.Ops...)
 	return snap, nil
+}
+
+// waveCursorImage flattens a per-child wave cursor, sorted by child.
+func waveCursorImage(m map[transport.NodeID]int64) []FoldedWaveImage {
+	var out []FoldedWaveImage
+	for from, wave := range m {
+		out = append(out, FoldedWaveImage{From: from, WaveSeq: wave})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
+	return out
+}
+
+// restoreWaveCursor is the inverse of waveCursorImage; an empty image
+// restores the nil map a fresh node has.
+func restoreWaveCursor(img []FoldedWaveImage) map[transport.NodeID]int64 {
+	if len(img) == 0 {
+		return nil
+	}
+	m := make(map[transport.NodeID]int64, len(img))
+	for _, e := range img {
+		m[e.From] = e.WaveSeq
+	}
+	return m
 }
 
 // parkedImage lists a store's parked GETs without disturbing them.
@@ -385,6 +434,9 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			nextElemSeq:  img.NextElemSeq,
 			nextLocalSeq: img.NextLocalSeq,
 			waveSeq:      img.WaveSeq,
+			standing:     standing(img.Standing),
+			idleKids:     restoreWaveCursor(img.IdleKids),
+			foldedWaves:  restoreWaveCursor(img.FoldedWaves),
 			pending:      slices.Clone(img.Pending),
 			waiting:      slices.Clone(img.Waiting),
 			store:        dht.NewStore(),
@@ -397,12 +449,6 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 		n.disc.restoreImage(n, &img)
 		n.appliedPuts.restore(img.AppliedPuts)
 		n.servedGets.restore(img.ServedGets)
-		if len(img.FoldedWaves) > 0 {
-			n.foldedWaves = make(map[transport.NodeID]int64, len(img.FoldedWaves))
-			for _, sw := range img.FoldedWaves {
-				n.foldedWaves[sw.From] = sw.WaveSeq
-			}
-		}
 		if len(img.EarlyReplies) > 0 {
 			n.earlyReplies = make(map[uint64]getReply, len(img.EarlyReplies))
 			for _, er := range img.EarlyReplies {

@@ -13,15 +13,22 @@ import (
 
 // memNet is a minimal single-threaded member-mode backend: a registry and
 // a FIFO delivery queue driven explicitly by the test. It stands in for
-// the TCP peer so snapshot/restore can be exercised without sockets.
+// the TCP peer so snapshot/restore can be exercised without sockets. With
+// interleave set, delivery keeps only what a set of TCP links keeps: order
+// between one pair of nodes, none across pairs.
 type memNet struct {
 	t     *testing.T
 	nodes map[transport.NodeID]transport.Handler
 	ctxs  map[transport.NodeID]*transport.Context
 	order []transport.NodeID
 	queue []memEnv
+	sent  int // frames handed to Send so far
 	now   int64
 	rng   *xrand.RNG
+	// interleave, when set, picks the next delivery among the oldest
+	// pending frame of every (sender, receiver) pair.
+	interleave *xrand.RNG
+	spawned    int
 }
 
 type memEnv struct {
@@ -39,11 +46,36 @@ func newMemNet(t *testing.T) *memNet {
 }
 
 func (m *memNet) Send(from, to transport.NodeID, payload any) {
+	m.sent++
 	m.queue = append(m.queue, memEnv{from, to, payload})
 }
+
+// Spawn places a leave replacement in an ID range no process triad uses.
 func (m *memNet) Spawn(h transport.Handler) transport.NodeID {
-	m.t.Fatal("memNet: Spawn not supported")
-	return transport.None
+	m.spawned++
+	id := transport.NodeID(1<<20 + m.spawned)
+	m.Register(id, h)
+	return id
+}
+
+// pop takes the next frame to deliver.
+func (m *memNet) pop() memEnv {
+	i := 0
+	if m.interleave != nil {
+		type pair struct{ from, to transport.NodeID }
+		seen := make(map[pair]bool)
+		var heads []int
+		for j, e := range m.queue {
+			if p := (pair{e.from, e.to}); !seen[p] {
+				seen[p] = true
+				heads = append(heads, j)
+			}
+		}
+		i = heads[m.interleave.Intn(len(heads))]
+	}
+	e := m.queue[i]
+	m.queue = append(m.queue[:i], m.queue[i+1:]...)
+	return e
 }
 func (m *memNet) Now() int64                       { return m.now }
 func (m *memNet) Rand() *xrand.RNG                 { return m.rng }
@@ -66,8 +98,7 @@ func (m *memNet) step() {
 		}
 	}
 	for len(m.queue) > 0 {
-		e := m.queue[0]
-		m.queue = m.queue[1:]
+		e := m.pop()
 		if h, ok := m.nodes[e.to]; ok {
 			h.OnMessage(m.ctxs[e.to], e.from, e.payload)
 		}

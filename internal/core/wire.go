@@ -14,6 +14,7 @@ func RegisterWireTypes() {
 	// Wave pipeline (Stages 1-4).
 	wire.Register(aggregateMsg{})
 	wire.Register(serveMsg{})
+	wire.Register(declineMsg{})
 	wire.Register(routedMsg{})
 	wire.Register(directMsg{})
 	wire.Register(putReq{})

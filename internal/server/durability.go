@@ -24,6 +24,7 @@ type durability interface {
 	// Staging — runner goroutine. A release runs with nil once its record
 	// is durable, or with the storage failure if it never will be.
 	appendSession(sess string)
+	appendFire(node transport.NodeID, wave int64, folded []core.FoldedWaveImage)
 	appendOp(op journalRecord, release journalRelease)
 	appendDone(reqID uint64, done wire.CliDone, release journalRelease)
 
@@ -56,6 +57,8 @@ type durability interface {
 type volatile struct{}
 
 func (volatile) appendSession(string) {}
+func (volatile) appendFire(transport.NodeID, int64, []core.FoldedWaveImage) {
+}
 func (volatile) appendOp(_ journalRecord, release journalRelease) {
 	release.run(nil)
 }
@@ -411,7 +414,9 @@ func (s *Server) startRestore(disk *diskSnapshot, journalRecs []journalRecord) e
 		waves[img.Self.ID] = img.WaveSeq
 	}
 	s.plan = buildReplayPlan(journalRecs, disk.Member.ReqSeq, waves)
-	s.cl.SetOnFire(s.noteFire)
+	for _, rec := range s.plan.fires {
+		s.cl.ScriptFire(rec.Node, rec.Wave, rec.Folded)
+	}
 	for _, e := range disk.Peer.Recv {
 		if e.Index != disk.Member.Index {
 			s.replayPeers = append(s.replayPeers, e.Index)

@@ -106,26 +106,37 @@ import (
 
 // Journal record kinds. Kind 3 is no longer written: journals up to PR 14
 // filed a per-node fire marker ahead of an op record instead of the wave
-// inside it, and buildReplayPlan still reads those.
+// inside it, and buildReplayPlan still reads those. Kind 6 is the fire log
+// of work-driven waves: one record per committed fire of a local node,
+// naming the child waves folded into it (none, for a wave of the node's own
+// operations alone). A node no longer folds every child into every
+// wave, and which waves a woken child's batches joined is decided by
+// arrival order — the one thing a restart cannot re-derive from the
+// snapshot, the op records and the peers' link replay. The record is staged
+// at the fire, so the WAL-before-send gate holds the fire's aggregate until
+// it is durable: a wave a peer has seen is a wave the restart can repeat.
+// It is written per wave that carries work, not per tick.
 const (
 	recOp         = 1
 	recDone       = 2
 	recLegacyFire = 3
 	recLease      = 4
 	recSession    = 5
+	recFire       = 6
 )
 
 // journalRecord is one journal entry; Kind selects which fields matter.
 type journalRecord struct {
 	Kind    uint8
-	ReqID   uint64           // op, done
-	Node    transport.NodeID // op: the node it was injected at
-	IsDeq   bool             // op
-	Pri     int32            // op (enqueue priority level, heap mode)
-	Value   []byte           // op (enqueue payload)
-	Done    wire.CliDone     // done
-	Wave    int64            // op: fires Node had committed at submit; the op rode the next one
-	Ceiling uint64           // lease: request sequences below it may be issued
+	ReqID   uint64                 // op, done
+	Node    transport.NodeID       // op: the node it was injected at. fire: the node that fired
+	IsDeq   bool                   // op
+	Pri     int32                  // op (enqueue priority level, heap mode)
+	Value   []byte                 // op (enqueue payload)
+	Done    wire.CliDone           // done
+	Wave    int64                  // op: fires Node had committed at submit; the op rode the next one. fire: the fire's number
+	Folded  []core.FoldedWaveImage // fire: the child waves folded into it
+	Ceiling uint64                 // lease: request sequences below it may be issued
 	// Sess names the durable client session a record belongs to: the
 	// session's own record (recSession, staged ahead of its first op) and
 	// every op submitted through it. Empty for ephemeral operations; done
@@ -360,17 +371,30 @@ func (j *opJournal) appendOp(op journalRecord, release journalRelease) {
 // precedes every operation of the session in the file — a restart that
 // finds any of the session's ops finds the session itself first.
 func (j *opJournal) appendSession(sess string) {
+	j.stageUnwatched(&journalRecord{Kind: recSession, Sess: sess})
+}
+
+// stageUnwatched stages a record nobody waits on by name; on an unusable
+// journal it is dropped, as every append then fails its operation anyway.
+func (j *opJournal) stageUnwatched(rec *journalRecord) {
 	j.mu.Lock()
 	if j.unusableLocked() != nil {
 		j.mu.Unlock()
 		return
 	}
-	b, err := encodeRecord(&journalRecord{Kind: recSession, Sess: sess})
+	b, err := encodeRecord(rec)
 	if err != nil {
 		j.mu.Unlock()
 		return
 	}
 	j.stageLocked(b, nil)
+}
+
+// appendFire stages one committed fire of a local node. Nothing waits on
+// it by name: what must not overtake it is the fire's own aggregate, and
+// that leaves through the send gate, which waits for everything staged.
+func (j *opJournal) appendFire(node transport.NodeID, wave int64, folded []core.FoldedWaveImage) {
+	j.stageUnwatched(&journalRecord{Kind: recFire, Node: node, Wave: wave, Folded: folded})
 }
 
 // appendDone stages one client-visible outcome and parks release on the
@@ -789,6 +813,9 @@ type replayPlan struct {
 	// outcomes maps request IDs to the CliDone the crashed incarnation
 	// released, for divergence auditing on re-completion.
 	outcomes map[uint64]wire.CliDone
+	// fires are the logged fires past the snapshot, in journal order: the
+	// script the restored nodes repeat (core.Cluster.ScriptFire).
+	fires []journalRecord
 }
 
 // heldGroup is a run of operations awaiting the fire of wave afterWave.
@@ -817,6 +844,10 @@ func buildReplayPlan(recs []journalRecord, coveredSeq uint64, waves map[transpor
 		switch rec.Kind {
 		case recLegacyFire:
 			legacyMarker[rec.Node] = rec.Wave
+		case recFire:
+			if rec.Wave > waves[rec.Node] {
+				plan.fires = append(plan.fires, rec)
+			}
 		case recOp:
 			if core.ReqIDSeq(rec.ReqID) <= coveredSeq {
 				continue

@@ -125,10 +125,12 @@ func combinedPairJournaled(t *testing.T, dir, value string) bool {
 
 // TestJournalShape: what N operations through an otherwise idle durable
 // member leave in its journal — N op records and N done records, the lease
-// records, and nothing per wave however many waves fired meanwhile — and
-// each op record names the fire count its node had when the operation was
-// submitted: no lower than the count read before the client sent it, and
-// below the count read after it completed (it rode a later fire).
+// records, a fire record per fire of its nodes and nothing per tick — and
+// each op record names the
+// fire count its node had when the operation was submitted: no lower than
+// the count read before the client sent it, and below the count read after
+// it completed (it rode a later fire). Between two operations the member
+// stands idle: the count does not move while the ticks go by.
 func TestJournalShape(t *testing.T) {
 	// No periodic snapshot: nothing compacts the journal under the test.
 	srvs, dirs := loopbackCluster(t, 2, "queue", time.Millisecond, t.TempDir(), time.Hour)
@@ -163,7 +165,7 @@ func TestJournalShape(t *testing.T) {
 			t.Fatalf("operation %d: %v", i, err)
 		}
 		after[i] = waveSeq()
-		time.Sleep(3 * time.Millisecond) // idle waves between operations
+		time.Sleep(3 * time.Millisecond) // idle ticks between operations
 	}
 	owner.Kill() // no final snapshot, no compaction
 
@@ -172,13 +174,15 @@ func TestJournalShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opRecs []journalRecord
-	dones := 0
+	dones, fires := 0, 0
 	for _, rec := range recs {
 		switch rec.Kind {
 		case recOp:
 			opRecs = append(opRecs, rec)
 		case recDone:
 			dones++
+		case recFire:
+			fires++
 		case recLease:
 		default:
 			t.Errorf("journal holds a record of kind %d: %+v", rec.Kind, rec)
@@ -187,8 +191,17 @@ func TestJournalShape(t *testing.T) {
 	if len(opRecs) != ops || dones != ops {
 		t.Fatalf("journal holds %d op and %d done records, want %d of each", len(opRecs), dones, ops)
 	}
-	if after[ops-1] < 2*ops {
-		t.Fatalf("node %d fired only %d waves under %d operations: the member was not idling between them", node, after[ops-1], ops)
+	// The fire log: a record per fire of a local node — the client node and
+	// the left node above it, once per operation, and the first wave's
+	// three — and none per tick.
+	if fires < 2*ops || fires > 2*ops+3 {
+		t.Errorf("journal holds %d fire records under %d operations, want two per wave and three for the first", fires, ops)
+	}
+	for i := 1; i < ops; i++ {
+		if before[i] != after[i-1] || after[i] != before[i]+1 {
+			t.Fatalf("node %d went from wave %d to %d while idle and to %d under operation %d: want no fire without work and one per operation",
+				node, after[i-1], before[i], after[i], i)
+		}
 	}
 	for i, rec := range opRecs { // blocking operations: file order is submission order
 		if rec.Node != node || rec.Wave < before[i] || rec.Wave >= after[i] {

@@ -36,12 +36,29 @@ func medianInt(vs []int64) int64 {
 	return vs[len(vs)/2]
 }
 
+// waveCounts sums what the members' nodes have done so far: waves assigned
+// (one member hosts the anchor), batches fired, declines sent, idle children
+// counted as reported.
+func waveCounts(srvs []*Server) (m core.Metrics) {
+	for _, s := range srvs {
+		s.peer.DoSync(func() {
+			c := s.cl.Metrics()
+			m.WavesAssigned += c.WavesAssigned
+			m.BatchesSent += c.BatchesSent
+			m.Declines += c.Declines
+			m.EmptyWaves += c.EmptyWaves
+		})
+	}
+	return m
+}
+
 // TestReadinessLatencyIsHopsNotTicks: 40 blocking enqueue/dequeue pairs
-// against a 3-member cluster. Paced by the clock an operation costs a
-// tick per tree level each way plus the DHT round trip — more than four
-// ticks at the median; paced by readiness it costs the one tick some idle
-// leaf needs to start the wave, and hops. The member's clock must have
-// counted wall-clock ticks throughout, however many waves fired.
+// against a 3-member cluster that ticks every 50 ms. Paced by the clock an
+// operation costs a tick per tree level each way plus the DHT round trip;
+// paced by readiness alone it still waited for the tick of some idle leaf.
+// Driven by work it waits for nobody: it costs hops, a small fraction of one
+// tick, and is stamped within the tick it was born in. The member's clock
+// must have counted wall-clock ticks throughout, however many waves fired.
 func TestReadinessLatencyIsHopsNotTicks(t *testing.T) {
 	srvs, _ := loopbackCluster(t, 3, "queue", coarseTick, "", 0)
 	c, err := skueue.Open(skueue.WithRemote(srvs[1].Addr()))
@@ -51,6 +68,7 @@ func TestReadinessLatencyIsHopsNotTicks(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
+	time.Sleep(2 * coarseTick) // the first wave is the tick's
 
 	start := time.Now()
 	now0, _ := clockAndWaves(srvs[1])
@@ -84,13 +102,13 @@ func TestReadinessLatencyIsHopsNotTicks(t *testing.T) {
 	now1, _ := clockAndWaves(srvs[1])
 	elapsed := time.Since(start)
 
-	if m := medianDuration(wall); m >= 2*coarseTick {
-		t.Errorf("median latency %v at a %v tick: operations are paced by the clock", m, coarseTick)
+	if m := medianDuration(wall); m >= coarseTick/4 {
+		t.Errorf("median latency %v at a %v tick: operations wait for the clock", m, coarseTick)
 	} else {
 		t.Logf("median latency %v at a %v tick", m, coarseTick)
 	}
-	if m := medianInt(rounds); m > 2 {
-		t.Errorf("median dequeue took %d ticks of the member's clock, want <= 2", m)
+	if m := medianInt(rounds); m != 0 {
+		t.Errorf("median dequeue took %d ticks of the member's clock, want 0", m)
 	}
 	if got, most := now1-now0, int64(elapsed/coarseTick)+1; got > most {
 		t.Errorf("Now() advanced %d in %v, at most %d ticks fit: something other than the ticker moves the clock", got, elapsed, most)
@@ -100,46 +118,84 @@ func TestReadinessLatencyIsHopsNotTicks(t *testing.T) {
 	}
 }
 
-// TestReadinessIdleClusterWavesNeedTicks: an idle cluster must not spin.
-// Off the tick a childless node never fires, so every wave
-// cycle contains some leaf's TIMEOUT: over 40 ticks the anchor assigns
-// about one wave per tick — not thousands — and the clock counts ticks.
-func TestReadinessIdleClusterWavesNeedTicks(t *testing.T) {
+// TestIdleClusterStandsIdle: after its first wave a cluster with nothing to
+// do exchanges nothing — over 40 ticks no wave is assigned, no batch fired
+// and no decline sent, while every member's clock goes on counting ticks.
+// One operation into that silence is one wave: fired once by each node on
+// its path and by nobody else, and answered by one decline from each of
+// them below the anchor. A closed loop of operations repeats exactly that,
+// so no node fires twice between two serves.
+func TestIdleClusterStandsIdle(t *testing.T) {
 	srvs, _ := loopbackCluster(t, 3, "queue", coarseTick, "", 0)
-	time.Sleep(5 * coarseTick) // let the first waves establish the cycle
+	time.Sleep(5 * coarseTick) // the first wave, and the declines answering it
 
-	type reading struct{ now, waves int64 }
-	read := func() []reading {
-		out := make([]reading, len(srvs))
-		for i, s := range srvs {
-			out[i].now, out[i].waves = clockAndWaves(s)
-		}
-		return out
-	}
 	start := time.Now()
-	before := read()
+	before := waveCounts(srvs)
+	var now0 []int64
+	for _, s := range srvs {
+		now, _ := clockAndWaves(s)
+		now0 = append(now0, now)
+	}
+	if before.WavesAssigned != 1 || before.BatchesSent != 9 || before.Declines != 8 {
+		t.Fatalf("after the first ticks: %d waves, %d batches, %d declines; want 1 wave fired by all 9 nodes and declined by the 8 below the anchor",
+			before.WavesAssigned, before.BatchesSent, before.Declines)
+	}
 	time.Sleep(40 * coarseTick)
-	after := read()
+	if after := waveCounts(srvs); after != before {
+		t.Fatalf("40 idle ticks moved something: %+v -> %+v", before, after)
+	}
 	elapsed := time.Since(start)
+	for i, s := range srvs {
+		now, _ := clockAndWaves(s)
+		if d, most := now-now0[i], int64(elapsed/coarseTick)+1; d < 35 || d > most {
+			t.Errorf("member %d: Now() advanced %d in %v, want one per tick (35..%d)", i, d, elapsed, most)
+		}
+	}
 
-	var ticks, waves int64
-	for i := range srvs {
-		d := after[i].now - before[i].now
-		if most := int64(elapsed/coarseTick) + 1; d > most {
-			t.Errorf("member %d: Now() advanced %d in %v, at most %d ticks fit", i, d, elapsed, most)
+	c, err := skueue.Open(skueue.WithRemote(srvs[1].Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if err := c.Enqueue(ctx, "one"); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(coarseTick / 2) // the declines travel after the completion
+	one := waveCounts(srvs)
+	path := one.BatchesSent - before.BatchesSent
+	if one.WavesAssigned-before.WavesAssigned != 1 || path < 2 || one.Declines-before.Declines != path-1 {
+		t.Fatalf("one operation: %d waves, %d batches, %d declines; want one wave, one batch per node on the path and one decline per node below the anchor",
+			one.WavesAssigned-before.WavesAssigned, path, one.Declines-before.Declines)
+	}
+	if one.EmptyWaves == before.EmptyWaves {
+		t.Fatal("no idle child was counted as reported")
+	}
+
+	const ops = 40
+	for i := 0; i < ops; i++ {
+		if i%2 == 0 {
+			_, _, err = c.Dequeue(ctx)
+		} else {
+			err = c.Enqueue(ctx, fmt.Sprintf("v-%d", i))
 		}
-		if d > ticks {
-			ticks = d
+		if err != nil {
+			t.Fatalf("operation %d: %v", i, err)
 		}
-		waves += after[i].waves - before[i].waves // one member hosts the anchor
 	}
-	if waves > ticks+2 {
-		t.Errorf("idle cluster assigned %d waves in %d ticks: waves are starting without a TIMEOUT in them", waves, ticks)
+	time.Sleep(coarseTick / 2)
+	loop := waveCounts(srvs)
+	if w, b := loop.WavesAssigned-one.WavesAssigned, loop.BatchesSent-one.BatchesSent; w != ops || b != ops*path {
+		t.Fatalf("%d operations in a closed loop: %d waves and %d batches, want %d and %d: a node fired without work or twice between two serves",
+			ops, w, b, ops, ops*path)
 	}
-	if waves < ticks/2 {
-		t.Errorf("idle cluster assigned only %d waves in %d ticks: TIMEOUT no longer keeps the wave alive", waves, ticks)
+	if d := loop.Declines - one.Declines; d > ops*(path-1) {
+		t.Fatalf("%d declines after %d waves over a path of %d nodes", d, ops, path)
 	}
-	t.Logf("%d waves in %d ticks", waves, ticks)
+	if err := c.Check(); err != nil {
+		t.Fatalf("Definition 1: %v", err)
+	}
 }
 
 // firedWave is the ground truth of one wave fire: the operations of the
@@ -163,11 +219,11 @@ func TestJournalOrderUnderReadiness(t *testing.T) {
 		// No periodic snapshot: nothing compacts the journal under the test.
 		srvs, dirs := loopbackCluster(t, 3, "queue", coarseTick, t.TempDir(), time.Hour)
 		owner := srvs[1]
-		// A member that replays nothing installs no fire callback of its
-		// own, so the test's is the only one.
+		// The test listens in front of the member's own fire log.
 		var fires []firedWave
 		owner.peer.DoSync(func() {
-			owner.cl.SetOnFire(func(node transport.NodeID, wave int64) {
+			owner.cl.SetOnFire(func(node transport.NodeID, wave int64, folded []core.FoldedWaveImage) {
+				owner.noteFire(node, wave, folded)
 				fw := firedWave{node: node, wave: wave}
 				snap, err := owner.cl.SnapshotMember()
 				if err != nil {

@@ -7,10 +7,12 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"skueue"
+	"skueue/internal/core"
 	"skueue/internal/server"
 )
 
@@ -211,6 +213,40 @@ func TestMemberRestartFromSnapshot(t *testing.T) {
 		takeOne(c2)
 	}
 
+	// Two more kills of the same member: idle, and between a serve and the
+	// decline answering it.
+	c2.Close()
+	last := killsAcrossStanding(t, ctx, restarted, func() *server.Server {
+		s, err := server.New(server.Config{
+			Addr:              "127.0.0.1:0",
+			Join:              srvs[0].Addr(),
+			StateDir:          dirs[victim],
+			SnapshotEvery:     time.Hour, // the image on disk is the one the helper cut
+			Tick:              500 * time.Microsecond,
+			JournalBatchDelay: batchDelay,
+			Logf:              debugLogf("[re]"),
+		})
+		if err != nil {
+			t.Fatalf("restarting member %d again: %v", victim, err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}, 500*time.Microsecond, enqueued)
+	standing := 0
+	for v := range enqueued {
+		if strings.HasPrefix(v, "standing-") {
+			standing++
+		}
+	}
+	c3, err := skueue.Open(skueue.WithRemote(last.Addr()))
+	if err != nil {
+		t.Fatalf("client via the member's last incarnation: %v", err)
+	}
+	defer c3.Close()
+	for i := 0; i < 3; i++ {
+		takeOne(c3)
+	}
+
 	// (c) Global invariants: nothing dequeued that was not enqueued, and
 	// the merged history — including the restored pre-crash completions —
 	// is sequentially consistent.
@@ -219,14 +255,117 @@ func TestMemberRestartFromSnapshot(t *testing.T) {
 			t.Fatalf("dequeued %q was never enqueued", v)
 		}
 	}
-	if err := c2.Check(); err != nil {
+	if err := c3.Check(); err != nil {
 		t.Fatalf("sequential consistency check failed after restart: %v", err)
 	}
-	st := c2.Stats()
-	wantTotal := 12 + 4 + 6 + 3 + 5 // every operation completed exactly once
+	st := c3.Stats()
+	wantTotal := 12 + 4 + 6 + 3 + 5 + standing + 3 // every operation completed exactly once
 	if st.Total != wantTotal {
 		t.Fatalf("merged history has %d completions, want %d (lost or duplicated operations)", st.Total, wantTotal)
 	}
+}
+
+// killsAcrossStanding adds the two kills work-driven waves put into the
+// restart contract, against one member hosting one process (three nodes).
+// First the member is killed while the cluster has stood idle for well over
+// 20 ticks, its image showing all three nodes idle: restored, they must go
+// on standing idle for parents that no longer hear from them, and wake on
+// the next operation. Then it is killed with an image cut between a serve
+// and the decline answering it: the restored node declines again, and a
+// parent that has meanwhile seen its next wave must not take that for news.
+// That cut is a matter of microseconds unless something holds the decline
+// back, which the stack's stage-4 wait does (a node does not decline while a
+// put of its own is unacknowledged): a stack cluster usually hits it, the
+// others rarely. The hunt lasts a few seconds and then kills wherever the
+// image is — the exact cut is made, for all three disciplines, in
+// internal/core (TestRestoreAcrossStanding).
+// Operations run through a session client pinned to the member, so every
+// push resolves across both restarts; their values are added to pushed. It
+// returns the member's last incarnation.
+func killsAcrossStanding(t *testing.T, ctx context.Context, member *server.Server, restart func() *server.Server, tick time.Duration, pushed map[string]bool) *server.Server {
+	t.Helper()
+	cv, err := skueue.Open(
+		skueue.WithRemote(member.Addr()),
+		skueue.WithSession("standing-"+t.Name()),
+		skueue.WithDialTimeout(2*time.Second),
+		skueue.WithReconnect(200, 50*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cv.Close()
+	n := 0
+	push := func() *skueue.Future {
+		t.Helper()
+		v := fmt.Sprintf("standing-%d", n)
+		n++
+		f, err := cv.EnqueueAsync(skueue.AnyProcess, v)
+		if err != nil {
+			t.Fatalf("push %s: %v", v, err)
+		}
+		pushed[v] = true
+		return f
+	}
+	wait := func(fs ...*skueue.Future) {
+		t.Helper()
+		for i, f := range fs {
+			if err := f.Wait(ctx); err != nil {
+				for _, d := range member.Diagnose() {
+					t.Logf("member: %s", d)
+				}
+				t.Fatalf("push %d of %d did not survive the restart: %v (indeterminate=%v)", i, len(fs), err, f.Indeterminate())
+			}
+		}
+	}
+	snapshot := func() core.SnapshotStats {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			err := member.SnapshotNow()
+			if err == nil {
+				_, stats := member.SnapshotInfo()
+				return stats
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshot: %v", err)
+			}
+		}
+	}
+
+	// (a) Idle for 20 ticks and more.
+	wait(push())
+	time.Sleep(40 * tick)
+	if stats := snapshot(); stats.IdleNodes != 3 || stats.ServedNodes != 0 {
+		t.Fatalf("image after 40 idle ticks: %d nodes idle, %d served; want all three idle", stats.IdleNodes, stats.ServedNodes)
+	}
+	member.Kill()
+	member = restart()
+	wait(push(), push())
+
+	// (b) Between a serve and its decline: pushes in flight, snapshots
+	// back to back until one cuts there.
+	var inFlight []*skueue.Future
+	caught := false
+hunt:
+	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); {
+		for i := 0; i < 4; i++ {
+			inFlight = append(inFlight, push())
+		}
+		for attempt := 0; attempt < 8; attempt++ {
+			if err := member.SnapshotNow(); err != nil {
+				continue
+			}
+			if _, stats := member.SnapshotInfo(); stats.ServedNodes > 0 {
+				caught = true
+				break hunt
+			}
+		}
+	}
+	t.Logf("killing with pushes in flight; image cut between a serve and its decline: %v", caught)
+	member.Kill()
+	member = restart()
+	wait(inFlight...)
+	wait(push())
+	return member
 }
 
 // startStackCluster boots a durable loopback STACK-mode cluster. Snapshot
@@ -491,6 +630,31 @@ hunt:
 		}
 		confirmed[v] = true
 	}
+
+	// Two more kills of the same member: idle, and between a serve and the
+	// decline answering it (with the stage-4 wait holding declines back).
+	c2.Close()
+	last := killsAcrossStanding(t, ctx, restarted, func() *server.Server {
+		s, err := server.New(server.Config{
+			Addr:              "127.0.0.1:0",
+			Join:              srvs[0].Addr(),
+			StateDir:          dirs[victim],
+			SnapshotEvery:     time.Hour, // the image on disk is the one the helper cut
+			Tick:              time.Millisecond,
+			JournalBatchDelay: batchDelay,
+			Logf:              debugLogf("[re]"),
+		})
+		if err != nil {
+			t.Fatalf("restarting member %d again: %v", victim, err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}, time.Millisecond, confirmed)
+	restarted = last
+	if c2, err = skueue.Open(skueue.WithRemote(restarted.Addr())); err != nil {
+		t.Fatalf("client via the member's last incarnation: %v", err)
+	}
+	defer c2.Close()
 
 	// (c) Drain the stack completely: journaled victim pushes re-executed
 	// after the restart keep materializing for a while, so only stop

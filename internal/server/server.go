@@ -570,13 +570,23 @@ func (s *Server) wireCallbacks() {
 		// rank tracking skips NoValue.
 		s.resolve(reqID, wire.CliDone{Rank: seqcheck.NoValue})
 	})
+	if s.cfg.StateDir != "" {
+		// Only a member that can restart keeps a fire log.
+		s.cl.SetOnFire(s.noteFire)
+	}
 }
 
-// noteFire is the wave-fire callback of a member replaying a restart
-// plan (startRestore installs it, submit removes it once the replay has
-// converged; no other member hears of its fires): the journaled operations
-// held for this fire are re-submitted, into the wave they originally rode.
-func (s *Server) noteFire(node transport.NodeID, wave int64) {
+// noteFire is the wave-fire callback of a member with stable storage (no
+// other member hears of its fires): the fire goes into the journal's fire
+// log — also one that folded no child wave: that it did not is what the
+// replay must repeat — and while a restart plan is being replayed the
+// journaled operations held for this fire are re-submitted, into the wave
+// they originally rode.
+func (s *Server) noteFire(node transport.NodeID, wave int64, folded []core.FoldedWaveImage) {
+	s.dur.appendFire(node, wave, folded)
+	if s.plan == nil || s.replayConverged {
+		return
+	}
 	for _, rec := range s.plan.take(node, wave) {
 		s.cl.Inject(rec.Node, rec.op())
 	}
@@ -983,23 +993,23 @@ func (s *Server) submit(sess *session, sd *durSession, seq uint64, enq bool, pri
 		}
 		if s.plan != nil && !s.replayConverged {
 			// Restart replay gate: until every pre-crash sender's replay
-			// fence arrived, the core applied its parked replayed serves,
-			// and the journal plan re-submitted its held operations, a
+			// fence arrived, the core applied its parked replayed serves and
+			// repeated its logged fires, and the journal plan re-submitted
+			// its held operations, a
 			// fresh operation could join a wave whose serve the crashed
 			// incarnation already consumed — the shape guard would refuse
 			// the replayed serve and wedge the member. Park the submission
 			// and retry; the dedupe above makes re-entry harmless, and a
 			// client that reconnected fast sees only added latency, never
 			// a lost operation.
-			if !s.peer.ReplayFenced(s.replayPeers) ||
-				s.cl.HeldReplayServes() > 0 || s.plan.pending() > 0 {
+			if !s.peer.ReplayFenced(s.replayPeers) || s.cl.HeldReplayServes() > 0 ||
+				s.cl.ScriptedFires() > 0 || s.plan.pending() > 0 {
 				time.AfterFunc(2*time.Millisecond, func() {
 					s.submit(sess, sd, seq, enq, pri, priOp, value)
 				})
 				return
 			}
 			s.replayConverged = true
-			s.cl.SetOnFire(nil)
 			s.logf("server[%d]: restart replay converged; admitting fresh client operations",
 				s.peer.Me().Index)
 		}

@@ -174,14 +174,20 @@ func TestLoopbackClusterStackMode(t *testing.T) {
 
 // TestJoinServer admits a fourth member into a running 3-member cluster
 // through the seed handshake and the §IV-A JOIN protocol, then serves a
-// client through the newcomer.
+// client through the newcomer. The cluster has stood idle for 100 ticks by
+// then: the join level is announced on a tick, the update phase is handed
+// through subtrees that are in no wave, and when it is over no node of the
+// old members is left inside it.
 func TestJoinServer(t *testing.T) {
+	const tick = 500 * time.Microsecond
 	srvs := startCluster(t, 3, "queue")
+	time.Sleep(100 * tick)
 
+	start := time.Now()
 	joiner, err := server.New(server.Config{
 		Addr: "127.0.0.1:0",
 		Join: srvs[0].Addr(),
-		Tick: 500 * time.Microsecond,
+		Tick: tick,
 	})
 	if err != nil {
 		t.Fatalf("joining server: %v", err)
@@ -201,6 +207,28 @@ func TestJoinServer(t *testing.T) {
 	v, ok, err := c.Dequeue(ctx)
 	if err != nil || !ok || v != "via-joiner" {
 		t.Fatalf("dequeue via joiner: v=%v ok=%v err=%v", v, ok, err)
+	}
+	// With every node reporting every tick the join took well under a
+	// second on a loaded machine; into silence it may take no longer.
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("joining an idle cluster and serving through the newcomer took %v", took)
+	}
+	old, err := skueue.Open(skueue.WithRemote(srvs[2].Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := old.Enqueue(ctx, "via-old"); err != nil {
+		t.Fatalf("enqueue via an old member after the join: %v", err)
+	}
+	if v, ok, err := c.Dequeue(ctx); err != nil || !ok || v != "via-old" {
+		t.Fatalf("dequeue via joiner: v=%v ok=%v err=%v", v, ok, err)
+	}
+	time.Sleep(20 * tick)
+	for i, s := range append(srvs, joiner) {
+		for _, d := range s.Diagnose() {
+			t.Errorf("member %d after the join: %s", i, d)
+		}
 	}
 	if err := c.Check(); err != nil {
 		t.Fatalf("post-join check: %v", err)

@@ -53,13 +53,6 @@ func (c *Combiner[T]) Counts() (pops, pushes int) {
 	return len(c.pops), len(c.pushes)
 }
 
-// RestorePop puts a pop back at the end of the pop run; used when a wave
-// could not be sent and its operations return to the buffer.
-func (c *Combiner[T]) RestorePop(op T) { c.pops = append(c.pops, op) }
-
-// RestorePush puts a push back at the end of the push run.
-func (c *Combiner[T]) RestorePush(op T) { c.pushes = append(c.pushes, op) }
-
 // Empty reports whether nothing is buffered.
 func (c *Combiner[T]) Empty() bool { return len(c.pops) == 0 && len(c.pushes) == 0 }
 

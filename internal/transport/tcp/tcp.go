@@ -23,21 +23,24 @@
 // members run genuinely in parallel. Inbound frames and outbound writes
 // are handled by per-connection goroutines that never touch node state.
 //
-// The protocol is paced by readiness, not by the clock. After each
-// drained batch of runner tasks — delivered frames, local deliveries,
-// injected closures — the runner asks every hosted node that implements
-// transport.ReadyHandler whether it can act (OnReady), so an aggregate
-// from the last missing child, a serve, an acknowledgment that ungates a
-// node or a client injection moves the wave at once, and an operation
-// costs tree and DHT hops rather than ticks. The pass runs between tasks,
-// never inside one: a closure that reads a node's fire counter, records
-// it and injects an operation (the server's submit, which journals the
-// wave an operation will ride) sees no wave fire in between. The ticker
-// (Options.Tick) keeps the three jobs the paper gives TIMEOUT: liveness —
-// an idle node sends its empty batch on its tick and only then, so an idle
-// cluster runs one wave per tick instead of spinning at loopback speed;
-// the churn clock; and Now(), the count of ticks completions are stamped
-// with, which a readiness pass never advances.
+// The protocol is paced by work, not by the clock. After each drained batch
+// of runner tasks — delivered frames, local deliveries, injected closures —
+// the runner asks every hosted node that implements transport.ReadyHandler
+// whether it can act (OnReady), so an aggregate from a child, a serve, an
+// acknowledgment that ungates a node or a client injection moves the wave
+// at once, and a node with nothing to send says so once to its parent and
+// stands idle: an operation costs tree and DHT hops and no tick, and a
+// cluster with nothing to do exchanges no frame. The pass runs between
+// tasks, never inside one: a closure that reads a node's fire counter,
+// records it and injects an operation (the server's submit, which journals
+// the wave an operation will ride) sees no wave fire in between. The ticker
+// (Options.Tick) keeps what the paper's TIMEOUT is still needed for: the
+// first wave after bootstrap and after every update phase, when no node
+// stands idle yet; the liveness of nodes that cannot stand idle (a stage-4
+// wait, a pending leave); the churn clock and the announcement of join and
+// leave levels; and Now(), the count of ticks completions are stamped with,
+// which a readiness pass never advances. For an idle cluster a tick is a
+// timer wake-up that finds nothing to fire.
 //
 // # Delivery guarantees
 //

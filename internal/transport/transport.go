@@ -18,7 +18,8 @@
 //     unit Now() counts — and not the pacing of the protocol: nodes that
 //     implement ReadyHandler are also asked whether they can act each
 //     time the backend has delivered input to them, so a wave moves at
-//     message speed. Per-link sequence numbers, cumulative
+//     message speed and a node without input falls silent. Per-link
+//     sequence numbers, cumulative
 //     acknowledgments and reconnect replay make delivery exactly-once
 //     across connection resets, realizing the reliable-channel contract
 //     on an unreliable network.
@@ -58,11 +59,14 @@ type Handler interface {
 
 // ReadyHandler is an optional extension of Handler: the paper's TIMEOUT
 // only guarantees that a node EVENTUALLY acts on its inputs, so a backend
-// may also ask a node to act as soon as inputs arrived. OnReady must be
-// OnTimeout's send decision without its clock — it may run any number of
-// times between two TIMEOUTs, must not advance anything TIMEOUT counts,
-// and must do nothing when nothing new can be sent, so that a backend
-// calling it after every delivery terminates.
+// may also ask a node to act as soon as inputs arrived — and a node asked
+// this way may tell its neighbours that it has nothing to send instead of
+// sending nothing every TIMEOUT. OnReady must be OnTimeout's send decision
+// without its clock — it may run any number of times between two TIMEOUTs,
+// must not advance anything TIMEOUT counts, and must do nothing when
+// nothing new can be sent, so that a backend calling it after every
+// delivery terminates. A backend that offers the hook delivers the frames
+// between one pair of nodes in the order they were sent.
 //
 // The TCP backend calls it for every hosted node after each drained batch
 // of runner tasks (never inside one, so a handler or an injecting closure
