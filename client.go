@@ -769,6 +769,7 @@ type Metrics struct {
 	ForwardedMsgs int64
 	RouteMsgs     int64
 	RouteHops     int64
+	MaxRouteHops  int // longest LDB routing path
 	MaxQueueSize  int64
 	AvgRouteHops  float64 // mean LDB routing path length
 }
@@ -794,6 +795,7 @@ func (c *Client) Metrics() Metrics {
 		ForwardedMsgs: m.ForwardedMsgs,
 		RouteMsgs:     m.RouteMsgs,
 		RouteHops:     m.RouteHops,
+		MaxRouteHops:  m.MaxRouteHops,
 		MaxQueueSize:  m.MaxQueueSize,
 		AvgRouteHops:  m.AvgRouteHops(),
 	}

@@ -219,7 +219,13 @@ type absorbMsg struct {
 type absorbAck struct{ Epoch int64 }
 
 // dissolveQuery asks a process sibling whether it dissolves in this phase.
-type dissolveQuery struct{ Epoch int64 }
+// It names its sender: a query to a sibling that has just left arrives
+// through that sibling's forwarder, and the vote must go to the asking
+// replacement, not back to the forwarder.
+type dissolveQuery struct {
+	From  transport.NodeID
+	Epoch int64
+}
 
 // dissolveReply answers a dissolveQuery.
 type dissolveReply struct {
@@ -430,7 +436,7 @@ func (c *churnState) startIntegration(ctx *transport.Context, n *Node) {
 	if c.isReplacement {
 		for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
 			if sib.Valid() && sib.ID != n.self.ID {
-				ctx.Send(sib.ID, dissolveQuery{Epoch: c.epoch})
+				ctx.Send(sib.ID, dissolveQuery{From: n.self.ID, Epoch: c.epoch})
 				c.votesPending++
 			}
 		}
@@ -745,13 +751,13 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 	case dissolveQuery:
 		switch {
 		case c.updatePhase && c.epoch == m.Epoch:
-			ctx.Send(from, dissolveReply{Epoch: m.Epoch, Yes: c.isReplacement})
+			ctx.Send(m.From, dissolveReply{Epoch: m.Epoch, Yes: c.isReplacement})
 		case c.lastEpoch >= m.Epoch:
 			// A stale query from a phase we have already passed through.
-			ctx.Send(from, dissolveReply{Epoch: m.Epoch, Yes: false})
+			ctx.Send(m.From, dissolveReply{Epoch: m.Epoch, Yes: false})
 		default:
 			// We have not entered that phase yet; answer at entry.
-			c.heldQueries = append(c.heldQueries, heldQuery{from: from, epoch: m.Epoch})
+			c.heldQueries = append(c.heldQueries, heldQuery{from: m.From, epoch: m.Epoch})
 		}
 	case dissolveReply:
 		if c.updatePhase && m.Epoch == c.epoch && c.votesPending > 0 {

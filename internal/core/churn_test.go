@@ -1,10 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"skueue/internal/batch"
+	"skueue/internal/fixpoint"
+	"skueue/internal/ldb"
 	"skueue/internal/seqcheck"
+	"skueue/internal/transport"
 	"skueue/internal/xrand"
 )
 
@@ -444,4 +448,124 @@ func TestRejoinAfterLeave(t *testing.T) {
 	if st := seqcheck.Summarize(cl.History()); st.Bottoms != 0 {
 		t.Fatalf("lost elements across rejoin cycles")
 	}
+}
+
+// TestRouteAvoidsUnintegratedSibling: the triad of a joining process is
+// integrated node by node, and a JOIN request is routed. A middle node that
+// is already a ring member must not prepend a bit over the virtual edge to a
+// sibling that is not — that sibling holds what it cannot route yet, and if
+// the request is its own, it would wait for itself. The route gives up its
+// remaining bits and closes by the linear walk over ring neighbours.
+func TestRouteAvoidsUnintegratedSibling(t *testing.T) {
+	cl, net := churnNet(t, Config{Processes: 4, Seed: 5}, 5)
+	for _, kind := range []ldb.Kind{ldb.Left, ldb.Right} {
+		mid, _ := cl.Node(cl.Client(1))
+		// Two bits left and bit 2 of the target selects the sibling; the
+		// target is the sibling's own point, as in its JOIN request.
+		sib := map[ldb.Kind]ldb.Ref{ldb.Left: mid.sibL, ldb.Right: mid.sibR}[kind]
+		target := fixpoint.Frac(0x3) << 60 // 0.0011…: bit 2 = 0
+		if kind == ldb.Right {
+			target = fixpoint.Frac(0x7) << 60 // 0.0111…: bit 2 = 1
+		}
+		if mid.nb().Responsible(target) {
+			t.Fatalf("%v owns the target; pick another seed", mid.self)
+		}
+		send := func() memEnv {
+			t.Helper()
+			net.queue = nil
+			mid.routeStep(net.ctxs[mid.self.ID], routedMsg{RS: ldb.RouteState{Target: target, BitsLeft: 2}, Inner: joinReq{NewNode: sib}})
+			if len(net.queue) != 1 {
+				t.Fatalf("routeStep sent %d frames", len(net.queue))
+			}
+			return net.queue[0]
+		}
+		if e := send(); e.to != sib.ID || e.payload.(routedMsg).RS.BitsLeft != 1 {
+			t.Fatalf("integrated %v sibling: hop went to %d with %+v, want the De Bruijn hop to %v", kind, e.to, e.payload, sib)
+		}
+		mid.sibIn[kind] = false
+		e := send()
+		if e.to != mid.pred.ID && e.to != mid.succ.ID {
+			t.Fatalf("unintegrated %v sibling: hop went to %d, want a ring neighbour (%v or %v)", kind, e.to, mid.pred, mid.succ)
+		}
+		if rs := e.payload.(routedMsg).RS; rs.BitsLeft != 0 || rs.Hops != 1 {
+			t.Fatalf("unintegrated %v sibling: route state %+v, want no bits left and one hop counted", kind, rs)
+		}
+		mid.sibIn[kind] = true
+	}
+	net.queue = nil
+}
+
+// TestDissolveQueryAnsweredToAsker: a dissolveQuery sent to a sibling that
+// has just left arrives through that sibling's forwarder, so the frame's
+// sender is not who asked. The vote goes to the node the query names, at
+// once or — for a phase the node has not entered yet — when it is held.
+func TestDissolveQueryAnsweredToAsker(t *testing.T) {
+	cl, net := churnNet(t, Config{Processes: 3, Seed: 9}, 9)
+	n, _ := cl.Node(cl.Client(0))
+	const asker, forwarder = transport.NodeID(1<<20 + 1), transport.NodeID(2)
+	net.queue = nil
+	n.OnMessage(net.ctxs[n.self.ID], forwarder, dissolveQuery{From: asker, Epoch: n.churn.lastEpoch})
+	if len(net.queue) != 1 || net.queue[0].to != asker {
+		t.Fatalf("vote on a past phase went to %+v, want one reply to %d", net.queue, asker)
+	}
+	net.queue = nil
+	n.OnMessage(net.ctxs[n.self.ID], forwarder, dissolveQuery{From: asker, Epoch: n.churn.lastEpoch + 1})
+	if len(net.queue) != 0 || len(n.churn.heldQueries) != 1 || n.churn.heldQueries[0].from != asker {
+		t.Fatalf("query for a phase not entered yet: sent %+v, held %+v, want it held for %d", net.queue, n.churn.heldQueries, asker)
+	}
+	n.churn.heldQueries = nil
+}
+
+// TestNodeHoldsBatchWhileParentJoins: the triad of a joining process can be
+// integrated over several update phases, so a middle node may be a ring
+// member while its tree parent, the left sibling, is not. It must hold its
+// batch until the sibling's sibHello: fired, the batch would be bounced by a
+// node that has no children while it joins, re-fired on readiness and
+// bounced again, at message speed between two nodes of one process.
+func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
+	cl, net := churnNet(t, Config{Processes: 3, Seed: 11}, 11)
+	net.tick()
+	net.settle(nil)
+	mid, _ := cl.Node(cl.Client(1))
+	left, _ := cl.Node(mid.sibL.ID)
+	mid.sibIn[ldb.Left] = false // what mid knows of a left sibling still joining
+	if !mid.parentJoining() {
+		t.Fatal("a middle node whose left sibling is not integrated reports a parent")
+	}
+	wave := mid.waveSeq
+	cl.Enqueue(mid.self.ID)
+	for i := 0; i < 3; i++ {
+		net.tick()
+		net.settle(nil)
+	}
+	if mid.waveSeq != wave || mid.inBatch != nil || cl.Finished() != 0 {
+		t.Fatalf("fired wave %d (was %d) into a parent that is still joining; %d operations finished", mid.waveSeq, wave, cl.Finished())
+	}
+	if d := cl.Diagnose(); len(d) != 1 || !strings.Contains(d[0], "holds its batch") {
+		t.Fatalf("Diagnose does not explain the hold: %q", d)
+	}
+	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, sibHello{Kind: ldb.Left})
+	net.settle(nil)
+	if cl.Finished() != 1 {
+		t.Fatalf("%d operations finished after the sibling's sibHello, want 1 with no further tick", cl.Finished())
+	}
+	// Three kinds of node never wait for a sibling: the anchor (it assigns
+	// itself — a joining triad's middle node can be the ring's minimum while
+	// its left sibling still joins), a joiner (it reports to its relay) and a
+	// left node (its parent is its ring predecessor).
+	mid.sibIn[ldb.Left] = false
+	mid.anchorRole = true
+	if mid.parentJoining() {
+		t.Error("the anchor holds its batch for a parent it does not have")
+	}
+	mid.anchorRole, mid.churn.joining = false, true
+	if mid.parentJoining() {
+		t.Error("a joiner holds its batch for its sibling instead of its relay")
+	}
+	mid.churn.joining, mid.sibIn[ldb.Left] = false, true
+	left.sibIn = [3]bool{true, false, false}
+	if left.parentJoining() {
+		t.Error("a left node holds its batch for a sibling")
+	}
+	left.sibIn = [3]bool{true, true, true}
 }

@@ -79,7 +79,10 @@ type Metrics struct {
 	ForwardedMsgs int64
 	RouteMsgs     int64
 	RouteHops     int64
-	MaxQueueSize  int64
+	// MaxRouteHops is the longest route delivered: what a shorter De Bruijn
+	// bit count (ldb.NewRoute) costs in the tail, counted rather than inferred.
+	MaxRouteHops int
+	MaxQueueSize int64
 }
 
 func (m *Metrics) noteBatch(b batch.Batch) {
@@ -98,6 +101,7 @@ func (m *Metrics) noteQueueSize(s int64) {
 func (m *Metrics) noteRoute(hops int) {
 	m.RouteMsgs++
 	m.RouteHops += int64(hops)
+	m.MaxRouteHops = max(m.MaxRouteHops, hops)
 }
 
 // AvgRouteHops returns the mean LDB routing path length observed.
@@ -630,6 +634,10 @@ func (cl *Cluster) Diagnose() []string {
 		if c.updatePhase {
 			out = append(out, fmt.Sprintf("%v in update phase e%d (acks=%d intro=%d votes=%d done=%v)",
 				n.self, c.epoch, c.acksLeft, c.introAcksLeft, c.votesPending, c.phaseDone))
+			continue
+		}
+		if n.parentJoining() && n.holdsWork(false) {
+			out = append(out, fmt.Sprintf("%v holds its batch: its tree parent, a process sibling, is still joining", n.self))
 			continue
 		}
 		var missing []string

@@ -41,18 +41,20 @@ func TestSingleProcessEnqueueDequeue(t *testing.T) {
 	if h.Len() != 4 {
 		t.Fatalf("expected 4 completions, got %d", h.Len())
 	}
-	// FIFO: the two dequeues return the elements in insertion order.
-	var deqElems []int64
+	// FIFO: the two dequeues return the elements in insertion order — in
+	// the client's issue order, that is (LocalSeq 2 and 3). History().Ops is
+	// completion order, and the two GETs take routes of different length.
+	deqElems := map[int64]int64{}
 	for _, op := range h.Ops {
 		if op.Kind == seqcheck.Dequeue {
 			if op.Bottom {
 				t.Fatalf("unexpected ⊥: %+v", op)
 			}
-			deqElems = append(deqElems, op.Elem.Seq)
+			deqElems[op.LocalSeq] = op.Elem.Seq
 		}
 	}
-	if len(deqElems) != 2 || deqElems[0] != 0 || deqElems[1] != 1 {
-		t.Fatalf("dequeues out of order: %v", deqElems)
+	if len(deqElems) != 2 || deqElems[2] != 0 || deqElems[3] != 1 {
+		t.Fatalf("dequeues out of order (LocalSeq → element): %v", deqElems)
 	}
 }
 

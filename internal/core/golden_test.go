@@ -60,27 +60,33 @@ func goldenDigest(t *testing.T, seed int64, async bool) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestSimulatorHistoryGolden pins the simulator: the digests below were
-// recorded at the commit before readiness-driven firing (PR 12, 5fd01bc),
-// where OnTimeout was one function. The split into churn.tick + tryFire
-// and the OnReady hook live behind the transport's scheduling, so a
-// simulated run — which never calls OnReady — must reproduce every
-// completion, stamp and wave count of that commit for the same seed.
+// TestSimulatorHistoryGolden pins the simulator: a simulated run must
+// reproduce every completion, stamp and wave count recorded below for the
+// same seed, so a change that is meant to live behind the transport's
+// scheduling (readiness-driven and work-driven firing, PRs 13 and 16, moved
+// none of the digests) or in a host is caught the moment it moves a
+// simulated schedule.
 //
-// Seed 2 is the exception: at that commit its asynchronous run panicked in
-// the join path (a directMsg outran the joiner's adoptMsg and bounced to a
-// relay that was not set yet). Its sync digest is that commit's; its async
-// digest was recorded at PR 14, which holds the message until adoption.
+// The digests were re-recorded at PR 17, deliberately, for four reasons
+// that each move every route or a churn handshake: the De Bruijn route
+// itself (ldb.NewRoute/NextHop: fewer bits, middle search on both sides,
+// delivery at the first responsible node — every PUT, GET and JOIN takes
+// other hops), routeStep's fallback to the linear walk when a bit selects a
+// sibling that is not integrated yet, dissolveQuery answering the node it
+// names instead of the frame's sender, and a node holding its batch while
+// its tree parent is a sibling that still joins (parentJoining; it used to
+// fire and be bounced once per round trip). Any later move is unintended
+// until a comment here says otherwise.
 func TestSimulatorHistoryGolden(t *testing.T) {
 	golden := map[string]string{
-		"seed=1/sync":  "33557b4f385af1ae",
-		"seed=1/async": "66ad386a89104638",
-		"seed=2/sync":  "93932abe668c47e6",
-		"seed=2/async": "4b314e2c2a4a5fcb",
-		"seed=3/sync":  "c2857008aa2ddcc0",
-		"seed=3/async": "27b7b24f526d7414",
-		"seed=4/sync":  "255d1c8520b498b1",
-		"seed=4/async": "ae05b8ecbf5e9850",
+		"seed=1/sync":  "7538111769c22e07",
+		"seed=1/async": "d963d22c2e33f718",
+		"seed=2/sync":  "e65a965a474b564f",
+		"seed=2/async": "55c3bcf0e872157a",
+		"seed=3/sync":  "c2f937ccd4c14e21",
+		"seed=3/async": "a4c1d0c332f6c77c",
+		"seed=4/sync":  "d0819c765f435aea",
+		"seed=4/async": "9b6dd490676f524d",
 	}
 	for _, seed := range []int64{1, 2, 3, 4} {
 		for _, async := range []bool{false, true} {

@@ -310,7 +310,7 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.inBatch != nil {
 		return
 	}
-	if n.stage4Gated() {
+	if n.stage4Gated() || n.parentJoining() {
 		return
 	}
 	if len(n.script) > 0 {
@@ -331,6 +331,31 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.holdsWork(onTick) || onTick && n.standing != idle {
 		n.fire(ctx)
 	}
+}
+
+// parentJoining reports whether stage 1 must hold because the node's tree
+// parent is a process sibling that is not a ring member yet: the triad of a
+// joining process can be integrated over several update phases (see sibIn),
+// and a middle node integrated ahead of its left sibling — or a right node
+// ahead of its middle — has no parent to report to until the sibling's
+// sibHello. The sibling would bounce every batch (it has no children while
+// it joins), and a node that re-fires on readiness would bounce it back at
+// message speed, between two nodes of one process — one member's runner,
+// which then does nothing else.
+func (n *Node) parentJoining() bool {
+	if n.anchorRole || n.churn.joining {
+		return false // assigns itself, or reports to its relay
+	}
+	// ldb.Neighborhood.Parent, without assembling the neighbourhood on every
+	// tick: a middle node reports to its left sibling, a right node to its
+	// middle, a left node to its ring predecessor.
+	switch n.self.Kind {
+	case ldb.Middle:
+		return !n.sibIn[ldb.Left]
+	case ldb.Right:
+		return !n.sibIn[ldb.Middle]
+	}
+	return false
 }
 
 // holdsWork reports whether a wave fired now would carry anything: own
@@ -780,6 +805,14 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 		m.RS = n.nb().NewRoute(m.RS.Target)
 	}
 	next, out, deliver := n.nb().NextHop(m.RS)
+	if !deliver && out.BitsLeft < m.RS.BitsLeft && !n.sibIn[next.Kind] {
+		// A De Bruijn hop to a sibling that is not a ring member yet. It
+		// would hold what it cannot route (routedHold) — and if the message
+		// is that sibling's own JOIN request, for ever. The remaining bits
+		// only shorten the way: finish by the linear walk instead.
+		m.RS.BitsLeft = 0
+		next, out, deliver = n.nb().NextHop(m.RS)
+	}
 	if deliver {
 		n.cl.metrics.noteRoute(out.Hops)
 		n.deliverRouted(ctx, m.RS.Target, m.Inner)

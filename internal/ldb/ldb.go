@@ -14,6 +14,24 @@
 //     of any point, via bit-prepending hops over the virtual l/r edges plus
 //     short linear corrections;
 //   - ring bookkeeping helpers used for bootstrap and as test oracles.
+//
+// # What a route costs
+//
+// Every hop of a route is a message, on TCP a frame, and the route is the
+// DHT term of an operation's latency (3 × tree height + DHT hops, §VII-B),
+// so NewRoute and NextHop make the four choices Lemma 3 leaves open at the
+// price of a hop:
+//
+//   - the bit count stops routeBitTrim bits short of ⌈log2(1/ĝ)⌉ instead of
+//     running past it — a bit costs ≈ 3 hops and only halves the closing
+//     walk — and is 0 on a ring of a few nodes;
+//   - the density estimate ĝ is the mean of the gaps to both ring neighbours;
+//   - the walk to a middle node heads for whichever neighbour is one, carries
+//     its direction in the message and never crosses the 0/1 seam;
+//   - delivery is at the first node responsible for the target, in any phase.
+//
+// Lemma 3's bound is unchanged; this is its constant (≈ 2.7 hops per bit of
+// log2(3n) in the mean; EXPERIMENTS.md, "The route at what a hop costs").
 package ldb
 
 import (
@@ -179,18 +197,36 @@ type RouteState struct {
 	WalkDir  int8
 }
 
-// RouteSlack is the number of extra De Bruijn bits beyond the local log n
-// estimate, driving the final linear walk to O(1) expected steps.
-const RouteSlack = 4
+// routeBitTrim is how many bits short of ⌈log2(1/ĝ)⌉ a route stops prepending
+// (ĝ: the local estimate of the gap between ring neighbours, see NewRoute).
+// A De Bruijn bit costs c ≈ 3 hops — the jump over the virtual edge plus the
+// walk to the next middle node, middles being a third of the ring — and
+// halves the linear walk that closes the route. A route of k bits therefore
+// costs ≈ c·k + w·2^−k hops, w being the walk with no bit at all, which is
+// least where the walk that remains, w·2^−k, is c/ln 2 ≈ 4.3 gaps long: a
+// bit pays only while the closing walk is longer than that. ⌈log2(1/ĝ)⌉ bits
+// bring the route to within about a gap of its target, so the count stops 3
+// bits (a factor 8 in distance, half of it on either side of the target)
+// earlier. Hence the negative offset, where Lemma 3's proof, which counts
+// bits and not hops, is content with any count ≥ log2 n; the bound stays
+// O(log n) w.h.p., this tunes its constant. The constant is not delicate
+// (EXPERIMENTS.md has the sweep for 2, 3 and 4).
+const routeBitTrim = 3
 
 // NewRoute prepares a route from a node with the given neighbourhood. The
-// bit count k ≈ log2 n + RouteSlack comes from the local density estimate:
-// the clockwise distance to the successor is ≈ 1/n w.h.p.
+// bit count is k = ⌈log2(1/ĝ)⌉ − routeBitTrim, floored at 0, where ĝ is the
+// mean of the gaps to predecessor and successor: 1/ĝ estimates the ring size
+// w.h.p., and two samples of the (exponential) gap halve the estimate's
+// variance at no cost, since a node knows both neighbours anyway. On a ring
+// of a few nodes k comes out 0 and the route is the linear walk it should be.
 func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
-	d := fixpoint.CWDist(nb.Self.Point.Label, nb.Succ.Point.Label)
-	k := d.Log2Inv() + RouteSlack
-	if k > 64 {
-		k = 64
+	self := nb.Self.Point.Label
+	// Halve before adding: the two gaps of a two-node ring sum to the whole
+	// circle, which a Frac cannot hold. Both distances wrap correctly.
+	g := fixpoint.CWDist(nb.Pred.Point.Label, self)>>1 + fixpoint.CWDist(self, nb.Succ.Point.Label)>>1
+	k := 0
+	if g != 0 { // g == 0: a node alone on the ring, both gaps the full circle
+		k = max(g.Log2Inv()-routeBitTrim, 0)
 	}
 	return RouteState{Target: target, BitsLeft: k}
 }
@@ -198,9 +234,16 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 // NextHop decides the next routing step at the current node. If deliver is
 // true the current node is responsible for the target and must consume the
 // message; otherwise the message moves to next with the updated state.
+//
+// The node responsible for the target consumes the message wherever the
+// route meets it, not only after the last bit: the bits are a means of
+// getting near, and a route that is already there has no use for them.
 func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver bool) {
 	out = rs
 	out.Hops++
+	if nb.responsible(rs.Target) {
+		return Ref{ID: transport.None}, out, true
+	}
 	if rs.BitsLeft > 0 {
 		if nb.Self.Kind == Middle {
 			// One De Bruijn hop: prepend bit b of the target, i.e. jump to
@@ -217,16 +260,29 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 			}
 			return nb.SibR, out, false
 		}
-		// Walk linearly to the nearest middle node; middles are one third
-		// of the ring, so this costs O(1) expected steps. The halving map
-		// is continuous on [0,1) but not across the 0/1 seam, so the walk
-		// must never wrap: prefer the successor direction, but flip away
-		// from the seam whenever the next edge would cross it. The
-		// direction travels in the message, so a flip cannot ping-pong:
-		// the previous node continues in the flipped direction too.
+		// Walk linearly to a middle node; middles are one third of the ring,
+		// so this costs O(1) expected steps. A walk that starts here takes
+		// the side on which it can see a middle node: the successor if it is
+		// one, else the predecessor if it is one, else the successor. That
+		// saves a step in expectation and, more to the point, keeps the route
+		// centred: a walk that always leaves clockwise drifts the position
+		// clockwise of its ideal point bit after bit, and the closing walk
+		// has to undo the drift. The direction then travels in the message,
+		// so the walk cannot ping-pong between two nodes that each prefer
+		// the other.
+		//
+		// The halving map is continuous on [0,1) but not across the 0/1
+		// seam, so the walk must never wrap: it flips away from the seam
+		// whenever the next edge would cross it, in either direction, and
+		// the node it came from continues in the flipped direction too.
+		// (Choosing a middle neighbour never picks the wrapping edge: the
+		// ring's minimum is a left node and its maximum a right node.)
 		dir := rs.WalkDir
 		if dir == 0 {
 			dir = 1
+			if nb.Succ.Kind != Middle && nb.Pred.Kind == Middle {
+				dir = -1
+			}
 		}
 		if dir > 0 && nb.isWrapSucc() {
 			dir = -1
@@ -239,10 +295,8 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 		}
 		return nb.Pred, out, false
 	}
-	// Linear phase: deliver at the predecessor of the target.
-	if nb.responsible(rs.Target) {
-		return Ref{ID: transport.None}, out, true
-	}
+	// Linear phase: walk the shorter way round to the predecessor of the
+	// target. This walk may take the wrapping edge.
 	if fixpoint.CWDist(nb.Self.Point.Label, rs.Target) <= fixpoint.CCWDist(nb.Self.Point.Label, rs.Target) {
 		return nb.Succ, out, false
 	}

@@ -276,8 +276,12 @@ func TestStatsAndMetrics(t *testing.T) {
 	if st.Total != 10 || st.Enqueues != 10 {
 		t.Fatalf("stats wrong: %+v", st)
 	}
-	if c.Metrics().WavesAssigned == 0 {
+	m := c.Metrics()
+	if m.WavesAssigned == 0 {
 		t.Fatalf("no waves recorded")
+	}
+	if m.RouteMsgs < 10 || m.MaxRouteHops < 1 || float64(m.MaxRouteHops) < m.AvgRouteHops || int64(m.MaxRouteHops) > m.RouteHops {
+		t.Fatalf("route counters inconsistent: %d routes, %d hops, mean %.1f, max %d", m.RouteMsgs, m.RouteHops, m.AvgRouteHops, m.MaxRouteHops)
 	}
 	if c.Now() == 0 {
 		t.Fatalf("time did not advance")
