@@ -772,6 +772,11 @@ type Metrics struct {
 	MaxRouteHops  int // longest LDB routing path
 	MaxQueueSize  int64
 	AvgRouteHops  float64 // mean LDB routing path length
+	// MaxWavesInFlight is the deepest pipeline a node reached (waves fired
+	// and not yet served) and PipelinedFires the fires made with a wave
+	// already in flight; a stack never pipelines.
+	MaxWavesInFlight int
+	PipelinedFires   int64
 }
 
 // Metrics returns a snapshot of the protocol metrics (zero on a remote
@@ -798,6 +803,9 @@ func (c *Client) Metrics() Metrics {
 		MaxRouteHops:  m.MaxRouteHops,
 		MaxQueueSize:  m.MaxQueueSize,
 		AvgRouteHops:  m.AvgRouteHops(),
+
+		MaxWavesInFlight: m.MaxWavesInFlight,
+		PipelinedFires:   m.PipelinedFires,
 	}
 }
 

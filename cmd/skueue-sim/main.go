@@ -73,8 +73,9 @@ func main() {
 	fmt.Printf("mode=%s n=%d rounds=%d requests=%d\n", m, *n, *rounds, st.Total)
 	fmt.Printf("avg rounds/request: %.2f (max %d)\n", st.AvgRounds, st.MaxRounds)
 	fmt.Printf("enqueues=%d dequeues=%d bottoms=%d combined=%d\n", st.Enqueues, st.Dequeues, st.Bottoms, st.Combined)
-	fmt.Printf("waves=%d emptyWaves=%d declines=%d maxBatchRuns=%d avgRouteHops=%.1f maxRouteHops=%d parkedGets=%d maxQueueSize=%d\n",
-		met.WavesAssigned, met.EmptyWaves, met.Declines, met.MaxBatchRuns, met.AvgRouteHops, met.MaxRouteHops, met.ParkedGets, met.MaxQueueSize)
+	fmt.Printf("waves=%d emptyWaves=%d declines=%d maxBatchRuns=%d avgRouteHops=%.1f maxRouteHops=%d parkedGets=%d maxQueueSize=%d maxWavesInFlight=%d pipelinedFires=%d\n",
+		met.WavesAssigned, met.EmptyWaves, met.Declines, met.MaxBatchRuns, met.AvgRouteHops, met.MaxRouteHops, met.ParkedGets, met.MaxQueueSize,
+		met.MaxWavesInFlight, met.PipelinedFires)
 	if *verbose {
 		fmt.Printf("tree height (ATH): %d\n", c.Cluster().TreeHeight())
 		eng := c.Cluster().Engine().Stats()

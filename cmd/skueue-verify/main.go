@@ -1,6 +1,7 @@
 // Command skueue-verify tortures the protocol for sequential consistency:
-// many seeds of adversarial asynchronous schedules with churn, for both
-// the queue and the stack, each execution checked against Definition 1.
+// many seeds of adversarial asynchronous schedules with churn, for the
+// queue, the stack and the heap (three priority levels), each execution
+// checked against Definition 1 (its priority generalization for the heap).
 // With -stack-no-wait it instead demonstrates the §VI counterexample by
 // disabling the stage-4 completion wait and counting how many seeds
 // violate consistency (E9 in DESIGN.md).
@@ -20,6 +21,9 @@ import (
 	"skueue/internal/xrand"
 )
 
+// heapLevels is the number of priority levels of the heap runs.
+const heapLevels = 3
+
 func runSeed(mode skueue.Mode, seed int64, churn, noWait bool) (drained bool, err error) {
 	opts := []skueue.Option{
 		skueue.WithManualClock(),
@@ -28,6 +32,9 @@ func runSeed(mode skueue.Mode, seed int64, churn, noWait bool) (drained bool, er
 		skueue.WithMode(mode),
 		skueue.WithAsync(),
 		skueue.WithAsyncDelays(16, 5),
+	}
+	if mode == skueue.Heap {
+		opts = append(opts, skueue.WithHeap(heapLevels))
 	}
 	if noWait {
 		opts = append(opts, skueue.WithoutStage4Wait(), skueue.WithoutLocalCombining())
@@ -46,7 +53,11 @@ func runSeed(mode skueue.Mode, seed int64, churn, noWait bool) (drained bool, er
 		clients := cl.ActiveClients()
 		target := clients[rng.Intn(len(clients))]
 		if rng.Bool(0.5) {
-			cl.Enqueue(target)
+			pri := int32(0)
+			if mode == skueue.Heap {
+				pri = int32(rng.Intn(heapLevels))
+			}
+			cl.EnqueuePriBlob(target, pri, nil)
 		} else {
 			cl.Dequeue(target)
 		}
@@ -97,7 +108,7 @@ func main() {
 	}
 
 	fail := 0
-	for _, mode := range []skueue.Mode{skueue.Queue, skueue.Stack} {
+	for _, mode := range []skueue.Mode{skueue.Queue, skueue.Stack, skueue.Heap} {
 		for _, churn := range []bool{false, true} {
 			for s := int64(0); s < int64(*seeds); s++ {
 				drained, err := runSeed(mode, s, churn, false)

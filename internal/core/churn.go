@@ -98,10 +98,9 @@ type churnState struct {
 	// status within that phase (phase entry is not simultaneous across the
 	// tree, and an early "no" would wedge the querier's triad).
 	heldQueries []heldQuery
-	// heldHandoffs are leave handoffs that arrived while we were inside an
-	// update phase; spawning a replacement mid-phase would create a node
-	// that cannot participate in the phase's triad votes.
-	heldHandoffs []nodeSnapshot
+	// heldAbsorbs are absorbs of a replacement this node spliced joiners in
+	// front of during the phase; they wait for the splice (see Node.absorb).
+	heldAbsorbs []absorbMsg
 	// lastEpoch is the newest update phase this node has entered.
 	lastEpoch int64
 
@@ -182,10 +181,15 @@ type updateAck struct{ Epoch int64 }
 // updateOver announces the end of the update phase down the new tree.
 type updateOver struct{ Epoch int64 }
 
-// rejectBatch returns an unprocessed relayed sub-batch to a joiner that is
-// being integrated; the joiner re-buffers its operations and resubmits
-// them through its new tree position.
-type rejectBatch struct{ B batch.Batch }
+// rejectBatch returns the unprocessed sub-batch of the sender's wave
+// WaveSeq — to a joiner that is being integrated, to a child that is not
+// one any more, or across an update phase. The sender takes that wave and
+// every later one back (Node.restoreWaves) and resubmits the operations
+// through its tree position at the time.
+type rejectBatch struct {
+	B       batch.Batch
+	WaveSeq int64
+}
 
 // leavePermissionReq asks the left neighbour for permission to leave.
 type leavePermissionReq struct{ From ldb.Ref }
@@ -200,9 +204,11 @@ type leaveHandoff struct{ Snap nodeSnapshot }
 // redirectMsg announces that Old has been replaced by New.
 type redirectMsg struct{ Old, New ldb.Ref }
 
-// absorbMsg is sent by a replacement to its pred during the update phase:
-// take my data, successor, responsibilities and possibly the anchor role.
+// absorbMsg is sent by a replacement (From) to its pred during the update
+// phase: take my data, successor, responsibilities and possibly the anchor
+// role. It names its sender because it may be passed on (see Node.absorb).
 type absorbMsg struct {
+	From        ldb.Ref
 	Entries     []dht.Entry
 	Parked      []dht.ParkedEntry
 	Succ        ldb.Ref
@@ -214,6 +220,11 @@ type absorbMsg struct {
 	Anchor      anchorBundle
 	Epoch       int64
 }
+
+// phasePassed tells a replacement that the node it replaces acknowledged
+// the update phase Epoch for it after leaving: the replacement sits that
+// phase out and answers its siblings' dissolve queries for it no.
+type phasePassed struct{ Epoch int64 }
 
 // absorbAck confirms an absorbMsg was ingested.
 type absorbAck struct{ Epoch int64 }
@@ -250,12 +261,15 @@ type nodeSnapshot struct {
 	AnchorRole                   bool
 	Anchor                       anchorBundle
 	Waiting                      []subBatch
-	Entries                      []dht.Entry
-	Parked                       []dht.ParkedEntry
-	Joiners                      []joinerInfo
-	GrantsPending                []ldb.Ref
-	GrantedOpen                  int
-	SibIn                        [3]bool
+	// FoldedWaves moves the fold cursors with the waiting sub-batches: a
+	// child's waves chain through waves the leaving node folded.
+	FoldedWaves   []FoldedWaveImage
+	Entries       []dht.Entry
+	Parked        []dht.ParkedEntry
+	Joiners       []joinerInfo
+	GrantsPending []ldb.Ref
+	GrantedOpen   int
+	SibIn         [3]bool
 }
 
 // frozen reports whether stage 1 must hold: an unadopted joiner cannot
@@ -325,26 +339,32 @@ func (c *churnState) enterUpdatePhase(ctx *transport.Context, from transport.Nod
 }
 
 // handEpochDown hands an update phase to the children the flagged serve
-// does not reach by itself. A node the wave served (outside false) has sent
-// that serve to every child in the wave; a child that had declined — idle
-// still, or woken since — was not in it and gets the epoch in a serve of its
-// own, answering no batch. A node handed the epoch that way (outside true,
-// see acceptEpoch) was not in the wave at all, so none of its children was:
-// each is handed it in turn, which is how a phase reaches every node of an
-// idle subtree. Whoever is handed the epoch owes an updateAck like a child
-// in the wave.
+// does not reach by itself. A node the wave served has sent that serve to
+// every child in the wave; a child that had declined — idle still, or woken
+// since — was not in it and gets the epoch in a serve of its own, answering
+// no batch. So does every child missing from the wave if the node
+// pipelines around it (all): a wave fired with another in flight waits for
+// no child, and a wave fired after it may have folded a declined child's
+// batch, so the child counts as idle no more. A node handed the epoch that
+// way (all, see acceptEpoch) was not in the wave at all, so none of its
+// children was: each is handed it in turn, which is how a phase reaches
+// every node of an idle subtree. Whoever is handed the epoch owes an
+// updateAck like a child in the wave.
 //
 // §IV-A relies on no batch being in flight during a phase: under Algorithm 1
 // every batch is in the flagged wave and answered by it. A child handed the
-// epoch may have woken and sent one that is not; it is returned to its
-// sender, like a joiner's, and resubmitted after the phase — carried across
-// it, a relayed joiner's share could end up below the joiner's new place in
-// the tree and wait for itself. The phase rebuilds the tree, so every
-// standing from before it is dropped: afterwards each node is active and the
-// first wave runs under Algorithm 1 again.
-func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []subBatch, outside bool) {
+// epoch may have woken and sent one that is not, and a child that pipelines
+// may have sent waves past the flagged one; both are returned to their
+// sender (returnsInPhase), like a joiner's, and resubmitted after the phase
+// — carried across it, a relayed joiner's share could end up below the
+// joiner's new place in the tree and wait for itself. A node acknowledges
+// the phase only once its pipelined waves at p_old have come back
+// (maybeFinishPhase). The phase rebuilds the tree, so every standing from
+// before it is dropped: afterwards each node is active and the first wave
+// runs under Algorithm 1 again.
+func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []subBatch, all bool) {
 	for _, k := range n.children() {
-		if _, declined := n.idleKids[k.ID]; !declined && !outside {
+		if _, declined := n.idleKids[k.ID]; !declined && !all {
 			continue
 		}
 		if !slices.ContainsFunc(inWave, func(sb subBatch) bool { return sb.From == k.ID }) {
@@ -357,13 +377,22 @@ func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []sub
 	c.returnBatches(ctx, n)
 }
 
-// returnBatches sends the waiting sub-batches of children that were handed
-// the epoch back to them (see handEpochDown).
+// returnsInPhase reports whether a child's sub-batch goes back to it
+// because this node is in an update phase it was not part of: the child
+// was handed the epoch, or the wave was pipelined past the child's wave in
+// the flagged one (see handEpochDown). The first wave a child fires after
+// it left the phase stays: it has nothing in flight before it.
+func (c *churnState) returnsInPhase(sb subBatch) bool {
+	return c.updatePhase && (sb.Prev != 0 || slices.Contains(c.handed, sb.From))
+}
+
+// returnBatches sends the waiting sub-batches that do not cross the phase
+// back to their senders (see handEpochDown).
 func (c *churnState) returnBatches(ctx *transport.Context, n *Node) {
 	keep := n.waiting[:0]
 	for _, w := range n.waiting {
-		if slices.Contains(c.handed, w.From) {
-			ctx.Send(w.From, rejectBatch{B: w.B})
+		if c.returnsInPhase(w) {
+			ctx.Send(w.From, rejectBatch{B: w.B, WaveSeq: w.WaveSeq})
 		} else {
 			keep = append(keep, w)
 		}
@@ -373,8 +402,16 @@ func (c *churnState) returnBatches(ctx *transport.Context, n *Node) {
 
 // acceptEpoch enters an update phase at a node the flagged wave did not
 // include: it is the serve of an empty wave, with nothing to decompose. If
-// the node has woken since it declined, its parent returns the batch.
+// the node has woken since it declined, its parent returns the batch. A
+// node that has entered the phase already — a pipelined wave's node hands
+// the epoch to whatever it counts as its children, and mid-phase two
+// nodes can count the same one — acknowledges at once: its subtree is in
+// the phase through the parent it entered from.
 func (n *Node) acceptEpoch(ctx *transport.Context, from transport.NodeID, epoch int64) {
+	if n.churn.lastEpoch >= epoch {
+		ctx.Send(from, updateAck{Epoch: epoch})
+		return
+	}
 	n.churn.enterUpdatePhase(ctx, from, epoch, nil)
 	n.churn.handEpochDown(ctx, n, nil, true)
 	n.churn.startIntegration(ctx, n)
@@ -398,7 +435,7 @@ func (c *churnState) startIntegration(ctx *transport.Context, n *Node) {
 			rejected := false
 			for _, j := range js {
 				if w.From == j.Ref.ID {
-					ctx.Send(j.Ref.ID, rejectBatch{B: w.B})
+					ctx.Send(j.Ref.ID, rejectBatch{B: w.B, WaveSeq: w.WaveSeq})
 					rejected = true
 					break
 				}
@@ -453,6 +490,14 @@ func (c *churnState) maybeFinishPhase(ctx *transport.Context, n *Node) {
 	if c.acksLeft > 0 || c.introAcksLeft > 0 || c.votesPending > 0 {
 		return
 	}
+	if slices.ContainsFunc(n.inFlight, func(w wave) bool { return w.To == c.pold && w.Prev != 0 }) {
+		// A pipelined wave of ours comes back from p_old within the phase
+		// (returnsInPhase). On a channel that reorders it could otherwise
+		// reach p_old after the phase, carried across it. A wave fired with
+		// none before it waits out the phase where it is, as under
+		// Algorithm 1.
+		return
+	}
 	// A replacement's final duty is to dissolve into its pred; it acks
 	// p_old only after the pred confirmed the splice (absorbAck), so the
 	// phase cannot end with a dangling ring edge. It dissolves only with
@@ -461,6 +506,7 @@ func (c *churnState) maybeFinishPhase(ctx *transport.Context, n *Node) {
 		c.absorbSent = true
 		ents, parked := n.store.ExtractAll()
 		ctx.Send(n.pred.ID, absorbMsg{
+			From:    n.self,
 			Entries: ents, Parked: parked, Succ: n.succ,
 			Waiting: n.waiting, Joiners: c.joiners,
 			Grants:      c.grantsPending,
@@ -519,7 +565,7 @@ func (n *Node) broadcastUpdateOver(ctx *transport.Context) {
 	if epoch > n.churn.lastEpoch {
 		n.churn.lastEpoch = epoch
 	}
-	n.exitUpdatePhase(ctx)
+	n.churn.exitUpdatePhase()
 	for _, id := range n.updateOverTargets() {
 		ctx.Send(id, updateOver{Epoch: epoch})
 	}
@@ -550,16 +596,6 @@ func (n *Node) updateOverTargets() []transport.NodeID {
 		add(j.Ref.ID)
 	}
 	return out
-}
-
-// exitUpdatePhase leaves the phase and runs actions deferred during it.
-func (n *Node) exitUpdatePhase(ctx *transport.Context) {
-	n.churn.exitUpdatePhase()
-	held := n.churn.heldHandoffs
-	n.churn.heldHandoffs = nil
-	for _, snap := range held {
-		n.spawnReplacement(ctx, snap)
-	}
 }
 
 func (c *churnState) exitUpdatePhase() {
@@ -609,7 +645,7 @@ func (c *churnState) tick(ctx *transport.Context, n *Node) {
 // and whether the parent has heard from the node since it last declined:
 // the replacement is a new node the parent must wait for, not an idle one.
 func (n *Node) drainedForLeave() bool {
-	return len(n.pending) == 0 && n.disc.drained(n) && n.inBatch == nil &&
+	return len(n.pending) == 0 && n.disc.drained(n) && len(n.inFlight) == 0 &&
 		len(n.pendingGets) == 0 && n.standing != idle
 }
 
@@ -678,6 +714,13 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 	case introAck:
 		if c.updatePhase && m.Epoch == c.epoch {
 			c.introAcksLeft--
+			if c.introAcksLeft == 0 {
+				held := c.heldAbsorbs
+				c.heldAbsorbs = nil
+				for _, a := range held {
+					n.absorb(ctx, a)
+				}
+			}
 			c.maybeFinishPhase(ctx, n)
 		}
 	case updateAck:
@@ -692,7 +735,7 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		// (their tree parent was not a ring member yet).
 		fresh := m.Epoch > c.lastEpoch
 		if c.updatePhase && m.Epoch >= c.epoch {
-			n.exitUpdatePhase(ctx)
+			n.churn.exitUpdatePhase()
 			fresh = true
 		}
 		if m.Epoch > c.lastEpoch {
@@ -704,37 +747,25 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			}
 		}
 	case rejectBatch:
-		if n.inBatch == nil {
-			if n.cl.memberMode() {
-				// Replay duplicate after a fail-stop restart: the batch it
-				// bounces was already restored or re-fired.
-				n.cl.logf("core: %v dropping rejectBatch without a batch in flight (restart replay)", n.self)
-				return true
-			}
-			panic(fmt.Sprintf("core: %v got rejectBatch without a batch in flight", n.self))
+		i := n.flightIndex(m.WaveSeq)
+		if i < 0 {
+			// Restored already, with an older wave its parent returned
+			// first (or, after a fail-stop restart, a replayed duplicate).
+			return true
 		}
-		kids := n.inBatch[1:]
-		own := n.inOwn
-		n.inBatch = nil
-		n.inOwn = ownWave{}
-		n.restoreOwn(own, kids)
+		n.restoreWaves(i)
 		c.returnBatches(ctx, n)
+		c.maybeFinishPhase(ctx, n)
 	case leavePermissionReq:
 		c.grantsPending = append(c.grantsPending, m.From)
 	case leaveGrant:
 		c.leaveGranted = true
 	case leaveHandoff:
-		if c.updatePhase {
-			// Spawning a replacement mid-phase would create a node outside
-			// the phase's triad votes; hold until the phase ends.
-			c.heldHandoffs = append(c.heldHandoffs, m.Snap)
-		} else {
-			n.spawnReplacement(ctx, m.Snap)
-		}
+		n.spawnReplacement(ctx, m.Snap)
 	case redirectMsg:
 		n.applyRedirect(m.Old, m.New)
 	case absorbMsg:
-		n.absorb(ctx, from, m)
+		n.absorb(ctx, m)
 	case absorbAck:
 		// Accept the ack even if a racing updateOver already ended the
 		// phase locally: the splice happened, so we must depart either way.
@@ -748,6 +779,19 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 	case sibHello:
 		n.sibIn[m.Kind] = true
 		n.invalidateTopology()
+	case phasePassed:
+		if m.Epoch > c.lastEpoch && !c.updatePhase {
+			c.lastEpoch = m.Epoch
+			held := c.heldQueries
+			c.heldQueries = nil
+			for _, q := range held {
+				if q.epoch <= m.Epoch {
+					ctx.Send(q.from, dissolveReply{Epoch: q.epoch, Yes: false})
+				} else {
+					c.heldQueries = append(c.heldQueries, q)
+				}
+			}
+		}
 	case dissolveQuery:
 		switch {
 		case c.updatePhase && c.epoch == m.Epoch:
@@ -888,6 +932,7 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 		SibL: n.sibL, SibM: n.sibM, SibR: n.sibR,
 		AnchorRole: n.anchorRole, Anchor: n.anchorBundle(),
 		Waiting:       n.waiting,
+		FoldedWaves:   waveCursorImage(n.foldedWaves),
 		Joiners:       c.joiners,
 		GrantsPending: c.grantsPending, GrantedOpen: c.grantedOpen,
 		SibIn: n.sibIn,
@@ -895,9 +940,15 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 	snap.Entries, snap.Parked = n.store.ExtractAll()
 	n.waiting = nil
 	ctx.Send(n.pred.ID, leaveHandoff{Snap: snap})
-	// Buffer everything until the replacement tells us its address.
+	// Buffer everything until the replacement tells us its address —
+	// dissolve queries held for a phase this node never enters too: its
+	// replacement answers them.
 	c.departed = true
 	c.forwardTo = transport.None
+	for _, q := range c.heldQueries {
+		c.buffer = append(c.buffer, dissolveQuery{From: q.from, Epoch: q.epoch})
+	}
+	c.heldQueries = nil
 	ctx.StopTimeouts(ctx.Self())
 	n.cl.noteDeparted(n)
 }
@@ -916,6 +967,7 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 		store:       dht.NewStore(),
 		pendingGets: make(map[uint64]getCtx),
 		waiting:     snap.Waiting,
+		foldedWaves: restoreWaveCursor(snap.FoldedWaves),
 	}
 	repl.setAnchorBundle(snap.Anchor)
 	repl.sibIn = snap.SibIn
@@ -923,6 +975,13 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 	repl.churn.joiners = snap.Joiners
 	repl.churn.grantsPending = snap.GrantsPending
 	repl.churn.grantedOpen = snap.GrantedOpen
+	if c := &n.churn; c.updatePhase {
+		// Spawned mid-phase, the replacement sits the phase out: it answers
+		// its siblings' dissolve queries no and acknowledges an epoch handed
+		// to it at once, as the node it replaces — which left before the
+		// phase reached it — would have.
+		repl.churn.lastEpoch = c.epoch
+	}
 	id := ctx.Spawn(repl)
 	repl.self.ID = id
 	for _, p := range snap.Parked {
@@ -982,7 +1041,24 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 
 // absorb ingests a dissolving replacement: its data, successor, relayed
 // joiners, pending duties, and possibly the anchor role (§IV-B).
-func (n *Node) absorb(ctx *transport.Context, from transport.NodeID, m absorbMsg) {
+//
+// A replacement that dissolves in the phase in which its pred integrates
+// joiners may address its pred before the joiners stand between the two:
+// taking over the replacement's successor there would cut them out of the
+// ring. Such an absorb waits until the pred's splice is acknowledged — the
+// joiners know their neighbours and the replacement its new pred — and then
+// moves along the successor chain to the last joiner, which is the
+// replacement's pred now.
+func (n *Node) absorb(ctx *transport.Context, m absorbMsg) {
+	from := m.From.ID
+	if n.succ.ID != from && n.succ.ID != n.self.ID && n.cwLess(n.succ.Point, m.From.Point) {
+		if n.churn.introAcksLeft > 0 {
+			n.churn.heldAbsorbs = append(n.churn.heldAbsorbs, m)
+		} else {
+			ctx.Send(n.succ.ID, m)
+		}
+		return
+	}
 	// Splice first: ingest re-dispatches anything we do not own, so the
 	// ring view must already cover the absorbed range.
 	if m.Succ.ID != from && m.Succ.ID != n.self.ID {
@@ -1073,11 +1149,31 @@ func (c *churnState) flushBuffer(ctx *transport.Context, n *Node) {
 }
 
 // handleDeparted processes messages at a departed node: the redirect that
-// names our replacement is consumed; everything else is forwarded.
-func (n *Node) handleDeparted(ctx *transport.Context, payload any) {
-	if m, ok := payload.(redirectMsg); ok && m.Old.ID == n.self.ID {
-		n.churn.forwardTo = m.New.ID
-		n.churn.flushBuffer(ctx, n)
+// names our replacement is consumed; an update phase handed to the node
+// after it left is acknowledged at once, and the replacement sits it out
+// (phasePassed); a splice is acknowledged at once and forwarded; everything
+// else is forwarded.
+func (n *Node) handleDeparted(ctx *transport.Context, from transport.NodeID, payload any) {
+	switch m := payload.(type) {
+	case redirectMsg:
+		if m.Old.ID == n.self.ID {
+			n.churn.forwardTo = m.New.ID
+			n.churn.flushBuffer(ctx, n)
+			return
+		}
+	case serveMsg:
+		if m.WaveSeq == 0 && m.UpdateEpoch != 0 {
+			ctx.Send(from, updateAck{Epoch: m.UpdateEpoch})
+			n.churn.forwardOrBuffer(ctx, n, phasePassed{Epoch: m.UpdateEpoch})
+			return
+		}
+	case setPred:
+		// The splice is acknowledged here, where it was addressed: the
+		// replacement that applies it — spawned perhaps only after the phase
+		// that waits for this ack — would acknowledge the forwarder.
+		ctx.Send(from, introAck{Epoch: m.Epoch})
+	case introAck:
+		// The replacement's acknowledgment of a splice forwarded to it.
 		return
 	}
 	n.churn.forwardOrBuffer(ctx, n, payload)

@@ -538,7 +538,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 		net.tick()
 		net.settle(nil)
 	}
-	if mid.waveSeq != wave || mid.inBatch != nil || cl.Finished() != 0 {
+	if mid.waveSeq != wave || len(mid.inFlight) != 0 || cl.Finished() != 0 {
 		t.Fatalf("fired wave %d (was %d) into a parent that is still joining; %d operations finished", mid.waveSeq, wave, cl.Finished())
 	}
 	if d := cl.Diagnose(); len(d) != 1 || !strings.Contains(d[0], "holds its batch") {

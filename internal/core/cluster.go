@@ -83,6 +83,12 @@ type Metrics struct {
 	// bit count (ldb.NewRoute) costs in the tail, counted rather than inferred.
 	MaxRouteHops int
 	MaxQueueSize int64
+	// MaxWavesInFlight is the deepest pipeline any node reached: the most
+	// waves it had fired and not yet seen served. PipelinedFires counts the
+	// fires made with a wave already in flight. Both stay at 1 and 0 in
+	// stack mode, which never pipelines (§VI's completion wait).
+	MaxWavesInFlight int
+	PipelinedFires   int64
 }
 
 func (m *Metrics) noteBatch(b batch.Batch) {
@@ -580,7 +586,7 @@ func (cl *Cluster) ChurnQuiescent() bool {
 		}
 		if c.joining || len(c.joiners) > 0 ||
 			c.isReplacement || c.updatePhase || c.leaving ||
-			len(c.heldHandoffs) > 0 || len(c.grantsPending) > 0 {
+			len(c.heldAbsorbs) > 0 || len(c.grantsPending) > 0 {
 			return false
 		}
 	}
@@ -620,15 +626,22 @@ func (cl *Cluster) TreeHeight() int {
 	return max
 }
 
-// Diagnose reports, for every live node that has not fired its current
-// wave, which children it is still waiting for (children standing idle are
-// not waited for) — the first tool to reach for when a wave stalls. A
-// cluster with nothing to do reports nothing.
+// Diagnose reports, for every live node with no wave in flight, which
+// children it is still waiting for (children standing idle are not waited
+// for), and for every node with waves in flight that holds work it cannot
+// fire, which waves those are — the first tool to reach for when a wave
+// stalls. A cluster with nothing to do reports nothing.
 func (cl *Cluster) Diagnose() []string {
 	var out []string
 	for _, n := range cl.nodes {
 		c := &n.churn
-		if c.departed || n.inBatch != nil {
+		if c.departed {
+			continue
+		}
+		if len(n.inFlight) > 0 {
+			if n.holdsWork(false) && !n.pipelines() {
+				out = append(out, fmt.Sprintf("%v holds work behind %d waves in flight, oldest %v", n.self, len(n.inFlight), &n.inFlight[0]))
+			}
 			continue
 		}
 		if c.updatePhase {

@@ -48,7 +48,8 @@ type discipline interface {
 	expand(runIndex int, ra batch.RunAssign, k int64) []batch.OpAssign
 
 	// Stage 4: gated blocks the next aggregation while completions are
-	// outstanding (§VI completion wait); opTicket extracts the ticket a
+	// outstanding (§VI completion wait) — and is the one place a strategy
+	// keeps its nodes from pipelining waves; opTicket extracts the ticket a
 	// PUT carries or the bound a GET carries (zero outside stack mode);
 	// trackPut/putAcked account the node's own in-flight PUTs (its GETs
 	// are Node.pendingGets). putAcked reports whether the ack is accounted
@@ -264,8 +265,12 @@ func (d *stackDisc) outstanding(n *Node) int {
 	return len(n.pendingGets) + len(d.awaitingAcks)
 }
 
+// gated also holds while the node has a wave in flight: the stack does not
+// pipeline. §VI's completion wait is a barrier across the whole tree only
+// because a node's next wave waits for every child, which Algorithm 1 does
+// only with nothing in flight.
 func (d *stackDisc) gated(n *Node) bool {
-	return !n.cl.cfg.DisableStage4Wait && d.outstanding(n) > 0
+	return len(n.inFlight) > 0 || !n.cl.cfg.DisableStage4Wait && d.outstanding(n) > 0
 }
 
 func (d *stackDisc) opTicket(oa batch.OpAssign) int64 { return oa.Ticket }

@@ -10,14 +10,17 @@ import (
 
 // aggregateMsg carries a combined batch one hop up the aggregation tree
 // (Stage 1, Algorithm 1: AGGREGATE). WaveSeq is the sender's fire
-// counter: the parent echoes it in the matching serveMsg, so a node can
-// recognize a serve for a wave it no longer has in flight — which only
-// happens around a fail-stop restart, when a rolled-back member re-fires
-// a wave its peers partially saw (see internal/core/snapshot.go).
+// counter: the parent echoes it in the matching serveMsg, which is how the
+// sender tells which of its waves in flight a serve answers, and how a
+// rolled-back member recognizes a serve for a wave it no longer has in
+// flight (see internal/core/snapshot.go). Prev is the sender's newest
+// other wave in flight when it fired this one, 0 if none: the parent folds
+// this wave only after Prev (Node.foldable).
 type aggregateMsg struct {
 	From    ldb.Ref
 	B       batch.Batch
 	WaveSeq int64
+	Prev    int64
 }
 
 // serveMsg carries decomposed run assignments one hop down the aggregation

@@ -17,7 +17,7 @@ import (
 // the member snapshot: the host names it (ReqID, from NextReqID or a journaled
 // identity) and says what it is (IsDeq, Pri, Blob); Cluster.Inject stamps
 // Elem, Born and LocalSeq and buffers it; the node's pending list, the
-// stack combiner, the in-flight wave and NodeImage all hold this same
+// stack combiner, the in-flight waves and NodeImage all hold this same
 // type. Fields are exported for the snapshot codec (encoding/gob).
 type Op struct {
 	IsDeq    bool
@@ -29,25 +29,44 @@ type Op struct {
 	Blob     []byte // opaque payload riding with an enqueue (networked mode)
 }
 
-// subBatch remembers one component of the processing batch and where it
-// came from: a child's sub-batch, or (From == transport.None) the node's
-// own buffered operations. WaveSeq is the child's fire counter, echoed in
-// the serve so the child can match (or reject) it after a restart. Fields
-// are exported because sub-batches travel inside leave handoffs and
-// absorb messages, which cross the wire under the TCP transport, and sit
-// in NodeImage as they are.
+// subBatch remembers one component of a wave and where it came from: a
+// child's sub-batch, or (From == transport.None) the node's own buffered
+// operations. WaveSeq is the child's fire counter, echoed in the serve so
+// the child can match (or reject) it. Prev is the child's newest wave
+// still in flight when it fired this one (0: none): the parent folds the
+// sub-batch only once it has folded Prev (see foldable). Fields are
+// exported because sub-batches travel inside leave handoffs and absorb
+// messages, which cross the wire under the TCP transport, and sit in
+// NodeImage as they are.
 type subBatch struct {
 	From    transport.NodeID
 	B       batch.Batch
 	WaveSeq int64
+	Prev    int64
 }
 
-// ownWave is the node's own contribution to the current processing batch:
-// the operations in order plus their run encoding.
+// ownWave is the node's own contribution to a wave: the operations in
+// order plus their run encoding.
 type ownWave struct {
 	ops []Op
 	B   batch.Batch
 }
+
+// wave is one fired wave awaiting its serve: its fire number, the parent
+// (or relay) its aggregate went to, the aggregate's Prev (non-zero: the
+// wave was pipelined), the sub-batches folded into it — own operations
+// first (From == transport.None) — and the own operations themselves.
+// Fields are exported for NodeImage.
+type wave struct {
+	Seq  int64
+	To   transport.NodeID
+	Prev int64
+	Subs []subBatch
+	Own  []Op
+}
+
+// own returns the node's own contribution to the wave.
+func (w *wave) own() ownWave { return ownWave{ops: w.Own, B: w.Subs[0].B} }
 
 // getCtx is what the requester remembers about an in-flight GET.
 type getCtx struct {
@@ -125,8 +144,8 @@ type Node struct {
 	nextElemSeq  int64
 	nextLocalSeq int64
 
-	// waveSeq counts this node's wave fires; the current processing batch
-	// (inBatch != nil) carries it upward and the parent's serve echoes it.
+	// waveSeq counts this node's wave fires; each wave carries its number
+	// upward and the parent's serve echoes it.
 	waveSeq int64
 
 	// standing says whether the next wave needs this node (see standing);
@@ -145,10 +164,11 @@ type Node struct {
 
 	// Stage 1: sub-batches received from children, waiting to be folded.
 	waiting []subBatch
-	// The processing batch B: provenance plus own-op bookkeeping.
-	// inBatch == nil means B is empty (the paper's B = (0)).
-	inBatch []subBatch
-	inOwn   ownWave
+	// The waves fired and not yet served, oldest first; empty is the
+	// paper's B = (0). With one in flight a node may fire the next as soon
+	// as it holds work (see tryFire), so an operation does not wait for
+	// its node's previous wave to come back.
+	inFlight []wave
 
 	// DHT fragment and in-flight GETs issued by this node.
 	store       *dht.Store
@@ -177,17 +197,21 @@ type Node struct {
 	// entry can never be claimed by a different op, and the map is
 	// bounded by the link-replay window.
 	earlyReplies map[uint64]getReply
-	// foldedWaves (member mode only) is the per-child cursor of the
-	// newest wave this node has FOLDED into a processing batch for that
-	// child. A restarted child re-fires the wave its snapshot rolled
+	// foldedWaves is the per-child cursor of the newest wave this node
+	// has FOLDED into a wave of its own. A child's wave is folded only
+	// once its Prev is (foldable): each child's waves are folded in fire
+	// order on a channel that reorders, and a wave whose predecessor this
+	// node returned is never folded — the child restores the two together.
+	// In member mode the cursor also recognizes a restarted child's re-sent
+	// aggregates: a restarted child re-fires the wave its snapshot rolled
 	// back, and the re-sent aggregate can arrive after the original was
-	// already folded — either already served, or still inside this
-	// node's in-flight batch: folding it again would double-count its
-	// operations at the anchor and orphan the fresh positions (nobody
-	// ever fills or consumes them), wedging the structure. Instead the
-	// re-send is dropped — the original serve, sent or still to come and
-	// unacknowledged by the crashed child either way, answers the
-	// re-fired wave.
+	// already folded — either already served, or still inside one of this
+	// node's in-flight waves: folding it again would double-count its
+	// operations at the anchor and orphan the fresh positions (nobody ever
+	// fills or consumes them), wedging the structure. Instead the re-send
+	// is dropped — the original serve, sent or still to come and
+	// unacknowledged by the crashed child either way, answers the re-fired
+	// wave.
 	foldedWaves map[transport.NodeID]int64
 	// heldServes (member mode only) parks replayed serves that arrive
 	// AHEAD of this node's wave counter. After a restart the parent's
@@ -289,26 +313,27 @@ func (n *Node) OnReady(ctx *transport.Context) {
 	n.decline(ctx)
 }
 
-// tryFire is the fire predicate of Algorithm 1: when the processing batch
-// is empty, stage 4 is not gated and every child contributed a sub-batch
-// — or stands idle, which is a standing empty contribution — fold the
-// waiting data into the processing batch and push it towards the anchor,
-// or, at the anchor, assign positions immediately.
+// tryFire is the fire predicate of Algorithm 1, pipelined. With no wave in
+// flight it is Algorithm 1: when stage 4 is not gated and every child
+// contributed a sub-batch — or stands idle, which is a standing empty
+// contribution — fold the waiting data into a wave and push it towards the
+// anchor, or, at the anchor, assign positions immediately. On the tick a
+// node that does not stand idle fires whatever it has, as Algorithm 1 says.
+// Off the tick, and on the tick of an idle node, a wave fires only if it
+// carries work, so a cluster with nothing to do exchanges nothing, while an
+// operation injected anywhere moves at once: the subtrees beside its path
+// stand idle and nobody waits for their tick.
 //
-// On the tick a node that does not stand idle fires whatever it has, as
-// Algorithm 1 says. Off the tick, and on the tick of an idle node, a wave
-// fires only if it carries work, so a cluster with nothing to do exchanges
-// nothing, while an operation injected anywhere moves at once: the subtrees
-// beside its path stand idle and nobody waits for their tick.
+// With waves in flight a node that may pipeline (pipelines) fires the next
+// one as soon as it carries work, without waiting for children that have
+// not sent again. Either way a call fires at most one wave, so a node sends
+// at most one aggregate per TIMEOUT or readiness pass.
 func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.churn.departed || n.churn.updatePhase || n.churn.frozen() {
 		return
 	}
 	if len(n.waiting) > 0 {
 		n.bounceStaleWaiting(ctx)
-	}
-	if n.inBatch != nil {
-		return
 	}
 	if n.stage4Gated() || n.parentJoining() {
 		return
@@ -323,6 +348,12 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 		n.fire(ctx)
 		return
 	}
+	if len(n.inFlight) > 0 {
+		if n.holdsWork(false) && n.pipelines() {
+			n.fire(ctx)
+		}
+		return
+	}
 	for _, k := range n.children() {
 		if !n.hasWaitingFrom(k.ID) && !n.standsIdle(k.ID) {
 			return
@@ -331,6 +362,29 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.holdsWork(onTick) || onTick && n.standing != idle {
 		n.fire(ctx)
 	}
+}
+
+// pipelines reports whether the node may fire past its oldest in-flight
+// wave. Its churn state must be quiet and no waiting sub-batch may carry a
+// join or leave level: a wave that carries churn, or a joiner's share, is
+// fired under Algorithm 1 so that the wave the anchor flags for an update
+// phase holds it (§IV-A). And its parent must be the one its waves in
+// flight went to: a child's waves chain (subBatch.Prev) at one parent only,
+// and one sent elsewhere would wait there for a predecessor that never
+// comes. The anchor assigns the moment it fires, so it never has a wave to
+// pipeline past; a node that takes the role over with waves still in flight
+// waits for them.
+func (n *Node) pipelines() bool {
+	if n.anchorRole || !n.churnQuiet() {
+		return false
+	}
+	for _, w := range n.waiting {
+		if w.B.J+w.B.L > 0 {
+			return false
+		}
+	}
+	parent, ok := n.nb().Parent()
+	return ok && parent.ID == n.inFlight[0].To
 }
 
 // parentJoining reports whether stage 1 must hold because the node's tree
@@ -359,15 +413,26 @@ func (n *Node) parentJoining() bool {
 }
 
 // holdsWork reports whether a wave fired now would carry anything: own
-// operations, a child's sub-batch (its sender is blocked until served) or,
-// on the tick only, churn — a join/leave level, or the node's own pending
-// leave. The level rides in every batch until an update phase consumed it
-// (§IV); counted off the tick too it would re-fire the node the moment each
-// serve came back. A leaving node reports on every tick so that its parent
-// stops counting it as idle before the replacement takes its place.
+// operations, a child's foldable sub-batch (its sender waits for the serve)
+// or, on the tick only, churn — a join/leave level, or the node's own
+// pending leave. The level rides in every batch until an update phase
+// consumed it (§IV); counted off the tick too it would re-fire the node the
+// moment each serve came back. A leaving node reports on every tick so that
+// its parent stops counting it as idle before the replacement takes its
+// place.
 func (n *Node) holdsWork(onTick bool) bool {
-	return n.disc.buffered(n) || len(n.waiting) > 0 ||
+	return n.disc.buffered(n) || slices.ContainsFunc(n.waiting, n.foldable) ||
 		onTick && (n.churn.leaving || n.churn.takeJoinCount()+n.churn.takeLeaveCount() > 0)
+}
+
+// foldable reports whether a waiting sub-batch may be folded now: its
+// sender had no other wave in flight when it fired it, or this node has
+// folded that one. A channel that reorders can deliver a child's wave
+// before its predecessor; the wave waits here until the predecessor is
+// folded. And a wave whose predecessor this node returned never becomes
+// foldable: the child took both back together (see restoreWaves).
+func (n *Node) foldable(w subBatch) bool {
+	return w.Prev == 0 || w.Prev <= n.foldedWaves[w.From]
 }
 
 // standsIdle reports whether child id declined and has sent nothing since.
@@ -436,7 +501,7 @@ func (n *Node) bounceStaleWaiting(ctx *transport.Context) {
 		if current {
 			keep = append(keep, w)
 		} else {
-			ctx.Send(w.From, rejectBatch{B: w.B})
+			ctx.Send(w.From, rejectBatch{B: w.B, WaveSeq: w.WaveSeq})
 		}
 	}
 	n.waiting = keep
@@ -459,9 +524,11 @@ func (n *Node) isCurrentChild(id transport.NodeID) bool {
 	return false
 }
 
+// hasWaitingFrom reports whether child id has a sub-batch here that the
+// next fire can fold.
 func (n *Node) hasWaitingFrom(id transport.NodeID) bool {
 	for _, w := range n.waiting {
-		if w.From == id {
+		if w.From == id && n.foldable(w) {
 			return true
 		}
 	}
@@ -482,11 +549,11 @@ func (n *Node) takeOwnOps() ownWave {
 	return n.disc.takeOwn(n)
 }
 
-// takeWaiting drains the sub-batches for the next wave: the OLDEST
-// pending wave of each child. Normally that is everything buffered (one
-// wave per child); during a fail-stop replay a child's re-sent waves
-// queue up here and must be folded one per fire, in order, to line up
-// with the serves already in flight for them.
+// takeWaiting drains the sub-batches for the next wave: one per child, its
+// oldest foldable one, so every child's waves are folded one per fire in
+// the order it fired them. A waiting wave of that child older still can
+// never be folded (its predecessor was returned, and the child took both
+// back): it is dropped.
 func (n *Node) takeWaiting() []subBatch {
 	if len(n.script) > 0 {
 		// Restart replay: exactly the child waves the logged fire folded.
@@ -503,36 +570,32 @@ func (n *Node) takeWaiting() []subBatch {
 		n.waiting = rest
 		return chosen
 	}
-	if !n.cl.memberMode() {
-		// The simulator delivers exactly once, so a second pending wave
-		// per child is impossible (OnMessage panics): take everything,
-		// allocation-free.
-		out := n.waiting
-		n.waiting = nil
-		return out
-	}
 	chosen := make([]subBatch, 0, len(n.waiting))
-	var rest []subBatch
-	pick := make(map[transport.NodeID]int, len(n.waiting))
 	for _, w := range n.waiting {
-		i, dup := pick[w.From]
-		if !dup {
-			pick[w.From] = len(chosen)
-			chosen = append(chosen, w)
+		if !n.foldable(w) {
 			continue
 		}
-		if w.WaveSeq < chosen[i].WaveSeq {
-			rest = append(rest, chosen[i])
+		i := slices.IndexFunc(chosen, func(c subBatch) bool { return c.From == w.From })
+		if i < 0 {
+			chosen = append(chosen, w)
+		} else if w.WaveSeq < chosen[i].WaveSeq {
 			chosen[i] = w
-		} else {
+		}
+	}
+	rest := n.waiting[:0]
+	for _, w := range n.waiting {
+		i := slices.IndexFunc(chosen, func(c subBatch) bool { return c.From == w.From })
+		if i < 0 || w.WaveSeq > chosen[i].WaveSeq {
 			rest = append(rest, w)
 		}
 	}
+	clear(n.waiting[len(rest):])
 	n.waiting = rest
 	return chosen
 }
 
-// fire executes the Stage 1 transfer W -> B (Algorithm 1).
+// fire executes the Stage 1 transfer W -> B (Algorithm 1): the node's own
+// operations and one sub-batch per child become a new wave in flight.
 func (n *Node) fire(ctx *transport.Context) {
 	own := n.takeOwnOps()
 	own.B.J = n.churn.takeJoinCount()
@@ -555,35 +618,34 @@ func (n *Node) fire(ctx *transport.Context) {
 	subs := make([]subBatch, 0, 1+len(taken))
 	subs = append(subs, subBatch{From: transport.None, B: own.B})
 	subs = append(subs, taken...)
-	if n.cl.memberMode() {
-		if len(subs) > 2 {
-			// Fold child sub-batches in sorted order, not arrival order:
-			// the fold order fixes how a later serve's intervals decompose
-			// over the children, and after a fail-stop restart the
-			// re-fired wave must decompose exactly like its crashed
-			// incarnation did even though the replayed sub-batches may
-			// arrive interleaved differently across links. Any fold order
-			// is a valid serialization; a deterministic one makes replay
-			// exact.
-			sort.Slice(subs[1:], func(i, j int) bool { return subs[1+i].From < subs[1+j].From })
+	if n.cl.memberMode() && len(subs) > 2 {
+		// Fold child sub-batches in sorted order, not arrival order: the
+		// fold order fixes how a later serve's intervals decompose over the
+		// children, and after a fail-stop restart the re-fired wave must
+		// decompose exactly like its crashed incarnation did even though
+		// the replayed sub-batches may arrive interleaved differently across
+		// links. Any fold order is a valid serialization; a deterministic
+		// one makes replay exact.
+		sort.Slice(subs[1:], func(i, j int) bool { return subs[1+i].From < subs[1+j].From })
+	}
+	// Advance the folded-wave cursors: from here on the child's next wave
+	// is foldable, and a duplicate of any of these sub-batches is a restart
+	// re-send to drop.
+	for _, sb := range subs[1:] {
+		if sb.WaveSeq == 0 {
+			continue
 		}
-		// Advance the folded-wave cursors: from here on, a duplicate of
-		// any of these sub-batches is a restart re-send to drop.
-		for _, sb := range subs[1:] {
-			if sb.WaveSeq == 0 {
-				continue
-			}
-			if n.foldedWaves == nil {
-				n.foldedWaves = make(map[transport.NodeID]int64)
-			}
-			if sb.WaveSeq > n.foldedWaves[sb.From] {
-				n.foldedWaves[sb.From] = sb.WaveSeq
-			}
+		if n.foldedWaves == nil {
+			n.foldedWaves = make(map[transport.NodeID]int64)
+		}
+		if sb.WaveSeq > n.foldedWaves[sb.From] {
+			n.foldedWaves[sb.From] = sb.WaveSeq
 		}
 	}
-	n.inBatch = subs
-	n.inOwn = own
-	n.waveSeq++
+	var prev int64
+	if k := len(n.inFlight); k > 0 {
+		prev = n.inFlight[k-1].Seq
+	}
 
 	parts := make([]batch.Batch, len(subs))
 	for i, sb := range subs {
@@ -592,32 +654,42 @@ func (n *Node) fire(ctx *transport.Context) {
 	combined := batch.Combine(parts...)
 	n.cl.metrics.noteBatch(combined)
 
-	if n.anchorRole {
+	w := wave{Seq: n.waveSeq + 1, Prev: prev, Subs: subs, Own: own.ops}
+	switch parent, ok := n.nb().Parent(); {
+	case n.anchorRole:
+		n.waveSeq++
+		n.inFlight = append(n.inFlight, w)
 		n.noteFire()
 		n.assignAndServe(ctx, combined)
 		return
-	}
-	if n.churn.joining {
+	case n.churn.joining:
 		// Joining nodes relay their requests through the responsible node,
 		// which treats them as extra aggregation-tree children (§IV-A).
-		n.noteFire()
-		ctx.Send(n.churn.relayVia.ID, aggregateMsg{From: n.self, B: combined, WaveSeq: n.waveSeq})
-		n.takeHeldServe(ctx)
-		return
-	}
-	parent, ok := n.nb().Parent()
-	if !ok {
+		w.To = n.churn.relayVia.ID
+	case ok:
+		w.To = parent.ID
+	default:
 		// Structurally leftmost but not (yet) holding the anchor role:
 		// happens only transiently during churn; hold the batch until the
 		// role arrives.
-		n.inBatch = nil
-		n.waveSeq--
 		n.restoreOwn(own, subs[1:])
 		return
 	}
+	n.waveSeq++
+	n.inFlight = append(n.inFlight, w)
 	n.noteFire()
-	ctx.Send(parent.ID, aggregateMsg{From: n.self, B: combined, WaveSeq: n.waveSeq})
+	ctx.Send(w.To, aggregateMsg{From: n.self, B: combined, WaveSeq: n.waveSeq, Prev: w.Prev})
 	n.takeHeldServe(ctx)
+}
+
+// flightIndex returns the position of wave seq in the in-flight list, or -1.
+func (n *Node) flightIndex(seq int64) int {
+	for i := range n.inFlight {
+		if n.inFlight[i].Seq == seq {
+			return i
+		}
+	}
+	return -1
 }
 
 // takeHeldServe applies a replayed serve parked for the wave this node
@@ -634,7 +706,8 @@ func (n *Node) takeHeldServe(ctx *transport.Context) {
 	}
 	delete(n.heldServes, n.waveSeq)
 	n.cl.logf("core: %v applying held serve for wave %d (restart replay)", n.self, n.waveSeq)
-	if n.inBatch != nil && !n.assignsFit(hs.assigns) {
+	i := len(n.inFlight) - 1
+	if !n.assignsFit(&n.inFlight[i], hs.assigns) {
 		// No second copy of a held serve exists; refusing it stops this
 		// node's waves rather than corrupting positions. Replay of an
 		// unchanged snapshot+journal is deterministic, so reaching this
@@ -642,7 +715,7 @@ func (n *Node) takeHeldServe(ctx *transport.Context) {
 		n.cl.logf("core: %v REFUSING held serve with mismatched shape for wave %d — replay diverged; member wedged pending restart (state remains recoverable)", n.self, n.waveSeq)
 		return
 	}
-	n.serve(ctx, hs.assigns, hs.epoch, hs.from)
+	n.serve(ctx, i, hs.assigns, hs.epoch, hs.from)
 }
 
 // noteFire commits a wave fire: the aggregate on its way tells the parent
@@ -651,9 +724,14 @@ func (n *Node) takeHeldServe(ctx *transport.Context) {
 // or assign the batch — an undone fire (restoreOwn) must not count.
 func (n *Node) noteFire() {
 	n.standing = active
+	m := &n.cl.metrics
+	if len(n.inFlight) > 1 {
+		m.PipelinedFires++
+	}
+	m.MaxWavesInFlight = max(m.MaxWavesInFlight, len(n.inFlight))
 	if n.cl.onFire != nil {
 		var folded []FoldedWaveImage
-		for _, sb := range n.inBatch[1:] {
+		for _, sb := range n.inFlight[len(n.inFlight)-1].Subs[1:] {
 			folded = append(folded, FoldedWaveImage{From: sb.From, WaveSeq: sb.WaveSeq})
 		}
 		n.cl.onFire(n.self.ID, n.waveSeq, folded)
@@ -666,52 +744,68 @@ func (n *Node) restoreOwn(own ownWave, kids []subBatch) {
 	n.waiting = append(kids, n.waiting...)
 }
 
+// restoreWaves takes in-flight wave i and every later one back after the
+// parent returned wave i: their own operations go back ahead of whatever
+// was buffered since, their children's sub-batches back into waiting. A
+// later wave rides on i (its Prev chain leads there), so the parent folds
+// none of them; restoring i alone would let the newer operations overtake
+// it. Newest first, so that the oldest ends up in front.
+func (n *Node) restoreWaves(i int) {
+	for j := len(n.inFlight) - 1; j >= i; j-- {
+		w := &n.inFlight[j]
+		n.restoreOwn(w.own(), w.Subs[1:])
+	}
+	clear(n.inFlight[i:])
+	n.inFlight = n.inFlight[:i]
+}
+
 // assignAndServe is Stage 2 at the anchor (Algorithm 2: ASSIGN).
 func (n *Node) assignAndServe(ctx *transport.Context, combined batch.Batch) {
 	n.cl.metrics.WavesAssigned++
 	epoch := n.churn.anchorObserve(n, combined)
 	assigns := n.disc.assign(&n.ast, combined)
 	n.cl.metrics.noteQueueSize(n.ast.Size())
-	n.serve(ctx, assigns, epoch, transport.None)
+	n.serve(ctx, len(n.inFlight)-1, assigns, epoch, transport.None)
 }
 
-// serve is Stage 3 (Algorithm 2: SERVE): decompose the run assignments
-// over the remembered sub-batches and forward each share — down the tree
-// for child batches, into Stage 4 for own operations. A non-zero epoch
-// starts the update phase of §IV.
-func (n *Node) serve(ctx *transport.Context, assigns []batch.RunAssign, epoch int64, from transport.NodeID) {
-	if n.inBatch == nil {
-		if n.cl.memberMode() {
-			// A restarted member can receive the serve for a wave its
-			// snapshot predates (the fire was re-executed, or the wave was
-			// a pre-crash phantom). The restart protocol only guarantees
-			// this for empty waves, which lose nothing when dropped.
-			n.cl.logf("core: %v dropping SERVE without a processing batch (restart replay)", n.self)
-			return
-		}
-		panic(fmt.Sprintf("core: node %v received SERVE without a processing batch", n.self))
+// serve is Stage 3 (Algorithm 2: SERVE) for in-flight wave i: decompose
+// the run assignments over the wave's sub-batches and forward each share —
+// down the tree for child batches, into Stage 4 for own operations. A
+// non-zero epoch starts the update phase of §IV.
+func (n *Node) serve(ctx *transport.Context, i int, assigns []batch.RunAssign, epoch int64, from transport.NodeID) {
+	w := n.inFlight[i]
+	n.inFlight = slices.Delete(n.inFlight, i, i+1)
+	if len(n.inFlight) == 0 {
+		n.standing = served
 	}
-	subs := n.inBatch
-	own := n.inOwn
-	n.inBatch = nil
-	n.inOwn = ownWave{}
-	n.standing = served
 
-	if epoch != 0 {
-		n.churn.enterUpdatePhase(ctx, from, epoch, subs)
+	if epoch != 0 && n.churn.lastEpoch >= epoch {
+		// In the phase already: a parent the tree gave this node mid-phase
+		// handed it the epoch first (acceptEpoch), and that entry handed it
+		// on to every child. The flagged serve only answers the wave; its
+		// sender is acknowledged at once.
+		ctx.Send(from, updateAck{Epoch: epoch})
+		epoch = 0
 	}
-	for _, sb := range subs {
+	if epoch != 0 {
+		n.churn.enterUpdatePhase(ctx, from, epoch, w.Subs)
+	}
+	for _, sb := range w.Subs {
 		d := n.disc.decompose(assigns, sb.B)
 		if sb.From == transport.None {
-			n.applyOwn(ctx, own, d)
+			n.applyOwn(ctx, w.own(), d)
 		} else {
 			ctx.Send(sb.From, serveMsg{Assigns: d, UpdateEpoch: epoch, WaveSeq: sb.WaveSeq})
 		}
 	}
 	if epoch != 0 {
-		n.churn.handEpochDown(ctx, n, subs, false)
+		n.churn.handEpochDown(ctx, n, w.Subs, w.Prev != 0 || len(n.inFlight) > 0)
 		n.churn.startIntegration(ctx, n)
+		return
 	}
+	// A wave older than the flagged one may come back during the phase;
+	// the phase waits for it (maybeFinishPhase).
+	n.churn.maybeFinishPhase(ctx, n)
 }
 
 // applyOwn is Stage 4 for the node's own operations: turn every assigned
@@ -952,7 +1046,7 @@ func (n *Node) noteServedGet(reqID uint64) {
 func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload any) {
 	if n.churn.departed {
 		// A replaced node only forwards until the ring forgets it (§IV-B).
-		n.handleDeparted(ctx, payload)
+		n.handleDeparted(ctx, from, payload)
 		return
 	}
 	switch m := payload.(type) {
@@ -963,17 +1057,18 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 			// Bounce it back so the sender re-buffers its operations and
 			// resubmits through its current parent; queueing it here could
 			// deadlock the wave (the new tree never consumes it).
-			ctx.Send(m.From.ID, rejectBatch{B: m.B})
+			ctx.Send(m.From.ID, rejectBatch{B: m.B, WaveSeq: m.WaveSeq})
 			return
 		}
-		if slices.Contains(n.churn.handed, m.From.ID) {
-			// Sent before the epoch this node handed the child arrived
-			// there: not part of the flagged wave, so not to be carried
-			// across the phase (see handEpochDown).
-			ctx.Send(m.From.ID, rejectBatch{B: m.B})
+		sb := subBatch{From: m.From.ID, B: m.B, WaveSeq: m.WaveSeq, Prev: m.Prev}
+		if n.churn.returnsInPhase(sb) {
+			// Fired before the sender entered the phase and not part of the
+			// flagged wave, so not to be carried across the phase (see
+			// handEpochDown).
+			ctx.Send(m.From.ID, rejectBatch{B: m.B, WaveSeq: m.WaveSeq})
 			return
 		}
-		if n.cl.memberMode() && m.WaveSeq != 0 && m.WaveSeq <= n.foldedWaves[m.From.ID] {
+		if m.WaveSeq != 0 && m.WaveSeq <= n.foldedWaves[m.From.ID] {
 			// A restarted child re-sent a wave this node already folded:
 			// the original serve — sent, or still to come with this
 			// node's in-flight batch — answers the child, so the re-send
@@ -982,32 +1077,19 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 				n.self, m.From, m.WaveSeq)
 			return
 		}
-		if n.hasWaitingFrom(m.From.ID) {
-			if n.cl.memberMode() {
-				// Around a fail-stop restart several of a child's waves can
-				// be pending here at once: the link replays every
-				// unacknowledged aggregate back-to-back while this node is
-				// still working through its own rollback. An arrival for a
-				// wave already buffered is the restarted child's re-fire of
-				// that same wave (regenerated from replayed inputs) and
-				// replaces it; a NEWER wave queues behind the buffered ones
-				// — each wave must be folded individually, in order, or the
-				// re-fired waves would not match the serves already in
-				// flight for them (fire folds the oldest wave per child).
-				for i := range n.waiting {
-					if n.waiting[i].From == m.From.ID && n.waiting[i].WaveSeq == m.WaveSeq {
-						n.cl.logf("core: %v replacing sub-batch from restarted child %v (wave %d)", n.self, m.From, m.WaveSeq)
-						n.waiting[i].B = m.B
-						return
-					}
-				}
-				n.cl.logf("core: %v queueing sub-batch from %v for wave %d behind its pending waves (restart replay)", n.self, m.From, m.WaveSeq)
-				n.waiting = append(n.waiting, subBatch{From: m.From.ID, B: m.B, WaveSeq: m.WaveSeq})
+		for i := range n.waiting {
+			if n.waiting[i].From == m.From.ID && n.waiting[i].WaveSeq == m.WaveSeq {
+				// A restarted child's re-fire of a wave still buffered here,
+				// regenerated from replayed inputs: it replaces the original.
+				n.cl.logf("core: %v replacing sub-batch from restarted child %v (wave %d)", n.self, m.From, m.WaveSeq)
+				n.waiting[i] = sb
 				return
 			}
-			panic(fmt.Sprintf("core: node %v got a second sub-batch from child %v within one wave", n.self, m.From))
 		}
-		n.waiting = append(n.waiting, subBatch{From: m.From.ID, B: m.B, WaveSeq: m.WaveSeq})
+		// Several waves of one child wait here when it pipelines, or when
+		// a restarted child's link replays its unacknowledged aggregates
+		// back-to-back; fire folds them one per wave, in order.
+		n.waiting = append(n.waiting, sb)
 	case declineMsg:
 		n.noteDecline(m)
 	case serveMsg:
@@ -1015,12 +1097,17 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 			n.acceptEpoch(ctx, from, m.UpdateEpoch)
 			return
 		}
-		if n.cl.memberMode() && m.WaveSeq != 0 && m.WaveSeq != n.waveSeq {
-			if m.WaveSeq < n.waveSeq {
+		// A serve answers the in-flight wave whose number it echoes.
+		i := n.flightIndex(m.WaveSeq)
+		if i < 0 {
+			if !n.cl.memberMode() {
+				panic(fmt.Sprintf("core: node %v received SERVE for wave %d, which is not in flight", n.self, m.WaveSeq))
+			}
+			if m.WaveSeq <= n.waveSeq {
 				// A serve for a wave this node already completed: around a
 				// fail-stop restart both the replayed original and a serve
 				// for the re-sent aggregate can arrive; the first consumed
-				// the batch, this one is a true duplicate.
+				// the wave, this one is a true duplicate.
 				n.cl.logf("core: %v dropping serve for past wave %d (current %d; restart replay)", n.self, m.WaveSeq, n.waveSeq)
 				return
 			}
@@ -1036,16 +1123,16 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 			n.cl.logf("core: %v holding replayed serve for future wave %d (current %d)", n.self, m.WaveSeq, n.waveSeq)
 			return
 		}
-		if n.cl.memberMode() && n.inBatch != nil && !n.assignsFit(m.Assigns) {
+		if n.cl.memberMode() && !n.assignsFit(&n.inFlight[i], m.Assigns) {
 			// Shape guard: the serve was computed for a batch that differs
 			// from the one in flight — a replay divergence the protocol
 			// must not apply (it would double-assign or orphan positions).
-			// Keep the batch; the serve matching the re-sent aggregate
+			// Keep the wave; the serve matching the re-sent aggregate
 			// carries the same WaveSeq and is applied when it arrives.
 			n.cl.logf("core: %v dropping serve with mismatched shape for wave %d (restart replay divergence)", n.self, m.WaveSeq)
 			return
 		}
-		n.serve(ctx, m.Assigns, m.UpdateEpoch, from)
+		n.serve(ctx, i, m.Assigns, m.UpdateEpoch, from)
 	case routedMsg:
 		n.routeStep(ctx, m)
 	case directMsg:
@@ -1103,5 +1190,5 @@ func (n *Node) AnchorState() batch.AnchorState { return n.ast }
 // operation injected now rides the fire after this one, which is what a
 // durable host records with the operation so that a restart can put it back
 // into that wave. Between fires the counter is exact (an undone fire takes
-// its increment back before its task ends). Runner goroutine only.
+// no number). Runner goroutine only.
 func (n *Node) WaveSeq() int64 { return n.waveSeq }

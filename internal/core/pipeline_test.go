@@ -1,0 +1,259 @@
+package core
+
+import (
+	"bytes"
+	"encoding/gob"
+	"testing"
+
+	"skueue/internal/batch"
+	"skueue/internal/seqcheck"
+	"skueue/internal/transport"
+	"skueue/internal/xrand"
+)
+
+// loadSim offers ops operations a round, at random clients and with random
+// priorities where the discipline has them, for rounds rounds, and returns
+// how many were enqueues.
+func loadSim(cl *Cluster, rng *xrand.RNG, rounds, ops int) int {
+	enq := 0
+	for r := 0; r < rounds; r++ {
+		clients := cl.ActiveClients()
+		for i := 0; i < ops; i++ {
+			c := clients[rng.Intn(len(clients))]
+			if rng.Bool(0.55) {
+				cl.EnqueuePriBlob(c, int32(rng.Intn(cl.HeapLevels())), nil)
+				enq++
+			} else {
+				cl.Dequeue(c)
+			}
+		}
+		cl.Run(1)
+	}
+	return enq
+}
+
+// checkElements asserts exact element accounting: every element enqueued
+// was either dequeued once or is still stored.
+func checkElements(t *testing.T, cl *Cluster, enq int) {
+	t.Helper()
+	st := seqcheck.Summarize(cl.History())
+	if out := st.Dequeues - st.Bottoms; out+cl.TotalStored() != enq {
+		t.Fatalf("%d elements out + %d stored != %d in", out, cl.TotalStored(), enq)
+	}
+}
+
+// TestPipelinedWavesAsync runs queue and heap clusters of 32 processes on
+// the asynchronous simulator, whose channels reorder (MaxDelay 8), under a
+// load that keeps nodes firing while their last waves are in flight: fifty
+// seeds each, every one with a pipeline at least three waves deep. A
+// child's waves may reach its parent in any order and serves may come back
+// in any order; Definition 1 (or its priority generalization) and exact
+// element accounting must hold all the same.
+func TestPipelinedWavesAsync(t *testing.T) {
+	for _, tc := range []Config{{Mode: batch.Queue}, {Mode: batch.Heap, HeapLevels: 3}} {
+		mode := tc.Mode
+		for seed := int64(1); seed <= 50; seed++ {
+			cfg := tc
+			cfg.Processes, cfg.Seed, cfg.Async, cfg.MaxDelay = 32, seed, true, 8
+			cl := newCluster(t, cfg)
+			enq := loadSim(cl, xrand.New(seed), 40, 12)
+			drainAndCheck(t, cl, 100000)
+			checkElements(t, cl, enq)
+			if m := cl.Metrics(); m.MaxWavesInFlight < 3 || m.PipelinedFires == 0 {
+				t.Fatalf("%v seed %d: deepest pipeline %d waves, %d pipelined fires; the load did not pipeline", mode, seed, m.MaxWavesInFlight, m.PipelinedFires)
+			}
+		}
+	}
+}
+
+// TestPipelineFoldsInOrder: a channel that reorders delivers a child's wave
+// v+1 to its parent before wave v. The parent holds v+1 — it is not
+// foldable while v is not folded — and then folds v first and v+1 in the
+// wave after, so the child's operations keep their program order.
+func TestPipelineFoldsInOrder(t *testing.T) {
+	net := newMemNet(t)
+	cl, err := NewMember(Config{Processes: 2, Seed: 7}, 0, []int32{0, 1}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.tick()
+	net.settle(nil)
+	child, _ := cl.Node(cl.Client(0))
+	pref, _ := child.nb().Parent()
+	parent, _ := cl.Node(pref.ID)
+	type fold struct {
+		node   transport.NodeID
+		folded []FoldedWaveImage
+	}
+	var fires []fold
+	cl.SetOnFire(func(node transport.NodeID, _ int64, folded []FoldedWaveImage) {
+		fires = append(fires, fold{node, folded})
+	})
+
+	cl.Enqueue(child.self.ID)
+	child.OnReady(net.ctxs[child.self.ID]) // wave v
+	cl.Enqueue(child.self.ID)
+	child.OnReady(net.ctxs[child.self.ID]) // wave v+1, fired with v in flight
+	if len(child.inFlight) != 2 || len(net.queue) != 2 {
+		t.Fatalf("child has %d waves in flight and %d frames queued, want 2 and 2", len(child.inFlight), len(net.queue))
+	}
+	v := child.inFlight[0].Seq
+	net.queue[0], net.queue[1] = net.queue[1], net.queue[0]
+	fires = nil
+
+	first := net.pop()
+	if m, ok := first.payload.(aggregateMsg); !ok || m.WaveSeq != v+1 || m.Prev != v {
+		t.Fatalf("first delivery %+v, want wave %d chained to %d", first.payload, v+1, v)
+	}
+	parent.OnMessage(net.ctxs[parent.self.ID], first.from, first.payload)
+	net.ready()
+	if len(fires) != 0 {
+		t.Fatalf("the parent fired on wave %d before wave %d arrived: %+v", v+1, v, fires)
+	}
+	net.settle(nil)
+	var order []int64
+	for _, f := range fires {
+		if f.node != parent.self.ID {
+			continue
+		}
+		for _, w := range f.folded {
+			if w.From == child.self.ID {
+				order = append(order, w.WaveSeq)
+			}
+		}
+	}
+	if len(order) != 2 || order[0] != v || order[1] != v+1 {
+		t.Fatalf("the parent folded the child's waves as %v, want [%d %d] in two fires", order, v, v+1)
+	}
+	if cl.Finished() != cl.Issued() {
+		t.Fatalf("%d of %d operations finished", cl.Finished(), cl.Issued())
+	}
+	if err := cl.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStackNeverPipelines offers the same open-loop load to a stack and a
+// queue cluster, on the simulator and on the in-memory net with readiness
+// passes between deliveries. The queue pipelines; no stack node ever holds
+// two waves, because §VI's completion wait holds a node with a wave in
+// flight (stackDisc.gated).
+func TestStackNeverPipelines(t *testing.T) {
+	pipelined := func(t *testing.T, mode batch.Mode, member bool) Metrics {
+		t.Helper()
+		cfg := Config{Processes: 8, Seed: 3, Mode: mode}
+		rng := xrand.New(3)
+		if !member {
+			cl := newCluster(t, cfg)
+			enq := loadSim(cl, rng, 60, 6)
+			drainAndCheck(t, cl, 50000)
+			checkElements(t, cl, enq)
+			return cl.Metrics()
+		}
+		net := newMemNet(t)
+		pids := make([]int32, cfg.Processes)
+		for i := range pids {
+			pids[i] = int32(i)
+		}
+		cl, err := NewMember(cfg, 0, pids, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enq := 0
+		for r := 0; r < 300; r++ {
+			c := cl.Client(rng.Intn(cfg.Processes))
+			if rng.Bool(0.55) {
+				cl.Enqueue(c)
+				enq++
+			} else {
+				cl.Dequeue(c)
+			}
+			for i := rng.Intn(4); i > 0 && len(net.queue) > 0; i-- {
+				e := net.pop()
+				net.nodes[e.to].OnMessage(net.ctxs[e.to], e.from, e.payload)
+				net.ready()
+			}
+			if r%20 == 0 {
+				net.tick()
+			}
+			net.ready()
+		}
+		for i := 0; cl.Finished() < cl.Issued(); i++ {
+			if i == 100 {
+				t.Fatalf("%d of %d operations finished", cl.Finished(), cl.Issued())
+			}
+			net.tick()
+			net.settle(nil)
+		}
+		if err := cl.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		checkElements(t, cl, enq)
+		return cl.Metrics()
+	}
+	for _, member := range []bool{false, true} {
+		if m := pipelined(t, batch.Queue, member); m.PipelinedFires == 0 || m.MaxWavesInFlight < 2 {
+			t.Fatalf("member=%v: the queue did not pipeline under this load (%d pipelined fires, deepest %d); the test exercises nothing", member, m.PipelinedFires, m.MaxWavesInFlight)
+		}
+		if m := pipelined(t, batch.Stack, member); m.PipelinedFires != 0 || m.MaxWavesInFlight != 1 {
+			t.Fatalf("member=%v: a stack node pipelined: %d pipelined fires, deepest %d waves in flight", member, m.PipelinedFires, m.MaxWavesInFlight)
+		}
+	}
+}
+
+// TestRestoreReadsSingleBatchImage: an image written before pipelined waves
+// holds a node's one processing batch as InBatch and InOwnOps. Restored, it
+// is a one-wave list under the node's wave counter, and the serve on its
+// way — delivered as a link replay would — answers it.
+func TestRestoreReadsSingleBatchImage(t *testing.T) {
+	cfg := Config{Processes: 2, Seed: 7}
+	net := newMemNet(t)
+	cl, err := NewMember(cfg, 0, []int32{0, 1}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.tick()
+	net.settle(nil)
+	client, _ := cl.Node(cl.Client(0))
+	cl.Enqueue(client.self.ID)
+	cl.Dequeue(client.self.ID)
+	net.ready()
+	if len(client.inFlight) != 1 {
+		t.Fatalf("client has %d waves in flight, want 1", len(client.inFlight))
+	}
+	snap, err := cl.SnapshotMember()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range snap.Nodes {
+		img := &snap.Nodes[i]
+		if len(img.InFlight) > 0 {
+			img.InBatch, img.InOwnOps, img.InFlight = img.InFlight[0].Subs, img.InFlight[0].Own, nil
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	var decoded MemberSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	net2 := newMemNet(t)
+	cl2, err := RestoreMember(cfg, &decoded, net2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := cl2.nodes[client.self.ID]
+	if len(r.inFlight) != 1 || r.inFlight[0].Seq != client.waveSeq || len(r.inFlight[0].Own) != 2 {
+		t.Fatalf("restored in-flight list %v, want one wave %d with the two operations", r.inFlight, client.waveSeq)
+	}
+	net2.queue = net.queue
+	net2.settle(nil)
+	if cl2.Finished() != cl2.Issued() {
+		t.Fatalf("%d of %d operations finished after the restore", cl2.Finished(), cl2.Issued())
+	}
+	if err := cl2.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -203,7 +203,7 @@ func TestStaleDeclineIsInert(t *testing.T) {
 	cl.Enqueue(client.self.ID)
 	replayed := 0
 	net.settle(func() {
-		if client.inBatch == nil || client.waveSeq != stale.WaveSeq+1 {
+		if len(client.inFlight) == 0 || client.waveSeq != stale.WaveSeq+1 {
 			return
 		}
 		// The client's next wave is on its way: waiting at the parent, or
@@ -789,7 +789,7 @@ func TestReadinessFiresOnUngate(t *testing.T) {
 	client, _ := cl.Node(cl.Client(0))
 	idle := func() bool {
 		for _, n := range leaves(cl) {
-			if n.inBatch != nil {
+			if len(n.inFlight) != 0 {
 				return false
 			}
 		}

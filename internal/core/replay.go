@@ -182,8 +182,8 @@ func (cl *Cluster) HeldReplayServes() int {
 	return n
 }
 
-// assignsFit checks a serve's assignments against the node's current
-// processing batch: every enqueue/push run's position interval must have
+// assignsFit checks a serve's assignments against the in-flight wave it
+// answers: every enqueue/push run's position interval must have
 // exactly the run's length (the anchor always allocates enqueue intervals
 // exactly; only dequeue intervals may come up short). A mismatch means
 // the serve was computed for a different batch than the one in flight —
@@ -192,31 +192,30 @@ func (cl *Cluster) HeldReplayServes() int {
 // positions). Member mode drops such serves. The recompute is O(children)
 // with two small allocations per serve, on par with the Decompose work a
 // serve performs anyway.
-func (n *Node) assignsFit(assigns []batch.RunAssign) bool {
-	parts := make([]batch.Batch, len(n.inBatch))
-	for i, sb := range n.inBatch {
+func (n *Node) assignsFit(w *wave, assigns []batch.RunAssign) bool {
+	parts := make([]batch.Batch, len(w.Subs))
+	for i, sb := range w.Subs {
 		parts[i] = sb.B
 	}
 	combined := batch.Combine(parts...)
 	if len(assigns) != len(combined.Runs) {
-		n.cl.logf("core: %v assigns mismatch: %d assigns vs batch %v (inBatch %v)", n.self, len(assigns), combined, n.describeInBatch())
+		n.cl.logf("core: %v assigns mismatch: %d assigns vs batch %v (wave %v)", n.self, len(assigns), combined, w)
 		return false
 	}
 	for i, k := range combined.Runs {
 		if !batch.IsDeqIndex(i) && assigns[i].Iv.Len() != k {
-			n.cl.logf("core: %v assigns mismatch at run %d: interval %v vs run %d (batch %v, inBatch %v)",
-				n.self, i, assigns[i].Iv, k, combined, n.describeInBatch())
+			n.cl.logf("core: %v assigns mismatch at run %d: interval %v vs run %d (batch %v, wave %v)",
+				n.self, i, assigns[i].Iv, k, combined, w)
 			return false
 		}
 	}
 	return true
 }
 
-// describeInBatch renders the in-flight batch's provenance for replay
-// diagnostics.
-func (n *Node) describeInBatch() string {
-	out := ""
-	for _, sb := range n.inBatch {
+// String renders a wave's provenance for replay diagnostics.
+func (w *wave) String() string {
+	out := fmt.Sprintf("%d->%d:", w.Seq, w.To)
+	for _, sb := range w.Subs {
 		out += fmt.Sprintf("[from=%d w=%d %v]", sb.From, sb.WaveSeq, sb.B)
 	}
 	return out

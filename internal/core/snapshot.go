@@ -131,11 +131,17 @@ type NodeImage struct {
 	Standing uint8
 	IdleKids []FoldedWaveImage
 
-	Pending  []Op
-	Waiting  []subBatch
-	InBatch  []subBatch // nil: no processing batch in flight
+	Pending []Op
+	Waiting []subBatch
+	// InFlight is the node's waves fired and not yet served, oldest first.
+	// An image from before pipelined waves carries its one processing
+	// batch as InBatch (own sub-batch first) and InOwnOps instead, which
+	// restore as a one-wave list; nothing writes them any more.
+	InFlight []wave
+	//skueue:ignore statecomplete -- read from older images only
+	InBatch []subBatch
+	//skueue:ignore statecomplete -- read from older images only
 	InOwnOps []Op
-	InOwnB   batch.Batch
 
 	// Combiner is the stack-mode residual word; empty in queue mode.
 	Combiner CombinerImage
@@ -204,8 +210,8 @@ type SnapshotStats struct {
 	// over the member's nodes (stack mode).
 	CombinerPops   int
 	CombinerPushes int
-	// InFlightOps counts own operations inside a processing batch (fired,
-	// not yet served).
+	// InFlightOps counts own operations inside waves in flight (fired, not
+	// yet served).
 	InFlightOps int
 	// PendingGets counts GETs awaiting their reply.
 	PendingGets int
@@ -214,6 +220,8 @@ type SnapshotStats struct {
 	// for a child to decline first).
 	IdleNodes   int
 	ServedNodes int
+	// DeepestPipeline is the most waves one node had in flight.
+	DeepestPipeline int
 }
 
 // Stats computes the in-flight operation summary of the image.
@@ -223,7 +231,10 @@ func (s *MemberSnapshot) Stats() SnapshotStats {
 		st.PendingOps += len(img.Pending)
 		st.CombinerPops += len(img.Combiner.Pops)
 		st.CombinerPushes += len(img.Combiner.Pushes)
-		st.InFlightOps += len(img.InOwnOps)
+		for _, w := range img.InFlight {
+			st.InFlightOps += len(w.Own)
+		}
+		st.DeepestPipeline = max(st.DeepestPipeline, len(img.InFlight))
 		st.PendingGets += len(img.Gets)
 		switch standing(img.Standing) {
 		case idle:
@@ -248,7 +259,7 @@ func (n *Node) churnQuiet() bool {
 		len(c.joiners) == 0 &&
 		len(c.grantsPending) == 0 && c.grantedOpen == 0 &&
 		len(c.buffer) == 0 && len(c.heldQueries) == 0 &&
-		len(c.heldHandoffs) == 0 && !c.relayVia.Valid()
+		len(c.heldAbsorbs) == 0 && !c.relayVia.Valid()
 }
 
 // SnapshotMember captures this member's persistent image, in queue and
@@ -310,15 +321,11 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			IdleKids:     waveCursorImage(n.idleKids),
 			Pending:      slices.Clone(n.pending),
 			Waiting:      slices.Clone(n.waiting),
-			InOwnB:       n.inOwn.B,
+			InFlight:     cloneWaves(n.inFlight),
 			Entries:      n.store.Entries(),
 			LastEpoch:    n.churn.lastEpoch,
 			EpochCounter: n.churn.epochCounter,
 			PendChurn:    n.churn.pendChurn,
-		}
-		if n.inBatch != nil {
-			img.InBatch = slices.Clone(n.inBatch)
-			img.InOwnOps = slices.Clone(n.inOwn.ops)
 		}
 		// Strategy-private state (stack: combiner residual, unacknowledged
 		// PUT IDs, parked early acks) is captured by the mode
@@ -345,6 +352,17 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 	}
 	snap.History = append(snap.History, cl.hist.Ops...)
 	return snap, nil
+}
+
+// cloneWaves copies an in-flight list down to its sub-batch and operation
+// slices, so that the image shares no backing array with the runner.
+func cloneWaves(ws []wave) []wave {
+	out := slices.Clone(ws)
+	for i := range out {
+		out[i].Subs = slices.Clone(out[i].Subs)
+		out[i].Own = slices.Clone(out[i].Own)
+	}
+	return out
 }
 
 // waveCursorImage flattens a per-child wave cursor, sorted by child.
@@ -442,9 +460,12 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			store:        dht.NewStore(),
 			pendingGets:  make(map[uint64]getCtx),
 		}
+		n.inFlight = cloneWaves(img.InFlight)
 		if img.InBatch != nil {
-			n.inBatch = slices.Clone(img.InBatch)
-			n.inOwn = ownWave{ops: slices.Clone(img.InOwnOps), B: img.InOwnB}
+			// An image from before pipelined waves: its processing batch is
+			// the node's newest wave. Where it went is not recorded, so the
+			// node fires no further wave before it is served.
+			n.inFlight = []wave{{Seq: img.WaveSeq, To: transport.None, Subs: slices.Clone(img.InBatch), Own: slices.Clone(img.InOwnOps)}}
 		}
 		n.disc.restoreImage(n, &img)
 		n.appliedPuts.restore(img.AppliedPuts)

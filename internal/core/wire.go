@@ -46,5 +46,6 @@ func RegisterWireTypes() {
 	wire.Register(absorbAck{})
 	wire.Register(dissolveQuery{})
 	wire.Register(dissolveReply{})
+	wire.Register(phasePassed{})
 	wire.Register(anchorWalk{})
 }

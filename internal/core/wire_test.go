@@ -57,7 +57,7 @@ func TestWireRoundTrip(t *testing.T) {
 		leaveGrant{},
 		leaveHandoff{Snap: snap},
 		redirectMsg{Old: ref, New: ref},
-		absorbMsg{Entries: []dht.Entry{ent}, Succ: ref, Waiting: snap.Waiting, Joiners: snap.Joiners, Grants: []ldb.Ref{ref}, GrantedOpen: 1, AnchorRole: true, Anchor: snap.Anchor, Epoch: 2},
+		absorbMsg{From: ref, Entries: []dht.Entry{ent}, Succ: ref, Waiting: snap.Waiting, Joiners: snap.Joiners, Grants: []ldb.Ref{ref}, GrantedOpen: 1, AnchorRole: true, Anchor: snap.Anchor, Epoch: 2},
 		absorbAck{Epoch: 2},
 		dissolveQuery{From: 7, Epoch: 2},
 		dissolveReply{Epoch: 2, Yes: true},

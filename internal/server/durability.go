@@ -413,7 +413,9 @@ func (s *Server) startRestore(disk *diskSnapshot, journalRecs []journalRecord) e
 	for _, img := range disk.Member.Nodes {
 		waves[img.Self.ID] = img.WaveSeq
 	}
-	s.plan = buildReplayPlan(journalRecs, disk.Member.ReqSeq, waves)
+	if s.plan, err = buildReplayPlan(journalRecs, disk.Member.ReqSeq, waves); err != nil {
+		return err
+	}
 	for _, rec := range s.plan.fires {
 		s.cl.ScriptFire(rec.Node, rec.Wave, rec.Folded)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -104,9 +105,10 @@ import (
 // ceiling (diskSnapshot.SeqCeiling), and any lease record the compaction
 // drops is at or below the ceiling of the snapshot that justified it.
 
-// Journal record kinds. Kind 3 is no longer written: journals up to PR 14
-// filed a per-node fire marker ahead of an op record instead of the wave
-// inside it, and buildReplayPlan still reads those. Kind 6 is the fire log
+// Journal record kinds. Kind 3 is retired: an older format filed a
+// per-node fire marker ahead of an op record instead of the wave inside
+// it, and a journal holding one no longer opens (buildReplayPlan). Kind 6
+// is the fire log
 // of work-driven waves: one record per committed fire of a local node,
 // naming the child waves folded into it (none, for a wave of the node's own
 // operations alone). A node no longer folds every child into every
@@ -117,12 +119,11 @@ import (
 // it is durable: a wave a peer has seen is a wave the restart can repeat.
 // It is written per wave that carries work, not per tick.
 const (
-	recOp         = 1
-	recDone       = 2
-	recLegacyFire = 3
-	recLease      = 4
-	recSession    = 5
-	recFire       = 6
+	recOp      = 1
+	recDone    = 2
+	recLease   = 4
+	recSession = 5
+	recFire    = 6
 )
 
 // journalRecord is one journal entry; Kind selects which fields matter.
@@ -828,22 +829,20 @@ type heldGroup struct {
 // with sequence <= coveredSeq live inside the snapshot's node images and are
 // skipped; an op whose node had, by the snapshot, already fired the wave the
 // record names was buffered at the cut and is immediate; the rest are held
-// for that fire.
-func buildReplayPlan(recs []journalRecord, coveredSeq uint64, waves map[transport.NodeID]int64) *replayPlan {
+// for that fire. A record of a kind this version does not know — the
+// retired fire marker, kind 3, among them — fails the restart: filed by
+// guesswork, its operations could ride other waves than the serves on their
+// way were cut for.
+func buildReplayPlan(recs []journalRecord, coveredSeq uint64, waves map[transport.NodeID]int64) (*replayPlan, error) {
 	plan := &replayPlan{
 		held:     make(map[transport.NodeID][]heldGroup),
 		outcomes: make(map[uint64]wire.CliDone),
 	}
-	// Reader-side shim for a state directory written before op records
-	// carried their wave (see recLegacyFire): such an op (Wave == 0) follows
-	// the last marker of its node. Journals written since hold no markers,
-	// and an op with Wave == 0 is one of a node that had never fired.
-	legacyMarker := make(map[transport.NodeID]int64)
 	for i := range recs {
 		rec := recs[i]
 		switch rec.Kind {
-		case recLegacyFire:
-			legacyMarker[rec.Node] = rec.Wave
+		case recLease, recSession:
+			// Read where the lease and the sessions are restored.
 		case recFire:
 			if rec.Wave > waves[rec.Node] {
 				plan.fires = append(plan.fires, rec)
@@ -853,9 +852,6 @@ func buildReplayPlan(recs []journalRecord, coveredSeq uint64, waves map[transpor
 				continue
 			}
 			after := rec.Wave
-			if after == 0 {
-				after = legacyMarker[rec.Node]
-			}
 			if after <= waves[rec.Node] {
 				plan.immediate = append(plan.immediate, rec)
 				continue
@@ -872,9 +868,11 @@ func buildReplayPlan(recs []journalRecord, coveredSeq uint64, waves map[transpor
 				continue
 			}
 			plan.outcomes[rec.ReqID] = rec.Done
+		default:
+			return nil, fmt.Errorf("server: journal record %d is of kind %d, which this version does not read", i, rec.Kind)
 		}
 	}
-	return plan
+	return plan, nil
 }
 
 // pending reports how many operations the plan still holds back.

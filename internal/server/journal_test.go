@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -283,14 +284,17 @@ func TestJournalCompactionDoesNotBlockAppends(t *testing.T) {
 	}
 }
 
-// checkReplayPlan asserts the one re-submission schedule both record tables
-// below describe, against a snapshot covering sequences <= 6 and wave 12 of
-// nodeA: seq 5 skipped, seq 7 immediate, seqs 8 and 9 held for wave 13,
+// checkReplayPlan asserts the re-submission schedule the record table
+// below describes, against a snapshot covering sequences <= 6 and wave 12
+// of nodeA: seq 5 skipped, seq 7 immediate, seqs 8 and 9 held for wave 13,
 // seq 10 for wave 14; outcomes audited for seq 7 only.
 func checkReplayPlan(t *testing.T, recs []journalRecord) {
 	t.Helper()
 	nodeA := transport.NodeID(3)
-	plan := buildReplayPlan(recs, 6, map[transport.NodeID]int64{nodeA: 12})
+	plan, err := buildReplayPlan(recs, 6, map[transport.NodeID]int64{nodeA: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(plan.immediate) != 1 || plan.immediate[0].ReqID != reqID(7) {
 		t.Fatalf("immediate = %+v, want the single op seq 7", plan.immediate)
@@ -340,27 +344,63 @@ func TestReplayPlanGrouping(t *testing.T) {
 	})
 }
 
-// TestReplayPlanReadsMarkerJournals: a state directory written before op
-// records carried their wave must still restart. Its journal interleaves
-// per-node fire markers (kind 3) with op records that name no wave; the
-// reader-side shim in buildReplayPlan has to file them exactly as the
-// writer of that format did — covered boundaries reduce to "buffered at
-// the cut", uncovered ones hold their ops for the re-fire.
-func TestReplayPlanReadsMarkerJournals(t *testing.T) {
-	nodeA, nodeB := transport.NodeID(3), transport.NodeID(4)
-	checkReplayPlan(t, []journalRecord{
-		{Kind: recOp, Node: nodeA, ReqID: reqID(5)},                     // covered by snapshot (seq <= 6)
-		{Kind: recLegacyFire, Node: nodeA, Wave: 10},                    // covered boundary (wave <= 12)
-		{Kind: recLegacyFire, Node: nodeB, Wave: 40},                    // another node's boundary decides nothing here
-		{Kind: recOp, Node: nodeA, ReqID: reqID(7), Value: []byte("i")}, // post-cut, before any live boundary
-		{Kind: recLegacyFire, Node: nodeA, Wave: 13},
-		{Kind: recOp, Node: nodeA, ReqID: reqID(8)},
-		{Kind: recOp, Node: nodeA, ReqID: reqID(9)},
-		{Kind: recLegacyFire, Node: nodeA, Wave: 14},
-		{Kind: recOp, Node: nodeA, ReqID: reqID(10), IsDeq: true},
-		{Kind: recDone, ReqID: reqID(7), Done: wire.CliDone{ReqID: reqID(7)}},
-		{Kind: recDone, ReqID: reqID(5), Done: wire.CliDone{ReqID: reqID(5)}}, // covered
-	})
+// TestStateDirWithFireMarkerFailsToOpen: journals of an older format filed
+// a per-node fire marker (record kind 3) ahead of op records that named no
+// wave. Nothing reads them any more, so a member whose state directory
+// holds one refuses to restart, with an error naming the record kind,
+// rather than filing its operations into waves by guesswork.
+func TestStateDirWithFireMarkerFailsToOpen(t *testing.T) {
+	lis := make([]net.Listener, 2)
+	addrs := make([]string, 2)
+	for i := range lis {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lis[i], addrs[i] = l, l.Addr().String()
+	}
+	dir := filepath.Join(t.TempDir(), "m1")
+	var member *Server
+	for i := range lis {
+		cfg := Config{Listener: lis[i], Seed: 42, Index: i, Members: addrs, Tick: 500 * time.Microsecond}
+		if i == 1 {
+			cfg.StateDir, cfg.SnapshotEvery = dir, time.Hour
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("server %d: %v", i, err)
+		}
+		t.Cleanup(s.Close)
+		member = s
+	}
+	if err := member.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	member.Kill()
+
+	marker, err := encodeRecord(&journalRecord{Kind: 3, Node: 3, Wave: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(marker); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Addr: "127.0.0.1:0", Join: addrs[0], StateDir: dir, SnapshotEvery: time.Hour, Tick: 500 * time.Microsecond})
+	if err == nil {
+		s.Close()
+		t.Fatal("a state directory holding a kind-3 record opened")
+	}
+	if !strings.Contains(err.Error(), "kind 3") {
+		t.Fatalf("the refusal does not name the record kind: %v", err)
+	}
 }
 
 // TestJournalCompact verifies offset compaction drops everything before a

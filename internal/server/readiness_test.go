@@ -231,8 +231,9 @@ func TestJournalOrderUnderReadiness(t *testing.T) {
 					snap = &core.MemberSnapshot{}
 				}
 				for _, img := range snap.Nodes {
-					if img.Self.ID == node {
-						for _, op := range img.InOwnOps {
+					if img.Self.ID == node && len(img.InFlight) > 0 {
+						// The wave just fired is the newest in flight.
+						for _, op := range img.InFlight[len(img.InFlight)-1].Own {
 							fw.own = append(fw.own, op.ReqID)
 						}
 					}

@@ -27,8 +27,9 @@ func debugLogf(tag string) func(string, ...any) {
 }
 
 // startDurableCluster boots a loopback cluster whose members persist
-// write-ahead snapshots, so any of them can be killed and restarted.
-func startDurableCluster(t *testing.T, members int) ([]*server.Server, []string) {
+// write-ahead snapshots every snapEvery, so any of them can be killed and
+// restarted.
+func startDurableCluster(t *testing.T, members int, snapEvery time.Duration) ([]*server.Server, []string) {
 	t.Helper()
 	base := t.TempDir()
 	lis := make([]net.Listener, members)
@@ -53,7 +54,7 @@ func startDurableCluster(t *testing.T, members int) ([]*server.Server, []string)
 			Members:           addrs,
 			Tick:              500 * time.Microsecond,
 			StateDir:          dirs[i],
-			SnapshotEvery:     50 * time.Millisecond,
+			SnapshotEvery:     snapEvery,
 			JournalBatchDelay: batchDelay,
 			Logf:              debugLogf(fmt.Sprintf("[m%d]", i)),
 		})
@@ -76,7 +77,7 @@ func startDurableCluster(t *testing.T, members int) ([]*server.Server, []string)
 // passes the Definition 1 sequential-consistency checker with every value
 // accounted for exactly once.
 func TestMemberRestartFromSnapshot(t *testing.T) {
-	srvs, dirs := startDurableCluster(t, 3)
+	srvs, dirs := startDurableCluster(t, 3, 50*time.Millisecond)
 
 	c0, err := skueue.Open(skueue.WithRemote(srvs[0].Addr()))
 	if err != nil {
@@ -755,4 +756,110 @@ func TestSilentSeedFailsFast(t *testing.T) {
 		t.Fatalf("join took %v to fail; deadlines should bound every read", elapsed)
 	}
 	t.Logf("join failed fast with: %v", err)
+}
+
+// TestRestartWithWavesInFlight kills a durable queue member whose image
+// holds a node with at least two waves in flight: the node fired its next
+// wave before the last one was served. Pushes through a session pinned to
+// the member keep its client node pipelining while snapshots are cut back
+// to back, and the member dies the moment one of them shows the pipeline.
+// Restored from that image, with its peers' link replay and its fire log,
+// it must complete every push exactly once; a client at another member then
+// takes every element out again, and the merged history passes Definition 1
+// with each operation in it once.
+func TestRestartWithWavesInFlight(t *testing.T) {
+	srvs, dirs := startDurableCluster(t, 3, time.Hour) // the image on disk is the one the test cut
+	victim := -1
+	for i := 1; i < len(srvs); i++ {
+		if !srvs[i].HasAnchor() {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no non-seed member without the anchor")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	cv, err := skueue.Open(
+		skueue.WithRemote(srvs[victim].Addr()),
+		skueue.WithSession("pipeline-"+t.Name()),
+		skueue.WithDialTimeout(2*time.Second),
+		skueue.WithReconnect(200, 50*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cv.Close()
+
+	pushed := make(map[string]bool)
+	var futures []*skueue.Future
+	deepest := 0
+	for deadline := time.Now().Add(20 * time.Second); deepest < 2 && time.Now().Before(deadline); {
+		for i := 0; i < 16; i++ {
+			v := fmt.Sprintf("wave-%d", len(futures))
+			f, err := cv.EnqueueAsync(skueue.AnyProcess, v)
+			if err != nil {
+				t.Fatalf("push %s: %v", v, err)
+			}
+			pushed[v] = true
+			futures = append(futures, f)
+		}
+		for attempt := 0; attempt < 8 && deepest < 2; attempt++ {
+			if srvs[victim].SnapshotNow() == nil {
+				_, stats := srvs[victim].SnapshotInfo()
+				deepest = stats.DeepestPipeline
+			}
+		}
+	}
+	if deepest < 2 {
+		t.Fatalf("no image of member %d showed a node with two waves in flight in %d pushes", victim, len(futures))
+	}
+	t.Logf("killing member %d with %d pushes issued; its image holds a node with %d waves in flight", victim, len(futures), deepest)
+	srvs[victim].Kill()
+	restarted, err := server.New(server.Config{
+		Addr:              "127.0.0.1:0",
+		Join:              srvs[0].Addr(),
+		StateDir:          dirs[victim],
+		SnapshotEvery:     time.Hour,
+		Tick:              500 * time.Microsecond,
+		JournalBatchDelay: server.JournalBatchEnv(t),
+		Logf:              debugLogf("[re]"),
+	})
+	if err != nil {
+		t.Fatalf("restarting member %d: %v", victim, err)
+	}
+	t.Cleanup(restarted.Close)
+	for i, f := range futures {
+		if err := f.Wait(ctx); err != nil {
+			for _, d := range restarted.Diagnose() {
+				t.Logf("restarted member: %s", d)
+			}
+			t.Fatalf("push %d of %d did not survive the restart: %v (indeterminate=%v)", i, len(futures), err, f.Indeterminate())
+		}
+	}
+
+	c0, err := skueue.Open(skueue.WithRemote(srvs[0].Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	taken := make(map[string]bool)
+	for range pushed {
+		v, ok, err := c0.Dequeue(ctx)
+		if err != nil || !ok {
+			t.Fatalf("dequeue %d of %d: ok=%v err=%v", len(taken)+1, len(pushed), ok, err)
+		}
+		s := v.(string)
+		if !pushed[s] || taken[s] {
+			t.Fatalf("dequeued %q: pushed=%v, taken before=%v", s, pushed[s], taken[s])
+		}
+		taken[s] = true
+	}
+	if err := c0.Check(); err != nil {
+		t.Fatalf("sequential consistency check failed after restart: %v", err)
+	}
+	if st := c0.Stats(); st.Total != 2*len(pushed) {
+		t.Fatalf("merged history has %d completions, want %d (lost or duplicated operations)", st.Total, 2*len(pushed))
+	}
 }

@@ -21,7 +21,7 @@ import (
 // merged history must pass both Definition 1 and the per-session order
 // check.
 func TestSessionSurvivesMemberRestart(t *testing.T) {
-	srvs, dirs := startDurableCluster(t, 3)
+	srvs, dirs := startDurableCluster(t, 3, 50*time.Millisecond)
 
 	victim := -1
 	for i := 1; i < len(srvs); i++ {
@@ -143,7 +143,7 @@ func TestSessionSurvivesMemberRestart(t *testing.T) {
 // presents the same session ID and the same per-session sequences; the
 // member's dedupe table must answer from retention, not inject again.
 func TestSessionResumeRedeliversUndelivered(t *testing.T) {
-	srvs, _ := startDurableCluster(t, 2)
+	srvs, _ := startDurableCluster(t, 2, 50*time.Millisecond)
 
 	sess, err := skueue.Open(
 		skueue.WithRemote(srvs[1].Addr()),

@@ -283,6 +283,9 @@ func TestStatsAndMetrics(t *testing.T) {
 	if m.RouteMsgs < 10 || m.MaxRouteHops < 1 || float64(m.MaxRouteHops) < m.AvgRouteHops || int64(m.MaxRouteHops) > m.RouteHops {
 		t.Fatalf("route counters inconsistent: %d routes, %d hops, mean %.1f, max %d", m.RouteMsgs, m.RouteHops, m.AvgRouteHops, m.MaxRouteHops)
 	}
+	if m.MaxWavesInFlight < 1 || m.PipelinedFires > 0 && m.MaxWavesInFlight < 2 {
+		t.Fatalf("pipeline counters inconsistent: deepest %d waves in flight, %d pipelined fires", m.MaxWavesInFlight, m.PipelinedFires)
+	}
 	if c.Now() == 0 {
 		t.Fatalf("time did not advance")
 	}
