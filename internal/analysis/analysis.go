@@ -148,6 +148,39 @@ func IsInterfaceCall(info *types.Info, call *ast.CallExpr) bool {
 	return types.IsInterface(selection.Recv())
 }
 
+// Implementations resolves an interface method to the method of the same
+// name on every concrete type of the program that satisfies the interface,
+// by value or by pointer: a dynamic call can land on any of them.
+func (p *Program) Implementations(m *types.Func) []*types.Func {
+	sig, _ := m.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return nil
+	}
+	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return nil
+	}
+	var out []*types.Func
+	for _, pkg := range p.Pkgs {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			if !types.Implements(tn.Type(), iface) && !types.Implements(ptr, iface) {
+				continue
+			}
+			obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name())
+			if fn, ok := obj.(*types.Func); ok {
+				out = append(out, fn)
+			}
+		}
+	}
+	return out
+}
+
 // FuncID renders a function for diagnostics: pkg.Func or (pkg.Recv).Meth,
 // always package-qualified (by name, not import path) so cross-package
 // call paths read unambiguously.

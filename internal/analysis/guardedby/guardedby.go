@@ -19,13 +19,13 @@
 //	    analyzed with the receiver's mutex already held, and every call
 //	    site is checked to actually hold it (the *Locked helper idiom).
 //
-// The walk is the same branch-aware lexical pass lockorder uses: it
-// threads the held-lock set through straight-line code, branches, loops
-// and defers of one function body. Unlike lockorder it tracks every
-// sync.Mutex/RWMutex field acquisition, ranked or not. Accesses are
-// field selections (x.f); keyed composite-literal writes are exempt by
-// design — a literal builds a fresh value no other goroutine can see
-// yet. Aliased receivers (two variables naming the same struct) defeat
+// The walk is analysis.LockWalk, the branch-aware lexical pass lockorder
+// uses too: it threads the held-lock set through straight-line code,
+// branches, loops and defers of one function body. Unlike lockorder it
+// tracks every sync.Mutex/RWMutex field acquisition, ranked or not.
+// Accesses are field selections (x.f); keyed composite-literal writes are
+// exempt by design — a literal builds a fresh value no other goroutine can
+// see yet. Aliased receivers (two variables naming the same struct) defeat
 // the sibling-form expression match; name the receiver consistently or
 // suppress with a justification.
 package guardedby
@@ -44,21 +44,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-var acquireMethods = map[string]bool{"Lock": true, "RLock": true}
-var releaseMethods = map[string]bool{"Unlock": true, "RUnlock": true}
-
 // guard is one resolved //skueue:guarded-by relation.
 type guard struct {
 	mu      *types.Var // the guarding mutex field
 	sibling bool       // same-struct form: the access path must match
 	display string     // annotation text for diagnostics
 	owner   string     // name of the struct declaring the guarded field
-}
-
-// held is one currently-held mutex.
-type held struct {
-	field *types.Var // the mutex field object
-	expr  string     // rendered acquisition expression, e.g. "s.mu"
 }
 
 type checker struct {
@@ -73,6 +64,7 @@ func run(pass *analysis.Pass) {
 	locked := resolveLocked(pass)
 	for _, pkg := range pass.Prog.Pkgs {
 		c := &checker{pass: pass, pkg: pkg, guards: guards, locked: locked}
+		w := &analysis.LockWalk{Info: pkg.Info, Visit: c.visit}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -88,13 +80,13 @@ func run(pass *analysis.Pass) {
 						continue // single-owner context: no locking required
 					}
 				}
-				var seed []*held
+				var seed []analysis.Held
 				if fn != nil {
 					if mu := locked[fn]; mu != nil {
 						seed = seedLocked(fd, mu)
 					}
 				}
-				c.block(fd.Body.List, seed)
+				w.Block(fd.Body.List, seed)
 			}
 		}
 	}
@@ -102,7 +94,7 @@ func run(pass *analysis.Pass) {
 
 // seedLocked builds the initial held set of an //skueue:locked method:
 // the receiver's mutex is held on entry by contract.
-func seedLocked(fd *ast.FuncDecl, mu *types.Var) []*held {
+func seedLocked(fd *ast.FuncDecl, mu *types.Var) []analysis.Held {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return nil
 	}
@@ -110,7 +102,7 @@ func seedLocked(fd *ast.FuncDecl, mu *types.Var) []*held {
 	if recv == "" || recv == "_" {
 		return nil
 	}
-	return []*held{{field: mu, expr: recv + "." + mu.Name()}}
+	return []analysis.Held{{Field: mu, Expr: recv + "." + mu.Name()}}
 }
 
 // resolveGuards maps every //skueue:guarded-by field to its mutex.
@@ -133,7 +125,7 @@ func resolveGuards(pass *analysis.Pass) map[*types.Var]*guard {
 			pass.Reportf(f.Pos(), "//skueue:guarded-by on %s names %q, which does not resolve to a field in this package", f.Name(), ann.Args[0])
 			return
 		}
-		if !isMutex(g.mu.Type()) {
+		if !analysis.IsMutex(g.mu.Type()) {
 			pass.Reportf(f.Pos(), "//skueue:guarded-by on %s names %q, which is not a sync.Mutex or sync.RWMutex field", f.Name(), ann.Args[0])
 			return
 		}
@@ -158,7 +150,7 @@ func resolveLocked(pass *analysis.Pass) map[*types.Func]*types.Var {
 		}
 		st, _ := recv.Underlying().(*types.Struct)
 		mu := structField(st, ann.Args[0])
-		if mu == nil || !isMutex(mu.Type()) {
+		if mu == nil || !analysis.IsMutex(mu.Type()) {
 			pass.Reportf(fn.Pos(), "//skueue:locked on %s names %q, which is not a sync mutex field of the receiver", fn.Name(), ann.Args[0])
 			return
 		}
@@ -215,209 +207,21 @@ func structField(st *types.Struct, name string) *types.Var {
 	return nil
 }
 
-func isMutex(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
+// visit checks the guarded-field accesses and //skueue:locked call sites
+// among an expression's nodes.
+func (c *checker) visit(n ast.Node, held []analysis.Held) {
+	switch n := n.(type) {
+	case *ast.SelectorExpr:
+		c.checkAccess(n, held)
+	case *ast.CallExpr:
+		c.checkLockedCall(n, held)
 	}
-	return named.Obj().Pkg().Path() == "sync" &&
-		(named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
-}
-
-// lockOf resolves a call like x.mu.Lock() to the mutex field it takes.
-// Every sync mutex field participates — the guard map does not require
-// a //skueue:lock rank.
-func (c *checker) lockOf(call *ast.CallExpr) (h *held, acquire, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || !(acquireMethods[sel.Sel.Name] || releaseMethods[sel.Sel.Name]) {
-		return nil, false, false
-	}
-	recv, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, false, false
-	}
-	field, isVar := c.pkg.Info.Uses[recv.Sel].(*types.Var)
-	if !isVar || !isMutex(field.Type()) {
-		return nil, false, false
-	}
-	return &held{field: field, expr: types.ExprString(sel.X)}, acquireMethods[sel.Sel.Name], true
-}
-
-// block walks one statement list, threading the held set through it.
-func (c *checker) block(stmts []ast.Stmt, locks []*held) []*held {
-	for _, s := range stmts {
-		locks = c.stmt(s, locks)
-	}
-	return locks
-}
-
-func (c *checker) stmt(s ast.Stmt, locks []*held) []*held {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		return c.expr(s.X, locks)
-	case *ast.SendStmt:
-		locks = c.expr(s.Chan, locks)
-		return c.expr(s.Value, locks)
-	case *ast.IncDecStmt:
-		return c.expr(s.X, locks)
-	case *ast.AssignStmt:
-		for _, e := range append(append([]ast.Expr{}, s.Rhs...), s.Lhs...) {
-			locks = c.expr(e, locks)
-		}
-		return locks
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						locks = c.expr(v, locks)
-					}
-				}
-			}
-		}
-		return locks
-	case *ast.DeferStmt:
-		// A deferred unlock holds the lock to the end of the body: leave
-		// the set unchanged. Arguments evaluate now, under the current
-		// set; a deferred literal runs at return, approximated by the
-		// current set.
-		if _, _, isLock := c.lockOf(s.Call); isLock {
-			return locks
-		}
-		for _, arg := range s.Call.Args {
-			c.expr(arg, locks)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.block(lit.Body.List, locks)
-		} else {
-			c.expr(s.Call.Fun, locks)
-		}
-		return locks
-	case *ast.GoStmt:
-		// Arguments evaluate on this goroutine; the body runs on a new
-		// one with nothing held.
-		for _, arg := range s.Call.Args {
-			c.expr(arg, locks)
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.block(lit.Body.List, nil)
-		} else {
-			c.expr(s.Call.Fun, locks)
-		}
-		return locks
-	case *ast.IfStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		locks = c.expr(s.Cond, locks)
-		thenLocks := c.block(s.Body.List, locks)
-		elseLocks := locks
-		if s.Else != nil {
-			elseLocks = c.stmt(s.Else, locks)
-		}
-		switch {
-		case terminates(s.Body) && s.Else == nil:
-			return locks
-		case terminates(s.Body):
-			return elseLocks
-		case s.Else != nil && stmtTerminates(s.Else):
-			return thenLocks
-		default:
-			return locks
-		}
-	case *ast.BlockStmt:
-		return c.block(s.List, locks)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		if s.Cond != nil {
-			locks = c.expr(s.Cond, locks)
-		}
-		c.block(s.Body.List, locks)
-		return locks
-	case *ast.RangeStmt:
-		locks = c.expr(s.X, locks)
-		c.block(s.Body.List, locks)
-		return locks
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		if s.Tag != nil {
-			locks = c.expr(s.Tag, locks)
-		}
-		for _, cl := range s.Body.List {
-			c.block(cl.(*ast.CaseClause).Body, locks)
-		}
-		return locks
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		locks = c.stmt(s.Assign, locks)
-		for _, cl := range s.Body.List {
-			c.block(cl.(*ast.CaseClause).Body, locks)
-		}
-		return locks
-	case *ast.SelectStmt:
-		for _, cl := range s.Body.List {
-			cc := cl.(*ast.CommClause)
-			inner := locks
-			if cc.Comm != nil {
-				inner = c.stmt(cc.Comm, locks)
-			}
-			c.block(cc.Body, inner)
-		}
-		return locks
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			locks = c.expr(e, locks)
-		}
-		return locks
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, locks)
-	}
-	return locks
-}
-
-// expr scans an expression for mutex transitions, guarded-field accesses
-// and //skueue:locked call sites, returning the updated held set.
-func (c *checker) expr(e ast.Expr, locks []*held) []*held {
-	if e == nil {
-		return locks
-	}
-	result := locks
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A literal may run on another goroutine or after the locks
-			// are gone: analyze it with nothing held.
-			c.block(n.Body.List, nil)
-			return false
-		case *ast.SelectorExpr:
-			c.checkAccess(n, result)
-		case *ast.CallExpr:
-			h, acquire, isLock := c.lockOf(n)
-			if !isLock {
-				c.checkLockedCall(n, result)
-				return true
-			}
-			if acquire {
-				result = append(append([]*held{}, result...), h)
-			} else {
-				result = release(result, h)
-			}
-		}
-		return true
-	})
-	return result
 }
 
 // checkAccess flags a read or write of a guarded field without its
 // mutex. Keyed composite-literal fields are not selector expressions
 // and are therefore exempt (a fresh value under construction).
-func (c *checker) checkAccess(sel *ast.SelectorExpr, locks []*held) {
+func (c *checker) checkAccess(sel *ast.SelectorExpr, held []analysis.Held) {
 	selection, ok := c.pkg.Info.Selections[sel]
 	if !ok || selection.Kind() != types.FieldVal {
 		return
@@ -430,23 +234,23 @@ func (c *checker) checkAccess(sel *ast.SelectorExpr, locks []*held) {
 	if !ok {
 		return
 	}
-	if c.holds(g, sel, locks) {
+	if c.holds(g, sel, held) {
 		return
 	}
 	c.pass.Reportf(sel.Sel.Pos(), "%s.%s accessed without holding its guard %s (//skueue:guarded-by); hold the mutex, use an //skueue:locked helper, or mark the function //skueue:owned-by",
 		g.owner, f.Name(), g.display)
 }
 
-func (c *checker) holds(g *guard, sel *ast.SelectorExpr, locks []*held) bool {
+func (c *checker) holds(g *guard, sel *ast.SelectorExpr, held []analysis.Held) bool {
 	want := ""
 	if g.sibling {
 		want = types.ExprString(sel.X) + "." + g.mu.Name()
 	}
-	for _, h := range locks {
-		if h.field != g.mu {
+	for _, h := range held {
+		if h.Field != g.mu {
 			continue
 		}
-		if !g.sibling || h.expr == want {
+		if !g.sibling || h.Expr == want {
 			return true
 		}
 	}
@@ -455,7 +259,7 @@ func (c *checker) holds(g *guard, sel *ast.SelectorExpr, locks []*held) bool {
 
 // checkLockedCall enforces the //skueue:locked contract at call sites:
 // calling x.fooLocked() requires x's mutex in the held set.
-func (c *checker) checkLockedCall(call *ast.CallExpr, locks []*held) {
+func (c *checker) checkLockedCall(call *ast.CallExpr, held []analysis.Held) {
 	callee := analysis.Callee(c.pkg.Info, call)
 	if callee == nil {
 		return
@@ -469,51 +273,11 @@ func (c *checker) checkLockedCall(call *ast.CallExpr, locks []*held) {
 	if isSel {
 		want = types.ExprString(sel.X) + "." + mu.Name()
 	}
-	for _, h := range locks {
-		if h.field == mu && (want == "" || h.expr == want) {
+	for _, h := range held {
+		if h.Field == mu && (want == "" || h.Expr == want) {
 			return
 		}
 	}
 	c.pass.Reportf(call.Pos(), "call to %s requires %s held at the call site (//skueue:locked)",
 		analysis.FuncID(callee), mu.Name())
-}
-
-func release(locks []*held, h *held) []*held {
-	for i := len(locks) - 1; i >= 0; i-- {
-		if locks[i].field == h.field && locks[i].expr == h.expr {
-			return append(append([]*held{}, locks[:i]...), locks[i+1:]...)
-		}
-	}
-	for i := len(locks) - 1; i >= 0; i-- {
-		if locks[i].field == h.field {
-			return append(append([]*held{}, locks[:i]...), locks[i+1:]...)
-		}
-	}
-	return locks
-}
-
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	return stmtTerminates(b.List[len(b.List)-1])
-}
-
-func stmtTerminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		return ok && id.Name == "panic"
-	case *ast.BlockStmt:
-		return terminates(s)
-	case *ast.IfStmt:
-		return terminates(s.Body) && s.Else != nil && stmtTerminates(s.Else)
-	}
-	return false
 }

@@ -9,18 +9,16 @@
 // declared an I/O guard with the "io" flag (the journal's file-side
 // mutex is held across fsync by design).
 //
-// The walk is intraprocedural and lexical: it tracks Lock/Unlock pairs
-// through straight-line code, branches and loops of one function body.
-// A branch that returns releases its locks with the path; locks
-// acquired inside a branch are assumed released inside it. Deferred
-// unlocks keep the lock held to the end of the body, which is what the
-// hierarchy check needs.
+// The walk is analysis.LockWalk, intraprocedural and lexical, over the
+// ranked mutexes only. Deferred unlocks keep the lock held to the end of
+// the body, which is what the hierarchy check needs.
 package lockorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 
 	"skueue/internal/analysis"
@@ -45,320 +43,95 @@ var blockingIOCalls = map[string]string{
 	"net.DialTimeout":    "network dial",
 }
 
-var acquireMethods = map[string]bool{"Lock": true, "RLock": true}
-var releaseMethods = map[string]bool{"Unlock": true, "RUnlock": true}
-
-// held is one currently-held ranked lock.
-type held struct {
-	field *types.Var // the annotated mutex field
-	expr  string     // rendered receiver expression, e.g. "j.wmu"
-	rank  int
-	io    bool
+// rank is one mutex's place in the hierarchy.
+type rank struct {
+	rank int
+	io   bool
 }
 
 type checker struct {
-	pass *analysis.Pass
-	pkg  *analysis.Package
+	pass  *analysis.Pass
+	info  *types.Info
+	ranks map[*types.Var]rank
 }
 
 func run(pass *analysis.Pass) {
+	ranks := resolveRanks(pass)
 	for _, pkg := range pass.Prog.Pkgs {
-		c := &checker{pass: pass, pkg: pkg}
+		c := &checker{pass: pass, info: pkg.Info, ranks: ranks}
+		w := &analysis.LockWalk{Info: pkg.Info, Track: c.ranked, Acquire: c.acquire, Visit: c.visit, Blocking: c.blocking}
 		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					if n.Body != nil {
-						c.block(n.Body.List, nil)
-					}
-					return false // nested literals handled by the walk itself
-				}
-				return true
-			})
-		}
-	}
-}
-
-// lockOf resolves a call like x.mu.Lock() to its annotated mutex field;
-// ok distinguishes "a mutex method call" from other calls, and h is nil
-// for mutexes without a //skueue:lock annotation (not in the hierarchy).
-func (c *checker) lockOf(call *ast.CallExpr) (h *held, method string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel || !(acquireMethods[sel.Sel.Name] || releaseMethods[sel.Sel.Name]) {
-		return nil, "", false
-	}
-	recv, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	field, isVar := c.pkg.Info.Uses[recv.Sel].(*types.Var)
-	if !isVar || !isMutex(field.Type()) {
-		return nil, "", false
-	}
-	ann := c.pass.Ann.Field(field, "lock")
-	if ann == nil {
-		return nil, sel.Sel.Name, true
-	}
-	rank := -1
-	if len(ann.Args) > 0 {
-		if r, err := strconv.Atoi(ann.Args[0]); err == nil {
-			rank = r
-		}
-	}
-	if rank < 0 {
-		c.pass.Reportf(ann.Pos, "malformed //skueue:lock on %s: want a non-negative integer rank", field.Name())
-		return nil, sel.Sel.Name, true
-	}
-	h = &held{field: field, expr: types.ExprString(sel.X), rank: rank}
-	for _, a := range ann.Args[1:] {
-		if a == "io" {
-			h.io = true
-		}
-	}
-	return h, sel.Sel.Name, true
-}
-
-func isMutex(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	if named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
-}
-
-// block walks one statement list, threading the held-lock set through it
-// and returning the set at its end.
-func (c *checker) block(stmts []ast.Stmt, locks []*held) []*held {
-	for _, s := range stmts {
-		locks = c.stmt(s, locks)
-	}
-	return locks
-}
-
-func (c *checker) stmt(s ast.Stmt, locks []*held) []*held {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		return c.expr(s.X, locks)
-	case *ast.SendStmt:
-		c.blockingOp(s.Pos(), "channel send", locks)
-		return c.expr(s.Value, locks)
-	case *ast.AssignStmt:
-		for _, e := range append(append([]ast.Expr{}, s.Rhs...), s.Lhs...) {
-			locks = c.expr(e, locks)
-		}
-		return locks
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						locks = c.expr(v, locks)
-					}
+			for _, decl := range file.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					w.Block(fd.Body.List, nil)
 				}
 			}
 		}
-		return locks
-	case *ast.DeferStmt:
-		// A deferred unlock holds the lock to the end of the body: leave
-		// the set unchanged. A deferred literal runs at return; walk it
-		// with the current set, since the locks it sees are those still
-		// held then (approximated by now).
-		if h, _, isLock := c.lockOf(s.Call); isLock {
-			_ = h
-			return locks
-		}
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.block(lit.Body.List, locks)
-		}
-		return locks
-	case *ast.GoStmt:
-		// New goroutine: fresh lock set.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			c.block(lit.Body.List, nil)
-		}
-		return locks
-	case *ast.IfStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		locks = c.expr(s.Cond, locks)
-		thenLocks := c.block(s.Body.List, locks)
-		elseLocks := locks
-		if s.Else != nil {
-			elseLocks = c.stmt(s.Else, locks)
-		}
-		// A terminating branch takes its lock changes with it; the
-		// fall-through state is the other branch's.
-		switch {
-		case terminates(s.Body) && s.Else == nil:
-			return locks
-		case terminates(s.Body):
-			return elseLocks
-		case s.Else != nil && stmtTerminates(s.Else):
-			return thenLocks
-		default:
-			return locks
-		}
-	case *ast.BlockStmt:
-		return c.block(s.List, locks)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		if s.Cond != nil {
-			locks = c.expr(s.Cond, locks)
-		}
-		c.block(s.Body.List, locks)
-		return locks
-	case *ast.RangeStmt:
-		if t, ok := c.pkg.Info.Types[s.X]; ok {
-			if _, isChan := t.Type.Underlying().(*types.Chan); isChan {
-				c.blockingOp(s.Pos(), "range over channel", locks)
-			}
-		}
-		c.block(s.Body.List, locks)
-		return locks
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			locks = c.stmt(s.Init, locks)
-		}
-		if s.Tag != nil {
-			locks = c.expr(s.Tag, locks)
-		}
-		for _, cl := range s.Body.List {
-			c.block(cl.(*ast.CaseClause).Body, locks)
-		}
-		return locks
-	case *ast.TypeSwitchStmt:
-		for _, cl := range s.Body.List {
-			c.block(cl.(*ast.CaseClause).Body, locks)
-		}
-		return locks
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cl := range s.Body.List {
-			if cl.(*ast.CommClause).Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			c.blockingOp(s.Pos(), "select without default", locks)
-		}
-		for _, cl := range s.Body.List {
-			c.block(cl.(*ast.CommClause).Body, locks)
-		}
-		return locks
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			locks = c.expr(e, locks)
-		}
-		return locks
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, locks)
 	}
-	return locks
 }
 
-// expr scans an expression for lock/unlock calls, blocking receives and
-// nested literals, returning the updated held set.
-func (c *checker) expr(e ast.Expr, locks []*held) []*held {
-	if e == nil {
-		return locks
-	}
-	result := locks
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			c.block(n.Body.List, nil)
-			return false
-		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
-				c.blockingOp(n.Pos(), "channel receive", result)
-			}
-		case *ast.CallExpr:
-			h, method, isLock := c.lockOf(n)
-			if !isLock {
-				if callee := analysis.Callee(c.pkg.Info, n); callee != nil {
-					if what, ok := blockingIOCalls[callee.FullName()]; ok {
-						c.blockingOp(n.Pos(), what, result)
-					}
-				}
-				return true
-			}
-			if h == nil {
-				return true // unranked mutex: not part of the hierarchy
-			}
-			if acquireMethods[method] {
-				for _, other := range result {
-					if other.field == h.field && other.expr == h.expr {
-						c.pass.Reportf(n.Pos(), "%s acquired while already held", h.expr)
-						return true
-					}
-					if h.rank <= other.rank {
-						c.pass.Reportf(n.Pos(), "lock order violation: acquiring %s (rank %d) while holding %s (rank %d); ranks must strictly increase",
-							h.expr, h.rank, other.expr, other.rank)
-					}
-				}
-				result = append(append([]*held{}, result...), h)
-			} else {
-				result = release(result, h)
+// resolveRanks reads every //skueue:lock annotation on a mutex field. A
+// malformed one is reported and leaves its mutex out of the hierarchy.
+func resolveRanks(pass *analysis.Pass) map[*types.Var]rank {
+	out := make(map[*types.Var]rank)
+	pass.Ann.Fields("lock", func(mu *types.Var, ann analysis.Annotation) {
+		if !analysis.IsMutex(mu.Type()) {
+			return
+		}
+		r := rank{rank: -1}
+		if len(ann.Args) > 0 {
+			if n, err := strconv.Atoi(ann.Args[0]); err == nil {
+				r.rank = n
 			}
 		}
-		return true
+		if r.rank < 0 {
+			pass.Reportf(ann.Pos, "malformed //skueue:lock on %s: want a non-negative integer rank", mu.Name())
+			return
+		}
+		r.io = slices.Contains(ann.Args[1:], "io")
+		out[mu] = r
 	})
-	return result
+	return out
 }
 
-func release(locks []*held, h *held) []*held {
-	for i := len(locks) - 1; i >= 0; i-- {
-		if locks[i].field == h.field && locks[i].expr == h.expr {
-			return append(append([]*held{}, locks[:i]...), locks[i+1:]...)
-		}
-	}
-	for i := len(locks) - 1; i >= 0; i-- {
-		if locks[i].field == h.field {
-			return append(append([]*held{}, locks[:i]...), locks[i+1:]...)
-		}
-	}
-	return locks
+func (c *checker) ranked(mu *types.Var) bool {
+	_, ok := c.ranks[mu]
+	return ok
 }
 
-func (c *checker) blockingOp(pos token.Pos, what string, locks []*held) {
-	for _, h := range locks {
-		if !h.io {
+func (c *checker) acquire(call *ast.CallExpr, h analysis.Held, held []analysis.Held) {
+	r := c.ranks[h.Field]
+	for _, other := range held {
+		if other == h {
+			c.pass.Reportf(call.Pos(), "%s acquired while already held", h.Expr)
+			return
+		}
+		if o := c.ranks[other.Field]; r.rank <= o.rank {
+			c.pass.Reportf(call.Pos(), "lock order violation: acquiring %s (rank %d) while holding %s (rank %d); ranks must strictly increase",
+				h.Expr, r.rank, other.Expr, o.rank)
+		}
+	}
+}
+
+// visit flags the blocking I/O calls among an expression's nodes.
+func (c *checker) visit(n ast.Node, held []analysis.Held) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	if callee := analysis.Callee(c.info, call); callee != nil {
+		if what, ok := blockingIOCalls[callee.FullName()]; ok {
+			c.blocking(call.Pos(), what, held)
+		}
+	}
+}
+
+func (c *checker) blocking(pos token.Pos, what string, held []analysis.Held) {
+	for _, h := range held {
+		if r := c.ranks[h.Field]; !r.io {
 			c.pass.Reportf(pos, "%s while holding %s (rank %d); mark the lock \"io\" or move the operation outside the critical section",
-				what, h.expr, h.rank)
+				what, h.Expr, r.rank)
 			return
 		}
 	}
-}
-
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	return stmtTerminates(b.List[len(b.List)-1])
-}
-
-func stmtTerminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		return ok && id.Name == "panic"
-	case *ast.BlockStmt:
-		return terminates(s)
-	case *ast.IfStmt:
-		return terminates(s.Body) && s.Else != nil && stmtTerminates(s.Else)
-	}
-	return false
 }

@@ -225,7 +225,7 @@ func (g *graph) call(v *visit, call *ast.CallExpr) {
 		return
 	}
 	if analysis.IsInterfaceCall(info, call) {
-		for _, impl := range implementations(g.pass.Prog, callee) {
+		for _, impl := range g.pass.Prog.Implementations(callee) {
 			if g.pass.Ann.Func(impl, "nonblocking") != nil {
 				continue
 			}
@@ -265,43 +265,4 @@ func (g *graph) path(v *visit) string {
 		labels[0] += " (runs on runner via " + root.b.via + ")"
 	}
 	return strings.Join(labels, " -> ")
-}
-
-// implementations resolves an interface method to every concrete method
-// in the program that satisfies the interface: dynamic dispatch on the
-// runner can land on any of them.
-func implementations(prog *analysis.Program, m *types.Func) []*types.Func {
-	sig, ok := m.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	var out []*types.Func
-	for _, pkg := range prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			T := tn.Type()
-			if types.IsInterface(T) {
-				continue
-			}
-			for _, typ := range []types.Type{T, types.NewPointer(T)} {
-				if !types.Implements(typ, iface) {
-					continue
-				}
-				obj, _, _ := types.LookupFieldOrMethod(typ, true, tn.Pkg(), m.Name())
-				if fn, ok := obj.(*types.Func); ok {
-					out = append(out, fn)
-				}
-				break
-			}
-		}
-	}
-	return out
 }

@@ -238,7 +238,7 @@ func closure(pass *analysis.Pass, roots []*types.Func) []*types.Func {
 				return true
 			}
 			if analysis.IsInterfaceCall(info, call) {
-				for _, impl := range implementations(pass.Prog, callee) {
+				for _, impl := range pass.Prog.Implementations(callee) {
 					push(impl)
 				}
 				return true
@@ -250,43 +250,6 @@ func closure(pass *analysis.Pass, roots []*types.Func) []*types.Func {
 	out := make([]*types.Func, 0, len(seen))
 	for fn := range seen {
 		out = append(out, fn)
-	}
-	return out
-}
-
-// implementations finds every concrete module type satisfying the
-// interface an interface method belongs to, returning their methods of
-// the same name.
-func implementations(prog *analysis.Program, ifaceFn *types.Func) []*types.Func {
-	sig, _ := ifaceFn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return nil
-	}
-	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-	var out []*types.Func
-	for _, pkg := range prog.Pkgs {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
-				continue
-			}
-			ptr := types.NewPointer(tn.Type())
-			if !types.Implements(tn.Type(), iface) && !types.Implements(ptr, iface) {
-				continue
-			}
-			if obj, _, _ := types.LookupFieldOrMethod(ptr, true, ifaceFn.Pkg(), ifaceFn.Name()); obj != nil {
-				if m, ok := obj.(*types.Func); ok {
-					out = append(out, m)
-				}
-			}
-		}
 	}
 	return out
 }

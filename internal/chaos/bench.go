@@ -43,8 +43,8 @@ type Point struct {
 }
 
 // Bench is the machine-readable result of one chaos scenario, written as
-// BENCH_<scenario>.json so CI artifacts and committed files form a
-// perf trajectory across PRs.
+// BENCH_<scenario>.json so the nightly workflow's artifacts form a perf
+// trajectory across commits.
 type Bench struct {
 	Scenario  string `json:"scenario"`
 	GitSHA    string `json:"git_sha"`

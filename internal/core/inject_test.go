@@ -1,15 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
-	"reflect"
 	"testing"
 
-	"skueue/internal/batch"
-	"skueue/internal/dht"
 	"skueue/internal/seqcheck"
-	"skueue/internal/transport"
 )
 
 // TestNextReqIDHasNoSideEffect: reserving a name moves nothing — not the
@@ -116,69 +110,5 @@ func TestInjectUnderOlderIDNeverLowersCounter(t *testing.T) {
 	pending := cl.nodes[cl.Client(0)].pending
 	if len(pending) != 2 || pending[0].ReqID != base|40 || pending[1].ReqID != base|250 {
 		t.Fatalf("buffered operations lost their names: %+v", pending)
-	}
-}
-
-// TestNodeImageReadsPreMergeSnapshots: a snapshot.gob written before the
-// operation record and the sub-batch were stored as themselves (OpImage,
-// SubBatchImage, a separate Outstanding count) still decodes — gob matches
-// struct fields by name, not types by name, and drops the stale field.
-func TestNodeImageReadsPreMergeSnapshots(t *testing.T) {
-	type legacyOpImage struct {
-		IsDeq    bool
-		Elem     dht.Element
-		ReqID    uint64
-		Born     int64
-		LocalSeq int64
-		Pri      int32
-		Blob     []byte
-	}
-	type legacySubBatchImage struct {
-		From    transport.NodeID
-		B       batch.Batch
-		WaveSeq int64
-	}
-	type legacyNodeImage struct {
-		Pending  []legacyOpImage
-		Waiting  []legacySubBatchImage
-		InBatch  []legacySubBatchImage
-		InOwnOps []legacyOpImage
-		Combiner struct {
-			Pops   []legacyOpImage
-			Pushes []legacyOpImage
-		}
-		Outstanding  int
-		AwaitingAcks []uint64
-	}
-	var own batch.Batch
-	own.AppendEnqueue()
-	old := legacyNodeImage{
-		Pending:      []legacyOpImage{{Elem: dht.Element{Origin: 4, Seq: 9}, ReqID: 77, Born: 3, LocalSeq: 2, Pri: 1, Blob: []byte("p")}},
-		Waiting:      []legacySubBatchImage{{From: 5, B: own, WaveSeq: 8}},
-		InBatch:      []legacySubBatchImage{{From: transport.None, B: own}},
-		InOwnOps:     []legacyOpImage{{IsDeq: true, ReqID: 78, LocalSeq: 3}},
-		Outstanding:  2,
-		AwaitingAcks: []uint64{70},
-	}
-	old.Combiner.Pops = []legacyOpImage{{IsDeq: true, ReqID: 79}}
-	old.Combiner.Pushes = []legacyOpImage{{ReqID: 80, Blob: []byte("q")}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	var img NodeImage
-	if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
-		t.Fatalf("decoding a pre-merge image: %v", err)
-	}
-	want := NodeImage{
-		Pending:      []Op{{Elem: dht.Element{Origin: 4, Seq: 9}, ReqID: 77, Born: 3, LocalSeq: 2, Pri: 1, Blob: []byte("p")}},
-		Waiting:      []subBatch{{From: 5, B: own, WaveSeq: 8}},
-		InBatch:      []subBatch{{From: transport.None, B: own}},
-		InOwnOps:     []Op{{IsDeq: true, ReqID: 78, LocalSeq: 3}},
-		Combiner:     CombinerImage{Pops: []Op{{IsDeq: true, ReqID: 79}}, Pushes: []Op{{ReqID: 80, Blob: []byte("q")}}},
-		AwaitingAcks: []uint64{70},
-	}
-	if !reflect.DeepEqual(img, want) {
-		t.Fatalf("pre-merge image decoded to\n%+v\nwant\n%+v", img, want)
 	}
 }

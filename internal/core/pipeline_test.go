@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"skueue/internal/batch"
@@ -198,62 +196,5 @@ func TestStackNeverPipelines(t *testing.T) {
 		if m := pipelined(t, batch.Stack, member); m.PipelinedFires != 0 || m.MaxWavesInFlight != 1 {
 			t.Fatalf("member=%v: a stack node pipelined: %d pipelined fires, deepest %d waves in flight", member, m.PipelinedFires, m.MaxWavesInFlight)
 		}
-	}
-}
-
-// TestRestoreReadsSingleBatchImage: an image written before pipelined waves
-// holds a node's one processing batch as InBatch and InOwnOps. Restored, it
-// is a one-wave list under the node's wave counter, and the serve on its
-// way — delivered as a link replay would — answers it.
-func TestRestoreReadsSingleBatchImage(t *testing.T) {
-	cfg := Config{Processes: 2, Seed: 7}
-	net := newMemNet(t)
-	cl, err := NewMember(cfg, 0, []int32{0, 1}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.tick()
-	net.settle(nil)
-	client, _ := cl.Node(cl.Client(0))
-	cl.Enqueue(client.self.ID)
-	cl.Dequeue(client.self.ID)
-	net.ready()
-	if len(client.inFlight) != 1 {
-		t.Fatalf("client has %d waves in flight, want 1", len(client.inFlight))
-	}
-	snap, err := cl.SnapshotMember()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range snap.Nodes {
-		img := &snap.Nodes[i]
-		if len(img.InFlight) > 0 {
-			img.InBatch, img.InOwnOps, img.InFlight = img.InFlight[0].Subs, img.InFlight[0].Own, nil
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	var decoded MemberSnapshot
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	net2 := newMemNet(t)
-	cl2, err := RestoreMember(cfg, &decoded, net2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := cl2.nodes[client.self.ID]
-	if len(r.inFlight) != 1 || r.inFlight[0].Seq != client.waveSeq || len(r.inFlight[0].Own) != 2 {
-		t.Fatalf("restored in-flight list %v, want one wave %d with the two operations", r.inFlight, client.waveSeq)
-	}
-	net2.queue = net.queue
-	net2.settle(nil)
-	if cl2.Finished() != cl2.Issued() {
-		t.Fatalf("%d of %d operations finished after the restore", cl2.Finished(), cl2.Issued())
-	}
-	if err := cl2.CheckConsistency(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -31,9 +31,6 @@ import (
 // remembered sub-batch (subBatch) — the image stores them as they are, in
 // a slice copy so the encoder, which runs off the runner, never shares a
 // backing array with it; only maps and rings are flattened into images.
-// Both keep the field names of the separate image types they replaced, so
-// a snapshot.gob written before the merge still decodes (gob matches struct
-// fields by name and ignores type names).
 //
 // Consistency model: SnapshotMember must run on the transport's runner
 // goroutine, so the image is a point-in-time cut between two message
@@ -126,30 +123,21 @@ type NodeImage struct {
 	// Standing is the node's standing with its parent (active, served or
 	// idle) and IdleKids the children that declined, sorted by child. A
 	// parent restored without them would wait for reports that idle
-	// children do not send. Zero — an image from before work-driven waves —
-	// restores every node active, i.e. Algorithm 1.
+	// children do not send.
 	Standing uint8
 	IdleKids []FoldedWaveImage
 
 	Pending []Op
 	Waiting []subBatch
 	// InFlight is the node's waves fired and not yet served, oldest first.
-	// An image from before pipelined waves carries its one processing
-	// batch as InBatch (own sub-batch first) and InOwnOps instead, which
-	// restore as a one-wave list; nothing writes them any more.
 	InFlight []wave
-	//skueue:ignore statecomplete -- read from older images only
-	InBatch []subBatch
-	//skueue:ignore statecomplete -- read from older images only
-	InOwnOps []Op
 
 	// Combiner is the stack-mode residual word; empty in queue mode.
 	Combiner CombinerImage
 	// AwaitingAcks lists the request IDs of the node's unacknowledged
 	// PUTs. With Gets it re-arms the §VI stage-4 completion wait: the
 	// restored node stays gated until the replayed acknowledgments and
-	// replies drain both. (Images written before the count became derived
-	// carry an Outstanding field; gob drops it on decode.)
+	// replies drain both.
 	AwaitingAcks []uint64
 
 	Entries []dht.Entry
@@ -458,14 +446,8 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			pending:      slices.Clone(img.Pending),
 			waiting:      slices.Clone(img.Waiting),
 			store:        dht.NewStore(),
+			inFlight:     cloneWaves(img.InFlight),
 			pendingGets:  make(map[uint64]getCtx),
-		}
-		n.inFlight = cloneWaves(img.InFlight)
-		if img.InBatch != nil {
-			// An image from before pipelined waves: its processing batch is
-			// the node's newest wave. Where it went is not recorded, so the
-			// node fires no further wave before it is served.
-			n.inFlight = []wave{{Seq: img.WaveSeq, To: transport.None, Subs: slices.Clone(img.InBatch), Own: slices.Clone(img.InOwnOps)}}
 		}
 		n.disc.restoreImage(n, &img)
 		n.appliedPuts.restore(img.AppliedPuts)

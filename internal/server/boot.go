@@ -59,11 +59,10 @@ func (s *Server) adoptMode(mode string, heapLevels int) {
 
 func (s *Server) coreConfig(procs int) core.Config {
 	return core.Config{
-		Processes:       procs,
-		Seed:            s.cfg.Seed,
-		Mode:            s.mode,
-		HeapLevels:      s.cfg.HeapLevels,
-		UpdateThreshold: s.cfg.UpdateThreshold,
+		Processes:  procs,
+		Seed:       s.cfg.Seed,
+		Mode:       s.mode,
+		HeapLevels: s.cfg.HeapLevels,
 	}
 }
 
@@ -203,7 +202,6 @@ func (s *Server) startJoining() error {
 		return err
 	}
 	s.cfg.Seed = ack.Seed
-	s.cfg.UpdateThreshold = ack.UpdateThreshold
 	s.adoptMode(ack.Mode, int(ack.HeapLevels))
 	s.peer = tcp.New(s.peerOptions(ack.Index, []int32{ack.Pid}, 1))
 	s.peer.SetBook(ack.Book)
@@ -237,8 +235,7 @@ func (s *Server) admit(m wire.CliJoin) wire.CliJoinResp {
 		return wire.CliJoinResp{
 			Index: m.Index,
 			Seed:  s.cfg.Seed, Mode: s.modeString(), HeapLevels: int32(s.cfg.HeapLevels),
-			UpdateThreshold: s.cfg.UpdateThreshold,
-			Book:            s.peer.Book(),
+			Book: s.peer.Book(),
 		}
 	}
 	s.mu.Lock()
@@ -252,8 +249,7 @@ func (s *Server) admit(m wire.CliJoin) wire.CliJoinResp {
 	return wire.CliJoinResp{
 		Index: idx, Pid: pid,
 		Seed: s.cfg.Seed, Mode: s.modeString(), HeapLevels: int32(s.cfg.HeapLevels),
-		UpdateThreshold: s.cfg.UpdateThreshold,
-		Book:            s.peer.Book(),
-		Contact:         core.NodeIDForProcess(s.peer.Me().Pids[0], ldb.Middle),
+		Book:    s.peer.Book(),
+		Contact: core.NodeIDForProcess(s.peer.Me().Pids[0], ldb.Middle),
 	}
 }

@@ -113,22 +113,21 @@ func (s *Server) gateSend(route func()) {
 // diskSnapshot is the on-disk image: one gob stream holding the cluster
 // parameters, the member's core image and the transport receive cursors.
 type diskSnapshot struct {
-	Version         int
-	Seed            int64
-	Mode            string
-	HeapLevels      int
-	UpdateThreshold int
-	Procs           int
-	Pids            []int32
-	NextIndex       int32
-	NextPid         int32
-	Member          *core.MemberSnapshot
-	Peer            *tcp.PeerState
-	Book            []wire.MemberInfo
+	Version    int // snapshotVersion
+	Seed       int64
+	Mode       string
+	HeapLevels int
+	Procs      int
+	Pids       []int32
+	NextIndex  int32
+	NextPid    int32
+	Member     *core.MemberSnapshot
+	Peer       *tcp.PeerState
+	Book       []wire.MemberInfo
 	// SeqCeiling is the journal's pending sequence-lease ceiling at the
 	// capture: a restart must advance the request counter past it even if
 	// compaction dropped the lease records themselves (see journal.go,
-	// "The sequence lease"). Zero in pre-lease snapshots.
+	// "The sequence lease").
 	SeqCeiling uint64
 	// Sessions are the durable client sessions at the capture — dedupe
 	// tables, retained outcomes, cursors. Captured inside the same DoSync
@@ -140,6 +139,13 @@ type diskSnapshot struct {
 }
 
 const snapshotFile = "snapshot.gob"
+
+// snapshotVersion is the snapshot format this build writes and the only
+// one it reads: gob drops the fields it does not know, so an image of
+// another format would restore with part of its state silently lost.
+// Version 2 holds each node's in-flight waves as one list
+// (NodeImage.InFlight); version 1 held a single processing batch.
+const snapshotVersion = 2
 
 // loadSnapshot reads the member snapshot from dir; (nil, nil) when none
 // exists yet (first boot). It is the load half of the restore path
@@ -163,8 +169,11 @@ func loadSnapshot(dir string) (*diskSnapshot, error) {
 	if err := gob.NewDecoder(f).Decode(&disk); err != nil {
 		return nil, fmt.Errorf("decoding %s: %w", f.Name(), err)
 	}
-	if disk.Version != 1 || disk.Member == nil || disk.Peer == nil {
-		return nil, fmt.Errorf("%s: unsupported or incomplete snapshot", f.Name())
+	if disk.Version != snapshotVersion {
+		return nil, fmt.Errorf("%s: snapshot format version %d, this build reads only version %d", f.Name(), disk.Version, snapshotVersion)
+	}
+	if disk.Member == nil || disk.Peer == nil {
+		return nil, fmt.Errorf("%s: incomplete snapshot", f.Name())
 	}
 	return &disk, nil
 }
@@ -283,20 +292,19 @@ func (s *Server) SnapshotNow() error {
 	nextIndex, nextPid := s.nextIndex, s.nextPid
 	s.mu.Unlock()
 	disk := &diskSnapshot{
-		Version:         1,
-		Seed:            s.cfg.Seed,
-		Mode:            s.modeString(),
-		HeapLevels:      s.cfg.HeapLevels,
-		UpdateThreshold: s.cfg.UpdateThreshold,
-		Procs:           s.procsTotal,
-		Pids:            s.peer.Me().Pids,
-		NextIndex:       nextIndex,
-		NextPid:         nextPid,
-		Member:          snap,
-		Peer:            ps,
-		Book:            s.peer.Book(),
-		SeqCeiling:      seqCeiling,
-		Sessions:        sessImgs,
+		Version:    snapshotVersion,
+		Seed:       s.cfg.Seed,
+		Mode:       s.modeString(),
+		HeapLevels: s.cfg.HeapLevels,
+		Procs:      s.procsTotal,
+		Pids:       s.peer.Me().Pids,
+		NextIndex:  nextIndex,
+		NextPid:    nextPid,
+		Member:     snap,
+		Peer:       ps,
+		Book:       s.peer.Book(),
+		SeqCeiling: seqCeiling,
+		Sessions:   sessImgs,
 	}
 	if err := writeSnapshot(s.cfg.StateDir, disk); err != nil {
 		return err
@@ -390,7 +398,6 @@ func (s *Server) finalSnapshot() error {
 //skueue:owned-by startup -- runs before the transport starts; no other goroutine can see the server yet
 func (s *Server) startRestore(disk *diskSnapshot, journalRecs []journalRecord) error {
 	s.cfg.Seed = disk.Seed
-	s.cfg.UpdateThreshold = disk.UpdateThreshold
 	s.adoptMode(disk.Mode, disk.HeapLevels)
 	s.procsTotal = disk.Procs
 	s.peer = tcp.New(s.peerOptions(disk.Member.Index, disk.Pids, disk.Peer.Boot+1))

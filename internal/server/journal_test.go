@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"skueue/internal/core"
 	"skueue/internal/transport"
 	"skueue/internal/wire"
 )
@@ -344,62 +346,91 @@ func TestReplayPlanGrouping(t *testing.T) {
 	})
 }
 
-// TestStateDirWithFireMarkerFailsToOpen: journals of an older format filed
-// a per-node fire marker (record kind 3) ahead of op records that named no
-// wave. Nothing reads them any more, so a member whose state directory
-// holds one refuses to restart, with an error naming the record kind,
-// rather than filing its operations into waves by guesswork.
+// TestStateDirWithFireMarkerFailsToOpen: a member whose state directory is
+// in an older format refuses to restart, with an error naming what it cannot
+// read, rather than restoring by guesswork. Two rows:
+//   - a journal holding a per-node fire marker (record kind 3), which older
+//     journals filed ahead of op records that named no wave;
+//   - a version-1 snapshot, whose nodes each held one processing batch where
+//     version 2 holds the list of waves in flight: gob would drop the batch
+//     and restore the node with its wave lost.
 func TestStateDirWithFireMarkerFailsToOpen(t *testing.T) {
-	lis := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range lis {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis[i], addrs[i] = l, l.Addr().String()
-	}
-	dir := filepath.Join(t.TempDir(), "m1")
-	var member *Server
-	for i := range lis {
-		cfg := Config{Listener: lis[i], Seed: 42, Index: i, Members: addrs, Tick: 500 * time.Microsecond}
-		if i == 1 {
-			cfg.StateDir, cfg.SnapshotEvery = dir, time.Hour
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("server %d: %v", i, err)
-		}
-		t.Cleanup(s.Close)
-		member = s
-	}
-	if err := member.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	member.Kill()
+	for _, tc := range []struct {
+		name string
+		age  func(t *testing.T, dir string) // rewrites dir into the older format
+		want string
+	}{
+		{"kind-3 journal record", func(t *testing.T, dir string) {
+			marker, err := encodeRecord(&journalRecord{Kind: 3, Node: 3, Wave: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(marker); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, "kind 3"},
+		{"version-1 snapshot", func(t *testing.T, dir string) {
+			disk, err := loadSnapshot(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk.Version = 1
+			if err := writeSnapshot(dir, disk); err != nil {
+				t.Fatal(err)
+			}
+		}, "version 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis := make([]net.Listener, 2)
+			addrs := make([]string, 2)
+			for i := range lis {
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				lis[i], addrs[i] = l, l.Addr().String()
+			}
+			dir := filepath.Join(t.TempDir(), "m1")
+			var member *Server
+			for i := range lis {
+				cfg := Config{Listener: lis[i], Seed: 42, Index: i, Members: addrs, Tick: 500 * time.Microsecond}
+				if i == 1 {
+					cfg.StateDir, cfg.SnapshotEvery = dir, time.Hour
+				}
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatalf("server %d: %v", i, err)
+				}
+				t.Cleanup(s.Close)
+				member = s
+			}
+			// A member just booted may still have frames in flight.
+			deadline := time.Now().Add(10 * time.Second)
+			for err := member.SnapshotNow(); err != nil; err = member.SnapshotNow() {
+				if !errors.Is(err, core.ErrNotQuiescent) || time.Now().After(deadline) {
+					t.Fatal(err)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			member.Kill()
+			tc.age(t, dir)
 
-	marker, err := encodeRecord(&journalRecord{Kind: 3, Node: 3, Wave: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(marker); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := New(Config{Addr: "127.0.0.1:0", Join: addrs[0], StateDir: dir, SnapshotEvery: time.Hour, Tick: 500 * time.Microsecond})
-	if err == nil {
-		s.Close()
-		t.Fatal("a state directory holding a kind-3 record opened")
-	}
-	if !strings.Contains(err.Error(), "kind 3") {
-		t.Fatalf("the refusal does not name the record kind: %v", err)
+			s, err := New(Config{Addr: "127.0.0.1:0", Join: addrs[0], StateDir: dir, SnapshotEvery: time.Hour, Tick: 500 * time.Microsecond})
+			if err == nil {
+				s.Close()
+				t.Fatalf("a state directory holding a %s opened", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("the refusal does not name the %s: %v", tc.want, err)
+			}
+		})
 	}
 }
 

@@ -96,8 +96,6 @@ type Config struct {
 	// HeapLevels is the number of priority levels in heap mode (default
 	// 4); ignored in the other modes. All members must agree on it.
 	HeapLevels int
-	// UpdateThreshold mirrors core.Config.UpdateThreshold.
-	UpdateThreshold int
 
 	// Bootstrap deployment: Index is this member's position in Members,
 	// which lists every bootstrap member's address. Procs is the total

@@ -327,12 +327,11 @@ type CliJoinResp struct {
 	// Index and Pid are the new member's member index and first process ID.
 	Index int32
 	Pid   int32
-	// Seed, Mode, HeapLevels and UpdateThreshold mirror the cluster
-	// configuration so the joiner derives identical labels and hashes.
-	Seed            int64
-	Mode            string
-	HeapLevels      int32
-	UpdateThreshold int
+	// Seed, Mode and HeapLevels mirror the cluster configuration so the
+	// joiner derives identical labels and hashes.
+	Seed       int64
+	Mode       string
+	HeapLevels int32
 	// Book is the cluster's address book including the new member.
 	Book []MemberInfo
 	// Contact is the node the joiner routes its JOIN requests through.
