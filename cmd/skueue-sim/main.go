@@ -76,10 +76,10 @@ func main() {
 	fmt.Printf("waves=%d emptyWaves=%d declines=%d maxBatchRuns=%d avgRouteHops=%.1f maxRouteHops=%d parkedGets=%d maxQueueSize=%d maxWavesInFlight=%d pipelinedFires=%d\n",
 		met.WavesAssigned, met.EmptyWaves, met.Declines, met.MaxBatchRuns, met.AvgRouteHops, met.MaxRouteHops, met.ParkedGets, met.MaxQueueSize,
 		met.MaxWavesInFlight, met.PipelinedFires)
+	eng := c.Cluster().Engine().Stats()
+	fmt.Printf("messages: %d sent (%d within a process)\n", eng.MessagesSent, eng.LocalDelivered)
 	if *verbose {
 		fmt.Printf("tree height (ATH): %d\n", c.Cluster().TreeHeight())
-		eng := c.Cluster().Engine().Stats()
-		fmt.Printf("messages: %d sent, %d delivered\n", eng.MessagesSent, eng.MessagesDelivered)
 	}
 	if err := c.Check(); err != nil {
 		fmt.Printf("sequential consistency: VIOLATED: %v\n", err)

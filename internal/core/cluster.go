@@ -294,6 +294,12 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 		n := cl.nodes[proc.Nodes[kind]]
 		n.sibL, n.sibM, n.sibR = prefs[ldb.Left], prefs[ldb.Middle], prefs[ldb.Right]
 	}
+	if cl.reg == nil {
+		// A virtual edge is not a message between processes: the triad is
+		// one site of the engine. TIMEOUT runs children first, so an
+		// aggregate climbs Right → Middle → Left within one round.
+		cl.eng.Colocate(proc.Nodes[ldb.Right], proc.Nodes[ldb.Middle], proc.Nodes[ldb.Left])
+	}
 	cl.procs = append(cl.procs, proc)
 	return proc, prefs
 }

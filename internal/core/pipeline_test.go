@@ -64,6 +64,35 @@ func TestPipelinedWavesAsync(t *testing.T) {
 	}
 }
 
+// TestPipelineDepthBounded runs the synchronous simulator at the shape of
+// the benchmark's sim-256 workload — 256 processes, 10 requests a round,
+// seed 1, 2 000 rounds — and pins two counts that are exact for the seed.
+// The deepest pipeline stays within 2 × the tree height: a parent folds
+// one wave per child per fire, so a node that fires less often than its
+// child lets waves pile up below it, which is how TIMEOUT run parent-first
+// within a process once cost a thousand rounds an operation. The mean
+// operation takes at most 52 rounds: the tree and the route are charged
+// only for the hops between processes.
+func TestPipelineDepthBounded(t *testing.T) {
+	cl := newCluster(t, Config{Processes: 256, Seed: 1})
+	enq := loadSim(cl, xrand.New(1), 2000, 10)
+	drainAndCheck(t, cl, 100000)
+	checkElements(t, cl, enq)
+	var rounds int64
+	for _, op := range cl.History().Ops {
+		rounds += op.Done - op.Born
+	}
+	mean := float64(rounds) / float64(cl.History().Len())
+	m, height := cl.Metrics(), cl.TreeHeight()
+	t.Logf("deepest pipeline %d waves, tree height %d, %.2f rounds per operation", m.MaxWavesInFlight, height, mean)
+	if m.MaxWavesInFlight > 2*height {
+		t.Errorf("deepest pipeline %d waves, over 2 × the tree height %d", m.MaxWavesInFlight, height)
+	}
+	if mean > 52 {
+		t.Errorf("%.2f rounds per operation, want at most 52", mean)
+	}
+}
+
 // TestPipelineFoldsInOrder: a channel that reorders delivers a child's wave
 // v+1 to its parent before wave v. The parent holds v+1 — it is not
 // foldable while v is not folded — and then folds v first and v+1 in the

@@ -2,13 +2,19 @@
 // message-passing models of the paper (§I-B):
 //
 //   - the synchronous model used for the runtime analysis and the
-//     evaluation: time proceeds in rounds, every message sent in round i is
-//     delivered in round i+1, and every node executes its TIMEOUT action
-//     once per round;
+//     evaluation: time proceeds in rounds, every message sent between
+//     processes in round i is delivered in round i+1, and every node
+//     executes its TIMEOUT action once per round;
 //   - the fully asynchronous model the correctness proofs assume: every
 //     message experiences an independent, arbitrary (bounded here, but
 //     configurable) delay, so messages can outrun each other (non-FIFO),
 //     and TIMEOUT fires periodically per node with random jitter.
+//
+// The model times the messages processes exchange, and a process emulates
+// several virtual nodes (§II-A). Colocate makes such nodes one site: in the
+// synchronous model a message between two nodes of a site is delivered in
+// the round it was sent, and the site runs TIMEOUT in the order given. The
+// asynchronous model keeps its adversarial delay on every edge.
 //
 // In both models messages are never lost and never duplicated (the paper's
 // channel assumption); the engine checks this with internal accounting.
@@ -24,6 +30,8 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"slices"
+	"strings"
 
 	"skueue/internal/transport"
 	"skueue/internal/xrand"
@@ -55,27 +63,37 @@ type Config struct {
 	// Defaults to 4.
 	TimeoutEvery int
 	// ShuffleTimeouts (sync only) randomizes the per-round order in which
-	// nodes execute TIMEOUT. Delivery order is always shuffled. Shuffling
-	// timeouts costs a permutation per round; tests enable it to widen
-	// schedule coverage, large benchmarks leave it off.
+	// sites execute TIMEOUT; the nodes of a site keep their Colocate order.
+	// Delivery order between sites is always shuffled. Shuffling timeouts
+	// costs a permutation per round; tests enable it to widen schedule
+	// coverage, large benchmarks leave it off.
 	ShuffleTimeouts bool
 	// Shape is an optional WAN delivery profile. When enabled, every
-	// message is charged extra whole-round delay sampled from the profile:
-	// synchronous sends land extra rounds late (via the event heap instead
-	// of the next-round batch), asynchronous sends add the extra to their
-	// native random delay. The zero Shape keeps the classic models.
+	// message (synchronous: every message between sites) is charged extra
+	// whole-round delay sampled from the profile: synchronous sends land
+	// extra rounds late (via the event heap instead of the next-round
+	// batch), asynchronous sends add the extra to their native random
+	// delay. The zero Shape keeps the classic models.
 	Shape transport.Shape
 	// TraceMessage, when set, observes every delivered message.
 	TraceMessage func(now int64, from, to NodeID, payload any)
 }
 
-// Stats carries engine-level accounting.
+// Stats carries engine-level accounting. MessagesSent and
+// MessagesDelivered count every message; LocalDelivered counts those
+// delivered within a site, in the round they were sent.
 type Stats struct {
 	MessagesSent      int64
 	MessagesDelivered int64
+	LocalDelivered    int64
 	TimeoutsRun       int64
 	Spawned           int64
 }
+
+// maxSiteDrain bounds the in-site messages one callback may set off within
+// a round. Sibling nodes that answer each other forever would otherwise
+// hang the round instead of failing it.
+const maxSiteDrain = 1 << 16
 
 type message struct {
 	from, to NodeID
@@ -112,6 +130,7 @@ type nodeSlot struct {
 	h        Handler
 	active   bool
 	timeouts bool
+	site     int32 // index into Engine.sites
 	// ctx is the node's reusable callback context; binding it once per
 	// node keeps delivery allocation-free.
 	ctx Context
@@ -122,9 +141,17 @@ type Engine struct {
 	cfg   Config
 	rng   *xrand.RNG
 	nodes []nodeSlot
+	// sites lists every node once, grouped by site, each site in its
+	// TIMEOUT order; a node nobody colocated is a site of its own.
+	sites [][]NodeID
 	now   int64
-	// synchronous queues: messages awaiting delivery next round.
-	next []message
+	// inRound is set while stepSync runs: only a message sent in a round
+	// can be delivered in it.
+	inRound bool
+	// synchronous queues: messages awaiting delivery next round, and
+	// in-site messages awaiting delivery once the running callback returns.
+	next  []message
+	local []message
 	// asynchronous event heap.
 	events eventHeap
 	// messages in flight (both models).
@@ -151,8 +178,9 @@ func New(cfg Config) *Engine {
 // starts or from within any handler callback.
 func (e *Engine) Spawn(h Handler) NodeID {
 	id := NodeID(len(e.nodes))
-	e.nodes = append(e.nodes, nodeSlot{h: h, active: true, timeouts: true})
+	e.nodes = append(e.nodes, nodeSlot{h: h, active: true, timeouts: true, site: int32(len(e.sites))})
 	e.nodes[id].ctx = transport.NewContext(e, id)
+	e.sites = append(e.sites, []NodeID{id})
 	e.stats.Spawned++
 	if e.cfg.Async {
 		e.scheduleTimeout(id)
@@ -170,6 +198,50 @@ func (e *Engine) Register(id NodeID, h Handler) {
 		panic(fmt.Sprintf("sim: Register(%d) out of spawn order (next is %d)", id, len(e.nodes)))
 	}
 	e.Spawn(h)
+}
+
+// Colocate makes the given nodes one site: the virtual nodes one process
+// emulates. In the synchronous model a message between two of them is
+// delivered in the round it was sent — after the sending callback returns,
+// never nested, in the order sent — and is never shaped; a self-send still
+// waits for the next round. The site runs TIMEOUT in the order of ids, each
+// node's in-site messages delivered before the next node's turn, so ids
+// list children before parents for an aggregate to climb the site in one
+// round. Each node must still be a site of its own. The asynchronous model
+// ignores sites. Call it between rounds, not from a callback.
+func (e *Engine) Colocate(ids ...NodeID) {
+	if e.inRound {
+		panic("sim: Colocate called within a round")
+	}
+	lo := int32(len(e.sites))
+	for i, id := range ids {
+		if id < 0 || int(id) >= len(e.nodes) {
+			panic(fmt.Sprintf("sim: Colocate(%v): no node %d", ids, id))
+		}
+		s := e.nodes[id].site
+		if len(e.sites[s]) != 1 || slices.Contains(ids[:i], id) {
+			panic(fmt.Sprintf("sim: Colocate(%v): node %d is already colocated", ids, id))
+		}
+		lo = min(lo, s)
+	}
+	// The new site takes the place of the earliest of the nodes' own
+	// sites, and the later ones close up: only sites from there on are
+	// renumbered, which for nodes just spawned is the tail.
+	site, placed := slices.Clone(ids), false
+	sites := e.sites[:lo]
+	for _, members := range e.sites[lo:] {
+		if len(members) == 1 && slices.Contains(ids, members[0]) {
+			if placed {
+				continue
+			}
+			members, placed = site, true
+		}
+		for _, id := range members {
+			e.nodes[id].site = int32(len(sites))
+		}
+		sites = append(sites, members)
+	}
+	e.sites = sites
 }
 
 // Now returns the current round (synchronous) or virtual time (async).
@@ -236,6 +308,10 @@ func (e *Engine) send(from, to NodeID, payload any) {
 	e.inFlight++
 	e.seq++
 	m := message{from: from, to: to, payload: payload, seq: e.seq}
+	if e.inRound && from != to && from >= 0 && e.nodes[from].site == e.nodes[to].site {
+		e.local = append(e.local, m)
+		return
+	}
 	var extra int64
 	if e.cfg.Shape.Enabled() {
 		extra = e.cfg.Shape.Rounds(e.rng)
@@ -289,8 +365,11 @@ func (e *Engine) Step() bool {
 
 func (e *Engine) stepSync() {
 	e.now++
-	// Deliver every message sent in the previous round, in random order
-	// (the channel is a set: arbitrary processing order, non-FIFO).
+	e.inRound = true
+	defer func() { e.inRound = false }()
+	// Deliver every message sent between sites in the previous round, in
+	// random order (the channel is a set: arbitrary processing order,
+	// non-FIFO).
 	batch := e.next
 	e.next = nil
 	// Shaped messages whose delay has elapsed rejoin the round's batch
@@ -301,18 +380,51 @@ func (e *Engine) stepSync() {
 	e.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 	for _, m := range batch {
 		e.deliver(m)
+		e.drainSite()
 	}
-	// Then every node runs TIMEOUT once.
+	// Then every site runs TIMEOUT once per node, in its own order.
 	if e.cfg.ShuffleTimeouts {
-		order := e.rng.Perm(len(e.nodes))
-		for _, i := range order {
-			e.timeout(NodeID(i))
+		for _, s := range e.rng.Perm(len(e.sites)) {
+			e.timeoutSite(e.sites[s])
 		}
 	} else {
-		for i := range e.nodes {
-			e.timeout(NodeID(i))
+		for _, site := range e.sites {
+			e.timeoutSite(site)
 		}
 	}
+}
+
+func (e *Engine) timeoutSite(site []NodeID) {
+	for _, id := range site {
+		e.timeout(id)
+		e.drainSite()
+	}
+}
+
+// drainSite delivers, in the order sent, the in-site messages the callback
+// that just returned set off, and those they set off in turn.
+func (e *Engine) drainSite() {
+	for i := 0; i < len(e.local); i++ {
+		if i == maxSiteDrain {
+			panic(fmt.Sprintf("sim: %d in-site messages from one callback at t=%d; the last were %s", i, e.now, payloadTypes(e.local[i-8:i])))
+		}
+		e.stats.LocalDelivered++
+		e.deliver(e.local[i])
+	}
+	clear(e.local)
+	e.local = e.local[:0]
+}
+
+// payloadTypes names the payload types of msgs, in order.
+func payloadTypes(msgs []message) string {
+	var b strings.Builder
+	for i, m := range msgs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%T %d→%d", m.payload, m.from, m.to)
+	}
+	return b.String()
 }
 
 func (e *Engine) stepAsync() bool {

@@ -413,9 +413,11 @@ type readyNode struct {
 func (n *readyNode) OnReady(ctx *Context) { n.readyCalls++ }
 
 // TestEngineNeverCallsOnReady: the readiness hook belongs to backends whose
-// clock is not the message delay. A simulated round IS the message delay
-// and its schedule is reproducible from the seed, so neither engine may
-// call it — not at spawn, not on delivery, not around a TIMEOUT.
+// clock is not the message delay. A simulated round IS the delay of a
+// message between processes (one within a process follows its callback in
+// the same round), and its schedule is reproducible from the seed, so
+// neither engine may call it — not at spawn, not on delivery, not around a
+// TIMEOUT.
 func TestEngineNeverCallsOnReady(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		e := New(Config{Seed: 11, Async: async, MaxDelay: 4})

@@ -71,8 +71,8 @@ type Handler interface {
 // The TCP backend calls it for every hosted node after each drained batch
 // of runner tasks (never inside one, so a handler or an injecting closure
 // always completes before its consequences fire). The simulator never
-// calls it: there a round IS the message delay, and its schedules stay
-// reproducible from the seed.
+// calls it: there a round IS the delay of a message between processes, and
+// its schedules stay reproducible from the seed.
 type ReadyHandler interface {
 	OnReady(ctx *Context)
 }
