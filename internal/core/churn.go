@@ -108,7 +108,13 @@ type churnState struct {
 	updatePhase bool
 	epoch       int64
 	pold        transport.NodeID
-	acksLeft    int
+	// foldedAtPold is the newest of this node's waves that p_old had folded
+	// into a wave of its own when it handed this node the epoch outside the
+	// flagged wave (serveMsg.Folded): such a wave rides across the phase in
+	// p_old's wave and is served after it, so the phase does not wait for
+	// it to come back (maybeFinishPhase).
+	foldedAtPold int64
+	acksLeft     int
 	// handed lists the children handed the epoch outside the flagged wave;
 	// until the phase ends their batches are returned, not buffered.
 	handed         []transport.NodeID
@@ -314,6 +320,7 @@ func (c *churnState) enterUpdatePhase(ctx *transport.Context, from transport.Nod
 	c.epoch = epoch
 	c.lastEpoch = epoch
 	c.pold = from
+	c.foldedAtPold = 0
 	c.acksLeft = 0
 	c.handed = nil
 	c.introAcksLeft = 0
@@ -368,7 +375,7 @@ func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []sub
 			continue
 		}
 		if !slices.ContainsFunc(inWave, func(sb subBatch) bool { return sb.From == k.ID }) {
-			ctx.Send(k.ID, serveMsg{UpdateEpoch: c.epoch})
+			ctx.Send(k.ID, serveMsg{UpdateEpoch: c.epoch, Folded: n.foldedWaves[k.ID]})
 			c.acksLeft++
 			c.handed = append(c.handed, k.ID)
 		}
@@ -407,12 +414,13 @@ func (c *churnState) returnBatches(ctx *transport.Context, n *Node) {
 // the epoch to whatever it counts as its children, and mid-phase two
 // nodes can count the same one — acknowledges at once: its subtree is in
 // the phase through the parent it entered from.
-func (n *Node) acceptEpoch(ctx *transport.Context, from transport.NodeID, epoch int64) {
+func (n *Node) acceptEpoch(ctx *transport.Context, from transport.NodeID, epoch, folded int64) {
 	if n.churn.lastEpoch >= epoch {
 		ctx.Send(from, updateAck{Epoch: epoch})
 		return
 	}
 	n.churn.enterUpdatePhase(ctx, from, epoch, nil)
+	n.churn.foldedAtPold = folded
 	n.churn.handEpochDown(ctx, n, nil, true)
 	n.churn.startIntegration(ctx, n)
 }
@@ -490,12 +498,13 @@ func (c *churnState) maybeFinishPhase(ctx *transport.Context, n *Node) {
 	if c.acksLeft > 0 || c.introAcksLeft > 0 || c.votesPending > 0 {
 		return
 	}
-	if slices.ContainsFunc(n.inFlight, func(w wave) bool { return w.To == c.pold && w.Prev != 0 }) {
+	if slices.ContainsFunc(n.inFlight, func(w wave) bool { return w.To == c.pold && w.Prev != 0 && w.Seq > c.foldedAtPold }) {
 		// A pipelined wave of ours comes back from p_old within the phase
 		// (returnsInPhase). On a channel that reorders it could otherwise
 		// reach p_old after the phase, carried across it. A wave fired with
 		// none before it waits out the phase where it is, as under
-		// Algorithm 1.
+		// Algorithm 1, and so does one p_old had folded before the phase
+		// reached it: it waits in p_old's own wave.
 		return
 	}
 	// A replacement's final duty is to dissolve into its pred; it acks

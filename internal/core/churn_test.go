@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -491,6 +492,78 @@ func TestRouteAvoidsUnintegratedSibling(t *testing.T) {
 			t.Fatalf("unintegrated %v sibling: route state %+v, want no bits left and one hop counted", kind, rs)
 		}
 		mid.sibIn[kind] = true
+	}
+	net.queue = nil
+}
+
+// TestHandedEpochSkipsFoldedWave: a node handed the epoch outside the
+// flagged wave waits, before it acknowledges, for its pipelined waves at
+// p_old to come back — but not for one p_old reports it had folded before
+// the phase reached it. That wave rides in p_old's own wave across the
+// phase and is served after it; waiting for it wedged the phase (skueue-verify,
+// queue seed 33 with churn).
+func TestHandedEpochSkipsFoldedWave(t *testing.T) {
+	for _, tc := range []struct {
+		folded int64
+		ack    bool
+	}{{folded: 5, ack: true}, {folded: 4, ack: false}} {
+		cl, net := churnNet(t, Config{Processes: 3, Seed: 9}, 9)
+		mid, _ := cl.Node(cl.Client(1))
+		right, _ := cl.Node(mid.sibR.ID)
+		right.waveSeq = 5
+		right.inFlight = []wave{{Seq: 5, Prev: 4, To: mid.self.ID}}
+		net.queue = nil
+		epoch := right.churn.lastEpoch + 1
+		right.OnMessage(net.ctxs[right.self.ID], mid.self.ID, serveMsg{UpdateEpoch: epoch, Folded: tc.folded})
+		acked := slices.ContainsFunc(net.queue, func(e memEnv) bool {
+			m, ok := e.payload.(updateAck)
+			return ok && e.to == mid.self.ID && m.Epoch == epoch
+		})
+		if acked != tc.ack {
+			t.Errorf("wave 5 in flight to p_old, which folded up to wave %d: acknowledged %v, want %v", tc.folded, acked, tc.ack)
+		}
+		net.queue = nil
+	}
+}
+
+// TestRouteStartAvoidsUnintegratedMiddle: a route that starts at a left or
+// right node first jumps to its own middle node. While that sibling is not a
+// ring member yet it would hold the route, so the route walks the ring to
+// another middle node instead. It keeps its bits: giving them up, as the
+// bit-hop guard does, would turn it into the whole linear walk.
+func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
+	cl, net := churnNet(t, Config{Processes: 4, Seed: 5}, 5)
+	checked := 0
+	for p := 0; p < 4; p++ {
+		mid, _ := cl.Node(cl.Client(p))
+		for _, id := range []transport.NodeID{mid.sibL.ID, mid.sibR.ID} {
+			n, _ := cl.Node(id)
+			target := n.self.Point.Label + fixpoint.Half // across the ring
+			if n.pred.ID == mid.self.ID || n.succ.ID == mid.self.ID || n.nb().Responsible(target) {
+				continue // the ring walk could reach the same middle node
+			}
+			send := func() (transport.NodeID, ldb.RouteState) {
+				t.Helper()
+				net.queue = nil
+				n.routeStep(net.ctxs[n.self.ID], routedMsg{RS: ldb.RouteState{Target: target, BitsLeft: 2}, Inner: joinReq{NewNode: mid.self}})
+				if len(net.queue) != 1 {
+					t.Fatalf("routeStep sent %d frames", len(net.queue))
+				}
+				return net.queue[0].to, net.queue[0].payload.(routedMsg).RS
+			}
+			if to, rs := send(); to != mid.self.ID || rs.BitsLeft != 2 || rs.Hops != 1 {
+				t.Fatalf("%v with an integrated middle sibling: hop to %d with %+v, want the jump to %v", n.self, to, rs, mid.self)
+			}
+			n.sibIn[ldb.Middle] = false
+			if to, rs := send(); (to != n.pred.ID && to != n.succ.ID) || rs.BitsLeft != 2 || rs.Hops != 1 || rs.WalkDir == 0 {
+				t.Fatalf("%v with its middle sibling joining: hop to %d with %+v, want a ring neighbour (%v or %v), both bits kept", n.self, to, rs, n.pred, n.succ)
+			}
+			n.sibIn[ldb.Middle] = true
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("every left and right node is a ring neighbour of its middle node; pick another seed")
 	}
 	net.queue = nil
 }

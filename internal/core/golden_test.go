@@ -86,33 +86,43 @@ func goldenDigest(t *testing.T, mode batch.Mode, seed int64, async bool) string 
 // between siblings is delivered in the round it was sent, and a site runs
 // TIMEOUT children first, so every synchronous schedule moves. The async
 // rows did not move — the asynchronous model keeps its delay on every edge.
-// Any later move is unintended until a comment here says otherwise.
+//
+// All 24 rows, sync and async, were re-recorded, deliberately, when the De
+// Bruijn route was re-made at what a round costs (ldb.NewRoute / NextHop:
+// the start jump to the own middle node, the bit count chosen per route,
+// the walk steered towards the next bit's ideal point): every PUT, GET and
+// JOIN request takes a different path in both models, so every schedule
+// moves. In the same change six rows moved once more, deliberately, when a
+// node handed an epoch outside the flagged wave stopped waiting for a wave
+// of its own that its parent had already folded (churnState.foldedAtPold):
+// its acknowledgment, and the phase's end, come earlier. Any later move is
+// unintended until a comment here says otherwise.
 func TestSimulatorHistoryGolden(t *testing.T) {
 	golden := map[string]string{
-		"queue/seed=1/sync":  "dea4b278fde85e6a",
-		"queue/seed=1/async": "3bfa3baeffcaaa0b",
-		"queue/seed=2/sync":  "5c922948e3cca701",
-		"queue/seed=2/async": "acd864256c6a235e",
-		"queue/seed=3/sync":  "bb042173bd6206e5",
-		"queue/seed=3/async": "91f4bdfd97bca6d1",
-		"queue/seed=4/sync":  "976cfa478bbe3918",
-		"queue/seed=4/async": "a6568f8e2da6933f",
-		"stack/seed=1/sync":  "a2df5775152c18a7",
-		"stack/seed=1/async": "49f1eba218996fbd",
-		"stack/seed=2/sync":  "37ae12b279a25620",
-		"stack/seed=2/async": "cceb7faa9cd8f8a7",
-		"stack/seed=3/sync":  "9692f45fa41b0058",
-		"stack/seed=3/async": "84b664788611a84e",
-		"stack/seed=4/sync":  "2141c4d5d6d69240",
-		"stack/seed=4/async": "989df5336805f804",
-		"heap/seed=1/sync":   "796c9d93e96cc4bb",
-		"heap/seed=1/async":  "faca4a13af2dc6a6",
-		"heap/seed=2/sync":   "a6d779596717a9ed",
-		"heap/seed=2/async":  "4f40e2bceb99a341",
-		"heap/seed=3/sync":   "3de1ae686a1a9713",
-		"heap/seed=3/async":  "381374ca2f519ad9",
-		"heap/seed=4/sync":   "f147bf29c3f4eb35",
-		"heap/seed=4/async":  "a6c9e9b45fcda438",
+		"queue/seed=1/sync":  "219a18e0b3d4a5e2",
+		"queue/seed=1/async": "1dc94e06b546adbf",
+		"queue/seed=2/sync":  "0d5a2058e1e43910",
+		"queue/seed=2/async": "6173bbb5c36fd77e",
+		"queue/seed=3/sync":  "d19846f9060375ab",
+		"queue/seed=3/async": "9985b164eed1224e",
+		"queue/seed=4/sync":  "31695bc881bb025c",
+		"queue/seed=4/async": "7d8258af762b5f50",
+		"stack/seed=1/sync":  "322221f4e64479c8",
+		"stack/seed=1/async": "a8e4b56ee167e219",
+		"stack/seed=2/sync":  "86f80d09f2d662a2",
+		"stack/seed=2/async": "5fb110ab75d13fcf",
+		"stack/seed=3/sync":  "01fedac84fd3755a",
+		"stack/seed=3/async": "b217aa7254378702",
+		"stack/seed=4/sync":  "fddee545c4e9cd85",
+		"stack/seed=4/async": "a755873a98c01a1b",
+		"heap/seed=1/sync":   "22e71b9a93b499cd",
+		"heap/seed=1/async":  "4b78a8274d481ddf",
+		"heap/seed=2/sync":   "f047b05df1897ce5",
+		"heap/seed=2/async":  "2420b5aded4e0f9a",
+		"heap/seed=3/sync":   "bd89883a81279c5b",
+		"heap/seed=3/async":  "e0ef4f12a0c8c421",
+		"heap/seed=4/sync":   "607dfde8255e17fa",
+		"heap/seed=4/async":  "3ef9d2cd8e8b576e",
 	}
 	for _, tc := range threeDisciplines {
 		for _, seed := range []int64{1, 2, 3, 4} {

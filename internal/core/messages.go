@@ -28,11 +28,14 @@ type aggregateMsg struct {
 // A non-zero UpdateEpoch signals the start of that update phase (§IV): no
 // node may send new batches until the phase ends. With WaveSeq zero (no
 // aggregate ever carries it) the serve answers no batch: it hands the
-// epoch to a child the flagged wave did not include (Node.acceptEpoch).
+// epoch to a child the flagged wave did not include (Node.acceptEpoch), and
+// Folded is the newest of the child's waves the sender has folded into a
+// wave of its own.
 type serveMsg struct {
 	Assigns     []batch.RunAssign
 	UpdateEpoch int64
 	WaveSeq     int64
+	Folded      int64
 }
 
 // declineMsg answers a serve in place of the next (empty) aggregate: the

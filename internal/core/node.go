@@ -738,9 +738,19 @@ func (n *Node) noteFire() {
 	}
 }
 
-// restoreOwn undoes a fire that could not proceed (rare churn corner).
+// restoreOwn undoes a fire that could not proceed (rare churn corner), or
+// one the parent returned (restoreWaves). The children's sub-batches go back
+// to waiting unfolded, and so each child's folded-wave cursor goes back to
+// the wave before: a later wave of the child that rides on one of them is
+// foldable only once that one is folded again, and never if this node
+// returns it to the child, which then takes both back (see foldable).
 func (n *Node) restoreOwn(own ownWave, kids []subBatch) {
 	n.disc.restoreOwn(n, own)
+	for _, sb := range kids {
+		if sb.WaveSeq != 0 && n.foldedWaves[sb.From] >= sb.WaveSeq {
+			n.foldedWaves[sb.From] = sb.WaveSeq - 1
+		}
+	}
 	n.waiting = append(kids, n.waiting...)
 }
 
@@ -898,14 +908,22 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 		// Injected by a joiner through us: start a fresh route here.
 		m.RS = n.nb().NewRoute(m.RS.Target)
 	}
-	next, out, deliver := n.nb().NextHop(m.RS)
+	nb := n.nb()
+	if !n.sibIn[ldb.Middle] {
+		// The route's first hop from a left or right node is the jump to the
+		// middle sibling, and that sibling is not a ring member yet: it would
+		// hold what it cannot route (routedHold), for ever if the message is
+		// its own JOIN request. Without it the route walks the ring to
+		// another middle node and keeps its bits.
+		nb.SibM = ldb.Ref{ID: transport.None}
+	}
+	next, out, deliver := nb.NextHop(m.RS)
 	if !deliver && out.BitsLeft < m.RS.BitsLeft && !n.sibIn[next.Kind] {
-		// A De Bruijn hop to a sibling that is not a ring member yet. It
-		// would hold what it cannot route (routedHold) — and if the message
-		// is that sibling's own JOIN request, for ever. The remaining bits
-		// only shorten the way: finish by the linear walk instead.
+		// A De Bruijn hop to a sibling that is not a ring member yet, with
+		// the same hazard. The remaining bits only shorten the way: finish
+		// by the linear walk instead.
 		m.RS.BitsLeft = 0
-		next, out, deliver = n.nb().NextHop(m.RS)
+		next, out, deliver = nb.NextHop(m.RS)
 	}
 	if deliver {
 		n.cl.metrics.noteRoute(out.Hops)
@@ -1094,7 +1112,7 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 		n.noteDecline(m)
 	case serveMsg:
 		if m.WaveSeq == 0 && m.UpdateEpoch != 0 {
-			n.acceptEpoch(ctx, from, m.UpdateEpoch)
+			n.acceptEpoch(ctx, from, m.UpdateEpoch, m.Folded)
 			return
 		}
 		// A serve answers the in-flight wave whose number it echoes.

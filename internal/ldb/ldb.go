@@ -17,21 +17,28 @@
 //
 // # What a route costs
 //
-// Every hop of a route is a message, on TCP a frame, and the route is the
-// DHT term of an operation's latency (3 × tree height + DHT hops, §VII-B),
-// so NewRoute and NextHop make the four choices Lemma 3 leaves open at the
-// price of a hop:
+// The route is the DHT term of an operation's latency (3 × tree height +
+// DHT hops, §VII-B), and what it costs is rounds, not hops: a hop between
+// processes is a message that takes a round (on TCP a frame), while a hop
+// over a virtual edge between the three nodes of one process stays inside
+// the process and costs none, on the simulator and on TCP alike. So
+// NewRoute and NextHop make the choices Lemma 3 leaves open at the price of
+// a hop between processes:
 //
-//   - the bit count stops routeBitTrim bits short of ⌈log2(1/ĝ)⌉ instead of
-//     running past it — a bit costs ≈ 3 hops and only halves the closing
-//     walk — and is 0 on a ring of a few nodes;
+//   - a route that starts at a left or right node takes the free virtual
+//     edge to its own middle node and prepends its first bit there;
+//   - the bit count is chosen per route, from where the bits land: it
+//     minimises the paid walks between bits plus the closing walk, which
+//     is known in advance, and is at most ⌈log2(1/ĝ)⌉ − 1, so 0 on a ring of
+//     one or two nodes;
 //   - the density estimate ĝ is the mean of the gaps to both ring neighbours;
-//   - the walk to a middle node heads for whichever neighbour is one, carries
+//   - the walk to a middle node heads for whichever neighbour is one, else
+//     towards the point where the next bit should be prepended; it carries
 //     its direction in the message and never crosses the 0/1 seam;
 //   - delivery is at the first node responsible for the target, in any phase.
 //
-// Lemma 3's bound is unchanged; this is its constant (≈ 2.7 hops per bit of
-// log2(3n) in the mean; EXPERIMENTS.md, "The route at what a hop costs").
+// Lemma 3's bound is unchanged; this is its constant (EXPERIMENTS.md, "The
+// route at what a round costs").
 package ldb
 
 import (
@@ -197,36 +204,57 @@ type RouteState struct {
 	WalkDir  int8
 }
 
-// routeBitTrim is how many bits short of ⌈log2(1/ĝ)⌉ a route stops prepending
-// (ĝ: the local estimate of the gap between ring neighbours, see NewRoute).
-// A De Bruijn bit costs c ≈ 3 hops — the jump over the virtual edge plus the
-// walk to the next middle node, middles being a third of the ring — and
-// halves the linear walk that closes the route. A route of k bits therefore
-// costs ≈ c·k + w·2^−k hops, w being the walk with no bit at all, which is
-// least where the walk that remains, w·2^−k, is c/ln 2 ≈ 4.3 gaps long: a
-// bit pays only while the closing walk is longer than that. ⌈log2(1/ĝ)⌉ bits
-// bring the route to within about a gap of its target, so the count stops 3
-// bits (a factor 8 in distance, half of it on either side of the target)
-// earlier. Hence the negative offset, where Lemma 3's proof, which counts
-// bits and not hops, is content with any count ≥ log2 n; the bound stays
-// O(log n) w.h.p., this tunes its constant. The constant is not delicate
-// (EXPERIMENTS.md has the sweep for 2, 3 and 4).
-const routeBitTrim = 3
+// middleWalkThirds is c, the price of every De Bruijn bit after the first,
+// in thirds of a round: the expected number of hops between processes on
+// the walk from a left or right node to the nearest middle node. The jump
+// over the virtual edge that prepends the bit is free; the walk is not.
+// Middle nodes are a third of the ring, so a neighbour is one with
+// probability 1/3. The walk takes one hop when the successor is a middle
+// node (1/3) or else the predecessor is (2/3 · 1/3); otherwise (4/9) it
+// steps to a neighbour and walks on, 3 more hops in expectation:
+// 5/9 · 1 + 4/9 · 4 = 7/3. The first bit needs no walk, since a route
+// starts at its own middle node. The constant is not delicate
+// (EXPERIMENTS.md has the sweep from 1.5 to 4).
+const middleWalkThirds = 7
 
-// NewRoute prepares a route from a node with the given neighbourhood. The
-// bit count is k = ⌈log2(1/ĝ)⌉ − routeBitTrim, floored at 0, where ĝ is the
-// mean of the gaps to predecessor and successor: 1/ĝ estimates the ring size
-// w.h.p., and two samples of the (exponential) gap halve the estimate's
-// variance at no cost, since a node knows both neighbours anyway. On a ring
-// of a few nodes k comes out 0 and the route is the linear walk it should be.
+// NewRoute prepares a route from a node with the given neighbourhood and
+// chooses its bit count. ĝ, the mean of the gaps to predecessor and
+// successor, is the local estimate of the gap between ring neighbours: 1/ĝ
+// estimates the ring size w.h.p., and two samples of the (exponential) gap
+// halve the estimate's variance at no cost, since a node knows both
+// neighbours anyway.
+//
+// Where the bits land is known before the first hop. Prepending the k bits
+// t1…tk of the target t from a middle node at label x lands at
+// 0.t1…tk + x·2^−k, and the target is 0.t1…tk + frac(2^k·t)·2^−k, so the walk
+// that closes the route is |x − frac(2^k·t)|·2^−k long, that over ĝ in gaps.
+// x is the own middle node, where every route prepends its first bit, and
+// each further bit costs the walk c to the next middle node (see
+// middleWalkThirds). The count is the k in [0, ⌈log2(1/ĝ)⌉ − 1] that
+// minimises c·(k−1) + closing(k), closing(0) being the walk from here the
+// shorter way round. The cap keeps a ring of one or two nodes at 0 bits and
+// every count within Lemma 3's O(log n).
 func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 	self := nb.Self.Point.Label
 	// Halve before adding: the two gaps of a two-node ring sum to the whole
 	// circle, which a Frac cannot hold. Both distances wrap correctly.
 	g := fixpoint.CWDist(nb.Pred.Point.Label, self)>>1 + fixpoint.CWDist(self, nb.Succ.Point.Label)>>1
-	k := 0
-	if g != 0 { // g == 0: a node alone on the ring, both gaps the full circle
-		k = max(g.Log2Inv()-routeBitTrim, 0)
+	if g == 0 { // a node alone on the ring, both gaps the full circle
+		return RouteState{Target: target}
+	}
+	// The costs are compared as distances on the ring, gaps times ĝ, in
+	// exact arithmetic. With L = ⌈log2(1/ĝ)⌉, ĝ < 2^(1−L), so no cost
+	// overflows: (k−1)·c·ĝ + 2^−k < 1 for every k < L. (price wraps only
+	// where ĝ > 3/7, so L ≤ 2, and is then multiplied by k − 1 = 0.)
+	price := g / 3 * middleWalkThirds
+	x := nb.SibM.Point.Label
+	k, least := 0, min(fixpoint.CWDist(self, target), fixpoint.CCWDist(self, target))
+	for bits := 1; bits < g.Log2Inv(); bits++ {
+		y := target << bits // frac(2^bits·t)
+		closing := max(x, y) - min(x, y)
+		if cost := price*fixpoint.Frac(bits-1) + closing>>bits; cost < least {
+			k, least = bits, cost
+		}
 	}
 	return RouteState{Target: target, BitsLeft: k}
 }
@@ -260,16 +288,24 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 			}
 			return nb.SibR, out, false
 		}
+		if rs.Hops == 0 && rs.WalkDir == 0 && nb.SibM.Valid() {
+			// The route starts here, at a left or right node: the own middle
+			// node is over a virtual edge, which costs no round, and a De
+			// Bruijn route may start from any point (the start only sets the
+			// low-order bits the closing walk corrects). NewRoute counted on
+			// it. A neighbourhood without a middle sibling walks instead.
+			return nb.SibM, out, false
+		}
 		// Walk linearly to a middle node; middles are one third of the ring,
 		// so this costs O(1) expected steps. A walk that starts here takes
-		// the side on which it can see a middle node: the successor if it is
-		// one, else the predecessor if it is one, else the successor. That
-		// saves a step in expectation and, more to the point, keeps the route
-		// centred: a walk that always leaves clockwise drifts the position
-		// clockwise of its ideal point bit after bit, and the closing walk
-		// has to undo the drift. The direction then travels in the message,
-		// so the walk cannot ping-pong between two nodes that each prefer
-		// the other.
+		// the side on which it can see a middle node when exactly one
+		// neighbour is one. When both are, or neither is, it heads for
+		// q = frac(2^BitsLeft·t), the label from which the next bit lands
+		// the route exactly where the target's bits say. A walk that drifts
+		// from q moves the route's position by the drift halved at every
+		// bit still to come, and the closing walk has to undo it. The
+		// direction then travels in the message, so the walk cannot
+		// ping-pong between two nodes that each prefer the other.
 		//
 		// The halving map is continuous on [0,1) but not across the 0/1
 		// seam, so the walk must never wrap: it flips away from the seam
@@ -279,9 +315,16 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 		// ring's minimum is a left node and its maximum a right node.)
 		dir := rs.WalkDir
 		if dir == 0 {
-			dir = 1
-			if nb.Succ.Kind != Middle && nb.Pred.Kind == Middle {
+			succM, predM := nb.Succ.Kind == Middle, nb.Pred.Kind == Middle
+			switch {
+			case succM && !predM:
+				dir = 1
+			case predM && !succM:
 				dir = -1
+			case rs.Target<<rs.BitsLeft < nb.Self.Point.Label:
+				dir = -1
+			default:
+				dir = 1
 			}
 		}
 		if dir > 0 && nb.isWrapSucc() {

@@ -281,15 +281,26 @@ func TestRightNodesAreLeaves(t *testing.T) {
 
 // route walks a message through the network hop by hop.
 func (net *testNet) route(from int, target fixpoint.Frac) (Ref, int) {
+	owner, hops, _ := net.walk(from, target)
+	return owner, hops
+}
+
+// walk routes a message hop by hop and returns where it was delivered, its
+// hops as RouteState.Hops counts them, and its ring hops: the hops to a node
+// of another process, the ones that cost a round.
+func (net *testNet) walk(from int, target fixpoint.Frac) (owner Ref, hops, ringHops int) {
 	nb := net.neighborhood(from)
 	rs := nb.NewRoute(target)
 	for {
 		next, out, deliver := nb.NextHop(rs)
 		if deliver {
-			return nb.Self, out.Hops
+			return nb.Self, out.Hops, ringHops
 		}
 		if out.Hops > 40*64 {
-			return Ref{ID: sim.None}, out.Hops
+			return Ref{ID: sim.None}, out.Hops, ringHops
+		}
+		if net.proc[next.ID] != net.proc[nb.Self.ID] {
+			ringHops++
 		}
 		nb = net.neighborhoodOf(next.ID)
 		rs = out
@@ -319,24 +330,25 @@ func TestRoutingDeliversAtResponsibleNode(t *testing.T) {
 // mean, 99th percentile and maximum of RouteState.Hops.
 func (net *testNet) routeStats(t testing.TB, rng *xrand.RNG, trials int) (mean float64, p99, max int) {
 	t.Helper()
-	return hopStats(net.routeHops(t, rng, trials))
+	hops, _ := net.routeHops(t, rng, trials)
+	return hopStats(hops)
 }
 
 // routeHops routes trials random keys from random nodes, checks each lands
-// at the owner, and returns the hop counts.
-func (net *testNet) routeHops(t testing.TB, rng *xrand.RNG, trials int) []int {
+// at the owner, and returns the hop counts and the ring-hop counts.
+func (net *testNet) routeHops(t testing.TB, rng *xrand.RNG, trials int) (hops, ringHops []int) {
 	t.Helper()
-	hops := make([]int, trials)
+	hops, ringHops = make([]int, trials), make([]int, trials)
 	for i := range hops {
 		start := rng.Intn(net.ring.Len())
 		key := rng.Frac()
-		got, h := net.route(start, key)
+		got, h, r := net.walk(start, key)
 		if want := net.ring.ResponsibleFor(key); got.ID != want.ID {
 			t.Fatalf("key %v from %d delivered at %v after %d hops, responsible is %v", key, start, got, h, want)
 		}
-		hops[i] = h
+		hops[i], ringHops[i] = h, r
 	}
-	return hops
+	return hops, ringHops
 }
 
 func hopStats(hops []int) (mean float64, p99, max int) {
@@ -349,9 +361,11 @@ func hopStats(hops []int) (mean float64, p99, max int) {
 }
 
 // BenchmarkRouteHops is the hop sweep of EXPERIMENTS.md ("The route at what
-// a hop costs"): hops as RouteState.Hops counts them, over 20 rings × 2 000
-// random routes per size (3 × 400 from n = 1 024). It measures a count, not
-// a time, so one iteration says everything:
+// a round costs"): hops as RouteState.Hops counts them (mean / p99 / max),
+// and the mean ring hops, the hops to a node of another process, which are
+// the ones that cost a round. 20 rings × 2 000 random routes per size
+// (3 × 400 from n = 1 024), each checked to land at its owner. It measures
+// counts, not a time, so one iteration says everything:
 //
 //	go test ./internal/ldb -run '^$' -bench RouteHops -benchtime 1x
 func BenchmarkRouteHops(b *testing.B) {
@@ -361,18 +375,21 @@ func BenchmarkRouteHops(b *testing.B) {
 			if n >= 1024 {
 				rings, routes = 3, 400
 			}
-			var hops []int
+			var hops, ringHops []int
 			for i := 0; i < b.N; i++ {
-				hops = hops[:0]
+				hops, ringHops = hops[:0], ringHops[:0]
 				for r := 0; r < rings; r++ {
 					net := buildNet(b, n, int64(1000*n+r))
-					hops = append(hops, net.routeHops(b, xrand.New(int64(r*7919+n)), routes)...)
+					h, rh := net.routeHops(b, xrand.New(int64(r*7919+n)), routes)
+					hops, ringHops = append(hops, h...), append(ringHops, rh...)
 				}
 			}
 			mean, p99, max := hopStats(hops)
+			ringMean, _, _ := hopStats(ringHops)
 			b.ReportMetric(mean, "mean-hops")
 			b.ReportMetric(float64(p99), "p99-hops")
 			b.ReportMetric(float64(max), "max-hops")
+			b.ReportMetric(ringMean, "ring-hops")
 			b.ReportMetric(0, "ns/op")
 		})
 	}
@@ -452,41 +469,80 @@ func TestMiddleWalkNeverCrossesSeam(t *testing.T) {
 }
 
 func TestMiddleWalkLooksBothWays(t *testing.T) {
-	net := buildNet(t, 64, 31)
-	saw := [3]int{}
-	for i := 1; i < net.ring.Len()-1; i++ {
-		nb := net.neighborhood(i)
-		rs := RouteState{Target: nb.Self.Point.Label - 1<<62, BitsLeft: 2}
-		if nb.Self.Kind == Middle || nb.Responsible(rs.Target) {
-			continue
+	// A walk to a middle node under way after a bit (Hops > 0), from a left
+	// node at 0.3 between neighbours at 0.29 and 0.31. With two bits left the
+	// next bit is best prepended from q = frac(4t): 0.9 for t = 0.225, above
+	// the node, and 0.1 for t = 0.025, below it. The node owns neither.
+	above, below := fixpoint.FromFloat(0.9/4), fixpoint.FromFloat(0.1/4)
+	at := func(id sim.NodeID, x float64, kind Kind) Ref {
+		return Ref{ID: id, Point: Point{Label: fixpoint.FromFloat(x)}, Kind: kind}
+	}
+	for _, tc := range []struct {
+		name       string
+		pred, succ Kind
+		target     fixpoint.Frac
+		carried    int8
+		want       int8
+	}{
+		{"successor middle", Right, Middle, below, 0, 1},
+		{"predecessor middle", Middle, Right, above, 0, -1},
+		{"both middle, q above", Middle, Middle, above, 0, 1},
+		{"both middle, q below", Middle, Middle, below, 0, -1},
+		{"neither middle, q above", Right, Left, above, 0, 1},
+		{"neither middle, q below", Right, Left, below, 0, -1},
+		// The direction travels: a walk already under way keeps it, past a
+		// middle node on the other side and away from q.
+		{"carried past a successor middle", Right, Middle, below, -1, -1},
+		{"carried past a predecessor middle", Middle, Right, above, 1, 1},
+		{"carried away from q", Right, Left, below, 1, 1},
+	} {
+		nb := Neighborhood{
+			Self: at(1, 0.3, Left), Pred: at(2, 0.29, tc.pred), Succ: at(3, 0.31, tc.succ),
+			SibM: at(4, 0.6, Middle),
 		}
-		next, out, _ := nb.NextHop(rs)
-		switch {
-		case nb.Succ.Kind == Middle:
-			saw[0]++
-			if next.ID != nb.Succ.ID || out.WalkDir != 1 {
-				t.Fatalf("node %d: successor is a middle node, walk went to %v (dir %d)", i, next, out.WalkDir)
-			}
-		case nb.Pred.Kind == Middle:
-			saw[1]++
-			if next.ID != nb.Pred.ID || out.WalkDir != -1 {
-				t.Fatalf("node %d: only the predecessor is a middle node, walk went to %v (dir %d)", i, next, out.WalkDir)
-			}
-		default:
-			saw[2]++
-			if next.ID != nb.Succ.ID || out.WalkDir != 1 {
-				t.Fatalf("node %d: no middle neighbour, walk went to %v (dir %d)", i, next, out.WalkDir)
-			}
+		next, out, deliver := nb.NextHop(RouteState{Target: tc.target, BitsLeft: 2, Hops: 1, WalkDir: tc.carried})
+		want := nb.Succ
+		if tc.want < 0 {
+			want = nb.Pred
 		}
-		// The direction travels: a walk already under way keeps it even past
-		// a middle node on the other side.
-		rs.WalkDir = 1
-		if next, _, _ := nb.NextHop(rs); next.ID != nb.Succ.ID {
-			t.Fatalf("node %d: a clockwise walk turned round", i)
+		if deliver || next.ID != want.ID || out.WalkDir != tc.want || out.BitsLeft != 2 {
+			t.Errorf("%s: went to %v (dir %d, %d bits, deliver %v), want %v (dir %d)",
+				tc.name, next, out.WalkDir, out.BitsLeft, deliver, want, tc.want)
 		}
 	}
-	if saw[0] == 0 || saw[1] == 0 || saw[2] == 0 {
-		t.Fatalf("cases not all exercised: %v", saw)
+}
+
+func TestRouteStartsAtOwnMiddle(t *testing.T) {
+	// A route that starts at a left or right node with bits to prepend first
+	// takes the virtual edge to its own middle node, whatever its ring
+	// neighbours are. That hop consumes no bit and sets no walk direction.
+	// Without a middle sibling in its neighbourhood (a host whose middle node
+	// still joins) the route walks the ring instead, its bits kept.
+	net := buildNet(t, 64, 37)
+	rng := xrand.New(11)
+	jumps := map[Kind]int{}
+	for trial := 0; trial < 2000; trial++ {
+		nb := net.neighborhood(rng.Intn(net.ring.Len()))
+		key := rng.Frac()
+		rs := nb.NewRoute(key)
+		if nb.Self.Kind == Middle || rs.BitsLeft == 0 || nb.Responsible(key) {
+			continue
+		}
+		next, out, deliver := nb.NextHop(rs)
+		if deliver || next.ID != nb.SibM.ID || out.BitsLeft != rs.BitsLeft || out.WalkDir != 0 || out.Hops != 1 {
+			t.Fatalf("route from %v to %v with %d bits: first hop to %v with %+v, want its middle node %v",
+				nb.Self, key, rs.BitsLeft, next, out, nb.SibM)
+		}
+		jumps[nb.Self.Kind]++
+		nb.SibM = Ref{ID: sim.None}
+		next, out, _ = nb.NextHop(rs)
+		if (next.ID != nb.Pred.ID && next.ID != nb.Succ.ID) || out.BitsLeft != rs.BitsLeft || out.WalkDir == 0 {
+			t.Fatalf("route from %v without a middle sibling: first hop to %v with %+v, want a ring neighbour and %d bits",
+				nb.Self, next, out, rs.BitsLeft)
+		}
+	}
+	if jumps[Left] == 0 || jumps[Right] == 0 {
+		t.Fatalf("start jumps from left / right nodes: %d / %d; the test exercises nothing", jumps[Left], jumps[Right])
 	}
 }
 
@@ -545,25 +601,48 @@ func TestRoutingToOwnKeyImmediate(t *testing.T) {
 }
 
 func TestNewRouteBitEstimate(t *testing.T) {
-	// k = ⌈log2(1/ĝ)⌉ − routeBitTrim with ĝ the mean of two gaps: on 3n
-	// nodes every node's count lies within a few bits of log2(3n) − 3 (a
-	// mean of two exponentials is within [1/16, 4] of its expectation with
-	// probability > 0.99), and the typical node sits at it or one above
-	// (the ceiling, and E ln(1/ĝ) > ln(1/E ĝ)).
+	// The count is the argmin of the cost NewRoute states, recomputed here in
+	// floating point: for k ≥ 1, c·(k−1) + |x − frac(2^k·t)|·2^−k / ĝ gaps,
+	// x the label of the node's own middle node; for k = 0 the walk from the
+	// node to t the shorter way round; over 0 ≤ k ≤ ⌈log2(1/ĝ)⌉ − 1, ĝ the
+	// mean of the two gaps. It is chosen per route: the nodes of one ring
+	// choose many different counts.
 	const n = 1024
 	net := buildNet(t, n, 22)
-	want := int(math.Round(math.Log2(3*n))) - routeBitTrim
-	var ks []int
+	rng := xrand.New(9)
+	c := float64(middleWalkThirds) / 3
+	gap := func(a, b fixpoint.Frac) float64 { return math.Mod(b.Float()-a.Float()+1, 1) }
+	counts := map[int]int{}
 	for i := 0; i < net.ring.Len(); i++ {
-		k := net.neighborhood(i).NewRoute(fixpoint.Half).BitsLeft
-		if k < want-2 || k > want+8 {
-			t.Errorf("node %d: %d bits, want within [%d, %d]", i, k, want-2, want+8)
+		nb := net.neighborhood(i)
+		self, x := nb.Self.Point.Label.Float(), nb.SibM.Point.Label.Float()
+		g := (gap(nb.Pred.Point.Label, nb.Self.Point.Label) + gap(nb.Self.Point.Label, nb.Succ.Point.Label)) / 2
+		limit := int(math.Ceil(math.Log2(1/g))) - 1
+		for trial := 0; trial < 4; trial++ {
+			key := rng.Frac()
+			tf := key.Float()
+			cost := func(k int) float64 {
+				if k == 0 {
+					d := math.Abs(tf - self)
+					return math.Min(d, 1-d) / g
+				}
+				scale := math.Ldexp(1, k)
+				return c*float64(k-1) + math.Abs(x-math.Mod(tf*scale, 1))/scale/g
+			}
+			k := nb.NewRoute(key).BitsLeft
+			if k < 0 || k > limit {
+				t.Fatalf("node %d: %d bits, want within [0, %d]", i, k, limit)
+			}
+			for j := 0; j <= limit; j++ {
+				if cost(j) < cost(k)-1e-6 {
+					t.Fatalf("node %d, target %v: %d bits cost %.4f gaps, %d bits %.4f", i, key, k, cost(k), j, cost(j))
+				}
+			}
+			counts[k]++
 		}
-		ks = append(ks, k)
 	}
-	sort.Ints(ks)
-	if med := ks[len(ks)/2]; med < want || med > want+1 {
-		t.Errorf("median bit count %d, want %d or %d", med, want, want+1)
+	if len(counts) < 4 {
+		t.Errorf("bit counts chosen %v: want many different counts on one ring", counts)
 	}
 }
 
@@ -582,7 +661,7 @@ func TestNewRouteSmallRings(t *testing.T) {
 				ks = append(ks, net.neighborhood(i).NewRoute(fixpoint.Half).BitsLeft)
 			}
 			sort.Ints(ks)
-			if limit := int(math.Ceil(math.Log2(float64(3*n)))) - routeBitTrim + 1; ks[len(ks)/2] > limit {
+			if limit := int(math.Ceil(math.Log2(float64(3*n)))) - 2; ks[len(ks)/2] > limit {
 				t.Errorf("n=%d seed %d: median node prepends %d bits on a %d-node ring, want ≤ %d (all: %v)", n, seed, ks[len(ks)/2], 3*n, limit, ks)
 			}
 		}
