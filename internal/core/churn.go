@@ -181,6 +181,36 @@ type introAck struct{ Epoch int64 }
 // integrated ring member (see Node.sibIn).
 type sibHello struct{ Kind ldb.Kind }
 
+// ringHello tells a ring neighbour, at point To, the sender's own pred and
+// succ and whether it and they are partial (ldb.Neighborhood), under the
+// sender's pair number Seq, and Seen, the newest of the receiver's pair
+// numbers the sender holds (see Node.ringChanged).
+type ringHello struct {
+	From                     ldb.Ref
+	To                       ldb.Point
+	Pred, Succ               ldb.Ref
+	Partial                  bool
+	PredPartial, SuccPartial bool
+	Seq, Seen                int64
+}
+
+// ringView is what a node knows of one ring neighbour: Far is that
+// neighbour's other neighbour (pred's pred, succ's succ), invalid while
+// unknown; Partial and FarPartial say whether the neighbour and Far are
+// partial; Seq is the neighbour's pair number these came with, −1 while
+// none has; Seen is the newest of this node's own pair numbers the
+// neighbour has confirmed. Fields are exported because views ride in leave
+// handoffs and sit in NodeImage.
+type ringView struct {
+	Far                 ldb.Ref
+	Partial, FarPartial bool
+	Seq                 int64
+	Seen                int64
+}
+
+// unknownView is the view of a new neighbour that has said nothing yet.
+var unknownView = ringView{Far: ldb.Ref{ID: transport.None}, Seq: -1}
+
 // updateAck aggregates "my old subtree finished integrating" (§IV-A).
 type updateAck struct{ Epoch int64 }
 
@@ -276,6 +306,10 @@ type nodeSnapshot struct {
 	GrantsPending []ldb.Ref
 	GrantedOpen   int
 	SibIn         [3]bool
+	// The replacement stands at the same point and continues the leaving
+	// node's pair numbers, so every view its neighbours hold stays valid.
+	RingSeq            int64
+	PredView, SuccView ringView
 }
 
 // frozen reports whether stage 1 must hold: an unadopted joiner cannot
@@ -346,17 +380,15 @@ func (c *churnState) enterUpdatePhase(ctx *transport.Context, from transport.Nod
 }
 
 // handEpochDown hands an update phase to the children the flagged serve
-// does not reach by itself. A node the wave served has sent that serve to
-// every child in the wave; a child that had declined — idle still, or woken
-// since — was not in it and gets the epoch in a serve of its own, answering
-// no batch. So does every child missing from the wave if the node
-// pipelines around it (all): a wave fired with another in flight waits for
-// no child, and a wave fired after it may have folded a declined child's
-// batch, so the child counts as idle no more. A node handed the epoch that
-// way (all, see acceptEpoch) was not in the wave at all, so none of its
-// children was: each is handed it in turn, which is how a phase reaches
-// every node of an idle subtree. Whoever is handed the epoch owes an
-// updateAck like a child in the wave.
+// does not reach by itself: every child missing from the wave gets the epoch
+// in a serve of its own, answering no batch. Under Algorithm 1 those are
+// the children that had declined, idle still or woken since. A wave fired on
+// work, or past another in flight, waits for no child, and a wave fired after
+// it may have folded a declined child's batch, so the child counts as idle no
+// more. A node handed the epoch that way (acceptEpoch) was not in the wave
+// at all, so none of its children was: each is handed it in turn, which is
+// how a phase reaches every node of an idle subtree. Whoever is handed the
+// epoch owes an updateAck like a child in the wave.
 //
 // §IV-A relies on no batch being in flight during a phase: under Algorithm 1
 // every batch is in the flagged wave and answered by it. A child handed the
@@ -369,11 +401,8 @@ func (c *churnState) enterUpdatePhase(ctx *transport.Context, from transport.Nod
 // (maybeFinishPhase). The phase rebuilds the tree, so every standing from
 // before it is dropped: afterwards each node is active and the first wave
 // runs under Algorithm 1 again.
-func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []subBatch, all bool) {
+func (c *churnState) handEpochDown(ctx *transport.Context, n *Node, inWave []subBatch) {
 	for _, k := range n.children() {
-		if _, declined := n.idleKids[k.ID]; !declined && !all {
-			continue
-		}
 		if !slices.ContainsFunc(inWave, func(sb subBatch) bool { return sb.From == k.ID }) {
 			ctx.Send(k.ID, serveMsg{UpdateEpoch: c.epoch, Folded: n.foldedWaves[k.ID]})
 			c.acksLeft++
@@ -421,7 +450,7 @@ func (n *Node) acceptEpoch(ctx *transport.Context, from transport.NodeID, epoch,
 	}
 	n.churn.enterUpdatePhase(ctx, from, epoch, nil)
 	n.churn.foldedAtPold = folded
-	n.churn.handEpochDown(ctx, n, nil, true)
+	n.churn.handEpochDown(ctx, n, nil)
 	n.churn.startIntegration(ctx, n)
 }
 
@@ -472,7 +501,7 @@ func (c *churnState) startIntegration(ctx *transport.Context, n *Node) {
 			c.introAcksLeft++
 		}
 		n.succ = js[0].Ref
-		n.invalidateTopology()
+		n.ringChanged(ctx, n.pred, oldSucc)
 	}
 
 	// Replacements poll their sibling triad before dissolving.
@@ -697,11 +726,12 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		}
 		n.applyTransfer(ctx, m)
 	case setNeighbors:
+		oldPred, oldSucc := n.pred, n.succ
 		n.pred, n.succ = m.Pred, m.Succ
 		c.joining = false
 		c.relayVia = ldb.Ref{ID: transport.None}
 		c.rangeValid = false
-		n.invalidateTopology()
+		n.ringChanged(ctx, oldPred, oldSucc)
 		n.cl.noteIntegrated(n)
 		ctx.Send(from, introAck{Epoch: m.Epoch})
 		for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
@@ -717,8 +747,9 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			n.routeStep(ctx, rm)
 		}
 	case setPred:
+		oldPred := n.pred
 		n.pred = m.Pred
-		n.invalidateTopology()
+		n.ringChanged(ctx, oldPred, n.succ)
 		ctx.Send(from, introAck{Epoch: m.Epoch})
 	case introAck:
 		if c.updatePhase && m.Epoch == c.epoch {
@@ -786,8 +817,14 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			n.depart(ctx, n.pred.ID)
 		}
 	case sibHello:
+		wasPartial := n.partial()
 		n.sibIn[m.Kind] = true
 		n.invalidateTopology()
+		if wasPartial && !n.partial() && !c.joining {
+			n.ringChanged(ctx, n.pred, n.succ)
+		}
+	case ringHello:
+		n.noteRingHello(ctx, m)
 	case phasePassed:
 		if m.Epoch > c.lastEpoch && !c.updatePhase {
 			c.lastEpoch = m.Epoch
@@ -816,7 +853,10 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		if c.updatePhase && m.Epoch == c.epoch && c.votesPending > 0 {
 			c.votesPending--
 			if !m.Yes {
-				c.dissolveOK = false
+				// One no decides the triad for this phase; the other vote can
+				// only be a no too, or never come: a sibling below one that
+				// sits the phase out is not handed it, and holds the query.
+				c.dissolveOK, c.votesPending = false, 0
 			}
 			c.maybeFinishPhase(ctx, n)
 		}
@@ -944,7 +984,8 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 		FoldedWaves:   waveCursorImage(n.foldedWaves),
 		Joiners:       c.joiners,
 		GrantsPending: c.grantsPending, GrantedOpen: c.grantedOpen,
-		SibIn: n.sibIn,
+		SibIn:   n.sibIn,
+		RingSeq: n.ringSeq, PredView: n.predView, SuccView: n.succView,
 	}
 	snap.Entries, snap.Parked = n.store.ExtractAll()
 	n.waiting = nil
@@ -970,6 +1011,7 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 		disc: n.cl.newDiscipline(),
 		self: ldb.Ref{ID: transport.None, Point: snap.Self.Point, Kind: snap.Self.Kind},
 		pred: snap.Pred, succ: snap.Succ,
+		ringSeq: snap.RingSeq, predView: snap.PredView, succView: snap.SuccView,
 		sibL: snap.SibL, sibM: snap.SibM, sibR: snap.SibR,
 		anchorRole:  snap.AnchorRole,
 		clientID:    -1, // replacements never issue requests
@@ -1026,7 +1068,9 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 	n.cl.noteReplacement(repl)
 }
 
-// applyRedirect rewrites every stored reference Old -> New.
+// applyRedirect rewrites every stored reference Old -> New. A redirect
+// moves no point, and the replacement continues the pair numbers of the node
+// it replaces, so the ring views stay as they are.
 func (n *Node) applyRedirect(old, new ldb.Ref) {
 	rw := func(r *ldb.Ref) {
 		if r.ID == old.ID {
@@ -1036,6 +1080,8 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 	}
 	rw(&n.pred)
 	rw(&n.succ)
+	rw(&n.predView.Far)
+	rw(&n.succView.Far)
 	rw(&n.sibL)
 	rw(&n.sibM)
 	rw(&n.sibR)
@@ -1045,6 +1091,83 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 	}
 	for i := range n.churn.grantsPending {
 		rw(&n.churn.grantsPending[i])
+	}
+}
+
+// ringChanged follows every change of what a node tells its ring
+// neighbours: its pred or succ (integration, a splice, an absorb), whether
+// it is partial (its sibling parent entered the ring), or whether a
+// neighbour is, which the other neighbour reads two hops away. A view of a
+// neighbour that is another node now is dropped, and the news goes to both
+// neighbours under the next pair number. Until the node at the other end of
+// a ring edge has confirmed it (ringView.Seen), a left node that reports
+// over that edge holds its batches (parentJoining), while that node does not
+// count it as a child before it knows the left node's other neighbour
+// (ldb.Neighborhood.Children). So a parent and its child agree on their edge
+// before either relies on it.
+func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
+	if n.pred.ID != oldPred.ID {
+		n.predView = unknownView
+	}
+	if n.succ.ID != oldSucc.ID {
+		n.succView = unknownView
+	}
+	n.ringSeq++
+	n.invalidateTopology()
+	n.sendRingHello(ctx, n.pred, n.predView.Seq)
+	if n.succ.ID != n.pred.ID {
+		n.sendRingHello(ctx, n.succ, n.succView.Seq)
+	}
+}
+
+func (n *Node) sendRingHello(ctx *transport.Context, to ldb.Ref, seen int64) {
+	if to.Valid() && to.ID != n.self.ID {
+		ctx.Send(to.ID, ringHello{
+			From: n.self, To: to.Point, Pred: n.pred, Succ: n.succ,
+			Partial: n.partial(), PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial,
+			Seq: n.ringSeq, Seen: seen,
+		})
+	}
+}
+
+// noteRingHello takes a ring neighbour's news, newer numbers only (hellos
+// may overtake each other), and answers with the node's own when the hello
+// brought news or its sender has not seen the node's current pair. When the
+// neighbour turned whole, the other neighbour hears of it too. A hello from
+// a node that is no neighbour is dropped: when it becomes one, a change on
+// one side or the other sends a fresh hello. So is one addressed to another
+// point — a departed node forwards to the node that absorbed it, whose
+// numbers Seen does not count — while a replacement, at the point of the
+// node it replaces and continuing its numbers, takes what is forwarded.
+func (n *Node) noteRingHello(ctx *transport.Context, m ringHello) {
+	if m.To != n.self.Point {
+		return
+	}
+	news, turned := false, false
+	take := func(v *ringView, far ldb.Ref, farPartial bool) {
+		if m.Seq > v.Seq {
+			turned = turned || v.Partial != m.Partial
+			*v = ringView{Far: far, Partial: m.Partial, FarPartial: farPartial, Seq: m.Seq, Seen: v.Seen}
+			news = true
+		}
+		v.Seen = max(v.Seen, m.Seen)
+	}
+	var view *ringView
+	if m.From.ID == n.succ.ID {
+		view = &n.succView
+		take(view, m.Succ, m.SuccPartial)
+	}
+	if m.From.ID == n.pred.ID {
+		view = &n.predView
+		take(view, m.Pred, m.PredPartial)
+	}
+	switch {
+	case view == nil:
+	case turned:
+		n.ringChanged(ctx, n.pred, n.succ)
+	case news || m.Seen < n.ringSeq:
+		n.childCacheOK = false
+		n.sendRingHello(ctx, m.From, view.Seq)
 	}
 }
 
@@ -1071,7 +1194,9 @@ func (n *Node) absorb(ctx *transport.Context, m absorbMsg) {
 	// Splice first: ingest re-dispatches anything we do not own, so the
 	// ring view must already cover the absorbed range.
 	if m.Succ.ID != from && m.Succ.ID != n.self.ID {
+		oldSucc := n.succ
 		n.succ = m.Succ
+		n.ringChanged(ctx, n.pred, oldSucc)
 		ctx.Send(m.Succ.ID, setPred{Pred: n.self, Epoch: m.Epoch})
 		if n.churn.updatePhase && n.churn.epoch == m.Epoch {
 			n.churn.introAcksLeft++

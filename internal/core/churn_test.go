@@ -13,12 +13,12 @@ import (
 	"skueue/internal/xrand"
 )
 
-// settleChurn runs until no process is joining/leaving-incomplete and the
-// topology verifies, or fails the test.
+// settleChurn runs until no process is joining/leaving-incomplete, the
+// topology verifies and the tree agrees (treeAgreement), or fails the test.
 func settleChurn(t *testing.T, cl *Cluster, maxTime int64) {
 	t.Helper()
 	ok := cl.Engine().RunUntil(func() bool {
-		return cl.ChurnQuiescent() && cl.VerifyTopology() == nil
+		return cl.ChurnQuiescent() && cl.VerifyTopology() == nil && treeAgreement(cl) == nil
 	}, maxTime)
 	if !ok {
 		for _, p := range cl.Processes() {
@@ -26,8 +26,8 @@ func settleChurn(t *testing.T, cl *Cluster, maxTime int64) {
 				t.Logf("process %d still joining", p.ID)
 			}
 		}
-		t.Fatalf("churn did not settle within %d: quiescent=%v topology=%v",
-			maxTime, cl.ChurnQuiescent(), cl.VerifyTopology())
+		t.Fatalf("churn did not settle within %d: quiescent=%v topology=%v tree=%v",
+			maxTime, cl.ChurnQuiescent(), cl.VerifyTopology(), treeAgreement(cl))
 	}
 }
 
@@ -625,7 +625,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	// Three kinds of node never wait for a sibling: the anchor (it assigns
 	// itself — a joining triad's middle node can be the ring's minimum while
 	// its left sibling still joins), a joiner (it reports to its relay) and a
-	// left node (its parent is its ring predecessor).
+	// left node (its parent is a ring neighbour).
 	mid.sibIn[ldb.Left] = false
 	mid.anchorRole = true
 	if mid.parentJoining() {
@@ -641,4 +641,39 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 		t.Error("a left node holds its batch for a sibling")
 	}
 	left.sibIn = [3]bool{true, true, true}
+}
+
+// TestLeftNodeHoldsUntilEdgeConfirmed: after what a left node tells its ring
+// neighbours changes (ringChanged), it holds its batch until the node it
+// reports to has answered the ringHello, and fires the moment it has, with
+// no tick. Fired before, the batch could reach a parent that does not yet
+// count the node as a child and be bounced back and forth at message speed.
+func TestLeftNodeHoldsUntilEdgeConfirmed(t *testing.T) {
+	cl, net := churnNet(t, Config{Processes: 4, Seed: 11}, 11)
+	net.tick()
+	net.settle(nil)
+	var left *Node
+	for _, n := range cl.nodes {
+		if n.self.Kind == ldb.Left && !n.anchorRole && (left == nil || n.self.ID < left.self.ID) {
+			left = n
+		}
+	}
+	left.ringChanged(net.ctxs[left.self.ID], left.pred, left.succ)
+	if !left.parentJoining() {
+		t.Fatal("a left node whose parent has not confirmed its news reports a parent")
+	}
+	wave := left.waveSeq
+	cl.Enqueue(left.self.ID)
+	left.OnReady(net.ctxs[left.self.ID])
+	left.OnTimeout(net.ctxs[left.self.ID])
+	if left.waveSeq != wave {
+		t.Fatalf("fired wave %d before its parent confirmed the edge", left.waveSeq)
+	}
+	net.settle(nil)
+	if left.parentJoining() || cl.Finished() != 1 {
+		t.Fatalf("after the hellos: holding %v, %d operations finished; want false and 1 with no tick", left.parentJoining(), cl.Finished())
+	}
+	if err := treeAgreement(cl); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -229,6 +229,8 @@ func (cl *Cluster) wireBootstrapRing() {
 		}
 		n.pred = ring.Pred(i)
 		n.succ = ring.Succ(i)
+		n.predView = ringView{Far: ring.Pred((i - 1 + ring.Len()) % ring.Len())}
+		n.succView = ringView{Far: ring.Succ((i + 1) % ring.Len())}
 		n.churn.joining = false
 		n.sibIn = [3]bool{true, true, true}
 	}
@@ -270,8 +272,10 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 			pendingGets: make(map[uint64]getCtx),
 			// Until wired, every ref must be explicitly invalid; the zero
 			// Ref would silently address node 0.
-			pred: ldb.Ref{ID: transport.None},
-			succ: ldb.Ref{ID: transport.None},
+			pred:     ldb.Ref{ID: transport.None},
+			succ:     ldb.Ref{ID: transport.None},
+			predView: unknownView,
+			succView: unknownView,
 		}
 		n.churn.joining = true
 		n.churn.relayVia = ldb.Ref{ID: transport.None}
@@ -656,7 +660,7 @@ func (cl *Cluster) Diagnose() []string {
 			continue
 		}
 		if n.parentJoining() && n.holdsWork(false) {
-			out = append(out, fmt.Sprintf("%v holds its batch: its tree parent, a process sibling, is still joining", n.self))
+			out = append(out, fmt.Sprintf("%v holds its batch: its tree parent is joining or has not confirmed the edge", n.self))
 			continue
 		}
 		var missing []string

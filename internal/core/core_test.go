@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"skueue/internal/batch"
@@ -27,6 +29,48 @@ func drainAndCheck(t *testing.T, cl *Cluster, maxTime int64) {
 	if err := cl.CheckConsistency(); err != nil {
 		t.Fatalf("consistency: %v", err)
 	}
+	if cl.ChurnQuiescent() {
+		if err := treeAgreement(cl); err != nil {
+			t.Fatalf("tree: %v", err)
+		}
+	}
+}
+
+// treeAgreement checks, from the global oracle, that every live ring node's
+// views of the nodes two hops away match the ring, and that every tree edge
+// is seen from both of its ends: a node's children name it as their parent,
+// and its parent counts it as a child. A left node's parent depends on its
+// neighbours' processes, and whether it is a child on a view two hops away,
+// so a view that lags leaves a parent waiting for a child that reports
+// elsewhere, or bouncing one that reports to it. Call it once churn has
+// settled.
+func treeAgreement(cl *Cluster) error {
+	ring := cl.LiveRing()
+	size := ring.Len()
+	for i := 0; i < size; i++ {
+		n := cl.nodes[ring.At(i).ID]
+		if pp, ss := ring.Pred((i-1+size)%size), ring.Succ((i+1)%size); n.predView.Far.Point != pp.Point || n.succView.Far.Point != ss.Point {
+			return fmt.Errorf("%v sees %v and %v two hops away, the ring has %v and %v", n.self, n.predView.Far, n.succView.Far, pp, ss)
+		}
+		if v := [...]bool{n.partial(), n.predView.Partial, n.predView.FarPartial, n.succView.Partial, n.succView.FarPartial}; slices.Contains(v[:], true) {
+			return fmt.Errorf("%v sees a partial node once churn settled: %v", n.self, v)
+		}
+		for _, c := range n.children() {
+			cn, ok := cl.nodes[c.ID]
+			if !ok {
+				return fmt.Errorf("%v counts %v as a child, which is not live", n.self, c)
+			}
+			if p, ok := cn.nb().Parent(); !ok || p.ID != n.self.ID {
+				return fmt.Errorf("%v counts %v as a child, whose parent is %v", n.self, c, p)
+			}
+		}
+		if p, ok := n.nb().Parent(); ok {
+			if pn, live := cl.nodes[p.ID]; !live || !pn.isCurrentChild(n.self.ID) {
+				return fmt.Errorf("%v reports to %v, which does not count it as a child", n.self, p)
+			}
+		}
+	}
+	return nil
 }
 
 func TestSingleProcessEnqueueDequeue(t *testing.T) {

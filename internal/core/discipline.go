@@ -48,13 +48,15 @@ type discipline interface {
 	expand(runIndex int, ra batch.RunAssign, k int64) []batch.OpAssign
 
 	// Stage 4: gated blocks the next aggregation while completions are
-	// outstanding (§VI completion wait) — and is the one place a strategy
-	// keeps its nodes from pipelining waves; opTicket extracts the ticket a
+	// outstanding (§VI completion wait); pipelines reports whether a node
+	// may fire without waiting for every child and past its waves in
+	// flight (Node.pipelines); opTicket extracts the ticket a
 	// PUT carries or the bound a GET carries (zero outside stack mode);
 	// trackPut/putAcked account the node's own in-flight PUTs (its GETs
 	// are Node.pendingGets). putAcked reports whether the ack is accounted
 	// for and should reach the hosting layer's callback.
 	gated(n *Node) bool
+	pipelines() bool
 	opTicket(oa batch.OpAssign) int64
 	trackPut(n *Node, reqID uint64)
 	putAcked(n *Node, reqID uint64) bool
@@ -148,6 +150,7 @@ func (fifoDisc) buffered(n *Node) bool { return len(n.pending) > 0 }
 func (fifoDisc) restoreOwn(n *Node, own ownWave) { n.pending = append(own.ops, n.pending...) }
 
 func (fifoDisc) gated(*Node) bool               { return false }
+func (fifoDisc) pipelines() bool                { return true }
 func (fifoDisc) opTicket(batch.OpAssign) int64  { return 0 }
 func (fifoDisc) trackPut(*Node, uint64)         {}
 func (fifoDisc) putAcked(*Node, uint64) bool    { return true }
@@ -265,13 +268,14 @@ func (d *stackDisc) outstanding(n *Node) int {
 	return len(n.pendingGets) + len(d.awaitingAcks)
 }
 
-// gated also holds while the node has a wave in flight: the stack does not
-// pipeline. §VI's completion wait is a barrier across the whole tree only
-// because a node's next wave waits for every child, which Algorithm 1 does
-// only with nothing in flight.
 func (d *stackDisc) gated(n *Node) bool {
-	return len(n.inFlight) > 0 || !n.cl.cfg.DisableStage4Wait && d.outstanding(n) > 0
+	return !n.cl.cfg.DisableStage4Wait && d.outstanding(n) > 0
 }
+
+// pipelines is false: §VI's completion wait is a barrier across the whole
+// tree only because a node's next wave waits for every child, which
+// Algorithm 1 does, and only with nothing in flight.
+func (*stackDisc) pipelines() bool { return false }
 
 func (d *stackDisc) opTicket(oa batch.OpAssign) int64 { return oa.Ticket }
 

@@ -118,6 +118,13 @@ type Node struct {
 	// Topology (maintained under churn).
 	pred, succ       ldb.Ref
 	sibL, sibM, sibR ldb.Ref
+	// ringSeq numbers what this node tells its ring neighbours (its pair,
+	// and which of it and them are partial); predView and succView are what
+	// pred and succ last told it (ringHello). The tree rule reads the
+	// neighbours two hops away, and a left node reports over a ring edge
+	// only once the node at its other end has confirmed the latest number.
+	ringSeq            int64
+	predView, succView ringView
 	// sibIn tracks which of the process's virtual nodes are integrated
 	// ring members (indexed by ldb.Kind). A sibling-derived tree child is
 	// only expected once that sibling announced its integration; joiners
@@ -239,8 +246,19 @@ var _ transport.ReadyHandler = (*Node)(nil)
 func (n *Node) nb() ldb.Neighborhood {
 	return ldb.Neighborhood{
 		Self: n.self, Pred: n.pred, Succ: n.succ,
+		PredPred: n.predView.Far, SuccSucc: n.succView.Far,
+		SelfPartial: n.partial(),
+		PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial,
+		PredPredPartial: n.predView.FarPartial, SuccSuccPartial: n.succView.FarPartial,
 		SibL: n.sibL, SibM: n.sibM, SibR: n.sibR,
 	}
+}
+
+// partial reports whether the node has no way to the anchor through its
+// process siblings yet: its left sibling, or a right node's middle one, is
+// not a ring member (ldb.Neighborhood).
+func (n *Node) partial() bool {
+	return !n.sibIn[ldb.Left] || n.self.Kind == ldb.Right && !n.sibIn[ldb.Middle]
 }
 
 // children returns the aggregation-tree children: the structural children
@@ -313,21 +331,23 @@ func (n *Node) OnReady(ctx *transport.Context) {
 	n.decline(ctx)
 }
 
-// tryFire is the fire predicate of Algorithm 1, pipelined. With no wave in
-// flight it is Algorithm 1: when stage 4 is not gated and every child
-// contributed a sub-batch — or stands idle, which is a standing empty
-// contribution — fold the waiting data into a wave and push it towards the
-// anchor, or, at the anchor, assign positions immediately. On the tick a
-// node that does not stand idle fires whatever it has, as Algorithm 1 says.
-// Off the tick, and on the tick of an idle node, a wave fires only if it
-// carries work, so a cluster with nothing to do exchanges nothing, while an
-// operation injected anywhere moves at once: the subtrees beside its path
-// stand idle and nobody waits for their tick.
-//
-// With waves in flight a node that may pipeline (pipelines) fires the next
-// one as soon as it carries work, without waiting for children that have
-// not sent again. Either way a call fires at most one wave, so a node sends
-// at most one aggregate per TIMEOUT or readiness pass.
+// tryFire is the fire predicate of Algorithm 1, with work first. A node
+// that may pipeline (pipelines) and whose next wave would carry operations
+// (carriesOps) fires at once, whether or not waves are in flight and
+// whether or not every child has sent — the anchor's triad too, which is
+// served within the round, so never has a wave in flight, and would
+// otherwise fire only as often as its slowest child (DESIGN.md §4, the
+// backlog hazard). Everything else is Algorithm 1: when stage 4 is not gated
+// and every child contributed a sub-batch — or stands idle, which is a
+// standing empty contribution — fold the waiting data into a wave and push
+// it towards the anchor, or, at the anchor, assign positions immediately.
+// That covers waves without operations, churn waves, and every wave of the
+// stack. On the tick a node that does not stand idle fires whatever it has,
+// as Algorithm 1 says. Off the tick, and on the tick of an idle node, a wave
+// fires only if it carries work, so a cluster with nothing to do exchanges
+// nothing. A node that may not pipeline fires nothing past a wave in
+// flight. Either way a call fires at most one wave, so a node sends at most
+// one aggregate per TIMEOUT or readiness pass.
 func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	if n.churn.departed || n.churn.updatePhase || n.churn.frozen() {
 		return
@@ -348,10 +368,11 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 		n.fire(ctx)
 		return
 	}
+	if n.pipelines() && n.carriesOps() {
+		n.fire(ctx)
+		return
+	}
 	if len(n.inFlight) > 0 {
-		if n.holdsWork(false) && n.pipelines() {
-			n.fire(ctx)
-		}
 		return
 	}
 	for _, k := range n.children() {
@@ -364,18 +385,18 @@ func (n *Node) tryFire(ctx *transport.Context, onTick bool) {
 	}
 }
 
-// pipelines reports whether the node may fire past its oldest in-flight
-// wave. Its churn state must be quiet and no waiting sub-batch may carry a
-// join or leave level: a wave that carries churn, or a joiner's share, is
-// fired under Algorithm 1 so that the wave the anchor flags for an update
-// phase holds it (§IV-A). And its parent must be the one its waves in
-// flight went to: a child's waves chain (subBatch.Prev) at one parent only,
-// and one sent elsewhere would wait there for a predecessor that never
-// comes. The anchor assigns the moment it fires, so it never has a wave to
-// pipeline past; a node that takes the role over with waves still in flight
-// waits for them.
+// pipelines reports whether the node may fire without waiting for every
+// child, and past its waves in flight. The discipline must allow it (the
+// stack does not), its churn state must be quiet and no waiting sub-batch
+// may carry a join or leave level: a wave that carries churn, or a joiner's
+// share, is fired under Algorithm 1 so that the wave the anchor flags for an
+// update phase holds it (§IV-A). And with waves in flight its parent must be
+// the one they went to: a child's waves chain (subBatch.Prev) at one parent
+// only, and one sent elsewhere would wait there for a predecessor that
+// never comes. A node that takes the anchor role over with waves still in
+// flight waits for them.
 func (n *Node) pipelines() bool {
-	if n.anchorRole || !n.churnQuiet() {
+	if !n.disc.pipelines() || !n.churnQuiet() {
 		return false
 	}
 	for _, w := range n.waiting {
@@ -383,33 +404,67 @@ func (n *Node) pipelines() bool {
 			return false
 		}
 	}
+	if len(n.inFlight) == 0 {
+		return true
+	}
 	parent, ok := n.nb().Parent()
 	return ok && parent.ID == n.inFlight[0].To
 }
 
+// carriesOps reports whether a wave fired now would carry operations: the
+// node's own, or a child's foldable sub-batch that holds some. With nothing
+// in flight a child's empty wave is not work: fired on it, a node would stop
+// waiting for its other children, which Algorithm 1 keeps doing for waves
+// with nothing in them. With a wave in flight it is: its sender waits for
+// the serve, and the sender's next wave, which may carry operations, is
+// foldable only once this one is.
+func (n *Node) carriesOps() bool {
+	if len(n.inFlight) > 0 {
+		return n.holdsWork(false)
+	}
+	return n.disc.buffered(n) || slices.ContainsFunc(n.waiting, func(w subBatch) bool {
+		return w.B.NumOps() > 0 && n.foldable(w)
+	})
+}
+
 // parentJoining reports whether stage 1 must hold because the node's tree
-// parent is a process sibling that is not a ring member yet: the triad of a
+// parent does not know yet that the node reports to it. The triad of a
 // joining process can be integrated over several update phases (see sibIn),
 // and a middle node integrated ahead of its left sibling — or a right node
 // ahead of its middle — has no parent to report to until the sibling's
 // sibHello. The sibling would bounce every batch (it has no children while
 // it joins), and a node that re-fires on readiness would bounce it back at
 // message speed, between two nodes of one process — one member's runner,
-// which then does nothing else.
+// which then does nothing else. A left node reports over a ring edge, and
+// after what it tells its ring neighbours changed (ringChanged) it holds the
+// same way until the node at the other end has confirmed it (ringView.Seen):
+// before that, the parent cannot tell that the left node reports to it and
+// counts it as no child (ldb.Neighborhood.Children).
 func (n *Node) parentJoining() bool {
 	if n.anchorRole || n.churn.joining {
 		return false // assigns itself, or reports to its relay
 	}
 	// ldb.Neighborhood.Parent, without assembling the neighbourhood on every
 	// tick: a middle node reports to its left sibling, a right node to its
-	// middle, a left node to its ring predecessor.
+	// middle, a left node to a ring neighbour.
 	switch n.self.Kind {
 	case ldb.Middle:
 		return !n.sibIn[ldb.Left]
 	case ldb.Right:
 		return !n.sibIn[ldb.Middle]
 	}
-	return false
+	if n.predView.Seen >= n.ringSeq && n.succView.Seen >= n.ringSeq {
+		return false
+	}
+	parent, ok := n.nb().Parent()
+	switch {
+	case !ok:
+		return false
+	case parent.ID == n.succ.ID:
+		return n.succView.Seen < n.ringSeq
+	default:
+		return n.predView.Seen < n.ringSeq
+	}
 }
 
 // holdsWork reports whether a wave fired now would carry anything: own
@@ -809,7 +864,7 @@ func (n *Node) serve(ctx *transport.Context, i int, assigns []batch.RunAssign, e
 		}
 	}
 	if epoch != 0 {
-		n.churn.handEpochDown(ctx, n, w.Subs, w.Prev != 0 || len(n.inFlight) > 0)
+		n.churn.handEpochDown(ctx, n, w.Subs)
 		n.churn.startIntegration(ctx, n)
 		return
 	}

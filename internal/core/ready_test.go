@@ -754,13 +754,13 @@ func TestChurnStormWorkDriven(t *testing.T) {
 				}
 				run(rng.Intn(60))
 			}
-			for i := 0; !(cl.ChurnQuiescent() && cl.VerifyTopology() == nil && cl.Finished() == cl.Issued()); i++ {
+			for i := 0; !(cl.ChurnQuiescent() && cl.VerifyTopology() == nil && treeAgreement(cl) == nil && cl.Finished() == cl.Issued()); i++ {
 				if i == 200 {
 					for _, d := range cl.Diagnose() {
 						t.Log(d)
 					}
-					t.Fatalf("%s seed %d: not settled: quiescent=%v topology=%v finished %d/%d",
-						tc.name, seed, cl.ChurnQuiescent(), cl.VerifyTopology(), cl.Finished(), cl.Issued())
+					t.Fatalf("%s seed %d: not settled: quiescent=%v topology=%v tree=%v finished %d/%d",
+						tc.name, seed, cl.ChurnQuiescent(), cl.VerifyTopology(), treeAgreement(cl), cl.Finished(), cl.Issued())
 				}
 				net.tick()
 				net.settle(nil)

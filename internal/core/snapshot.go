@@ -113,6 +113,12 @@ type NodeImage struct {
 	SibL, SibM, SibR ldb.Ref
 	SibIn            [3]bool
 	ClientID         int32
+	// RingSeq, PredView and SuccView are the node's pair number and what its
+	// ring neighbours last said of theirs (Node.ringChanged). A restarted
+	// node keeps them: its neighbours' numbers and confirmations go on from
+	// there.
+	RingSeq            int64
+	PredView, SuccView ringView
 
 	Anchor bool
 	Ast    batch.AnchorState
@@ -299,6 +305,9 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			Self: n.self, Pred: n.pred, Succ: n.succ,
 			SibL: n.sibL, SibM: n.sibM, SibR: n.sibR,
 			SibIn:        n.sibIn,
+			RingSeq:      n.ringSeq,
+			PredView:     n.predView,
+			SuccView:     n.succView,
 			ClientID:     n.clientID,
 			Anchor:       n.anchorRole,
 			Ast:          n.ast.Clone(), // a copy: the image is encoded off the runner while the anchor keeps assigning
@@ -435,6 +444,9 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			sibM:         img.SibM,
 			sibR:         img.SibR,
 			sibIn:        img.SibIn,
+			ringSeq:      img.RingSeq,
+			predView:     img.PredView,
+			succView:     img.SuccView,
 			anchorRole:   img.Anchor,
 			ast:          img.Ast,
 			nextElemSeq:  img.NextElemSeq,

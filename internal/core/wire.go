@@ -34,6 +34,7 @@ func RegisterWireTypes() {
 	wire.Register(setPred{})
 	wire.Register(introAck{})
 	wire.Register(sibHello{})
+	wire.Register(ringHello{})
 	wire.Register(updateAck{})
 	wire.Register(updateOver{})
 

@@ -7,9 +7,8 @@
 //
 // The package provides the three local rules the protocol relies on:
 //
-//   - the aggregation-tree rules (§III-B): parent = leftmost neighbour,
-//     children derived from kind and successor kind, purely from local
-//     information;
+//   - the aggregation-tree rules (§III-B, with the parent rule of a left
+//     node changed, see below), purely from local information;
 //   - De Bruijn routing (Lemma 3): O(log n) w.h.p. hops to the predecessor
 //     of any point, via bit-prepending hops over the virtual l/r edges plus
 //     short linear corrections;
@@ -39,6 +38,29 @@
 //
 // Lemma 3's bound is unchanged; this is its constant (EXPERIMENTS.md, "The
 // route at what a round costs").
+//
+// # The aggregation tree
+//
+// A middle node reports to its left sibling and a right node to its middle
+// sibling, as in the paper. The paper's left node reports to its ring
+// predecessor, so a process's depth grows by one inter-process edge per
+// process to its left. Here a left node reports to whichever ring neighbour
+// belongs to the process with the smaller left label (LeftOf), the
+// predecessor on a tie and never over the 0/1 seam. LeftOf falls strictly
+// along every edge between processes — the predecessor's is below the
+// node's own label, and the successor is taken only below that — so the
+// tree stays acyclic, rooted at the anchor, and covers every node. Parent
+// reads the node's own neighbourhood; Children also reads the neighbours
+// two hops away (PredPred, SuccSucc), since whether an adjacent left node
+// reports here depends on its other neighbour.
+//
+// Under churn a process's nodes enter the ring one by one, and a middle or
+// right node whose sibling parent is not a ring member yet has no way to
+// the anchor (it is partial). No left node reports to a partial successor,
+// and a left node whose predecessor is partial reports to its successor if
+// that one's process sits further left than its own; only otherwise does it
+// wait behind the partial predecessor, as under the paper's rule. LeftOf
+// still falls along every edge between processes.
 package ldb
 
 import (
@@ -128,13 +150,36 @@ func ProcessPoints(labels xrand.Hasher, procID uint64) (l, m, r Point) {
 	return
 }
 
+// LeftOf is the left label of the process a node belongs to, worked out
+// from the node alone: l(v) = m(v)/2 = r(v) − ½.
+func LeftOf(r Ref) fixpoint.Frac {
+	switch r.Kind {
+	case Middle:
+		return r.Point.Label.Halve()
+	case Right:
+		return r.Point.Label - fixpoint.Half
+	}
+	return r.Point.Label
+}
+
 // Neighborhood is the local view a virtual node has of the topology: its
-// own identity, its ring neighbours, and the three virtual nodes of its
-// process (its "siblings"; Self is one of them).
+// own identity, its ring neighbours, the neighbours two hops away, and the
+// three virtual nodes of its process (its "siblings"; Self is one of them).
 type Neighborhood struct {
 	Self Ref
 	Pred Ref
 	Succ Ref
+	// PredPred and SuccSucc are Pred's predecessor and Succ's successor, or
+	// invalid while unknown. Only Children reads them, for their points.
+	PredPred, SuccSucc Ref
+	// The Partial flags mark nodes whose way to the anchor through their
+	// process siblings is not complete yet: a middle or right node of a
+	// joining process whose left (or middle) sibling is not a ring member
+	// yet, since a process's nodes enter the ring one by one. A left node
+	// reports to a partial neighbour only if it has no other choice.
+	SelfPartial                      bool
+	PredPartial, SuccPartial         bool
+	PredPredPartial, SuccSuccPartial bool
 	// SibL, SibM, SibR are l(v), m(v), r(v) of the owning process.
 	SibL, SibM, SibR Ref
 }
@@ -157,8 +202,10 @@ func (nb Neighborhood) isWrapPred() bool {
 	return nb.Self.Point.Less(nb.Pred.Point) || nb.Pred.ID == nb.Self.ID
 }
 
-// Parent returns the aggregation-tree parent (§III-B): the leftmost
-// neighbour. ok is false exactly for the anchor, the tree root.
+// Parent returns the aggregation-tree parent: a middle node's left
+// sibling, a right node's middle sibling, and for a left node its ring
+// successor or predecessor (reportsRight); the predecessor is the paper's
+// rule (§III-B). ok is false exactly for the anchor, the tree root.
 func (nb Neighborhood) Parent() (parent Ref, ok bool) {
 	switch nb.Self.Kind {
 	case Middle:
@@ -169,13 +216,36 @@ func (nb Neighborhood) Parent() (parent Ref, ok bool) {
 		if nb.IsAnchor() {
 			return Ref{ID: transport.None}, false
 		}
+		if reportsRight(nb.Self, nb.Pred, nb.Succ, nb.PredPartial, nb.SuccPartial, nb.isWrapSucc()) {
+			return nb.Succ, true
+		}
 		return nb.Pred, true
 	}
 }
 
-// Children returns the aggregation-tree children (§III-B): the next
-// virtual node of the same process, plus the ring successor when that
-// successor is a left virtual node (and the edge does not wrap).
+// reportsRight is the parent choice of a non-anchor left node with the
+// given ring neighbours: its successor if the successor is not partial, the
+// edge does not wrap, and the successor's process sits strictly further left
+// than the predecessor's — or than the node's own, when the predecessor is
+// partial and so has no way to the anchor yet.
+func reportsRight(self, pred, succ Ref, predPartial, succPartial, succWraps bool) bool {
+	if succWraps || succPartial {
+		return false
+	}
+	bar := pred
+	if predPartial {
+		bar = self
+	}
+	return LeftOf(succ) < LeftOf(bar)
+}
+
+// Children returns the aggregation-tree children: the next virtual node of
+// the same process, plus each adjacent left node whose Parent is this node —
+// the successor unless it reports to its own successor, the predecessor if
+// it reports here rather than to its own predecessor. Neither edge may wrap.
+// An adjacent left node whose other neighbour is unknown (PredPred or
+// SuccSucc invalid) is not counted: it holds its batches until this node
+// knows (core's ringHello).
 func (nb Neighborhood) Children() []Ref {
 	var c []Ref
 	switch nb.Self.Kind {
@@ -183,11 +253,18 @@ func (nb Neighborhood) Children() []Ref {
 		c = append(c, nb.SibR)
 	case Left:
 		c = append(c, nb.SibM)
-	case Right:
-		return nil
 	}
-	if nb.Succ.Kind == Left && !nb.isWrapSucc() {
-		c = append(c, nb.Succ)
+	if nb.Succ.Kind == Left && !nb.isWrapSucc() && nb.SuccSucc.Valid() {
+		ssWraps := nb.SuccSucc.Point.Less(nb.Succ.Point) || nb.SuccSucc.ID == nb.Succ.ID
+		if !reportsRight(nb.Succ, nb.Self, nb.SuccSucc, nb.SelfPartial, nb.SuccSuccPartial, ssWraps) {
+			c = append(c, nb.Succ)
+		}
+	}
+	if nb.Pred.Kind == Left && !nb.isWrapPred() && nb.PredPred.Valid() {
+		predIsAnchor := nb.Pred.Point.Less(nb.PredPred.Point) || nb.PredPred.ID == nb.Pred.ID
+		if !predIsAnchor && reportsRight(nb.Pred, nb.PredPred, nb.Self, nb.PredPredPartial, nb.SelfPartial, false) {
+			c = append(c, nb.Pred)
+		}
 	}
 	return c
 }

@@ -3,6 +3,7 @@ package ldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,12 +51,25 @@ func buildNet(t testing.TB, n int, seed int64) *testNet {
 func (net *testNet) neighborhood(i int) Neighborhood {
 	self := net.ring.At(i)
 	s := net.sibs[net.proc[self.ID]]
+	n := net.ring.Len()
 	return Neighborhood{
-		Self: self,
-		Pred: net.ring.Pred(i),
-		Succ: net.ring.Succ(i),
-		SibL: s[0], SibM: s[1], SibR: s[2],
+		Self:     self,
+		Pred:     net.ring.Pred(i),
+		Succ:     net.ring.Succ(i),
+		PredPred: net.ring.Pred((i - 1 + n) % n),
+		SuccSucc: net.ring.Succ((i + 1) % n),
+		SibL:     s[0], SibM: s[1], SibR: s[2],
 	}
+}
+
+// partialNeighborhood is neighborhood(i) with the Partial flags read from
+// partial, the same for every node that looks at a given one.
+func (net *testNet) partialNeighborhood(i int, partial map[sim.NodeID]bool) Neighborhood {
+	nb := net.neighborhood(i)
+	nb.SelfPartial = partial[nb.Self.ID]
+	nb.PredPartial, nb.SuccPartial = partial[nb.Pred.ID], partial[nb.Succ.ID]
+	nb.PredPredPartial, nb.SuccSuccPartial = partial[nb.PredPred.ID], partial[nb.SuccSucc.ID]
+	return nb
 }
 
 func (net *testNet) neighborhoodOf(id sim.NodeID) Neighborhood {
@@ -257,25 +271,160 @@ func TestTreeReachesRootAndHeight(t *testing.T) {
 	}
 }
 
-func TestParentStrictlyLeft(t *testing.T) {
-	net := buildNet(t, 150, 12)
-	for i := 0; i < net.ring.Len(); i++ {
-		nb := net.neighborhood(i)
-		if p, ok := nb.Parent(); ok {
-			if !p.Point.Less(nb.Self.Point) {
-				t.Fatalf("parent %v not left of %v", p, nb.Self)
+func TestLeftOfFallsAlongTreeEdges(t *testing.T) {
+	// LeftOf is the process's left label whichever of its nodes it is read
+	// from, and it falls strictly along every tree edge between processes:
+	// the tree is acyclic, and the anchor's process is its root.
+	for _, n := range []int{1, 2, 3, 7, 150} {
+		net := buildNet(t, n, 12+int64(n))
+		for i := 0; i < net.ring.Len(); i++ {
+			nb := net.neighborhood(i)
+			if LeftOf(nb.Self) != nb.SibL.Point.Label {
+				t.Fatalf("n=%d: LeftOf(%v) = %v, its left sibling is at %v", n, nb.Self, LeftOf(nb.Self), nb.SibL)
+			}
+			p, ok := nb.Parent()
+			if !ok || net.proc[p.ID] == net.proc[nb.Self.ID] {
+				continue
+			}
+			if LeftOf(p) >= LeftOf(nb.Self) {
+				t.Fatalf("n=%d: parent %v of %v: left label %v not below %v", n, p, nb.Self, LeftOf(p), LeftOf(nb.Self))
 			}
 		}
 	}
 }
 
-func TestRightNodesAreLeaves(t *testing.T) {
-	net := buildNet(t, 80, 13)
+func TestRightNodeChildIsForeignLeftPred(t *testing.T) {
+	// A right node has no sibling child, and its ring successor, if a left
+	// node, lies across the 0/1 seam. Its only possible child is its ring
+	// predecessor, a left node of another process: the largest left node,
+	// when the right node's process sits further left than that left node's
+	// predecessor's. The smallest right node belongs to the anchor's
+	// process, which has the smallest left label of all.
+	adopted := 0
+	for seed := int64(0); seed < 40; seed++ {
+		net := buildNet(t, 80, 13+seed)
+		for i := 0; i < net.ring.Len(); i++ {
+			nb := net.neighborhood(i)
+			if nb.Self.Kind != Right {
+				continue
+			}
+			kids := nb.Children()
+			if len(kids) == 0 {
+				continue
+			}
+			if len(kids) > 1 || kids[0].ID != nb.Pred.ID || kids[0].Kind != Left || net.proc[kids[0].ID] == net.proc[nb.Self.ID] {
+				t.Fatalf("seed %d: right node %v has children %v, pred %v", seed, nb.Self, kids, nb.Pred)
+			}
+			adopted++
+		}
+	}
+	if adopted == 0 {
+		t.Fatalf("no right node of 40 rings has a child; the test exercises nothing")
+	}
+}
+
+func TestPartialNodesAreAvoided(t *testing.T) {
+	// A process whose nodes enter the ring one by one: its middle and right
+	// nodes while its left node is not a ring member, or its right node while
+	// its middle one is not, have no way to the anchor. Mark such nodes on
+	// random rings: no left node chooses one as its successor parent, parent
+	// and children still agree, LeftOf still falls along every edge between
+	// processes, and a left node next to a partial predecessor reports to its
+	// successor whenever that one's process sits further left than its own —
+	// only otherwise does it report to the partial one, as the paper's rule
+	// has it.
+	around := 0
+	for seed := int64(0); seed < 40; seed++ {
+		net := buildNet(t, 64, 500+seed)
+		rng := xrand.New(seed)
+		partial := map[sim.NodeID]bool{}
+		for _, sibs := range net.sibs {
+			switch rng.Intn(4) {
+			case 0: // the left node is missing
+				partial[sibs[1].ID], partial[sibs[2].ID] = true, true
+			case 1: // the middle node is missing
+				partial[sibs[2].ID] = true
+			}
+		}
+		nbs := make(map[sim.NodeID]Neighborhood)
+		for i := 0; i < net.ring.Len(); i++ {
+			nb := net.partialNeighborhood(i, partial)
+			nbs[nb.Self.ID] = nb
+		}
+		for id, nb := range nbs {
+			for _, c := range nb.Children() {
+				if p, _ := nbs[c.ID].Parent(); p.ID != id {
+					t.Fatalf("seed %d: %v counts %v as a child, whose parent is %v", seed, nb.Self, c, p)
+				}
+				if partial[id] && net.proc[c.ID] != net.proc[id] && c.ID != nb.Succ.ID {
+					t.Fatalf("seed %d: partial %v has its predecessor %v for a child", seed, nb.Self, c)
+				}
+			}
+			p, ok := nb.Parent()
+			if !ok {
+				continue
+			}
+			if !slices.ContainsFunc(nbs[p.ID].Children(), func(c Ref) bool { return c.ID == id }) {
+				t.Fatalf("seed %d: %v reports to %v, which does not count it", seed, nb.Self, p)
+			}
+			if net.proc[p.ID] != net.proc[id] && LeftOf(p) >= LeftOf(nb.Self) {
+				t.Fatalf("seed %d: parent %v of %v: left label %v not below %v", seed, p, nb.Self, LeftOf(p), LeftOf(nb.Self))
+			}
+			if nb.Self.Kind == Left && nb.PredPartial && !nb.SuccPartial && !nb.isWrapSucc() && LeftOf(nb.Succ) < LeftOf(nb.Self) {
+				if p.ID != nb.Succ.ID {
+					t.Fatalf("seed %d: %v reports to its partial pred %v past %v", seed, nb.Self, nb.Pred, nb.Succ)
+				}
+				around++
+			}
+		}
+	}
+	if around == 0 {
+		t.Fatalf("no left node of 40 rings went around a partial predecessor; the test exercises nothing")
+	}
+}
+
+// interProcessDepth returns the mean, over the ring's nodes, of the tree
+// edges between processes on the way to the root: what a wave pays, since
+// an edge between siblings costs no round.
+func (net *testNet) interProcessDepth(parent func(Neighborhood) (Ref, bool)) float64 {
+	total := 0
 	for i := 0; i < net.ring.Len(); i++ {
 		nb := net.neighborhood(i)
-		if nb.Self.Kind == Right && len(nb.Children()) != 0 {
-			t.Fatalf("right node %v has children %v", nb.Self, nb.Children())
+		for {
+			p, ok := parent(nb)
+			if !ok {
+				break
+			}
+			if net.proc[p.ID] != net.proc[nb.Self.ID] {
+				total++
+			}
+			nb = net.neighborhoodOf(p.ID)
 		}
+	}
+	return float64(total) / float64(net.ring.Len())
+}
+
+func TestInterProcessDepth(t *testing.T) {
+	// The tree's depth between processes at n = 256, averaged over twenty
+	// rings: a left node that reports to the neighbour whose process sits
+	// further left shortens it from ≈ 15.5 (the paper's predecessor rule) to
+	// ≈ 11.2.
+	paper := func(nb Neighborhood) (Ref, bool) {
+		if nb.Self.Kind == Left && !nb.IsAnchor() {
+			return nb.Pred, true
+		}
+		return nb.Parent()
+	}
+	var ours, theirs float64
+	const rings = 20
+	for seed := int64(1); seed <= rings; seed++ {
+		net := buildNet(t, 256, seed)
+		ours += net.interProcessDepth(Neighborhood.Parent) / rings
+		theirs += net.interProcessDepth(paper) / rings
+	}
+	t.Logf("mean inter-process depth at n = 256: %.2f (paper rule %.2f)", ours, theirs)
+	if ours > 11.5 {
+		t.Errorf("mean inter-process depth %.2f at n = 256, want at most 11.5 (paper rule %.2f)", ours, theirs)
 	}
 }
 
