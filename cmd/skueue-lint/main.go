@@ -6,10 +6,10 @@
 //
 //	go run ./cmd/skueue-lint [-list] [-only name,name] [-json] [packages]
 //
-// Packages default to ./... relative to the current directory. Findings
-// are suppressed line-by-line with a justified comment:
-//
-//	//skueue:ignore <analyzer>[,<analyzer>] -- reason
+// Packages default to ./... relative to the current directory. There is
+// no generic suppression: a false finding is fixed in the analyzer, and
+// each rule's own marker (internal/analysis/doc.go) covers the code it
+// exempts.
 //
 // With -json, findings are written to stdout as a JSON array of
 // {analyzer, file, line, column, message} objects (an empty array when

@@ -21,7 +21,7 @@ func TestUnknownOnlyListsValidNames(t *testing.T) {
 	if !strings.Contains(msg, `"nosuch"`) {
 		t.Errorf("stderr does not name the unknown analyzer: %s", msg)
 	}
-	for _, name := range []string{"guardedby", "statecomplete", "lockorder", "wirereg"} {
+	for _, name := range []string{"guardedby", "statecomplete", "lockorder", "runnerblock"} {
 		if !strings.Contains(msg, name) {
 			t.Errorf("stderr does not list valid analyzer %q: %s", name, msg)
 		}

@@ -8,11 +8,9 @@ import (
 	"skueue/internal/analysis/futureerr"
 	"skueue/internal/analysis/guardedby"
 	"skueue/internal/analysis/lockorder"
-	"skueue/internal/analysis/modeseam"
 	"skueue/internal/analysis/releaseorder"
 	"skueue/internal/analysis/runnerblock"
 	"skueue/internal/analysis/statecomplete"
-	"skueue/internal/analysis/wirereg"
 )
 
 // Analyzers is the full suite, in reporting-name order.
@@ -20,9 +18,7 @@ var Analyzers = []*analysis.Analyzer{
 	futureerr.Analyzer,
 	guardedby.Analyzer,
 	lockorder.Analyzer,
-	modeseam.Analyzer,
 	releaseorder.Analyzer,
 	runnerblock.Analyzer,
 	statecomplete.Analyzer,
-	wirereg.Analyzer,
 }

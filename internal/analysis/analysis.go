@@ -11,8 +11,8 @@ import (
 // Analyzer is one invariant checker. Run sees the whole Program and
 // reports findings through the Pass; it runs exactly once per Program.
 type Analyzer struct {
-	// Name is the short identifier used in diagnostics and in
-	// //skueue:ignore comments.
+	// Name is the short identifier used in diagnostics and by
+	// `skueue-lint -only`.
 	Name string
 	// Doc is the one-line description shown by `skueue-lint -list`.
 	Doc string
@@ -39,26 +39,21 @@ type Pass struct {
 	sink     *[]Diagnostic
 }
 
-// Reportf records a finding at pos unless a //skueue:ignore for this
-// analyzer covers the line.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Prog.Fset.Position(pos)
-	if p.Ann.Suppressed(position, p.analyzer.Name) {
-		return
-	}
 	*p.sink = append(*p.sink, Diagnostic{
 		Analyzer: p.analyzer.Name,
-		Pos:      position,
+		Pos:      p.Prog.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
 // Run executes the analyzers over prog and returns their findings sorted
-// by position, plus any malformed-suppression diagnostics the annotation
-// scan produced.
+// by position, plus any unknown-marker diagnostics the annotation scan
+// produced.
 func Run(prog *Program, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
-	diags = append(diags, prog.Ann.malformed...)
+	diags = append(diags, prog.Ann.unknown...)
 	for _, a := range analyzers {
 		pass := &Pass{Prog: prog, Ann: prog.Ann, analyzer: a, sink: &diags}
 		a.Run(pass)

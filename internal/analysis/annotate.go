@@ -26,12 +26,8 @@ var knownAnnotations = map[string]bool{
 	"client-release":    true,
 	"client-outcome":    true,
 	"journaled-release": true,
-	"wire-payload":      true,
-	"wire-register":     true,
 	"future":            true,
 	"awaits-future":     true,
-	"discipline-seam":   true,
-	"discipline":        true,
 	"snapshot-state":    true,
 	"snapshot-capture":  true,
 	"snapshot-restore":  true,
@@ -39,18 +35,15 @@ var knownAnnotations = map[string]bool{
 	"guarded-by":        true,
 	"owned-by":          true,
 	"locked":            true,
-	"ignore":            true,
 }
 
 // Annotations indexes every //skueue: marker in a Program by the object
-// it annotates, plus the //skueue:ignore suppression lines.
+// it annotates.
 type Annotations struct {
-	fn    map[*types.Func][]Annotation
-	field map[*types.Var][]Annotation
-	typ   map[*types.TypeName][]Annotation
-	// ignores: filename -> line -> analyzer names suppressed there.
-	ignores   map[string]map[int]map[string]bool
-	malformed []Diagnostic
+	fn      map[*types.Func][]Annotation
+	field   map[*types.Var][]Annotation
+	typ     map[*types.TypeName][]Annotation
+	unknown []Diagnostic
 }
 
 // Func returns the named annotation on fn's declaration, or nil.
@@ -104,24 +97,6 @@ func find(anns []Annotation, name string) *Annotation {
 	return nil
 }
 
-// Suppressed reports whether an //skueue:ignore for analyzer covers the
-// position: an ignore suppresses its own line (trailing comment) and the
-// line below it (comment above the offending line). Analyzers may consult
-// it directly to prune work (e.g. a call-graph edge) in addition to the
-// automatic check Reportf performs.
-func (a *Annotations) Suppressed(pos token.Position, analyzer string) bool {
-	lines := a.ignores[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, line := range [2]int{pos.Line, pos.Line - 1} {
-		if names := lines[line]; names != nil && (names[analyzer] || names["all"]) {
-			return true
-		}
-	}
-	return false
-}
-
 // parseMarker parses one comment line. ok is false for ordinary comments.
 func parseMarker(text string) (ann Annotation, ok bool) {
 	body, found := strings.CutPrefix(strings.TrimSpace(text), "//skueue:")
@@ -143,10 +118,9 @@ func parseMarker(text string) (ann Annotation, ok bool) {
 
 func buildAnnotations(prog *Program) *Annotations {
 	a := &Annotations{
-		fn:      make(map[*types.Func][]Annotation),
-		field:   make(map[*types.Var][]Annotation),
-		typ:     make(map[*types.TypeName][]Annotation),
-		ignores: make(map[string]map[int]map[string]bool),
+		fn:    make(map[*types.Func][]Annotation),
+		field: make(map[*types.Var][]Annotation),
+		typ:   make(map[*types.TypeName][]Annotation),
 	}
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
@@ -157,52 +131,22 @@ func buildAnnotations(prog *Program) *Annotations {
 	return a
 }
 
-// scanComments indexes ignore markers and flags malformed ones; it sees
-// every comment in the file, so markers that scanDecls also picks up are
-// validated here exactly once.
+// scanComments flags unknown markers; it sees every comment in the file,
+// so markers that scanDecls also picks up are validated here exactly once.
 func (a *Annotations) scanComments(fset *token.FileSet, file *ast.File) {
 	for _, group := range file.Comments {
 		for _, c := range group.List {
-			ann, ok := parseMarker(c.Text)
-			if !ok {
-				continue
-			}
-			pos := fset.Position(c.Pos())
-			if !knownAnnotations[ann.Name] {
-				a.malformed = append(a.malformed, Diagnostic{
-					Analyzer: "lint", Pos: pos,
+			if ann, ok := parseMarker(c.Text); ok && !knownAnnotations[ann.Name] {
+				a.unknown = append(a.unknown, Diagnostic{
+					Analyzer: "lint", Pos: fset.Position(c.Pos()),
 					Message: "unknown marker //skueue:" + ann.Name,
 				})
-				continue
-			}
-			if ann.Name != "ignore" {
-				continue
-			}
-			if len(ann.Args) != 1 || ann.Reason == "" {
-				a.malformed = append(a.malformed, Diagnostic{
-					Analyzer: "lint", Pos: pos,
-					Message: `malformed suppression: want "//skueue:ignore <analyzer>[,<analyzer>] -- reason"`,
-				})
-				continue
-			}
-			lines := a.ignores[pos.Filename]
-			if lines == nil {
-				lines = make(map[int]map[string]bool)
-				a.ignores[pos.Filename] = lines
-			}
-			names := lines[pos.Line]
-			if names == nil {
-				names = make(map[string]bool)
-				lines[pos.Line] = names
-			}
-			for _, name := range strings.Split(ann.Args[0], ",") {
-				names[name] = true
 			}
 		}
 	}
 }
 
-// scanDecls attaches non-ignore markers to the objects they document:
+// scanDecls attaches markers to the objects they document:
 // function declarations, interface methods, struct fields and type specs.
 func (a *Annotations) scanDecls(fset *token.FileSet, info *types.Info, file *ast.File) {
 	addFunc := func(ident *ast.Ident, groups ...*ast.CommentGroup) {
@@ -260,7 +204,7 @@ func markersOf(groups []*ast.CommentGroup) []Annotation {
 			continue
 		}
 		for _, c := range g.List {
-			if ann, ok := parseMarker(c.Text); ok && ann.Name != "ignore" && knownAnnotations[ann.Name] {
+			if ann, ok := parseMarker(c.Text); ok && knownAnnotations[ann.Name] {
 				ann.Pos = c.Pos()
 				out = append(out, ann)
 			}

@@ -19,18 +19,9 @@
 //     parked releases — after the covering fsync; a member without stable
 //     storage runs the same releases inline — with no journal-disabled
 //     exemption (PR 4/5's journaled-before-release contract).
-//   - wirereg: every concrete type that crosses the wire inside an
-//     interface-typed payload is registered with the wire codec, so the
-//     "gob: name not registered" class of drift fails in CI instead of at
-//     runtime.
 //   - futureerr: results of a Future are only read after synchronizing on
 //     its completion, and Wait errors are not discarded (the remote-future
 //     hang class fixed ad hoc in PR 5).
-//   - modeseam: the ordering semantics (queue/stack/heap) stay behind the
-//     discipline strategy interface — every marked discipline implements
-//     the seam, and the seam's package names the mode enum's constants
-//     only in the file declaring the seam, so `cfg.Mode == batch.Stack`
-//     special cases cannot creep back into the wave engine.
 //   - statecomplete: every field of a struct marked as snapshot state is
 //     either referenced (transitively, through helpers and interface
 //     implementations) by the struct's marked capture AND restore
@@ -64,13 +55,8 @@
 //	//skueue:journaled-release       — func: a parked release (or its builder):
 //	                                   runs once the record is durable; the only
 //	                                   place an outcome may be released from
-//	//skueue:wire-payload            — func: last arg crosses the wire
-//	//skueue:wire-register           — func: registers a wire type
 //	//skueue:future                  — type: a future with Value/Err/Done
 //	//skueue:awaits-future           — func: synchronizes a future argument
-//	//skueue:discipline-seam <type>  — interface: the mode-strategy seam;
-//	                                   the arg names the guarded mode enum
-//	//skueue:discipline              — type: one mode-strategy implementation
 //	//skueue:snapshot-state <Image>  — struct: survives restarts via the
 //	                                   named image struct
 //	//skueue:snapshot-capture <S...> — func: capture root for the named
@@ -87,10 +73,13 @@
 //	//skueue:owned-by <o> -- reason  — func: exclusive-owner phase; guarded
 //	                                   fields are accessible throughout
 //
-// A finding is silenced with a justified suppression on (or on the line
-// above) the offending line:
+// A marker outside this table is reported. There is no generic
+// suppression: a false finding is fixed in the analyzer, and code a rule
+// legitimately exempts carries that rule's own marker (nonblocking, io,
+// owned-by, locked, ephemeral, awaits-future, journaled-release).
 //
-//	//skueue:ignore <analyzer>[,<analyzer>] -- reason
-//
-// The reason is mandatory; an ignore without one is itself reported.
+// Wire registration and the mode seam are checked by tests, not here:
+// internal/core's TestWireRoundTrip and TestNodeIsModeFree (plus the
+// compiler) catch every regression scored against them (EXPERIMENTS.md,
+// "What each analyzer catches").
 package analysis

@@ -1,6 +1,6 @@
 // Package fut exercises the futureerr analyzer: unsynchronized result
-// reads, every accepted synchronization form, discarded Wait errors,
-// malformed suppressions and valid ones.
+// reads, every accepted synchronization form, discarded Wait errors, and
+// a leftover generic suppression.
 package fut
 
 import "errors"
@@ -71,12 +71,9 @@ func wrongReceiver(f, g *Future) {
 	_ = g.Value() // want `g\.Value read before synchronizing`
 }
 
-func suppressedRead(f *Future) {
-	//skueue:ignore futureerr -- fixture: best-effort progress probe
-	_ = f.Value()
-}
-
-func malformedSuppression(f *Future) {
-	//skueue:ignore futureerr // want `\[lint\] malformed suppression`
+// There is no generic suppression: //skueue:ignore is an unknown marker,
+// and the read below it is still reported.
+func leftoverSuppression(f *Future) {
+	//skueue:ignore futureerr // want `\[lint\] unknown marker //skueue:ignore`
 	_ = f.Value() // want `f\.Value read before synchronizing`
 }

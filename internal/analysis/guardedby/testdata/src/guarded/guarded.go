@@ -134,12 +134,6 @@ func (b *box) helperUnlocked() {
 	b.bumpLocked() // want `call to \(\*guarded\.box\)\.bumpLocked requires mu held at the call site`
 }
 
-// suppressed documents a justified unlocked read.
-func (b *box) suppressed() int {
-	//skueue:ignore guardedby -- fixture: racy stats read is acceptable here
-	return b.count
-}
-
 // ownerless is malformed: owned-by needs an owner and a reason.
 //
 //skueue:owned-by constructor

@@ -132,14 +132,6 @@ func unranked(p *plain, j *J) {
 	p.mu.Unlock()
 }
 
-func suppressedCase(j *J) {
-	j.mu.Lock()
-	//skueue:ignore lockorder -- fixture: startup path, nothing serving yet
-	j.wmu.Lock()
-	j.wmu.Unlock()
-	j.mu.Unlock()
-}
-
 func goroutineResets(j *J) {
 	j.mu.Lock()
 	go func() {

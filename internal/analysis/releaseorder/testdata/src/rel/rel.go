@@ -72,11 +72,6 @@ func fallthroughIsNoExcuse(s *server, done CliDone) {
 	s.sess.send(done) // want `released without a dominating journal stage`
 }
 
-func suppressedRelease(s *server, done CliDone) {
-	//skueue:ignore releaseorder -- fixture: test hook, not a client path
-	s.sess.send(done)
-}
-
 func otherFrames(s *server) {
 	s.sess.send(struct{ X int }{1}) // ok: not an outcome frame
 }

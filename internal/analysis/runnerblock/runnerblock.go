@@ -10,8 +10,7 @@
 // func literals handed to //skueue:runs-on-runner schedulers — and
 // reports fsyncs, sleeps, dials, channel sends outside select-default,
 // and calls to //skueue:blocking functions, with the call path that
-// reaches them. //skueue:nonblocking prunes traversal into a function;
-// an //skueue:ignore on a call site prunes that one edge.
+// reaches them. //skueue:nonblocking prunes traversal into a function.
 package runnerblock
 
 import (
@@ -122,9 +121,6 @@ func run(pass *analysis.Pass) {
 				if callee == nil || pass.Ann.Func(callee, "runs-on-runner") == nil {
 					return true
 				}
-				if g.edgeSuppressed(call.Pos()) {
-					return true
-				}
 				for _, arg := range call.Args {
 					if lit, ok := arg.(*ast.FuncLit); ok {
 						g.enqueue(&body{pkg: pkg, lit: lit, via: analysis.FuncID(callee)}, nil)
@@ -140,10 +136,6 @@ func run(pass *analysis.Pass) {
 		g.queue = g.queue[1:]
 		g.scan(v)
 	}
-}
-
-func (g *graph) edgeSuppressed(pos token.Pos) bool {
-	return g.pass.Ann.Suppressed(g.pass.Prog.Fset.Position(pos), "runnerblock")
 }
 
 func (g *graph) enqueue(b *body, parent *visit) {
@@ -209,9 +201,6 @@ func (g *graph) call(v *visit, call *ast.CallExpr) {
 	callee := analysis.Callee(info, call)
 	if callee == nil {
 		return // dynamic call through a function value; literals are edged at their definition
-	}
-	if g.edgeSuppressed(call.Pos()) {
-		return
 	}
 	if g.pass.Ann.Func(callee, "nonblocking") != nil {
 		return

@@ -27,7 +27,6 @@ func (p *peer) run() {
 	}
 	blocked()        // want `call to runner\.blocked, which blocks by design \(waits for the operation to finish\)`
 	trusted()        // ok: nonblocking prunes the walk
-	p.f.Sync()       //skueue:ignore runnerblock -- seeded suppression case: deliberate in this fixture
 	go p.offRunner() // ok: a spawned goroutine is not the runner
 	func() {
 		p.f.Sync() // want `fsync via \(\*os\.File\)\.Sync on runner hot path: \(\*runner\.peer\)\.run -> func literal`

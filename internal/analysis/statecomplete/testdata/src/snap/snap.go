@@ -28,8 +28,6 @@ type thing struct {
 	scratch map[int]int
 	//skueue:ephemeral
 	badEph int // want `//skueue:ephemeral on badEph needs a reason`
-	//skueue:ignore statecomplete -- fixture: justified known gap
-	hidden int
 }
 
 type thingImage struct {

@@ -56,11 +56,6 @@ func (s *server) OnTimeout(ctx *sim.Context) {
 	for _, req := range s.backlog[:n] {
 		if req.Enq {
 			s.fifo = append(s.fifo, req.Elem)
-			// The baseline runs only on the in-memory simulator backend
-			// (sim.Engine delivers payloads by reference, no codec), so
-			// its frames are exempt from wire registration.
-			//
-			//skueue:ignore wirereg -- simulator-only frame; the baseline never runs over the TCP transport
 			ctx.Send(req.Reply, reply{Born: req.Born})
 			continue
 		}

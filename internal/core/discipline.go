@@ -17,14 +17,13 @@ import (
 // machinery — firing, folding, serve routing, replay dedupe windows — and
 // calls out here for batch composition, local pre-combining, stage-4
 // completion gating, assignment shapes, per-op tickets, snapshot imaging
-// of strategy state and the put-acknowledgment policy. node.go itself
-// contains no mode comparisons (the lint suite asserts this).
+// of strategy state and the put-acknowledgment policy. No other core file
+// names a mode constant, and node.go does not read the configured mode
+// either (TestNodeIsModeFree asserts both).
 //
 // Strategy-private state (the stack's residual combiner word and
 // unacknowledged-PUT accounting) lives inside the strategy instance; shared
 // per-node buffers (Node.pending) stay on the node.
-//
-//skueue:discipline-seam batch.Mode
 type discipline interface {
 	// mode names the batch algebra this strategy drives.
 	mode() batch.Mode
@@ -162,8 +161,6 @@ func (fifoDisc) restoreImage(*Node, *NodeImage) {}
 
 // queueDisc is the FIFO queue strategy (§III): buffered operations drain
 // wholesale in generation order.
-//
-//skueue:discipline
 type queueDisc struct{ fifoDisc }
 
 func (queueDisc) takeOwn(n *Node) ownWave { return drainPending(n) }
@@ -178,7 +175,6 @@ func (queueDisc) check(h *seqcheck.History) error { return seqcheck.Check(seqche
 // statecomplete holds the strategy to the same field-coverage rule as
 // the node itself.
 //
-//skueue:discipline
 //skueue:snapshot-state NodeImage
 type stackDisc struct {
 	modeDisc
@@ -366,8 +362,6 @@ func (d *stackDisc) restoreImage(n *Node, img *NodeImage) {
 // within a wave the value() ranks follow run-index order, so a
 // decreasing pair would invert the issuer's program order (Definition 1
 // property 4). The remainder waits for the next wave.
-//
-//skueue:discipline
 type heapDisc struct {
 	fifoDisc
 	levels int

@@ -13,8 +13,9 @@ import (
 
 // TestWireRoundTrip pushes one of every registered protocol message
 // through the framed gob codec and checks it survives unchanged. This is
-// the guard for the RegisterWireTypes/messages.go sync invariant and for
-// gob-compatibility of the message structs (exported fields only).
+// the guard for the wireTypes/messages.go sync invariant and for
+// gob-compatibility of the message structs (exported fields only): every
+// type in wireTypes must have a row here.
 func TestWireRoundTrip(t *testing.T) {
 	RegisterWireTypes()
 
@@ -34,6 +35,7 @@ func TestWireRoundTrip(t *testing.T) {
 	msgs := []any{
 		aggregateMsg{From: ref, B: batch.Batch{Runs: []int64{2, 1}, J: 1, L: 2}, WaveSeq: 17},
 		serveMsg{Assigns: []batch.RunAssign{{Iv: batch.Interval{Lo: 1, Hi: 3}, ValueBase: 5, Ticket: 2}}, UpdateEpoch: 4, WaveSeq: 17},
+		declineMsg{From: ref, WaveSeq: 17},
 		routedMsg{RS: ldb.RouteState{Target: 123, BitsLeft: -1}, Inner: joinReq{NewNode: ref}},
 		directMsg{Key: 77, Inner: getReq{Pos: 1, Bound: 2, Requester: 3, ReqID: 4}},
 		putReq{Pos: 1, Ticket: 2, Elem: ent.Elem, Blob: []byte("payload"), Requester: 3, ReqID: 4, Born: 5, Client: 6, LocalSeq: 7, Value: 8},
@@ -51,6 +53,7 @@ func TestWireRoundTrip(t *testing.T) {
 		setPred{Pred: ref, Epoch: 2},
 		introAck{Epoch: 2},
 		sibHello{Kind: ldb.Right},
+		ringHello{From: ref, To: ref.Point, Pred: ref, Succ: ref, Partial: true, SuccPartial: true, Seq: 3, Seen: 2},
 		updateAck{Epoch: 2},
 		updateOver{Epoch: 2},
 		leavePermissionReq{From: ref},
@@ -61,7 +64,18 @@ func TestWireRoundTrip(t *testing.T) {
 		absorbAck{Epoch: 2},
 		dissolveQuery{From: 7, Epoch: 2},
 		dissolveReply{Epoch: 2, Yes: true},
+		phasePassed{Epoch: 2},
 		anchorWalk{Anchor: snap.Anchor},
+	}
+
+	rows := make(map[reflect.Type]bool, len(msgs))
+	for _, m := range msgs {
+		rows[reflect.TypeOf(m)] = true
+	}
+	for _, v := range wireTypes {
+		if !rows[reflect.TypeOf(v)] {
+			t.Errorf("%T is in wireTypes but has no round-trip row", v)
+		}
 	}
 
 	a, b := net.Pipe()
@@ -73,6 +87,7 @@ func TestWireRoundTrip(t *testing.T) {
 		for i, m := range msgs {
 			if err := ca.Write(wire.Envelope{From: 1, To: 2, Payload: m}); err != nil {
 				t.Errorf("write msg %d (%T): %v", i, m, err)
+				ca.Close() // fail the reader instead of leaving it blocked
 				return
 			}
 		}

@@ -75,7 +75,6 @@ type session struct {
 // freezing the member.
 //
 //skueue:client-release
-//skueue:wire-payload
 func (s *session) send(v any) {
 	select {
 	case s.out <- v:

@@ -377,8 +377,6 @@ func (p *Peer) Me() wire.MemberInfo {
 // Like every node-touching Peer method it must run on the runner
 // goroutine (handler callbacks, Do/DoSync closures) or before Start:
 // isLocal consults the runner-confined node table.
-//
-//skueue:wire-payload
 func (p *Peer) Send(from, to transport.NodeID, payload any) {
 	env := wire.Envelope{From: from, To: to, Payload: payload}
 	if p.isLocal(to) {

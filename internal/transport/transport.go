@@ -93,8 +93,6 @@ type Network interface {
 	// called from within a handler callback or from outside (injection);
 	// backends may restrict out-of-callback calls to a specific goroutine
 	// (the TCP backend requires its runner — see tcp.Peer.Do).
-	//
-	//skueue:wire-payload
 	Send(from, to NodeID, payload any)
 	// Spawn adds a node mid-run and returns its freshly allocated address
 	// (used for LEAVE replacements, §IV-B).
@@ -145,8 +143,6 @@ func (c *Context) Self() NodeID { return c.self }
 func (c *Context) Now() int64 { return c.net.Now() }
 
 // Send enqueues a message to another (or the same) node.
-//
-//skueue:wire-payload
 func (c *Context) Send(to NodeID, payload any) { c.net.Send(c.self, to, payload) }
 
 // Spawn creates a new node mid-run (used for LEAVE replacements).

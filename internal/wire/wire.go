@@ -70,8 +70,6 @@ const MaxFrame = 64 << 20
 // fields of envelopes and protocol messages (gob interface encoding).
 // It is the package's single registration point so that all encoders and
 // decoders agree; internal/core registers its message set through it.
-//
-//skueue:wire-register
 func Register(v any) { gob.Register(v) }
 
 func init() {
@@ -387,7 +385,6 @@ func NewConn(c net.Conn) *Conn {
 
 // Write encodes v into the next frame and sends it with one write call.
 //
-//skueue:wire-payload
 //skueue:blocking -- synchronous network write; sessions and links call it from writer goroutines, never the runner
 func (w *Conn) Write(v any) error {
 	w.wmu.Lock()
@@ -408,7 +405,6 @@ func (w *Conn) Write(v any) error {
 // stream is desynced), so a link replays them from its unacknowledged
 // buffer. Any other error is the connection's.
 //
-//skueue:wire-payload
 //skueue:blocking -- synchronous network write; links call it from their writer goroutine, never the runner
 func (w *Conn) WriteBatch(vs []any) (int, error) {
 	w.wmu.Lock()
@@ -433,7 +429,6 @@ func (w *Conn) WriteBatch(vs []any) (int, error) {
 // its size is known, so header and body leave in the same write (and the
 // same TCP segment — Go sets TCP_NODELAY).
 //
-//skueue:wire-payload
 //skueue:locked wmu
 func (w *Conn) appendFrameLocked(v any) error {
 	start := w.wbuf.Len()
@@ -513,8 +508,6 @@ func (f *frameReader) Read(p []byte) (int, error) {
 
 // RegisterValue registers a concrete user value type for transmission by
 // remote clients; see EncodeValue.
-//
-//skueue:wire-register
 func RegisterValue(v any) { gob.Register(v) }
 
 // EncodeValue serializes a user value for transport. Each value is a

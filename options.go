@@ -40,7 +40,6 @@ type options struct {
 	manual          bool
 	maxDelay        int
 	timeoutEvery    int
-	shuffleTimeouts bool
 	updateThreshold int
 	noStage4Wait    bool
 	noCombining     bool
@@ -105,10 +104,6 @@ func WithAsyncDelays(maxDelay, timeoutEvery int) Option {
 		o.timeoutEvery = timeoutEvery
 	}
 }
-
-// WithShuffledTimeouts randomizes the per-round TIMEOUT order in the
-// synchronous model, widening schedule coverage for torture tests.
-func WithShuffledTimeouts() Option { return func(o *options) { o.shuffleTimeouts = true } }
 
 // WithUpdateThreshold sets how many pending join/leave requests the anchor
 // accumulates before starting an update phase (default 1).
@@ -227,6 +222,4 @@ func WithReconnect(maxRetries int, backoff time.Duration) Option {
 // RegisterValue registers a concrete user value type for transmission to
 // a remote cluster (the wire codec is encoding/gob; common scalar and
 // composite types are pre-registered).
-//
-//skueue:wire-register
 func RegisterValue(v any) { wire.RegisterValue(v) }
