@@ -72,6 +72,8 @@ func main() {
 	met := c.Metrics()
 	fmt.Printf("mode=%s n=%d rounds=%d requests=%d\n", m, *n, *rounds, st.Total)
 	fmt.Printf("avg rounds/request: %.2f (max %d)\n", st.AvgRounds, st.MaxRounds)
+	wait, tree, route, depth := c.Cluster().Split().Means()
+	fmt.Printf("split: wait %.2f + tree %.2f + route %.2f rounds, mean depth %.2f between processes\n", wait, tree, route, depth)
 	fmt.Printf("enqueues=%d dequeues=%d bottoms=%d combined=%d\n", st.Enqueues, st.Dequeues, st.Bottoms, st.Combined)
 	fmt.Printf("waves=%d emptyWaves=%d declines=%d maxBatchRuns=%d avgRouteHops=%.1f maxRouteHops=%d parkedGets=%d maxQueueSize=%d maxWavesInFlight=%d pipelinedFires=%d\n",
 		met.WavesAssigned, met.EmptyWaves, met.Declines, met.MaxBatchRuns, met.AvgRouteHops, met.MaxRouteHops, met.ParkedGets, met.MaxQueueSize,

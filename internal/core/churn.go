@@ -177,39 +177,57 @@ type setPred struct {
 // introAck confirms a setNeighbors / setPred was applied.
 type introAck struct{ Epoch int64 }
 
-// sibHello tells the process siblings that this virtual node is now an
-// integrated ring member (see Node.sibIn).
-type sibHello struct{ Kind ldb.Kind }
+// sibHello tells the process siblings that the sender, an integrated ring
+// member (see Node.sibIn), has the ring edges Edges, under its pair number
+// Seq (see Node.ringChanged). Siblings share one site or member, so it costs
+// no round (a leave replacement is a site of its own).
+type sibHello struct {
+	From  ldb.Ref
+	Edges ldb.Edges
+	Seq   int64
+}
 
 // ringHello tells a ring neighbour, at point To, the sender's own pred and
-// succ and whether it and they are partial (ldb.Neighborhood), under the
-// sender's pair number Seq, and Seen, the newest of the receiver's pair
-// numbers the sender holds (see Node.ringChanged).
+// succ, whether it is partial and the node it reports to when it holds its
+// process's up edge (ldb.Neighborhood), under the sender's pair number Seq,
+// and Seen, the newest of the receiver's pair numbers the sender holds (see
+// Node.ringChanged).
 type ringHello struct {
-	From                     ldb.Ref
-	To                       ldb.Point
-	Pred, Succ               ldb.Ref
-	Partial                  bool
-	PredPartial, SuccPartial bool
-	Seq, Seen                int64
+	From       ldb.Ref
+	To         ldb.Point
+	Pred, Succ ldb.Ref
+	Partial    bool
+	Up         ldb.Ref
+	Seq, Seen  int64
 }
 
 // ringView is what a node knows of one ring neighbour: Far is that
-// neighbour's other neighbour (pred's pred, succ's succ), invalid while
-// unknown; Partial and FarPartial say whether the neighbour and Far are
-// partial; Seq is the neighbour's pair number these came with, −1 while
-// none has; Seen is the newest of this node's own pair numbers the
-// neighbour has confirmed. Fields are exported because views ride in leave
-// handoffs and sit in NodeImage.
+// neighbour's other neighbour (pred's pred, succ's succ) and Up the node it
+// reports to over a ring edge, each invalid while unknown or none; Partial
+// says whether the neighbour is partial; Seq is the neighbour's pair number
+// these came with, −1 while none has; Seen is the newest of this node's own
+// pair numbers the neighbour has confirmed. Fields are exported because
+// views ride in leave handoffs and sit in NodeImage.
 type ringView struct {
-	Far                 ldb.Ref
-	Partial, FarPartial bool
-	Seq                 int64
-	Seen                int64
+	Far, Up ldb.Ref
+	Partial bool
+	Seq     int64
+	Seen    int64
+}
+
+// sibView is what a node knows of a process sibling's ring edges: the
+// sibling's latest sibHello, under its pair number Seq, −1 while none has
+// come. Fields are exported for the same reason as ringView's.
+type sibView struct {
+	Edges ldb.Edges
+	Seq   int64
 }
 
 // unknownView is the view of a new neighbour that has said nothing yet.
-var unknownView = ringView{Far: ldb.Ref{ID: transport.None}, Seq: -1}
+var unknownView = ringView{Far: ldb.Ref{ID: transport.None}, Up: ldb.Ref{ID: transport.None}, Seq: -1}
+
+// unknownSib is the view of a sibling that has said nothing yet.
+var unknownSib = sibView{Edges: ldb.Edges{Pred: ldb.Ref{ID: transport.None}, Succ: ldb.Ref{ID: transport.None}}, Seq: -1}
 
 // updateAck aggregates "my old subtree finished integrating" (§IV-A).
 type updateAck struct{ Epoch int64 }
@@ -307,9 +325,12 @@ type nodeSnapshot struct {
 	GrantedOpen   int
 	SibIn         [3]bool
 	// The replacement stands at the same point and continues the leaving
-	// node's pair numbers, so every view its neighbours hold stays valid.
+	// node's pair numbers, what it told under them and what it was told, so
+	// every view its neighbours and siblings hold stays valid.
 	RingSeq            int64
 	PredView, SuccView ringView
+	SibViews           [2]sibView
+	ToldUp             ldb.Ref
 }
 
 // frozen reports whether stage 1 must hold: an unadopted joiner cannot
@@ -731,14 +752,9 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		c.joining = false
 		c.relayVia = ldb.Ref{ID: transport.None}
 		c.rangeValid = false
-		n.ringChanged(ctx, oldPred, oldSucc)
+		n.ringChanged(ctx, oldPred, oldSucc) // tells the siblings too (sibHello)
 		n.cl.noteIntegrated(n)
 		ctx.Send(from, introAck{Epoch: m.Epoch})
-		for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
-			if sib.Valid() && sib.ID != n.self.ID {
-				ctx.Send(sib.ID, sibHello{Kind: n.self.Kind})
-			}
-		}
 		// Now that the ring neighbours are known, release any routed
 		// messages that arrived too early.
 		hold := c.routedHold
@@ -817,12 +833,7 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			n.depart(ctx, n.pred.ID)
 		}
 	case sibHello:
-		wasPartial := n.partial()
-		n.sibIn[m.Kind] = true
-		n.invalidateTopology()
-		if wasPartial && !n.partial() && !c.joining {
-			n.ringChanged(ctx, n.pred, n.succ)
-		}
+		n.noteSibHello(ctx, m)
 	case ringHello:
 		n.noteRingHello(ctx, m)
 	case phasePassed:
@@ -986,6 +997,7 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 		GrantsPending: c.grantsPending, GrantedOpen: c.grantedOpen,
 		SibIn:   n.sibIn,
 		RingSeq: n.ringSeq, PredView: n.predView, SuccView: n.succView,
+		SibViews: n.sibViews, ToldUp: n.toldUp,
 	}
 	snap.Entries, snap.Parked = n.store.ExtractAll()
 	n.waiting = nil
@@ -1012,6 +1024,7 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 		self: ldb.Ref{ID: transport.None, Point: snap.Self.Point, Kind: snap.Self.Kind},
 		pred: snap.Pred, succ: snap.Succ,
 		ringSeq: snap.RingSeq, predView: snap.PredView, succView: snap.SuccView,
+		sibViews: snap.SibViews, toldUp: snap.ToldUp,
 		sibL: snap.SibL, sibM: snap.SibM, sibR: snap.SibR,
 		anchorRole:  snap.AnchorRole,
 		clientID:    -1, // replacements never issue requests
@@ -1082,6 +1095,13 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 	rw(&n.succ)
 	rw(&n.predView.Far)
 	rw(&n.succView.Far)
+	rw(&n.predView.Up)
+	rw(&n.succView.Up)
+	rw(&n.toldUp)
+	for k := range n.sibViews {
+		rw(&n.sibViews[k].Edges.Pred)
+		rw(&n.sibViews[k].Edges.Succ)
+	}
 	rw(&n.sibL)
 	rw(&n.sibM)
 	rw(&n.sibR)
@@ -1095,16 +1115,17 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 }
 
 // ringChanged follows every change of what a node tells its ring
-// neighbours: its pred or succ (integration, a splice, an absorb), whether
-// it is partial (its sibling parent entered the ring), or whether a
-// neighbour is, which the other neighbour reads two hops away. A view of a
+// neighbours or its siblings: its pred or succ (integration, a splice, an
+// absorb), whether it is partial (its sibling parent entered the ring),
+// whether a neighbour is, or the node it reports to (toldUp). A view of a
 // neighbour that is another node now is dropped, and the news goes to both
-// neighbours under the next pair number. Until the node at the other end of
-// a ring edge has confirmed it (ringView.Seen), a left node that reports
-// over that edge holds its batches (parentJoining), while that node does not
-// count it as a child before it knows the left node's other neighbour
-// (ldb.Neighborhood.Children). So a parent and its child agree on their edge
-// before either relies on it.
+// neighbours and to the siblings under the next pair number. Until the node
+// at the other end of its process's up edge has confirmed it
+// (ringView.Seen), the node holding that edge holds its batches
+// (parentJoining), while that node does not count it as a child before it
+// has heard it (ldb.Neighborhood.Children). So a parent and its child agree
+// on their edge before either relies on it. The siblings work out the same
+// up edge from what each tells the others.
 func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	if n.pred.ID != oldPred.ID {
 		n.predView = unknownView
@@ -1114,9 +1135,41 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	}
 	n.ringSeq++
 	n.invalidateTopology()
+	n.toldUp = n.up()
+	n.orderSite()
 	n.sendRingHello(ctx, n.pred, n.predView.Seq)
 	if n.succ.ID != n.pred.ID {
 		n.sendRingHello(ctx, n.succ, n.succView.Seq)
+	}
+	edges := ldb.Edges{Pred: n.pred, Succ: n.succ, PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial}
+	for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
+		if sib.Valid() && sib.ID != n.self.ID {
+			ctx.Send(sib.ID, sibHello{From: n.self, Edges: edges, Seq: n.ringSeq})
+		}
+	}
+}
+
+// up returns the node this node reports to when it holds its process's up
+// edge (ldb.Neighborhood.UpEdge), else an invalid reference.
+func (n *Node) up() ldb.Ref {
+	if holder, to, ok := n.nb().UpEdge(); ok && holder == n.self.Kind {
+		return to
+	}
+	return ldb.Ref{ID: transport.None}
+}
+
+// orderSite keeps a simulator site's TIMEOUT order children first: the
+// triad's root — its middle node when that holds the up edge, else its left
+// node — runs its TIMEOUT last, so an aggregate climbs the triad within one
+// round (sim.Engine.TimeoutLast). The middle node knows which it is.
+func (n *Node) orderSite() {
+	if n.self.Kind != ldb.Middle || n.cl.reg != nil {
+		return
+	}
+	if n.toldUp.Valid() {
+		n.cl.eng.TimeoutLast(n.self.ID)
+	} else if n.sibL.Valid() {
+		n.cl.eng.TimeoutLast(n.sibL.ID)
 	}
 }
 
@@ -1124,30 +1177,56 @@ func (n *Node) sendRingHello(ctx *transport.Context, to ldb.Ref, seen int64) {
 	if to.Valid() && to.ID != n.self.ID {
 		ctx.Send(to.ID, ringHello{
 			From: n.self, To: to.Point, Pred: n.pred, Succ: n.succ,
-			Partial: n.partial(), PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial,
+			Partial: n.partial(), Up: n.toldUp,
 			Seq: n.ringSeq, Seen: seen,
 		})
+	}
+}
+
+// noteSibHello takes a sibling's news: it is a ring member, with these ring
+// edges, newer numbers only. A hello from a node at another point than the
+// sibling of its kind is dropped: a sibling that dissolved forwards to the
+// node that absorbed it, not to its siblings. When the node stopped being
+// partial, or the process's up edge moved to or from it, the ring
+// neighbours hear of it.
+func (n *Node) noteSibHello(ctx *transport.Context, m sibHello) {
+	k := m.From.Kind
+	if sib := [...]ldb.Ref{n.sibL, n.sibM, n.sibR}[k]; k == n.self.Kind || sib.Point != m.From.Point {
+		return
+	}
+	wasPartial := n.partial()
+	n.sibIn[k] = true
+	if k != ldb.Right && m.Seq > n.sibViews[k].Seq {
+		n.sibViews[k] = sibView{Edges: m.Edges, Seq: m.Seq}
+	}
+	n.invalidateTopology()
+	if n.churn.joining {
+		return
+	}
+	if up := n.up(); wasPartial && !n.partial() || up.Valid() != n.toldUp.Valid() || up.Point != n.toldUp.Point {
+		n.ringChanged(ctx, n.pred, n.succ)
 	}
 }
 
 // noteRingHello takes a ring neighbour's news, newer numbers only (hellos
 // may overtake each other), and answers with the node's own when the hello
 // brought news or its sender has not seen the node's current pair. When the
-// neighbour turned whole, the other neighbour hears of it too. A hello from
-// a node that is no neighbour is dropped: when it becomes one, a change on
-// one side or the other sends a fresh hello. So is one addressed to another
-// point — a departed node forwards to the node that absorbed it, whose
-// numbers Seen does not count — while a replacement, at the point of the
-// node it replaces and continuing its numbers, takes what is forwarded.
+// neighbour turned whole, the siblings hear of it too, and the process's up
+// edge may move. A hello from a node that is no neighbour is dropped: when
+// it becomes one, a change on one side or the other sends a fresh hello. So
+// is one addressed to another point — a departed node forwards to the node
+// that absorbed it, whose numbers Seen does not count — while a replacement,
+// at the point of the node it replaces and continuing its numbers, takes
+// what is forwarded.
 func (n *Node) noteRingHello(ctx *transport.Context, m ringHello) {
 	if m.To != n.self.Point {
 		return
 	}
 	news, turned := false, false
-	take := func(v *ringView, far ldb.Ref, farPartial bool) {
+	take := func(v *ringView, far ldb.Ref) {
 		if m.Seq > v.Seq {
 			turned = turned || v.Partial != m.Partial
-			*v = ringView{Far: far, Partial: m.Partial, FarPartial: farPartial, Seq: m.Seq, Seen: v.Seen}
+			*v = ringView{Far: far, Up: m.Up, Partial: m.Partial, Seq: m.Seq, Seen: v.Seen}
 			news = true
 		}
 		v.Seen = max(v.Seen, m.Seen)
@@ -1155,11 +1234,11 @@ func (n *Node) noteRingHello(ctx *transport.Context, m ringHello) {
 	var view *ringView
 	if m.From.ID == n.succ.ID {
 		view = &n.succView
-		take(view, m.Succ, m.SuccPartial)
+		take(view, m.Succ)
 	}
 	if m.From.ID == n.pred.ID {
 		view = &n.predView
-		take(view, m.Pred, m.PredPartial)
+		take(view, m.Pred)
 	}
 	switch {
 	case view == nil:
@@ -1285,8 +1364,9 @@ func (c *churnState) flushBuffer(ctx *transport.Context, n *Node) {
 // handleDeparted processes messages at a departed node: the redirect that
 // names our replacement is consumed; an update phase handed to the node
 // after it left is acknowledged at once, and the replacement sits it out
-// (phasePassed); a splice is acknowledged at once and forwarded; everything
-// else is forwarded.
+// (phasePassed); a dissolve query for the phase a replacement dissolved in
+// is answered yes; a splice is acknowledged at once and forwarded;
+// everything else is forwarded.
 func (n *Node) handleDeparted(ctx *transport.Context, from transport.NodeID, payload any) {
 	switch m := payload.(type) {
 	case redirectMsg:
@@ -1299,6 +1379,16 @@ func (n *Node) handleDeparted(ctx *transport.Context, from transport.NodeID, pay
 		if m.WaveSeq == 0 && m.UpdateEpoch != 0 {
 			ctx.Send(from, updateAck{Epoch: m.UpdateEpoch})
 			n.churn.forwardOrBuffer(ctx, n, phasePassed{Epoch: m.UpdateEpoch})
+			return
+		}
+	case dissolveQuery:
+		if c := &n.churn; c.absorbSent && m.Epoch == c.epoch {
+			// A replacement that dissolved in that phase votes yes. Forwarded,
+			// the query would reach the node that absorbed it, which votes no.
+			// Two siblings below a middle node that holds the up edge enter
+			// the phase in either order, and the one that entered first may
+			// dissolve on the other's vote before that one's query arrives.
+			ctx.Send(m.From, dissolveReply{Epoch: m.Epoch, Yes: true})
 			return
 		}
 	case setPred:

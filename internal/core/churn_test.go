@@ -617,7 +617,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	if d := cl.Diagnose(); len(d) != 1 || !strings.Contains(d[0], "holds its batch") {
 		t.Fatalf("Diagnose does not explain the hold: %q", d)
 	}
-	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, sibHello{Kind: ldb.Left})
+	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, sibHello{From: left.self, Edges: ldb.Edges{Pred: left.pred, Succ: left.succ}, Seq: left.ringSeq})
 	net.settle(nil)
 	if cl.Finished() != 1 {
 		t.Fatalf("%d operations finished after the sibling's sibHello, want 1 with no further tick", cl.Finished())

@@ -144,7 +144,11 @@ type Cluster struct {
 	nodes   map[transport.NodeID]*Node
 	hist    *seqcheck.History
 	//skueue:ephemeral -- observability counters; a restart resets metrics, not queue state
-	metrics  Metrics
+	metrics Metrics
+	//skueue:ephemeral -- simulator-only probe (Split); a member counts nothing
+	split Split
+	//skueue:ephemeral -- simulator-only probe state, one entry per operation under way
+	stamps   map[uint64]opStamp
 	issued   int64
 	finished int64
 	// reqBase tags this member's request IDs so they stay globally unique
@@ -215,22 +219,53 @@ func bootstrapRing(labels xrand.Hasher, procs int) *ldb.Ring {
 }
 
 // wireBootstrapRing integrates the hosted bootstrap nodes: ring neighbours
-// from the bootstrap ring of cfg.Processes processes, and the anchor role
-// at its leftmost node if that one is hosted here.
+// from the bootstrap ring of cfg.Processes processes, every view exact — the
+// neighbours two hops away, what the neighbours report to, the siblings'
+// ring edges — and the anchor role at its leftmost node if that one is
+// hosted here. Every process starts whole, so no message is needed.
 func (cl *Cluster) wireBootstrapRing() {
 	if cl.cfg.Processes < 1 {
 		return // a late joiner: its process enters through JoinRemote
 	}
 	ring := bootstrapRing(cl.labels, cl.cfg.Processes)
-	for i := 0; i < ring.Len(); i++ {
-		n, ok := cl.nodes[ring.At(i).ID]
+	size := ring.Len()
+	at := func(i int) ldb.Ref { return ring.At((i%size + size) % size) }
+	// pos[id] is node id's place on the ring: bootstrap IDs are dense
+	// (NodeIDForProcess).
+	pos := make([]int, size)
+	for i := 0; i < size; i++ {
+		pos[ring.At(i).ID] = i
+	}
+	edges := func(i int) ldb.Edges { return ldb.Edges{Pred: at(i - 1), Succ: at(i + 1)} }
+	// nbAt is what node i's views hold, ups[i] what it tells it reports to.
+	nbAt := func(i int) ldb.Neighborhood {
+		self := at(i)
+		l, m, r := pos[self.ID/3*3], pos[self.ID/3*3+1], pos[self.ID/3*3+2]
+		return ldb.Neighborhood{
+			Self: self, Pred: at(i - 1), Succ: at(i + 1),
+			Whole:    true,
+			SibEdges: [2]ldb.Edges{edges(l), edges(m)},
+			SibL:     at(l), SibM: at(m), SibR: at(r),
+		}
+	}
+	ups := make([]ldb.Ref, size)
+	for i := range ups {
+		ups[i] = ldb.Ref{ID: transport.None}
+		if holder, to, ok := nbAt(i).UpEdge(); ok && holder == at(i).Kind {
+			ups[i] = to
+		}
+	}
+	for i := range ups {
+		n, ok := cl.nodes[at(i).ID]
 		if !ok {
 			continue // hosted by another member
 		}
-		n.pred = ring.Pred(i)
-		n.succ = ring.Succ(i)
-		n.predView = ringView{Far: ring.Pred((i - 1 + ring.Len()) % ring.Len())}
-		n.succView = ringView{Far: ring.Succ((i + 1) % ring.Len())}
+		n.pred, n.succ = at(i-1), at(i+1)
+		n.predView = ringView{Far: at(i - 2), Up: ups[(i-1+size)%size]}
+		n.succView = ringView{Far: at(i + 2), Up: ups[(i+1)%size]}
+		n.sibViews = [2]sibView{{Edges: edges(pos[n.sibL.ID])}, {Edges: edges(pos[n.sibM.ID])}}
+		n.toldUp = ups[i]
+		n.orderSite()
 		n.churn.joining = false
 		n.sibIn = [3]bool{true, true, true}
 	}
@@ -276,6 +311,8 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 			succ:     ldb.Ref{ID: transport.None},
 			predView: unknownView,
 			succView: unknownView,
+			sibViews: [2]sibView{unknownSib, unknownSib},
+			toldUp:   ldb.Ref{ID: transport.None},
 		}
 		n.churn.joining = true
 		n.churn.relayVia = ldb.Ref{ID: transport.None}
@@ -301,7 +338,9 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 	if cl.reg == nil {
 		// A virtual edge is not a message between processes: the triad is
 		// one site of the engine. TIMEOUT runs children first, so an
-		// aggregate climbs Right → Middle → Left within one round.
+		// aggregate climbs Right → Middle → Left within one round; a middle
+		// node that holds the process's up edge moves itself last
+		// (Node.orderSite).
 		cl.eng.Colocate(proc.Nodes[ldb.Right], proc.Nodes[ldb.Middle], proc.Nodes[ldb.Left])
 	}
 	cl.procs = append(cl.procs, proc)
@@ -397,6 +436,7 @@ func (cl *Cluster) logf(format string, args ...any) {
 func (cl *Cluster) recordCompletion(c seqcheck.Completion) {
 	cl.hist.Record(c)
 	cl.finished++
+	cl.noteDone(c.ReqID, c.Born, c.Done)
 	if cl.onComplete != nil {
 		cl.onComplete(c)
 	}
@@ -615,7 +655,7 @@ func (cl *Cluster) TreeHeight() int {
 		depth := 0
 		cur := n
 		for {
-			p, ok := cur.nb().Parent()
+			p, ok := cur.parent()
 			if !ok {
 				break
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"skueue/internal/batch"
+	"skueue/internal/ldb"
 	"skueue/internal/seqcheck"
 	"skueue/internal/xrand"
 )
@@ -52,8 +53,14 @@ func treeAgreement(cl *Cluster) error {
 		if pp, ss := ring.Pred((i-1+size)%size), ring.Succ((i+1)%size); n.predView.Far.Point != pp.Point || n.succView.Far.Point != ss.Point {
 			return fmt.Errorf("%v sees %v and %v two hops away, the ring has %v and %v", n.self, n.predView.Far, n.succView.Far, pp, ss)
 		}
-		if v := [...]bool{n.partial(), n.predView.Partial, n.predView.FarPartial, n.succView.Partial, n.succView.FarPartial}; slices.Contains(v[:], true) {
+		if v := [...]bool{n.partial(), n.predView.Partial, n.succView.Partial}; slices.Contains(v[:], true) {
 			return fmt.Errorf("%v sees a partial node once churn settled: %v", n.self, v)
+		}
+		for k, sib := range [...]ldb.Ref{n.sibL, n.sibM} {
+			j := ring.IndexOf(sib.Point)
+			if e := n.sibViews[k].Edges; ldb.Kind(k) != n.self.Kind && (j < 0 || e.Pred.Point != ring.Pred(j).Point || e.Succ.Point != ring.Succ(j).Point || e.PredPartial || e.SuccPartial) {
+				return fmt.Errorf("%v sees its sibling %v between %v and %v, the ring has it at %d", n.self, sib, e.Pred, e.Succ, j)
+			}
 		}
 		for _, c := range n.children() {
 			cn, ok := cl.nodes[c.ID]
@@ -64,7 +71,11 @@ func treeAgreement(cl *Cluster) error {
 				return fmt.Errorf("%v counts %v as a child, whose parent is %v", n.self, c, p)
 			}
 		}
-		if p, ok := n.nb().Parent(); ok {
+		p, ok := n.nb().Parent()
+		if q, qok := n.parent(); q.ID != p.ID || qok != ok {
+			return fmt.Errorf("%v reports to %v, its neighbourhood says %v: what it told its neighbours is stale", n.self, q, p)
+		}
+		if ok {
 			if pn, live := cl.nodes[p.ID]; !live || !pn.isCurrentChild(n.self.ID) {
 				return fmt.Errorf("%v reports to %v, which does not count it as a child", n.self, p)
 			}

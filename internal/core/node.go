@@ -118,13 +118,19 @@ type Node struct {
 	// Topology (maintained under churn).
 	pred, succ       ldb.Ref
 	sibL, sibM, sibR ldb.Ref
-	// ringSeq numbers what this node tells its ring neighbours (its pair,
-	// and which of it and them are partial); predView and succView are what
-	// pred and succ last told it (ringHello). The tree rule reads the
-	// neighbours two hops away, and a left node reports over a ring edge
-	// only once the node at its other end has confirmed the latest number.
+	// ringSeq numbers what this node tells its ring neighbours and its
+	// siblings (its pair, whether it and they are partial, and toldUp, the
+	// node it reports to over a ring edge); predView and succView are what
+	// pred and succ last told it (ringHello), sibViews what the left and
+	// middle siblings told of their ring edges (sibHello, indexed by
+	// ldb.Kind; a right node's are never read). The process's up
+	// edge is read from the left and middle nodes' edges, and the node
+	// holding it reports over it only once the node at its other end has
+	// confirmed the latest number.
 	ringSeq            int64
 	predView, succView ringView
+	sibViews           [2]sibView
+	toldUp             ldb.Ref
 	// sibIn tracks which of the process's virtual nodes are integrated
 	// ring members (indexed by ldb.Kind). A sibling-derived tree child is
 	// only expected once that sibling announced its integration; joiners
@@ -247,11 +253,30 @@ func (n *Node) nb() ldb.Neighborhood {
 	return ldb.Neighborhood{
 		Self: n.self, Pred: n.pred, Succ: n.succ,
 		PredPred: n.predView.Far, SuccSucc: n.succView.Far,
-		SelfPartial: n.partial(),
+		PredUp: n.predView.Up, SuccUp: n.succView.Up,
 		PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial,
-		PredPredPartial: n.predView.FarPartial, SuccSuccPartial: n.succView.FarPartial,
-		SibL: n.sibL, SibM: n.sibM, SibR: n.sibR,
+		Whole:    n.sibIn == [3]bool{true, true, true},
+		SibEdges: [2]ldb.Edges{n.sibViews[ldb.Left].Edges, n.sibViews[ldb.Middle].Edges},
+		SibL:     n.sibL, SibM: n.sibM, SibR: n.sibR,
 	}
+}
+
+// parent is ldb.Neighborhood.Parent read off what the node told its ring
+// neighbours, without assembling the neighbourhood: the node holding its
+// process's up edge reports where its hellos say (toldUp, kept current by
+// ringChanged and noteSibHello), a right node to its middle sibling, a
+// middle node to its left one, and a left node to its middle sibling unless
+// it is the anchor, whose predecessor wraps.
+func (n *Node) parent() (ldb.Ref, bool) {
+	switch {
+	case n.toldUp.Valid():
+		return n.toldUp, true
+	case n.self.Kind == ldb.Middle:
+		return n.sibL, true
+	case n.self.Kind == ldb.Right || n.pred.Point.Less(n.self.Point) && n.pred.ID != n.self.ID:
+		return n.sibM, true
+	}
+	return ldb.Ref{ID: transport.None}, false
 }
 
 // partial reports whether the node has no way to the anchor through its
@@ -407,7 +432,7 @@ func (n *Node) pipelines() bool {
 	if len(n.inFlight) == 0 {
 		return true
 	}
-	parent, ok := n.nb().Parent()
+	parent, ok := n.parent()
 	return ok && parent.ID == n.inFlight[0].To
 }
 
@@ -417,13 +442,18 @@ func (n *Node) pipelines() bool {
 // waiting for its other children, which Algorithm 1 keeps doing for waves
 // with nothing in them. With a wave in flight it is: its sender waits for
 // the serve, and the sender's next wave, which may carry operations, is
-// foldable only once this one is.
+// foldable only once this one is. So is a child's wave fired past another
+// in flight (Prev): the child pipelines, firing every round, and a parent
+// that waited for a slower child meanwhile would fold the child's waves one
+// per fire, a round behind for as long as the child keeps firing — each of
+// its operations a round or two slower (EXPERIMENTS.md, "Read the whole
+// neighbourhood").
 func (n *Node) carriesOps() bool {
 	if len(n.inFlight) > 0 {
 		return n.holdsWork(false)
 	}
 	return n.disc.buffered(n) || slices.ContainsFunc(n.waiting, func(w subBatch) bool {
-		return w.B.NumOps() > 0 && n.foldable(w)
+		return (w.B.NumOps() > 0 || w.Prev != 0) && n.foldable(w)
 	})
 }
 
@@ -435,36 +465,29 @@ func (n *Node) carriesOps() bool {
 // sibHello. The sibling would bounce every batch (it has no children while
 // it joins), and a node that re-fires on readiness would bounce it back at
 // message speed, between two nodes of one process — one member's runner,
-// which then does nothing else. A left node reports over a ring edge, and
-// after what it tells its ring neighbours changed (ringChanged) it holds the
-// same way until the node at the other end has confirmed it (ringView.Seen):
-// before that, the parent cannot tell that the left node reports to it and
-// counts it as no child (ldb.Neighborhood.Children).
+// which then does nothing else. The node holding its process's up edge
+// reports over a ring edge, and after what it tells its ring neighbours
+// changed (ringChanged) it holds the same way until the node at the other
+// end has confirmed it (ringView.Seen): before that, the parent cannot tell
+// that the node reports to it and counts it as no child
+// (ldb.Neighborhood.Children). A left node below a middle node that holds
+// the up edge belongs to a whole process, whose middle node is a member.
 func (n *Node) parentJoining() bool {
 	if n.anchorRole || n.churn.joining {
 		return false // assigns itself, or reports to its relay
 	}
-	// ldb.Neighborhood.Parent, without assembling the neighbourhood on every
-	// tick: a middle node reports to its left sibling, a right node to its
-	// middle, a left node to a ring neighbour.
-	switch n.self.Kind {
-	case ldb.Middle:
+	switch {
+	case n.toldUp.Valid():
+		if n.toldUp.Point == n.succ.Point {
+			return n.succView.Seen < n.ringSeq
+		}
+		return n.predView.Seen < n.ringSeq
+	case n.self.Kind == ldb.Middle:
 		return !n.sibIn[ldb.Left]
-	case ldb.Right:
+	case n.self.Kind == ldb.Right:
 		return !n.sibIn[ldb.Middle]
 	}
-	if n.predView.Seen >= n.ringSeq && n.succView.Seen >= n.ringSeq {
-		return false
-	}
-	parent, ok := n.nb().Parent()
-	switch {
-	case !ok:
-		return false
-	case parent.ID == n.succ.ID:
-		return n.succView.Seen < n.ringSeq
-	default:
-		return n.predView.Seen < n.ringSeq
-	}
+	return false
 }
 
 // holdsWork reports whether a wave fired now would carry anything: own
@@ -511,7 +534,7 @@ func (n *Node) decline(ctx *transport.Context) {
 		}
 	}
 	n.standing = idle
-	if parent, ok := n.nb().Parent(); ok {
+	if parent, ok := n.parent(); ok {
 		n.cl.metrics.Declines++
 		ctx.Send(parent.ID, declineMsg{From: n.self, WaveSeq: n.waveSeq})
 	}
@@ -710,11 +733,12 @@ func (n *Node) fire(ctx *transport.Context) {
 	n.cl.metrics.noteBatch(combined)
 
 	w := wave{Seq: n.waveSeq + 1, Prev: prev, Subs: subs, Own: own.ops}
-	switch parent, ok := n.nb().Parent(); {
+	switch parent, ok := n.parent(); {
 	case n.anchorRole:
 		n.waveSeq++
 		n.inFlight = append(n.inFlight, w)
 		n.noteFire()
+		n.cl.stampFire(w.Own, ctx.Now())
 		n.assignAndServe(ctx, combined)
 		return
 	case n.churn.joining:
@@ -733,6 +757,7 @@ func (n *Node) fire(ctx *transport.Context) {
 	n.waveSeq++
 	n.inFlight = append(n.inFlight, w)
 	n.noteFire()
+	n.cl.stampFire(w.Own, ctx.Now())
 	ctx.Send(w.To, aggregateMsg{From: n.self, B: combined, WaveSeq: n.waveSeq, Prev: w.Prev})
 	n.takeHeldServe(ctx)
 }
@@ -876,6 +901,7 @@ func (n *Node) serve(ctx *transport.Context, i int, assigns []batch.RunAssign, e
 // applyOwn is Stage 4 for the node's own operations: turn every assigned
 // position into a PUT or GET, and complete ⊥ dequeues immediately.
 func (n *Node) applyOwn(ctx *transport.Context, own ownWave, d []batch.RunAssign) {
+	n.cl.stampServe(n, own.ops, ctx.Now())
 	cur := 0
 	for ri, k := range own.B.Runs {
 		ops := n.disc.expand(ri, d[ri], k)

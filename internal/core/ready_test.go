@@ -331,7 +331,10 @@ func TestRestoreAcrossStanding(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := tc.cfg
-				cfg.Processes, cfg.Seed = 3, 7
+				// Seed 15: on three processes a process mostly reports straight
+				// to the anchor's, and it is the first seed from 1 up whose
+				// tree has a child on a member that hosts no anchor.
+				cfg.Processes, cfg.Seed = 3, 15
 				net := newMemNet(t)
 				var members [3]*Cluster
 				for i := range members {

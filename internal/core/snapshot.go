@@ -113,12 +113,14 @@ type NodeImage struct {
 	SibL, SibM, SibR ldb.Ref
 	SibIn            [3]bool
 	ClientID         int32
-	// RingSeq, PredView and SuccView are the node's pair number and what its
-	// ring neighbours last said of theirs (Node.ringChanged). A restarted
-	// node keeps them: its neighbours' numbers and confirmations go on from
-	// there.
+	// RingSeq, PredView, SuccView, SibViews and ToldUp are the node's pair
+	// number, what its ring neighbours and siblings last said of theirs, and
+	// the node it told it reports to (Node.ringChanged). A restarted node
+	// keeps them: its neighbours' numbers and confirmations go on from there.
 	RingSeq            int64
 	PredView, SuccView ringView
+	SibViews           [2]sibView
+	ToldUp             ldb.Ref
 
 	Anchor bool
 	Ast    batch.AnchorState
@@ -308,6 +310,8 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			RingSeq:      n.ringSeq,
 			PredView:     n.predView,
 			SuccView:     n.succView,
+			SibViews:     n.sibViews,
+			ToldUp:       n.toldUp,
 			ClientID:     n.clientID,
 			Anchor:       n.anchorRole,
 			Ast:          n.ast.Clone(), // a copy: the image is encoded off the runner while the anchor keeps assigning
@@ -447,6 +451,8 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			ringSeq:      img.RingSeq,
 			predView:     img.PredView,
 			succView:     img.SuccView,
+			sibViews:     img.SibViews,
+			toldUp:       img.ToldUp,
 			anchorRole:   img.Anchor,
 			ast:          img.Ast,
 			nextElemSeq:  img.NextElemSeq,

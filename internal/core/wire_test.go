@@ -52,8 +52,8 @@ func TestWireRoundTrip(t *testing.T) {
 		setNeighbors{Pred: ref, Succ: ref, Epoch: 2},
 		setPred{Pred: ref, Epoch: 2},
 		introAck{Epoch: 2},
-		sibHello{Kind: ldb.Right},
-		ringHello{From: ref, To: ref.Point, Pred: ref, Succ: ref, Partial: true, SuccPartial: true, Seq: 3, Seen: 2},
+		sibHello{From: ref, Edges: ldb.Edges{Pred: ref, Succ: ref, SuccPartial: true}, Seq: 4},
+		ringHello{From: ref, To: ref.Point, Pred: ref, Succ: ref, Partial: true, Up: ref, Seq: 3, Seen: 2},
 		updateAck{Epoch: 2},
 		updateOver{Epoch: 2},
 		leavePermissionReq{From: ref},

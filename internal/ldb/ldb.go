@@ -7,8 +7,8 @@
 //
 // The package provides the three local rules the protocol relies on:
 //
-//   - the aggregation-tree rules (§III-B, with the parent rule of a left
-//     node changed, see below), purely from local information;
+//   - the aggregation-tree rules (§III-B, with the way out of a triad
+//     changed, see below), from what a node and its siblings know;
 //   - De Bruijn routing (Lemma 3): O(log n) w.h.p. hops to the predecessor
 //     of any point, via bit-prepending hops over the virtual l/r edges plus
 //     short linear corrections;
@@ -32,35 +32,39 @@
 //     one or two nodes;
 //   - the density estimate ĝ is the mean of the gaps to both ring neighbours;
 //   - the walk to a middle node heads for whichever neighbour is one, else
-//     towards the point where the next bit should be prepended; it carries
-//     its direction in the message and never crosses the 0/1 seam;
+//     for the side where a node two hops away is one, else towards the point
+//     where the next bit should be prepended; it carries its direction in
+//     the message and never crosses the 0/1 seam;
 //   - delivery is at the first node responsible for the target, in any phase.
 //
 // Lemma 3's bound is unchanged; this is its constant (EXPERIMENTS.md, "The
-// route at what a round costs").
+// route at what a round costs" and "Read the whole neighbourhood").
 //
 // # The aggregation tree
 //
-// A middle node reports to its left sibling and a right node to its middle
-// sibling, as in the paper. The paper's left node reports to its ring
-// predecessor, so a process's depth grows by one inter-process edge per
-// process to its left. Here a left node reports to whichever ring neighbour
-// belongs to the process with the smaller left label (LeftOf), the
-// predecessor on a tie and never over the 0/1 seam. LeftOf falls strictly
-// along every edge between processes — the predecessor's is below the
-// node's own label, and the successor is taken only below that — so the
-// tree stays acyclic, rooted at the anchor, and covers every node. Parent
-// reads the node's own neighbourhood; Children also reads the neighbours
-// two hops away (PredPred, SuccSucc), since whether an adjacent left node
-// reports here depends on its other neighbour.
+// The paper's tree has a middle node report to its left sibling, a right
+// node to its middle sibling and a left node to its ring predecessor, so a
+// process's depth grows by one edge between processes per process to its
+// left. Here a whole process picks one up edge among the four ring edges of
+// its left and middle nodes (UpEdge): the edge, not wrapping and not to a
+// partial node, whose far end's process has the smallest left label
+// (LeftOf), if that is below its own. The node holding it is the triad's
+// root and reports over it; its siblings report to it or through it. A
+// right node's edges would add nothing (see UpEdge). A process that is not
+// whole reports from its left node, to whichever ring neighbour's process
+// sits further left. LeftOf falls strictly along every edge between
+// processes, so the tree stays acyclic, rooted at the anchor, and covers
+// every node. Every node of a process computes the same up edge from its own
+// ring edges and what its siblings told of theirs (SibEdges), and a node
+// counts a ring neighbour as a child when that neighbour said it reports
+// here (PredUp, SuccUp).
 //
 // Under churn a process's nodes enter the ring one by one, and a middle or
 // right node whose sibling parent is not a ring member yet has no way to
-// the anchor (it is partial). No left node reports to a partial successor,
-// and a left node whose predecessor is partial reports to its successor if
-// that one's process sits further left than its own; only otherwise does it
-// wait behind the partial predecessor, as under the paper's rule. LeftOf
-// still falls along every edge between processes.
+// the anchor (it is partial). No up edge leads to a partial node where there
+// is a choice; only a process with none waits behind a partial
+// predecessor, as under the paper's rule. LeftOf still falls along every
+// edge between processes.
 package ldb
 
 import (
@@ -163,25 +167,42 @@ func LeftOf(r Ref) fixpoint.Frac {
 }
 
 // Neighborhood is the local view a virtual node has of the topology: its
-// own identity, its ring neighbours, the neighbours two hops away, and the
-// three virtual nodes of its process (its "siblings"; Self is one of them).
+// own identity, its ring neighbours, the neighbours two hops away, what its
+// neighbours report to, the ring edges of its process siblings, and the three
+// virtual nodes of its process (its "siblings"; Self is one of them).
 type Neighborhood struct {
 	Self Ref
 	Pred Ref
 	Succ Ref
 	// PredPred and SuccSucc are Pred's predecessor and Succ's successor, or
-	// invalid while unknown. Only Children reads them, for their points.
+	// invalid while unknown. NextHop reads their kinds: a walk to a middle
+	// node that sees none next to it looks two hops ahead.
 	PredPred, SuccSucc Ref
-	// The Partial flags mark nodes whose way to the anchor through their
-	// process siblings is not complete yet: a middle or right node of a
-	// joining process whose left (or middle) sibling is not a ring member
-	// yet, since a process's nodes enter the ring one by one. A left node
-	// reports to a partial neighbour only if it has no other choice.
-	SelfPartial                      bool
-	PredPartial, SuccPartial         bool
-	PredPredPartial, SuccSuccPartial bool
+	// PredUp and SuccUp are the nodes Pred and Succ report to, as their
+	// latest word said, when that is a node of another process (the
+	// neighbour holds its process's up edge); invalid otherwise. Children
+	// counts a neighbour that names this node.
+	PredUp, SuccUp Ref
+	// PredPartial and SuccPartial mark ring neighbours whose way to the
+	// anchor through their process siblings is not complete yet: a middle
+	// or right node of a joining process whose left (or middle) sibling is
+	// not a ring member yet, since a process's nodes enter the ring one by
+	// one. No up edge leads to a partial node where there is a choice.
+	PredPartial, SuccPartial bool
+	// Whole says that all three nodes of the process are ring members, and
+	// SibEdges holds the ring edges of its left and middle nodes (indexed by
+	// Kind) as those last told; the entry of Self's own kind is not read.
+	Whole    bool
+	SibEdges [2]Edges
 	// SibL, SibM, SibR are l(v), m(v), r(v) of the owning process.
 	SibL, SibM, SibR Ref
+}
+
+// Edges is what a node tells its process siblings of its ring edges: its
+// ring neighbours, invalid while unknown, and whether each is partial.
+type Edges struct {
+	Pred, Succ               Ref
+	PredPartial, SuccPartial bool
 }
 
 // IsAnchor reports whether this node is the leftmost node of the ring,
@@ -202,32 +223,62 @@ func (nb Neighborhood) isWrapPred() bool {
 	return nb.Self.Point.Less(nb.Pred.Point) || nb.Pred.ID == nb.Self.ID
 }
 
-// Parent returns the aggregation-tree parent: a middle node's left
-// sibling, a right node's middle sibling, and for a left node its ring
-// successor or predecessor (reportsRight); the predecessor is the paper's
-// rule (§III-B). ok is false exactly for the anchor, the tree root.
-func (nb Neighborhood) Parent() (parent Ref, ok bool) {
-	switch nb.Self.Kind {
-	case Middle:
-		return nb.SibL, true
-	case Right:
-		return nb.SibM, true
-	default: // Left
-		if nb.IsAnchor() {
-			return Ref{ID: transport.None}, false
-		}
-		if reportsRight(nb.Self, nb.Pred, nb.Succ, nb.PredPartial, nb.SuccPartial, nb.isWrapSucc()) {
-			return nb.Succ, true
-		}
-		return nb.Pred, true
+// edges returns the ring edges of the process's node of kind k: Self's own,
+// or what that sibling last told.
+func (nb Neighborhood) edges(k Kind) Edges {
+	if k == nb.Self.Kind {
+		return Edges{Pred: nb.Pred, Succ: nb.Succ, PredPartial: nb.PredPartial, SuccPartial: nb.SuccPartial}
 	}
+	return nb.SibEdges[k]
+}
+
+// UpEdge returns the process's up edge: the kind of the node that holds it
+// (Left or Middle) and the node of another process at its far end. ok is
+// false at the anchor's process, whose left node is the tree root.
+//
+// A whole process reads the four ring edges of its left and middle nodes.
+// An edge counts if it does not wrap and its far end is not partial, and
+// the process takes the one whose far end has the smallest left label
+// (LeftOf), if that is below its own; the left node's edges come first on a
+// tie. The right node's edges would add nothing: its successor is a right
+// node or a middle node above the own middle node, and its predecessor is a
+// middle node at or above the own middle node, a right node r whose process's
+// left node r − ½ is, with no left node in between, the own left node's
+// predecessor or above it, or — when nothing lies between ½ and the right
+// node — the own process is the anchor's. A process that is not whole, or
+// whose edges all fail, reports from its left node, over reportsRight.
+func (nb Neighborhood) UpEdge() (holder Kind, to Ref, ok bool) {
+	if nb.Whole {
+		best := LeftOf(nb.SibL)
+		for k, from := range [...]Ref{Left: nb.SibL, Middle: nb.SibM} {
+			e := nb.edges(Kind(k))
+			if e.Pred.Valid() && e.Pred.Point.Less(from.Point) && !e.PredPartial && LeftOf(e.Pred) < best {
+				holder, to, ok, best = Kind(k), e.Pred, true, LeftOf(e.Pred)
+			}
+			if e.Succ.Valid() && from.Point.Less(e.Succ.Point) && !e.SuccPartial && LeftOf(e.Succ) < best {
+				holder, to, ok, best = Kind(k), e.Succ, true, LeftOf(e.Succ)
+			}
+		}
+		if ok {
+			return holder, to, true
+		}
+	}
+	l, e := nb.SibL, nb.edges(Left)
+	if !e.Pred.Valid() || !e.Pred.Point.Less(l.Point) {
+		return Left, Ref{ID: transport.None}, false // the anchor: its predecessor wraps
+	}
+	if reportsRight(l, e.Pred, e.Succ, e.PredPartial, e.SuccPartial, !l.Point.Less(e.Succ.Point)) {
+		return Left, e.Succ, true
+	}
+	return Left, e.Pred, true
 }
 
 // reportsRight is the parent choice of a non-anchor left node with the
-// given ring neighbours: its successor if the successor is not partial, the
-// edge does not wrap, and the successor's process sits strictly further left
-// than the predecessor's — or than the node's own, when the predecessor is
-// partial and so has no way to the anchor yet.
+// given ring neighbours, when its process is not whole: its successor if
+// the successor is not partial, the edge does not wrap, and the successor's
+// process sits strictly further left than the predecessor's — or than the
+// node's own, when the predecessor is partial and so has no way to the
+// anchor yet. Otherwise its predecessor, as the paper's rule has it.
 func reportsRight(self, pred, succ Ref, predPartial, succPartial, succWraps bool) bool {
 	if succWraps || succPartial {
 		return false
@@ -239,32 +290,48 @@ func reportsRight(self, pred, succ Ref, predPartial, succPartial, succWraps bool
 	return LeftOf(succ) < LeftOf(bar)
 }
 
-// Children returns the aggregation-tree children: the next virtual node of
-// the same process, plus each adjacent left node whose Parent is this node —
-// the successor unless it reports to its own successor, the predecessor if
-// it reports here rather than to its own predecessor. Neither edge may wrap.
-// An adjacent left node whose other neighbour is unknown (PredPred or
-// SuccSucc invalid) is not counted: it holds its batches until this node
-// knows (core's ringHello).
+// Parent returns the aggregation-tree parent. The node holding the
+// process's up edge reports over it; the others report within the triad: a
+// right node to its middle sibling, a middle node to its left sibling, and a
+// left node to its middle sibling when that holds the up edge. ok is false
+// exactly for the anchor, the tree root.
+func (nb Neighborhood) Parent() (parent Ref, ok bool) {
+	if nb.Self.Kind == Right {
+		return nb.SibM, true
+	}
+	holder, up, ok := nb.UpEdge()
+	switch {
+	case holder == nb.Self.Kind:
+		return up, ok
+	case nb.Self.Kind == Middle:
+		return nb.SibL, true
+	}
+	return nb.SibM, true
+}
+
+// Children returns the aggregation-tree children: the siblings that report
+// to this node (see Parent), plus each ring neighbour that names this node
+// as the one it reports to (PredUp, SuccUp). A neighbour that has not said
+// so yet is not counted; it holds its batches until this node has heard it
+// (core's ringHello).
 func (nb Neighborhood) Children() []Ref {
 	var c []Ref
 	switch nb.Self.Kind {
 	case Middle:
 		c = append(c, nb.SibR)
+		if holder, _, _ := nb.UpEdge(); holder == Middle {
+			c = append(c, nb.SibL)
+		}
 	case Left:
-		c = append(c, nb.SibM)
-	}
-	if nb.Succ.Kind == Left && !nb.isWrapSucc() && nb.SuccSucc.Valid() {
-		ssWraps := nb.SuccSucc.Point.Less(nb.Succ.Point) || nb.SuccSucc.ID == nb.Succ.ID
-		if !reportsRight(nb.Succ, nb.Self, nb.SuccSucc, nb.SelfPartial, nb.SuccSuccPartial, ssWraps) {
-			c = append(c, nb.Succ)
+		if holder, _, _ := nb.UpEdge(); holder == Left {
+			c = append(c, nb.SibM)
 		}
 	}
-	if nb.Pred.Kind == Left && !nb.isWrapPred() && nb.PredPred.Valid() {
-		predIsAnchor := nb.Pred.Point.Less(nb.PredPred.Point) || nb.PredPred.ID == nb.Pred.ID
-		if !predIsAnchor && reportsRight(nb.Pred, nb.PredPred, nb.Self, nb.PredPredPartial, nb.SelfPartial, false) {
-			c = append(c, nb.Pred)
-		}
+	if nb.PredUp.Valid() && nb.PredUp.Point == nb.Self.Point {
+		c = append(c, nb.Pred)
+	}
+	if nb.SuccUp.Valid() && nb.SuccUp.Point == nb.Self.Point && nb.Succ.ID != nb.Pred.ID {
+		c = append(c, nb.Succ)
 	}
 	return c
 }
@@ -281,18 +348,18 @@ type RouteState struct {
 	WalkDir  int8
 }
 
-// middleWalkThirds is c, the price of every De Bruijn bit after the first,
-// in thirds of a round: the expected number of hops between processes on
-// the walk from a left or right node to the nearest middle node. The jump
-// over the virtual edge that prepends the bit is free; the walk is not.
-// Middle nodes are a third of the ring, so a neighbour is one with
-// probability 1/3. The walk takes one hop when the successor is a middle
-// node (1/3) or else the predecessor is (2/3 · 1/3); otherwise (4/9) it
-// steps to a neighbour and walks on, 3 more hops in expectation:
-// 5/9 · 1 + 4/9 · 4 = 7/3. The first bit needs no walk, since a route
-// starts at its own middle node. The constant is not delicate
-// (EXPERIMENTS.md has the sweep from 1.5 to 4).
-const middleWalkThirds = 7
+// middleWalkNum / middleWalkDen is c, the price of every De Bruijn bit
+// after the first: the expected number of hops between processes on the walk
+// from a left or right node to the nearest middle node. The jump over the
+// virtual edge that prepends the bit is free; the walk is not. Middle nodes
+// are a third of the ring, so a node is one with probability 1/3. The walk
+// takes one hop when a neighbour is a middle node (1 − 4/9 = 5/9), two when
+// neither is but a node two hops away is (4/9 · 5/9), and otherwise (4/9 ·
+// 4/9) two hops past nodes it knows are not and then 3 more in expectation:
+// 5/9 · 1 + 4/9 · (5/9 · 2 + 4/9 · 5) = 55/27 ≈ 2.04. The first bit needs no
+// walk, since a route starts at its own middle node. The constant is not
+// delicate (EXPERIMENTS.md has the sweep from 1.5 to 4).
+const middleWalkNum, middleWalkDen = 55, 27
 
 // NewRoute prepares a route from a node with the given neighbourhood and
 // chooses its bit count. ĝ, the mean of the gaps to predecessor and
@@ -307,7 +374,7 @@ const middleWalkThirds = 7
 // that closes the route is |x − frac(2^k·t)|·2^−k long, that over ĝ in gaps.
 // x is the own middle node, where every route prepends its first bit, and
 // each further bit costs the walk c to the next middle node (see
-// middleWalkThirds). The count is the k in [0, ⌈log2(1/ĝ)⌉ − 1] that
+// middleWalkNum). The count is the k in [0, ⌈log2(1/ĝ)⌉ − 1] that
 // minimises c·(k−1) + closing(k), closing(0) being the walk from here the
 // shorter way round. The cap keeps a ring of one or two nodes at 0 bits and
 // every count within Lemma 3's O(log n).
@@ -322,8 +389,8 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 	// The costs are compared as distances on the ring, gaps times ĝ, in
 	// exact arithmetic. With L = ⌈log2(1/ĝ)⌉, ĝ < 2^(1−L), so no cost
 	// overflows: (k−1)·c·ĝ + 2^−k < 1 for every k < L. (price wraps only
-	// where ĝ > 3/7, so L ≤ 2, and is then multiplied by k − 1 = 0.)
-	price := g / 3 * middleWalkThirds
+	// where ĝ > 27/55, so L ≤ 2, and is then multiplied by k − 1 = 0.)
+	price := g / middleWalkDen * middleWalkNum
 	x := nb.SibM.Point.Label
 	k, least := 0, min(fixpoint.CWDist(self, target), fixpoint.CCWDist(self, target))
 	for bits := 1; bits < g.Log2Inv(); bits++ {
@@ -376,23 +443,29 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 		// Walk linearly to a middle node; middles are one third of the ring,
 		// so this costs O(1) expected steps. A walk that starts here takes
 		// the side on which it can see a middle node when exactly one
-		// neighbour is one. When both are, or neither is, it heads for
-		// q = frac(2^BitsLeft·t), the label from which the next bit lands
-		// the route exactly where the target's bits say. A walk that drifts
-		// from q moves the route's position by the drift halved at every
-		// bit still to come, and the closing walk has to undo it. The
-		// direction then travels in the message, so the walk cannot
-		// ping-pong between two nodes that each prefer the other.
+		// neighbour is one; when neither is, the side on which exactly one
+		// node two hops away is (PredPred, SuccSucc). Otherwise it heads for
+		// q = frac(2^BitsLeft·t), the label from which the next bit lands the
+		// route exactly where the target's bits say. A walk that drifts from
+		// q moves the route's position by the drift halved at every bit
+		// still to come, and the closing walk has to undo it. The direction
+		// then travels in the message, so the walk cannot ping-pong between
+		// two nodes that each prefer the other.
 		//
 		// The halving map is continuous on [0,1) but not across the 0/1
 		// seam, so the walk must never wrap: it flips away from the seam
 		// whenever the next edge would cross it, in either direction, and
 		// the node it came from continues in the flipped direction too.
 		// (Choosing a middle neighbour never picks the wrapping edge: the
-		// ring's minimum is a left node and its maximum a right node.)
+		// ring's minimum is a left node and its maximum a right node. A
+		// middle node two hops away may lie across the seam.)
 		dir := rs.WalkDir
 		if dir == 0 {
-			succM, predM := nb.Succ.Kind == Middle, nb.Pred.Kind == Middle
+			middle := func(r Ref) bool { return r.Valid() && r.Kind == Middle }
+			succM, predM := middle(nb.Succ), middle(nb.Pred)
+			if !succM && !predM {
+				succM, predM = middle(nb.SuccSucc), middle(nb.PredPred)
+			}
 			switch {
 			case succM && !predM:
 				dir = 1

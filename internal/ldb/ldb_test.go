@@ -49,27 +49,51 @@ func buildNet(t testing.TB, n int, seed int64) *testNet {
 }
 
 func (net *testNet) neighborhood(i int) Neighborhood {
+	return net.partialNeighborhood(i, nil)
+}
+
+// partialNeighborhood is node i's neighbourhood with the Partial flags read
+// from partial, the same for every node that looks at a given one. A process
+// with a partial node is not whole.
+func (net *testNet) partialNeighborhood(i int, partial map[sim.NodeID]bool) Neighborhood {
+	nb := net.bare(i, partial)
+	nb.PredUp = net.up(net.index[nb.Pred.ID], partial)
+	nb.SuccUp = net.up(net.index[nb.Succ.ID], partial)
+	return nb
+}
+
+// bare is node i's neighbourhood without what its neighbours say they report
+// to, which Parent does not read.
+func (net *testNet) bare(i int, partial map[sim.NodeID]bool) Neighborhood {
 	self := net.ring.At(i)
 	s := net.sibs[net.proc[self.ID]]
 	n := net.ring.Len()
+	edges := func(id sim.NodeID) Edges {
+		j := net.index[id]
+		p, q := net.ring.Pred(j), net.ring.Succ(j)
+		return Edges{Pred: p, Succ: q, PredPartial: partial[p.ID], SuccPartial: partial[q.ID]}
+	}
 	return Neighborhood{
-		Self:     self,
-		Pred:     net.ring.Pred(i),
-		Succ:     net.ring.Succ(i),
-		PredPred: net.ring.Pred((i - 1 + n) % n),
-		SuccSucc: net.ring.Succ((i + 1) % n),
+		Self:        self,
+		Pred:        net.ring.Pred(i),
+		Succ:        net.ring.Succ(i),
+		PredPred:    net.ring.Pred((i - 1 + n) % n),
+		SuccSucc:    net.ring.Succ((i + 1) % n),
+		PredPartial: partial[net.ring.Pred(i).ID], SuccPartial: partial[net.ring.Succ(i).ID],
+		Whole:    !partial[s[1].ID] && !partial[s[2].ID],
+		SibEdges: [2]Edges{edges(s[0].ID), edges(s[1].ID)},
 		SibL:     s[0], SibM: s[1], SibR: s[2],
 	}
 }
 
-// partialNeighborhood is neighborhood(i) with the Partial flags read from
-// partial, the same for every node that looks at a given one.
-func (net *testNet) partialNeighborhood(i int, partial map[sim.NodeID]bool) Neighborhood {
-	nb := net.neighborhood(i)
-	nb.SelfPartial = partial[nb.Self.ID]
-	nb.PredPartial, nb.SuccPartial = partial[nb.Pred.ID], partial[nb.Succ.ID]
-	nb.PredPredPartial, nb.SuccSuccPartial = partial[nb.PredPred.ID], partial[nb.SuccSucc.ID]
-	return nb
+// up is what node j tells its ring neighbours it reports to: its parent when
+// that is a node of another process.
+func (net *testNet) up(j int, partial map[sim.NodeID]bool) Ref {
+	nb := net.bare(j, partial)
+	if p, ok := nb.Parent(); ok && net.proc[p.ID] != net.proc[nb.Self.ID] {
+		return p
+	}
+	return Ref{ID: sim.None}
 }
 
 func (net *testNet) neighborhoodOf(id sim.NodeID) Neighborhood {
@@ -293,14 +317,13 @@ func TestLeftOfFallsAlongTreeEdges(t *testing.T) {
 	}
 }
 
-func TestRightNodeChildIsForeignLeftPred(t *testing.T) {
-	// A right node has no sibling child, and its ring successor, if a left
-	// node, lies across the 0/1 seam. Its only possible child is its ring
-	// predecessor, a left node of another process: the largest left node,
-	// when the right node's process sits further left than that left node's
-	// predecessor's. The smallest right node belongs to the anchor's
-	// process, which has the smallest left label of all.
-	adopted := 0
+func TestRightNodeChildrenAreForeign(t *testing.T) {
+	// A right node has no sibling child. A child of another process hangs
+	// off it over a ring edge that does not wrap: its predecessor, a left or
+	// middle node whose process reports over its successor edge, or its
+	// successor, a middle node whose process reports over its predecessor
+	// edge. Its own edges never carry its process's up edge.
+	adopted := map[Kind]int{}
 	for seed := int64(0); seed < 40; seed++ {
 		net := buildNet(t, 80, 13+seed)
 		for i := 0; i < net.ring.Len(); i++ {
@@ -308,32 +331,34 @@ func TestRightNodeChildIsForeignLeftPred(t *testing.T) {
 			if nb.Self.Kind != Right {
 				continue
 			}
-			kids := nb.Children()
-			if len(kids) == 0 {
-				continue
+			for _, c := range nb.Children() {
+				pred := c.ID == nb.Pred.ID && !nb.isWrapPred() && c.Kind != Right
+				succ := c.ID == nb.Succ.ID && !nb.isWrapSucc() && c.Kind == Middle
+				if net.proc[c.ID] == net.proc[nb.Self.ID] || !pred && !succ {
+					t.Fatalf("seed %d: right node %v has child %v (pred %v, succ %v)", seed, nb.Self, c, nb.Pred, nb.Succ)
+				}
+				adopted[c.Kind]++
 			}
-			if len(kids) > 1 || kids[0].ID != nb.Pred.ID || kids[0].Kind != Left || net.proc[kids[0].ID] == net.proc[nb.Self.ID] {
-				t.Fatalf("seed %d: right node %v has children %v, pred %v", seed, nb.Self, kids, nb.Pred)
-			}
-			adopted++
 		}
 	}
-	if adopted == 0 {
-		t.Fatalf("no right node of 40 rings has a child; the test exercises nothing")
+	if adopted[Left] == 0 || adopted[Middle] == 0 {
+		t.Fatalf("right nodes of 40 rings adopted %v; the test exercises nothing", adopted)
 	}
 }
 
 func TestPartialNodesAreAvoided(t *testing.T) {
 	// A process whose nodes enter the ring one by one: its middle and right
 	// nodes while its left node is not a ring member, or its right node while
-	// its middle one is not, have no way to the anchor. Mark such nodes on
-	// random rings: no left node chooses one as its successor parent, parent
-	// and children still agree, LeftOf still falls along every edge between
-	// processes, and a left node next to a partial predecessor reports to its
-	// successor whenever that one's process sits further left than its own —
-	// only otherwise does it report to the partial one, as the paper's rule
-	// has it.
-	around := 0
+	// its middle one is not, have no way to the anchor, and the process is
+	// not whole. Mark such nodes on random rings. Parent and children still
+	// agree and LeftOf still falls along every edge between processes. A
+	// whole process reports to a partial node only when none of its four
+	// edges qualifies, and then as the paper's rule has it, from its left
+	// node to its predecessor. A process that is not whole reports from its
+	// left node over one of that node's own edges, never to a partial
+	// successor, and to its successor whenever that one's process sits
+	// further left than its own while its predecessor is partial.
+	around, broken, held := 0, 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		net := buildNet(t, 64, 500+seed)
 		rng := xrand.New(seed)
@@ -367,10 +392,28 @@ func TestPartialNodesAreAvoided(t *testing.T) {
 			if !slices.ContainsFunc(nbs[p.ID].Children(), func(c Ref) bool { return c.ID == id }) {
 				t.Fatalf("seed %d: %v reports to %v, which does not count it", seed, nb.Self, p)
 			}
-			if net.proc[p.ID] != net.proc[id] && LeftOf(p) >= LeftOf(nb.Self) {
+			foreign := net.proc[p.ID] != net.proc[id]
+			if foreign && LeftOf(p) >= LeftOf(nb.Self) {
 				t.Fatalf("seed %d: parent %v of %v: left label %v not below %v", seed, p, nb.Self, LeftOf(p), LeftOf(nb.Self))
 			}
-			if nb.Self.Kind == Left && nb.PredPartial && !nb.SuccPartial && !nb.isWrapSucc() && LeftOf(nb.Succ) < LeftOf(nb.Self) {
+			if foreign && partial[p.ID] && (nb.Self.Kind != Left || p.ID != nb.Pred.ID) {
+				t.Fatalf("seed %d: %v reports to partial %v, which is not its left node's predecessor", seed, nb.Self, p)
+			}
+			if nb.Whole {
+				if foreign && partial[p.ID] {
+					held++
+				}
+				continue
+			}
+			// A process that is not whole.
+			if nb.Self.Kind == Middle && p.ID != nb.SibL.ID || nb.Self.Kind == Left && p.ID != nb.Pred.ID && p.ID != nb.Succ.ID {
+				t.Fatalf("seed %d: %v of a process that is not whole reports to %v", seed, nb.Self, p)
+			}
+			if nb.Self.Kind != Left {
+				continue
+			}
+			broken++
+			if nb.PredPartial && !nb.SuccPartial && !nb.isWrapSucc() && LeftOf(nb.Succ) < LeftOf(nb.Self) {
 				if p.ID != nb.Succ.ID {
 					t.Fatalf("seed %d: %v reports to its partial pred %v past %v", seed, nb.Self, nb.Pred, nb.Succ)
 				}
@@ -378,8 +421,52 @@ func TestPartialNodesAreAvoided(t *testing.T) {
 			}
 		}
 	}
-	if around == 0 {
-		t.Fatalf("no left node of 40 rings went around a partial predecessor; the test exercises nothing")
+	if around == 0 || broken == 0 || held == 0 {
+		t.Fatalf("%d left nodes of processes that are not whole, %d of them around a partial predecessor, %d whole processes held by one; the test exercises too little",
+			broken, around, held)
+	}
+}
+
+func TestProcessAgreesOnUpEdge(t *testing.T) {
+	// Each of a process's three nodes works out the same up edge from what
+	// its siblings told it, on whole rings and on rings with partial nodes,
+	// and exactly the node holding it reports over it. Both left and middle
+	// nodes hold one somewhere.
+	holders := map[Kind]int{}
+	for seed := int64(0); seed < 20; seed++ {
+		net := buildNet(t, 64, 900+seed)
+		rng := xrand.New(seed)
+		partial := map[sim.NodeID]bool{}
+		for _, sibs := range net.sibs {
+			if seed%2 == 1 && rng.Intn(4) == 0 {
+				partial[sibs[2].ID] = true
+			}
+		}
+		for pid, sibs := range net.sibs {
+			var got [3]Ref
+			var kinds [3]Kind
+			for k, ref := range sibs {
+				nb := net.partialNeighborhood(net.index[ref.ID], partial)
+				holder, to, ok := nb.UpEdge()
+				if !ok {
+					to = Ref{ID: sim.None}
+				}
+				got[k], kinds[k] = to, holder
+				p, _ := nb.Parent()
+				if reports := p.ID == to.ID; ok && Kind(k) != Right && reports != (Kind(k) == holder) {
+					t.Fatalf("seed %d process %d: %v reports to %v, up edge %v at %v", seed, pid, nb.Self, p, to, holder)
+				}
+			}
+			if got[0] != got[1] || got[1] != got[2] || kinds[0] != kinds[1] || kinds[1] != kinds[2] {
+				t.Fatalf("seed %d process %d: its nodes see up edges %v at %v", seed, pid, got, kinds)
+			}
+			if got[0].Valid() {
+				holders[kinds[0]]++
+			}
+		}
+	}
+	if holders[Left] == 0 || holders[Middle] == 0 {
+		t.Fatalf("up edges held by %v; the test exercises too little", holders)
 	}
 }
 
@@ -387,44 +474,124 @@ func TestPartialNodesAreAvoided(t *testing.T) {
 // edges between processes on the way to the root: what a wave pays, since
 // an edge between siblings costs no round.
 func (net *testNet) interProcessDepth(parent func(Neighborhood) (Ref, bool)) float64 {
+	depth := make(map[sim.NodeID]int)
+	var walk func(i int) int
+	walk = func(i int) int {
+		nb := net.bare(i, nil)
+		if d, ok := depth[nb.Self.ID]; ok {
+			return d
+		}
+		d := 0
+		if p, ok := parent(nb); ok {
+			d = walk(net.index[p.ID])
+			if net.proc[p.ID] != net.proc[nb.Self.ID] {
+				d++
+			}
+		}
+		depth[nb.Self.ID] = d
+		return d
+	}
 	total := 0
 	for i := 0; i < net.ring.Len(); i++ {
-		nb := net.neighborhood(i)
-		for {
-			p, ok := parent(nb)
-			if !ok {
-				break
-			}
-			if net.proc[p.ID] != net.proc[nb.Self.ID] {
-				total++
-			}
-			nb = net.neighborhoodOf(p.ID)
-		}
+		total += walk(i)
 	}
 	return float64(total) / float64(net.ring.Len())
 }
 
+// processDistances returns the mean over the ring's nodes of two lower
+// bounds on the depth between processes that any tree over ring edges can
+// reach: the shortest path to the anchor's process over ring edges that do
+// not wrap and along which the left label falls, and the same without the
+// fall (a breadth-first search from the anchor's process). A step is an edge
+// between two processes; the nodes of one process share their distance.
+func (net *testNet) processDistances() (monotone, bfs float64) {
+	adj := map[uint64][]uint64{}
+	for i := 0; i < net.ring.Len(); i++ {
+		a, b := net.ring.At(i), net.ring.Succ(i)
+		if pa, pb := net.proc[a.ID], net.proc[b.ID]; pa != pb && a.Point.Less(b.Point) {
+			adj[pa], adj[pb] = append(adj[pa], pb), append(adj[pb], pa)
+		}
+	}
+	anchor := net.proc[net.ring.Min().ID]
+	label := func(p uint64) fixpoint.Frac { return net.sibs[p][0].Point.Label }
+	// Falling labels: settle the processes from the anchor's upward.
+	procs := make([]uint64, 0, len(net.sibs))
+	for p := range net.sibs {
+		procs = append(procs, p)
+	}
+	sort.Slice(procs, func(i, j int) bool { return label(procs[i]) < label(procs[j]) })
+	down := map[uint64]int{anchor: 0}
+	for _, p := range procs[1:] {
+		best := -1
+		for _, q := range adj[p] {
+			if d, ok := down[q]; ok && label(q) < label(p) && (best < 0 || d+1 < best) {
+				best = d + 1
+			}
+		}
+		down[p] = best
+	}
+	dist, queue := map[uint64]int{anchor: 0}, []uint64{anchor}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, q := range adj[p] {
+			if _, ok := dist[q]; !ok {
+				dist[q] = dist[p] + 1
+				queue = append(queue, q)
+			}
+		}
+	}
+	for _, p := range procs {
+		monotone += float64(down[p]) / float64(len(procs))
+		bfs += float64(dist[p]) / float64(len(procs))
+	}
+	return monotone, bfs
+}
+
+// paperParent is the paper's tree (§III-B): a left node reports to its ring
+// predecessor, a middle node to its left sibling, a right node to its middle.
+func paperParent(nb Neighborhood) (Ref, bool) {
+	switch {
+	case nb.Self.Kind == Middle:
+		return nb.SibL, true
+	case nb.Self.Kind == Right:
+		return nb.SibM, true
+	case nb.IsAnchor():
+		return Ref{ID: sim.None}, false
+	}
+	return nb.Pred, true
+}
+
+// leftOnlyParent is the tree with every process treated as not whole: its
+// left node reports over one of its own ring edges (reportsRight).
+func leftOnlyParent(nb Neighborhood) (Ref, bool) {
+	nb.Whole = false
+	return nb.Parent()
+}
+
 func TestInterProcessDepth(t *testing.T) {
 	// The tree's depth between processes at n = 256, averaged over twenty
-	// rings: a left node that reports to the neighbour whose process sits
-	// further left shortens it from ≈ 15.5 (the paper's predecessor rule) to
-	// ≈ 11.2.
-	paper := func(nb Neighborhood) (Ref, bool) {
-		if nb.Self.Kind == Left && !nb.IsAnchor() {
-			return nb.Pred, true
-		}
-		return nb.Parent()
-	}
-	var ours, theirs float64
+	// rings: ≈ 15.5 under the paper's predecessor rule, ≈ 11.2 when a left
+	// node reports to whichever of its ring neighbours' processes sits
+	// further left, ≈ 10.2 when a process takes the best of its left and
+	// middle nodes' four ring edges (Neighborhood.UpEdge). Two figures no
+	// rule over ring edges can beat are logged, not gated: the shortest path
+	// along which the left label falls, and the plain distance from the
+	// anchor's process.
+	var ours, left, paper, monotone, bfs float64
 	const rings = 20
 	for seed := int64(1); seed <= rings; seed++ {
 		net := buildNet(t, 256, seed)
 		ours += net.interProcessDepth(Neighborhood.Parent) / rings
-		theirs += net.interProcessDepth(paper) / rings
+		left += net.interProcessDepth(leftOnlyParent) / rings
+		paper += net.interProcessDepth(paperParent) / rings
+		m, b := net.processDistances()
+		monotone, bfs = monotone+m/rings, bfs+b/rings
 	}
-	t.Logf("mean inter-process depth at n = 256: %.2f (paper rule %.2f)", ours, theirs)
-	if ours > 11.5 {
-		t.Errorf("mean inter-process depth %.2f at n = 256, want at most 11.5 (paper rule %.2f)", ours, theirs)
+	t.Logf("mean inter-process depth at n = 256: %.2f (left node alone %.2f, paper rule %.2f; falling-label shortest path %.2f, distance from the anchor %.2f)",
+		ours, left, paper, monotone, bfs)
+	if ours > 10.5 {
+		t.Errorf("mean inter-process depth %.2f at n = 256, want at most 10.5 (paper rule %.2f)", ours, paper)
 	}
 }
 
@@ -619,34 +786,54 @@ func TestMiddleWalkNeverCrossesSeam(t *testing.T) {
 
 func TestMiddleWalkLooksBothWays(t *testing.T) {
 	// A walk to a middle node under way after a bit (Hops > 0), from a left
-	// node at 0.3 between neighbours at 0.29 and 0.31. With two bits left the
-	// next bit is best prepended from q = frac(4t): 0.9 for t = 0.225, above
-	// the node, and 0.1 for t = 0.025, below it. The node owns neither.
+	// node at 0.3 between neighbours at 0.29 and 0.31, and nodes two hops away
+	// at 0.28 and 0.32. With two bits left the next bit is best prepended from
+	// q = frac(4t): 0.9 for t = 0.225, above the node, and 0.1 for t = 0.025,
+	// below it. The node owns neither.
 	above, below := fixpoint.FromFloat(0.9/4), fixpoint.FromFloat(0.1/4)
 	at := func(id sim.NodeID, x float64, kind Kind) Ref {
 		return Ref{ID: id, Point: Point{Label: fixpoint.FromFloat(x)}, Kind: kind}
 	}
+	const none = Kind(9) // a node two hops away that is not known
 	for _, tc := range []struct {
 		name       string
 		pred, succ Kind
+		pp, ss     Kind
 		target     fixpoint.Frac
 		carried    int8
 		want       int8
 	}{
-		{"successor middle", Right, Middle, below, 0, 1},
-		{"predecessor middle", Middle, Right, above, 0, -1},
-		{"both middle, q above", Middle, Middle, above, 0, 1},
-		{"both middle, q below", Middle, Middle, below, 0, -1},
-		{"neither middle, q above", Right, Left, above, 0, 1},
-		{"neither middle, q below", Right, Left, below, 0, -1},
+		{"successor middle", Right, Middle, Right, Right, below, 0, 1},
+		{"predecessor middle", Middle, Right, Right, Right, above, 0, -1},
+		{"both middle, q above", Middle, Middle, Right, Right, above, 0, 1},
+		{"both middle, q below", Middle, Middle, Right, Right, below, 0, -1},
+		{"neither middle, q above", Right, Left, Right, Left, above, 0, 1},
+		{"neither middle, q below", Right, Left, Right, Left, below, 0, -1},
+		// Neither neighbour is a middle node: the walk looks two hops ahead,
+		// and steers for q only if that does not decide.
+		{"successor's successor middle", Right, Left, Right, Middle, below, 0, 1},
+		{"predecessor's predecessor middle", Right, Left, Middle, Left, above, 0, -1},
+		{"both two hops away middle, q above", Right, Left, Middle, Middle, above, 0, 1},
+		{"both two hops away middle, q below", Right, Left, Middle, Middle, below, 0, -1},
+		{"successor's successor unknown", Right, Left, Middle, none, above, 0, -1},
+		{"neither two hops away known", Right, Left, none, none, below, 0, -1},
+		{"a middle neighbour beats two hops away", Middle, Right, Right, Middle, above, 0, -1},
 		// The direction travels: a walk already under way keeps it, past a
 		// middle node on the other side and away from q.
-		{"carried past a successor middle", Right, Middle, below, -1, -1},
-		{"carried past a predecessor middle", Middle, Right, above, 1, 1},
-		{"carried away from q", Right, Left, below, 1, 1},
+		{"carried past a successor middle", Right, Middle, Right, Right, below, -1, -1},
+		{"carried past a predecessor middle", Middle, Right, Right, Right, above, 1, 1},
+		{"carried away from q", Right, Left, Right, Left, below, 1, 1},
+		{"carried past a successor's successor middle", Right, Left, Right, Middle, below, -1, -1},
 	} {
+		far := func(id sim.NodeID, x float64, kind Kind) Ref {
+			if kind == none {
+				return Ref{ID: sim.None}
+			}
+			return at(id, x, kind)
+		}
 		nb := Neighborhood{
 			Self: at(1, 0.3, Left), Pred: at(2, 0.29, tc.pred), Succ: at(3, 0.31, tc.succ),
+			PredPred: far(5, 0.28, tc.pp), SuccSucc: far(6, 0.32, tc.ss),
 			SibM: at(4, 0.6, Middle),
 		}
 		next, out, deliver := nb.NextHop(RouteState{Target: tc.target, BitsLeft: 2, Hops: 1, WalkDir: tc.carried})
@@ -658,6 +845,18 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 			t.Errorf("%s: went to %v (dir %d, %d bits, deliver %v), want %v (dir %d)",
 				tc.name, next, out.WalkDir, out.BitsLeft, deliver, want, tc.want)
 		}
+	}
+	// The seam flip beats the two-hop view: the ring's maximum, a right node,
+	// sees a middle node two hops away across the seam and walks the other
+	// way, since the halving map does not cross it.
+	top := Neighborhood{
+		Self: at(1, 0.95, Right), Pred: at(2, 0.9, Right), Succ: at(3, 0.01, Left),
+		PredPred: at(5, 0.85, Right), SuccSucc: at(6, 0.02, Middle),
+		SibM: at(4, 0.9, Middle),
+	}
+	next, out, _ := top.NextHop(RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1})
+	if next.ID != top.Pred.ID || out.WalkDir != -1 {
+		t.Errorf("the ring's maximum went to %v (dir %d), want its predecessor %v", next, out.WalkDir, top.Pred)
 	}
 }
 
@@ -759,7 +958,7 @@ func TestNewRouteBitEstimate(t *testing.T) {
 	const n = 1024
 	net := buildNet(t, n, 22)
 	rng := xrand.New(9)
-	c := float64(middleWalkThirds) / 3
+	c := float64(middleWalkNum) / middleWalkDen
 	gap := func(a, b fixpoint.Frac) float64 { return math.Mod(b.Float()-a.Float()+1, 1) }
 	counts := map[int]int{}
 	for i := 0; i < net.ring.Len(); i++ {

@@ -143,9 +143,12 @@ const snapshotFile = "snapshot.gob"
 // snapshotVersion is the snapshot format this build writes and the only
 // one it reads: gob drops the fields it does not know, so an image of
 // another format would restore with part of its state silently lost.
-// Version 2 holds each node's in-flight waves as one list
-// (NodeImage.InFlight); version 1 held a single processing batch.
-const snapshotVersion = 2
+// Version 3 adds what each node's siblings told of their ring edges and
+// the node it told it reports to (NodeImage.SibViews, ToldUp), from which
+// the aggregation tree is read; version 2 holds each node's in-flight waves
+// as one list (NodeImage.InFlight); version 1 held a single processing
+// batch.
+const snapshotVersion = 3
 
 // loadSnapshot reads the member snapshot from dir; (nil, nil) when none
 // exists yet (first boot). It is the load half of the restore path

@@ -394,6 +394,26 @@ func (e *Engine) stepSync() {
 	}
 }
 
+// TimeoutLast moves node id to the end of its site's TIMEOUT order, the
+// others keeping theirs: the node the rest of the site reports to may change
+// at run time. A node that is a site of its own, or last already, stays as
+// it is. It may be called from a callback: a site that is running its
+// TIMEOUTs in this round keeps the order it started with.
+func (e *Engine) TimeoutLast(id NodeID) {
+	s := e.nodes[id].site
+	site := e.sites[s]
+	if site[len(site)-1] == id {
+		return
+	}
+	order := make([]NodeID, 0, len(site))
+	for _, x := range site {
+		if x != id {
+			order = append(order, x)
+		}
+	}
+	e.sites[s] = append(order, id)
+}
+
 func (e *Engine) timeoutSite(site []NodeID) {
 	for _, id := range site {
 		e.timeout(id)

@@ -260,3 +260,34 @@ func TestSiteAsyncUnchanged(t *testing.T) {
 		t.Fatalf("sites changed the asynchronous schedule")
 	}
 }
+
+// TimeoutLast moves a node to the end of its site's TIMEOUT order, the
+// others keeping theirs. Called from a TIMEOUT callback it takes effect in
+// the next round: the site finishes this round in the order it started.
+// A node that is a site of its own stays as it is.
+func TestTimeoutLastReordersSite(t *testing.T) {
+	e := New(Config{Seed: 3})
+	l, m, r, idl, idm, _ := triad(e)
+	var log []string
+	tick := func(name string) func(*Context) {
+		return func(*Context) { log = append(log, name) }
+	}
+	l.onTick, r.onTick = tick("l"), tick("r")
+	m.onTick = func(*Context) {
+		log = append(log, "m")
+		if len(log) <= 3 {
+			e.TimeoutLast(idm) // m, a triad's root for now, runs last from the next round
+		}
+	}
+	alone := &echoNode{}
+	ida := e.Spawn(alone)
+	e.TimeoutLast(ida)
+	e.Step()
+	e.Step()
+	e.TimeoutLast(idl)
+	e.Step()
+	want := []string{"r", "m", "l", "r", "l", "m", "r", "m", "l"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("three rounds ran %q, want %q", log, want)
+	}
+}
