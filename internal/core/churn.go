@@ -330,7 +330,7 @@ type nodeSnapshot struct {
 	RingSeq            int64
 	PredView, SuccView ringView
 	SibViews           [2]sibView
-	ToldUp             ldb.Ref
+	Up                 ldb.Up
 }
 
 // frozen reports whether stage 1 must hold: an unadopted joiner cannot
@@ -997,7 +997,7 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 		GrantsPending: c.grantsPending, GrantedOpen: c.grantedOpen,
 		SibIn:   n.sibIn,
 		RingSeq: n.ringSeq, PredView: n.predView, SuccView: n.succView,
-		SibViews: n.sibViews, ToldUp: n.toldUp,
+		SibViews: n.sibViews, Up: n.up,
 	}
 	snap.Entries, snap.Parked = n.store.ExtractAll()
 	n.waiting = nil
@@ -1024,7 +1024,7 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 		self: ldb.Ref{ID: transport.None, Point: snap.Self.Point, Kind: snap.Self.Kind},
 		pred: snap.Pred, succ: snap.Succ,
 		ringSeq: snap.RingSeq, predView: snap.PredView, succView: snap.SuccView,
-		sibViews: snap.SibViews, toldUp: snap.ToldUp,
+		sibViews: snap.SibViews, up: snap.Up,
 		sibL: snap.SibL, sibM: snap.SibM, sibR: snap.SibR,
 		anchorRole:  snap.AnchorRole,
 		clientID:    -1, // replacements never issue requests
@@ -1097,7 +1097,7 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 	rw(&n.succView.Far)
 	rw(&n.predView.Up)
 	rw(&n.succView.Up)
-	rw(&n.toldUp)
+	rw(&n.up.To)
 	for k := range n.sibViews {
 		rw(&n.sibViews[k].Edges.Pred)
 		rw(&n.sibViews[k].Edges.Succ)
@@ -1135,8 +1135,7 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	}
 	n.ringSeq++
 	n.invalidateTopology()
-	n.toldUp = n.up()
-	n.orderSite()
+	n.refreshUp()
 	n.sendRingHello(ctx, n.pred, n.predView.Seq)
 	if n.succ.ID != n.pred.ID {
 		n.sendRingHello(ctx, n.succ, n.succView.Seq)
@@ -1149,27 +1148,24 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	}
 }
 
-// up returns the node this node reports to when it holds its process's up
-// edge (ldb.Neighborhood.UpEdge), else an invalid reference.
-func (n *Node) up() ldb.Ref {
-	if holder, to, ok := n.nb().UpEdge(); ok && holder == n.self.Kind {
-		return to
-	}
-	return ldb.Ref{ID: transport.None}
+// refreshUp works the process's up edge out again from the node's
+// neighbourhood (ldb.Neighborhood.UpEdge), after any of the ring edges and
+// partial flags it is read from changed, and keeps the node's site ordered.
+func (n *Node) refreshUp() {
+	n.up = n.nb().UpEdge()
+	n.orderSite()
 }
 
 // orderSite keeps a simulator site's TIMEOUT order children first: the
-// triad's root — its middle node when that holds the up edge, else its left
-// node — runs its TIMEOUT last, so an aggregate climbs the triad within one
-// round (sim.Engine.TimeoutLast). The middle node knows which it is.
+// triad's root, the node holding the up edge, runs its TIMEOUT last, so an
+// aggregate climbs the triad within one round (sim.Engine.TimeoutLast). The
+// middle node sees to it.
 func (n *Node) orderSite() {
 	if n.self.Kind != ldb.Middle || n.cl.reg != nil {
 		return
 	}
-	if n.toldUp.Valid() {
-		n.cl.eng.TimeoutLast(n.self.ID)
-	} else if n.sibL.Valid() {
-		n.cl.eng.TimeoutLast(n.sibL.ID)
+	if root := [...]ldb.Ref{ldb.Left: n.sibL, ldb.Middle: n.sibM}[n.up.Holder]; root.Valid() {
+		n.cl.eng.TimeoutLast(root.ID)
 	}
 }
 
@@ -1177,7 +1173,7 @@ func (n *Node) sendRingHello(ctx *transport.Context, to ldb.Ref, seen int64) {
 	if to.Valid() && to.ID != n.self.ID {
 		ctx.Send(to.ID, ringHello{
 			From: n.self, To: to.Point, Pred: n.pred, Succ: n.succ,
-			Partial: n.partial(), Up: n.toldUp,
+			Partial: n.partial(), Up: n.toldUp(),
 			Seq: n.ringSeq, Seen: seen,
 		})
 	}
@@ -1194,16 +1190,17 @@ func (n *Node) noteSibHello(ctx *transport.Context, m sibHello) {
 	if sib := [...]ldb.Ref{n.sibL, n.sibM, n.sibR}[k]; k == n.self.Kind || sib.Point != m.From.Point {
 		return
 	}
-	wasPartial := n.partial()
+	wasPartial, told := n.partial(), n.toldUp()
 	n.sibIn[k] = true
 	if k != ldb.Right && m.Seq > n.sibViews[k].Seq {
 		n.sibViews[k] = sibView{Edges: m.Edges, Seq: m.Seq}
 	}
 	n.invalidateTopology()
+	n.refreshUp()
 	if n.churn.joining {
-		return
+		return // its hellos go out once it is spliced in (setNeighbors)
 	}
-	if up := n.up(); wasPartial && !n.partial() || up.Valid() != n.toldUp.Valid() || up.Point != n.toldUp.Point {
+	if up := n.toldUp(); wasPartial && !n.partial() || up.Valid() != told.Valid() || up.Point != told.Point {
 		n.ringChanged(ctx, n.pred, n.succ)
 	}
 }

@@ -277,6 +277,56 @@ func TestChurnStorm(t *testing.T) {
 	}
 }
 
+// TestParentMatchesNeighbourhoodUnderChurn: in every round of a churn run,
+// every node that has not departed — joiners not yet spliced in included —
+// reports to the node its neighbourhood says (Node.parent is
+// ldb.Neighborhood.Parent without assembling the neighbourhood), and the
+// tree's height is defined. treeAgreement checks the first only once churn
+// has settled.
+func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
+	for seed := int64(110); seed < 112; seed++ {
+		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
+		rng := xrand.New(seed)
+		joiners := 0
+		for round := 0; round < 160; round++ {
+			if clients := cl.ActiveClients(); len(clients) > 0 && rng.Bool(0.8) {
+				cl.Enqueue(clients[rng.Intn(len(clients))])
+			}
+			switch round {
+			case 20, 110:
+				cl.JoinProcess(0)
+			case 45:
+				cl.LeaveProcess(2)
+			case 70:
+				cl.JoinProcess(4)
+			case 95:
+				cl.LeaveProcess(1)
+			}
+			cl.Step()
+			for _, n := range cl.nodes {
+				if n.churn.departed {
+					continue
+				}
+				if n.churn.joining {
+					joiners++
+				}
+				p, ok := n.nb().Parent()
+				if q, qok := n.parent(); q.ID != p.ID || qok != ok {
+					t.Fatalf("seed %d round %d: %v (joining %v) reports to %v (%v), its neighbourhood says %v (%v)",
+						seed, round, n.self, n.churn.joining, q, qok, p, ok)
+				}
+			}
+			if h := cl.TreeHeight(); h < 0 {
+				t.Fatalf("seed %d round %d: the parent chain cycles", seed, round)
+			}
+		}
+		if joiners == 0 {
+			t.Fatalf("seed %d: no joining node seen; the test exercises too little", seed)
+		}
+		settleChurn(t, cl, 60000)
+	}
+}
+
 func TestChurnAsyncConsistency(t *testing.T) {
 	for seed := int64(120); seed < 124; seed++ {
 		cl := newCluster(t, Config{

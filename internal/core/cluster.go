@@ -237,34 +237,35 @@ func (cl *Cluster) wireBootstrapRing() {
 		pos[ring.At(i).ID] = i
 	}
 	edges := func(i int) ldb.Edges { return ldb.Edges{Pred: at(i - 1), Succ: at(i + 1)} }
-	// nbAt is what node i's views hold, ups[i] what it tells it reports to.
-	nbAt := func(i int) ldb.Neighborhood {
-		self := at(i)
-		l, m, r := pos[self.ID/3*3], pos[self.ID/3*3+1], pos[self.ID/3*3+2]
-		return ldb.Neighborhood{
-			Self: self, Pred: at(i - 1), Succ: at(i + 1),
+	// ups[p] is process p's up edge, the same from each of its nodes, read
+	// once from its left node's view; told(i) is what node i tells it
+	// reports to.
+	ups := make([]ldb.Up, cl.cfg.Processes)
+	for p := range ups {
+		l, m, r := pos[3*p], pos[3*p+1], pos[3*p+2]
+		ups[p] = ldb.Neighborhood{
+			Self: at(l), Pred: at(l - 1), Succ: at(l + 1),
 			Whole:    true,
 			SibEdges: [2]ldb.Edges{edges(l), edges(m)},
 			SibL:     at(l), SibM: at(m), SibR: at(r),
-		}
+		}.UpEdge()
 	}
-	ups := make([]ldb.Ref, size)
-	for i := range ups {
-		ups[i] = ldb.Ref{ID: transport.None}
-		if holder, to, ok := nbAt(i).UpEdge(); ok && holder == at(i).Kind {
-			ups[i] = to
+	told := func(i int) ldb.Ref {
+		if self, u := at(i), ups[at(i).ID/3]; u.Holder == self.Kind {
+			return u.To
 		}
+		return ldb.Ref{ID: transport.None}
 	}
-	for i := range ups {
+	for i := 0; i < size; i++ {
 		n, ok := cl.nodes[at(i).ID]
 		if !ok {
 			continue // hosted by another member
 		}
 		n.pred, n.succ = at(i-1), at(i+1)
-		n.predView = ringView{Far: at(i - 2), Up: ups[(i-1+size)%size]}
-		n.succView = ringView{Far: at(i + 2), Up: ups[(i+1)%size]}
+		n.predView = ringView{Far: at(i - 2), Up: told(i - 1)}
+		n.succView = ringView{Far: at(i + 2), Up: told(i + 1)}
 		n.sibViews = [2]sibView{{Edges: edges(pos[n.sibL.ID])}, {Edges: edges(pos[n.sibM.ID])}}
-		n.toldUp = ups[i]
+		n.up = ups[at(i).ID/3]
 		n.orderSite()
 		n.churn.joining = false
 		n.sibIn = [3]bool{true, true, true}
@@ -312,7 +313,7 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 			predView: unknownView,
 			succView: unknownView,
 			sibViews: [2]sibView{unknownSib, unknownSib},
-			toldUp:   ldb.Ref{ID: transport.None},
+			up:       ldb.Up{To: ldb.Ref{ID: transport.None}},
 		}
 		n.churn.joining = true
 		n.churn.relayVia = ldb.Ref{ID: transport.None}

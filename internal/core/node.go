@@ -123,14 +123,14 @@ type Node struct {
 	// node it reports to over a ring edge); predView and succView are what
 	// pred and succ last told it (ringHello), sibViews what the left and
 	// middle siblings told of their ring edges (sibHello, indexed by
-	// ldb.Kind; a right node's are never read). The process's up
-	// edge is read from the left and middle nodes' edges, and the node
-	// holding it reports over it only once the node at its other end has
-	// confirmed the latest number.
+	// ldb.Kind; a right node's are never read). up is the process's up
+	// edge, read from the left and middle nodes' edges whenever one of
+	// them changes (refreshUp), and the node holding it reports over it
+	// only once the node at its other end has confirmed the latest number.
 	ringSeq            int64
 	predView, succView ringView
 	sibViews           [2]sibView
-	toldUp             ldb.Ref
+	up                 ldb.Up
 	// sibIn tracks which of the process's virtual nodes are integrated
 	// ring members (indexed by ldb.Kind). A sibling-derived tree child is
 	// only expected once that sibling announced its integration; joiners
@@ -261,22 +261,19 @@ func (n *Node) nb() ldb.Neighborhood {
 	}
 }
 
-// parent is ldb.Neighborhood.Parent read off what the node told its ring
-// neighbours, without assembling the neighbourhood: the node holding its
-// process's up edge reports where its hellos say (toldUp, kept current by
-// ringChanged and noteSibHello), a right node to its middle sibling, a
-// middle node to its left one, and a left node to its middle sibling unless
-// it is the anchor, whose predecessor wraps.
+// parent is ldb.Neighborhood.Parent read off the process's up edge as the
+// node last worked it out (refreshUp), without assembling the neighbourhood.
 func (n *Node) parent() (ldb.Ref, bool) {
-	switch {
-	case n.toldUp.Valid():
-		return n.toldUp, true
-	case n.self.Kind == ldb.Middle:
-		return n.sibL, true
-	case n.self.Kind == ldb.Right || n.pred.Point.Less(n.self.Point) && n.pred.ID != n.self.ID:
-		return n.sibM, true
+	return n.up.Parent(n.self.Kind, n.sibL, n.sibM)
+}
+
+// toldUp is the node this node reports to when it holds its process's up
+// edge, as its hellos say, else an invalid reference.
+func (n *Node) toldUp() ldb.Ref {
+	if n.up.Holder == n.self.Kind {
+		return n.up.To
 	}
-	return ldb.Ref{ID: transport.None}, false
+	return ldb.Ref{ID: transport.None}
 }
 
 // partial reports whether the node has no way to the anchor through its
@@ -476,9 +473,9 @@ func (n *Node) parentJoining() bool {
 	if n.anchorRole || n.churn.joining {
 		return false // assigns itself, or reports to its relay
 	}
-	switch {
-	case n.toldUp.Valid():
-		if n.toldUp.Point == n.succ.Point {
+	switch up := n.toldUp(); {
+	case up.Valid():
+		if up.Point == n.succ.Point {
 			return n.succView.Seen < n.ringSeq
 		}
 		return n.predView.Seen < n.ringSeq

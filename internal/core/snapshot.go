@@ -113,14 +113,15 @@ type NodeImage struct {
 	SibL, SibM, SibR ldb.Ref
 	SibIn            [3]bool
 	ClientID         int32
-	// RingSeq, PredView, SuccView, SibViews and ToldUp are the node's pair
+	// RingSeq, PredView, SuccView, SibViews and Up are the node's pair
 	// number, what its ring neighbours and siblings last said of theirs, and
-	// the node it told it reports to (Node.ringChanged). A restarted node
-	// keeps them: its neighbours' numbers and confirmations go on from there.
+	// the process's up edge it worked out from that (Node.ringChanged). A
+	// restarted node keeps them: its neighbours' numbers and confirmations go
+	// on from there.
 	RingSeq            int64
 	PredView, SuccView ringView
 	SibViews           [2]sibView
-	ToldUp             ldb.Ref
+	Up                 ldb.Up
 
 	Anchor bool
 	Ast    batch.AnchorState
@@ -311,7 +312,7 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			PredView:     n.predView,
 			SuccView:     n.succView,
 			SibViews:     n.sibViews,
-			ToldUp:       n.toldUp,
+			Up:           n.up,
 			ClientID:     n.clientID,
 			Anchor:       n.anchorRole,
 			Ast:          n.ast.Clone(), // a copy: the image is encoded off the runner while the anchor keeps assigning
@@ -452,7 +453,7 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			predView:     img.PredView,
 			succView:     img.SuccView,
 			sibViews:     img.SibViews,
-			toldUp:       img.ToldUp,
+			up:           img.Up,
 			anchorRole:   img.Anchor,
 			ast:          img.Ast,
 			nextElemSeq:  img.NextElemSeq,

@@ -45,14 +45,14 @@
 // The paper's tree has a middle node report to its left sibling, a right
 // node to its middle sibling and a left node to its ring predecessor, so a
 // process's depth grows by one edge between processes per process to its
-// left. Here a whole process picks one up edge among the four ring edges of
-// its left and middle nodes (UpEdge): the edge, not wrapping and not to a
-// partial node, whose far end's process has the smallest left label
-// (LeftOf), if that is below its own. The node holding it is the triad's
-// root and reports over it; its siblings report to it or through it. A
-// right node's edges would add nothing (see UpEdge). A process that is not
-// whole reports from its left node, to whichever ring neighbour's process
-// sits further left. LeftOf falls strictly along every edge between
+// left. Here a process picks one up edge among the ring edges of its left
+// and middle nodes (UpEdge), the middle node's only once the process is
+// whole: the edge, not wrapping and not to a partial node, whose far end's
+// process has the smallest left label (LeftOf), if that is below its own. The
+// node holding it is the triad's root and reports over it; its siblings
+// report to it or through it (Up.Parent, the one statement of who reports to
+// whom inside a triad). A right node's edges would add nothing (see UpEdge).
+// LeftOf falls strictly along every edge between
 // processes, so the tree stays acyclic, rooted at the anchor, and covers
 // every node. Every node of a process computes the same up edge from its own
 // ring edges and what its siblings told of theirs (SibEdges), and a node
@@ -124,11 +124,13 @@ func (p Point) String() string {
 // Ref is a node reference as carried in messages: the simulation address
 // plus everything a neighbour must know about the node (paper §II-A: when
 // a node learns a reference it also learns whether it is a left, middle or
-// right virtual node).
+// right virtual node). Kind sits next to ID, in the padding the 8-byte
+// aligned Point would leave after it: a reference is held many times over
+// in every node and message.
 type Ref struct {
 	ID    transport.NodeID
-	Point Point
 	Kind  Kind
+	Point Point
 }
 
 // Valid reports whether the reference points at a node.
@@ -232,81 +234,72 @@ func (nb Neighborhood) edges(k Kind) Edges {
 	return nb.SibEdges[k]
 }
 
-// UpEdge returns the process's up edge: the kind of the node that holds it
-// (Left or Middle) and the node of another process at its far end. ok is
-// false at the anchor's process, whose left node is the tree root.
+// Up is a process's up edge: Holder, the kind of the node that holds it,
+// which is the root of the triad, and To, the node of another process at its
+// far end. To is invalid at the anchor's process, whose left node is the
+// tree's root.
+type Up struct {
+	Holder Kind
+	To     Ref
+}
+
+// Parent is the triad rule: the aggregation-tree parent of the process's
+// node of kind k. The holder reports over the up edge; the others report
+// within the triad: a right node to its middle sibling, a middle node to its
+// left sibling, and a left node to its middle sibling, which then holds the
+// up edge. ok is false exactly for the anchor, the tree root.
+func (u Up) Parent(k Kind, sibL, sibM Ref) (parent Ref, ok bool) {
+	switch {
+	case k == u.Holder:
+		return u.To, u.To.Valid()
+	case k == Middle:
+		return sibL, true
+	}
+	return sibM, true
+}
+
+// UpEdge returns the process's up edge, read from the ring edges of its left
+// node and, when the process is whole, of its middle node too. An edge counts
+// if it does not wrap and its far end is not partial, and the process takes
+// the one whose far end has the smallest left label (LeftOf), if that is
+// below its own; the left node's edges come first, and win a tie. When none
+// counts, the left node reports to its predecessor. The right node's edges
+// would add nothing: its successor is a right node or a middle node above the
+// own middle node, and its predecessor is a middle node at or above the own
+// middle node, a right node r whose process's left node r − ½ is, with no
+// left node in between, the own left node's predecessor or above it, or —
+// when nothing lies between ½ and the right node — the own process is the
+// anchor's.
 //
-// A whole process reads the four ring edges of its left and middle nodes.
-// An edge counts if it does not wrap and its far end is not partial, and
-// the process takes the one whose far end has the smallest left label
-// (LeftOf), if that is below its own; the left node's edges come first on a
-// tie. The right node's edges would add nothing: its successor is a right
-// node or a middle node above the own middle node, and its predecessor is a
-// middle node at or above the own middle node, a right node r whose process's
-// left node r − ½ is, with no left node in between, the own left node's
-// predecessor or above it, or — when nothing lies between ½ and the right
-// node — the own process is the anchor's. A process that is not whole, or
-// whose edges all fail, reports from its left node, over reportsRight.
-func (nb Neighborhood) UpEdge() (holder Kind, to Ref, ok bool) {
-	if nb.Whole {
-		best := LeftOf(nb.SibL)
-		for k, from := range [...]Ref{Left: nb.SibL, Middle: nb.SibM} {
-			e := nb.edges(Kind(k))
-			if e.Pred.Valid() && e.Pred.Point.Less(from.Point) && !e.PredPartial && LeftOf(e.Pred) < best {
-				holder, to, ok, best = Kind(k), e.Pred, true, LeftOf(e.Pred)
-			}
-			if e.Succ.Valid() && from.Point.Less(e.Succ.Point) && !e.SuccPartial && LeftOf(e.Succ) < best {
-				holder, to, ok, best = Kind(k), e.Succ, true, LeftOf(e.Succ)
-			}
+// A left node whose predecessor wraps is the anchor, and one whose
+// predecessor is unknown (a joiner not yet spliced in) is treated as one:
+// either way the process reports nowhere.
+func (nb Neighborhood) UpEdge() Up {
+	pred := nb.edges(Left).Pred
+	if !pred.Valid() || !pred.Point.Less(nb.SibL.Point) {
+		return Up{Holder: Left, To: Ref{ID: transport.None}}
+	}
+	up, best := Up{Holder: Left, To: pred}, LeftOf(nb.SibL)
+	kinds := []Kind{Left, Middle}
+	if !nb.Whole {
+		kinds = kinds[:1]
+	}
+	for _, k := range kinds {
+		from, e := [...]Ref{Left: nb.SibL, Middle: nb.SibM}[k], nb.edges(k)
+		if e.Pred.Valid() && e.Pred.Point.Less(from.Point) && !e.PredPartial && LeftOf(e.Pred) < best {
+			up, best = Up{Holder: k, To: e.Pred}, LeftOf(e.Pred)
 		}
-		if ok {
-			return holder, to, true
+		if e.Succ.Valid() && from.Point.Less(e.Succ.Point) && !e.SuccPartial && LeftOf(e.Succ) < best {
+			up, best = Up{Holder: k, To: e.Succ}, LeftOf(e.Succ)
 		}
 	}
-	l, e := nb.SibL, nb.edges(Left)
-	if !e.Pred.Valid() || !e.Pred.Point.Less(l.Point) {
-		return Left, Ref{ID: transport.None}, false // the anchor: its predecessor wraps
-	}
-	if reportsRight(l, e.Pred, e.Succ, e.PredPartial, e.SuccPartial, !l.Point.Less(e.Succ.Point)) {
-		return Left, e.Succ, true
-	}
-	return Left, e.Pred, true
+	return up
 }
 
-// reportsRight is the parent choice of a non-anchor left node with the
-// given ring neighbours, when its process is not whole: its successor if
-// the successor is not partial, the edge does not wrap, and the successor's
-// process sits strictly further left than the predecessor's — or than the
-// node's own, when the predecessor is partial and so has no way to the
-// anchor yet. Otherwise its predecessor, as the paper's rule has it.
-func reportsRight(self, pred, succ Ref, predPartial, succPartial, succWraps bool) bool {
-	if succWraps || succPartial {
-		return false
-	}
-	bar := pred
-	if predPartial {
-		bar = self
-	}
-	return LeftOf(succ) < LeftOf(bar)
-}
-
-// Parent returns the aggregation-tree parent. The node holding the
-// process's up edge reports over it; the others report within the triad: a
-// right node to its middle sibling, a middle node to its left sibling, and a
-// left node to its middle sibling when that holds the up edge. ok is false
+// Parent returns the aggregation-tree parent (Up.Parent). ok is false
 // exactly for the anchor, the tree root.
 func (nb Neighborhood) Parent() (parent Ref, ok bool) {
-	if nb.Self.Kind == Right {
-		return nb.SibM, true
-	}
-	holder, up, ok := nb.UpEdge()
-	switch {
-	case holder == nb.Self.Kind:
-		return up, ok
-	case nb.Self.Kind == Middle:
-		return nb.SibL, true
-	}
-	return nb.SibM, true
+	return nb.UpEdge().Parent(nb.Self.Kind, nb.SibL, nb.SibM)
 }
 
 // Children returns the aggregation-tree children: the siblings that report
@@ -316,15 +309,11 @@ func (nb Neighborhood) Parent() (parent Ref, ok bool) {
 // (core's ringHello).
 func (nb Neighborhood) Children() []Ref {
 	var c []Ref
-	switch nb.Self.Kind {
-	case Middle:
-		c = append(c, nb.SibR)
-		if holder, _, _ := nb.UpEdge(); holder == Middle {
-			c = append(c, nb.SibL)
-		}
-	case Left:
-		if holder, _, _ := nb.UpEdge(); holder == Left {
-			c = append(c, nb.SibM)
+	up := nb.UpEdge()
+	sibs := [...]Ref{Left: nb.SibL, Middle: nb.SibM, Right: nb.SibR}
+	for _, k := range [...]Kind{Right, Left, Middle} {
+		if p, _ := up.Parent(k, nb.SibL, nb.SibM); k != nb.Self.Kind && p.Point == nb.Self.Point {
+			c = append(c, sibs[k])
 		}
 	}
 	if nb.PredUp.Valid() && nb.PredUp.Point == nb.Self.Point {

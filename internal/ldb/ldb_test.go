@@ -447,14 +447,11 @@ func TestProcessAgreesOnUpEdge(t *testing.T) {
 			var kinds [3]Kind
 			for k, ref := range sibs {
 				nb := net.partialNeighborhood(net.index[ref.ID], partial)
-				holder, to, ok := nb.UpEdge()
-				if !ok {
-					to = Ref{ID: sim.None}
-				}
-				got[k], kinds[k] = to, holder
+				up := nb.UpEdge()
+				got[k], kinds[k] = up.To, up.Holder
 				p, _ := nb.Parent()
-				if reports := p.ID == to.ID; ok && Kind(k) != Right && reports != (Kind(k) == holder) {
-					t.Fatalf("seed %d process %d: %v reports to %v, up edge %v at %v", seed, pid, nb.Self, p, to, holder)
+				if reports := p.ID == up.To.ID; up.To.Valid() && Kind(k) != Right && reports != (Kind(k) == up.Holder) {
+					t.Fatalf("seed %d process %d: %v reports to %v, up edge %v at %v", seed, pid, nb.Self, p, up.To, up.Holder)
 				}
 			}
 			if got[0] != got[1] || got[1] != got[2] || kinds[0] != kinds[1] || kinds[1] != kinds[2] {
@@ -467,6 +464,38 @@ func TestProcessAgreesOnUpEdge(t *testing.T) {
 	}
 	if holders[Left] == 0 || holders[Middle] == 0 {
 		t.Fatalf("up edges held by %v; the test exercises too little", holders)
+	}
+}
+
+func TestJoiningTriadReportsNowhere(t *testing.T) {
+	// A joiner's nodes before they are spliced into the ring: the left node
+	// knows no predecessor, so the process reports nowhere, even past a
+	// successor whose process sits further left. Its middle and right nodes
+	// still report within the triad.
+	at := func(id sim.NodeID, x float64, kind Kind) Ref {
+		return Ref{ID: id, Point: Point{Label: fixpoint.FromFloat(x)}, Kind: kind}
+	}
+	none := Ref{ID: sim.None}
+	l, m, r := at(1, 0.3, Left), at(2, 0.6, Middle), at(3, 0.8, Right)
+	succ := at(7, 0.35, Middle) // its process's left label is 0.175
+	for _, whole := range []bool{false, true} {
+		sibEdges := [2]Edges{{Pred: none, Succ: succ}, {Pred: none, Succ: none}}
+		for _, self := range []Ref{l, m, r} {
+			nb := Neighborhood{Self: self, Pred: none, Succ: none, PredPred: none, SuccSucc: none, PredUp: none, SuccUp: none,
+				Whole: whole, SibEdges: sibEdges, SibL: l, SibM: m, SibR: r}
+			if self.Kind == Left {
+				nb.Succ = succ
+			}
+			up := nb.UpEdge()
+			if up.Holder != Left || up.To.Valid() {
+				t.Fatalf("whole=%v: %v works out the up edge %v at %v, want none", whole, self, up.To, up.Holder)
+			}
+			want := [...]Ref{Left: none, Middle: l, Right: m}[self.Kind]
+			p, ok := nb.Parent()
+			if p.ID != want.ID || ok != want.Valid() {
+				t.Fatalf("whole=%v: %v reports to %v (%v), want %v", whole, self, p, ok, want)
+			}
+		}
 	}
 }
 
@@ -563,7 +592,7 @@ func paperParent(nb Neighborhood) (Ref, bool) {
 }
 
 // leftOnlyParent is the tree with every process treated as not whole: its
-// left node reports over one of its own ring edges (reportsRight).
+// left node reports over one of its own ring edges.
 func leftOnlyParent(nb Neighborhood) (Ref, bool) {
 	nb.Whole = false
 	return nb.Parent()

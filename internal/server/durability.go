@@ -144,8 +144,8 @@ const snapshotFile = "snapshot.gob"
 // one it reads: gob drops the fields it does not know, so an image of
 // another format would restore with part of its state silently lost.
 // Version 3 adds what each node's siblings told of their ring edges and
-// the node it told it reports to (NodeImage.SibViews, ToldUp), from which
-// the aggregation tree is read; version 2 holds each node's in-flight waves
+// the process's up edge it read from them (NodeImage.SibViews, Up), from
+// which the aggregation tree is read; version 2 holds each node's in-flight waves
 // as one list (NodeImage.InFlight); version 1 held a single processing
 // batch.
 const snapshotVersion = 3
