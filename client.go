@@ -771,6 +771,9 @@ type Metrics struct {
 	MaxRouteHops  int // longest LDB routing path
 	MaxQueueSize  int64
 	AvgRouteHops  float64 // mean LDB routing path length
+	// AvgRouteRingHops is the mean of a route's hops to a node of another
+	// process, the ones that cost a round.
+	AvgRouteRingHops float64
 	// MaxWavesInFlight is the deepest pipeline a node reached (waves fired
 	// and not yet served) and PipelinedFires the fires made with a wave
 	// already in flight; a stack never pipelines.
@@ -803,6 +806,7 @@ func (c *Client) Metrics() Metrics {
 		MaxQueueSize:  m.MaxQueueSize,
 		AvgRouteHops:  m.AvgRouteHops(),
 
+		AvgRouteRingHops: m.AvgRouteRingHops(),
 		MaxWavesInFlight: m.MaxWavesInFlight,
 		PipelinedFires:   m.PipelinedFires,
 	}

@@ -75,8 +75,8 @@ func main() {
 	wait, tree, route, depth := c.Cluster().Split().Means()
 	fmt.Printf("split: wait %.2f + tree %.2f + route %.2f rounds, mean depth %.2f between processes\n", wait, tree, route, depth)
 	fmt.Printf("enqueues=%d dequeues=%d bottoms=%d combined=%d\n", st.Enqueues, st.Dequeues, st.Bottoms, st.Combined)
-	fmt.Printf("waves=%d emptyWaves=%d declines=%d maxBatchRuns=%d avgRouteHops=%.1f maxRouteHops=%d parkedGets=%d maxQueueSize=%d maxWavesInFlight=%d pipelinedFires=%d\n",
-		met.WavesAssigned, met.EmptyWaves, met.Declines, met.MaxBatchRuns, met.AvgRouteHops, met.MaxRouteHops, met.ParkedGets, met.MaxQueueSize,
+	fmt.Printf("waves=%d emptyWaves=%d declines=%d maxBatchRuns=%d avgRouteHops=%.1f (%.2f between processes) maxRouteHops=%d parkedGets=%d maxQueueSize=%d maxWavesInFlight=%d pipelinedFires=%d\n",
+		met.WavesAssigned, met.EmptyWaves, met.Declines, met.MaxBatchRuns, met.AvgRouteHops, met.AvgRouteRingHops, met.MaxRouteHops, met.ParkedGets, met.MaxQueueSize,
 		met.MaxWavesInFlight, met.PipelinedFires)
 	eng := c.Cluster().Engine().Stats()
 	fmt.Printf("messages: %d sent (%d within a process)\n", eng.MessagesSent, eng.LocalDelivered)

@@ -33,11 +33,14 @@ import (
 //     phase-control messages from an earlier phase cannot corrupt a later
 //     one under asynchrony.
 
-// joinerInfo is a joining node this node is responsible for (§IV-A). The
-// field is exported because joiner lists ride in handoff and absorb
-// messages, which cross the wire under the TCP transport.
+// joinerInfo is a joining node this node is responsible for (§IV-A), with
+// End, the end of the key range the joiner was told it owns from its own
+// point (adoptMsg, shrunk by a transferCmd). The fields are exported because
+// joiner lists ride in handoff and absorb messages, which cross the wire
+// under the TCP transport.
 type joinerInfo struct {
 	Ref ldb.Ref
+	End fixpoint.Frac
 }
 
 // anchorBundle is the anchor's transferable role state: the position
@@ -179,12 +182,17 @@ type introAck struct{ Epoch int64 }
 
 // sibHello tells the process siblings that the sender, an integrated ring
 // member (see Node.sibIn), has the ring edges Edges, under its pair number
-// Seq (see Node.ringChanged). Siblings share one site or member, so it costs
-// no round (a leave replacement is a site of its own).
+// Seq (see Node.ringChanged). A left node adds Up, the process's up edge as
+// it works it out (ldb.Neighborhood.UpEdge), and a middle node Seen, the
+// newest of its left sibling's pair numbers it holds, which confirms an up
+// edge that names it (ldb.Neighborhood.Up). Siblings share one site or
+// member, so it costs no round (a leave replacement is a site of its own).
 type sibHello struct {
 	From  ldb.Ref
 	Edges ldb.Edges
+	Up    ldb.Up
 	Seq   int64
+	Seen  int64
 }
 
 // ringHello tells a ring neighbour, at point To, the sender's own pred and
@@ -217,17 +225,26 @@ type ringView struct {
 
 // sibView is what a node knows of a process sibling's ring edges: the
 // sibling's latest sibHello, under its pair number Seq, −1 while none has
-// come. Fields are exported for the same reason as ringView's.
+// come, with the up edge a left sibling told (Up; at the left node itself,
+// the one it last told) and the newest of this node's pair numbers a middle
+// sibling has confirmed (Seen). Fields are exported for the same reason as
+// ringView's.
 type sibView struct {
 	Edges ldb.Edges
+	Up    ldb.Up
 	Seq   int64
+	Seen  int64
 }
 
 // unknownView is the view of a new neighbour that has said nothing yet.
 var unknownView = ringView{Far: ldb.Ref{ID: transport.None}, Up: ldb.Ref{ID: transport.None}, Seq: -1}
 
 // unknownSib is the view of a sibling that has said nothing yet.
-var unknownSib = sibView{Edges: ldb.Edges{Pred: ldb.Ref{ID: transport.None}, Succ: ldb.Ref{ID: transport.None}}, Seq: -1}
+var unknownSib = sibView{
+	Edges: ldb.Edges{Pred: ldb.Ref{ID: transport.None}, Succ: ldb.Ref{ID: transport.None}},
+	Up:    ldb.Up{To: ldb.Ref{ID: transport.None}},
+	Seq:   -1, Seen: -1,
+}
 
 // updateAck aggregates "my old subtree finished integrating" (§IV-A).
 type updateAck struct{ Epoch int64 }
@@ -331,6 +348,7 @@ type nodeSnapshot struct {
 	PredView, SuccView ringView
 	SibViews           [2]sibView
 	Up                 ldb.Up
+	UpSeq              int64
 }
 
 // frozen reports whether stage 1 must hold: an unadopted joiner cannot
@@ -516,6 +534,14 @@ func (c *churnState) startIntegration(ctx *transport.Context, n *Node) {
 			}
 			ctx.Send(j.Ref.ID, setNeighbors{Pred: pred, Succ: succ, Epoch: c.epoch})
 			c.introAcksLeft++
+			if j.End != succ.Point.Label {
+				// What this node kept past the joiner's range (joinerFor) is
+				// the joiner's now, up to its new successor.
+				ents, parked := n.store.Extract(func(pos int64) bool {
+					return fixpoint.InCWRange(n.cl.keyHash.Frac(uint64(pos)), j.End, succ.Point.Label)
+				})
+				ctx.Send(j.Ref.ID, handoverMsg{Entries: ents, Parked: parked})
+			}
 		}
 		if oldSucc.ID != n.self.ID {
 			ctx.Send(oldSucc.ID, setPred{Pred: js[len(js)-1].Ref, Epoch: c.epoch})
@@ -883,6 +909,15 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 func (n *Node) handleRoutedChurn(ctx *transport.Context, inner any) {
 	switch m := inner.(type) {
 	case joinReq:
+		if n.churn.absorbSent {
+			// A replacement dissolving into its pred cannot relay a joiner:
+			// its joiner list has left with the absorb, and a joiner adopted
+			// now would wait for a splice no one makes. The pred owns the
+			// joiner's point once the absorb lands; the route starts afresh
+			// there.
+			ctx.Send(n.pred.ID, routedMsg{RS: ldb.RouteState{Target: m.NewNode.Point.Label, BitsLeft: -1}, Inner: m})
+			return
+		}
 		n.adoptJoiner(ctx, m.NewNode)
 	default:
 		panic(fmt.Sprintf("core: %v cannot handle routed payload %T", n.self, inner))
@@ -913,15 +948,15 @@ func (n *Node) adoptJoiner(ctx *transport.Context, v ldb.Ref) {
 	})
 	c.joiners = append(c.joiners, joinerInfo{})
 	copy(c.joiners[idx+1:], c.joiners[idx:])
-	c.joiners[idx] = joinerInfo{Ref: v}
-
 	end := n.succ.Point.Label
 	if idx+1 < len(c.joiners) {
 		end = c.joiners[idx+1].Ref.Point.Label
 	}
+	c.joiners[idx] = joinerInfo{Ref: v, End: end}
 	if idx > 0 {
-		holder := c.joiners[idx-1].Ref
-		ctx.Send(holder.ID, transferCmd{To: v, From: v.Point.Label, End: end})
+		holder := &c.joiners[idx-1]
+		holder.End = v.Point.Label
+		ctx.Send(holder.Ref.ID, transferCmd{To: v, From: v.Point.Label, End: end})
 	} else {
 		ents, parked := n.store.Extract(func(pos int64) bool {
 			return fixpoint.InCWRange(n.cl.keyHash.Frac(uint64(pos)), v.Point.Label, end)
@@ -932,11 +967,13 @@ func (n *Node) adoptJoiner(ctx *transport.Context, v ldb.Ref) {
 }
 
 // joinerFor returns the joiner owning key, if any: the joiner with the
-// largest point not above the key, measured clockwise from this node.
+// largest point not above the key, measured clockwise from this node, if
+// the key lies within the range that joiner was told it owns. A key past
+// that range — this node's range grew when it absorbed a replacement —
+// stays here until the joiner is spliced in (startIntegration): the joiner
+// would bounce it back (dispatchDHT), and this node send it again, for
+// ever.
 func (c *churnState) joinerFor(key fixpoint.Frac, self ldb.Ref) (joinerInfo, bool) {
-	if len(c.joiners) == 0 {
-		return joinerInfo{}, false
-	}
 	kd := fixpoint.CWDist(self.Point.Label, key)
 	best := -1
 	for i, j := range c.joiners {
@@ -945,7 +982,7 @@ func (c *churnState) joinerFor(key fixpoint.Frac, self ldb.Ref) (joinerInfo, boo
 			best = i
 		}
 	}
-	if best < 0 {
+	if best < 0 || !fixpoint.InCWRange(key, c.joiners[best].Ref.Point.Label, c.joiners[best].End) {
 		return joinerInfo{}, false
 	}
 	return c.joiners[best], true
@@ -997,7 +1034,7 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 		GrantsPending: c.grantsPending, GrantedOpen: c.grantedOpen,
 		SibIn:   n.sibIn,
 		RingSeq: n.ringSeq, PredView: n.predView, SuccView: n.succView,
-		SibViews: n.sibViews, Up: n.up,
+		SibViews: n.sibViews, Up: n.up, UpSeq: n.upSeq,
 	}
 	snap.Entries, snap.Parked = n.store.ExtractAll()
 	n.waiting = nil
@@ -1024,7 +1061,7 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 		self: ldb.Ref{ID: transport.None, Point: snap.Self.Point, Kind: snap.Self.Kind},
 		pred: snap.Pred, succ: snap.Succ,
 		ringSeq: snap.RingSeq, predView: snap.PredView, succView: snap.SuccView,
-		sibViews: snap.SibViews, up: snap.Up,
+		sibViews: snap.SibViews, up: snap.Up, upSeq: snap.UpSeq,
 		sibL: snap.SibL, sibM: snap.SibM, sibR: snap.SibR,
 		anchorRole:  snap.AnchorRole,
 		clientID:    -1, // replacements never issue requests
@@ -1101,6 +1138,7 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 	for k := range n.sibViews {
 		rw(&n.sibViews[k].Edges.Pred)
 		rw(&n.sibViews[k].Edges.Succ)
+		rw(&n.sibViews[k].Up.To)
 	}
 	rw(&n.sibL)
 	rw(&n.sibM)
@@ -1133,27 +1171,58 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	if n.succ.ID != oldSucc.ID {
 		n.succView = unknownView
 	}
-	n.ringSeq++
 	n.invalidateTopology()
-	n.refreshUp()
+	n.refreshUp() // before the new number, which tells a new up edge
+	n.ringSeq++
 	n.sendRingHello(ctx, n.pred, n.predView.Seq)
 	if n.succ.ID != n.pred.ID {
 		n.sendRingHello(ctx, n.succ, n.succView.Seq)
 	}
-	edges := ldb.Edges{Pred: n.pred, Succ: n.succ, PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial}
 	for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
 		if sib.Valid() && sib.ID != n.self.ID {
-			ctx.Send(sib.ID, sibHello{From: n.self, Edges: edges, Seq: n.ringSeq})
+			n.sendSibHello(ctx, sib)
 		}
 	}
 }
 
-// refreshUp works the process's up edge out again from the node's
-// neighbourhood (ldb.Neighborhood.UpEdge), after any of the ring edges and
-// partial flags it is read from changed, and keeps the node's site ordered.
-func (n *Node) refreshUp() {
-	n.up = n.nb().UpEdge()
+// sendSibHello tells a sibling the node's ring edges under its current pair
+// number, with the process's up edge from a left node and the confirmation
+// of the left node's word from a middle node.
+func (n *Node) sendSibHello(ctx *transport.Context, to ldb.Ref) {
+	m := sibHello{
+		From:  n.self,
+		Edges: ldb.Edges{Pred: n.pred, Succ: n.succ, PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial},
+		Seq:   n.ringSeq,
+		Seen:  n.sibViews[ldb.Left].Seq,
+	}
+	if n.self.Kind == ldb.Left {
+		m.Up = n.sibViews[ldb.Left].Up
+	}
+	ctx.Send(to.ID, m)
+}
+
+// refreshUp works out again the up edge the node acts on
+// (ldb.Neighborhood.Up), after any of the ring edges, partial flags and words
+// it is read from changed, and keeps the node's site ordered. A left node
+// works the process's up edge out and, when that is not what it last told
+// (its own sibViews entry), reports that its siblings must hear of it under
+// the next pair number; when the edge moves to the middle node, that number
+// is the one the middle node must confirm (upSeq).
+func (n *Node) refreshUp() (tell bool) {
+	if word := &n.sibViews[ldb.Left].Up; n.self.Kind == ldb.Left {
+		if d := n.nb().UpEdge(); d != *word {
+			switch {
+			case d.Holder != ldb.Middle:
+				n.upSeq = -1
+			case word.Holder != ldb.Middle:
+				n.upSeq = n.ringSeq + 1
+			}
+			*word, tell = d, true
+		}
+	}
+	n.up = n.nb().Up()
 	n.orderSite()
+	return tell
 }
 
 // orderSite keeps a simulator site's TIMEOUT order children first: the
@@ -1192,16 +1261,23 @@ func (n *Node) noteSibHello(ctx *transport.Context, m sibHello) {
 	}
 	wasPartial, told := n.partial(), n.toldUp()
 	n.sibIn[k] = true
+	word := false // a left sibling's word this middle node must confirm
 	if k != ldb.Right && m.Seq > n.sibViews[k].Seq {
-		n.sibViews[k] = sibView{Edges: m.Edges, Seq: m.Seq}
+		n.sibViews[k] = sibView{Edges: m.Edges, Up: m.Up, Seq: m.Seq, Seen: n.sibViews[k].Seen}
+		word = k == ldb.Left && n.self.Kind == ldb.Middle && m.Up.Holder == ldb.Middle
+	}
+	if k == ldb.Middle {
+		n.sibViews[k].Seen = max(n.sibViews[k].Seen, m.Seen)
 	}
 	n.invalidateTopology()
-	n.refreshUp()
+	tell := n.refreshUp()
 	if n.churn.joining {
 		return // its hellos go out once it is spliced in (setNeighbors)
 	}
-	if up := n.toldUp(); wasPartial && !n.partial() || up.Valid() != told.Valid() || up.Point != told.Point {
+	if up := n.toldUp(); tell || wasPartial && !n.partial() || up.Valid() != told.Valid() || up.Point != told.Point {
 		n.ringChanged(ctx, n.pred, n.succ)
+	} else if word {
+		n.sendSibHello(ctx, m.From)
 	}
 }
 

@@ -288,21 +288,8 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
 		rng := xrand.New(seed)
 		joiners := 0
-		for round := 0; round < 160; round++ {
-			if clients := cl.ActiveClients(); len(clients) > 0 && rng.Bool(0.8) {
-				cl.Enqueue(clients[rng.Intn(len(clients))])
-			}
-			switch round {
-			case 20, 110:
-				cl.JoinProcess(0)
-			case 45:
-				cl.LeaveProcess(2)
-			case 70:
-				cl.JoinProcess(4)
-			case 95:
-				cl.LeaveProcess(1)
-			}
-			cl.Step()
+		for round := 0; round < scheduleRounds; round++ {
+			scheduleStep(cl, rng, round)
 			for _, n := range cl.nodes {
 				if n.churn.departed {
 					continue
@@ -324,6 +311,71 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 			t.Fatalf("seed %d: no joining node seen; the test exercises too little", seed)
 		}
 		settleChurn(t, cl, 60000)
+	}
+}
+
+// scheduleRounds and scheduleStep are the churn schedule of the tests
+// below: five processes, an enqueue in four rounds of five, three joins and
+// two leaves, one round at a time.
+const scheduleRounds = 160
+
+func scheduleStep(cl *Cluster, rng *xrand.RNG, round int) {
+	if clients := cl.ActiveClients(); len(clients) > 0 && rng.Bool(0.8) {
+		cl.Enqueue(clients[rng.Intn(len(clients))])
+	}
+	switch round {
+	case 20, 110:
+		cl.JoinProcess(0)
+	case 45:
+		cl.LeaveProcess(2)
+	case 70:
+		cl.JoinProcess(4)
+	case 95:
+		cl.LeaveProcess(1)
+	}
+	cl.Step()
+}
+
+// TestNoParentCycleUnderChurn: the parent chain never cycles, in any round
+// of the schedule, over 300 seeds. When the left and middle nodes of a triad
+// each worked the up edge out from their own edges and the other's as last
+// told, both could read the other's stale edge as the better one and report
+// to each other for a round (54 seeds of 2 000). The left node decides now,
+// and reports to its middle node only once that one has confirmed
+// (ldb.Neighborhood.Up).
+func TestNoParentCycleUnderChurn(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
+		rng := xrand.New(seed)
+		for round := 0; round < scheduleRounds; round++ {
+			scheduleStep(cl, rng, round)
+			if cl.TreeHeight() < 0 {
+				t.Fatalf("seed %d round %d: the parent chain cycles", seed, round)
+			}
+		}
+	}
+}
+
+// TestScheduleDrains: two runs of the schedule that once did not end.
+//   - Seed 1: a JOIN request reached a replacement that had already sent
+//     its absorb to its pred. It adopted the joiner into a list that had
+//     left with the absorb, and no node ever spliced the joiner in. A
+//     dissolving replacement now passes the request to its pred
+//     (handleRoutedChurn).
+//   - Seed 1559: a relay absorbed the replacement after the last joiner it
+//     relays for, and the data it took over lay past that joiner's range.
+//     The relay sent it to the joiner, which bounced it back, 65 536 times
+//     within one round. A relay keeps what lies past its joiners' ranges
+//     until it splices them in (churnState.joinerFor).
+func TestScheduleDrains(t *testing.T) {
+	for _, seed := range []int64{1, 1559} {
+		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
+		rng := xrand.New(seed)
+		for round := 0; round < scheduleRounds; round++ {
+			scheduleStep(cl, rng, round)
+		}
+		settleChurn(t, cl, 60000)
+		drainAndCheck(t, cl, 60000)
 	}
 }
 
@@ -506,21 +558,28 @@ func TestRejoinAfterLeave(t *testing.T) {
 // is already a ring member must not prepend a bit over the virtual edge to a
 // sibling that is not — that sibling holds what it cannot route yet, and if
 // the request is its own, it would wait for itself. The route gives up its
-// remaining bits and closes by the linear walk over ring neighbours.
+// remaining bits and closes by the linear walk over the ring nodes it can
+// see.
 func TestRouteAvoidsUnintegratedSibling(t *testing.T) {
 	cl, net := churnNet(t, Config{Processes: 4, Seed: 5}, 5)
 	for _, kind := range []ldb.Kind{ldb.Left, ldb.Right} {
 		mid, _ := cl.Node(cl.Client(1))
-		// Two bits left and bit 2 of the target selects the sibling; the
-		// target is the sibling's own point, as in its JOIN request.
+		// Two bits left and bit 2 of the target selects the sibling. The
+		// target is one whose owner the middle node cannot see, which it
+		// would go to straight.
 		sib := map[ldb.Kind]ldb.Ref{ldb.Left: mid.sibL, ldb.Right: mid.sibR}[kind]
-		target := fixpoint.Frac(0x3) << 60 // 0.0011…: bit 2 = 0
+		nibbles := []fixpoint.Frac{0x3, 0xb, 0x1, 0x9} // 0.x0x1…: bit 2 = 0
 		if kind == ldb.Right {
-			target = fixpoint.Frac(0x7) << 60 // 0.0111…: bit 2 = 1
+			nibbles = []fixpoint.Frac{0x7, 0xf, 0x5, 0xd} // bit 2 = 1
 		}
-		if mid.nb().Responsible(target) {
-			t.Fatalf("%v owns the target; pick another seed", mid.self)
+		seen := []transport.NodeID{mid.self.ID, mid.pred.ID, mid.succ.ID, mid.predView.Far.ID}
+		i := slices.IndexFunc(nibbles, func(x fixpoint.Frac) bool {
+			return !slices.Contains(seen, cl.LiveRing().ResponsibleFor(x<<60).ID)
+		})
+		if i < 0 {
+			t.Fatalf("%v sees the owner of every target; pick another seed", mid.self)
 		}
+		target := nibbles[i] << 60
 		send := func() memEnv {
 			t.Helper()
 			net.queue = nil
@@ -535,8 +594,8 @@ func TestRouteAvoidsUnintegratedSibling(t *testing.T) {
 		}
 		mid.sibIn[kind] = false
 		e := send()
-		if e.to != mid.pred.ID && e.to != mid.succ.ID {
-			t.Fatalf("unintegrated %v sibling: hop went to %d, want a ring neighbour (%v or %v)", kind, e.to, mid.pred, mid.succ)
+		if !slices.Contains([]transport.NodeID{mid.pred.ID, mid.succ.ID, mid.predView.Far.ID, mid.succView.Far.ID}, e.to) || e.to == sib.ID {
+			t.Fatalf("unintegrated %v sibling: hop went to %d, want a ring node it can see (%v or %v, or one two hops away)", kind, e.to, mid.pred, mid.succ)
 		}
 		if rs := e.payload.(routedMsg).RS; rs.BitsLeft != 0 || rs.Hops != 1 {
 			t.Fatalf("unintegrated %v sibling: route state %+v, want no bits left and one hop counted", kind, rs)
@@ -578,8 +637,8 @@ func TestHandedEpochSkipsFoldedWave(t *testing.T) {
 
 // TestRouteStartAvoidsUnintegratedMiddle: a route that starts at a left or
 // right node first jumps to its own middle node. While that sibling is not a
-// ring member yet it would hold the route, so the route walks the ring to
-// another middle node instead. It keeps its bits: giving them up, as the
+// ring member yet it would hold the route, so the route walks the ring, to a
+// neighbour or a node two hops away, to another middle node instead. It keeps its bits: giving them up, as the
 // bit-hop guard does, would turn it into the whole linear walk.
 func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
 	cl, net := churnNet(t, Config{Processes: 4, Seed: 5}, 5)
@@ -589,7 +648,7 @@ func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
 		for _, id := range []transport.NodeID{mid.sibL.ID, mid.sibR.ID} {
 			n, _ := cl.Node(id)
 			target := n.self.Point.Label + fixpoint.Half // across the ring
-			if n.pred.ID == mid.self.ID || n.succ.ID == mid.self.ID || n.nb().Responsible(target) {
+			if slices.Contains([]transport.NodeID{n.pred.ID, n.succ.ID, n.predView.Far.ID, n.succView.Far.ID}, mid.self.ID) || n.nb().Responsible(target) {
 				continue // the ring walk could reach the same middle node
 			}
 			send := func() (transport.NodeID, ldb.RouteState) {
@@ -605,8 +664,9 @@ func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
 				t.Fatalf("%v with an integrated middle sibling: hop to %d with %+v, want the jump to %v", n.self, to, rs, mid.self)
 			}
 			n.sibIn[ldb.Middle] = false
-			if to, rs := send(); (to != n.pred.ID && to != n.succ.ID) || rs.BitsLeft != 2 || rs.Hops != 1 || rs.WalkDir == 0 {
-				t.Fatalf("%v with its middle sibling joining: hop to %d with %+v, want a ring neighbour (%v or %v), both bits kept", n.self, to, rs, n.pred, n.succ)
+			ring := []transport.NodeID{n.pred.ID, n.succ.ID, n.predView.Far.ID, n.succView.Far.ID}
+			if to, rs := send(); !slices.Contains(ring, to) || to == mid.self.ID || rs.BitsLeft != 2 || rs.Hops != 1 || rs.WalkDir == 0 {
+				t.Fatalf("%v with its middle sibling joining: hop to %d with %+v, want a ring node it can see (%v or %v, or one two hops away), both bits kept", n.self, to, rs, n.pred, n.succ)
 			}
 			n.sibIn[ldb.Middle] = true
 			checked++

@@ -79,6 +79,10 @@ type Metrics struct {
 	ForwardedMsgs int64
 	RouteMsgs     int64
 	RouteHops     int64
+	// RouteRingHops counts the route hops sent to a node of another process,
+	// the ones that cost a round (a hop between a process's own nodes costs
+	// none); per route delivered it is AvgRouteRingHops.
+	RouteRingHops int64
 	// MaxRouteHops is the longest route delivered: what a shorter De Bruijn
 	// bit count (ldb.NewRoute) costs in the tail, counted rather than inferred.
 	MaxRouteHops int
@@ -116,6 +120,15 @@ func (m *Metrics) AvgRouteHops() float64 {
 		return 0
 	}
 	return float64(m.RouteHops) / float64(m.RouteMsgs)
+}
+
+// AvgRouteRingHops returns the route hops between processes per route
+// delivered (counted as sent, so routes still under way count too).
+func (m *Metrics) AvgRouteRingHops() float64 {
+	if m.RouteMsgs == 0 {
+		return 0
+	}
+	return float64(m.RouteRingHops) / float64(m.RouteMsgs)
 }
 
 // Cluster is one deployment's view of the Skueue protocol: the processes
@@ -264,8 +277,12 @@ func (cl *Cluster) wireBootstrapRing() {
 		n.pred, n.succ = at(i-1), at(i+1)
 		n.predView = ringView{Far: at(i - 2), Up: told(i - 1)}
 		n.succView = ringView{Far: at(i + 2), Up: told(i + 1)}
-		n.sibViews = [2]sibView{{Edges: edges(pos[n.sibL.ID])}, {Edges: edges(pos[n.sibM.ID])}}
-		n.up = ups[at(i).ID/3]
+		up := ups[at(i).ID/3]
+		n.sibViews = [2]sibView{{Edges: edges(pos[n.sibL.ID]), Up: up}, {Edges: edges(pos[n.sibM.ID])}}
+		n.up, n.upSeq = up, -1
+		if up.Holder == ldb.Middle {
+			n.upSeq = 0 // told and confirmed under the first numbers
+		}
 		n.orderSite()
 		n.churn.joining = false
 		n.sibIn = [3]bool{true, true, true}
@@ -314,6 +331,7 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 			succView: unknownView,
 			sibViews: [2]sibView{unknownSib, unknownSib},
 			up:       ldb.Up{To: ldb.Ref{ID: transport.None}},
+			upSeq:    -1,
 		}
 		n.churn.joining = true
 		n.churn.relayVia = ldb.Ref{ID: transport.None}

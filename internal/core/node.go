@@ -131,6 +131,11 @@ type Node struct {
 	predView, succView ringView
 	sibViews           [2]sibView
 	up                 ldb.Up
+	// upSeq is, at a left node whose process's up edge is its middle
+	// node's, the pair number that first told the middle node so; −1
+	// otherwise. The left node reports to its middle node only once that
+	// one has confirmed it (ldb.Neighborhood.Up).
+	upSeq int64
 	// sibIn tracks which of the process's virtual nodes are integrated
 	// ring members (indexed by ldb.Kind). A sibling-derived tree child is
 	// only expected once that sibling announced its integration; joiners
@@ -257,6 +262,8 @@ func (n *Node) nb() ldb.Neighborhood {
 		PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial,
 		Whole:    n.sibIn == [3]bool{true, true, true},
 		SibEdges: [2]ldb.Edges{n.sibViews[ldb.Left].Edges, n.sibViews[ldb.Middle].Edges},
+		LeftUp:   n.sibViews[ldb.Left].Up,
+		UpSeen:   n.sibViews[ldb.Middle].Seen >= n.upSeq,
 		SibL:     n.sibL, SibM: n.sibM, SibR: n.sibR,
 	}
 }
@@ -467,18 +474,23 @@ func (n *Node) carriesOps() bool {
 // changed (ringChanged) it holds the same way until the node at the other
 // end has confirmed it (ringView.Seen): before that, the parent cannot tell
 // that the node reports to it and counts it as no child
-// (ldb.Neighborhood.Children). A left node below a middle node that holds
-// the up edge belongs to a whole process, whose middle node is a member.
+// (ldb.Neighborhood.Children). A middle node that its left sibling's word
+// sends over an edge it no longer has holds until the next word. A left node
+// below a middle node that holds the up edge belongs to a whole process,
+// whose middle node is a member.
 func (n *Node) parentJoining() bool {
 	if n.anchorRole || n.churn.joining {
 		return false // assigns itself, or reports to its relay
 	}
 	switch up := n.toldUp(); {
 	case up.Valid():
-		if up.Point == n.succ.Point {
+		switch up.Point {
+		case n.succ.Point:
 			return n.succView.Seen < n.ringSeq
+		case n.pred.Point:
+			return n.predView.Seen < n.ringSeq
 		}
-		return n.predView.Seen < n.ringSeq
+		return true // the left node's word names an edge gone since
 	case n.self.Kind == ldb.Middle:
 		return !n.sibIn[ldb.Left]
 	case n.self.Kind == ldb.Right:
@@ -1007,6 +1019,9 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 		n.cl.metrics.noteRoute(out.Hops)
 		n.deliverRouted(ctx, m.RS.Target, m.Inner)
 		return
+	}
+	if next.ID != n.sibL.ID && next.ID != n.sibM.ID && next.ID != n.sibR.ID {
+		n.cl.metrics.RouteRingHops++
 	}
 	m.RS = out
 	ctx.Send(next.ID, m)

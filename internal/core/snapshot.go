@@ -113,15 +113,16 @@ type NodeImage struct {
 	SibL, SibM, SibR ldb.Ref
 	SibIn            [3]bool
 	ClientID         int32
-	// RingSeq, PredView, SuccView, SibViews and Up are the node's pair
-	// number, what its ring neighbours and siblings last said of theirs, and
-	// the process's up edge it worked out from that (Node.ringChanged). A
-	// restarted node keeps them: its neighbours' numbers and confirmations go
-	// on from there.
+	// RingSeq, PredView, SuccView, SibViews, Up and UpSeq are the node's
+	// pair number, what its ring neighbours and siblings last said of
+	// theirs, the up edge it acts on and the number that moved that edge to
+	// a middle node (Node.ringChanged, Node.upSeq). A restarted node keeps
+	// them: its neighbours' numbers and confirmations go on from there.
 	RingSeq            int64
 	PredView, SuccView ringView
 	SibViews           [2]sibView
 	Up                 ldb.Up
+	UpSeq              int64
 
 	Anchor bool
 	Ast    batch.AnchorState
@@ -313,6 +314,7 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			SuccView:     n.succView,
 			SibViews:     n.sibViews,
 			Up:           n.up,
+			UpSeq:        n.upSeq,
 			ClientID:     n.clientID,
 			Anchor:       n.anchorRole,
 			Ast:          n.ast.Clone(), // a copy: the image is encoded off the runner while the anchor keeps assigning
@@ -454,6 +456,7 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			succView:     img.SuccView,
 			sibViews:     img.SibViews,
 			up:           img.Up,
+			upSeq:        img.UpSeq,
 			anchorRole:   img.Anchor,
 			ast:          img.Ast,
 			nextElemSeq:  img.NextElemSeq,

@@ -35,10 +35,18 @@
 //     for the side where a node two hops away is one, else towards the point
 //     where the next bit should be prepended; it carries its direction in
 //     the message and never crosses the 0/1 seam;
-//   - delivery is at the first node responsible for the target, in any phase.
+//   - a hop to a node two hops away (PredPred, SuccSucc) costs the round a
+//     hop to a neighbour does, so the walk to a middle node skips a next
+//     node that is not one, and the closing walk goes two nodes a hop,
+//     never past the owner;
+//   - delivery is at the first node responsible for the target, in any
+//     phase, and a node that can see the owner — its predecessor, its
+//     successor or its predecessor's predecessor — sends the message
+//     straight there, in any phase.
 //
 // Lemma 3's bound is unchanged; this is its constant (EXPERIMENTS.md, "The
-// route at what a round costs" and "Read the whole neighbourhood").
+// route at what a round costs", "Read the whole neighbourhood" and "Route
+// over the two-hop view").
 //
 // # The aggregation tree
 //
@@ -54,8 +62,10 @@
 // whom inside a triad). A right node's edges would add nothing (see UpEdge).
 // LeftOf falls strictly along every edge between
 // processes, so the tree stays acyclic, rooted at the anchor, and covers
-// every node. Every node of a process computes the same up edge from its own
-// ring edges and what its siblings told of theirs (SibEdges), and a node
+// every node. The left node works the up edge out from its own ring edges
+// and what its middle sibling told of its own (SibEdges), its siblings act
+// on its word (LeftUp), and it hands the edge to its middle node only once
+// that one has confirmed (Up), so the two never report to each other. A node
 // counts a ring neighbour as a child when that neighbour said it reports
 // here (PredUp, SuccUp).
 //
@@ -177,8 +187,12 @@ type Neighborhood struct {
 	Pred Ref
 	Succ Ref
 	// PredPred and SuccSucc are Pred's predecessor and Succ's successor, or
-	// invalid while unknown. NextHop reads their kinds: a walk to a middle
-	// node that sees none next to it looks two hops ahead.
+	// invalid while unknown. NextHop sends to them as to a neighbour, in the
+	// same round: straight to PredPred when it owns the target, over a next
+	// node that is not a middle node on the walk to one, and two nodes a hop
+	// on the closing walk; and it reads their kinds, when a walk to a middle
+	// node sees none next to it. A stale one is as safe as a stale
+	// neighbour: the node a message reaches decides delivery.
 	PredPred, SuccSucc Ref
 	// PredUp and SuccUp are the nodes Pred and Succ report to, as their
 	// latest word said, when that is a node of another process (the
@@ -196,6 +210,12 @@ type Neighborhood struct {
 	// Kind) as those last told; the entry of Self's own kind is not read.
 	Whole    bool
 	SibEdges [2]Edges
+	// LeftUp, read by a middle or right node, is the process's up edge as
+	// its left node last told it (UpEdge, worked out there); Holder Left and
+	// To invalid while untold. UpSeen, read by a left node, says that its
+	// middle node has confirmed the latest up edge that names it (see Up).
+	LeftUp Up
+	UpSeen bool
 	// SibL, SibM, SibR are l(v), m(v), r(v) of the owning process.
 	SibL, SibM, SibR Ref
 }
@@ -296,10 +316,31 @@ func (nb Neighborhood) UpEdge() Up {
 	return up
 }
 
+// Up returns the up edge the node acts on. The left node works the process's
+// up edge out (UpEdge) and its siblings act on its word (LeftUp), so the
+// triad has one decider. A left node that hands the edge to its middle node
+// goes on reporting to its predecessor until the middle node has confirmed
+// (UpSeen): the middle node reports to its left sibling until it hears, and
+// the two must never report to each other. Every other change takes effect
+// at the left node at once, since the middle node's old word sends it up
+// and out of the triad. Any up edge the triad acts on, current or not, leads
+// to a process whose left label is below its own, so the tree stays acyclic
+// while the word travels.
+func (nb Neighborhood) Up() Up {
+	if nb.Self.Kind != Left {
+		return nb.LeftUp
+	}
+	up := nb.UpEdge()
+	if up.Holder == Middle && !nb.UpSeen {
+		return Up{Holder: Left, To: nb.Pred}
+	}
+	return up
+}
+
 // Parent returns the aggregation-tree parent (Up.Parent). ok is false
 // exactly for the anchor, the tree root.
 func (nb Neighborhood) Parent() (parent Ref, ok bool) {
-	return nb.UpEdge().Parent(nb.Self.Kind, nb.SibL, nb.SibM)
+	return nb.Up().Parent(nb.Self.Kind, nb.SibL, nb.SibM)
 }
 
 // Children returns the aggregation-tree children: the siblings that report
@@ -309,7 +350,7 @@ func (nb Neighborhood) Parent() (parent Ref, ok bool) {
 // (core's ringHello).
 func (nb Neighborhood) Children() []Ref {
 	var c []Ref
-	up := nb.UpEdge()
+	up := nb.Up()
 	sibs := [...]Ref{Left: nb.SibL, Middle: nb.SibM, Right: nb.SibR}
 	for _, k := range [...]Kind{Right, Left, Middle} {
 		if p, _ := up.Parent(k, nb.SibL, nb.SibM); k != nb.Self.Kind && p.Point == nb.Self.Point {
@@ -341,14 +382,18 @@ type RouteState struct {
 // after the first: the expected number of hops between processes on the walk
 // from a left or right node to the nearest middle node. The jump over the
 // virtual edge that prepends the bit is free; the walk is not. Middle nodes
-// are a third of the ring, so a node is one with probability 1/3. The walk
-// takes one hop when a neighbour is a middle node (1 − 4/9 = 5/9), two when
-// neither is but a node two hops away is (4/9 · 5/9), and otherwise (4/9 ·
-// 4/9) two hops past nodes it knows are not and then 3 more in expectation:
-// 5/9 · 1 + 4/9 · (5/9 · 2 + 4/9 · 5) = 55/27 ≈ 2.04. The first bit needs no
-// walk, since a route starts at its own middle node. The constant is not
-// delicate (EXPERIMENTS.md has the sweep from 1.5 to 4).
-const middleWalkNum, middleWalkDen = 55, 27
+// are a third of the ring, so a node is one with probability 1/3, and a hop
+// may go to a node two hops away (NextHop). The walk takes one hop when a
+// neighbour is a middle node (1 − 4/9 = 5/9), one when neither is but a node
+// two hops away is (4/9 · 5/9), and otherwise (4/9 · 4/9) one hop past a node
+// it knows is not one to another it knows is not, and from there
+// 1/(1 − 4/9) = 9/5 in expectation, each hop reaching the next node if it is
+// a middle node, else the one after it: 5/9 · 1 + 4/9 · (5/9 · 1 + 4/9 ·
+// (1 + 9/5)) = 61/45 ≈ 1.36. The first bit needs no walk, since a route
+// starts at its own middle node. The constant is not delicate
+// (EXPERIMENTS.md has the sweep from 1.5 to 4, and "Route over the two-hop
+// view" the one from 1.36 to 3.5).
+const middleWalkNum, middleWalkDen = 61, 45
 
 // NewRoute prepares a route from a node with the given neighbourhood and
 // chooses its bit count. ĝ, the mean of the gaps to predecessor and
@@ -360,11 +405,12 @@ const middleWalkNum, middleWalkDen = 55, 27
 // Where the bits land is known before the first hop. Prepending the k bits
 // t1…tk of the target t from a middle node at label x lands at
 // 0.t1…tk + x·2^−k, and the target is 0.t1…tk + frac(2^k·t)·2^−k, so the walk
-// that closes the route is |x − frac(2^k·t)|·2^−k long, that over ĝ in gaps.
-// x is the own middle node, where every route prepends its first bit, and
-// each further bit costs the walk c to the next middle node (see
+// that closes the route is |x − frac(2^k·t)|·2^−k long, that over ĝ in gaps,
+// and it takes half as many hops, since every hop goes two nodes on
+// (NextHop). x is the own middle node, where every route prepends its first
+// bit, and each further bit costs the walk c to the next middle node (see
 // middleWalkNum). The count is the k in [0, ⌈log2(1/ĝ)⌉ − 1] that
-// minimises c·(k−1) + closing(k), closing(0) being the walk from here the
+// minimises c·(k−1) + closing(k)/2, closing(0) being the walk from here the
 // shorter way round. The cap keeps a ring of one or two nodes at 0 bits and
 // every count within Lemma 3's O(log n).
 func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
@@ -378,14 +424,14 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 	// The costs are compared as distances on the ring, gaps times ĝ, in
 	// exact arithmetic. With L = ⌈log2(1/ĝ)⌉, ĝ < 2^(1−L), so no cost
 	// overflows: (k−1)·c·ĝ + 2^−k < 1 for every k < L. (price wraps only
-	// where ĝ > 27/55, so L ≤ 2, and is then multiplied by k − 1 = 0.)
+	// where ĝ > 45/61, so L = 1, and is then never read.)
 	price := g / middleWalkDen * middleWalkNum
 	x := nb.SibM.Point.Label
-	k, least := 0, min(fixpoint.CWDist(self, target), fixpoint.CCWDist(self, target))
+	k, least := 0, min(fixpoint.CWDist(self, target), fixpoint.CCWDist(self, target))>>1
 	for bits := 1; bits < g.Log2Inv(); bits++ {
 		y := target << bits // frac(2^bits·t)
 		closing := max(x, y) - min(x, y)
-		if cost := price*fixpoint.Frac(bits-1) + closing>>bits; cost < least {
+		if cost := price*fixpoint.Frac(bits-1) + closing>>(bits+1); cost < least {
 			k, least = bits, cost
 		}
 	}
@@ -398,12 +444,18 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 //
 // The node responsible for the target consumes the message wherever the
 // route meets it, not only after the last bit: the bits are a means of
-// getting near, and a route that is already there has no use for them.
+// getting near, and a route that is already there has no use for them. And
+// a node that can see the owner, its ring neighbour or its predecessor's
+// predecessor, sends the message straight there (owner), in any phase: a
+// hop to a node two hops away costs the round a hop to a neighbour does.
 func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver bool) {
 	out = rs
 	out.Hops++
 	if nb.responsible(rs.Target) {
 		return Ref{ID: transport.None}, out, true
+	}
+	if to, ok := nb.owner(rs.Target); ok {
+		return to, out, false
 	}
 	if rs.BitsLeft > 0 {
 		if nb.Self.Kind == Middle {
@@ -472,17 +524,47 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 			dir = 1
 		}
 		out.WalkDir = dir
-		if dir > 0 {
-			return nb.Succ, out, false
+		// When the next node that way is not a middle node, the walk goes
+		// on to the node after it, if that is known and the edge to it does
+		// not cross the seam either: one hop where the walk would take two,
+		// landing on a middle node or past a node known not to be one.
+		near, far := nb.Succ, nb.SuccSucc
+		if dir < 0 {
+			near, far = nb.Pred, nb.PredPred
 		}
-		return nb.Pred, out, false
+		if near.Kind != Middle && far.Valid() && (dir > 0) == near.Point.Less(far.Point) {
+			return far, out, false
+		}
+		return near, out, false
 	}
-	// Linear phase: walk the shorter way round to the predecessor of the
-	// target. This walk may take the wrapping edge.
-	if fixpoint.CWDist(nb.Self.Point.Label, rs.Target) <= fixpoint.CCWDist(nb.Self.Point.Label, rs.Target) {
-		return nb.Succ, out, false
+	// Closing walk: the shorter way round to the predecessor of the target,
+	// two nodes at a time. The owner is not among the nodes this node can see
+	// (owner), so the node two hops away is at most the owner. This walk may
+	// take the wrapping edge.
+	near, far := nb.Succ, nb.SuccSucc
+	if fixpoint.CWDist(nb.Self.Point.Label, rs.Target) > fixpoint.CCWDist(nb.Self.Point.Label, rs.Target) {
+		near, far = nb.Pred, nb.PredPred
 	}
-	return nb.Pred, out, false
+	if far.Valid() && far.ID != nb.Self.ID {
+		return far, out, false
+	}
+	return near, out, false
+}
+
+// owner returns the node responsible for the key when it is one this node
+// can see: its predecessor, its successor or its predecessor's predecessor,
+// each owning the interval up to the next node it knows. (Its successor's
+// successor's interval ends at a node it does not know.)
+func (nb Neighborhood) owner(k fixpoint.Frac) (Ref, bool) {
+	for _, c := range [...]struct{ from, to Ref }{
+		{nb.Pred, nb.Self}, {nb.Succ, nb.SuccSucc}, {nb.PredPred, nb.Pred},
+	} {
+		if c.from.Valid() && c.to.Valid() && c.from.ID != nb.Self.ID && c.from.ID != c.to.ID &&
+			fixpoint.InCWRange(k, c.from.Point.Label, c.to.Point.Label) {
+			return c.from, true
+		}
+	}
+	return Ref{ID: transport.None}, false
 }
 
 // responsible reports whether this node's DHT interval [self, succ)

@@ -73,7 +73,7 @@ func (net *testNet) bare(i int, partial map[sim.NodeID]bool) Neighborhood {
 		p, q := net.ring.Pred(j), net.ring.Succ(j)
 		return Edges{Pred: p, Succ: q, PredPartial: partial[p.ID], SuccPartial: partial[q.ID]}
 	}
-	return Neighborhood{
+	nb := Neighborhood{
 		Self:        self,
 		Pred:        net.ring.Pred(i),
 		Succ:        net.ring.Succ(i),
@@ -83,7 +83,12 @@ func (net *testNet) bare(i int, partial map[sim.NodeID]bool) Neighborhood {
 		Whole:    !partial[s[1].ID] && !partial[s[2].ID],
 		SibEdges: [2]Edges{edges(s[0].ID), edges(s[1].ID)},
 		SibL:     s[0], SibM: s[1], SibR: s[2],
+		UpSeen: true, // a static ring: every word has arrived
 	}
+	if self.Kind != Left {
+		nb.LeftUp = net.bare(net.index[s[0].ID], partial).UpEdge()
+	}
+	return nb
 }
 
 // up is what node j tells its ring neighbours it reports to: its parent when
@@ -595,7 +600,49 @@ func paperParent(nb Neighborhood) (Ref, bool) {
 // left node reports over one of its own ring edges.
 func leftOnlyParent(nb Neighborhood) (Ref, bool) {
 	nb.Whole = false
+	if nb.Self.Kind != Left { // the left node's word, worked out the same way
+		l, e := nb, nb.SibEdges[Left]
+		l.Self, l.Pred, l.Succ, l.PredPartial, l.SuccPartial = nb.SibL, e.Pred, e.Succ, e.PredPartial, e.SuccPartial
+		nb.LeftUp = l.UpEdge()
+	}
 	return nb.Parent()
+}
+
+// twoHopParent models the next step of the tree (ROADMAP item 3): a process
+// picks its up edge among eight candidates, the ring edges of its left and
+// middle nodes and the nodes two hops away from those, each reached without
+// wrapping, by the same rule as UpEdge — the far end's process with the
+// smallest left label, if that is below its own, else the left node's
+// predecessor. Not a rule the protocol runs: the far node does not learn its
+// children from its own hellos.
+func (net *testNet) twoHopParent(nb Neighborhood) (Ref, bool) {
+	l := net.bare(net.index[nb.SibL.ID], nil)
+	m := net.bare(net.index[nb.SibM.ID], nil)
+	if l.IsAnchor() {
+		return Up{Holder: Left, To: Ref{ID: sim.None}}.Parent(nb.Self.Kind, nb.SibL, nb.SibM)
+	}
+	up, best := Up{Holder: Left, To: l.Pred}, LeftOf(nb.SibL)
+	for _, v := range []Neighborhood{l, m} {
+		// Each candidate with the way to it, in ring order: it does not wrap
+		// when the points rise along it.
+		for _, c := range [][]Ref{
+			{v.Pred, v.Self}, {v.Self, v.Succ},
+			{v.PredPred, v.Pred, v.Self}, {v.Self, v.Succ, v.SuccSucc},
+		} {
+			to := c[0]
+			if to.ID == v.Self.ID {
+				to = c[len(c)-1]
+			}
+			rises := true
+			for i := 1; i < len(c); i++ {
+				rises = rises && c[i-1].Point.Less(c[i].Point)
+			}
+			if rises && LeftOf(to) < best {
+				up, best = Up{Holder: v.Self.Kind, To: to}, LeftOf(to)
+			}
+		}
+	}
+	return up.Parent(nb.Self.Kind, nb.SibL, nb.SibM)
 }
 
 func TestInterProcessDepth(t *testing.T) {
@@ -621,6 +668,17 @@ func TestInterProcessDepth(t *testing.T) {
 		ours, left, paper, monotone, bfs)
 	if ours > 10.5 {
 		t.Errorf("mean inter-process depth %.2f at n = 256, want at most 10.5 (paper rule %.2f)", ours, paper)
+	}
+	// The model of a rule over eight candidates, the nodes two hops away
+	// included (twoHopParent), logged beside the rule the protocol runs.
+	for _, n := range []int{7, 64, 256, 1024} {
+		var four, eight float64
+		for seed := int64(1); seed <= rings; seed++ {
+			net := buildNet(t, n, seed)
+			four += net.interProcessDepth(Neighborhood.Parent) / rings
+			eight += net.interProcessDepth(net.twoHopParent) / rings
+		}
+		t.Logf("n = %d: mean inter-process depth %.2f over four ring edges, %.2f over eight candidates with the two-hop view", n, four, eight)
 	}
 }
 
@@ -758,6 +816,22 @@ func TestRoutingHopBound(t *testing.T) {
 	}
 }
 
+func TestRingHopsBound(t *testing.T) {
+	// The hops between processes are the ones that cost a round. At n = 256
+	// they read 9.65 in the mean when a hop went one node on, and ≈ 6.5 since
+	// a route reads the view two hops away (EXPERIMENTS.md, "Route over the
+	// two-hop view"). 10 rings × 1 000 routes.
+	var ringHops []int
+	for r := 0; r < 10; r++ {
+		net := buildNet(t, 256, int64(256000+r))
+		_, rh := net.routeHops(t, xrand.New(int64(r*7919+256)), 1000)
+		ringHops = append(ringHops, rh...)
+	}
+	if mean, _, _ := hopStats(ringHops); mean > 7.0 {
+		t.Errorf("mean ring hops %.2f at n = 256, want at most 7.0", mean)
+	}
+}
+
 func TestRoutingSmallRingNoWorseThanWalking(t *testing.T) {
 	// On a ring of a few nodes the bit count must come out so small that the
 	// route is never worse than the plain linear walk, whose mean over
@@ -778,7 +852,9 @@ func TestMiddleWalkNeverCrossesSeam(t *testing.T) {
 	// The halving map is not continuous across the 0/1 seam: while bits are
 	// left, a walk to a middle node that starts at or next to the ring's
 	// minimum or maximum must not take the wrapping edge, whichever way it
-	// was heading. (The closing linear walk may.)
+	// was heading, nor jump across the seam to a node two hops away. (The
+	// closing linear walk may, and so may a hop to an owner the node can
+	// see.)
 	for _, n := range []int{1, 2, 3, 7, 31, 200} {
 		for seed := int64(0); seed < 20; seed++ {
 			net := buildNet(t, n, 1000*int64(n)+seed)
@@ -798,6 +874,9 @@ func TestMiddleWalkNeverCrossesSeam(t *testing.T) {
 							t.Fatalf("n=%d seed %d: walk from %d (dir %d) finds no middle node", n, seed, start, dir)
 						}
 						next, out, _ := nb.NextHop(rs)
+						if net.neighborhoodOf(next.ID).Responsible(rs.Target) {
+							break // a hop to an owner this node can see, not a walk
+						}
 						j := net.ring.IndexOf(next.Point)
 						if (i == last && j == 0) || (i == 0 && j == last) {
 							t.Fatalf("n=%d seed %d: walk from %d (dir %d) crossed the seam %d→%d", n, seed, start, dir, i, j)
@@ -818,12 +897,16 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 	// node at 0.3 between neighbours at 0.29 and 0.31, and nodes two hops away
 	// at 0.28 and 0.32. With two bits left the next bit is best prepended from
 	// q = frac(4t): 0.9 for t = 0.225, above the node, and 0.1 for t = 0.025,
-	// below it. The node owns neither.
+	// below it. No node it can see owns either. The walk picks a direction,
+	// then goes to the neighbour that way if that is a middle node, else on
+	// to the node two hops that way if it knows it: a middle node, or one
+	// more it knows is not.
 	above, below := fixpoint.FromFloat(0.9/4), fixpoint.FromFloat(0.1/4)
 	at := func(id sim.NodeID, x float64, kind Kind) Ref {
 		return Ref{ID: id, Point: Point{Label: fixpoint.FromFloat(x)}, Kind: kind}
 	}
 	const none = Kind(9) // a node two hops away that is not known
+	const near, far = false, true
 	for _, tc := range []struct {
 		name       string
 		pred, succ Kind
@@ -831,30 +914,37 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 		target     fixpoint.Frac
 		carried    int8
 		want       int8
+		far        bool
 	}{
-		{"successor middle", Right, Middle, Right, Right, below, 0, 1},
-		{"predecessor middle", Middle, Right, Right, Right, above, 0, -1},
-		{"both middle, q above", Middle, Middle, Right, Right, above, 0, 1},
-		{"both middle, q below", Middle, Middle, Right, Right, below, 0, -1},
-		{"neither middle, q above", Right, Left, Right, Left, above, 0, 1},
-		{"neither middle, q below", Right, Left, Right, Left, below, 0, -1},
+		{"successor middle", Right, Middle, Right, Right, below, 0, 1, near},
+		{"predecessor middle", Middle, Right, Right, Right, above, 0, -1, near},
+		{"both middle, q above", Middle, Middle, Right, Right, above, 0, 1, near},
+		{"both middle, q below", Middle, Middle, Right, Right, below, 0, -1, near},
+		// Neither neighbour is a middle node and none two hops away is: the
+		// walk steers for q and skips a node it knows is not one.
+		{"neither middle, q above", Right, Left, Right, Left, above, 0, 1, far},
+		{"neither middle, q below", Right, Left, Right, Left, below, 0, -1, far},
 		// Neither neighbour is a middle node: the walk looks two hops ahead,
-		// and steers for q only if that does not decide.
-		{"successor's successor middle", Right, Left, Right, Middle, below, 0, 1},
-		{"predecessor's predecessor middle", Right, Left, Middle, Left, above, 0, -1},
-		{"both two hops away middle, q above", Right, Left, Middle, Middle, above, 0, 1},
-		{"both two hops away middle, q below", Right, Left, Middle, Middle, below, 0, -1},
-		{"successor's successor unknown", Right, Left, Middle, none, above, 0, -1},
-		{"neither two hops away known", Right, Left, none, none, below, 0, -1},
-		{"a middle neighbour beats two hops away", Middle, Right, Right, Middle, above, 0, -1},
+		// steers for q only if that does not decide, and jumps to the middle
+		// node two hops away.
+		{"successor's successor middle", Right, Left, Right, Middle, below, 0, 1, far},
+		{"predecessor's predecessor middle", Right, Left, Middle, Left, above, 0, -1, far},
+		{"both two hops away middle, q above", Right, Left, Middle, Middle, above, 0, 1, far},
+		{"both two hops away middle, q below", Right, Left, Middle, Middle, below, 0, -1, far},
+		{"successor's successor unknown", Right, Left, Middle, none, above, 0, -1, far},
+		// A node two hops away that is not known (an invalid view) is not
+		// jumped to: the walk takes the neighbour.
+		{"neither two hops away known", Right, Left, none, none, below, 0, -1, near},
+		{"the far view that way unknown", Right, Left, Left, none, above, 0, 1, near},
+		{"a middle neighbour beats two hops away", Middle, Right, Right, Middle, above, 0, -1, near},
 		// The direction travels: a walk already under way keeps it, past a
 		// middle node on the other side and away from q.
-		{"carried past a successor middle", Right, Middle, Right, Right, below, -1, -1},
-		{"carried past a predecessor middle", Middle, Right, Right, Right, above, 1, 1},
-		{"carried away from q", Right, Left, Right, Left, below, 1, 1},
-		{"carried past a successor's successor middle", Right, Left, Right, Middle, below, -1, -1},
+		{"carried past a successor middle", Right, Middle, Right, Right, below, -1, -1, far},
+		{"carried past a predecessor middle", Middle, Right, Right, Right, above, 1, 1, far},
+		{"carried away from q", Right, Left, Right, Left, below, 1, 1, far},
+		{"carried past a successor's successor middle", Right, Left, Right, Middle, below, -1, -1, far},
 	} {
-		far := func(id sim.NodeID, x float64, kind Kind) Ref {
+		view := func(id sim.NodeID, x float64, kind Kind) Ref {
 			if kind == none {
 				return Ref{ID: sim.None}
 			}
@@ -862,14 +952,11 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 		}
 		nb := Neighborhood{
 			Self: at(1, 0.3, Left), Pred: at(2, 0.29, tc.pred), Succ: at(3, 0.31, tc.succ),
-			PredPred: far(5, 0.28, tc.pp), SuccSucc: far(6, 0.32, tc.ss),
+			PredPred: view(5, 0.28, tc.pp), SuccSucc: view(6, 0.32, tc.ss),
 			SibM: at(4, 0.6, Middle),
 		}
 		next, out, deliver := nb.NextHop(RouteState{Target: tc.target, BitsLeft: 2, Hops: 1, WalkDir: tc.carried})
-		want := nb.Succ
-		if tc.want < 0 {
-			want = nb.Pred
-		}
+		want := map[[2]bool]Ref{{false, near}: nb.Succ, {false, far}: nb.SuccSucc, {true, near}: nb.Pred, {true, far}: nb.PredPred}[[2]bool{tc.want < 0, tc.far}]
 		if deliver || next.ID != want.ID || out.WalkDir != tc.want || out.BitsLeft != 2 {
 			t.Errorf("%s: went to %v (dir %d, %d bits, deliver %v), want %v (dir %d)",
 				tc.name, next, out.WalkDir, out.BitsLeft, deliver, want, tc.want)
@@ -877,24 +964,217 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 	}
 	// The seam flip beats the two-hop view: the ring's maximum, a right node,
 	// sees a middle node two hops away across the seam and walks the other
-	// way, since the halving map does not cross it.
+	// way, since the halving map does not cross it, two nodes at a time.
 	top := Neighborhood{
 		Self: at(1, 0.95, Right), Pred: at(2, 0.9, Right), Succ: at(3, 0.01, Left),
 		PredPred: at(5, 0.85, Right), SuccSucc: at(6, 0.02, Middle),
 		SibM: at(4, 0.9, Middle),
 	}
 	next, out, _ := top.NextHop(RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1})
-	if next.ID != top.Pred.ID || out.WalkDir != -1 {
-		t.Errorf("the ring's maximum went to %v (dir %d), want its predecessor %v", next, out.WalkDir, top.Pred)
+	if next.ID != top.PredPred.ID || out.WalkDir != -1 {
+		t.Errorf("the ring's maximum went to %v (dir %d), want its predecessor's predecessor %v", next, out.WalkDir, top.PredPred)
 	}
+	// A far edge that would cross the seam is not taken: the node below the
+	// ring's maximum, walking up, stops at the maximum, whose successor lies
+	// across the seam.
+	edge := Neighborhood{
+		Self: at(1, 0.97, Right), Pred: at(2, 0.96, Right), Succ: at(3, 0.99, Right),
+		PredPred: at(5, 0.95, Right), SuccSucc: at(6, 0.01, Left),
+		SibM: at(4, 0.94, Middle),
+	}
+	next, out, _ = edge.NextHop(RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1, WalkDir: 1})
+	if next.ID != edge.Succ.ID || out.WalkDir != 1 {
+		t.Errorf("a walk below the seam went to %v (dir %d), want its successor %v", next, out.WalkDir, edge.Succ)
+	}
+}
+
+func TestRouteDeliversAhead(t *testing.T) {
+	// A node that can see the owner of the target sends the message straight
+	// there, in any phase: its predecessor for [Pred, Self), its successor
+	// for [Succ, SuccSucc), its predecessor's predecessor for [PredPred,
+	// Pred). The interval of the successor's successor ends at a node it does
+	// not know, so that one is not an owner it can see.
+	at := func(id sim.NodeID, x float64, kind Kind) Ref {
+		return Ref{ID: id, Point: Point{Label: fixpoint.FromFloat(x)}, Kind: kind}
+	}
+	nb := Neighborhood{
+		Self: at(1, 0.3, Left), Pred: at(2, 0.29, Right), Succ: at(3, 0.31, Right),
+		PredPred: at(5, 0.28, Right), SuccSucc: at(6, 0.32, Right),
+		SibL: at(1, 0.3, Left), SibM: at(4, 0.6, Middle), SibR: at(7, 0.8, Right),
+	}
+	for _, tc := range []struct {
+		key  float64
+		want Ref
+	}{
+		{0.295, nb.Pred}, {0.29, nb.Pred}, {0.315, nb.Succ}, {0.31, nb.Succ},
+		{0.285, nb.PredPred}, {0.28, nb.PredPred},
+	} {
+		for _, rs := range []RouteState{
+			{BitsLeft: 3},                       // a route that starts here
+			{BitsLeft: 3, Hops: 2, WalkDir: -1}, // a walk under way
+			{Hops: 4},                           // a closing walk
+		} {
+			rs.Target = fixpoint.FromFloat(tc.key)
+			next, out, deliver := nb.NextHop(rs)
+			if deliver || next.ID != tc.want.ID || out.BitsLeft != rs.BitsLeft || out.Hops != rs.Hops+1 {
+				t.Errorf("key %v with %+v: went to %v (%+v, deliver %v), want its owner %v", tc.key, rs, next, out, deliver, tc.want)
+			}
+		}
+	}
+	// Past the nodes it can see, a closing walk goes two nodes at a time.
+	for _, tc := range []struct {
+		key  float64
+		want Ref
+	}{{0.325, nb.SuccSucc}, {0.5, nb.SuccSucc}, {0.275, nb.PredPred}, {0.1, nb.PredPred}} {
+		next, _, _ := nb.NextHop(RouteState{Target: fixpoint.FromFloat(tc.key), Hops: 4})
+		if next.ID != tc.want.ID {
+			t.Errorf("closing walk to %v went to %v, want %v", tc.key, next, tc.want)
+		}
+	}
+	// Without the view two hops away, it goes one.
+	nb.PredPred, nb.SuccSucc = Ref{ID: sim.None}, Ref{ID: sim.None}
+	for _, tc := range []struct {
+		key  float64
+		want Ref
+	}{{0.5, nb.Succ}, {0.285, nb.Pred}, {0.1, nb.Pred}} {
+		next, _, _ := nb.NextHop(RouteState{Target: fixpoint.FromFloat(tc.key), Hops: 4})
+		if next.ID != tc.want.ID {
+			t.Errorf("closing walk without a two-hop view to %v went to %v, want %v", tc.key, next, tc.want)
+		}
+	}
+}
+
+func TestRouteNeverJumpsPastOwner(t *testing.T) {
+	// On static rings no hop passes the target's owner: every hop between
+	// processes lands on the owner or on a node the route must still cross,
+	// measured along the way the hop went (a De Bruijn hop to a sibling and
+	// a hop within a process are not walks and are not checked).
+	for _, n := range []int{1, 2, 3, 7, 64, 256} {
+		net := buildNet(t, n, int64(n)+5)
+		rng := xrand.New(int64(n))
+		for trial := 0; trial < 400; trial++ {
+			i := rng.Intn(net.ring.Len())
+			key := rng.Frac()
+			owner := net.ring.ResponsibleFor(key)
+			nb := net.neighborhood(i)
+			rs := nb.NewRoute(key)
+			for step := 0; ; step++ {
+				next, out, deliver := nb.NextHop(rs)
+				if deliver {
+					if nb.Self.ID != owner.ID {
+						t.Fatalf("n=%d: %v delivered at %v, owner %v", n, key, nb.Self, owner)
+					}
+					break
+				}
+				if step > 40*64 {
+					t.Fatalf("n=%d: route to %v does not end", n, key)
+				}
+				if net.proc[next.ID] != net.proc[nb.Self.ID] {
+					// The hop skips nodes only if it is not to a neighbour;
+					// then the owner must not be among those it skips.
+					a, b := net.index[nb.Self.ID], net.index[next.ID]
+					forward := next.ID == nb.Succ.ID || next.ID == nb.SuccSucc.ID
+					if !forward && next.ID != nb.Pred.ID && next.ID != nb.PredPred.ID {
+						t.Fatalf("n=%d: hop %v → %v is to no ring node it can see", n, nb.Self, next)
+					}
+					for j := a; j != b; {
+						if forward {
+							j = (j + 1) % net.ring.Len()
+						} else {
+							j = (j - 1 + net.ring.Len()) % net.ring.Len()
+						}
+						if j != b && net.ring.At(j).ID == owner.ID {
+							t.Fatalf("n=%d: hop %v → %v jumps past the owner %v of %v", n, nb.Self, next, owner, key)
+						}
+					}
+				}
+				nb, rs = net.neighborhoodOf(next.ID), out
+			}
+		}
+	}
+}
+
+func TestStaleTwoHopViewStillDelivers(t *testing.T) {
+	// A node is spliced in between a node's successor and its successor's
+	// successor, and the node has not heard: its two-hop view is out of
+	// date. A key the new node owns lies in what the old view gives the
+	// successor, so the message goes there, and the successor, which knows
+	// its new neighbour, passes it on to the owner. The same on the
+	// predecessor's side.
+	net := buildNet(t, 64, 41)
+	rng := xrand.New(17)
+	routes := 0
+	for trial := 0; trial < 500; trial++ {
+		i := rng.Intn(net.ring.Len())
+		stale := net.neighborhood(i)
+		// A new node between the successor and its successor, or between
+		// the predecessor's predecessor and the predecessor.
+		left, right := stale.Succ, stale.SuccSucc
+		if trial%2 == 1 {
+			left, right = stale.PredPred, stale.Pred
+		}
+		if !left.Point.Less(right.Point) {
+			continue // across the seam
+		}
+		mid := left.Point.Label + (right.Point.Label-left.Point.Label)/2
+		if mid == left.Point.Label {
+			continue
+		}
+		x := Ref{ID: 9999, Point: Point{Label: mid}, Kind: Right}
+		// The fresh ring: the others' neighbourhoods as the ring with x in it.
+		fresh := NewRing(append(refsOf(net.ring), x))
+		view := func(r Ref) Neighborhood {
+			j := fresh.IndexOf(r.Point)
+			nb := Neighborhood{Self: r, Pred: fresh.Pred(j), Succ: fresh.Succ(j),
+				PredPred: fresh.Pred((j - 1 + fresh.Len()) % fresh.Len()), SuccSucc: fresh.Succ((j + 1) % fresh.Len())}
+			if r.ID != x.ID {
+				s := net.sibs[net.proc[r.ID]]
+				nb.SibL, nb.SibM, nb.SibR = s[0], s[1], s[2]
+			}
+			return nb
+		}
+		for _, key := range []fixpoint.Frac{mid, mid + (right.Point.Label-mid)/2, right.Point.Label - 1} {
+			if !fixpoint.InCWRange(key, mid, right.Point.Label) {
+				continue
+			}
+			nb, rs := stale, RouteState{Target: key, Hops: 3}
+			routes++
+			for step := 0; ; step++ {
+				next, out, deliver := nb.NextHop(rs)
+				if deliver {
+					if nb.Self.ID != x.ID {
+						t.Fatalf("key %v owned by the new node %v was delivered at %v", key, x, nb.Self)
+					}
+					break
+				}
+				if step > 3*fresh.Len() {
+					t.Fatalf("key %v owned by the new node %v: the route does not end", key, x)
+				}
+				nb, rs = view(next), out
+			}
+		}
+	}
+	if routes < 500 {
+		t.Fatalf("only %d routes to a node behind a stale view; the test exercises too little", routes)
+	}
+}
+
+func refsOf(r *Ring) []Ref {
+	refs := make([]Ref, r.Len())
+	for i := range refs {
+		refs[i] = r.At(i)
+	}
+	return refs
 }
 
 func TestRouteStartsAtOwnMiddle(t *testing.T) {
 	// A route that starts at a left or right node with bits to prepend first
 	// takes the virtual edge to its own middle node, whatever its ring
-	// neighbours are. That hop consumes no bit and sets no walk direction.
+	// neighbours are, unless it can see the target's owner, to which it then
+	// goes straight. That hop consumes no bit and sets no walk direction.
 	// Without a middle sibling in its neighbourhood (a host whose middle node
-	// still joins) the route walks the ring instead, its bits kept.
+	// still joins) the route walks the ring instead, to a neighbour or a node
+	// two hops away, its bits kept.
 	net := buildNet(t, 64, 37)
 	rng := xrand.New(11)
 	jumps := map[Kind]int{}
@@ -905,16 +1185,24 @@ func TestRouteStartsAtOwnMiddle(t *testing.T) {
 		if nb.Self.Kind == Middle || rs.BitsLeft == 0 || nb.Responsible(key) {
 			continue
 		}
+		want := nb.SibM
+		if owner := net.ring.ResponsibleFor(key); owner.ID == nb.Pred.ID || owner.ID == nb.Succ.ID || owner.ID == nb.PredPred.ID {
+			want = owner
+		}
 		next, out, deliver := nb.NextHop(rs)
-		if deliver || next.ID != nb.SibM.ID || out.BitsLeft != rs.BitsLeft || out.WalkDir != 0 || out.Hops != 1 {
-			t.Fatalf("route from %v to %v with %d bits: first hop to %v with %+v, want its middle node %v",
-				nb.Self, key, rs.BitsLeft, next, out, nb.SibM)
+		if deliver || next.ID != want.ID || out.BitsLeft != rs.BitsLeft || out.WalkDir != 0 || out.Hops != 1 {
+			t.Fatalf("route from %v to %v with %d bits: first hop to %v with %+v, want %v",
+				nb.Self, key, rs.BitsLeft, next, out, want)
+		}
+		if want.ID != nb.SibM.ID {
+			continue
 		}
 		jumps[nb.Self.Kind]++
 		nb.SibM = Ref{ID: sim.None}
 		next, out, _ = nb.NextHop(rs)
-		if (next.ID != nb.Pred.ID && next.ID != nb.Succ.ID) || out.BitsLeft != rs.BitsLeft || out.WalkDir == 0 {
-			t.Fatalf("route from %v without a middle sibling: first hop to %v with %+v, want a ring neighbour and %d bits",
+		ring := next.ID == nb.Pred.ID || next.ID == nb.Succ.ID || next.ID == nb.PredPred.ID || next.ID == nb.SuccSucc.ID
+		if !ring || out.BitsLeft != rs.BitsLeft || out.WalkDir == 0 {
+			t.Fatalf("route from %v without a middle sibling: first hop to %v with %+v, want a ring node it can see and %d bits",
 				nb.Self, next, out, rs.BitsLeft)
 		}
 	}
@@ -979,9 +1267,9 @@ func TestRoutingToOwnKeyImmediate(t *testing.T) {
 
 func TestNewRouteBitEstimate(t *testing.T) {
 	// The count is the argmin of the cost NewRoute states, recomputed here in
-	// floating point: for k ≥ 1, c·(k−1) + |x − frac(2^k·t)|·2^−k / ĝ gaps,
+	// floating point: for k ≥ 1, c·(k−1) + |x − frac(2^k·t)|·2^−k / 2ĝ hops,
 	// x the label of the node's own middle node; for k = 0 the walk from the
-	// node to t the shorter way round; over 0 ≤ k ≤ ⌈log2(1/ĝ)⌉ − 1, ĝ the
+	// node to t the shorter way round, at two gaps a hop; over 0 ≤ k ≤ ⌈log2(1/ĝ)⌉ − 1, ĝ the
 	// mean of the two gaps. It is chosen per route: the nodes of one ring
 	// choose many different counts.
 	const n = 1024
@@ -1001,10 +1289,10 @@ func TestNewRouteBitEstimate(t *testing.T) {
 			cost := func(k int) float64 {
 				if k == 0 {
 					d := math.Abs(tf - self)
-					return math.Min(d, 1-d) / g
+					return math.Min(d, 1-d) / g / 2
 				}
 				scale := math.Ldexp(1, k)
-				return c*float64(k-1) + math.Abs(x-math.Mod(tf*scale, 1))/scale/g
+				return c*float64(k-1) + math.Abs(x-math.Mod(tf*scale, 1))/scale/g/2
 			}
 			k := nb.NewRoute(key).BitsLeft
 			if k < 0 || k > limit {
@@ -1086,6 +1374,42 @@ func TestRefValidAndString(t *testing.T) {
 	r = Ref{ID: 3, Point: Point{Label: fixpoint.Half}, Kind: Middle}
 	if !r.Valid() || r.String() == "" {
 		t.Errorf("ref should be valid and printable")
+	}
+}
+
+func TestTriadHasOneDecider(t *testing.T) {
+	// The left node works the up edge out and its siblings act on its word.
+	// A left node whose up edge moves to its middle node reports to its
+	// predecessor until the middle node has confirmed, and a middle node that
+	// has not heard yet reports to its left sibling: never to each other.
+	net := buildNet(t, 64, 3)
+	moved := 0
+	for p, s := range net.sibs {
+		l := net.neighborhoodOf(s[0].ID)
+		up := l.UpEdge()
+		if up.Holder != Middle {
+			continue
+		}
+		moved++
+		l.UpSeen = false
+		if got, ok := l.Parent(); !ok || got.ID != l.Pred.ID {
+			t.Fatalf("process %d: unconfirmed, the left node reports to %v, want its predecessor %v", p, got, l.Pred)
+		}
+		l.UpSeen = true
+		if got, _ := l.Parent(); got.ID != s[1].ID {
+			t.Fatalf("process %d: confirmed, the left node reports to %v, want its middle node %v", p, got, s[1])
+		}
+		m := net.neighborhoodOf(s[1].ID)
+		if got, _ := m.Parent(); got.ID != up.To.ID {
+			t.Fatalf("process %d: told, the middle node reports to %v, want %v", p, got, up.To)
+		}
+		m.LeftUp = Up{Holder: Left, To: Ref{ID: sim.None}}
+		if got, _ := m.Parent(); got.ID != s[0].ID {
+			t.Fatalf("process %d: not told yet, the middle node reports to %v, want its left node %v", p, got, s[0])
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no process's up edge is its middle node's; the test exercises nothing")
 	}
 }
 
