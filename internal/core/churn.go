@@ -181,7 +181,7 @@ type setPred struct {
 type introAck struct{ Epoch int64 }
 
 // sibHello tells the process siblings that the sender, an integrated ring
-// member (see Node.sibIn), has the ring edges Edges, under its pair number
+// member (see hood.SibIn), has the ring edges Edges, under its pair number
 // Seq (see Node.ringChanged). A left node adds Up, the process's up edge as
 // it works it out (ldb.Neighborhood.UpEdge), and a middle node Seen, the
 // newest of its left sibling's pair numbers it holds, which confirms an up
@@ -209,41 +209,83 @@ type ringHello struct {
 	Seq, Seen  int64
 }
 
-// ringView is what a node knows of one ring neighbour: Far is that
-// neighbour's other neighbour (pred's pred, succ's succ) and Up the node it
-// reports to over a ring edge, each invalid while unknown or none; Partial
-// says whether the neighbour is partial; Seq is the neighbour's pair number
-// these came with, −1 while none has; Seen is the newest of this node's own
-// pair numbers the neighbour has confirmed. Fields are exported because
-// views ride in leave handoffs and sit in NodeImage.
-type ringView struct {
-	Far, Up ldb.Ref
+// view is what the node at the other end of an edge, a ring neighbour or a
+// process sibling, last said: its ring edges with their partial flags,
+// whether it is partial, the node it reports to when it holds its process's
+// up edge (Told, the up edge it acts on as ring neighbours see it; invalid
+// otherwise), and the process's up edge as its left node works it out
+// (Word, ldb.Neighborhood.LeftUp; a left node keeps its own in its SibViews
+// entry), under its pair number Seq, −1 while it has said nothing; Seen is
+// the newest of this node's own pair numbers it has confirmed. A ring
+// neighbour's neighbour two hops away is read from its edges. Fields are
+// exported because views ride in leave handoffs and sit in NodeImage.
+type view struct {
+	Edges   ldb.Edges
 	Partial bool
+	Told    ldb.Ref
+	Word    ldb.Up
 	Seq     int64
 	Seen    int64
 }
 
-// sibView is what a node knows of a process sibling's ring edges: the
-// sibling's latest sibHello, under its pair number Seq, −1 while none has
-// come, with the up edge a left sibling told (Up; at the left node itself,
-// the one it last told) and the newest of this node's pair numbers a middle
-// sibling has confirmed (Seen). Fields are exported for the same reason as
-// ringView's.
-type sibView struct {
-	Edges ldb.Edges
-	Up    ldb.Up
-	Seq   int64
-	Seen  int64
+// unknown is the view of a node that has said nothing yet.
+var unknown = view{
+	Edges: ldb.Edges{Pred: ldb.Ref{ID: transport.None}, Succ: ldb.Ref{ID: transport.None}},
+	Told:  ldb.Ref{ID: transport.None},
+	Word:  ldb.Up{To: ldb.Ref{ID: transport.None}},
+	Seq:   -1, Seen: -1,
 }
 
-// unknownView is the view of a new neighbour that has said nothing yet.
-var unknownView = ringView{Far: ldb.Ref{ID: transport.None}, Up: ldb.Ref{ID: transport.None}, Seq: -1}
+// hood is a node's neighbourhood. Pred and Succ are its ring neighbours,
+// SibL, SibM and SibR its process's nodes, and SibIn says which of those
+// are ring members (indexed by ldb.Kind): a child a sibling derives is
+// expected only once that sibling said it was integrated, since a joining
+// process's nodes can be integrated in different update phases. RingSeq
+// numbers what the node tells its ring neighbours and siblings
+// (ringChanged); PredView, SuccView and SibViews are what those last told
+// it (SibViews indexed by ldb.Kind; a right node's is never read). Up is
+// the process's up edge as the node acts on it, worked out again whenever
+// an edge it is read from changes (Node.refreshUp); the node holding it
+// reports over it only once the node at its other end has confirmed the
+// latest number. UpSeq is, at a left node whose process's up edge is its
+// middle node's, the pair number that first told the middle node so, −1
+// otherwise: the left node reports to its middle node only once that one
+// has confirmed it (ldb.Neighborhood.Up). The neighbourhood is one value,
+// so a leave handoff, a snapshot and a restore carry it whole; fields are
+// exported for the same reason as view's.
+type hood struct {
+	Pred, Succ         ldb.Ref
+	SibL, SibM, SibR   ldb.Ref
+	SibIn              [3]bool
+	RingSeq            int64
+	PredView, SuccView view
+	SibViews           [2]view
+	Up                 ldb.Up
+	UpSeq              int64
+}
 
-// unknownSib is the view of a sibling that has said nothing yet.
-var unknownSib = sibView{
-	Edges: ldb.Edges{Pred: ldb.Ref{ID: transport.None}, Succ: ldb.Ref{ID: transport.None}},
-	Up:    ldb.Up{To: ldb.Ref{ID: transport.None}},
-	Seq:   -1, Seen: -1,
+// redirect rewrites every reference Old -> New and reports whether there was
+// one. A redirect moves no point, and the replacement continues the pair
+// numbers of the node it replaces, so the views stay as they are.
+func (h *hood) redirect(old, new ldb.Ref) (hit bool) {
+	rw := func(r *ldb.Ref) {
+		if r.ID == old.ID {
+			*r, hit = new, true
+		}
+	}
+	rw(&h.Pred)
+	rw(&h.Succ)
+	rw(&h.SibL)
+	rw(&h.SibM)
+	rw(&h.SibR)
+	rw(&h.Up.To)
+	for _, v := range []*view{&h.PredView, &h.SuccView, &h.SibViews[0], &h.SibViews[1]} {
+		rw(&v.Edges.Pred)
+		rw(&v.Edges.Succ)
+		rw(&v.Told)
+		rw(&v.Word.To)
+	}
+	return hit
 }
 
 // updateAck aggregates "my old subtree finished integrating" (§IV-A).
@@ -327,11 +369,14 @@ type anchorWalk struct{ Anchor anchorBundle }
 
 // nodeSnapshot is the transferable state of a drained leaving node.
 type nodeSnapshot struct {
-	Self                         ldb.Ref
-	Pred, Succ, SibL, SibM, SibR ldb.Ref
-	AnchorRole                   bool
-	Anchor                       anchorBundle
-	Waiting                      []subBatch
+	Self ldb.Ref
+	// The replacement stands at the same point and continues the leaving
+	// node's pair numbers, what it told under them and what it was told, so
+	// every view its neighbours and siblings hold stays valid.
+	Hood       hood
+	AnchorRole bool
+	Anchor     anchorBundle
+	Waiting    []subBatch
 	// FoldedWaves moves the fold cursors with the waiting sub-batches: a
 	// child's waves chain through waves the leaving node folded.
 	FoldedWaves   []FoldedWaveImage
@@ -340,15 +385,6 @@ type nodeSnapshot struct {
 	Joiners       []joinerInfo
 	GrantsPending []ldb.Ref
 	GrantedOpen   int
-	SibIn         [3]bool
-	// The replacement stands at the same point and continues the leaving
-	// node's pair numbers, what it told under them and what it was told, so
-	// every view its neighbours and siblings hold stays valid.
-	RingSeq            int64
-	PredView, SuccView ringView
-	SibViews           [2]sibView
-	Up                 ldb.Up
-	UpSeq              int64
 }
 
 // frozen reports whether stage 1 must hold: an unadopted joiner cannot
@@ -522,7 +558,7 @@ func (c *churnState) startIntegration(ctx *transport.Context, n *Node) {
 		}
 		n.waiting = keep
 
-		oldSucc := n.succ
+		oldSucc := n.hood.Succ
 		for i, j := range js {
 			pred := n.self
 			if i > 0 {
@@ -547,15 +583,15 @@ func (c *churnState) startIntegration(ctx *transport.Context, n *Node) {
 			ctx.Send(oldSucc.ID, setPred{Pred: js[len(js)-1].Ref, Epoch: c.epoch})
 			c.introAcksLeft++
 		}
-		n.succ = js[0].Ref
-		n.ringChanged(ctx, n.pred, oldSucc)
+		n.hood.Succ = js[0].Ref
+		n.ringChanged(ctx, n.hood.Pred, oldSucc)
 	}
 
 	// Replacements poll their sibling triad before dissolving.
 	c.votesPending = 0
 	c.dissolveOK = true
 	if c.isReplacement {
-		for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
+		for _, sib := range []ldb.Ref{n.hood.SibL, n.hood.SibM, n.hood.SibR} {
 			if sib.Valid() && sib.ID != n.self.ID {
 				ctx.Send(sib.ID, dissolveQuery{From: n.self.ID, Epoch: c.epoch})
 				c.votesPending++
@@ -590,9 +626,9 @@ func (c *churnState) maybeFinishPhase(ctx *transport.Context, n *Node) {
 	if c.isReplacement && c.dissolveOK && !c.absorbSent {
 		c.absorbSent = true
 		ents, parked := n.store.ExtractAll()
-		ctx.Send(n.pred.ID, absorbMsg{
+		ctx.Send(n.hood.Pred.ID, absorbMsg{
 			From:    n.self,
-			Entries: ents, Parked: parked, Succ: n.succ,
+			Entries: ents, Parked: parked, Succ: n.hood.Succ,
 			Waiting: n.waiting, Joiners: c.joiners,
 			Grants:      c.grantsPending,
 			GrantedOpen: c.grantedOpen,
@@ -629,12 +665,12 @@ func (n *Node) anchorFinal(ctx *transport.Context) {
 	if !n.anchorRole {
 		panic(fmt.Sprintf("core: anchorFinal on non-anchor %v", n.self))
 	}
-	if n.nb().IsAnchor() {
+	if n.hood.nb(n.self).IsAnchor() {
 		n.broadcastUpdateOver(ctx)
 		return
 	}
 	n.anchorRole = false
-	ctx.Send(n.pred.ID, anchorWalk{Anchor: n.anchorBundle()})
+	ctx.Send(n.hood.Pred.ID, anchorWalk{Anchor: n.anchorBundle()})
 }
 
 // broadcastUpdateOver resumes normal operation down the new tree. The
@@ -671,11 +707,11 @@ func (n *Node) updateOverTargets() []transport.NodeID {
 		}
 	}
 	if !n.churn.joining {
-		for _, c := range n.nb().Children() {
+		for _, c := range n.hood.nb(n.self).Children() {
 			add(c.ID)
 		}
-		add(n.pred.ID)
-		add(n.succ.ID)
+		add(n.hood.Pred.ID)
+		add(n.hood.Succ.ID)
 	}
 	for _, j := range n.churn.joiners {
 		add(j.Ref.ID)
@@ -706,7 +742,7 @@ func (c *churnState) tick(ctx *transport.Context, n *Node) {
 	// pending request transfers to our replacement, which grants it.
 	if c.leaving && !c.leaveReqSent && !c.joining && c.grantedOpen == 0 {
 		c.leaveReqSent = true
-		ctx.Send(n.pred.ID, leavePermissionReq{From: n.self})
+		ctx.Send(n.hood.Pred.ID, leavePermissionReq{From: n.self})
 	}
 	// Serve deferred permission grants outside update phases, unless we
 	// are leaving ourselves (then the requester waits until our own leave
@@ -773,8 +809,8 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		}
 		n.applyTransfer(ctx, m)
 	case setNeighbors:
-		oldPred, oldSucc := n.pred, n.succ
-		n.pred, n.succ = m.Pred, m.Succ
+		oldPred, oldSucc := n.hood.Pred, n.hood.Succ
+		n.hood.Pred, n.hood.Succ = m.Pred, m.Succ
 		c.joining = false
 		c.relayVia = ldb.Ref{ID: transport.None}
 		c.rangeValid = false
@@ -789,9 +825,9 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			n.routeStep(ctx, rm)
 		}
 	case setPred:
-		oldPred := n.pred
-		n.pred = m.Pred
-		n.ringChanged(ctx, oldPred, n.succ)
+		oldPred := n.hood.Pred
+		n.hood.Pred = m.Pred
+		n.ringChanged(ctx, oldPred, n.hood.Succ)
 		ctx.Send(from, introAck{Epoch: m.Epoch})
 	case introAck:
 		if c.updatePhase && m.Epoch == c.epoch {
@@ -856,7 +892,7 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			if c.updatePhase && c.pold != transport.None {
 				ctx.Send(c.pold, updateAck{Epoch: c.epoch})
 			}
-			n.depart(ctx, n.pred.ID)
+			n.depart(ctx, n.hood.Pred.ID)
 		}
 	case sibHello:
 		n.noteSibHello(ctx, m)
@@ -915,7 +951,7 @@ func (n *Node) handleRoutedChurn(ctx *transport.Context, inner any) {
 			// now would wait for a splice no one makes. The pred owns the
 			// joiner's point once the absorb lands; the route starts afresh
 			// there.
-			ctx.Send(n.pred.ID, routedMsg{RS: ldb.RouteState{Target: m.NewNode.Point.Label, BitsLeft: -1}, Inner: m})
+			ctx.Send(n.hood.Pred.ID, routedMsg{RS: ldb.RouteState{Target: m.NewNode.Point.Label, BitsLeft: -1}, Inner: m})
 			return
 		}
 		n.adoptJoiner(ctx, m.NewNode)
@@ -948,7 +984,7 @@ func (n *Node) adoptJoiner(ctx *transport.Context, v ldb.Ref) {
 	})
 	c.joiners = append(c.joiners, joinerInfo{})
 	copy(c.joiners[idx+1:], c.joiners[idx:])
-	end := n.succ.Point.Label
+	end := n.hood.Succ.Point.Label
 	if idx+1 < len(c.joiners) {
 		end = c.joiners[idx+1].Ref.Point.Label
 	}
@@ -1025,20 +1061,16 @@ func (n *Node) RequestLeave() { n.churn.leaving = true }
 func (n *Node) executeLeave(ctx *transport.Context) {
 	c := &n.churn
 	snap := nodeSnapshot{
-		Self: n.self, Pred: n.pred, Succ: n.succ,
-		SibL: n.sibL, SibM: n.sibM, SibR: n.sibR,
+		Self: n.self, Hood: n.hood,
 		AnchorRole: n.anchorRole, Anchor: n.anchorBundle(),
 		Waiting:       n.waiting,
 		FoldedWaves:   waveCursorImage(n.foldedWaves),
 		Joiners:       c.joiners,
 		GrantsPending: c.grantsPending, GrantedOpen: c.grantedOpen,
-		SibIn:   n.sibIn,
-		RingSeq: n.ringSeq, PredView: n.predView, SuccView: n.succView,
-		SibViews: n.sibViews, Up: n.up, UpSeq: n.upSeq,
 	}
 	snap.Entries, snap.Parked = n.store.ExtractAll()
 	n.waiting = nil
-	ctx.Send(n.pred.ID, leaveHandoff{Snap: snap})
+	ctx.Send(n.hood.Pred.ID, leaveHandoff{Snap: snap})
 	// Buffer everything until the replacement tells us its address —
 	// dissolve queries held for a phase this node never enters too: its
 	// replacement answers them.
@@ -1056,13 +1088,10 @@ func (n *Node) executeLeave(ctx *transport.Context) {
 // neighbour and becomes responsible for it (§IV-B).
 func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 	repl := &Node{
-		cl:   n.cl,
-		disc: n.cl.newDiscipline(),
-		self: ldb.Ref{ID: transport.None, Point: snap.Self.Point, Kind: snap.Self.Kind},
-		pred: snap.Pred, succ: snap.Succ,
-		ringSeq: snap.RingSeq, predView: snap.PredView, succView: snap.SuccView,
-		sibViews: snap.SibViews, up: snap.Up, upSeq: snap.UpSeq,
-		sibL: snap.SibL, sibM: snap.SibM, sibR: snap.SibR,
+		cl:          n.cl,
+		disc:        n.cl.newDiscipline(),
+		self:        ldb.Ref{ID: transport.None, Point: snap.Self.Point, Kind: snap.Self.Kind},
+		hood:        snap.Hood,
 		anchorRole:  snap.AnchorRole,
 		clientID:    -1, // replacements never issue requests
 		store:       dht.NewStore(),
@@ -1071,7 +1100,6 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 		foldedWaves: restoreWaveCursor(snap.FoldedWaves),
 	}
 	repl.setAnchorBundle(snap.Anchor)
-	repl.sibIn = snap.SibIn
 	repl.churn.isReplacement = true
 	repl.churn.joiners = snap.Joiners
 	repl.churn.grantsPending = snap.GrantsPending
@@ -1102,7 +1130,8 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 	// engine schedule must not depend on map iteration.
 	targets := []transport.NodeID{snap.Self.ID}
 	seen := map[transport.NodeID]bool{snap.Self.ID: true, n.self.ID: true}
-	candidates := []ldb.Ref{snap.Pred, snap.Succ, snap.SibL, snap.SibM, snap.SibR}
+	h := snap.Hood
+	candidates := []ldb.Ref{h.Pred, h.Succ, h.SibL, h.SibM, h.SibR}
 	for _, j := range snap.Joiners {
 		candidates = append(candidates, j.Ref)
 	}
@@ -1118,9 +1147,7 @@ func (n *Node) spawnReplacement(ctx *transport.Context, snap nodeSnapshot) {
 	n.cl.noteReplacement(repl)
 }
 
-// applyRedirect rewrites every stored reference Old -> New. A redirect
-// moves no point, and the replacement continues the pair numbers of the node
-// it replaces, so the ring views stay as they are.
+// applyRedirect rewrites every stored reference Old -> New.
 func (n *Node) applyRedirect(old, new ldb.Ref) {
 	rw := func(r *ldb.Ref) {
 		if r.ID == old.ID {
@@ -1128,21 +1155,9 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 			n.invalidateTopology()
 		}
 	}
-	rw(&n.pred)
-	rw(&n.succ)
-	rw(&n.predView.Far)
-	rw(&n.succView.Far)
-	rw(&n.predView.Up)
-	rw(&n.succView.Up)
-	rw(&n.up.To)
-	for k := range n.sibViews {
-		rw(&n.sibViews[k].Edges.Pred)
-		rw(&n.sibViews[k].Edges.Succ)
-		rw(&n.sibViews[k].Up.To)
+	if n.hood.redirect(old, new) {
+		n.invalidateTopology()
 	}
-	rw(&n.sibL)
-	rw(&n.sibM)
-	rw(&n.sibR)
 	rw(&n.churn.relayVia)
 	for i := range n.churn.joiners {
 		rw(&n.churn.joiners[i].Ref)
@@ -1159,26 +1174,26 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 // neighbour that is another node now is dropped, and the news goes to both
 // neighbours and to the siblings under the next pair number. Until the node
 // at the other end of its process's up edge has confirmed it
-// (ringView.Seen), the node holding that edge holds its batches
+// (view.Seen), the node holding that edge holds its batches
 // (parentJoining), while that node does not count it as a child before it
 // has heard it (ldb.Neighborhood.Children). So a parent and its child agree
 // on their edge before either relies on it. The siblings work out the same
 // up edge from what each tells the others.
 func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
-	if n.pred.ID != oldPred.ID {
-		n.predView = unknownView
+	if n.hood.Pred.ID != oldPred.ID {
+		n.hood.PredView = unknown
 	}
-	if n.succ.ID != oldSucc.ID {
-		n.succView = unknownView
+	if n.hood.Succ.ID != oldSucc.ID {
+		n.hood.SuccView = unknown
 	}
 	n.invalidateTopology()
 	n.refreshUp() // before the new number, which tells a new up edge
-	n.ringSeq++
-	n.sendRingHello(ctx, n.pred, n.predView.Seq)
-	if n.succ.ID != n.pred.ID {
-		n.sendRingHello(ctx, n.succ, n.succView.Seq)
+	n.hood.RingSeq++
+	n.sendRingHello(ctx, n.hood.Pred, n.hood.PredView.Seq)
+	if n.hood.Succ.ID != n.hood.Pred.ID {
+		n.sendRingHello(ctx, n.hood.Succ, n.hood.SuccView.Seq)
 	}
-	for _, sib := range []ldb.Ref{n.sibL, n.sibM, n.sibR} {
+	for _, sib := range []ldb.Ref{n.hood.SibL, n.hood.SibM, n.hood.SibR} {
 		if sib.Valid() && sib.ID != n.self.ID {
 			n.sendSibHello(ctx, sib)
 		}
@@ -1191,12 +1206,12 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 func (n *Node) sendSibHello(ctx *transport.Context, to ldb.Ref) {
 	m := sibHello{
 		From:  n.self,
-		Edges: ldb.Edges{Pred: n.pred, Succ: n.succ, PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial},
-		Seq:   n.ringSeq,
-		Seen:  n.sibViews[ldb.Left].Seq,
+		Edges: ldb.Edges{Pred: n.hood.Pred, Succ: n.hood.Succ, PredPartial: n.hood.PredView.Partial, SuccPartial: n.hood.SuccView.Partial},
+		Seq:   n.hood.RingSeq,
+		Seen:  n.hood.SibViews[ldb.Left].Seq,
 	}
 	if n.self.Kind == ldb.Left {
-		m.Up = n.sibViews[ldb.Left].Up
+		m.Up = n.hood.SibViews[ldb.Left].Word
 	}
 	ctx.Send(to.ID, m)
 }
@@ -1205,22 +1220,22 @@ func (n *Node) sendSibHello(ctx *transport.Context, to ldb.Ref) {
 // (ldb.Neighborhood.Up), after any of the ring edges, partial flags and words
 // it is read from changed, and keeps the node's site ordered. A left node
 // works the process's up edge out and, when that is not what it last told
-// (its own sibViews entry), reports that its siblings must hear of it under
+// (its own SibViews entry), reports that its siblings must hear of it under
 // the next pair number; when the edge moves to the middle node, that number
-// is the one the middle node must confirm (upSeq).
+// is the one the middle node must confirm (UpSeq).
 func (n *Node) refreshUp() (tell bool) {
-	if word := &n.sibViews[ldb.Left].Up; n.self.Kind == ldb.Left {
-		if d := n.nb().UpEdge(); d != *word {
+	if word := &n.hood.SibViews[ldb.Left].Word; n.self.Kind == ldb.Left {
+		if d := n.hood.nb(n.self).UpEdge(); d != *word {
 			switch {
 			case d.Holder != ldb.Middle:
-				n.upSeq = -1
+				n.hood.UpSeq = -1
 			case word.Holder != ldb.Middle:
-				n.upSeq = n.ringSeq + 1
+				n.hood.UpSeq = n.hood.RingSeq + 1
 			}
 			*word, tell = d, true
 		}
 	}
-	n.up = n.nb().Up()
+	n.hood.Up = n.hood.nb(n.self).Up()
 	n.orderSite()
 	return tell
 }
@@ -1233,7 +1248,7 @@ func (n *Node) orderSite() {
 	if n.self.Kind != ldb.Middle || n.cl.reg != nil {
 		return
 	}
-	if root := [...]ldb.Ref{ldb.Left: n.sibL, ldb.Middle: n.sibM}[n.up.Holder]; root.Valid() {
+	if root := [...]ldb.Ref{ldb.Left: n.hood.SibL, ldb.Middle: n.hood.SibM}[n.hood.Up.Holder]; root.Valid() {
 		n.cl.eng.TimeoutLast(root.ID)
 	}
 }
@@ -1241,9 +1256,9 @@ func (n *Node) orderSite() {
 func (n *Node) sendRingHello(ctx *transport.Context, to ldb.Ref, seen int64) {
 	if to.Valid() && to.ID != n.self.ID {
 		ctx.Send(to.ID, ringHello{
-			From: n.self, To: to.Point, Pred: n.pred, Succ: n.succ,
+			From: n.self, To: to.Point, Pred: n.hood.Pred, Succ: n.hood.Succ,
 			Partial: n.partial(), Up: n.toldUp(),
-			Seq: n.ringSeq, Seen: seen,
+			Seq: n.hood.RingSeq, Seen: seen,
 		})
 	}
 }
@@ -1256,18 +1271,18 @@ func (n *Node) sendRingHello(ctx *transport.Context, to ldb.Ref, seen int64) {
 // neighbours hear of it.
 func (n *Node) noteSibHello(ctx *transport.Context, m sibHello) {
 	k := m.From.Kind
-	if sib := [...]ldb.Ref{n.sibL, n.sibM, n.sibR}[k]; k == n.self.Kind || sib.Point != m.From.Point {
+	if sib := [...]ldb.Ref{n.hood.SibL, n.hood.SibM, n.hood.SibR}[k]; k == n.self.Kind || sib.Point != m.From.Point {
 		return
 	}
 	wasPartial, told := n.partial(), n.toldUp()
-	n.sibIn[k] = true
+	n.hood.SibIn[k] = true
 	word := false // a left sibling's word this middle node must confirm
-	if k != ldb.Right && m.Seq > n.sibViews[k].Seq {
-		n.sibViews[k] = sibView{Edges: m.Edges, Up: m.Up, Seq: m.Seq, Seen: n.sibViews[k].Seen}
+	if k != ldb.Right && m.Seq > n.hood.SibViews[k].Seq {
+		n.hood.SibViews[k] = view{Edges: m.Edges, Word: m.Up, Seq: m.Seq, Seen: n.hood.SibViews[k].Seen}
 		word = k == ldb.Left && n.self.Kind == ldb.Middle && m.Up.Holder == ldb.Middle
 	}
 	if k == ldb.Middle {
-		n.sibViews[k].Seen = max(n.sibViews[k].Seen, m.Seen)
+		n.hood.SibViews[k].Seen = max(n.hood.SibViews[k].Seen, m.Seen)
 	}
 	n.invalidateTopology()
 	tell := n.refreshUp()
@@ -1275,7 +1290,7 @@ func (n *Node) noteSibHello(ctx *transport.Context, m sibHello) {
 		return // its hellos go out once it is spliced in (setNeighbors)
 	}
 	if up := n.toldUp(); tell || wasPartial && !n.partial() || up.Valid() != told.Valid() || up.Point != told.Point {
-		n.ringChanged(ctx, n.pred, n.succ)
+		n.ringChanged(ctx, n.hood.Pred, n.hood.Succ)
 	} else if word {
 		n.sendSibHello(ctx, m.From)
 	}
@@ -1296,30 +1311,30 @@ func (n *Node) noteRingHello(ctx *transport.Context, m ringHello) {
 		return
 	}
 	news, turned := false, false
-	take := func(v *ringView, far ldb.Ref) {
+	take := func(v *view) {
 		if m.Seq > v.Seq {
 			turned = turned || v.Partial != m.Partial
-			*v = ringView{Far: far, Up: m.Up, Partial: m.Partial, Seq: m.Seq, Seen: v.Seen}
+			*v = view{Edges: ldb.Edges{Pred: m.Pred, Succ: m.Succ}, Partial: m.Partial, Told: m.Up, Seq: m.Seq, Seen: v.Seen}
 			news = true
 		}
 		v.Seen = max(v.Seen, m.Seen)
 	}
-	var view *ringView
-	if m.From.ID == n.succ.ID {
-		view = &n.succView
-		take(view, m.Succ)
+	var v *view
+	if m.From.ID == n.hood.Succ.ID {
+		v = &n.hood.SuccView
+		take(v)
 	}
-	if m.From.ID == n.pred.ID {
-		view = &n.predView
-		take(view, m.Pred)
+	if m.From.ID == n.hood.Pred.ID {
+		v = &n.hood.PredView
+		take(v)
 	}
 	switch {
-	case view == nil:
+	case v == nil:
 	case turned:
-		n.ringChanged(ctx, n.pred, n.succ)
-	case news || m.Seen < n.ringSeq:
+		n.ringChanged(ctx, n.hood.Pred, n.hood.Succ)
+	case news || m.Seen < n.hood.RingSeq:
 		n.childCacheOK = false
-		n.sendRingHello(ctx, m.From, view.Seq)
+		n.sendRingHello(ctx, m.From, v.Seq)
 	}
 }
 
@@ -1335,20 +1350,20 @@ func (n *Node) noteRingHello(ctx *transport.Context, m ringHello) {
 // replacement's pred now.
 func (n *Node) absorb(ctx *transport.Context, m absorbMsg) {
 	from := m.From.ID
-	if n.succ.ID != from && n.succ.ID != n.self.ID && n.cwLess(n.succ.Point, m.From.Point) {
+	if n.hood.Succ.ID != from && n.hood.Succ.ID != n.self.ID && n.cwLess(n.hood.Succ.Point, m.From.Point) {
 		if n.churn.introAcksLeft > 0 {
 			n.churn.heldAbsorbs = append(n.churn.heldAbsorbs, m)
 		} else {
-			ctx.Send(n.succ.ID, m)
+			ctx.Send(n.hood.Succ.ID, m)
 		}
 		return
 	}
 	// Splice first: ingest re-dispatches anything we do not own, so the
 	// ring view must already cover the absorbed range.
 	if m.Succ.ID != from && m.Succ.ID != n.self.ID {
-		oldSucc := n.succ
-		n.succ = m.Succ
-		n.ringChanged(ctx, n.pred, oldSucc)
+		oldSucc := n.hood.Succ
+		n.hood.Succ = m.Succ
+		n.ringChanged(ctx, n.hood.Pred, oldSucc)
 		ctx.Send(m.Succ.ID, setPred{Pred: n.self, Epoch: m.Epoch})
 		if n.churn.updatePhase && n.churn.epoch == m.Epoch {
 			n.churn.introAcksLeft++
@@ -1383,22 +1398,22 @@ func (n *Node) receiveAnchorWalk(ctx *transport.Context, m anchorWalk) {
 		// re-accepting the role here would strand it on a zombie node.
 		// Push the walk back towards the ring (it converges once the
 		// splice introductions land).
-		ctx.Send(n.pred.ID, anchorWalk{Anchor: m.Anchor})
+		ctx.Send(n.hood.Pred.ID, anchorWalk{Anchor: m.Anchor})
 		return
 	}
-	if n.nb().IsAnchor() {
+	if n.hood.nb(n.self).IsAnchor() {
 		n.anchorRole = true
 		n.setAnchorBundle(m.Anchor)
 		n.broadcastUpdateOver(ctx)
 		return
 	}
-	if n.succ.Point.Less(n.self.Point) {
+	if n.hood.Succ.Point.Less(n.self.Point) {
 		// We are the ring maximum (this happens when the departed anchor's
 		// replacement dissolved into us); the minimum is our successor.
-		ctx.Send(n.succ.ID, anchorWalk{Anchor: m.Anchor})
+		ctx.Send(n.hood.Succ.ID, anchorWalk{Anchor: m.Anchor})
 		return
 	}
-	ctx.Send(n.pred.ID, anchorWalk{Anchor: m.Anchor})
+	ctx.Send(n.hood.Pred.ID, anchorWalk{Anchor: m.Anchor})
 }
 
 // depart switches the node into pure-forwarder mode towards a known peer.

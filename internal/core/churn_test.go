@@ -297,7 +297,7 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 				if n.churn.joining {
 					joiners++
 				}
-				p, ok := n.nb().Parent()
+				p, ok := n.hood.nb(n.self).Parent()
 				if q, qok := n.parent(); q.ID != p.ID || qok != ok {
 					t.Fatalf("seed %d round %d: %v (joining %v) reports to %v (%v), its neighbourhood says %v (%v)",
 						seed, round, n.self, n.churn.joining, q, qok, p, ok)
@@ -567,12 +567,12 @@ func TestRouteAvoidsUnintegratedSibling(t *testing.T) {
 		// Two bits left and bit 2 of the target selects the sibling. The
 		// target is one whose owner the middle node cannot see, which it
 		// would go to straight.
-		sib := map[ldb.Kind]ldb.Ref{ldb.Left: mid.sibL, ldb.Right: mid.sibR}[kind]
+		sib := map[ldb.Kind]ldb.Ref{ldb.Left: mid.hood.SibL, ldb.Right: mid.hood.SibR}[kind]
 		nibbles := []fixpoint.Frac{0x3, 0xb, 0x1, 0x9} // 0.x0x1…: bit 2 = 0
 		if kind == ldb.Right {
 			nibbles = []fixpoint.Frac{0x7, 0xf, 0x5, 0xd} // bit 2 = 1
 		}
-		seen := []transport.NodeID{mid.self.ID, mid.pred.ID, mid.succ.ID, mid.predView.Far.ID}
+		seen := []transport.NodeID{mid.self.ID, mid.hood.Pred.ID, mid.hood.Succ.ID, mid.hood.PredView.Edges.Pred.ID}
 		i := slices.IndexFunc(nibbles, func(x fixpoint.Frac) bool {
 			return !slices.Contains(seen, cl.LiveRing().ResponsibleFor(x<<60).ID)
 		})
@@ -592,15 +592,15 @@ func TestRouteAvoidsUnintegratedSibling(t *testing.T) {
 		if e := send(); e.to != sib.ID || e.payload.(routedMsg).RS.BitsLeft != 1 {
 			t.Fatalf("integrated %v sibling: hop went to %d with %+v, want the De Bruijn hop to %v", kind, e.to, e.payload, sib)
 		}
-		mid.sibIn[kind] = false
+		mid.hood.SibIn[kind] = false
 		e := send()
-		if !slices.Contains([]transport.NodeID{mid.pred.ID, mid.succ.ID, mid.predView.Far.ID, mid.succView.Far.ID}, e.to) || e.to == sib.ID {
-			t.Fatalf("unintegrated %v sibling: hop went to %d, want a ring node it can see (%v or %v, or one two hops away)", kind, e.to, mid.pred, mid.succ)
+		if !slices.Contains([]transport.NodeID{mid.hood.Pred.ID, mid.hood.Succ.ID, mid.hood.PredView.Edges.Pred.ID, mid.hood.SuccView.Edges.Succ.ID}, e.to) || e.to == sib.ID {
+			t.Fatalf("unintegrated %v sibling: hop went to %d, want a ring node it can see (%v or %v, or one two hops away)", kind, e.to, mid.hood.Pred, mid.hood.Succ)
 		}
 		if rs := e.payload.(routedMsg).RS; rs.BitsLeft != 0 || rs.Hops != 1 {
 			t.Fatalf("unintegrated %v sibling: route state %+v, want no bits left and one hop counted", kind, rs)
 		}
-		mid.sibIn[kind] = true
+		mid.hood.SibIn[kind] = true
 	}
 	net.queue = nil
 }
@@ -618,7 +618,7 @@ func TestHandedEpochSkipsFoldedWave(t *testing.T) {
 	}{{folded: 5, ack: true}, {folded: 4, ack: false}} {
 		cl, net := churnNet(t, Config{Processes: 3, Seed: 9}, 9)
 		mid, _ := cl.Node(cl.Client(1))
-		right, _ := cl.Node(mid.sibR.ID)
+		right, _ := cl.Node(mid.hood.SibR.ID)
 		right.waveSeq = 5
 		right.inFlight = []wave{{Seq: 5, Prev: 4, To: mid.self.ID}}
 		net.queue = nil
@@ -645,10 +645,10 @@ func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
 	checked := 0
 	for p := 0; p < 4; p++ {
 		mid, _ := cl.Node(cl.Client(p))
-		for _, id := range []transport.NodeID{mid.sibL.ID, mid.sibR.ID} {
+		for _, id := range []transport.NodeID{mid.hood.SibL.ID, mid.hood.SibR.ID} {
 			n, _ := cl.Node(id)
 			target := n.self.Point.Label + fixpoint.Half // across the ring
-			if slices.Contains([]transport.NodeID{n.pred.ID, n.succ.ID, n.predView.Far.ID, n.succView.Far.ID}, mid.self.ID) || n.nb().Responsible(target) {
+			if slices.Contains([]transport.NodeID{n.hood.Pred.ID, n.hood.Succ.ID, n.hood.PredView.Edges.Pred.ID, n.hood.SuccView.Edges.Succ.ID}, mid.self.ID) || n.hood.nb(n.self).Responsible(target) {
 				continue // the ring walk could reach the same middle node
 			}
 			send := func() (transport.NodeID, ldb.RouteState) {
@@ -663,12 +663,12 @@ func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
 			if to, rs := send(); to != mid.self.ID || rs.BitsLeft != 2 || rs.Hops != 1 {
 				t.Fatalf("%v with an integrated middle sibling: hop to %d with %+v, want the jump to %v", n.self, to, rs, mid.self)
 			}
-			n.sibIn[ldb.Middle] = false
-			ring := []transport.NodeID{n.pred.ID, n.succ.ID, n.predView.Far.ID, n.succView.Far.ID}
+			n.hood.SibIn[ldb.Middle] = false
+			ring := []transport.NodeID{n.hood.Pred.ID, n.hood.Succ.ID, n.hood.PredView.Edges.Pred.ID, n.hood.SuccView.Edges.Succ.ID}
 			if to, rs := send(); !slices.Contains(ring, to) || to == mid.self.ID || rs.BitsLeft != 2 || rs.Hops != 1 || rs.WalkDir == 0 {
-				t.Fatalf("%v with its middle sibling joining: hop to %d with %+v, want a ring node it can see (%v or %v, or one two hops away), both bits kept", n.self, to, rs, n.pred, n.succ)
+				t.Fatalf("%v with its middle sibling joining: hop to %d with %+v, want a ring node it can see (%v or %v, or one two hops away), both bits kept", n.self, to, rs, n.hood.Pred, n.hood.Succ)
 			}
-			n.sibIn[ldb.Middle] = true
+			n.hood.SibIn[ldb.Middle] = true
 			checked++
 		}
 	}
@@ -710,8 +710,8 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	net.tick()
 	net.settle(nil)
 	mid, _ := cl.Node(cl.Client(1))
-	left, _ := cl.Node(mid.sibL.ID)
-	mid.sibIn[ldb.Left] = false // what mid knows of a left sibling still joining
+	left, _ := cl.Node(mid.hood.SibL.ID)
+	mid.hood.SibIn[ldb.Left] = false // what mid knows of a left sibling still joining
 	if !mid.parentJoining() {
 		t.Fatal("a middle node whose left sibling is not integrated reports a parent")
 	}
@@ -727,7 +727,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	if d := cl.Diagnose(); len(d) != 1 || !strings.Contains(d[0], "holds its batch") {
 		t.Fatalf("Diagnose does not explain the hold: %q", d)
 	}
-	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, sibHello{From: left.self, Edges: ldb.Edges{Pred: left.pred, Succ: left.succ}, Seq: left.ringSeq})
+	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, sibHello{From: left.self, Edges: ldb.Edges{Pred: left.hood.Pred, Succ: left.hood.Succ}, Seq: left.hood.RingSeq})
 	net.settle(nil)
 	if cl.Finished() != 1 {
 		t.Fatalf("%d operations finished after the sibling's sibHello, want 1 with no further tick", cl.Finished())
@@ -736,7 +736,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	// itself — a joining triad's middle node can be the ring's minimum while
 	// its left sibling still joins), a joiner (it reports to its relay) and a
 	// left node (its parent is a ring neighbour).
-	mid.sibIn[ldb.Left] = false
+	mid.hood.SibIn[ldb.Left] = false
 	mid.anchorRole = true
 	if mid.parentJoining() {
 		t.Error("the anchor holds its batch for a parent it does not have")
@@ -745,12 +745,12 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	if mid.parentJoining() {
 		t.Error("a joiner holds its batch for its sibling instead of its relay")
 	}
-	mid.churn.joining, mid.sibIn[ldb.Left] = false, true
-	left.sibIn = [3]bool{true, false, false}
+	mid.churn.joining, mid.hood.SibIn[ldb.Left] = false, true
+	left.hood.SibIn = [3]bool{true, false, false}
 	if left.parentJoining() {
 		t.Error("a left node holds its batch for a sibling")
 	}
-	left.sibIn = [3]bool{true, true, true}
+	left.hood.SibIn = [3]bool{true, true, true}
 }
 
 // TestLeftNodeHoldsUntilEdgeConfirmed: after what a left node tells its ring
@@ -768,7 +768,7 @@ func TestLeftNodeHoldsUntilEdgeConfirmed(t *testing.T) {
 			left = n
 		}
 	}
-	left.ringChanged(net.ctxs[left.self.ID], left.pred, left.succ)
+	left.ringChanged(net.ctxs[left.self.ID], left.hood.Pred, left.hood.Succ)
 	if !left.parentJoining() {
 		t.Fatal("a left node whose parent has not confirmed its news reports a parent")
 	}

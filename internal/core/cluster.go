@@ -251,8 +251,7 @@ func (cl *Cluster) wireBootstrapRing() {
 	}
 	edges := func(i int) ldb.Edges { return ldb.Edges{Pred: at(i - 1), Succ: at(i + 1)} }
 	// ups[p] is process p's up edge, the same from each of its nodes, read
-	// once from its left node's view; told(i) is what node i tells it
-	// reports to.
+	// once from its left node's view.
 	ups := make([]ldb.Up, cl.cfg.Processes)
 	for p := range ups {
 		l, m, r := pos[3*p], pos[3*p+1], pos[3*p+2]
@@ -263,29 +262,29 @@ func (cl *Cluster) wireBootstrapRing() {
 			SibL:     at(l), SibM: at(m), SibR: at(r),
 		}.UpEdge()
 	}
-	told := func(i int) ldb.Ref {
-		if self, u := at(i), ups[at(i).ID/3]; u.Holder == self.Kind {
-			return u.To
+	// said(i) is what node i says, acting on its process's up edge.
+	said := func(i int) view {
+		v := view{Edges: edges(i), Told: ldb.Ref{ID: transport.None}, Word: ups[at(i).ID/3]}
+		if v.Word.Holder == at(i).Kind {
+			v.Told = v.Word.To
 		}
-		return ldb.Ref{ID: transport.None}
+		return v
 	}
 	for i := 0; i < size; i++ {
 		n, ok := cl.nodes[at(i).ID]
 		if !ok {
 			continue // hosted by another member
 		}
-		n.pred, n.succ = at(i-1), at(i+1)
-		n.predView = ringView{Far: at(i - 2), Up: told(i - 1)}
-		n.succView = ringView{Far: at(i + 2), Up: told(i + 1)}
-		up := ups[at(i).ID/3]
-		n.sibViews = [2]sibView{{Edges: edges(pos[n.sibL.ID]), Up: up}, {Edges: edges(pos[n.sibM.ID])}}
-		n.up, n.upSeq = up, -1
+		h, up := &n.hood, ups[at(i).ID/3]
+		h.Pred, h.Succ = at(i-1), at(i+1)
+		h.PredView, h.SuccView = said(i-1), said(i+1)
+		h.SibViews = [2]view{said(pos[h.SibL.ID]), said(pos[h.SibM.ID])}
+		h.SibIn, h.Up, h.UpSeq = [3]bool{true, true, true}, up, -1
 		if up.Holder == ldb.Middle {
-			n.upSeq = 0 // told and confirmed under the first numbers
+			h.UpSeq = 0 // told and confirmed under the first numbers
 		}
 		n.orderSite()
 		n.churn.joining = false
-		n.sibIn = [3]bool{true, true, true}
 	}
 	if anchor, ok := cl.nodes[ring.Min().ID]; ok {
 		anchor.anchorRole = true
@@ -325,17 +324,18 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 			pendingGets: make(map[uint64]getCtx),
 			// Until wired, every ref must be explicitly invalid; the zero
 			// Ref would silently address node 0.
-			pred:     ldb.Ref{ID: transport.None},
-			succ:     ldb.Ref{ID: transport.None},
-			predView: unknownView,
-			succView: unknownView,
-			sibViews: [2]sibView{unknownSib, unknownSib},
-			up:       ldb.Up{To: ldb.Ref{ID: transport.None}},
-			upSeq:    -1,
+			hood: hood{
+				Pred:     ldb.Ref{ID: transport.None},
+				Succ:     ldb.Ref{ID: transport.None},
+				PredView: unknown, SuccView: unknown,
+				SibViews: [2]view{unknown, unknown},
+				Up:       ldb.Up{To: ldb.Ref{ID: transport.None}},
+				UpSeq:    -1,
+			},
 		}
 		n.churn.joining = true
 		n.churn.relayVia = ldb.Ref{ID: transport.None}
-		n.sibIn[kind] = true
+		n.hood.SibIn[kind] = true
 		var id transport.NodeID
 		if cl.reg != nil {
 			id = NodeIDForProcess(pid, kind)
@@ -352,7 +352,7 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 	// Sibling (virtual) edges.
 	for kind := ldb.Left; kind <= ldb.Right; kind++ {
 		n := cl.nodes[proc.Nodes[kind]]
-		n.sibL, n.sibM, n.sibR = prefs[ldb.Left], prefs[ldb.Middle], prefs[ldb.Right]
+		n.hood.SibL, n.hood.SibM, n.hood.SibR = prefs[ldb.Left], prefs[ldb.Middle], prefs[ldb.Right]
 	}
 	if cl.reg == nil {
 		// A virtual edge is not a message between processes: the triad is
@@ -798,11 +798,11 @@ func (cl *Cluster) VerifyTopology() error {
 	ring := cl.LiveRing()
 	for i := 0; i < ring.Len(); i++ {
 		n := cl.nodes[ring.At(i).ID]
-		if n.pred.ID != ring.Pred(i).ID {
-			return fmt.Errorf("node %v pred = %v, ring says %v", n.self, n.pred, ring.Pred(i))
+		if n.hood.Pred.ID != ring.Pred(i).ID {
+			return fmt.Errorf("node %v pred = %v, ring says %v", n.self, n.hood.Pred, ring.Pred(i))
 		}
-		if n.succ.ID != ring.Succ(i).ID {
-			return fmt.Errorf("node %v succ = %v, ring says %v", n.self, n.succ, ring.Succ(i))
+		if n.hood.Succ.ID != ring.Succ(i).ID {
+			return fmt.Errorf("node %v succ = %v, ring says %v", n.self, n.hood.Succ, ring.Succ(i))
 		}
 	}
 	anchors := 0

@@ -50,15 +50,15 @@ func treeAgreement(cl *Cluster) error {
 	size := ring.Len()
 	for i := 0; i < size; i++ {
 		n := cl.nodes[ring.At(i).ID]
-		if pp, ss := ring.Pred((i-1+size)%size), ring.Succ((i+1)%size); n.predView.Far.Point != pp.Point || n.succView.Far.Point != ss.Point {
-			return fmt.Errorf("%v sees %v and %v two hops away, the ring has %v and %v", n.self, n.predView.Far, n.succView.Far, pp, ss)
+		if pp, ss := ring.Pred((i-1+size)%size), ring.Succ((i+1)%size); n.hood.PredView.Edges.Pred.Point != pp.Point || n.hood.SuccView.Edges.Succ.Point != ss.Point {
+			return fmt.Errorf("%v sees %v and %v two hops away, the ring has %v and %v", n.self, n.hood.PredView.Edges.Pred, n.hood.SuccView.Edges.Succ, pp, ss)
 		}
-		if v := [...]bool{n.partial(), n.predView.Partial, n.succView.Partial}; slices.Contains(v[:], true) {
+		if v := [...]bool{n.partial(), n.hood.PredView.Partial, n.hood.SuccView.Partial}; slices.Contains(v[:], true) {
 			return fmt.Errorf("%v sees a partial node once churn settled: %v", n.self, v)
 		}
-		for k, sib := range [...]ldb.Ref{n.sibL, n.sibM} {
+		for k, sib := range [...]ldb.Ref{n.hood.SibL, n.hood.SibM} {
 			j := ring.IndexOf(sib.Point)
-			if e := n.sibViews[k].Edges; ldb.Kind(k) != n.self.Kind && (j < 0 || e.Pred.Point != ring.Pred(j).Point || e.Succ.Point != ring.Succ(j).Point || e.PredPartial || e.SuccPartial) {
+			if e := n.hood.SibViews[k].Edges; ldb.Kind(k) != n.self.Kind && (j < 0 || e.Pred.Point != ring.Pred(j).Point || e.Succ.Point != ring.Succ(j).Point || e.PredPartial || e.SuccPartial) {
 				return fmt.Errorf("%v sees its sibling %v between %v and %v, the ring has it at %d", n.self, sib, e.Pred, e.Succ, j)
 			}
 		}
@@ -67,11 +67,11 @@ func treeAgreement(cl *Cluster) error {
 			if !ok {
 				return fmt.Errorf("%v counts %v as a child, which is not live", n.self, c)
 			}
-			if p, ok := cn.nb().Parent(); !ok || p.ID != n.self.ID {
+			if p, ok := cn.hood.nb(cn.self).Parent(); !ok || p.ID != n.self.ID {
 				return fmt.Errorf("%v counts %v as a child, whose parent is %v", n.self, c, p)
 			}
 		}
-		p, ok := n.nb().Parent()
+		p, ok := n.hood.nb(n.self).Parent()
 		if q, qok := n.parent(); q.ID != p.ID || qok != ok {
 			return fmt.Errorf("%v reports to %v, its neighbourhood says %v: what it told its neighbours is stale", n.self, q, p)
 		}

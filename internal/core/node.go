@@ -115,33 +115,10 @@ type Node struct {
 	// records; -1 for replacement nodes, which never issue requests.
 	clientID int32
 
-	// Topology (maintained under churn).
-	pred, succ       ldb.Ref
-	sibL, sibM, sibR ldb.Ref
-	// ringSeq numbers what this node tells its ring neighbours and its
-	// siblings (its pair, whether it and they are partial, and toldUp, the
-	// node it reports to over a ring edge); predView and succView are what
-	// pred and succ last told it (ringHello), sibViews what the left and
-	// middle siblings told of their ring edges (sibHello, indexed by
-	// ldb.Kind; a right node's are never read). up is the process's up
-	// edge, read from the left and middle nodes' edges whenever one of
-	// them changes (refreshUp), and the node holding it reports over it
-	// only once the node at its other end has confirmed the latest number.
-	ringSeq            int64
-	predView, succView ringView
-	sibViews           [2]sibView
-	up                 ldb.Up
-	// upSeq is, at a left node whose process's up edge is its middle
-	// node's, the pair number that first told the middle node so; −1
-	// otherwise. The left node reports to its middle node only once that
-	// one has confirmed it (ldb.Neighborhood.Up).
-	upSeq int64
-	// sibIn tracks which of the process's virtual nodes are integrated
-	// ring members (indexed by ldb.Kind). A sibling-derived tree child is
-	// only expected once that sibling announced its integration; joiners
-	// of a process can be integrated in different update phases, and
-	// waiting for a not-yet-integrated sibling would deadlock the wave.
-	sibIn [3]bool
+	// hood is the node's neighbourhood (maintained under churn): its ring
+	// neighbours and siblings, what each last told it, and the up edge it
+	// acts on.
+	hood hood
 	//skueue:ephemeral -- derived route cache, recomputed from the topology on first use
 	childCache []ldb.Ref
 	//skueue:ephemeral -- validity bit of childCache, reset with it
@@ -253,32 +230,35 @@ type Node struct {
 var _ transport.Handler = (*Node)(nil)
 var _ transport.ReadyHandler = (*Node)(nil)
 
-// nb assembles the local neighbourhood view for the topology rules.
-func (n *Node) nb() ldb.Neighborhood {
+// nb assembles the neighbourhood of the node self for the topology rules.
+// Every route hop builds it, so it stays within the compiler's inlining
+// budget (go build -gcflags=-m reports "can inline (*hood).nb"): called out
+// of line, each call copies the result once more.
+func (h *hood) nb(self ldb.Ref) ldb.Neighborhood {
 	return ldb.Neighborhood{
-		Self: n.self, Pred: n.pred, Succ: n.succ,
-		PredPred: n.predView.Far, SuccSucc: n.succView.Far,
-		PredUp: n.predView.Up, SuccUp: n.succView.Up,
-		PredPartial: n.predView.Partial, SuccPartial: n.succView.Partial,
-		Whole:    n.sibIn == [3]bool{true, true, true},
-		SibEdges: [2]ldb.Edges{n.sibViews[ldb.Left].Edges, n.sibViews[ldb.Middle].Edges},
-		LeftUp:   n.sibViews[ldb.Left].Up,
-		UpSeen:   n.sibViews[ldb.Middle].Seen >= n.upSeq,
-		SibL:     n.sibL, SibM: n.sibM, SibR: n.sibR,
+		Self: self, Pred: h.Pred, Succ: h.Succ,
+		PredPred: h.PredView.Edges.Pred, SuccSucc: h.SuccView.Edges.Succ,
+		PredUp: h.PredView.Told, SuccUp: h.SuccView.Told,
+		PredPartial: h.PredView.Partial, SuccPartial: h.SuccView.Partial,
+		Whole:    h.SibIn == [3]bool{true, true, true},
+		SibEdges: [2]ldb.Edges{h.SibViews[ldb.Left].Edges, h.SibViews[ldb.Middle].Edges},
+		LeftUp:   h.SibViews[ldb.Left].Word,
+		UpSeen:   h.SibViews[ldb.Middle].Seen >= h.UpSeq,
+		SibL:     h.SibL, SibM: h.SibM, SibR: h.SibR,
 	}
 }
 
 // parent is ldb.Neighborhood.Parent read off the process's up edge as the
 // node last worked it out (refreshUp), without assembling the neighbourhood.
 func (n *Node) parent() (ldb.Ref, bool) {
-	return n.up.Parent(n.self.Kind, n.sibL, n.sibM)
+	return n.hood.Up.Parent(n.self.Kind, n.hood.SibL, n.hood.SibM)
 }
 
 // toldUp is the node this node reports to when it holds its process's up
 // edge, as its hellos say, else an invalid reference.
 func (n *Node) toldUp() ldb.Ref {
-	if n.up.Holder == n.self.Kind {
-		return n.up.To
+	if n.hood.Up.Holder == n.self.Kind {
+		return n.hood.Up.To
 	}
 	return ldb.Ref{ID: transport.None}
 }
@@ -287,7 +267,7 @@ func (n *Node) toldUp() ldb.Ref {
 // process siblings yet: its left sibling, or a right node's middle one, is
 // not a ring member (ldb.Neighborhood).
 func (n *Node) partial() bool {
-	return !n.sibIn[ldb.Left] || n.self.Kind == ldb.Right && !n.sibIn[ldb.Middle]
+	return !n.hood.SibIn[ldb.Left] || n.self.Kind == ldb.Right && !n.hood.SibIn[ldb.Middle]
 }
 
 // children returns the aggregation-tree children: the structural children
@@ -300,13 +280,13 @@ func (n *Node) children() []ldb.Ref {
 	}
 	if !n.childCacheOK {
 		n.childCache = n.childCache[:0]
-		for _, c := range n.nb().Children() {
+		for _, c := range n.hood.nb(n.self).Children() {
 			// Gate sibling-derived children on their integration; ring
 			// successors are ring members by construction.
-			if c.ID == n.sibM.ID && n.self.Kind == ldb.Left && !n.sibIn[ldb.Middle] {
+			if c.ID == n.hood.SibM.ID && n.self.Kind == ldb.Left && !n.hood.SibIn[ldb.Middle] {
 				continue
 			}
-			if c.ID == n.sibR.ID && n.self.Kind == ldb.Middle && !n.sibIn[ldb.Right] {
+			if c.ID == n.hood.SibR.ID && n.self.Kind == ldb.Middle && !n.hood.SibIn[ldb.Right] {
 				continue
 			}
 			n.childCache = append(n.childCache, c)
@@ -463,7 +443,7 @@ func (n *Node) carriesOps() bool {
 
 // parentJoining reports whether stage 1 must hold because the node's tree
 // parent does not know yet that the node reports to it. The triad of a
-// joining process can be integrated over several update phases (see sibIn),
+// joining process can be integrated over several update phases (see hood.SibIn),
 // and a middle node integrated ahead of its left sibling — or a right node
 // ahead of its middle — has no parent to report to until the sibling's
 // sibHello. The sibling would bounce every batch (it has no children while
@@ -472,7 +452,7 @@ func (n *Node) carriesOps() bool {
 // which then does nothing else. The node holding its process's up edge
 // reports over a ring edge, and after what it tells its ring neighbours
 // changed (ringChanged) it holds the same way until the node at the other
-// end has confirmed it (ringView.Seen): before that, the parent cannot tell
+// end has confirmed it (view.Seen): before that, the parent cannot tell
 // that the node reports to it and counts it as no child
 // (ldb.Neighborhood.Children). A middle node that its left sibling's word
 // sends over an edge it no longer has holds until the next word. A left node
@@ -485,16 +465,16 @@ func (n *Node) parentJoining() bool {
 	switch up := n.toldUp(); {
 	case up.Valid():
 		switch up.Point {
-		case n.succ.Point:
-			return n.succView.Seen < n.ringSeq
-		case n.pred.Point:
-			return n.predView.Seen < n.ringSeq
+		case n.hood.Succ.Point:
+			return n.hood.SuccView.Seen < n.hood.RingSeq
+		case n.hood.Pred.Point:
+			return n.hood.PredView.Seen < n.hood.RingSeq
 		}
 		return true // the left node's word names an edge gone since
 	case n.self.Kind == ldb.Middle:
-		return !n.sibIn[ldb.Left]
+		return !n.hood.SibIn[ldb.Left]
 	case n.self.Kind == ldb.Right:
-		return !n.sibIn[ldb.Middle]
+		return !n.hood.SibIn[ldb.Middle]
 	}
 	return false
 }
@@ -981,7 +961,7 @@ func (n *Node) sendRouted(ctx *transport.Context, key fixpoint.Frac, inner any) 
 		ctx.Send(n.churn.relayVia.ID, routedMsg{RS: ldb.RouteState{Target: key, BitsLeft: -1}, Inner: inner})
 		return
 	}
-	rs := n.nb().NewRoute(key)
+	rs := n.hood.nb(n.self).NewRoute(key)
 	n.routeStep(ctx, routedMsg{RS: rs, Inner: inner})
 }
 
@@ -996,10 +976,10 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 	}
 	if m.RS.BitsLeft < 0 {
 		// Injected by a joiner through us: start a fresh route here.
-		m.RS = n.nb().NewRoute(m.RS.Target)
+		m.RS = n.hood.nb(n.self).NewRoute(m.RS.Target)
 	}
-	nb := n.nb()
-	if !n.sibIn[ldb.Middle] {
+	nb := n.hood.nb(n.self)
+	if !n.hood.SibIn[ldb.Middle] {
 		// The route's first hop from a left or right node is the jump to the
 		// middle sibling, and that sibling is not a ring member yet: it would
 		// hold what it cannot route (routedHold), for ever if the message is
@@ -1008,7 +988,7 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 		nb.SibM = ldb.Ref{ID: transport.None}
 	}
 	next, out, deliver := nb.NextHop(m.RS)
-	if !deliver && out.BitsLeft < m.RS.BitsLeft && !n.sibIn[next.Kind] {
+	if !deliver && out.BitsLeft < m.RS.BitsLeft && !n.hood.SibIn[next.Kind] {
 		// A De Bruijn hop to a sibling that is not a ring member yet, with
 		// the same hazard. The remaining bits only shorten the way: finish
 		// by the linear walk instead.
@@ -1020,7 +1000,7 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 		n.deliverRouted(ctx, m.RS.Target, m.Inner)
 		return
 	}
-	if next.ID != n.sibL.ID && next.ID != n.sibM.ID && next.ID != n.sibR.ID {
+	if next.ID != n.hood.SibL.ID && next.ID != n.hood.SibM.ID && next.ID != n.hood.SibR.ID {
 		n.cl.metrics.RouteRingHops++
 	}
 	m.RS = out
@@ -1063,7 +1043,7 @@ func (n *Node) dispatchDHT(ctx *transport.Context, key fixpoint.Frac, inner any)
 		ctx.Send(n.churn.relayVia.ID, directMsg{Key: key, Inner: inner})
 		return
 	}
-	if !n.nb().Responsible(key) {
+	if !n.hood.nb(n.self).Responsible(key) {
 		n.sendRouted(ctx, key, inner)
 		return
 	}

@@ -127,7 +127,7 @@ func TestPipelineFoldsInOrder(t *testing.T) {
 	net.tick()
 	net.settle(nil)
 	child, _ := cl.Node(cl.Client(0))
-	pref, _ := child.nb().Parent()
+	pref, _ := child.hood.nb(child.self).Parent()
 	parent, _ := cl.Node(pref.ID)
 	type fold struct {
 		node   transport.NodeID
@@ -198,7 +198,7 @@ func TestReturnedWaveUnfoldsChildWave(t *testing.T) {
 	net.tick()
 	net.settle(nil)
 	mid, _ := cl.Node(cl.Client(0))
-	child, _ := cl.Node(mid.sibR.ID)
+	child, _ := cl.Node(mid.hood.SibR.ID)
 	cl.Enqueue(child.self.ID)
 	child.OnReady(net.ctxs[child.self.ID])
 	if len(child.inFlight) != 1 || len(net.queue) != 1 {
@@ -212,7 +212,7 @@ func TestReturnedWaveUnfoldsChildWave(t *testing.T) {
 		t.Fatalf("%v has %d waves in flight, folded the child up to wave %d; want 1 and %d", mid.self, len(mid.inFlight), mid.foldedWaves[child.self.ID], v)
 	}
 	net.queue = nil
-	mid.OnMessage(net.ctxs[mid.self.ID], mid.sibL.ID, rejectBatch{WaveSeq: mid.inFlight[0].Seq})
+	mid.OnMessage(net.ctxs[mid.self.ID], mid.hood.SibL.ID, rejectBatch{WaveSeq: mid.inFlight[0].Seq})
 	if got := mid.foldedWaves[child.self.ID]; got != v-1 || !mid.hasWaitingWave(FoldedWaveImage{From: child.self.ID, WaveSeq: v}) {
 		t.Fatalf("after the return: child folded up to wave %d, its wave %d waiting %v; want %d and true", got, v, mid.hasWaitingWave(FoldedWaveImage{From: child.self.ID, WaveSeq: v}), v-1)
 	}

@@ -109,20 +109,12 @@ type EarlyReplyImage struct {
 
 // NodeImage captures one virtual node.
 type NodeImage struct {
-	Self, Pred, Succ ldb.Ref
-	SibL, SibM, SibR ldb.Ref
-	SibIn            [3]bool
-	ClientID         int32
-	// RingSeq, PredView, SuccView, SibViews, Up and UpSeq are the node's
-	// pair number, what its ring neighbours and siblings last said of
-	// theirs, the up edge it acts on and the number that moved that edge to
-	// a middle node (Node.ringChanged, Node.upSeq). A restarted node keeps
-	// them: its neighbours' numbers and confirmations go on from there.
-	RingSeq            int64
-	PredView, SuccView ringView
-	SibViews           [2]sibView
-	Up                 ldb.Up
-	UpSeq              int64
+	Self ldb.Ref
+	// Hood is the node's neighbourhood, with its pair number and what its
+	// ring neighbours and siblings last said. A restarted node keeps it: its
+	// neighbours' numbers and confirmations go on from there.
+	Hood     hood
+	ClientID int32
 
 	Anchor bool
 	Ast    batch.AnchorState
@@ -306,15 +298,8 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			return nil, fmt.Errorf("%w: node %v repeats logged fires", ErrNotQuiescent, n.self)
 		}
 		img := NodeImage{
-			Self: n.self, Pred: n.pred, Succ: n.succ,
-			SibL: n.sibL, SibM: n.sibM, SibR: n.sibR,
-			SibIn:        n.sibIn,
-			RingSeq:      n.ringSeq,
-			PredView:     n.predView,
-			SuccView:     n.succView,
-			SibViews:     n.sibViews,
-			Up:           n.up,
-			UpSeq:        n.upSeq,
+			Self:         n.self,
+			Hood:         n.hood,
 			ClientID:     n.clientID,
 			Anchor:       n.anchorRole,
 			Ast:          n.ast.Clone(), // a copy: the image is encoded off the runner while the anchor keeps assigning
@@ -445,18 +430,7 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			disc:         cl.newDiscipline(),
 			self:         img.Self,
 			clientID:     img.ClientID,
-			pred:         img.Pred,
-			succ:         img.Succ,
-			sibL:         img.SibL,
-			sibM:         img.SibM,
-			sibR:         img.SibR,
-			sibIn:        img.SibIn,
-			ringSeq:      img.RingSeq,
-			predView:     img.PredView,
-			succView:     img.SuccView,
-			sibViews:     img.SibViews,
-			up:           img.Up,
-			upSeq:        img.UpSeq,
+			hood:         img.Hood,
 			anchorRole:   img.Anchor,
 			ast:          img.Ast,
 			nextElemSeq:  img.NextElemSeq,

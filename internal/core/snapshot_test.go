@@ -117,8 +117,8 @@ func (m *memNet) drain(cl *Cluster, maxRounds int) {
 // TestMemberSnapshotRoundTrip drives a member-mode cluster through real
 // traffic, snapshots it, pushes the image through the gob codec (the
 // on-disk representation), restores a fresh cluster from it, and checks
-// the restored member both preserves the old state (elements, history)
-// and keeps serving new operations consistently.
+// the restored member both preserves the old state (elements, history,
+// each node's neighbourhood) and keeps serving new operations consistently.
 func TestMemberSnapshotRoundTrip(t *testing.T) {
 	cfg := Config{Processes: 2, Seed: 7}
 	net1 := newMemNet(t)
@@ -160,6 +160,15 @@ func TestMemberSnapshotRoundTrip(t *testing.T) {
 	}
 	if cl2.Issued() != cl.Issued() || cl2.Finished() != cl.Finished() {
 		t.Fatalf("restored counters %d/%d, want %d/%d", cl2.Finished(), cl2.Issued(), cl.Finished(), cl.Issued())
+	}
+	for id, n := range cl.nodes {
+		n2, ok := cl2.nodes[id]
+		if !ok {
+			t.Fatalf("node %v not restored", n.self)
+		}
+		if n2.hood != n.hood {
+			t.Fatalf("node %v restored with neighbourhood %+v, want %+v", n.self, n2.hood, n.hood)
+		}
 	}
 
 	// The restored member keeps serving: drain the remaining elements and

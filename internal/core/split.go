@@ -94,7 +94,7 @@ func (cl *Cluster) depthOf(n *Node) int64 {
 		if !ok || !live {
 			return d
 		}
-		if p.ID != n.sibL.ID && p.ID != n.sibM.ID && p.ID != n.sibR.ID {
+		if p.ID != n.hood.SibL.ID && p.ID != n.hood.SibM.ID && p.ID != n.hood.SibR.ID {
 			d++
 		}
 		n = next

@@ -21,15 +21,22 @@ func TestWireRoundTrip(t *testing.T) {
 
 	ref := ldb.Ref{ID: 7, Point: ldb.Point{Label: 1 << 60, Tie: 42}, Kind: ldb.Middle}
 	ent := dht.Entry{Pos: 3, Ticket: 1, Elem: dht.Element{Origin: 2, Seq: 9}, Blob: []byte("v")}
+	up := ldb.Up{Holder: ldb.Middle, To: ref}
+	// Every field of the neighbourhood is non-zero: gob leaves zero fields
+	// out, so a field it dropped would go unnoticed at zero.
+	v := view{Edges: ldb.Edges{Pred: ref, Succ: ref, PredPartial: true, SuccPartial: true}, Partial: true, Told: ref, Word: up, Seq: 5, Seen: 4}
 	snap := nodeSnapshot{
-		Self: ref, Pred: ref, Succ: ref, SibL: ref, SibM: ref, SibR: ref,
+		Self: ref,
+		Hood: hood{
+			Pred: ref, Succ: ref, SibL: ref, SibM: ref, SibR: ref, SibIn: [3]bool{true, false, true},
+			RingSeq: 6, PredView: v, SuccView: v, SibViews: [2]view{v, v}, Up: up, UpSeq: 3,
+		},
 		AnchorRole: true,
 		Anchor:     anchorBundle{Ast: batch.AnchorState{First: 1, Last: 4, Value: 9, Ticket: 2}, PendChurn: 1, EpochCounter: 3},
 		Waiting:    []subBatch{{From: 5, B: batch.Batch{Runs: []int64{1, 2}, J: 1}}},
 		Entries:    []dht.Entry{ent},
 		Parked:     []dht.ParkedEntry{{Pos: 3, Waiter: dht.Waiter{Requester: 4, ReqID: 8, Bound: 1}}},
 		Joiners:    []joinerInfo{{Ref: ref}},
-		SibIn:      [3]bool{true, false, true},
 	}
 
 	msgs := []any{

@@ -348,13 +348,28 @@ func TestReplayPlanGrouping(t *testing.T) {
 
 // TestStateDirWithFireMarkerFailsToOpen: a member whose state directory is
 // in an older format refuses to restart, with an error naming what it cannot
-// read, rather than restoring by guesswork. Two rows:
+// read, rather than restoring by guesswork. Three rows:
 //   - a journal holding a per-node fire marker (record kind 3), which older
 //     journals filed ahead of op records that named no wave;
 //   - a version-1 snapshot, whose nodes each held one processing batch where
 //     version 2 holds the list of waves in flight: gob would drop the batch
-//     and restore the node with its wave lost.
+//     and restore the node with its wave lost;
+//   - a version-4 snapshot, whose nodes held their neighbourhood in separate
+//     fields where version 5 holds it as one value: gob would drop them and
+//     restore every node with no ring neighbours.
 func TestStateDirWithFireMarkerFailsToOpen(t *testing.T) {
+	downgrade := func(version int) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			disk, err := loadSnapshot(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk.Version = version
+			if err := writeSnapshot(dir, disk); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		age  func(t *testing.T, dir string) // rewrites dir into the older format
@@ -376,16 +391,8 @@ func TestStateDirWithFireMarkerFailsToOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, "kind 3"},
-		{"version-1 snapshot", func(t *testing.T, dir string) {
-			disk, err := loadSnapshot(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			disk.Version = 1
-			if err := writeSnapshot(dir, disk); err != nil {
-				t.Fatal(err)
-			}
-		}, "version 1"},
+		{"version-1 snapshot", downgrade(1), "version 1"},
+		{"version-4 snapshot", downgrade(4), "version 4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis := make([]net.Listener, 2)
