@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -180,45 +181,34 @@ type setPred struct {
 // introAck confirms a setNeighbors / setPred was applied.
 type introAck struct{ Epoch int64 }
 
-// sibHello tells the process siblings that the sender, an integrated ring
-// member (see hood.SibIn), has the ring edges Edges, under its pair number
-// Seq (see Node.ringChanged). A left node adds Up, the process's up edge as
-// it works it out (ldb.Neighborhood.UpEdge), and a middle node Seen, the
-// newest of its left sibling's pair numbers it holds, which confirms an up
-// edge that names it (ldb.Neighborhood.Up). Siblings share one site or
-// member, so it costs no round (a leave replacement is a site of its own).
-type sibHello struct {
-	From  ldb.Ref
-	Edges ldb.Edges
-	Up    ldb.Up
-	Seq   int64
-	Seen  int64
-}
-
-// ringHello tells a ring neighbour, at point To, the sender's own pred and
-// succ, whether it is partial and the node it reports to when it holds its
-// process's up edge (ldb.Neighborhood), under the sender's pair number Seq,
-// and Seen, the newest of the receiver's pair numbers the sender holds (see
-// Node.ringChanged).
-type ringHello struct {
-	From       ldb.Ref
-	To         ldb.Point
-	Pred, Succ ldb.Ref
-	Partial    bool
-	Up         ldb.Ref
-	Seq, Seen  int64
+// hello tells a ring neighbour or a process sibling, at point To, what the
+// sender says now (Said): its ring edges with their partial flags, whether
+// it is partial, the node it reports to over a ring edge and the process's
+// up edge as its left node works it out, under its pair number Seq, and
+// Seen, the newest of the receiver's pair numbers the sender holds (see
+// Node.ringChanged). One
+// hello serves every edge between the two: a sibling can be a ring
+// neighbour too. Between siblings it costs no round: they share one site or
+// member (a leave replacement is a site of its own).
+type hello struct {
+	From ldb.Ref
+	To   ldb.Point
+	Said view
 }
 
 // view is what the node at the other end of an edge, a ring neighbour or a
-// process sibling, last said: its ring edges with their partial flags,
-// whether it is partial, the node it reports to when it holds its process's
-// up edge (Told, the up edge it acts on as ring neighbours see it; invalid
-// otherwise), and the process's up edge as its left node works it out
-// (Word, ldb.Neighborhood.LeftUp; a left node keeps its own in its SibViews
-// entry), under its pair number Seq, −1 while it has said nothing; Seen is
-// the newest of this node's own pair numbers it has confirmed. A ring
-// neighbour's neighbour two hops away is read from its edges. Fields are
-// exported because views ride in leave handoffs and sit in NodeImage.
+// process sibling, last said (hello): its ring edges with their partial
+// flags, whether it is partial, the node it reports to when it holds its
+// process's up edge (Told, the up edge it acts on as ring neighbours see
+// it; invalid otherwise), and the process's up edge as its left node works
+// it out (Word, ldb.Neighborhood.LeftUp; a left node keeps its own in its
+// SibViews entry), under its pair number Seq, −1 while it has said
+// nothing; Seen is the newest of this node's own pair numbers it has
+// confirmed. A left node's word and the edge it acts on differ while its
+// middle node has not confirmed the word: ring neighbours read Told,
+// siblings Word. A ring neighbour's neighbour two hops away is read from
+// its edges. Fields are exported because views ride in hellos and leave
+// handoffs and sit in NodeImage.
 type view struct {
 	Edges   ldb.Edges
 	Partial bool
@@ -279,13 +269,26 @@ func (h *hood) redirect(old, new ldb.Ref) (hit bool) {
 	rw(&h.SibM)
 	rw(&h.SibR)
 	rw(&h.Up.To)
-	for _, v := range []*view{&h.PredView, &h.SuccView, &h.SibViews[0], &h.SibViews[1]} {
+	for _, e := range h.ends() {
+		v := e.v
 		rw(&v.Edges.Pred)
 		rw(&v.Edges.Succ)
 		rw(&v.Told)
 		rw(&v.Word.To)
 	}
 	return hit
+}
+
+// end is one end of the node's edges, with the view of the node there.
+type end struct {
+	to ldb.Ref
+	v  *view
+}
+
+// ends lists the ring neighbours, then the left and middle siblings, each
+// with its view (a right sibling's is never read).
+func (h *hood) ends() [4]end {
+	return [4]end{{h.Pred, &h.PredView}, {h.Succ, &h.SuccView}, {h.SibL, &h.SibViews[ldb.Left]}, {h.SibM, &h.SibViews[ldb.Middle]}}
 }
 
 // updateAck aggregates "my old subtree finished integrating" (§IV-A).
@@ -814,7 +817,7 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 		c.joining = false
 		c.relayVia = ldb.Ref{ID: transport.None}
 		c.rangeValid = false
-		n.ringChanged(ctx, oldPred, oldSucc) // tells the siblings too (sibHello)
+		n.ringChanged(ctx, oldPred, oldSucc) // tells the siblings too
 		n.cl.noteIntegrated(n)
 		ctx.Send(from, introAck{Epoch: m.Epoch})
 		// Now that the ring neighbours are known, release any routed
@@ -894,10 +897,8 @@ func (n *Node) handleChurn(ctx *transport.Context, from transport.NodeID, payloa
 			}
 			n.depart(ctx, n.hood.Pred.ID)
 		}
-	case sibHello:
-		n.noteSibHello(ctx, m)
-	case ringHello:
-		n.noteRingHello(ctx, m)
+	case hello:
+		n.noteHello(ctx, m)
 	case phasePassed:
 		if m.Epoch > c.lastEpoch && !c.updatePhase {
 			c.lastEpoch = m.Epoch
@@ -1189,31 +1190,35 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	n.invalidateTopology()
 	n.refreshUp() // before the new number, which tells a new up edge
 	n.hood.RingSeq++
-	n.sendRingHello(ctx, n.hood.Pred, n.hood.PredView.Seq)
-	if n.hood.Succ.ID != n.hood.Pred.ID {
-		n.sendRingHello(ctx, n.hood.Succ, n.hood.SuccView.Seq)
-	}
-	for _, sib := range []ldb.Ref{n.hood.SibL, n.hood.SibM, n.hood.SibR} {
-		if sib.Valid() && sib.ID != n.self.ID {
-			n.sendSibHello(ctx, sib)
+	to := [...]ldb.Ref{n.hood.Pred, n.hood.Succ, n.hood.SibL, n.hood.SibM, n.hood.SibR}
+	for i, r := range to {
+		if r.Valid() && r.ID != n.self.ID && !slices.ContainsFunc(to[:i], func(q ldb.Ref) bool { return q.ID == r.ID }) {
+			n.sendHello(ctx, r)
 		}
 	}
 }
 
-// sendSibHello tells a sibling the node's ring edges under its current pair
-// number, with the process's up edge from a left node and the confirmation
-// of the left node's word from a middle node.
-func (n *Node) sendSibHello(ctx *transport.Context, to ldb.Ref) {
-	m := sibHello{
-		From:  n.self,
-		Edges: ldb.Edges{Pred: n.hood.Pred, Succ: n.hood.Succ, PredPartial: n.hood.PredView.Partial, SuccPartial: n.hood.SuccView.Partial},
-		Seq:   n.hood.RingSeq,
-		Seen:  n.hood.SibViews[ldb.Left].Seq,
+// sendHello tells the node to what this node says now. Seen is the newest
+// of to's pair numbers that every view this node holds of it has, −1 with
+// none: to takes it as confirming each edge it has to this node, so a ring
+// view dropped when to became a neighbour confirms nothing until it is
+// filled.
+func (n *Node) sendHello(ctx *transport.Context, to ldb.Ref) {
+	h := &n.hood
+	seen := int64(math.MaxInt64)
+	for _, e := range h.ends() {
+		if e.to.ID == to.ID {
+			seen = min(seen, e.v.Seq)
+		}
 	}
-	if n.self.Kind == ldb.Left {
-		m.Up = n.hood.SibViews[ldb.Left].Word
+	if seen == math.MaxInt64 {
+		seen = -1 // a right sibling that is no ring neighbour
 	}
-	ctx.Send(to.ID, m)
+	ctx.Send(to.ID, hello{From: n.self, To: to.Point, Said: view{
+		Edges:   ldb.Edges{Pred: h.Pred, Succ: h.Succ, PredPartial: h.PredView.Partial, SuccPartial: h.SuccView.Partial},
+		Partial: n.partial(), Told: n.toldUp(), Word: h.SibViews[ldb.Left].Word,
+		Seq: h.RingSeq, Seen: seen,
+	}})
 }
 
 // refreshUp works out again the up edge the node acts on
@@ -1253,88 +1258,66 @@ func (n *Node) orderSite() {
 	}
 }
 
-func (n *Node) sendRingHello(ctx *transport.Context, to ldb.Ref, seen int64) {
-	if to.Valid() && to.ID != n.self.ID {
-		ctx.Send(to.ID, ringHello{
-			From: n.self, To: to.Point, Pred: n.hood.Pred, Succ: n.hood.Succ,
-			Partial: n.partial(), Up: n.toldUp(),
-			Seq: n.hood.RingSeq, Seen: seen,
-		})
-	}
-}
-
-// noteSibHello takes a sibling's news: it is a ring member, with these ring
-// edges, newer numbers only. A hello from a node at another point than the
-// sibling of its kind is dropped: a sibling that dissolved forwards to the
-// node that absorbed it, not to its siblings. When the node stopped being
-// partial, or the process's up edge moved to or from it, the ring
-// neighbours hear of it.
-func (n *Node) noteSibHello(ctx *transport.Context, m sibHello) {
-	k := m.From.Kind
-	if sib := [...]ldb.Ref{n.hood.SibL, n.hood.SibM, n.hood.SibR}[k]; k == n.self.Kind || sib.Point != m.From.Point {
-		return
-	}
-	wasPartial, told := n.partial(), n.toldUp()
-	n.hood.SibIn[k] = true
-	word := false // a left sibling's word this middle node must confirm
-	if k != ldb.Right && m.Seq > n.hood.SibViews[k].Seq {
-		n.hood.SibViews[k] = view{Edges: m.Edges, Word: m.Up, Seq: m.Seq, Seen: n.hood.SibViews[k].Seen}
-		word = k == ldb.Left && n.self.Kind == ldb.Middle && m.Up.Holder == ldb.Middle
-	}
-	if k == ldb.Middle {
-		n.hood.SibViews[k].Seen = max(n.hood.SibViews[k].Seen, m.Seen)
-	}
-	n.invalidateTopology()
-	tell := n.refreshUp()
-	if n.churn.joining {
-		return // its hellos go out once it is spliced in (setNeighbors)
-	}
-	if up := n.toldUp(); tell || wasPartial && !n.partial() || up.Valid() != told.Valid() || up.Point != told.Point {
-		n.ringChanged(ctx, n.hood.Pred, n.hood.Succ)
-	} else if word {
-		n.sendSibHello(ctx, m.From)
-	}
-}
-
-// noteRingHello takes a ring neighbour's news, newer numbers only (hellos
-// may overtake each other), and answers with the node's own when the hello
-// brought news or its sender has not seen the node's current pair. When the
-// neighbour turned whole, the siblings hear of it too, and the process's up
-// edge may move. A hello from a node that is no neighbour is dropped: when
-// it becomes one, a change on one side or the other sends a fresh hello. So
-// is one addressed to another point — a departed node forwards to the node
-// that absorbed it, whose numbers Seen does not count — while a replacement,
-// at the point of the node it replaces and continuing its numbers, takes
-// what is forwarded.
-func (n *Node) noteRingHello(ctx *transport.Context, m ringHello) {
+// noteHello takes what a ring neighbour or sibling says, into the view of
+// each edge it holds, newer numbers only (hellos may overtake each other).
+// A hello addressed to another point is dropped: a departed node forwards to
+// the node that absorbed it, whose numbers Seen does not count, while a
+// replacement, at the point of the node it replaces and continuing its
+// numbers, takes what is forwarded. So is one from a node that holds no edge
+// to this one: when it comes to hold one, a change on one side or the other
+// sends a fresh hello. A sibling is one at the point of the sibling of its
+// kind (a sibling that dissolved forwards to the node that absorbed it);
+// hearing from it says that it is a ring member.
+//
+// When a ring neighbour turned whole, when this node stopped being partial,
+// or when the up edge moved to or from it, its ring neighbours and siblings
+// hear of it (ringChanged). Otherwise a ring neighbour hears back when the
+// hello brought news or its sender has not seen this node's current pair,
+// and a left sibling when this middle node must confirm a word that names it.
+func (n *Node) noteHello(ctx *transport.Context, m hello) {
+	h := &n.hood
 	if m.To != n.self.Point {
 		return
 	}
-	news, turned := false, false
-	take := func(v *view) {
-		if m.Seq > v.Seq {
-			turned = turned || v.Partial != m.Partial
-			*v = view{Edges: ldb.Edges{Pred: m.Pred, Succ: m.Succ}, Partial: m.Partial, Told: m.Up, Seq: m.Seq, Seen: v.Seen}
-			news = true
+	// take keeps what m says in the view v if it is newer, and reports
+	// whether it was and whether the sender turned whole or partial.
+	take := func(v *view) (news, turned bool) {
+		seen := max(v.Seen, m.Said.Seen)
+		if news = m.Said.Seq > v.Seq; news {
+			turned = v.Partial != m.Said.Partial
+			*v = m.Said
 		}
-		v.Seen = max(v.Seen, m.Seen)
+		v.Seen = seen
+		return news, turned
 	}
-	var v *view
-	if m.From.ID == n.hood.Succ.ID {
-		v = &n.hood.SuccView
-		take(v)
+	ring, news, turned := false, false, false
+	ends := h.ends()
+	for _, e := range ends[:2] { // the ring neighbours
+		if e.to.ID == m.From.ID {
+			ne, tu := take(e.v)
+			ring, news, turned = true, news || ne, turned || tu
+		}
 	}
-	if m.From.ID == n.hood.Pred.ID {
-		v = &n.hood.PredView
-		take(v)
+	wasPartial, told := n.partial(), n.toldUp()
+	tell, word := false, false
+	if k := m.From.Kind; k != n.self.Kind && [...]ldb.Ref{h.SibL, h.SibM, h.SibR}[k].Point == m.From.Point {
+		h.SibIn[k] = true
+		if k != ldb.Right {
+			ne, _ := take(&h.SibViews[k])
+			word = ne && k == ldb.Left && n.self.Kind == ldb.Middle && m.Said.Word.Holder == ldb.Middle
+		}
+		n.invalidateTopology()
+		tell = n.refreshUp()
+		if n.churn.joining {
+			return // its hellos go out once it is spliced in (setNeighbors)
+		}
 	}
-	switch {
-	case v == nil:
-	case turned:
-		n.ringChanged(ctx, n.hood.Pred, n.hood.Succ)
-	case news || m.Seen < n.hood.RingSeq:
+	switch up := n.toldUp(); {
+	case turned || tell || wasPartial && !n.partial() || up.Valid() != told.Valid() || up.Point != told.Point:
+		n.ringChanged(ctx, h.Pred, h.Succ)
+	case ring && (news || m.Said.Seen < h.RingSeq) || word:
 		n.childCacheOK = false
-		n.sendRingHello(ctx, m.From, v.Seq)
+		n.sendHello(ctx, m.From)
 	}
 }
 

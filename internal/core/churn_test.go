@@ -702,7 +702,7 @@ func TestDissolveQueryAnsweredToAsker(t *testing.T) {
 // TestNodeHoldsBatchWhileParentJoins: the triad of a joining process can be
 // integrated over several update phases, so a middle node may be a ring
 // member while its tree parent, the left sibling, is not. It must hold its
-// batch until the sibling's sibHello: fired, the batch would be bounced by a
+// batch until the sibling's hello: fired, the batch would be bounced by a
 // node that has no children while it joins, re-fired on readiness and
 // bounced again, at message speed between two nodes of one process.
 func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
@@ -727,10 +727,11 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	if d := cl.Diagnose(); len(d) != 1 || !strings.Contains(d[0], "holds its batch") {
 		t.Fatalf("Diagnose does not explain the hold: %q", d)
 	}
-	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, sibHello{From: left.self, Edges: ldb.Edges{Pred: left.hood.Pred, Succ: left.hood.Succ}, Seq: left.hood.RingSeq})
+	said := view{Edges: ldb.Edges{Pred: left.hood.Pred, Succ: left.hood.Succ}, Seq: left.hood.RingSeq}
+	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, hello{From: left.self, To: mid.self.Point, Said: said})
 	net.settle(nil)
 	if cl.Finished() != 1 {
-		t.Fatalf("%d operations finished after the sibling's sibHello, want 1 with no further tick", cl.Finished())
+		t.Fatalf("%d operations finished after the sibling's hello, want 1 with no further tick", cl.Finished())
 	}
 	// Three kinds of node never wait for a sibling: the anchor (it assigns
 	// itself — a joining triad's middle node can be the ring's minimum while
@@ -755,7 +756,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 
 // TestLeftNodeHoldsUntilEdgeConfirmed: after what a left node tells its ring
 // neighbours changes (ringChanged), it holds its batch until the node it
-// reports to has answered the ringHello, and fires the moment it has, with
+// reports to has answered its hello, and fires the moment it has, with
 // no tick. Fired before, the batch could reach a parent that does not yet
 // count the node as a child and be bounced back and forth at message speed.
 func TestLeftNodeHoldsUntilEdgeConfirmed(t *testing.T) {

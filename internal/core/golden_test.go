@@ -102,52 +102,60 @@ func goldenDigest(t *testing.T, mode batch.Mode, seed int64, async bool) string 
 // ring neighbour's process sits further left) and every node began to fire
 // on work (Node.tryFire): every wave takes a different path up, a node with
 // operations no longer waits for its other children, and the ring
-// neighbours exchange their pairs after every change (ringHello), so every
-// schedule moves in both models, the stack's included.
+// neighbours exchange their pairs after every change (a ring hello), so
+// every schedule moves in both models, the stack's included.
 //
 // All 24 rows were re-recorded, deliberately, when a process began to report
 // over the best of its left and middle nodes' ring edges
 // (ldb.Neighborhood.UpEdge), the walk to a middle node began to look two
 // hops ahead (ldb.NextHop), and a parent began to keep pace with a child
 // that pipelines (Node.carriesOps): waves take other paths up, routes other
-// paths to the DHT, siblings tell each other their ring edges (sibHello) and
-// a site's TIMEOUT order follows the triad's root, so every schedule moves in
-// both models.
+// paths to the DHT, siblings tell each other their ring edges (a sibling
+// hello) and a site's TIMEOUT order follows the triad's root, so every
+// schedule moves in both models.
 //
 // All 24 rows were re-recorded, deliberately, when a route began to hop to
 // the nodes two hops away (ldb.NextHop: straight to an owner the node can
 // see, over a node known not to be a middle node, two nodes a hop on the
 // closing walk) and to price its bits for it (ldb.NewRoute), and when a
 // triad's left node became the one that works its up edge out and hands it
-// to the middle node only once confirmed (ldb.Neighborhood.Up; a sibHello
-// now carries the edge and the confirmation): every PUT, GET and JOIN
+// to the middle node only once confirmed (ldb.Neighborhood.Up; a sibling
+// hello now carries the edge and the confirmation): every PUT, GET and JOIN
 // request takes a different path, and every churn handshake moves, so every
-// schedule moves in both models. Any later move is unintended until a
-// comment here says otherwise.
+// schedule moves in both models.
+//
+// Six rows, the async runs of seeds 1 and 3, were re-recorded, deliberately,
+// when a node's ring neighbours and siblings began to hear it through one
+// hello per node instead of a ring hello and a sibling hello each
+// (Node.ringChanged, Node.noteHello): a sibling that is also a ring
+// neighbour now gets one message where it got two, which shifts every later
+// random delay of those runs, and their churn handshakes take other turns. The synchronous rows
+// do not move. Any later move is unintended until a comment here says
+// otherwise.
 func TestSimulatorHistoryGolden(t *testing.T) {
 	golden := map[string]string{
 		"queue/seed=1/sync":  "eb7d8d5bad89364d",
-		"queue/seed=1/async": "05866adce581eeda",
+		"queue/seed=1/async": "889466148d0cee26",
 		"queue/seed=2/sync":  "9b5822a5a9691ac0",
 		"queue/seed=2/async": "711d4733e56a5119",
 		"queue/seed=3/sync":  "67e9c3f91dad3822",
-		"queue/seed=3/async": "364789dc848ae7e9",
+		"queue/seed=3/async": "fbff81002d764710",
 		"queue/seed=4/sync":  "1a3e7129e9c25a33",
 		"queue/seed=4/async": "bf224d178781debd",
 		"stack/seed=1/sync":  "3a3daaffaccf3c58",
-		"stack/seed=1/async": "36e6c1b3aa167303",
+		"stack/seed=1/async": "a2a388a03cf3c985",
 		"stack/seed=2/sync":  "0aa3bb22b2ce8158",
 		"stack/seed=2/async": "4412d0a397b8239c",
 		"stack/seed=3/sync":  "a619602b87922eb9",
-		"stack/seed=3/async": "425082f190d3ab39",
+		"stack/seed=3/async": "256b70870561da47",
 		"stack/seed=4/sync":  "14b775aa5451b3b2",
 		"stack/seed=4/async": "4a026526da442977",
 		"heap/seed=1/sync":   "6bed61cb63148799",
-		"heap/seed=1/async":  "bd2210a82d763898",
+		"heap/seed=1/async":  "71381d9ea6b58688",
 		"heap/seed=2/sync":   "5b09adcbaa3f295a",
 		"heap/seed=2/async":  "86412ffe81a3a0b3",
 		"heap/seed=3/sync":   "5e7e7db42ff98fbc",
-		"heap/seed=3/async":  "cebd4955ab770028",
+		"heap/seed=3/async":  "296ca4bc44580c39",
 		"heap/seed=4/sync":   "aff71ba995d7563a",
 		"heap/seed=4/async":  "3b6b74d1f8e5db2e",
 	}

@@ -443,10 +443,10 @@ func (n *Node) carriesOps() bool {
 
 // parentJoining reports whether stage 1 must hold because the node's tree
 // parent does not know yet that the node reports to it. The triad of a
-// joining process can be integrated over several update phases (see hood.SibIn),
-// and a middle node integrated ahead of its left sibling — or a right node
-// ahead of its middle — has no parent to report to until the sibling's
-// sibHello. The sibling would bounce every batch (it has no children while
+// joining process can be integrated over several update phases (see
+// hood.SibIn), and a middle node integrated ahead of its left sibling — or a
+// right node ahead of its middle — has no parent to report to until the
+// sibling's hello. The sibling would bounce every batch (it has no children while
 // it joins), and a node that re-fires on readiness would bounce it back at
 // message speed, between two nodes of one process — one member's runner,
 // which then does nothing else. The node holding its process's up edge

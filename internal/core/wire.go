@@ -10,7 +10,7 @@ import "skueue/internal/wire"
 // waiting for the frame. TestWireRoundTrip fails at once when a type here
 // has no round-trip row; a type left out of this list entirely shows up
 // only as networked tests timing out (TestJoinServer and
-// TestReadinessJoinDoesNotSpin for ringHello).
+// TestReadinessJoinDoesNotSpin for the hello).
 var wireTypes = []any{
 	// Wave pipeline (Stages 1-4).
 	aggregateMsg{},
@@ -34,8 +34,7 @@ var wireTypes = []any{
 	setNeighbors{},
 	setPred{},
 	introAck{},
-	sibHello{},
-	ringHello{},
+	hello{},
 	updateAck{},
 	updateOver{},
 

@@ -347,7 +347,7 @@ func (nb Neighborhood) Parent() (parent Ref, ok bool) {
 // to this node (see Parent), plus each ring neighbour that names this node
 // as the one it reports to (PredUp, SuccUp). A neighbour that has not said
 // so yet is not counted; it holds its batches until this node has heard it
-// (core's ringHello).
+// (core's hello).
 func (nb Neighborhood) Children() []Ref {
 	var c []Ref
 	up := nb.Up()
