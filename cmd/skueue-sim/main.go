@@ -17,11 +17,15 @@ import (
 	"skueue/internal/workload"
 )
 
+// heapLevels is the number of priority levels of a heap run, the server's
+// default (internal/server); enqueues spread evenly over them.
+const heapLevels = 4
+
 func main() {
 	var (
 		n       = flag.Int("n", 100, "number of processes")
 		seed    = flag.Int64("seed", 1, "random seed")
-		mode    = flag.String("mode", "queue", "queue or stack")
+		mode    = flag.String("mode", "queue", "queue, stack or heap (4 priority levels)")
 		rounds  = flag.Int("rounds", 200, "request generation rounds")
 		rate    = flag.Int("rate", 10, "requests per round (0 to use -prob)")
 		prob    = flag.Float64("prob", 0, "per-node request probability per round")
@@ -32,11 +36,16 @@ func main() {
 	)
 	flag.Parse()
 
-	m := skueue.Queue
-	if *mode == "stack" {
+	var m skueue.Mode
+	switch *mode {
+	case "queue":
+		m = skueue.Queue
+	case "stack":
 		m = skueue.Stack
-	} else if *mode != "queue" {
-		fmt.Fprintln(os.Stderr, "mode must be queue or stack")
+	case "heap":
+		m = skueue.Heap
+	default:
+		fmt.Fprintln(os.Stderr, "mode must be queue, stack or heap")
 		os.Exit(2)
 	}
 	opts := []skueue.Option{
@@ -44,6 +53,9 @@ func main() {
 		skueue.WithProcesses(*n),
 		skueue.WithSeed(*seed),
 		skueue.WithMode(m),
+	}
+	if m == skueue.Heap {
+		opts = append(opts, skueue.WithHeap(heapLevels))
 	}
 	if *async {
 		opts = append(opts, skueue.WithAsync())
@@ -54,7 +66,7 @@ func main() {
 		os.Exit(2)
 	}
 	defer c.Close()
-	spec := workload.Spec{Rounds: *rounds, RequestsPerRound: *rate, PerNodeProb: *prob, EnqRatio: *ratio}
+	spec := workload.Spec{Rounds: *rounds, RequestsPerRound: *rate, PerNodeProb: *prob, EnqRatio: *ratio, Levels: c.Cluster().HeapLevels()}
 	if *prob > 0 {
 		spec.RequestsPerRound = 0
 	}

@@ -1,7 +1,9 @@
 // Command skueue-verify tortures the protocol for sequential consistency:
 // many seeds of adversarial asynchronous schedules with churn, for the
-// queue, the stack and the heap (three priority levels), each execution
-// checked against Definition 1 (its priority generalization for the heap).
+// queue, the stack and the heap (three priority levels), and of the
+// synchronous churn schedule the core tests share (core.RunSchedule: three
+// joins and two leaves among five processes), each execution checked
+// against Definition 1 (its priority generalization for the heap).
 // With -stack-no-wait it instead demonstrates the §VI counterexample by
 // disabling the stage-4 completion wait and counting how many seeds
 // violate consistency (E9 in DESIGN.md).
@@ -18,6 +20,7 @@ import (
 	"os"
 
 	"skueue"
+	"skueue/internal/core"
 	"skueue/internal/xrand"
 )
 
@@ -87,6 +90,21 @@ func runSeed(mode skueue.Mode, seed int64, churn, noWait bool) (drained bool, er
 	return true, c.Check()
 }
 
+// runSchedule runs the core churn schedule for seed, lets its churn settle
+// and drains it: a run drains when its joins and leaves have settled and
+// every operation finished.
+func runSchedule(seed int64) (drained bool, err error) {
+	cl, err := core.RunSchedule(seed, nil)
+	if err != nil {
+		return false, err
+	}
+	settled := cl.Engine().RunUntil(func() bool { return cl.ChurnQuiescent() && cl.VerifyTopology() == nil }, 60000)
+	if !settled || !cl.Drain(60000) {
+		return false, nil
+	}
+	return true, cl.CheckConsistency()
+}
+
 func main() {
 	var (
 		seeds  = flag.Int("seeds", 50, "number of seeds per configuration")
@@ -107,25 +125,36 @@ func main() {
 		return
 	}
 
-	fail := 0
+	type config struct {
+		name string
+		run  func(seed int64) (drained bool, err error)
+	}
+	var configs []config
 	for _, mode := range []skueue.Mode{skueue.Queue, skueue.Stack, skueue.Heap} {
 		for _, churn := range []bool{false, true} {
-			for s := int64(0); s < int64(*seeds); s++ {
-				drained, err := runSeed(mode, s, churn, false)
-				switch {
-				case !drained:
-					fmt.Printf("FAIL %s churn=%v seed=%d: did not drain\n", mode, churn, s)
-					fail++
-				case err != nil:
-					fmt.Printf("FAIL %s churn=%v seed=%d: %v\n", mode, churn, s, err)
-					fail++
-				}
-			}
-			fmt.Printf("%s churn=%v: %d seeds checked\n", mode, churn, *seeds)
+			configs = append(configs, config{fmt.Sprintf("%s churn=%v", mode, churn), func(seed int64) (bool, error) {
+				return runSeed(mode, seed, churn, false)
+			}})
 		}
 	}
+	configs = append(configs, config{"queue schedule", runSchedule})
+	fail := 0
+	for _, c := range configs {
+		for s := int64(0); s < int64(*seeds); s++ {
+			drained, err := c.run(s)
+			switch {
+			case !drained:
+				fmt.Printf("FAIL %s seed=%d: did not drain\n", c.name, s)
+				fail++
+			case err != nil:
+				fmt.Printf("FAIL %s seed=%d: %v\n", c.name, s, err)
+				fail++
+			}
+		}
+		fmt.Printf("%s: %d seeds checked\n", c.name, *seeds)
+	}
 	if fail > 0 {
-		fmt.Printf("%d configurations violated sequential consistency\n", fail)
+		fmt.Printf("%d runs did not drain or violated sequential consistency\n", fail)
 		os.Exit(1)
 	}
 	fmt.Println("all executions sequentially consistent (Definition 1)")

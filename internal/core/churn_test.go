@@ -285,11 +285,8 @@ func TestChurnStorm(t *testing.T) {
 // has settled.
 func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 	for seed := int64(110); seed < 112; seed++ {
-		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
-		rng := xrand.New(seed)
 		joiners := 0
-		for round := 0; round < scheduleRounds; round++ {
-			scheduleStep(cl, rng, round)
+		cl, err := RunSchedule(seed, func(cl *Cluster, round int) {
 			for _, n := range cl.nodes {
 				if n.churn.departed {
 					continue
@@ -306,6 +303,9 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 			if h := cl.TreeHeight(); h < 0 {
 				t.Fatalf("seed %d round %d: the parent chain cycles", seed, round)
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if joiners == 0 {
 			t.Fatalf("seed %d: no joining node seen; the test exercises too little", seed)
@@ -314,44 +314,22 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 	}
 }
 
-// scheduleRounds and scheduleStep are the churn schedule of the tests
-// below: five processes, an enqueue in four rounds of five, three joins and
-// two leaves, one round at a time.
-const scheduleRounds = 160
-
-func scheduleStep(cl *Cluster, rng *xrand.RNG, round int) {
-	if clients := cl.ActiveClients(); len(clients) > 0 && rng.Bool(0.8) {
-		cl.Enqueue(clients[rng.Intn(len(clients))])
-	}
-	switch round {
-	case 20, 110:
-		cl.JoinProcess(0)
-	case 45:
-		cl.LeaveProcess(2)
-	case 70:
-		cl.JoinProcess(4)
-	case 95:
-		cl.LeaveProcess(1)
-	}
-	cl.Step()
-}
-
 // TestNoParentCycleUnderChurn: the parent chain never cycles, in any round
-// of the schedule, over 300 seeds. When the left and middle nodes of a triad
-// each worked the up edge out from their own edges and the other's as last
-// told, both could read the other's stale edge as the better one and report
-// to each other for a round (54 seeds of 2 000). The left node decides now,
-// and reports to its middle node only once that one has confirmed
-// (ldb.Neighborhood.Up).
+// of the schedule (RunSchedule), over 300 seeds. When the left and middle
+// nodes of a triad each worked the up edge out from their own edges and the
+// other's as last told, both could read the other's stale edge as the better
+// one and report to each other for a round (54 seeds of 2 000). The left
+// node decides now, and reports to its middle node only once that one has
+// confirmed (ldb.Neighborhood.Up).
 func TestNoParentCycleUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
-		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
-		rng := xrand.New(seed)
-		for round := 0; round < scheduleRounds; round++ {
-			scheduleStep(cl, rng, round)
+		_, err := RunSchedule(seed, func(cl *Cluster, round int) {
 			if cl.TreeHeight() < 0 {
 				t.Fatalf("seed %d round %d: the parent chain cycles", seed, round)
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -369,10 +347,9 @@ func TestNoParentCycleUnderChurn(t *testing.T) {
 //     until it splices them in (churnState.joinerFor).
 func TestScheduleDrains(t *testing.T) {
 	for _, seed := range []int64{1, 1559} {
-		cl := newCluster(t, Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
-		rng := xrand.New(seed)
-		for round := 0; round < scheduleRounds; round++ {
-			scheduleStep(cl, rng, round)
+		cl, err := RunSchedule(seed, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
 		settleChurn(t, cl, 60000)
 		drainAndCheck(t, cl, 60000)

@@ -638,6 +638,44 @@ func (cl *Cluster) LeaveProcess(proc int) {
 	}
 }
 
+// scheduleRounds is the length of the churn schedule (RunSchedule).
+const scheduleRounds = 160
+
+// RunSchedule runs the churn schedule for seed: five processes under a
+// shuffled TIMEOUT order, an enqueue at a random client in four rounds of
+// five, three joins and two leaves, one round at a time for 160 rounds,
+// calling after, when not nil, at the end of each. The tests and
+// skueue-verify share it, so a seed names the same run in both. The
+// cluster is returned as the schedule leaves it: churn may still be
+// settling and operations in flight.
+func RunSchedule(seed int64, after func(cl *Cluster, round int)) (*Cluster, error) {
+	cl, err := New(Config{Processes: 5, Seed: seed, ShuffleTimeouts: true})
+	if err != nil {
+		return nil, err
+	}
+	rng := xrand.New(seed)
+	for round := 0; round < scheduleRounds; round++ {
+		if clients := cl.ActiveClients(); len(clients) > 0 && rng.Bool(0.8) {
+			cl.Enqueue(clients[rng.Intn(len(clients))])
+		}
+		switch round {
+		case 20, 110:
+			cl.JoinProcess(0)
+		case 45:
+			cl.LeaveProcess(2)
+		case 70:
+			cl.JoinProcess(4)
+		case 95:
+			cl.LeaveProcess(1)
+		}
+		cl.Step()
+		if after != nil {
+			after(cl, round)
+		}
+	}
+	return cl, nil
+}
+
 // ChurnQuiescent reports whether all joins and leaves have fully settled:
 // no joining processes, no relayed joiners, no replacements awaiting
 // absorption, no update phase in progress, and every leave request
