@@ -186,10 +186,9 @@ type introAck struct{ Epoch int64 }
 // it is partial, the node it reports to over a ring edge and the process's
 // up edge as its left node works it out, under its pair number Seq, and
 // Seen, the newest of the receiver's pair numbers the sender holds (see
-// Node.ringChanged). One
-// hello serves every edge between the two: a sibling can be a ring
-// neighbour too. Between siblings it costs no round: they share one site or
-// member (a leave replacement is a site of its own).
+// Node.ringChanged). One hello serves every edge between the two: a
+// sibling can be a ring neighbour too. Between siblings it costs no round:
+// they share one site or member (a leave replacement is a site of its own).
 type hello struct {
 	From ldb.Ref
 	To   ldb.Point
@@ -270,11 +269,10 @@ func (h *hood) redirect(old, new ldb.Ref) (hit bool) {
 	rw(&h.SibR)
 	rw(&h.Up.To)
 	for _, e := range h.ends() {
-		v := e.v
-		rw(&v.Edges.Pred)
-		rw(&v.Edges.Succ)
-		rw(&v.Told)
-		rw(&v.Word.To)
+		rw(&e.v.Edges.Pred)
+		rw(&e.v.Edges.Succ)
+		rw(&e.v.Told)
+		rw(&e.v.Word.To)
 	}
 	return hit
 }
