@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -184,11 +183,12 @@ type introAck struct{ Epoch int64 }
 // hello tells a ring neighbour or a process sibling, at point To, what the
 // sender says now (Said): its ring edges with their partial flags, whether
 // it is partial, the node it reports to over a ring edge and the process's
-// up edge as its left node works it out, under its pair number Seq, and
-// Seen, the newest of the receiver's pair numbers the sender holds (see
-// Node.ringChanged). One hello serves every edge between the two: a
-// sibling can be a ring neighbour too. Between siblings it costs no round:
-// they share one site or member (a leave replacement is a site of its own).
+// up edge as its left node works it out, under its pair number Seq (see
+// Node.ringChanged), and Seen, the newest of the receiver's pair numbers
+// the sender holds (Node.sendHello). One hello serves every edge between
+// the two: a sibling can be a ring neighbour too. Between siblings it costs
+// no round: they share one site or member (a leave replacement is a site of
+// its own).
 type hello struct {
 	From ldb.Ref
 	To   ldb.Point
@@ -1197,20 +1197,19 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 }
 
 // sendHello tells the node to what this node says now. Seen is the newest
-// of to's pair numbers that every view this node holds of it has, −1 with
-// none: to takes it as confirming each edge it has to this node, so a ring
-// view dropped when to became a neighbour confirms nothing until it is
-// filled.
+// of to's pair numbers this node holds in any view of it, −1 with none, and
+// to takes it for each edge it has to this node. A sibling view can be
+// newer than the ring view of the same node, which is dropped when that
+// node becomes a neighbour; that is safe, since the only ring edge whose
+// confirmation a node waits for leads to the far end of its process's up
+// edge (parentJoining), never to a sibling.
 func (n *Node) sendHello(ctx *transport.Context, to ldb.Ref) {
 	h := &n.hood
-	seen := int64(math.MaxInt64)
+	seen := int64(-1)
 	for _, e := range h.ends() {
 		if e.to.ID == to.ID {
-			seen = min(seen, e.v.Seq)
+			seen = max(seen, e.v.Seq)
 		}
-	}
-	if seen == math.MaxInt64 {
-		seen = -1 // a right sibling that is no ring neighbour
 	}
 	ctx.Send(to.ID, hello{From: n.self, To: to.Point, Said: view{
 		Edges:   ldb.Edges{Pred: h.Pred, Succ: h.Succ, PredPartial: h.PredView.Partial, SuccPartial: h.SuccView.Partial},
