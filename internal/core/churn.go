@@ -192,101 +192,7 @@ type introAck struct{ Epoch int64 }
 type hello struct {
 	From ldb.Ref
 	To   ldb.Point
-	Said view
-}
-
-// view is what the node at the other end of an edge, a ring neighbour or a
-// process sibling, last said (hello): its ring edges with their partial
-// flags, whether it is partial, the node it reports to when it holds its
-// process's up edge (Told, the up edge it acts on as ring neighbours see
-// it; invalid otherwise), and the process's up edge as its left node works
-// it out (Word, ldb.Neighborhood.LeftUp; a left node keeps its own in its
-// SibViews entry), under its pair number Seq, −1 while it has said
-// nothing; Seen is the newest of this node's own pair numbers it has
-// confirmed. A left node's word and the edge it acts on differ while its
-// middle node has not confirmed the word: ring neighbours read Told,
-// siblings Word. A ring neighbour's neighbour two hops away is read from
-// its edges. Fields are exported because views ride in hellos and leave
-// handoffs and sit in NodeImage.
-type view struct {
-	Edges   ldb.Edges
-	Partial bool
-	Told    ldb.Ref
-	Word    ldb.Up
-	Seq     int64
-	Seen    int64
-}
-
-// unknown is the view of a node that has said nothing yet.
-var unknown = view{
-	Edges: ldb.Edges{Pred: ldb.Ref{ID: transport.None}, Succ: ldb.Ref{ID: transport.None}},
-	Told:  ldb.Ref{ID: transport.None},
-	Word:  ldb.Up{To: ldb.Ref{ID: transport.None}},
-	Seq:   -1, Seen: -1,
-}
-
-// hood is a node's neighbourhood. Pred and Succ are its ring neighbours,
-// SibL, SibM and SibR its process's nodes, and SibIn says which of those
-// are ring members (indexed by ldb.Kind): a child a sibling derives is
-// expected only once that sibling said it was integrated, since a joining
-// process's nodes can be integrated in different update phases. RingSeq
-// numbers what the node tells its ring neighbours and siblings
-// (ringChanged); PredView, SuccView and SibViews are what those last told
-// it (SibViews indexed by ldb.Kind; a right node's is never read). Up is
-// the process's up edge as the node acts on it, worked out again whenever
-// an edge it is read from changes (Node.refreshUp); the node holding it
-// reports over it only once the node at its other end has confirmed the
-// latest number. UpSeq is, at a left node whose process's up edge is its
-// middle node's, the pair number that first told the middle node so, −1
-// otherwise: the left node reports to its middle node only once that one
-// has confirmed it (ldb.Neighborhood.Up). The neighbourhood is one value,
-// so a leave handoff, a snapshot and a restore carry it whole; fields are
-// exported for the same reason as view's.
-type hood struct {
-	Pred, Succ         ldb.Ref
-	SibL, SibM, SibR   ldb.Ref
-	SibIn              [3]bool
-	RingSeq            int64
-	PredView, SuccView view
-	SibViews           [2]view
-	Up                 ldb.Up
-	UpSeq              int64
-}
-
-// redirect rewrites every reference Old -> New and reports whether there was
-// one. A redirect moves no point, and the replacement continues the pair
-// numbers of the node it replaces, so the views stay as they are.
-func (h *hood) redirect(old, new ldb.Ref) (hit bool) {
-	rw := func(r *ldb.Ref) {
-		if r.ID == old.ID {
-			*r, hit = new, true
-		}
-	}
-	rw(&h.Pred)
-	rw(&h.Succ)
-	rw(&h.SibL)
-	rw(&h.SibM)
-	rw(&h.SibR)
-	rw(&h.Up.To)
-	for _, e := range h.ends() {
-		rw(&e.v.Edges.Pred)
-		rw(&e.v.Edges.Succ)
-		rw(&e.v.Told)
-		rw(&e.v.Word.To)
-	}
-	return hit
-}
-
-// end is one end of the node's edges, with the view of the node there.
-type end struct {
-	to ldb.Ref
-	v  *view
-}
-
-// ends lists the ring neighbours, then the left and middle siblings, each
-// with its view (a right sibling's is never read).
-func (h *hood) ends() [4]end {
-	return [4]end{{h.Pred, &h.PredView}, {h.Succ, &h.SuccView}, {h.SibL, &h.SibViews[ldb.Left]}, {h.SibM, &h.SibViews[ldb.Middle]}}
+	Said ldb.View
 }
 
 // updateAck aggregates "my old subtree finished integrating" (§IV-A).
@@ -374,7 +280,7 @@ type nodeSnapshot struct {
 	// The replacement stands at the same point and continues the leaving
 	// node's pair numbers, what it told under them and what it was told, so
 	// every view its neighbours and siblings hold stays valid.
-	Hood       hood
+	Hood       ldb.Neighborhood
 	AnchorRole bool
 	Anchor     anchorBundle
 	Waiting    []subBatch
@@ -666,7 +572,7 @@ func (n *Node) anchorFinal(ctx *transport.Context) {
 	if !n.anchorRole {
 		panic(fmt.Sprintf("core: anchorFinal on non-anchor %v", n.self))
 	}
-	if n.hood.nb(n.self).IsAnchor() {
+	if n.hood.IsAnchor(n.self) {
 		n.broadcastUpdateOver(ctx)
 		return
 	}
@@ -708,7 +614,7 @@ func (n *Node) updateOverTargets() []transport.NodeID {
 		}
 	}
 	if !n.churn.joining {
-		for _, c := range n.hood.nb(n.self).Children() {
+		for _, c := range n.hood.Children(n.self) {
 			add(c.ID)
 		}
 		add(n.hood.Pred.ID)
@@ -1154,7 +1060,7 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 			n.invalidateTopology()
 		}
 	}
-	if n.hood.redirect(old, new) {
+	if n.hood.Redirect(old, new) {
 		n.invalidateTopology()
 	}
 	rw(&n.churn.relayVia)
@@ -1173,17 +1079,17 @@ func (n *Node) applyRedirect(old, new ldb.Ref) {
 // neighbour that is another node now is dropped, and the news goes to both
 // neighbours and to the siblings under the next pair number. Until the node
 // at the other end of its process's up edge has confirmed it
-// (view.Seen), the node holding that edge holds its batches
+// (ldb.View.Seen), the node holding that edge holds its batches
 // (parentJoining), while that node does not count it as a child before it
 // has heard it (ldb.Neighborhood.Children). So a parent and its child agree
 // on their edge before either relies on it. The siblings work out the same
 // up edge from what each tells the others.
 func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 	if n.hood.Pred.ID != oldPred.ID {
-		n.hood.PredView = unknown
+		n.hood.PredView = ldb.Unknown
 	}
 	if n.hood.Succ.ID != oldSucc.ID {
-		n.hood.SuccView = unknown
+		n.hood.SuccView = ldb.Unknown
 	}
 	n.invalidateTopology()
 	n.refreshUp() // before the new number, which tells a new up edge
@@ -1206,12 +1112,12 @@ func (n *Node) ringChanged(ctx *transport.Context, oldPred, oldSucc ldb.Ref) {
 func (n *Node) sendHello(ctx *transport.Context, to ldb.Ref) {
 	h := &n.hood
 	seen := int64(-1)
-	for _, e := range h.ends() {
-		if e.to.ID == to.ID {
-			seen = max(seen, e.v.Seq)
+	for _, e := range h.Ends() {
+		if e.To.ID == to.ID {
+			seen = max(seen, e.View.Seq)
 		}
 	}
-	ctx.Send(to.ID, hello{From: n.self, To: to.Point, Said: view{
+	ctx.Send(to.ID, hello{From: n.self, To: to.Point, Said: ldb.View{
 		Edges:   ldb.Edges{Pred: h.Pred, Succ: h.Succ, PredPartial: h.PredView.Partial, SuccPartial: h.SuccView.Partial},
 		Partial: n.partial(), Told: n.toldUp(), Word: h.SibViews[ldb.Left].Word,
 		Seq: h.RingSeq, Seen: seen,
@@ -1219,15 +1125,15 @@ func (n *Node) sendHello(ctx *transport.Context, to ldb.Ref) {
 }
 
 // refreshUp works out again the up edge the node acts on
-// (ldb.Neighborhood.Up), after any of the ring edges, partial flags and words
-// it is read from changed, and keeps the node's site ordered. A left node
-// works the process's up edge out and, when that is not what it last told
-// (its own SibViews entry), reports that its siblings must hear of it under
-// the next pair number; when the edge moves to the middle node, that number
-// is the one the middle node must confirm (UpSeq).
+// (ldb.Neighborhood.ActingUp), after any of the ring edges, partial flags
+// and words it is read from changed, and keeps the node's site ordered. A
+// left node works the process's up edge out and, when that is not what it
+// last told (its own SibViews entry), reports that its siblings must hear of
+// it under the next pair number; when the edge moves to the middle node,
+// that number is the one the middle node must confirm (UpSeq).
 func (n *Node) refreshUp() (tell bool) {
 	if word := &n.hood.SibViews[ldb.Left].Word; n.self.Kind == ldb.Left {
-		if d := n.hood.nb(n.self).UpEdge(); d != *word {
+		if d := n.hood.UpEdge(n.self); d != *word {
 			switch {
 			case d.Holder != ldb.Middle:
 				n.hood.UpSeq = -1
@@ -1237,7 +1143,7 @@ func (n *Node) refreshUp() (tell bool) {
 			*word, tell = d, true
 		}
 	}
-	n.hood.Up = n.hood.nb(n.self).Up()
+	n.hood.Up = n.hood.ActingUp(n.self)
 	n.orderSite()
 	return tell
 }
@@ -1278,7 +1184,7 @@ func (n *Node) noteHello(ctx *transport.Context, m hello) {
 	}
 	// take keeps what m says in the view v if it is newer, and reports
 	// whether it was and whether the sender turned whole or partial.
-	take := func(v *view) (news, turned bool) {
+	take := func(v *ldb.View) (news, turned bool) {
 		seen := max(v.Seen, m.Said.Seen)
 		if news = m.Said.Seq > v.Seq; news {
 			turned = v.Partial != m.Said.Partial
@@ -1288,10 +1194,10 @@ func (n *Node) noteHello(ctx *transport.Context, m hello) {
 		return news, turned
 	}
 	ring, news, turned := false, false, false
-	ends := h.ends()
+	ends := h.Ends()
 	for _, e := range ends[:2] { // the ring neighbours
-		if e.to.ID == m.From.ID {
-			ne, tu := take(e.v)
+		if e.To.ID == m.From.ID {
+			ne, tu := take(e.View)
 			ring, news, turned = true, news || ne, turned || tu
 		}
 	}
@@ -1381,7 +1287,7 @@ func (n *Node) receiveAnchorWalk(ctx *transport.Context, m anchorWalk) {
 		ctx.Send(n.hood.Pred.ID, anchorWalk{Anchor: m.Anchor})
 		return
 	}
-	if n.hood.nb(n.self).IsAnchor() {
+	if n.hood.IsAnchor(n.self) {
 		n.anchorRole = true
 		n.setAnchorBundle(m.Anchor)
 		n.broadcastUpdateOver(ctx)

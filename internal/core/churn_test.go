@@ -280,7 +280,7 @@ func TestChurnStorm(t *testing.T) {
 // TestParentMatchesNeighbourhoodUnderChurn: in every round of a churn run,
 // every node that has not departed — joiners not yet spliced in included —
 // reports to the node its neighbourhood says (Node.parent is
-// ldb.Neighborhood.Parent without assembling the neighbourhood), and the
+// ldb.Neighborhood.Parent read off the stored up edge), and the
 // tree's height is defined. treeAgreement checks the first only once churn
 // has settled.
 func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
@@ -294,7 +294,7 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 				if n.churn.joining {
 					joiners++
 				}
-				p, ok := n.hood.nb(n.self).Parent()
+				p, ok := n.hood.Parent(n.self)
 				if q, qok := n.parent(); q.ID != p.ID || qok != ok {
 					t.Fatalf("seed %d round %d: %v (joining %v) reports to %v (%v), its neighbourhood says %v (%v)",
 						seed, round, n.self, n.churn.joining, q, qok, p, ok)
@@ -320,7 +320,7 @@ func TestParentMatchesNeighbourhoodUnderChurn(t *testing.T) {
 // other's as last told, both could read the other's stale edge as the better
 // one and report to each other for a round (54 seeds of 2 000). The left
 // node decides now, and reports to its middle node only once that one has
-// confirmed (ldb.Neighborhood.Up).
+// confirmed (ldb.Neighborhood.ActingUp).
 func TestNoParentCycleUnderChurn(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		_, err := RunSchedule(seed, func(cl *Cluster, round int) {
@@ -625,7 +625,7 @@ func TestRouteStartAvoidsUnintegratedMiddle(t *testing.T) {
 		for _, id := range []transport.NodeID{mid.hood.SibL.ID, mid.hood.SibR.ID} {
 			n, _ := cl.Node(id)
 			target := n.self.Point.Label + fixpoint.Half // across the ring
-			if slices.Contains([]transport.NodeID{n.hood.Pred.ID, n.hood.Succ.ID, n.hood.PredView.Edges.Pred.ID, n.hood.SuccView.Edges.Succ.ID}, mid.self.ID) || n.hood.nb(n.self).Responsible(target) {
+			if slices.Contains([]transport.NodeID{n.hood.Pred.ID, n.hood.Succ.ID, n.hood.PredView.Edges.Pred.ID, n.hood.SuccView.Edges.Succ.ID}, mid.self.ID) || n.hood.Responsible(n.self, target) {
 				continue // the ring walk could reach the same middle node
 			}
 			send := func() (transport.NodeID, ldb.RouteState) {
@@ -704,7 +704,7 @@ func TestNodeHoldsBatchWhileParentJoins(t *testing.T) {
 	if d := cl.Diagnose(); len(d) != 1 || !strings.Contains(d[0], "holds its batch") {
 		t.Fatalf("Diagnose does not explain the hold: %q", d)
 	}
-	said := view{Edges: ldb.Edges{Pred: left.hood.Pred, Succ: left.hood.Succ}, Seq: left.hood.RingSeq}
+	said := ldb.View{Edges: ldb.Edges{Pred: left.hood.Pred, Succ: left.hood.Succ}, Seq: left.hood.RingSeq}
 	mid.OnMessage(net.ctxs[mid.self.ID], left.self.ID, hello{From: left.self, To: mid.self.Point, Said: said})
 	net.settle(nil)
 	if cl.Finished() != 1 {

@@ -255,16 +255,16 @@ func (cl *Cluster) wireBootstrapRing() {
 	ups := make([]ldb.Up, cl.cfg.Processes)
 	for p := range ups {
 		l, m, r := pos[3*p], pos[3*p+1], pos[3*p+2]
-		ups[p] = ldb.Neighborhood{
-			Self: at(l), Pred: at(l - 1), Succ: at(l + 1),
-			Whole:    true,
-			SibEdges: [2]ldb.Edges{edges(l), edges(m)},
-			SibL:     at(l), SibM: at(m), SibR: at(r),
-		}.UpEdge()
+		nb := ldb.Neighborhood{
+			Pred: at(l - 1), Succ: at(l + 1),
+			SibL: at(l), SibM: at(m), SibR: at(r), SibIn: [3]bool{true, true, true},
+			SibViews: [2]ldb.View{{Edges: edges(l)}, {Edges: edges(m)}},
+		}
+		ups[p] = nb.UpEdge(at(l))
 	}
 	// said(i) is what node i says, acting on its process's up edge.
-	said := func(i int) view {
-		v := view{Edges: edges(i), Told: ldb.Ref{ID: transport.None}, Word: ups[at(i).ID/3]}
+	said := func(i int) ldb.View {
+		v := ldb.View{Edges: edges(i), Told: ldb.Ref{ID: transport.None}, Word: ups[at(i).ID/3]}
 		if v.Word.Holder == at(i).Kind {
 			v.Told = v.Word.To
 		}
@@ -278,7 +278,7 @@ func (cl *Cluster) wireBootstrapRing() {
 		h, up := &n.hood, ups[at(i).ID/3]
 		h.Pred, h.Succ = at(i-1), at(i+1)
 		h.PredView, h.SuccView = said(i-1), said(i+1)
-		h.SibViews = [2]view{said(pos[h.SibL.ID]), said(pos[h.SibM.ID])}
+		h.SibViews = [2]ldb.View{said(pos[h.SibL.ID]), said(pos[h.SibM.ID])}
 		h.SibIn, h.Up, h.UpSeq = [3]bool{true, true, true}, up, -1
 		if up.Holder == ldb.Middle {
 			h.UpSeq = 0 // told and confirmed under the first numbers
@@ -324,11 +324,11 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 			pendingGets: make(map[uint64]getCtx),
 			// Until wired, every ref must be explicitly invalid; the zero
 			// Ref would silently address node 0.
-			hood: hood{
+			hood: ldb.Neighborhood{
 				Pred:     ldb.Ref{ID: transport.None},
 				Succ:     ldb.Ref{ID: transport.None},
-				PredView: unknown, SuccView: unknown,
-				SibViews: [2]view{unknown, unknown},
+				PredView: ldb.Unknown, SuccView: ldb.Unknown,
+				SibViews: [2]ldb.View{ldb.Unknown, ldb.Unknown},
 				Up:       ldb.Up{To: ldb.Ref{ID: transport.None}},
 				UpSeq:    -1,
 			},

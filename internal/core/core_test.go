@@ -67,11 +67,11 @@ func treeAgreement(cl *Cluster) error {
 			if !ok {
 				return fmt.Errorf("%v counts %v as a child, which is not live", n.self, c)
 			}
-			if p, ok := cn.hood.nb(cn.self).Parent(); !ok || p.ID != n.self.ID {
+			if p, ok := cn.hood.Parent(cn.self); !ok || p.ID != n.self.ID {
 				return fmt.Errorf("%v counts %v as a child, whose parent is %v", n.self, c, p)
 			}
 		}
-		p, ok := n.hood.nb(n.self).Parent()
+		p, ok := n.hood.Parent(n.self)
 		if q, qok := n.parent(); q.ID != p.ID || qok != ok {
 			return fmt.Errorf("%v reports to %v, its neighbourhood says %v: what it told its neighbours is stale", n.self, q, p)
 		}

@@ -119,10 +119,10 @@ func goldenDigest(t *testing.T, mode batch.Mode, seed int64, async bool) string 
 // see, over a node known not to be a middle node, two nodes a hop on the
 // closing walk) and to price its bits for it (ldb.NewRoute), and when a
 // triad's left node became the one that works its up edge out and hands it
-// to the middle node only once confirmed (ldb.Neighborhood.Up; a sibling
-// hello now carries the edge and the confirmation): every PUT, GET and JOIN
-// request takes a different path, and every churn handshake moves, so every
-// schedule moves in both models.
+// to the middle node only once confirmed (ldb.Neighborhood.ActingUp; a
+// sibling hello now carries the edge and the confirmation): every PUT, GET
+// and JOIN request takes a different path, and every churn handshake moves,
+// so every schedule moves in both models.
 //
 // Six rows, the async runs of seeds 1 and 3, were re-recorded, deliberately,
 // when a node's ring neighbours and siblings began to hear it through one

@@ -118,7 +118,7 @@ type Node struct {
 	// hood is the node's neighbourhood (maintained under churn): its ring
 	// neighbours and siblings, what each last told it, and the up edge it
 	// acts on.
-	hood hood
+	hood ldb.Neighborhood
 	//skueue:ephemeral -- derived route cache, recomputed from the topology on first use
 	childCache []ldb.Ref
 	//skueue:ephemeral -- validity bit of childCache, reset with it
@@ -230,26 +230,8 @@ type Node struct {
 var _ transport.Handler = (*Node)(nil)
 var _ transport.ReadyHandler = (*Node)(nil)
 
-// nb assembles the neighbourhood of the node self for the topology rules.
-// Every route hop builds it, so it stays within the compiler's inlining
-// budget (go build -gcflags=-m reports "can inline (*hood).nb"): called out
-// of line, each call copies the result once more.
-func (h *hood) nb(self ldb.Ref) ldb.Neighborhood {
-	return ldb.Neighborhood{
-		Self: self, Pred: h.Pred, Succ: h.Succ,
-		PredPred: h.PredView.Edges.Pred, SuccSucc: h.SuccView.Edges.Succ,
-		PredUp: h.PredView.Told, SuccUp: h.SuccView.Told,
-		PredPartial: h.PredView.Partial, SuccPartial: h.SuccView.Partial,
-		Whole:    h.SibIn == [3]bool{true, true, true},
-		SibEdges: [2]ldb.Edges{h.SibViews[ldb.Left].Edges, h.SibViews[ldb.Middle].Edges},
-		LeftUp:   h.SibViews[ldb.Left].Word,
-		UpSeen:   h.SibViews[ldb.Middle].Seen >= h.UpSeq,
-		SibL:     h.SibL, SibM: h.SibM, SibR: h.SibR,
-	}
-}
-
 // parent is ldb.Neighborhood.Parent read off the process's up edge as the
-// node last worked it out (refreshUp), without assembling the neighbourhood.
+// node last worked it out (refreshUp).
 func (n *Node) parent() (ldb.Ref, bool) {
 	return n.hood.Up.Parent(n.self.Kind, n.hood.SibL, n.hood.SibM)
 }
@@ -280,7 +262,7 @@ func (n *Node) children() []ldb.Ref {
 	}
 	if !n.childCacheOK {
 		n.childCache = n.childCache[:0]
-		for _, c := range n.hood.nb(n.self).Children() {
+		for _, c := range n.hood.Children(n.self) {
 			// Gate sibling-derived children on their integration; ring
 			// successors are ring members by construction.
 			if c.ID == n.hood.SibM.ID && n.self.Kind == ldb.Left && !n.hood.SibIn[ldb.Middle] {
@@ -961,7 +943,7 @@ func (n *Node) sendRouted(ctx *transport.Context, key fixpoint.Frac, inner any) 
 		ctx.Send(n.churn.relayVia.ID, routedMsg{RS: ldb.RouteState{Target: key, BitsLeft: -1}, Inner: inner})
 		return
 	}
-	rs := n.hood.nb(n.self).NewRoute(key)
+	rs := n.hood.NewRoute(n.self, key)
 	n.routeStep(ctx, routedMsg{RS: rs, Inner: inner})
 }
 
@@ -976,24 +958,26 @@ func (n *Node) routeStep(ctx *transport.Context, m routedMsg) {
 	}
 	if m.RS.BitsLeft < 0 {
 		// Injected by a joiner through us: start a fresh route here.
-		m.RS = n.hood.nb(n.self).NewRoute(m.RS.Target)
+		m.RS = n.hood.NewRoute(n.self, m.RS.Target)
 	}
-	nb := n.hood.nb(n.self)
-	if !n.hood.SibIn[ldb.Middle] {
+	nb := &n.hood
+	if !nb.SibIn[ldb.Middle] {
 		// The route's first hop from a left or right node is the jump to the
 		// middle sibling, and that sibling is not a ring member yet: it would
 		// hold what it cannot route (routedHold), for ever if the message is
 		// its own JOIN request. Without it the route walks the ring to
 		// another middle node and keeps its bits.
-		nb.SibM = ldb.Ref{ID: transport.None}
+		without := *nb
+		without.SibM = ldb.Ref{ID: transport.None}
+		nb = &without
 	}
-	next, out, deliver := nb.NextHop(m.RS)
+	next, out, deliver := nb.NextHop(n.self, m.RS)
 	if !deliver && out.BitsLeft < m.RS.BitsLeft && !n.hood.SibIn[next.Kind] {
 		// A De Bruijn hop to a sibling that is not a ring member yet, with
 		// the same hazard. The remaining bits only shorten the way: finish
 		// by the linear walk instead.
 		m.RS.BitsLeft = 0
-		next, out, deliver = nb.NextHop(m.RS)
+		next, out, deliver = nb.NextHop(n.self, m.RS)
 	}
 	if deliver {
 		n.cl.metrics.noteRoute(out.Hops)
@@ -1043,7 +1027,7 @@ func (n *Node) dispatchDHT(ctx *transport.Context, key fixpoint.Frac, inner any)
 		ctx.Send(n.churn.relayVia.ID, directMsg{Key: key, Inner: inner})
 		return
 	}
-	if !n.hood.nb(n.self).Responsible(key) {
+	if !n.hood.Responsible(n.self, key) {
 		n.sendRouted(ctx, key, inner)
 		return
 	}

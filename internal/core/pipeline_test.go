@@ -129,7 +129,7 @@ func TestPipelineFoldsInOrder(t *testing.T) {
 	net.tick()
 	net.settle(nil)
 	child, _ := cl.Node(cl.Client(0))
-	pref, _ := child.hood.nb(child.self).Parent()
+	pref, _ := child.hood.Parent(child.self)
 	parent, _ := cl.Node(pref.ID)
 	type fold struct {
 		node   transport.NodeID

@@ -74,7 +74,7 @@ func depth(t *testing.T, cl *Cluster, n *Node) int {
 	t.Helper()
 	d := 0
 	for !n.anchorRole {
-		parent, ok := n.hood.nb(n.self).Parent()
+		parent, ok := n.hood.Parent(n.self)
 		if !ok {
 			t.Fatalf("%v has neither a parent nor the anchor role", n.self)
 		}
@@ -193,7 +193,7 @@ func TestStaleDeclineIsInert(t *testing.T) {
 	net.tick()
 	net.settle(nil)
 	client, _ := cl.Node(cl.Client(0))
-	pref, _ := client.hood.nb(client.self).Parent()
+	pref, _ := client.hood.Parent(client.self)
 	parent, _ := cl.Node(pref.ID)
 	stale := declineMsg{From: client.self, WaveSeq: client.waveSeq}
 	if !parent.standsIdle(client.self.ID) {
@@ -511,7 +511,7 @@ func TestRestoreAcrossStanding(t *testing.T) {
 					if n.standing != idle {
 						t.Errorf("%v does not stand idle again", n.self)
 					}
-					if parent, ok := n.hood.nb(n.self).Parent(); ok && !all[parent.ID].standsIdle(n.self.ID) {
+					if parent, ok := n.hood.Parent(n.self); ok && !all[parent.ID].standsIdle(n.self.ID) {
 						t.Errorf("%v stands idle but %v waits for it", n.self, parent)
 					}
 				}
@@ -539,7 +539,7 @@ func TestEpochReachesIdleSubtree(t *testing.T) {
 		}
 	}
 	kids := x.children()
-	parent, _ := x.hood.nb(x.self).Parent()
+	parent, _ := x.hood.Parent(x.self)
 	x.OnMessage(net.ctxs[x.self.ID], parent.ID, serveMsg{UpdateEpoch: 1})
 	c := &x.churn
 	if !c.updatePhase || c.epoch != 1 || c.pold != parent.ID {

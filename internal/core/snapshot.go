@@ -113,7 +113,7 @@ type NodeImage struct {
 	// Hood is the node's neighbourhood, with its pair number and what its
 	// ring neighbours and siblings last said. A restarted node keeps it: its
 	// neighbours' numbers and confirmations go on from there.
-	Hood     hood
+	Hood     ldb.Neighborhood
 	ClientID int32
 
 	Anchor bool

@@ -24,12 +24,12 @@ func TestWireRoundTrip(t *testing.T) {
 	up := ldb.Up{Holder: ldb.Middle, To: ref}
 	// Every field of the neighbourhood is non-zero: gob leaves zero fields
 	// out, so a field it dropped would go unnoticed at zero.
-	v := view{Edges: ldb.Edges{Pred: ref, Succ: ref, PredPartial: true, SuccPartial: true}, Partial: true, Told: ref, Word: up, Seq: 5, Seen: 4}
+	v := ldb.View{Edges: ldb.Edges{Pred: ref, Succ: ref, PredPartial: true, SuccPartial: true}, Partial: true, Told: ref, Word: up, Seq: 5, Seen: 4}
 	snap := nodeSnapshot{
 		Self: ref,
-		Hood: hood{
+		Hood: ldb.Neighborhood{
 			Pred: ref, Succ: ref, SibL: ref, SibM: ref, SibR: ref, SibIn: [3]bool{true, false, true},
-			RingSeq: 6, PredView: v, SuccView: v, SibViews: [2]view{v, v}, Up: up, UpSeq: 3,
+			RingSeq: 6, PredView: v, SuccView: v, SibViews: [2]ldb.View{v, v}, Up: up, UpSeq: 3,
 		},
 		AnchorRole: true,
 		Anchor:     anchorBundle{Ast: batch.AnchorState{First: 1, Last: 4, Value: 9, Ticket: 2}, PendChurn: 1, EpochCounter: 3},

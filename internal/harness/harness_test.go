@@ -86,7 +86,16 @@ func TestFairnessShape(t *testing.T) {
 
 func TestStageBreakdownShape(t *testing.T) {
 	f := StageBreakdown(tiny())
-	checkFigure(t, f, 3)
+	checkFigure(t, f, 4)
+	// The rounds model is what the code implements: it reads the measured
+	// average to within a round and a half, where 3·ATH + route is several
+	// times it.
+	measured, model := f.Series[0].Points, f.Series[2].Points
+	for i, p := range measured {
+		if d := p.Y - model[i].Y; d < -1.5 || d > 1.5 {
+			t.Errorf("n=%v: measured %.2f rounds, rounds model %.2f", p.X, p.Y, model[i].Y)
+		}
+	}
 }
 
 func TestChurnPhasesShape(t *testing.T) {

@@ -35,10 +35,10 @@
 //     for the side where a node two hops away is one, else towards the point
 //     where the next bit should be prepended; it carries its direction in
 //     the message and never crosses the 0/1 seam;
-//   - a hop to a node two hops away (PredPred, SuccSucc) costs the round a
-//     hop to a neighbour does, so the walk to a middle node skips a next
-//     node that is not one, and the closing walk goes two nodes a hop,
-//     never past the owner;
+//   - a hop to a node two hops away (read from a ring neighbour's View)
+//     costs the round a hop to a neighbour does, so the walk to a middle
+//     node skips a next node that is not one, and the closing walk goes two
+//     nodes a hop, never past the owner;
 //   - delivery is at the first node responsible for the target, in any
 //     phase, and a node that can see the owner — its predecessor, its
 //     successor or its predecessor's predecessor — sends the message
@@ -63,11 +63,18 @@
 // LeftOf falls strictly along every edge between
 // processes, so the tree stays acyclic, rooted at the anchor, and covers
 // every node. The left node works the up edge out from its own ring edges
-// and what its middle sibling told of its own (SibEdges), its siblings act
-// on its word (LeftUp), and it hands the edge to its middle node only once
-// that one has confirmed (Up), so the two never report to each other. A node
-// counts a ring neighbour as a child when that neighbour said it reports
-// here (PredUp, SuccUp).
+// and what its middle sibling told of its own (the Edges of its View), its
+// siblings act on its word (View.Word), and it hands the edge to its middle
+// node only once that one has confirmed (ActingUp), so the two never report
+// to each other. A node counts a ring neighbour as a child when that
+// neighbour said it reports here (View.Told).
+//
+// # The neighbourhood
+//
+// A node keeps what it knows of its ring neighbours and siblings as one
+// Neighborhood: a View per edge, what the node at its far end last said.
+// Every rule reads the stored views in place, through a pointer, with the
+// node itself passed beside them, so a route hop copies nothing.
 //
 // Under churn a process's nodes enter the ring one by one, and a middle or
 // right node whose sibling parent is not a ring member yet has no way to
@@ -178,46 +185,74 @@ func LeftOf(r Ref) fixpoint.Frac {
 	return r.Point.Label
 }
 
-// Neighborhood is the local view a virtual node has of the topology: its
-// own identity, its ring neighbours, the neighbours two hops away, what its
-// neighbours report to, the ring edges of its process siblings, and the three
-// virtual nodes of its process (its "siblings"; Self is one of them).
+// Neighborhood is what a virtual node knows of the topology around it, kept
+// as it hears it under churn: its ring neighbours Pred and Succ, the three
+// virtual nodes of its process SibL, SibM and SibR (its "siblings", the node
+// itself one of them), which of those are ring members (SibIn, indexed by
+// Kind), and what its ring neighbours and its left and middle siblings last
+// said (PredView, SuccView, and SibViews indexed by Kind; the entry of the
+// node's own kind is not read, except a left node's Word, which is its own
+// word). The node itself is not part of it: every rule takes it as self.
+//
+// The rules read everything in place. The nodes two hops away are
+// PredView.Edges.Pred and SuccView.Edges.Succ, invalid while unknown: NextHop
+// sends to them as to a neighbour, in the same round, and reads their kinds,
+// and a stale one is as safe as a stale neighbour, since the node a message
+// reaches decides delivery. The process is whole when all three of its nodes
+// are ring members. A middle or right node acts on the up edge its left node
+// last told (SibViews[Left].Word, UpEdge worked out there; Holder Left and To
+// invalid while untold).
+//
+// RingSeq numbers what the node tells its ring neighbours and siblings. Up
+// is the up edge the node acts on (ActingUp), worked out again whenever an
+// edge it is read from changes and kept, so that where the node reports and
+// what its hellos say cannot differ; UpSeq is, at a left node whose process's
+// up edge is its middle node's, the pair number that first told the middle
+// node so, −1 otherwise: the left node reports to its middle node only once
+// that one has confirmed it (SibViews[Middle].Seen ≥ UpSeq). The
+// neighbourhood is one value, so a leave handoff, a snapshot and a restore
+// carry it whole; its fields are exported because it travels in messages
+// and sits in node images.
 type Neighborhood struct {
-	Self Ref
-	Pred Ref
-	Succ Ref
-	// PredPred and SuccSucc are Pred's predecessor and Succ's successor, or
-	// invalid while unknown. NextHop sends to them as to a neighbour, in the
-	// same round: straight to PredPred when it owns the target, over a next
-	// node that is not a middle node on the walk to one, and two nodes a hop
-	// on the closing walk; and it reads their kinds, when a walk to a middle
-	// node sees none next to it. A stale one is as safe as a stale
-	// neighbour: the node a message reaches decides delivery.
-	PredPred, SuccSucc Ref
-	// PredUp and SuccUp are the nodes Pred and Succ report to, as their
-	// latest word said, when that is a node of another process (the
-	// neighbour holds its process's up edge); invalid otherwise. Children
-	// counts a neighbour that names this node.
-	PredUp, SuccUp Ref
-	// PredPartial and SuccPartial mark ring neighbours whose way to the
-	// anchor through their process siblings is not complete yet: a middle
-	// or right node of a joining process whose left (or middle) sibling is
-	// not a ring member yet, since a process's nodes enter the ring one by
-	// one. No up edge leads to a partial node where there is a choice.
-	PredPartial, SuccPartial bool
-	// Whole says that all three nodes of the process are ring members, and
-	// SibEdges holds the ring edges of its left and middle nodes (indexed by
-	// Kind) as those last told; the entry of Self's own kind is not read.
-	Whole    bool
-	SibEdges [2]Edges
-	// LeftUp, read by a middle or right node, is the process's up edge as
-	// its left node last told it (UpEdge, worked out there); Holder Left and
-	// To invalid while untold. UpSeen, read by a left node, says that its
-	// middle node has confirmed the latest up edge that names it (see Up).
-	LeftUp Up
-	UpSeen bool
-	// SibL, SibM, SibR are l(v), m(v), r(v) of the owning process.
-	SibL, SibM, SibR Ref
+	Pred, Succ         Ref
+	SibL, SibM, SibR   Ref
+	SibIn              [3]bool
+	RingSeq            int64
+	PredView, SuccView View
+	SibViews           [2]View
+	Up                 Up
+	UpSeq              int64
+}
+
+// View is what the node at the other end of an edge, a ring neighbour or a
+// process sibling, last said: its ring edges with their partial flags,
+// whether it is partial, the node it reports to when it holds its process's
+// up edge (Told, the up edge it acts on as ring neighbours see it; invalid
+// otherwise), and the process's up edge as its left node works it out
+// (Word), under its pair number Seq, −1 while it has said nothing; Seen is
+// the newest of the holder's own pair numbers it has confirmed. A left
+// node's word and the edge it acts on differ while its middle node has not
+// confirmed the word: ring neighbours read Told, siblings Word.
+//
+// A partial node has no way to the anchor through its process siblings yet:
+// a middle or right node of a joining process whose left (or middle) sibling
+// is not a ring member yet, since a process's nodes enter the ring one by
+// one. No up edge leads to a partial node where there is a choice.
+type View struct {
+	Edges   Edges
+	Partial bool
+	Told    Ref
+	Word    Up
+	Seq     int64
+	Seen    int64
+}
+
+// Unknown is the view of a node that has said nothing yet.
+var Unknown = View{
+	Edges: Edges{Pred: Ref{ID: transport.None}, Succ: Ref{ID: transport.None}},
+	Told:  Ref{ID: transport.None},
+	Word:  Up{To: Ref{ID: transport.None}},
+	Seq:   -1, Seen: -1,
 }
 
 // Edges is what a node tells its process siblings of its ring edges: its
@@ -227,31 +262,62 @@ type Edges struct {
 	PredPartial, SuccPartial bool
 }
 
-// IsAnchor reports whether this node is the leftmost node of the ring,
-// detected purely locally: the predecessor wraps around (has a larger
-// point). The anchor is always a left virtual node (the minimum left label
-// is half the minimum middle label).
-func (nb Neighborhood) IsAnchor() bool {
-	return nb.Self.Point.Less(nb.Pred.Point) || nb.Self.ID == nb.Pred.ID
+// Redirect rewrites every reference to old as new and reports whether there
+// was one. A redirect moves no point, and the replacement continues the pair
+// numbers of the node it replaces, so the views stay as they are.
+func (nb *Neighborhood) Redirect(old, new Ref) (hit bool) {
+	rw := func(r *Ref) {
+		if r.ID == old.ID {
+			*r, hit = new, true
+		}
+	}
+	rw(&nb.Pred)
+	rw(&nb.Succ)
+	rw(&nb.SibL)
+	rw(&nb.SibM)
+	rw(&nb.SibR)
+	rw(&nb.Up.To)
+	for _, e := range nb.Ends() {
+		rw(&e.View.Edges.Pred)
+		rw(&e.View.Edges.Succ)
+		rw(&e.View.Told)
+		rw(&e.View.Word.To)
+	}
+	return hit
+}
+
+// End is one end of a node's edges, with the view of the node there.
+type End struct {
+	To   Ref
+	View *View
+}
+
+// Ends lists the ring neighbours, then the left and middle siblings, each
+// with its view (a right sibling's is never read).
+func (nb *Neighborhood) Ends() [4]End {
+	return [4]End{{nb.Pred, &nb.PredView}, {nb.Succ, &nb.SuccView}, {nb.SibL, &nb.SibViews[Left]}, {nb.SibM, &nb.SibViews[Middle]}}
+}
+
+// IsAnchor reports whether self is the leftmost node of the ring, detected
+// purely locally: the predecessor wraps around (has a larger point). The
+// anchor is always a left virtual node (the minimum left label is half the
+// minimum middle label).
+func (nb *Neighborhood) IsAnchor(self Ref) bool {
+	return self.Point.Less(nb.Pred.Point) || self.ID == nb.Pred.ID
 }
 
 // isWrapSucc reports whether the successor edge wraps around the ring.
-func (nb Neighborhood) isWrapSucc() bool {
-	return nb.Succ.Point.Less(nb.Self.Point) || nb.Succ.ID == nb.Self.ID
+func (nb *Neighborhood) isWrapSucc(self Ref) bool {
+	return nb.Succ.Point.Less(self.Point) || nb.Succ.ID == self.ID
 }
 
-// isWrapPred reports whether the predecessor edge wraps around the ring.
-func (nb Neighborhood) isWrapPred() bool {
-	return nb.Self.Point.Less(nb.Pred.Point) || nb.Pred.ID == nb.Self.ID
-}
-
-// edges returns the ring edges of the process's node of kind k: Self's own,
+// edges returns the ring edges of the process's node of kind k: self's own,
 // or what that sibling last told.
-func (nb Neighborhood) edges(k Kind) Edges {
-	if k == nb.Self.Kind {
-		return Edges{Pred: nb.Pred, Succ: nb.Succ, PredPartial: nb.PredPartial, SuccPartial: nb.SuccPartial}
+func (nb *Neighborhood) edges(self Ref, k Kind) Edges {
+	if k == self.Kind {
+		return Edges{Pred: nb.Pred, Succ: nb.Succ, PredPartial: nb.PredView.Partial, SuccPartial: nb.SuccView.Partial}
 	}
-	return nb.SibEdges[k]
+	return nb.SibViews[k].Edges
 }
 
 // Up is a process's up edge: Holder, the kind of the node that holds it,
@@ -294,18 +360,18 @@ func (u Up) Parent(k Kind, sibL, sibM Ref) (parent Ref, ok bool) {
 // A left node whose predecessor wraps is the anchor, and one whose
 // predecessor is unknown (a joiner not yet spliced in) is treated as one:
 // either way the process reports nowhere.
-func (nb Neighborhood) UpEdge() Up {
-	pred := nb.edges(Left).Pred
+func (nb *Neighborhood) UpEdge(self Ref) Up {
+	pred := nb.edges(self, Left).Pred
 	if !pred.Valid() || !pred.Point.Less(nb.SibL.Point) {
 		return Up{Holder: Left, To: Ref{ID: transport.None}}
 	}
 	up, best := Up{Holder: Left, To: pred}, LeftOf(nb.SibL)
 	kinds := []Kind{Left, Middle}
-	if !nb.Whole {
+	if nb.SibIn != [3]bool{true, true, true} {
 		kinds = kinds[:1]
 	}
 	for _, k := range kinds {
-		from, e := [...]Ref{Left: nb.SibL, Middle: nb.SibM}[k], nb.edges(k)
+		from, e := [...]Ref{Left: nb.SibL, Middle: nb.SibM}[k], nb.edges(self, k)
 		if e.Pred.Valid() && e.Pred.Point.Less(from.Point) && !e.PredPartial && LeftOf(e.Pred) < best {
 			up, best = Up{Holder: k, To: e.Pred}, LeftOf(e.Pred)
 		}
@@ -316,51 +382,50 @@ func (nb Neighborhood) UpEdge() Up {
 	return up
 }
 
-// Up returns the up edge the node acts on. The left node works the process's
-// up edge out (UpEdge) and its siblings act on its word (LeftUp), so the
-// triad has one decider. A left node that hands the edge to its middle node
-// goes on reporting to its predecessor until the middle node has confirmed
-// (UpSeen): the middle node reports to its left sibling until it hears, and
-// the two must never report to each other. Every other change takes effect
-// at the left node at once, since the middle node's old word sends it up
-// and out of the triad. Any up edge the triad acts on, current or not, leads
-// to a process whose left label is below its own, so the tree stays acyclic
-// while the word travels.
-func (nb Neighborhood) Up() Up {
-	if nb.Self.Kind != Left {
-		return nb.LeftUp
+// ActingUp returns the up edge self acts on. The left node works the
+// process's up edge out (UpEdge) and its siblings act on its word
+// (SibViews[Left].Word), so the triad has one decider. A left node that hands
+// the edge to its middle node goes on reporting to its predecessor until the
+// middle node has confirmed (SibViews[Middle].Seen ≥ UpSeq): the middle node
+// reports to its left sibling until it hears, and the two must never report
+// to each other. Every other change takes effect at the left node at once,
+// since the middle node's old word sends it up and out of the triad. Any up
+// edge the triad acts on, current or not, leads to a process whose left
+// label is below its own, so the tree stays acyclic while the word travels.
+func (nb *Neighborhood) ActingUp(self Ref) Up {
+	if self.Kind != Left {
+		return nb.SibViews[Left].Word
 	}
-	up := nb.UpEdge()
-	if up.Holder == Middle && !nb.UpSeen {
+	up := nb.UpEdge(self)
+	if up.Holder == Middle && nb.SibViews[Middle].Seen < nb.UpSeq {
 		return Up{Holder: Left, To: nb.Pred}
 	}
 	return up
 }
 
-// Parent returns the aggregation-tree parent (Up.Parent). ok is false
+// Parent returns self's aggregation-tree parent (Up.Parent). ok is false
 // exactly for the anchor, the tree root.
-func (nb Neighborhood) Parent() (parent Ref, ok bool) {
-	return nb.Up().Parent(nb.Self.Kind, nb.SibL, nb.SibM)
+func (nb *Neighborhood) Parent(self Ref) (parent Ref, ok bool) {
+	return nb.ActingUp(self).Parent(self.Kind, nb.SibL, nb.SibM)
 }
 
-// Children returns the aggregation-tree children: the siblings that report
-// to this node (see Parent), plus each ring neighbour that names this node
-// as the one it reports to (PredUp, SuccUp). A neighbour that has not said
-// so yet is not counted; it holds its batches until this node has heard it
-// (core's hello).
-func (nb Neighborhood) Children() []Ref {
+// Children returns self's aggregation-tree children: the siblings that
+// report to it (see Parent), plus each ring neighbour that names it as the
+// one it reports to (View.Told). A neighbour that has not said so yet is not
+// counted; it holds its batches until self has heard it (core's hello).
+func (nb *Neighborhood) Children(self Ref) []Ref {
 	var c []Ref
-	up := nb.Up()
+	up := nb.ActingUp(self)
 	sibs := [...]Ref{Left: nb.SibL, Middle: nb.SibM, Right: nb.SibR}
 	for _, k := range [...]Kind{Right, Left, Middle} {
-		if p, _ := up.Parent(k, nb.SibL, nb.SibM); k != nb.Self.Kind && p.Point == nb.Self.Point {
+		if p, _ := up.Parent(k, nb.SibL, nb.SibM); k != self.Kind && p.Point == self.Point {
 			c = append(c, sibs[k])
 		}
 	}
-	if nb.PredUp.Valid() && nb.PredUp.Point == nb.Self.Point {
+	if predUp := nb.PredView.Told; predUp.Valid() && predUp.Point == self.Point {
 		c = append(c, nb.Pred)
 	}
-	if nb.SuccUp.Valid() && nb.SuccUp.Point == nb.Self.Point && nb.Succ.ID != nb.Pred.ID {
+	if succUp := nb.SuccView.Told; succUp.Valid() && succUp.Point == self.Point && nb.Succ.ID != nb.Pred.ID {
 		c = append(c, nb.Succ)
 	}
 	return c
@@ -395,8 +460,7 @@ type RouteState struct {
 // view" the one from 1.36 to 3.5).
 const middleWalkNum, middleWalkDen = 61, 45
 
-// NewRoute prepares a route from a node with the given neighbourhood and
-// chooses its bit count. ĝ, the mean of the gaps to predecessor and
+// NewRoute prepares a route from self and chooses its bit count. ĝ, the mean of the gaps to predecessor and
 // successor, is the local estimate of the gap between ring neighbours: 1/ĝ
 // estimates the ring size w.h.p., and two samples of the (exponential) gap
 // halve the estimate's variance at no cost, since a node knows both
@@ -413,11 +477,11 @@ const middleWalkNum, middleWalkDen = 61, 45
 // minimises c·(k−1) + closing(k)/2, closing(0) being the walk from here the
 // shorter way round. The cap keeps a ring of one or two nodes at 0 bits and
 // every count within Lemma 3's O(log n).
-func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
-	self := nb.Self.Point.Label
+func (nb *Neighborhood) NewRoute(self Ref, target fixpoint.Frac) RouteState {
+	here := self.Point.Label
 	// Halve before adding: the two gaps of a two-node ring sum to the whole
 	// circle, which a Frac cannot hold. Both distances wrap correctly.
-	g := fixpoint.CWDist(nb.Pred.Point.Label, self)>>1 + fixpoint.CWDist(self, nb.Succ.Point.Label)>>1
+	g := fixpoint.CWDist(nb.Pred.Point.Label, here)>>1 + fixpoint.CWDist(here, nb.Succ.Point.Label)>>1
 	if g == 0 { // a node alone on the ring, both gaps the full circle
 		return RouteState{Target: target}
 	}
@@ -427,7 +491,7 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 	// where ĝ > 45/61, so L = 1, and is then never read.)
 	price := g / middleWalkDen * middleWalkNum
 	x := nb.SibM.Point.Label
-	k, least := 0, min(fixpoint.CWDist(self, target), fixpoint.CCWDist(self, target))>>1
+	k, least := 0, min(fixpoint.CWDist(here, target), fixpoint.CCWDist(here, target))>>1
 	for bits := 1; bits < g.Log2Inv(); bits++ {
 		y := target << bits // frac(2^bits·t)
 		closing := max(x, y) - min(x, y)
@@ -438,9 +502,9 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 	return RouteState{Target: target, BitsLeft: k}
 }
 
-// NextHop decides the next routing step at the current node. If deliver is
-// true the current node is responsible for the target and must consume the
-// message; otherwise the message moves to next with the updated state.
+// NextHop decides the next routing step at self. If deliver is true self is
+// responsible for the target and must consume the message; otherwise the
+// message moves to next with the updated state.
 //
 // The node responsible for the target consumes the message wherever the
 // route meets it, not only after the last bit: the bits are a means of
@@ -448,17 +512,18 @@ func (nb Neighborhood) NewRoute(target fixpoint.Frac) RouteState {
 // a node that can see the owner, its ring neighbour or its predecessor's
 // predecessor, sends the message straight there (owner), in any phase: a
 // hop to a node two hops away costs the round a hop to a neighbour does.
-func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver bool) {
+func (nb *Neighborhood) NextHop(self Ref, rs RouteState) (next Ref, out RouteState, deliver bool) {
 	out = rs
 	out.Hops++
-	if nb.responsible(rs.Target) {
+	if nb.Responsible(self, rs.Target) {
 		return Ref{ID: transport.None}, out, true
 	}
-	if to, ok := nb.owner(rs.Target); ok {
+	if to, ok := nb.owner(self, rs.Target); ok {
 		return to, out, false
 	}
+	predPred, succSucc := nb.PredView.Edges.Pred, nb.SuccView.Edges.Succ
 	if rs.BitsLeft > 0 {
-		if nb.Self.Kind == Middle {
+		if self.Kind == Middle {
 			// One De Bruijn hop: prepend bit b of the target, i.e. jump to
 			// the own left (b=0) or right (b=1) virtual node, whose label
 			// is exactly (b + label)/2.
@@ -485,7 +550,7 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 		// so this costs O(1) expected steps. A walk that starts here takes
 		// the side on which it can see a middle node when exactly one
 		// neighbour is one; when neither is, the side on which exactly one
-		// node two hops away is (PredPred, SuccSucc). Otherwise it heads for
+		// node two hops away is (predPred, succSucc). Otherwise it heads for
 		// q = frac(2^BitsLeft·t), the label from which the next bit lands the
 		// route exactly where the target's bits say. A walk that drifts from
 		// q moves the route's position by the drift halved at every bit
@@ -505,22 +570,22 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 			middle := func(r Ref) bool { return r.Valid() && r.Kind == Middle }
 			succM, predM := middle(nb.Succ), middle(nb.Pred)
 			if !succM && !predM {
-				succM, predM = middle(nb.SuccSucc), middle(nb.PredPred)
+				succM, predM = middle(succSucc), middle(predPred)
 			}
 			switch {
 			case succM && !predM:
 				dir = 1
 			case predM && !succM:
 				dir = -1
-			case rs.Target<<rs.BitsLeft < nb.Self.Point.Label:
+			case rs.Target<<rs.BitsLeft < self.Point.Label:
 				dir = -1
 			default:
 				dir = 1
 			}
 		}
-		if dir > 0 && nb.isWrapSucc() {
+		if dir > 0 && nb.isWrapSucc(self) {
 			dir = -1
-		} else if dir < 0 && nb.isWrapPred() {
+		} else if dir < 0 && nb.IsAnchor(self) {
 			dir = 1
 		}
 		out.WalkDir = dir
@@ -528,9 +593,9 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 		// on to the node after it, if that is known and the edge to it does
 		// not cross the seam either: one hop where the walk would take two,
 		// landing on a middle node or past a node known not to be one.
-		near, far := nb.Succ, nb.SuccSucc
+		near, far := nb.Succ, succSucc
 		if dir < 0 {
-			near, far = nb.Pred, nb.PredPred
+			near, far = nb.Pred, predPred
 		}
 		if near.Kind != Middle && far.Valid() && (dir > 0) == near.Point.Less(far.Point) {
 			return far, out, false
@@ -541,25 +606,25 @@ func (nb Neighborhood) NextHop(rs RouteState) (next Ref, out RouteState, deliver
 	// two nodes at a time. The owner is not among the nodes this node can see
 	// (owner), so the node two hops away is at most the owner. This walk may
 	// take the wrapping edge.
-	near, far := nb.Succ, nb.SuccSucc
-	if fixpoint.CWDist(nb.Self.Point.Label, rs.Target) > fixpoint.CCWDist(nb.Self.Point.Label, rs.Target) {
-		near, far = nb.Pred, nb.PredPred
+	near, far := nb.Succ, succSucc
+	if fixpoint.CWDist(self.Point.Label, rs.Target) > fixpoint.CCWDist(self.Point.Label, rs.Target) {
+		near, far = nb.Pred, predPred
 	}
-	if far.Valid() && far.ID != nb.Self.ID {
+	if far.Valid() && far.ID != self.ID {
 		return far, out, false
 	}
 	return near, out, false
 }
 
-// owner returns the node responsible for the key when it is one this node
-// can see: its predecessor, its successor or its predecessor's predecessor,
-// each owning the interval up to the next node it knows. (Its successor's
+// owner returns the node responsible for the key when it is one self can
+// see: its predecessor, its successor or its predecessor's predecessor, each
+// owning the interval up to the next node it knows. (Its successor's
 // successor's interval ends at a node it does not know.)
-func (nb Neighborhood) owner(k fixpoint.Frac) (Ref, bool) {
+func (nb *Neighborhood) owner(self Ref, k fixpoint.Frac) (Ref, bool) {
 	for _, c := range [...]struct{ from, to Ref }{
-		{nb.Pred, nb.Self}, {nb.Succ, nb.SuccSucc}, {nb.PredPred, nb.Pred},
+		{nb.Pred, self}, {nb.Succ, nb.SuccView.Edges.Succ}, {nb.PredView.Edges.Pred, nb.Pred},
 	} {
-		if c.from.Valid() && c.to.Valid() && c.from.ID != nb.Self.ID && c.from.ID != c.to.ID &&
+		if c.from.Valid() && c.to.Valid() && c.from.ID != self.ID && c.from.ID != c.to.ID &&
 			fixpoint.InCWRange(k, c.from.Point.Label, c.to.Point.Label) {
 			return c.from, true
 		}
@@ -567,14 +632,11 @@ func (nb Neighborhood) owner(k fixpoint.Frac) (Ref, bool) {
 	return Ref{ID: transport.None}, false
 }
 
-// responsible reports whether this node's DHT interval [self, succ)
-// contains the key.
-func (nb Neighborhood) responsible(k fixpoint.Frac) bool {
-	return fixpoint.InCWRange(k, nb.Self.Point.Label, nb.Succ.Point.Label)
+// Responsible reports whether self's DHT interval [self, succ) contains the
+// key.
+func (nb *Neighborhood) Responsible(self Ref, k fixpoint.Frac) bool {
+	return fixpoint.InCWRange(k, self.Point.Label, nb.Succ.Point.Label)
 }
-
-// Responsible is the exported form of the DHT ownership test.
-func (nb Neighborhood) Responsible(k fixpoint.Frac) bool { return nb.responsible(k) }
 
 // Ring is a sorted snapshot of references. The protocol itself never uses
 // it — nodes act on local neighbourhoods only — but bootstrap wiring and

@@ -48,45 +48,49 @@ func buildNet(t testing.TB, n int, seed int64) *testNet {
 	return net
 }
 
-func (net *testNet) neighborhood(i int) Neighborhood {
+// node is a node of a test net: its reference and its neighbourhood, every
+// view in it exact.
+type node struct {
+	Self Ref
+	Neighborhood
+}
+
+func (net *testNet) neighborhood(i int) node {
 	return net.partialNeighborhood(i, nil)
 }
 
 // partialNeighborhood is node i's neighbourhood with the Partial flags read
 // from partial, the same for every node that looks at a given one. A process
 // with a partial node is not whole.
-func (net *testNet) partialNeighborhood(i int, partial map[sim.NodeID]bool) Neighborhood {
+func (net *testNet) partialNeighborhood(i int, partial map[sim.NodeID]bool) node {
 	nb := net.bare(i, partial)
-	nb.PredUp = net.up(net.index[nb.Pred.ID], partial)
-	nb.SuccUp = net.up(net.index[nb.Succ.ID], partial)
+	nb.PredView.Told = net.up(net.index[nb.Pred.ID], partial)
+	nb.SuccView.Told = net.up(net.index[nb.Succ.ID], partial)
 	return nb
 }
 
 // bare is node i's neighbourhood without what its neighbours say they report
 // to, which Parent does not read.
-func (net *testNet) bare(i int, partial map[sim.NodeID]bool) Neighborhood {
+func (net *testNet) bare(i int, partial map[sim.NodeID]bool) node {
 	self := net.ring.At(i)
 	s := net.sibs[net.proc[self.ID]]
-	n := net.ring.Len()
-	edges := func(id sim.NodeID) Edges {
+	said := func(id sim.NodeID) View {
 		j := net.index[id]
 		p, q := net.ring.Pred(j), net.ring.Succ(j)
-		return Edges{Pred: p, Succ: q, PredPartial: partial[p.ID], SuccPartial: partial[q.ID]}
+		e := Edges{Pred: p, Succ: q, PredPartial: partial[p.ID], SuccPartial: partial[q.ID]}
+		return View{Edges: e, Partial: partial[id], Told: Ref{ID: sim.None}}
 	}
-	nb := Neighborhood{
-		Self:        self,
-		Pred:        net.ring.Pred(i),
-		Succ:        net.ring.Succ(i),
-		PredPred:    net.ring.Pred((i - 1 + n) % n),
-		SuccSucc:    net.ring.Succ((i + 1) % n),
-		PredPartial: partial[net.ring.Pred(i).ID], SuccPartial: partial[net.ring.Succ(i).ID],
-		Whole:    !partial[s[1].ID] && !partial[s[2].ID],
-		SibEdges: [2]Edges{edges(s[0].ID), edges(s[1].ID)},
-		SibL:     s[0], SibM: s[1], SibR: s[2],
-		UpSeen: true, // a static ring: every word has arrived
-	}
+	nb := node{Self: self, Neighborhood: Neighborhood{
+		Pred: net.ring.Pred(i), Succ: net.ring.Succ(i),
+		SibL: s[0], SibM: s[1], SibR: s[2],
+		SibIn:    [3]bool{true, !partial[s[1].ID], !partial[s[2].ID]},
+		PredView: said(net.ring.Pred(i).ID), SuccView: said(net.ring.Succ(i).ID),
+		SibViews: [2]View{said(s[0].ID), said(s[1].ID)},
+		UpSeq:    -1, // a static ring: every word has arrived
+	}}
 	if self.Kind != Left {
-		nb.LeftUp = net.bare(net.index[s[0].ID], partial).UpEdge()
+		l := net.bare(net.index[s[0].ID], partial)
+		nb.SibViews[Left].Word = l.UpEdge(l.Self)
 	}
 	return nb
 }
@@ -95,18 +99,24 @@ func (net *testNet) bare(i int, partial map[sim.NodeID]bool) Neighborhood {
 // that is a node of another process.
 func (net *testNet) up(j int, partial map[sim.NodeID]bool) Ref {
 	nb := net.bare(j, partial)
-	if p, ok := nb.Parent(); ok && net.proc[p.ID] != net.proc[nb.Self.ID] {
+	if p, ok := nb.Parent(nb.Self); ok && net.proc[p.ID] != net.proc[nb.Self.ID] {
 		return p
 	}
 	return Ref{ID: sim.None}
 }
 
-func (net *testNet) neighborhoodOf(id sim.NodeID) Neighborhood {
+func (net *testNet) neighborhoodOf(id sim.NodeID) node {
 	i, ok := net.index[id]
 	if !ok {
 		panic("node not on ring")
 	}
 	return net.neighborhood(i)
+}
+
+// ringAround is a neighbourhood that knows the ring two nodes each way: pp,
+// pred, succ and ss in ring order.
+func ringAround(pp, pred, succ, ss Ref) Neighborhood {
+	return Neighborhood{Pred: pred, Succ: succ, PredView: View{Edges: Edges{Pred: pp}}, SuccView: View{Edges: Edges{Succ: ss}}}
 }
 
 func TestProcessPointsDefinition(t *testing.T) {
@@ -208,7 +218,7 @@ func TestAnchorIsGlobalMinAndLeft(t *testing.T) {
 		anchors := 0
 		for i := 0; i < net.ring.Len(); i++ {
 			nb := net.neighborhood(i)
-			if nb.IsAnchor() {
+			if nb.IsAnchor(nb.Self) {
 				anchors++
 				if i != 0 {
 					t.Fatalf("n=%d: node at ring index %d believes it is the anchor", n, i)
@@ -233,12 +243,12 @@ func TestParentChildConsistency(t *testing.T) {
 		roots := 0
 		for i := 0; i < net.ring.Len(); i++ {
 			nb := net.neighborhood(i)
-			if p, ok := nb.Parent(); ok {
+			if p, ok := nb.Parent(nb.Self); ok {
 				parentOf[nb.Self.ID] = p
 			} else {
 				roots++
 			}
-			if len(nb.Children()) == 0 {
+			if len(nb.Children(nb.Self)) == 0 {
 				childless++
 			}
 		}
@@ -248,15 +258,15 @@ func TestParentChildConsistency(t *testing.T) {
 		// Check symmetry.
 		for i := 0; i < net.ring.Len(); i++ {
 			nb := net.neighborhood(i)
-			for _, c := range nb.Children() {
+			for _, c := range nb.Children(nb.Self) {
 				if got := parentOf[c.ID]; got.ID != nb.Self.ID {
 					t.Fatalf("n=%d: child %v of %v has parent %v", n, c, nb.Self, got)
 				}
 			}
-			if p, ok := nb.Parent(); ok {
+			if p, ok := nb.Parent(nb.Self); ok {
 				pnb := net.neighborhoodOf(p.ID)
 				found := false
-				for _, c := range pnb.Children() {
+				for _, c := range pnb.Children(pnb.Self) {
 					if c.ID == nb.Self.ID {
 						found = true
 					}
@@ -277,7 +287,7 @@ func TestTreeReachesRootAndHeight(t *testing.T) {
 			depth := 0
 			nb := net.neighborhood(i)
 			for {
-				p, ok := nb.Parent()
+				p, ok := nb.Parent(nb.Self)
 				if !ok {
 					break
 				}
@@ -311,7 +321,7 @@ func TestLeftOfFallsAlongTreeEdges(t *testing.T) {
 			if LeftOf(nb.Self) != nb.SibL.Point.Label {
 				t.Fatalf("n=%d: LeftOf(%v) = %v, its left sibling is at %v", n, nb.Self, LeftOf(nb.Self), nb.SibL)
 			}
-			p, ok := nb.Parent()
+			p, ok := nb.Parent(nb.Self)
 			if !ok || net.proc[p.ID] == net.proc[nb.Self.ID] {
 				continue
 			}
@@ -336,9 +346,9 @@ func TestRightNodeChildrenAreForeign(t *testing.T) {
 			if nb.Self.Kind != Right {
 				continue
 			}
-			for _, c := range nb.Children() {
-				pred := c.ID == nb.Pred.ID && !nb.isWrapPred() && c.Kind != Right
-				succ := c.ID == nb.Succ.ID && !nb.isWrapSucc() && c.Kind == Middle
+			for _, c := range nb.Children(nb.Self) {
+				pred := c.ID == nb.Pred.ID && !nb.IsAnchor(nb.Self) && c.Kind != Right
+				succ := c.ID == nb.Succ.ID && !nb.isWrapSucc(nb.Self) && c.Kind == Middle
 				if net.proc[c.ID] == net.proc[nb.Self.ID] || !pred && !succ {
 					t.Fatalf("seed %d: right node %v has child %v (pred %v, succ %v)", seed, nb.Self, c, nb.Pred, nb.Succ)
 				}
@@ -376,25 +386,25 @@ func TestPartialNodesAreAvoided(t *testing.T) {
 				partial[sibs[2].ID] = true
 			}
 		}
-		nbs := make(map[sim.NodeID]Neighborhood)
+		nbs := make(map[sim.NodeID]*node)
 		for i := 0; i < net.ring.Len(); i++ {
 			nb := net.partialNeighborhood(i, partial)
-			nbs[nb.Self.ID] = nb
+			nbs[nb.Self.ID] = &nb
 		}
 		for id, nb := range nbs {
-			for _, c := range nb.Children() {
-				if p, _ := nbs[c.ID].Parent(); p.ID != id {
+			for _, c := range nb.Children(nb.Self) {
+				if p, _ := nbs[c.ID].Parent(c); p.ID != id {
 					t.Fatalf("seed %d: %v counts %v as a child, whose parent is %v", seed, nb.Self, c, p)
 				}
 				if partial[id] && net.proc[c.ID] != net.proc[id] && c.ID != nb.Succ.ID {
 					t.Fatalf("seed %d: partial %v has its predecessor %v for a child", seed, nb.Self, c)
 				}
 			}
-			p, ok := nb.Parent()
+			p, ok := nb.Parent(nb.Self)
 			if !ok {
 				continue
 			}
-			if !slices.ContainsFunc(nbs[p.ID].Children(), func(c Ref) bool { return c.ID == id }) {
+			if !slices.ContainsFunc(nbs[p.ID].Children(p), func(c Ref) bool { return c.ID == id }) {
 				t.Fatalf("seed %d: %v reports to %v, which does not count it", seed, nb.Self, p)
 			}
 			foreign := net.proc[p.ID] != net.proc[id]
@@ -404,7 +414,7 @@ func TestPartialNodesAreAvoided(t *testing.T) {
 			if foreign && partial[p.ID] && (nb.Self.Kind != Left || p.ID != nb.Pred.ID) {
 				t.Fatalf("seed %d: %v reports to partial %v, which is not its left node's predecessor", seed, nb.Self, p)
 			}
-			if nb.Whole {
+			if nb.SibIn == [3]bool{true, true, true} {
 				if foreign && partial[p.ID] {
 					held++
 				}
@@ -418,7 +428,7 @@ func TestPartialNodesAreAvoided(t *testing.T) {
 				continue
 			}
 			broken++
-			if nb.PredPartial && !nb.SuccPartial && !nb.isWrapSucc() && LeftOf(nb.Succ) < LeftOf(nb.Self) {
+			if nb.PredView.Partial && !nb.SuccView.Partial && !nb.isWrapSucc(nb.Self) && LeftOf(nb.Succ) < LeftOf(nb.Self) {
 				if p.ID != nb.Succ.ID {
 					t.Fatalf("seed %d: %v reports to its partial pred %v past %v", seed, nb.Self, nb.Pred, nb.Succ)
 				}
@@ -452,9 +462,9 @@ func TestProcessAgreesOnUpEdge(t *testing.T) {
 			var kinds [3]Kind
 			for k, ref := range sibs {
 				nb := net.partialNeighborhood(net.index[ref.ID], partial)
-				up := nb.UpEdge()
+				up := nb.UpEdge(nb.Self)
 				got[k], kinds[k] = up.To, up.Holder
-				p, _ := nb.Parent()
+				p, _ := nb.Parent(nb.Self)
 				if reports := p.ID == up.To.ID; up.To.Valid() && Kind(k) != Right && reports != (Kind(k) == up.Holder) {
 					t.Fatalf("seed %d process %d: %v reports to %v, up edge %v at %v", seed, pid, nb.Self, p, up.To, up.Holder)
 				}
@@ -484,19 +494,19 @@ func TestJoiningTriadReportsNowhere(t *testing.T) {
 	l, m, r := at(1, 0.3, Left), at(2, 0.6, Middle), at(3, 0.8, Right)
 	succ := at(7, 0.35, Middle) // its process's left label is 0.175
 	for _, whole := range []bool{false, true} {
-		sibEdges := [2]Edges{{Pred: none, Succ: succ}, {Pred: none, Succ: none}}
+		sibViews := [2]View{{Edges: Edges{Pred: none, Succ: succ}}, {Edges: Edges{Pred: none, Succ: none}}}
 		for _, self := range []Ref{l, m, r} {
-			nb := Neighborhood{Self: self, Pred: none, Succ: none, PredPred: none, SuccSucc: none, PredUp: none, SuccUp: none,
-				Whole: whole, SibEdges: sibEdges, SibL: l, SibM: m, SibR: r}
+			nb := Neighborhood{Pred: none, Succ: none, PredView: Unknown, SuccView: Unknown,
+				SibIn: [3]bool{true, whole, whole}, SibViews: sibViews, SibL: l, SibM: m, SibR: r}
 			if self.Kind == Left {
 				nb.Succ = succ
 			}
-			up := nb.UpEdge()
+			up := nb.UpEdge(self)
 			if up.Holder != Left || up.To.Valid() {
 				t.Fatalf("whole=%v: %v works out the up edge %v at %v, want none", whole, self, up.To, up.Holder)
 			}
 			want := [...]Ref{Left: none, Middle: l, Right: m}[self.Kind]
-			p, ok := nb.Parent()
+			p, ok := nb.Parent(self)
 			if p.ID != want.ID || ok != want.Valid() {
 				t.Fatalf("whole=%v: %v reports to %v (%v), want %v", whole, self, p, ok, want)
 			}
@@ -507,7 +517,7 @@ func TestJoiningTriadReportsNowhere(t *testing.T) {
 // interProcessDepth returns the mean, over the ring's nodes, of the tree
 // edges between processes on the way to the root: what a wave pays, since
 // an edge between siblings costs no round.
-func (net *testNet) interProcessDepth(parent func(Neighborhood) (Ref, bool)) float64 {
+func (net *testNet) interProcessDepth(parent func(node) (Ref, bool)) float64 {
 	depth := make(map[sim.NodeID]int)
 	var walk func(i int) int
 	walk = func(i int) int {
@@ -582,15 +592,18 @@ func (net *testNet) processDistances() (monotone, bfs float64) {
 	return monotone, bfs
 }
 
+// treeParent is the tree the protocol runs (Neighborhood.Parent).
+func treeParent(nb node) (Ref, bool) { return nb.Parent(nb.Self) }
+
 // paperParent is the paper's tree (§III-B): a left node reports to its ring
 // predecessor, a middle node to its left sibling, a right node to its middle.
-func paperParent(nb Neighborhood) (Ref, bool) {
+func paperParent(nb node) (Ref, bool) {
 	switch {
 	case nb.Self.Kind == Middle:
 		return nb.SibL, true
 	case nb.Self.Kind == Right:
 		return nb.SibM, true
-	case nb.IsAnchor():
+	case nb.IsAnchor(nb.Self):
 		return Ref{ID: sim.None}, false
 	}
 	return nb.Pred, true
@@ -598,14 +611,14 @@ func paperParent(nb Neighborhood) (Ref, bool) {
 
 // leftOnlyParent is the tree with every process treated as not whole: its
 // left node reports over one of its own ring edges.
-func leftOnlyParent(nb Neighborhood) (Ref, bool) {
-	nb.Whole = false
+func leftOnlyParent(nb node) (Ref, bool) {
+	nb.SibIn[Right] = false   // not whole
 	if nb.Self.Kind != Left { // the left node's word, worked out the same way
-		l, e := nb, nb.SibEdges[Left]
-		l.Self, l.Pred, l.Succ, l.PredPartial, l.SuccPartial = nb.SibL, e.Pred, e.Succ, e.PredPartial, e.SuccPartial
-		nb.LeftUp = l.UpEdge()
+		l, e := nb, nb.SibViews[Left].Edges
+		l.Self, l.Pred, l.Succ, l.PredView.Partial, l.SuccView.Partial = nb.SibL, e.Pred, e.Succ, e.PredPartial, e.SuccPartial
+		nb.SibViews[Left].Word = l.UpEdge(l.Self)
 	}
-	return nb.Parent()
+	return nb.Parent(nb.Self)
 }
 
 // twoHopParent models the next step of the tree (ROADMAP item 3): a process
@@ -615,19 +628,19 @@ func leftOnlyParent(nb Neighborhood) (Ref, bool) {
 // smallest left label, if that is below its own, else the left node's
 // predecessor. Not a rule the protocol runs: the far node does not learn its
 // children from its own hellos.
-func (net *testNet) twoHopParent(nb Neighborhood) (Ref, bool) {
+func (net *testNet) twoHopParent(nb node) (Ref, bool) {
 	l := net.bare(net.index[nb.SibL.ID], nil)
 	m := net.bare(net.index[nb.SibM.ID], nil)
-	if l.IsAnchor() {
+	if l.IsAnchor(l.Self) {
 		return Up{Holder: Left, To: Ref{ID: sim.None}}.Parent(nb.Self.Kind, nb.SibL, nb.SibM)
 	}
 	up, best := Up{Holder: Left, To: l.Pred}, LeftOf(nb.SibL)
-	for _, v := range []Neighborhood{l, m} {
+	for _, v := range []node{l, m} {
 		// Each candidate with the way to it, in ring order: it does not wrap
 		// when the points rise along it.
 		for _, c := range [][]Ref{
 			{v.Pred, v.Self}, {v.Self, v.Succ},
-			{v.PredPred, v.Pred, v.Self}, {v.Self, v.Succ, v.SuccSucc},
+			{v.PredView.Edges.Pred, v.Pred, v.Self}, {v.Self, v.Succ, v.SuccView.Edges.Succ},
 		} {
 			to := c[0]
 			if to.ID == v.Self.ID {
@@ -658,7 +671,7 @@ func TestInterProcessDepth(t *testing.T) {
 	const rings = 20
 	for seed := int64(1); seed <= rings; seed++ {
 		net := buildNet(t, 256, seed)
-		ours += net.interProcessDepth(Neighborhood.Parent) / rings
+		ours += net.interProcessDepth(treeParent) / rings
 		left += net.interProcessDepth(leftOnlyParent) / rings
 		paper += net.interProcessDepth(paperParent) / rings
 		m, b := net.processDistances()
@@ -675,7 +688,7 @@ func TestInterProcessDepth(t *testing.T) {
 		var four, eight float64
 		for seed := int64(1); seed <= rings; seed++ {
 			net := buildNet(t, n, seed)
-			four += net.interProcessDepth(Neighborhood.Parent) / rings
+			four += net.interProcessDepth(treeParent) / rings
 			eight += net.interProcessDepth(net.twoHopParent) / rings
 		}
 		t.Logf("n = %d: mean inter-process depth %.2f over four ring edges, %.2f over eight candidates with the two-hop view", n, four, eight)
@@ -693,9 +706,9 @@ func (net *testNet) route(from int, target fixpoint.Frac) (Ref, int) {
 // of another process, the ones that cost a round.
 func (net *testNet) walk(from int, target fixpoint.Frac) (owner Ref, hops, ringHops int) {
 	nb := net.neighborhood(from)
-	rs := nb.NewRoute(target)
+	rs := nb.NewRoute(nb.Self, target)
 	for {
-		next, out, deliver := nb.NextHop(rs)
+		next, out, deliver := nb.NextHop(nb.Self, rs)
 		if deliver {
 			return nb.Self, out.Hops, ringHops
 		}
@@ -798,6 +811,44 @@ func BenchmarkRouteHops(b *testing.B) {
 	}
 }
 
+func TestRouteAllocatesNothing(t *testing.T) {
+	// A route reads the stored neighbourhood in place: neither NewRoute nor
+	// NextHop may move it to the heap or allocate anything else, at any hop.
+	// Every hop works on a local copy of the node's neighbourhood, as core's
+	// routeStep does when it hides a middle sibling still joining, so a
+	// receiver that escaped would cost an allocation a hop.
+	net := buildNet(t, 256, 1)
+	nbs := make([]node, net.ring.Len())
+	for i := range nbs {
+		nbs[i] = net.neighborhood(i)
+	}
+	rng := xrand.New(1)
+	starts, keys := make([]int, 64), make([]fixpoint.Frac, 64)
+	for i := range keys {
+		starts[i], keys[i] = rng.Intn(len(nbs)), rng.Frac()
+	}
+	hops := 0
+	allocs := testing.AllocsPerRun(10, func() {
+		for i, key := range keys {
+			at := starts[i]
+			nb := nbs[at]
+			rs := nb.NewRoute(nb.Self, key)
+			for {
+				nb := nbs[at]
+				next, out, deliver := nb.NextHop(nb.Self, rs)
+				hops++
+				if deliver {
+					break
+				}
+				at, rs = net.index[next.ID], out
+			}
+		}
+	})
+	if allocs != 0 || hops == 0 {
+		t.Errorf("%v allocations a run of %d routes (%d hops in all), want 0", allocs, len(keys), hops)
+	}
+}
+
 func TestRoutingHopBound(t *testing.T) {
 	// Lemma 3 with the constant the route is tuned to: ≈ 2.7 hops per bit of
 	// log2(3n) in the mean (EXPERIMENTS.md, "The route at what a hop costs").
@@ -867,14 +918,14 @@ func TestMiddleWalkNeverCrossesSeam(t *testing.T) {
 					i := start
 					for step := 0; ; step++ {
 						nb := net.neighborhood(i)
-						if nb.Self.Kind == Middle || nb.Responsible(rs.Target) {
+						if nb.Self.Kind == Middle || nb.Responsible(nb.Self, rs.Target) {
 							break
 						}
 						if step > net.ring.Len() {
 							t.Fatalf("n=%d seed %d: walk from %d (dir %d) finds no middle node", n, seed, start, dir)
 						}
-						next, out, _ := nb.NextHop(rs)
-						if net.neighborhoodOf(next.ID).Responsible(rs.Target) {
+						next, out, _ := nb.NextHop(nb.Self, rs)
+						if to := net.neighborhoodOf(next.ID); to.Responsible(to.Self, rs.Target) {
 							break // a hop to an owner this node can see, not a walk
 						}
 						j := net.ring.IndexOf(next.Point)
@@ -950,13 +1001,10 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 			}
 			return at(id, x, kind)
 		}
-		nb := Neighborhood{
-			Self: at(1, 0.3, Left), Pred: at(2, 0.29, tc.pred), Succ: at(3, 0.31, tc.succ),
-			PredPred: view(5, 0.28, tc.pp), SuccSucc: view(6, 0.32, tc.ss),
-			SibM: at(4, 0.6, Middle),
-		}
-		next, out, deliver := nb.NextHop(RouteState{Target: tc.target, BitsLeft: 2, Hops: 1, WalkDir: tc.carried})
-		want := map[[2]bool]Ref{{false, near}: nb.Succ, {false, far}: nb.SuccSucc, {true, near}: nb.Pred, {true, far}: nb.PredPred}[[2]bool{tc.want < 0, tc.far}]
+		nb := ringAround(view(5, 0.28, tc.pp), at(2, 0.29, tc.pred), at(3, 0.31, tc.succ), view(6, 0.32, tc.ss))
+		nb.SibM = at(4, 0.6, Middle)
+		next, out, deliver := nb.NextHop(at(1, 0.3, Left), RouteState{Target: tc.target, BitsLeft: 2, Hops: 1, WalkDir: tc.carried})
+		want := map[[2]bool]Ref{{false, near}: nb.Succ, {false, far}: nb.SuccView.Edges.Succ, {true, near}: nb.Pred, {true, far}: nb.PredView.Edges.Pred}[[2]bool{tc.want < 0, tc.far}]
 		if deliver || next.ID != want.ID || out.WalkDir != tc.want || out.BitsLeft != 2 {
 			t.Errorf("%s: went to %v (dir %d, %d bits, deliver %v), want %v (dir %d)",
 				tc.name, next, out.WalkDir, out.BitsLeft, deliver, want, tc.want)
@@ -965,24 +1013,18 @@ func TestMiddleWalkLooksBothWays(t *testing.T) {
 	// The seam flip beats the two-hop view: the ring's maximum, a right node,
 	// sees a middle node two hops away across the seam and walks the other
 	// way, since the halving map does not cross it, two nodes at a time.
-	top := Neighborhood{
-		Self: at(1, 0.95, Right), Pred: at(2, 0.9, Right), Succ: at(3, 0.01, Left),
-		PredPred: at(5, 0.85, Right), SuccSucc: at(6, 0.02, Middle),
-		SibM: at(4, 0.9, Middle),
-	}
-	next, out, _ := top.NextHop(RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1})
-	if next.ID != top.PredPred.ID || out.WalkDir != -1 {
-		t.Errorf("the ring's maximum went to %v (dir %d), want its predecessor's predecessor %v", next, out.WalkDir, top.PredPred)
+	top := ringAround(at(5, 0.85, Right), at(2, 0.9, Right), at(3, 0.01, Left), at(6, 0.02, Middle))
+	top.SibM = at(4, 0.9, Middle)
+	next, out, _ := top.NextHop(at(1, 0.95, Right), RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1})
+	if next.ID != top.PredView.Edges.Pred.ID || out.WalkDir != -1 {
+		t.Errorf("the ring's maximum went to %v (dir %d), want its predecessor's predecessor %v", next, out.WalkDir, top.PredView.Edges.Pred)
 	}
 	// A far edge that would cross the seam is not taken: the node below the
 	// ring's maximum, walking up, stops at the maximum, whose successor lies
 	// across the seam.
-	edge := Neighborhood{
-		Self: at(1, 0.97, Right), Pred: at(2, 0.96, Right), Succ: at(3, 0.99, Right),
-		PredPred: at(5, 0.95, Right), SuccSucc: at(6, 0.01, Left),
-		SibM: at(4, 0.94, Middle),
-	}
-	next, out, _ = edge.NextHop(RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1, WalkDir: 1})
+	edge := ringAround(at(5, 0.95, Right), at(2, 0.96, Right), at(3, 0.99, Right), at(6, 0.01, Left))
+	edge.SibM = at(4, 0.94, Middle)
+	next, out, _ = edge.NextHop(at(1, 0.97, Right), RouteState{Target: fixpoint.Half, BitsLeft: 2, Hops: 1, WalkDir: 1})
 	if next.ID != edge.Succ.ID || out.WalkDir != 1 {
 		t.Errorf("a walk below the seam went to %v (dir %d), want its successor %v", next, out.WalkDir, edge.Succ)
 	}
@@ -997,17 +1039,15 @@ func TestRouteDeliversAhead(t *testing.T) {
 	at := func(id sim.NodeID, x float64, kind Kind) Ref {
 		return Ref{ID: id, Point: Point{Label: fixpoint.FromFloat(x)}, Kind: kind}
 	}
-	nb := Neighborhood{
-		Self: at(1, 0.3, Left), Pred: at(2, 0.29, Right), Succ: at(3, 0.31, Right),
-		PredPred: at(5, 0.28, Right), SuccSucc: at(6, 0.32, Right),
-		SibL: at(1, 0.3, Left), SibM: at(4, 0.6, Middle), SibR: at(7, 0.8, Right),
-	}
+	self, pp, ss := at(1, 0.3, Left), at(5, 0.28, Right), at(6, 0.32, Right)
+	nb := ringAround(pp, at(2, 0.29, Right), at(3, 0.31, Right), ss)
+	nb.SibL, nb.SibM, nb.SibR = self, at(4, 0.6, Middle), at(7, 0.8, Right)
 	for _, tc := range []struct {
 		key  float64
 		want Ref
 	}{
 		{0.295, nb.Pred}, {0.29, nb.Pred}, {0.315, nb.Succ}, {0.31, nb.Succ},
-		{0.285, nb.PredPred}, {0.28, nb.PredPred},
+		{0.285, pp}, {0.28, pp},
 	} {
 		for _, rs := range []RouteState{
 			{BitsLeft: 3},                       // a route that starts here
@@ -1015,7 +1055,7 @@ func TestRouteDeliversAhead(t *testing.T) {
 			{Hops: 4},                           // a closing walk
 		} {
 			rs.Target = fixpoint.FromFloat(tc.key)
-			next, out, deliver := nb.NextHop(rs)
+			next, out, deliver := nb.NextHop(self, rs)
 			if deliver || next.ID != tc.want.ID || out.BitsLeft != rs.BitsLeft || out.Hops != rs.Hops+1 {
 				t.Errorf("key %v with %+v: went to %v (%+v, deliver %v), want its owner %v", tc.key, rs, next, out, deliver, tc.want)
 			}
@@ -1025,19 +1065,19 @@ func TestRouteDeliversAhead(t *testing.T) {
 	for _, tc := range []struct {
 		key  float64
 		want Ref
-	}{{0.325, nb.SuccSucc}, {0.5, nb.SuccSucc}, {0.275, nb.PredPred}, {0.1, nb.PredPred}} {
-		next, _, _ := nb.NextHop(RouteState{Target: fixpoint.FromFloat(tc.key), Hops: 4})
+	}{{0.325, ss}, {0.5, ss}, {0.275, pp}, {0.1, pp}} {
+		next, _, _ := nb.NextHop(self, RouteState{Target: fixpoint.FromFloat(tc.key), Hops: 4})
 		if next.ID != tc.want.ID {
 			t.Errorf("closing walk to %v went to %v, want %v", tc.key, next, tc.want)
 		}
 	}
 	// Without the view two hops away, it goes one.
-	nb.PredPred, nb.SuccSucc = Ref{ID: sim.None}, Ref{ID: sim.None}
+	nb.PredView.Edges.Pred, nb.SuccView.Edges.Succ = Ref{ID: sim.None}, Ref{ID: sim.None}
 	for _, tc := range []struct {
 		key  float64
 		want Ref
 	}{{0.5, nb.Succ}, {0.285, nb.Pred}, {0.1, nb.Pred}} {
-		next, _, _ := nb.NextHop(RouteState{Target: fixpoint.FromFloat(tc.key), Hops: 4})
+		next, _, _ := nb.NextHop(self, RouteState{Target: fixpoint.FromFloat(tc.key), Hops: 4})
 		if next.ID != tc.want.ID {
 			t.Errorf("closing walk without a two-hop view to %v went to %v, want %v", tc.key, next, tc.want)
 		}
@@ -1057,9 +1097,9 @@ func TestRouteNeverJumpsPastOwner(t *testing.T) {
 			key := rng.Frac()
 			owner := net.ring.ResponsibleFor(key)
 			nb := net.neighborhood(i)
-			rs := nb.NewRoute(key)
+			rs := nb.NewRoute(nb.Self, key)
 			for step := 0; ; step++ {
-				next, out, deliver := nb.NextHop(rs)
+				next, out, deliver := nb.NextHop(nb.Self, rs)
 				if deliver {
 					if nb.Self.ID != owner.ID {
 						t.Fatalf("n=%d: %v delivered at %v, owner %v", n, key, nb.Self, owner)
@@ -1073,8 +1113,8 @@ func TestRouteNeverJumpsPastOwner(t *testing.T) {
 					// The hop skips nodes only if it is not to a neighbour;
 					// then the owner must not be among those it skips.
 					a, b := net.index[nb.Self.ID], net.index[next.ID]
-					forward := next.ID == nb.Succ.ID || next.ID == nb.SuccSucc.ID
-					if !forward && next.ID != nb.Pred.ID && next.ID != nb.PredPred.ID {
+					forward := next.ID == nb.Succ.ID || next.ID == nb.SuccView.Edges.Succ.ID
+					if !forward && next.ID != nb.Pred.ID && next.ID != nb.PredView.Edges.Pred.ID {
 						t.Fatalf("n=%d: hop %v → %v is to no ring node it can see", n, nb.Self, next)
 					}
 					for j := a; j != b; {
@@ -1109,9 +1149,9 @@ func TestStaleTwoHopViewStillDelivers(t *testing.T) {
 		stale := net.neighborhood(i)
 		// A new node between the successor and its successor, or between
 		// the predecessor's predecessor and the predecessor.
-		left, right := stale.Succ, stale.SuccSucc
+		left, right := stale.Succ, stale.SuccView.Edges.Succ
 		if trial%2 == 1 {
-			left, right = stale.PredPred, stale.Pred
+			left, right = stale.PredView.Edges.Pred, stale.Pred
 		}
 		if !left.Point.Less(right.Point) {
 			continue // across the seam
@@ -1123,10 +1163,9 @@ func TestStaleTwoHopViewStillDelivers(t *testing.T) {
 		x := Ref{ID: 9999, Point: Point{Label: mid}, Kind: Right}
 		// The fresh ring: the others' neighbourhoods as the ring with x in it.
 		fresh := NewRing(append(refsOf(net.ring), x))
-		view := func(r Ref) Neighborhood {
+		view := func(r Ref) node {
 			j := fresh.IndexOf(r.Point)
-			nb := Neighborhood{Self: r, Pred: fresh.Pred(j), Succ: fresh.Succ(j),
-				PredPred: fresh.Pred((j - 1 + fresh.Len()) % fresh.Len()), SuccSucc: fresh.Succ((j + 1) % fresh.Len())}
+			nb := node{Self: r, Neighborhood: ringAround(fresh.Pred((j-1+fresh.Len())%fresh.Len()), fresh.Pred(j), fresh.Succ(j), fresh.Succ((j+1)%fresh.Len()))}
 			if r.ID != x.ID {
 				s := net.sibs[net.proc[r.ID]]
 				nb.SibL, nb.SibM, nb.SibR = s[0], s[1], s[2]
@@ -1140,7 +1179,7 @@ func TestStaleTwoHopViewStillDelivers(t *testing.T) {
 			nb, rs := stale, RouteState{Target: key, Hops: 3}
 			routes++
 			for step := 0; ; step++ {
-				next, out, deliver := nb.NextHop(rs)
+				next, out, deliver := nb.NextHop(nb.Self, rs)
 				if deliver {
 					if nb.Self.ID != x.ID {
 						t.Fatalf("key %v owned by the new node %v was delivered at %v", key, x, nb.Self)
@@ -1181,15 +1220,15 @@ func TestRouteStartsAtOwnMiddle(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		nb := net.neighborhood(rng.Intn(net.ring.Len()))
 		key := rng.Frac()
-		rs := nb.NewRoute(key)
-		if nb.Self.Kind == Middle || rs.BitsLeft == 0 || nb.Responsible(key) {
+		rs := nb.NewRoute(nb.Self, key)
+		if nb.Self.Kind == Middle || rs.BitsLeft == 0 || nb.Responsible(nb.Self, key) {
 			continue
 		}
 		want := nb.SibM
-		if owner := net.ring.ResponsibleFor(key); owner.ID == nb.Pred.ID || owner.ID == nb.Succ.ID || owner.ID == nb.PredPred.ID {
+		if owner := net.ring.ResponsibleFor(key); owner.ID == nb.Pred.ID || owner.ID == nb.Succ.ID || owner.ID == nb.PredView.Edges.Pred.ID {
 			want = owner
 		}
-		next, out, deliver := nb.NextHop(rs)
+		next, out, deliver := nb.NextHop(nb.Self, rs)
 		if deliver || next.ID != want.ID || out.BitsLeft != rs.BitsLeft || out.WalkDir != 0 || out.Hops != 1 {
 			t.Fatalf("route from %v to %v with %d bits: first hop to %v with %+v, want %v",
 				nb.Self, key, rs.BitsLeft, next, out, want)
@@ -1199,8 +1238,8 @@ func TestRouteStartsAtOwnMiddle(t *testing.T) {
 		}
 		jumps[nb.Self.Kind]++
 		nb.SibM = Ref{ID: sim.None}
-		next, out, _ = nb.NextHop(rs)
-		ring := next.ID == nb.Pred.ID || next.ID == nb.Succ.ID || next.ID == nb.PredPred.ID || next.ID == nb.SuccSucc.ID
+		next, out, _ = nb.NextHop(nb.Self, rs)
+		ring := next.ID == nb.Pred.ID || next.ID == nb.Succ.ID || next.ID == nb.PredView.Edges.Pred.ID || next.ID == nb.SuccView.Edges.Succ.ID
 		if !ring || out.BitsLeft != rs.BitsLeft || out.WalkDir == 0 {
 			t.Fatalf("route from %v without a middle sibling: first hop to %v with %+v, want a ring node it can see and %d bits",
 				nb.Self, next, out, rs.BitsLeft)
@@ -1220,12 +1259,12 @@ func TestRouteDeliversAtFirstResponsibleNode(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		nb := net.neighborhood(rng.Intn(net.ring.Len()))
 		key := rng.Frac()
-		rs := nb.NewRoute(key)
+		rs := nb.NewRoute(nb.Self, key)
 		for {
-			next, out, deliver := nb.NextHop(rs)
-			if nb.Responsible(key) != deliver {
+			next, out, deliver := nb.NextHop(nb.Self, rs)
+			if nb.Responsible(nb.Self, key) != deliver {
 				t.Fatalf("at %v (responsible %v) for %v with %d bits left: deliver=%v",
-					nb.Self, nb.Responsible(key), key, rs.BitsLeft, deliver)
+					nb.Self, nb.Responsible(nb.Self, key), key, rs.BitsLeft, deliver)
 			}
 			if deliver {
 				if rs.BitsLeft > 0 {
@@ -1246,7 +1285,7 @@ func TestRouteDeliversAtFirstResponsibleNode(t *testing.T) {
 		{Target: fixpoint.Half, BitsLeft: 5, WalkDir: -1},
 		{Target: fixpoint.Half},
 	} {
-		if _, _, deliver := owner.NextHop(rs); !deliver {
+		if _, _, deliver := owner.NextHop(owner.Self, rs); !deliver {
 			t.Fatalf("owner forwards %+v", rs)
 		}
 	}
@@ -1294,7 +1333,7 @@ func TestNewRouteBitEstimate(t *testing.T) {
 				scale := math.Ldexp(1, k)
 				return c*float64(k-1) + math.Abs(x-math.Mod(tf*scale, 1))/scale/g/2
 			}
-			k := nb.NewRoute(key).BitsLeft
+			k := nb.NewRoute(nb.Self, key).BitsLeft
 			if k < 0 || k > limit {
 				t.Fatalf("node %d: %d bits, want within [0, %d]", i, k, limit)
 			}
@@ -1323,7 +1362,8 @@ func TestNewRouteSmallRings(t *testing.T) {
 			net := buildNet(t, n, seed)
 			var ks []int
 			for i := 0; i < net.ring.Len(); i++ {
-				ks = append(ks, net.neighborhood(i).NewRoute(fixpoint.Half).BitsLeft)
+				nb := net.neighborhood(i)
+				ks = append(ks, nb.NewRoute(nb.Self, fixpoint.Half).BitsLeft)
 			}
 			sort.Ints(ks)
 			if limit := int(math.Ceil(math.Log2(float64(3*n)))) - 2; ks[len(ks)/2] > limit {
@@ -1332,14 +1372,14 @@ func TestNewRouteSmallRings(t *testing.T) {
 		}
 	}
 	a := Ref{ID: 1, Point: Point{Label: fixpoint.FromFloat(0.9)}, Kind: Left}
-	alone := Neighborhood{Self: a, Pred: a, Succ: a}
-	if k := alone.NewRoute(fixpoint.Half).BitsLeft; k != 0 {
+	alone := Neighborhood{Pred: a, Succ: a}
+	if k := alone.NewRoute(a, fixpoint.Half).BitsLeft; k != 0 {
 		t.Errorf("single node: %d bits, want 0", k)
 	}
 	for _, at := range []float64{0.9001, 0.1, 0.4, 0.8999} {
 		b := Ref{ID: 2, Point: Point{Label: fixpoint.FromFloat(at)}, Kind: Right}
-		two := Neighborhood{Self: a, Pred: b, Succ: b}
-		if k := two.NewRoute(fixpoint.Half).BitsLeft; k != 0 {
+		two := Neighborhood{Pred: b, Succ: b}
+		if k := two.NewRoute(a, fixpoint.Half).BitsLeft; k != 0 {
 			t.Errorf("two nodes (other at %v): %d bits, want 0", at, k)
 		}
 	}
@@ -1352,7 +1392,7 @@ func TestResponsibleMatchesRingOracle(t *testing.T) {
 		k := rng.Frac()
 		count := 0
 		for i := 0; i < net.ring.Len(); i++ {
-			if net.neighborhood(i).Responsible(k) {
+			if nb := net.neighborhood(i); nb.Responsible(nb.Self, k) {
 				count++
 				if net.ring.ResponsibleFor(k).ID != net.ring.At(i).ID {
 					t.Fatalf("local Responsible disagrees with oracle for %v", k)
@@ -1386,25 +1426,25 @@ func TestTriadHasOneDecider(t *testing.T) {
 	moved := 0
 	for p, s := range net.sibs {
 		l := net.neighborhoodOf(s[0].ID)
-		up := l.UpEdge()
+		up := l.UpEdge(l.Self)
 		if up.Holder != Middle {
 			continue
 		}
 		moved++
-		l.UpSeen = false
-		if got, ok := l.Parent(); !ok || got.ID != l.Pred.ID {
+		l.UpSeq = l.SibViews[Middle].Seen + 1 // not confirmed yet
+		if got, ok := l.Parent(l.Self); !ok || got.ID != l.Pred.ID {
 			t.Fatalf("process %d: unconfirmed, the left node reports to %v, want its predecessor %v", p, got, l.Pred)
 		}
-		l.UpSeen = true
-		if got, _ := l.Parent(); got.ID != s[1].ID {
+		l.UpSeq = l.SibViews[Middle].Seen
+		if got, _ := l.Parent(l.Self); got.ID != s[1].ID {
 			t.Fatalf("process %d: confirmed, the left node reports to %v, want its middle node %v", p, got, s[1])
 		}
 		m := net.neighborhoodOf(s[1].ID)
-		if got, _ := m.Parent(); got.ID != up.To.ID {
+		if got, _ := m.Parent(m.Self); got.ID != up.To.ID {
 			t.Fatalf("process %d: told, the middle node reports to %v, want %v", p, got, up.To)
 		}
-		m.LeftUp = Up{Holder: Left, To: Ref{ID: sim.None}}
-		if got, _ := m.Parent(); got.ID != s[0].ID {
+		m.SibViews[Left].Word = Up{Holder: Left, To: Ref{ID: sim.None}}
+		if got, _ := m.Parent(m.Self); got.ID != s[0].ID {
 			t.Fatalf("process %d: not told yet, the middle node reports to %v, want its left node %v", p, got, s[0])
 		}
 	}
@@ -1420,24 +1460,24 @@ func TestSingleProcessTopology(t *testing.T) {
 	if l.Self.Kind != Left || m.Self.Kind != Middle || r.Self.Kind != Right {
 		t.Fatalf("ring order not l,m,r: %v %v %v", l.Self, m.Self, r.Self)
 	}
-	if !l.IsAnchor() {
+	if !l.IsAnchor(l.Self) {
 		t.Fatalf("left node should be anchor")
 	}
-	if p, ok := m.Parent(); !ok || p.ID != l.Self.ID {
+	if p, ok := m.Parent(m.Self); !ok || p.ID != l.Self.ID {
 		t.Errorf("parent of middle should be left")
 	}
-	if p, ok := r.Parent(); !ok || p.ID != m.Self.ID {
+	if p, ok := r.Parent(r.Self); !ok || p.ID != m.Self.ID {
 		t.Errorf("parent of right should be middle")
 	}
-	lc := l.Children()
+	lc := l.Children(l.Self)
 	if len(lc) != 1 || lc[0].ID != m.Self.ID {
 		t.Errorf("children of left should be {middle}, got %v", lc)
 	}
-	mc := m.Children()
+	mc := m.Children(m.Self)
 	if len(mc) != 1 || mc[0].ID != r.Self.ID {
 		t.Errorf("children of middle should be {right}, got %v", mc)
 	}
-	if len(r.Children()) != 0 {
+	if len(r.Children(r.Self)) != 0 {
 		t.Errorf("right node should be a leaf")
 	}
 }
