@@ -107,7 +107,6 @@ func Open(opts ...Option) (*Client, error) {
 		Async:                 o.async,
 		MaxDelay:              o.maxDelay,
 		TimeoutEvery:          o.timeoutEvery,
-		UpdateThreshold:       o.updateThreshold,
 		DisableStage4Wait:     o.noStage4Wait,
 		DisableLocalCombining: o.noCombining,
 		Shape:                 o.wan.shape(),

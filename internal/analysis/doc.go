@@ -27,7 +27,8 @@
 //     implementations) by the struct's marked capture AND restore
 //     functions, or carries a justified //skueue:ephemeral marker — so a
 //     field added to recovery-critical state cannot silently be dropped
-//     from the member image (the earlyReplies/earlyAcks gap class). The
+//     from the member image (the class of gap Node.earlyReplies once
+//     was: parked across a restart yet missing from the image). The
 //     image side is checked too: an image field no snapshot function
 //     reads is dead, and one that is captured but never restored (or
 //     vice versa) is half-wired.

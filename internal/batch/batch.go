@@ -232,9 +232,6 @@ const HeapPosShift = 40
 // HeapPos builds the tagged DHT position of level-local index idx.
 func HeapPos(level int32, idx int64) int64 { return int64(level)<<HeapPosShift | idx }
 
-// HeapPosLevel extracts the priority level of a tagged heap position.
-func HeapPosLevel(pos int64) int32 { return int32(pos >> HeapPosShift) }
-
 // Segment is one contiguous piece of a heap dequeue-run assignment: a
 // position interval within a single priority level. A DequeueMin run's
 // assignment spans levels in priority order, so it carries a segment list

@@ -44,11 +44,9 @@ type joinerInfo struct {
 }
 
 // anchorBundle is the anchor's transferable role state: the position
-// window and value counter (§III-D, §V), the pending churn level, and the
-// update-phase epoch counter.
+// window and value counter (§III-D, §V) and the update-phase epoch counter.
 type anchorBundle struct {
 	Ast          batch.AnchorState
-	PendChurn    int64
 	EpochCounter int64
 }
 
@@ -126,7 +124,6 @@ type churnState struct {
 	phaseDone      bool
 
 	// Anchor bookkeeping (valid while holding the anchor role).
-	pendChurn    int64
 	epochCounter int64
 }
 
@@ -319,8 +316,7 @@ func (c *churnState) takeLeaveCount() int64 {
 // anchorObserve runs at the anchor during Stage 2: decide whether this
 // wave starts an update phase. It returns the phase epoch, or 0.
 func (c *churnState) anchorObserve(n *Node, b batch.Batch) int64 {
-	c.pendChurn = b.J + b.L
-	if c.updatePhase || c.pendChurn < int64(n.cl.updateThreshold()) {
+	if c.updatePhase || b.J+b.L == 0 {
 		return 0
 	}
 	c.epochCounter++
@@ -557,12 +553,11 @@ func (c *churnState) maybeFinishPhase(ctx *transport.Context, n *Node) {
 }
 
 func (n *Node) anchorBundle() anchorBundle {
-	return anchorBundle{Ast: n.ast, PendChurn: n.churn.pendChurn, EpochCounter: n.churn.epochCounter}
+	return anchorBundle{Ast: n.ast, EpochCounter: n.churn.epochCounter}
 }
 
 func (n *Node) setAnchorBundle(b anchorBundle) {
 	n.ast = b.Ast
-	n.churn.pendChurn = b.PendChurn
 	n.churn.epochCounter = b.EpochCounter
 }
 

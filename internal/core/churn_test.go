@@ -484,27 +484,6 @@ func TestLivenessAfterChurn(t *testing.T) {
 	drainAndCheck(t, cl, 60000)
 }
 
-func TestUpdateThresholdBatchesChurn(t *testing.T) {
-	// With a higher threshold the anchor waits for several pending churn
-	// requests before starting a phase (§IV: "a sufficiently large number
-	// of nodes").
-	cl := newCluster(t, Config{Processes: 6, Seed: 141, UpdateThreshold: 6})
-	cl.Run(5)
-	cl.JoinProcess(0) // 3 joiners: below threshold
-	cl.Run(300)
-	if cl.Metrics().UpdatePhases != 0 {
-		t.Fatalf("phase started below threshold")
-	}
-	cl.JoinProcess(1) // 6 joiners total: meets threshold
-	settleChurn(t, cl, 60000)
-	if cl.Metrics().UpdatePhases == 0 {
-		t.Fatalf("phase never started at threshold")
-	}
-	if got := cl.LiveRing().Len(); got != 24 {
-		t.Fatalf("ring size %d, want 24", got)
-	}
-}
-
 func TestRejoinAfterLeave(t *testing.T) {
 	// Processes can come and go repeatedly.
 	cl := newCluster(t, Config{Processes: 4, Seed: 142})

@@ -42,9 +42,6 @@ type Config struct {
 	// paper's counterexample becomes reachable and sequential consistency
 	// can break under asynchrony).
 	DisableStage4Wait bool
-	// UpdateThreshold is the number of pending join/leave requests the
-	// anchor requires before starting an update phase; default 1.
-	UpdateThreshold int
 	// Shape is an optional WAN delivery profile for the simulator backend
 	// (extra per-message delay in rounds; see transport.Shape). Ignored in
 	// member mode, where the hosting server configures the TCP peer.
@@ -364,13 +361,6 @@ func (cl *Cluster) spawnProcessAt(pid int32) (*Process, [3]ldb.Ref) {
 	}
 	cl.procs = append(cl.procs, proc)
 	return proc, prefs
-}
-
-func (cl *Cluster) updateThreshold() int {
-	if cl.cfg.UpdateThreshold < 1 {
-		return 1
-	}
-	return cl.cfg.UpdateThreshold
 }
 
 // ReqIDMemberShift positions the issuing member's tag in a request ID:

@@ -185,10 +185,7 @@ type stackDisc struct {
 	// next aggregation on (see outstanding). A set, not a count, so the
 	// accounting is idempotent: around a fail-stop restart an ack can
 	// arrive twice (the replayed original plus the dedupe re-ack).
-	// earlyAcks (member mode only) parks link-replayed acks that arrive
-	// before the journal replay re-registers their PUT.
 	awaitingAcks map[uint64]struct{}
-	earlyAcks    map[uint64]struct{}
 }
 
 func (d *stackDisc) combining(n *Node) bool { return !n.cl.cfg.DisableLocalCombining }
@@ -280,16 +277,6 @@ func (d *stackDisc) trackPut(n *Node, reqID uint64) {
 		d.awaitingAcks = make(map[uint64]struct{})
 	}
 	d.awaitingAcks[reqID] = struct{}{}
-	if _, ok := d.earlyAcks[reqID]; ok {
-		// The ack already arrived via link replay while this op was
-		// still being re-injected from the journal (see earlyAcks).
-		delete(d.earlyAcks, reqID)
-		delete(d.awaitingAcks, reqID)
-		n.cl.logf("core: %v claiming parked ack for PUT %d (restart replay)", n.self, reqID)
-		if n.cl.onPutAck != nil {
-			n.cl.onPutAck(reqID)
-		}
-	}
 }
 
 func (d *stackDisc) putAcked(n *Node, reqID uint64) bool {
@@ -303,13 +290,9 @@ func (d *stackDisc) putAcked(n *Node, reqID uint64) bool {
 	// Either a duplicate ack around a fail-stop restart (replayed
 	// original plus dedupe re-ack, already accounted) or a link-replayed
 	// ack racing ahead of the journal replay that will re-register the
-	// PUT. Park it so the re-registered op can claim it (see earlyAcks);
-	// an unclaimed entry is inert.
-	n.cl.logf("core: %v parking ack for unawaited PUT %d (restart replay)", n.self, reqID)
-	if d.earlyAcks == nil {
-		d.earlyAcks = make(map[uint64]struct{})
-	}
-	d.earlyAcks[reqID] = struct{}{}
+	// PUT. Either way it is inert: the re-registered PUT is sent again,
+	// and the owner re-acks the duplicate (handleDHT).
+	n.cl.logf("core: %v dropping ack for unawaited PUT %d (restart replay)", n.self, reqID)
 	return false
 }
 
@@ -330,10 +313,6 @@ func (d *stackDisc) capture(n *Node, img *NodeImage) {
 		img.AwaitingAcks = append(img.AwaitingAcks, reqID)
 	}
 	sort.Slice(img.AwaitingAcks, func(i, j int) bool { return img.AwaitingAcks[i] < img.AwaitingAcks[j] })
-	for reqID := range d.earlyAcks {
-		img.EarlyAcks = append(img.EarlyAcks, reqID)
-	}
-	sort.Slice(img.EarlyAcks, func(i, j int) bool { return img.EarlyAcks[i] < img.EarlyAcks[j] })
 }
 
 //skueue:snapshot-restore stackDisc
@@ -343,12 +322,6 @@ func (d *stackDisc) restoreImage(n *Node, img *NodeImage) {
 		d.awaitingAcks = make(map[uint64]struct{}, len(img.AwaitingAcks))
 		for _, reqID := range img.AwaitingAcks {
 			d.awaitingAcks[reqID] = struct{}{}
-		}
-	}
-	if len(img.EarlyAcks) > 0 {
-		d.earlyAcks = make(map[uint64]struct{}, len(img.EarlyAcks))
-		for _, reqID := range img.EarlyAcks {
-			d.earlyAcks[reqID] = struct{}{}
 		}
 	}
 }

@@ -169,28 +169,28 @@ type Node struct {
 	store       *dht.Store
 	pendingGets map[uint64]getCtx
 
-	// Replay-dedupe windows (member mode only; see replay.go): request
-	// IDs of PUTs applied and GETs served here, so the re-executed tail
-	// of a crashed peer's history cannot double-apply an operation.
-	appliedPuts reqRing
-	servedGets  reqRing
-	// earlyReplies (member mode only; the stack strategy keeps the
-	// analogous earlyAcks) parks link-replayed getReply frames that
-	// arrive before the journal replay has
-	// re-registered the operation they answer. After a fail-stop restart
-	// the peer link re-delivers its unacked frames immediately, while
-	// the restarted member is still re-injecting its journal tail wave
-	// by wave — so a reply can land while pendingGets/awaitingAcks is
-	// empty. Dropping it would lose the completion for good: when the
-	// re-injected op finally sends its GET, the serving member's
-	// servedGets window dedupes the request on the assumption that the
-	// original reply is (or was) replayed by the link layer. Instead the
-	// reply is parked here and consumed the moment the op re-registers.
-	// Entries that are never claimed are genuine duplicates (the GET was
-	// resolved before the snapshot cut, so its completion is already in
-	// the restored history); request IDs are never reused, so a stale
-	// entry can never be claimed by a different op, and the map is
-	// bounded by the link-replay window.
+	// servedReqs is the replay-dedupe window (member mode only; see
+	// replay.go): request IDs of PUTs applied and GETs served here, so the
+	// re-executed tail of a crashed peer's history cannot double-apply an
+	// operation.
+	servedReqs reqRing
+	// earlyReplies (member mode only) parks link-replayed getReply frames
+	// that arrive before the journal replay has re-registered the
+	// operation they answer. After a fail-stop restart the peer link
+	// re-delivers its unacked frames immediately, while the restarted
+	// member is still re-injecting its journal tail wave by wave — so a
+	// reply can land while pendingGets is empty. Dropping it would lose
+	// the completion for good: when the re-injected op finally sends its
+	// GET, the serving member's servedReqs window swallows the request on
+	// the assumption that the original reply is (or was) replayed by the
+	// link layer, so the parked reply is the only copy. Instead it is
+	// parked here and consumed the moment the op re-registers. Entries
+	// that are never claimed are genuine duplicates (the GET was resolved
+	// before the snapshot cut, so its completion is already in the
+	// restored history); request IDs are never reused, so a stale entry
+	// can never be claimed by a different op, and the map is bounded by
+	// the link-replay window. A put-ack needs no such park: the
+	// re-registered PUT is sent again, and the owner re-acks a duplicate.
 	earlyReplies map[uint64]getReply
 	// foldedWaves is the per-child cursor of the newest wave this node
 	// has FOLDED into a wave of its own. A child's wave is folded only
@@ -1038,7 +1038,7 @@ func (n *Node) dispatchDHT(ctx *transport.Context, key fixpoint.Frac, inner any)
 func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 	switch m := inner.(type) {
 	case putReq:
-		if n.cl.memberMode() && (n.appliedPuts.has(m.ReqID) || n.store.Has(m.Pos, m.Ticket)) {
+		if n.cl.memberMode() && (n.servedReqs.has(m.ReqID) || n.store.Has(m.Pos, m.Ticket)) {
 			// Replayed duplicate after a fail-stop restart: the element
 			// was already stored — and possibly already consumed again,
 			// which is why the request-ID window backs up the positional
@@ -1051,9 +1051,7 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 			return
 		}
 		released := n.store.PutBlob(m.Pos, m.Ticket, m.Elem, m.Blob)
-		if n.cl.memberMode() {
-			n.appliedPuts.add(m.ReqID)
-		}
+		n.noteServed(m.ReqID)
 		// The enqueue finishes the moment its element is stored (§VII).
 		n.cl.recordCompletion(seqcheck.Completion{
 			Client: m.Client, LocalSeq: m.LocalSeq,
@@ -1065,11 +1063,11 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 			ctx.Send(m.Requester, putAck{ReqID: m.ReqID})
 		}
 		for _, rel := range released {
-			n.noteServedGet(rel.Waiter.ReqID)
+			n.noteServed(rel.Waiter.ReqID)
 			ctx.Send(rel.Waiter.Requester, getReply{ReqID: rel.Waiter.ReqID, Entry: rel.Entry})
 		}
 	case getReq:
-		if n.cl.memberMode() && n.servedGets.has(m.ReqID) {
+		if n.cl.memberMode() && n.servedReqs.has(m.ReqID) {
 			// Replayed duplicate of a GET this node already served: the
 			// original reply is replayed by the link layer (it stays
 			// unacknowledged until the requester's snapshot covers it).
@@ -1080,7 +1078,7 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 			return
 		}
 		if ent, ok := n.store.Get(m.Pos, m.Bound); ok {
-			n.noteServedGet(m.ReqID)
+			n.noteServed(m.ReqID)
 			ctx.Send(m.Requester, getReply{ReqID: m.ReqID, Entry: ent})
 			return
 		}
@@ -1093,13 +1091,13 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 			return
 		}
 		for _, rel := range n.store.Insert(m.Ent) {
-			n.noteServedGet(rel.Waiter.ReqID)
+			n.noteServed(rel.Waiter.ReqID)
 			ctx.Send(rel.Waiter.Requester, getReply{ReqID: rel.Waiter.ReqID, Entry: rel.Entry})
 		}
 	case migrateParked:
 		// The element may already be here (it migrated first).
 		if ent, ok := n.store.Get(m.Pos, m.W.Bound); ok {
-			n.noteServedGet(m.W.ReqID)
+			n.noteServed(m.W.ReqID)
 			ctx.Send(m.W.Requester, getReply{ReqID: m.W.ReqID, Entry: ent})
 			return
 		}
@@ -1109,11 +1107,11 @@ func (n *Node) handleDHT(ctx *transport.Context, inner any) {
 	}
 }
 
-// noteServedGet records a served GET in the replay-dedupe window (member
-// mode; see replay.go).
-func (n *Node) noteServedGet(reqID uint64) {
+// noteServed records an applied PUT or a served GET in the replay-dedupe
+// window (member mode; see replay.go).
+func (n *Node) noteServed(reqID uint64) {
 	if n.cl.memberMode() {
-		n.servedGets.add(reqID)
+		n.servedReqs.add(reqID)
 	}
 }
 
@@ -1233,9 +1231,9 @@ func (n *Node) OnMessage(ctx *transport.Context, from transport.NodeID, payload 
 		}
 		n.resolveGet(ctx, m)
 	case putAck:
-		// The strategy accounts the ack (stack: awaitingAcks, parking
-		// replay strays); a parked or duplicate ack must not reach
-		// the hosting layer's callback.
+		// The strategy accounts the ack (stack: awaitingAcks, dropping
+		// replay strays); a duplicate or unawaited ack must not reach the
+		// hosting layer's callback.
 		if n.disc.putAcked(n, m.ReqID) {
 			if n.cl.onPutAck != nil {
 				n.cl.onPutAck(m.ReqID)

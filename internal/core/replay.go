@@ -9,7 +9,7 @@ import (
 
 // This file holds the member-mode replay machinery that upgrades
 // fail-stop recovery from at-least-once to exactly-once for operations
-// mid-flight at the crashed member: bounded request-ID dedupe windows for
+// mid-flight at the crashed member: a bounded request-ID dedupe window for
 // replayed DHT operations, the counter and wave-boundary hooks the hosting
 // layer's operation journal drives (re-submission itself is Cluster.Inject
 // under the journaled ID), and the serve shape guard.
@@ -29,10 +29,13 @@ import (
 // replayDedupeWindow bounds the per-node dedupe memory. Duplicates only
 // arise within one crash-recovery replay interval — the traffic between
 // two snapshots plus the reconnect replay — so the window needs to cover
-// that interval's operations, not history. 2^14 request IDs per node is
-// several snapshot intervals of saturated traffic; beyond it, oldest
-// entries are evicted first.
-const replayDedupeWindow = 1 << 14
+// that interval's operations, not history. One window holds the request
+// IDs of the PUTs applied and the GETs served here: an operation is one
+// or the other and its ID is unique, so the two kinds never collide, and
+// 2^15 IDs per node is 2^14 of each at an even mix — several snapshot
+// intervals of saturated traffic. Beyond it, oldest entries are evicted
+// first.
+const replayDedupeWindow = 1 << 15
 
 // reqRing is a bounded FIFO set of request IDs. The zero value is ready
 // to use and allocates nothing until the first add, so simulator nodes

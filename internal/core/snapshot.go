@@ -51,17 +51,22 @@ import (
 //     assignments line up position for position;
 //   - receiver-side dedupe: stores recognize replayed PUTs by (position,
 //     ticket) and — surviving even consume-then-replay races — by request
-//     ID (Node.appliedPuts), served GETs are remembered by request ID so a
-//     re-executed GET cannot park again and steal a reused stack position
-//     (Node.servedGets), duplicate put-acks are absorbed by per-request
-//     accounting (stackDisc.awaitingAcks), a parent drops a restarted child's
-//     re-sent aggregate for a wave it already folded (Node.foldedWaves —
-//     the original serve, sent or still to come, answers the re-fire)
-//     while queueing a child's replayed later waves and folding them one
-//     per fire in order (Node.takeWaiting), serves replayed
-//     AHEAD of a rolled-back node's wave counter are parked until the
-//     matching re-fire (Node.heldServes), and serves for past waves are
-//     dropped by WaveSeq;
+//     ID, and remember served GETs by request ID so a re-executed GET
+//     cannot park again and steal a reused stack position: one window of
+//     request IDs per node holds both (Node.servedReqs). A replayed PUT is
+//     re-acknowledged, a replayed GET is swallowed. So a requester parks a
+//     reply that outruns the journal replay re-registering its GET
+//     (Node.earlyReplies), while it drops a put-ack it does not await: the
+//     re-registered PUT is sent again and acked again. Duplicate put-acks
+//     are absorbed by per-request accounting (stackDisc.awaitingAcks). A
+//     parent drops a restarted child's re-sent aggregate for a wave it
+//     already folded (Node.foldedWaves — the original serve, sent or
+//     still to come, answers the re-fire) while queueing a child's
+//     replayed later waves and folding them one per fire in order
+//     (Node.takeWaiting), serves replayed AHEAD of a rolled-back node's
+//     wave counter are parked until the matching re-fire
+//     (Node.heldServes), and serves for past waves are dropped by
+//     WaveSeq;
 //   - a shape guard: a serve whose assignments cannot match the node's
 //     current processing batch (possible only if replay diverged) is
 //     dropped rather than applied, so divergence degrades to a retried
@@ -146,28 +151,23 @@ type NodeImage struct {
 	Parked  []dht.ParkedEntry
 	Gets    []GetImage
 
-	// AppliedPuts and ServedGets are the node's replay-dedupe windows:
-	// request IDs of recently applied PUTs and served GETs, oldest first.
-	// They survive the restart so a member that crashes can still
-	// recognize duplicates produced by an earlier crash of a peer.
-	AppliedPuts []uint64
-	ServedGets  []uint64
+	// ServedReqs is the node's replay-dedupe window: request IDs of
+	// recently applied PUTs and served GETs, oldest first. It survives the
+	// restart so a member that crashes can still recognize duplicates
+	// produced by an earlier crash of a peer.
+	ServedReqs []uint64
 	// FoldedWaves is the per-child cursor of waves already folded into
 	// a processing batch, which recognizes a restarted child's re-sent
 	// aggregates (see Node.foldedWaves).
 	FoldedWaves []FoldedWaveImage
-	// EarlyReplies are the parked replies of Node.earlyReplies, and
-	// EarlyAcks the stack strategy's analogous parked put-acks
-	// (stackDisc.earlyAcks), both sorted by request ID. A snapshot cut
-	// inside a restart-replay window must carry them: their link
-	// delivery cursors have already advanced, so dropping them here
-	// would lose the completions for good on a second crash.
+	// EarlyReplies are the parked replies of Node.earlyReplies, sorted by
+	// request ID. A snapshot cut inside a restart-replay window must carry
+	// them: their link delivery cursors have already advanced, so dropping
+	// them here would lose the completions for good on a second crash.
 	EarlyReplies []EarlyReplyImage
-	EarlyAcks    []uint64
 
 	LastEpoch    int64
 	EpochCounter int64
-	PendChurn    int64
 }
 
 // ProcessImage captures one process-table entry.
@@ -314,20 +314,18 @@ func (cl *Cluster) SnapshotMember() (*MemberSnapshot, error) {
 			Entries:      n.store.Entries(),
 			LastEpoch:    n.churn.lastEpoch,
 			EpochCounter: n.churn.epochCounter,
-			PendChurn:    n.churn.pendChurn,
 		}
 		// Strategy-private state (stack: combiner residual, unacknowledged
-		// PUT IDs, parked early acks) is captured by the mode
-		// strategy; the image fields stay zero for the other modes.
+		// PUT IDs) is captured by the mode strategy; the image fields stay
+		// zero for the other modes.
 		n.disc.capture(n, &img)
-		img.AppliedPuts = n.appliedPuts.entries()
-		img.ServedGets = n.servedGets.entries()
+		img.ServedReqs = n.servedReqs.entries()
 		img.FoldedWaves = waveCursorImage(n.foldedWaves)
 		for reqID, reply := range n.earlyReplies {
 			img.EarlyReplies = append(img.EarlyReplies, EarlyReplyImage{ReqID: reqID, Entry: reply.Entry})
 		}
 		sort.Slice(img.EarlyReplies, func(i, j int) bool { return img.EarlyReplies[i].ReqID < img.EarlyReplies[j].ReqID })
-		img.Parked = parkedImage(n.store)
+		img.Parked = n.store.ParkedEntries()
 		reqIDs := make([]uint64, 0, len(n.pendingGets))
 		for reqID := range n.pendingGets {
 			reqIDs = append(reqIDs, reqID)
@@ -375,18 +373,6 @@ func restoreWaveCursor(img []FoldedWaveImage) map[transport.NodeID]int64 {
 		m[e.From] = e.WaveSeq
 	}
 	return m
-}
-
-// parkedImage lists a store's parked GETs without disturbing them.
-func parkedImage(s *dht.Store) []dht.ParkedEntry {
-	ents, parked := s.ExtractAll()
-	for _, e := range ents {
-		s.Insert(e)
-	}
-	for _, pk := range parked {
-		s.Park(pk.Pos, pk.Waiter)
-	}
-	return parked
 }
 
 // RestoreMember rebuilds the Cluster fragment of a member restarting
@@ -446,8 +432,7 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 			pendingGets:  make(map[uint64]getCtx),
 		}
 		n.disc.restoreImage(n, &img)
-		n.appliedPuts.restore(img.AppliedPuts)
-		n.servedGets.restore(img.ServedGets)
+		n.servedReqs.restore(img.ServedReqs)
 		if len(img.EarlyReplies) > 0 {
 			n.earlyReplies = make(map[uint64]getReply, len(img.EarlyReplies))
 			for _, er := range img.EarlyReplies {
@@ -467,7 +452,6 @@ func RestoreMember(cfg Config, snap *MemberSnapshot, net transport.Network) (*Cl
 		n.churn.relayVia = ldb.Ref{ID: transport.None}
 		n.churn.lastEpoch = img.LastEpoch
 		n.churn.epochCounter = img.EpochCounter
-		n.churn.pendChurn = img.PendChurn
 		cl.nodes[img.Self.ID] = n
 		reg.Register(img.Self.ID, n)
 	}

@@ -313,42 +313,74 @@ func TestSnapshotCarriesEarlyReplies(t *testing.T) {
 	}
 }
 
-// TestStackSnapshotCarriesEarlyAcks is the stack-mode twin: a put-ack
-// parked in stackDisc.earlyAcks (link-replayed ahead of the journal
-// replay re-registering its PUT) must survive the snapshot, or the
-// re-registered PUT waits for an ack that never comes again.
-func TestStackSnapshotCarriesEarlyAcks(t *testing.T) {
+// TestStrayPutAckIsReacked covers the two halves of why a requester needs
+// no park for put-acks around a fail-stop restart. The owner answers a
+// replayed PUT whose element was already consumed with a fresh ack and
+// stores nothing (the request-ID window, not the store, recognizes it).
+// The requester drops an ack it does not await: its outstanding work and
+// the hosting layer's callback stay as they were, and the PUT that the
+// journal replay registers again is sent again and acked again.
+func TestStrayPutAckIsReacked(t *testing.T) {
 	cfg := Config{Processes: 1, Seed: 5, Mode: batch.Stack}
-	net1 := newMemNet(t)
-	cl, err := NewMember(cfg, 0, []int32{0}, net1)
+	net := newMemNet(t)
+	cl, err := NewMember(cfg, 0, []int32{0}, net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n *Node
-	for _, cand := range cl.nodes {
-		n = cand
-		break
-	}
-	disc := n.disc.(*stackDisc)
-	disc.earlyAcks = map[uint64]struct{}{99: {}, 7: {}}
-
-	snap, err := cl.SnapshotMember()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	net2 := newMemNet(t)
-	cl2, err := RestoreMember(cfg, roundTrip(t, snap), net2)
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	disc2 := cl2.nodes[n.self.ID].disc.(*stackDisc)
-	if len(disc2.earlyAcks) != 2 {
-		t.Fatalf("restored stack strategy has %d parked acks, want 2", len(disc2.earlyAcks))
-	}
-	for _, reqID := range []uint64{7, 99} {
-		if _, ok := disc2.earlyAcks[reqID]; !ok {
-			t.Errorf("parked ack for PUT %d lost across the snapshot", reqID)
+	client := cl.Client(0)
+	var acked []uint64
+	cl.SetOnPutAck(func(reqID uint64) { acked = append(acked, reqID) })
+	putID := cl.EnqueueBlob(client, []byte("x"))
+	net.drain(cl, 100)
+	var owner *Node
+	var ent dht.Entry
+	for _, n := range cl.nodes {
+		if ents := n.store.Entries(); len(ents) == 1 {
+			owner, ent = n, ents[0]
 		}
+	}
+	if owner == nil {
+		t.Fatalf("pushed element stored at no node")
+	}
+	cl.Dequeue(client)
+	net.drain(cl, 100)
+	if cl.TotalStored() != 0 || len(acked) != 1 {
+		t.Fatalf("after push and pop: %d stored, acks %v; want 0 stored, one ack", cl.TotalStored(), acked)
+	}
+
+	// The owner: a replayed PUT for the consumed element is re-acked, and
+	// not stored again.
+	owner.handleDHT(net.ctxs[owner.self.ID], putReq{
+		Pos: ent.Pos, Ticket: ent.Ticket, Elem: ent.Elem, Blob: ent.Blob,
+		Requester: client, ReqID: putID,
+	})
+	if owner.store.Len() != 0 {
+		t.Fatalf("owner stored the replayed PUT of a consumed element")
+	}
+	reacked := false
+	for _, e := range net.queue {
+		if ack, ok := e.payload.(putAck); ok && e.to == client && ack.ReqID == putID {
+			reacked = true
+		}
+	}
+	if !reacked {
+		t.Fatalf("owner did not re-ack the replayed PUT %d (queued: %v)", putID, net.queue)
+	}
+
+	// The requester: with one PUT awaited, the re-ack (for a PUT it no
+	// longer awaits) and an ack for an ID it never issued are dropped.
+	n := cl.nodes[client]
+	disc := n.disc.(*stackDisc)
+	awaited := putID + 100
+	disc.trackPut(n, awaited)
+	net.step()
+	n.OnMessage(net.ctxs[client], owner.self.ID, putAck{ReqID: putID + 200})
+	if got := disc.outstanding(n); got != 1 || len(acked) != 1 {
+		t.Fatalf("stray acks changed the requester: outstanding %d (want 1), callbacks %v (want [%d])", got, acked, putID)
+	}
+	n.OnMessage(net.ctxs[client], owner.self.ID, putAck{ReqID: awaited})
+	if got := disc.outstanding(n); got != 0 || len(acked) != 2 || acked[1] != awaited {
+		t.Fatalf("awaited ack: outstanding %d (want 0), callbacks %v (want [%d %d])", got, acked, putID, awaited)
 	}
 }
 

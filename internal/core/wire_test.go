@@ -32,7 +32,7 @@ func TestWireRoundTrip(t *testing.T) {
 			RingSeq: 6, PredView: v, SuccView: v, SibViews: [2]ldb.View{v, v}, Up: up, UpSeq: 3,
 		},
 		AnchorRole: true,
-		Anchor:     anchorBundle{Ast: batch.AnchorState{First: 1, Last: 4, Value: 9, Ticket: 2}, PendChurn: 1, EpochCounter: 3},
+		Anchor:     anchorBundle{Ast: batch.AnchorState{First: 1, Last: 4, Value: 9, Ticket: 2}, EpochCounter: 3},
 		Waiting:    []subBatch{{From: 5, B: batch.Batch{Runs: []int64{1, 2}, J: 1}}},
 		Entries:    []dht.Entry{ent},
 		Parked:     []dht.ParkedEntry{{Pos: 3, Waiter: dht.Waiter{Requester: 4, ReqID: 8, Bound: 1}}},

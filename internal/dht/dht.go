@@ -204,8 +204,16 @@ func (s *Store) Extract(keep func(pos int64) bool) ([]Entry, []ParkedEntry) {
 		}
 		return ents[i].Ticket < ents[j].Ticket
 	})
-	sort.Slice(parked, func(i, j int) bool { return parked[i].Pos < parked[j].Pos })
+	sortParked(parked)
 	return ents, parked
+}
+
+// sortParked orders parked GETs by position. The sort is stable: one
+// position's waiters stay in the order they parked, which is the order
+// PutBlob releases them in, so a receiver that parks the list again
+// serves them as the sender would have.
+func sortParked(parked []ParkedEntry) {
+	sort.SliceStable(parked, func(i, j int) bool { return parked[i].Pos < parked[j].Pos })
 }
 
 // ExtractAll removes and returns everything (full handover on LEAVE).
@@ -216,6 +224,19 @@ func (s *Store) ExtractAll() ([]Entry, []ParkedEntry) {
 // Insert adds a handed-over entry, satisfying parked GETs like Put does.
 func (s *Store) Insert(ent Entry) []Released {
 	return s.PutBlob(ent.Pos, ent.Ticket, ent.Elem, ent.Blob)
+}
+
+// ParkedEntries returns the parked GETs sorted by position, each
+// position's waiters in the order they parked, without removing them.
+func (s *Store) ParkedEntries() []ParkedEntry {
+	var out []ParkedEntry
+	for pos, ws := range s.parked {
+		for _, w := range ws {
+			out = append(out, ParkedEntry{Pos: pos, Waiter: w})
+		}
+	}
+	sortParked(out)
+	return out
 }
 
 // Entries returns a sorted snapshot of all stored entries (tests, stats).

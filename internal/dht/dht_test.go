@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -171,6 +172,50 @@ func TestExtractAllAndReinsert(t *testing.T) {
 	ent, ok := b.Get(4, 99)
 	if !ok || ent.Ticket != 4 {
 		t.Fatalf("entry lost in handover: %v", ent)
+	}
+}
+
+// TestExtractKeepsWaiterOrder: several GETs parked at one position (stack
+// positions are reused) leave Extract and ParkedEntries in the order they
+// parked, the order PutBlob releases them in. Past a dozen parked GETs an
+// unstable sort reorders them, and a receiver re-parking the list would
+// hand the next element to the wrong waiter.
+func TestExtractKeepsWaiterOrder(t *testing.T) {
+	const shared = 20
+	want := []uint64{1001, 1002, 1003}
+	fill := func() *Store {
+		s := NewStore()
+		for pos := int64(0); pos < 40; pos++ {
+			s.Park(pos, Waiter{ReqID: uint64(pos + 1)})
+		}
+		for _, id := range want {
+			s.Park(shared, Waiter{ReqID: id})
+		}
+		return s
+	}
+	check := func(how string, parked []ParkedEntry) {
+		t.Helper()
+		var got []uint64
+		for i, pk := range parked {
+			if i > 0 && parked[i-1].Pos > pk.Pos {
+				t.Fatalf("%s: not sorted by position at %d: %v", how, i, parked)
+			}
+			if pk.Pos == shared && pk.Waiter.ReqID > 1000 {
+				got = append(got, pk.Waiter.ReqID)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: waiters at position %d in order %v, parked as %v", how, shared, got, want)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		s := fill()
+		check("ParkedEntries", s.ParkedEntries())
+		if s.Parked() != 43 {
+			t.Fatalf("ParkedEntries removed waiters: %d left, want 43", s.Parked())
+		}
+		_, parked := s.ExtractAll()
+		check("ExtractAll", parked)
 	}
 }
 

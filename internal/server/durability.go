@@ -143,10 +143,13 @@ const snapshotFile = "snapshot.gob"
 // snapshotVersion is the snapshot format this build writes and the only
 // one it reads: gob drops the fields it does not know, so an image of
 // another format would restore with part of its state silently lost.
-// Version 5 carries each node's neighbourhood as one value
-// (NodeImage.Hood): its ring neighbours and siblings, its pair number, one
-// view per edge, what the node at the other end last said, and its up
-// edge; version 4 held the same state in separate fields. Version 4 adds
+// Version 6 keeps one replay-dedupe window per node (NodeImage.ServedReqs,
+// for PUTs and GETs alike) and no parked put-acks or pending churn level;
+// version 5 held two windows, the stack's parked put-acks and the anchor's
+// pending churn level. Version 5 carries each node's neighbourhood as one
+// value (NodeImage.Hood): its ring neighbours and siblings, its pair
+// number, one view per edge, what the node at the other end last said,
+// and its up edge; version 4 held the same state in separate fields. Version 4 adds
 // the up edge a left node told its siblings, the middle node's
 // confirmation of it and the number it awaits: restored without them, a
 // middle node would report to its left sibling while that one reports to
@@ -154,7 +157,7 @@ const snapshotFile = "snapshot.gob"
 // and the process's up edge it read from them, from which the aggregation
 // tree is read; version 2 holds each node's in-flight waves as one list
 // (NodeImage.InFlight); version 1 held a single processing batch.
-const snapshotVersion = 5
+const snapshotVersion = 6
 
 // loadSnapshot reads the member snapshot from dir; (nil, nil) when none
 // exists yet (first boot). It is the load half of the restore path

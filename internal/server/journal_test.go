@@ -393,6 +393,7 @@ func TestStateDirWithFireMarkerFailsToOpen(t *testing.T) {
 		}, "kind 3"},
 		{"version-1 snapshot", downgrade(1), "version 1"},
 		{"version-4 snapshot", downgrade(4), "version 4"},
+		{"version-5 snapshot", downgrade(5), "version 5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis := make([]net.Listener, 2)

@@ -75,8 +75,6 @@ type Config struct {
 	// batch), asynchronous sends add the extra to their native random
 	// delay. The zero Shape keeps the classic models.
 	Shape transport.Shape
-	// TraceMessage, when set, observes every delivered message.
-	TraceMessage func(now int64, from, to NodeID, payload any)
 }
 
 // Stats carries engine-level accounting. MessagesSent and
@@ -336,9 +334,6 @@ func (e *Engine) deliver(m message) {
 	}
 	e.inFlight--
 	e.stats.MessagesDelivered++
-	if e.cfg.TraceMessage != nil {
-		e.cfg.TraceMessage(e.now, m.from, m.to, m.payload)
-	}
 	slot.h.OnMessage(&slot.ctx, m.from, m.payload)
 }
 

@@ -465,9 +465,6 @@ func (w *Conn) Read() (any, error) {
 // Close closes the underlying connection; blocked Reads return.
 func (w *Conn) Close() error { return w.c.Close() }
 
-// RemoteAddr exposes the peer address for logging.
-func (w *Conn) RemoteAddr() net.Addr { return w.c.RemoteAddr() }
-
 // frameReader feeds the gob decoder the concatenated frame bodies,
 // enforcing the length prefix, MaxFrame per frame, and the per-message
 // budget set by Conn.Read.

@@ -32,24 +32,23 @@ func (m Mode) String() string {
 
 // options collects the Open configuration; every Option mutates it.
 type options struct {
-	processes       int
-	seed            int64
-	mode            Mode
-	heapLevels      int
-	async           bool
-	manual          bool
-	maxDelay        int
-	timeoutEvery    int
-	updateThreshold int
-	noStage4Wait    bool
-	noCombining     bool
-	quantum         int64
-	remote          string
-	wan             WANProfile
-	session         string
-	dialTimeout     time.Duration
-	reconnRetries   int
-	reconnBackoff   time.Duration
+	processes     int
+	seed          int64
+	mode          Mode
+	heapLevels    int
+	async         bool
+	manual        bool
+	maxDelay      int
+	timeoutEvery  int
+	noStage4Wait  bool
+	noCombining   bool
+	quantum       int64
+	remote        string
+	wan           WANProfile
+	session       string
+	dialTimeout   time.Duration
+	reconnRetries int
+	reconnBackoff time.Duration
 }
 
 func defaultOptions() options {
@@ -104,10 +103,6 @@ func WithAsyncDelays(maxDelay, timeoutEvery int) Option {
 		o.timeoutEvery = timeoutEvery
 	}
 }
-
-// WithUpdateThreshold sets how many pending join/leave requests the anchor
-// accumulates before starting an update phase (default 1).
-func WithUpdateThreshold(n int) Option { return func(o *options) { o.updateThreshold = n } }
 
 // WithManualClock disables the autopilot runner: simulated time advances
 // only through Step, Run, Drain and Settle on the client (or through the
